@@ -12,15 +12,15 @@
 
 #include "bench/reporter.h"
 #include "src/base/rng.h"
-#include "src/runtime/scheduler.h"
 #include "src/serving/continuous_batcher.h"
 #include "src/serving/execution_backend.h"
+#include "src/tts/tts.h"
 
 namespace {
 
 // The legacy sample-job stream on the serving runtime: fixed uncharged starting context,
 // one slot per sample, policy-selected slot reclamation.
-hserve::ScheduleResult Schedule(const std::vector<hrt::SampleJob>& jobs, int max_batch,
+hserve::ScheduleResult Schedule(const std::vector<htts::SampleJob>& jobs, int max_batch,
                                 const hrt::Engine& engine, int context,
                                 hserve::SchedulePolicy policy) {
   hserve::AnalyticBackend backend(engine);
@@ -54,7 +54,7 @@ int main() {
   hexllm::Rng rng(404);
 
   // 12 tasks x Best-of-8 samples, ~384-token solutions with realistic length spread.
-  const auto jobs = hrt::MakeSampleJobs(/*tasks=*/12, /*samples_per_task=*/8,
+  const auto jobs = htts::MakeSampleJobs(/*tasks=*/12, /*samples_per_task=*/8,
                                         /*mean_tokens=*/384, rng);
 
   std::printf("%-10s %14s %14s %14s %14s %12s\n", "max_batch", "static t/s", "contin. t/s",

@@ -254,6 +254,15 @@ int main() {
                 default_speedup, closed.speedup, default_acceptance);
     rep.AddReference("default-preset speedup vs closed-form model", default_speedup,
                      closed.speedup, "x");
+    // The draft decodes at batch 1 — T-MAC GEMV's sweet spot (bench_ext_tmac_gemv) — while
+    // the target keeps the HMX path for its batched verify.
+    dopt.use_tmac_gemv = true;
+    const hrt::Engine tmac_draft(dopt);
+    const htts::SpeculativeReport tmac = htts::EvaluateSpeculative(
+        target, tmac_draft, default_acceptance, /*gamma=*/4, /*context=*/prompt + decode / 2);
+    std::printf("closed-form cycle model with a T-MAC GEMV draft: %.2fx\n", tmac.speedup);
+    rep.AddReference("closed-form speedup with a T-MAC draft vs the HMX draft", tmac.speedup,
+                     closed.speedup, "x");
   }
 
   // --- 3. functional bit-identity + thread-compare rows --------------------------------

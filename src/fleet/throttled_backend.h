@@ -52,6 +52,7 @@ class ThrottledBackend : public hserve::ExecutionBackend {
   bool CanAdmit(const hserve::ServeJob& job, int context_tokens) override {
     return inner_.CanAdmit(job, context_tokens);
   }
+  void ClearKv() override { inner_.ClearKv(); }
   int max_context() const override { return inner_.max_context(); }
   hkv::KvStats kv_stats() const override { return inner_.kv_stats(); }
   hquant::KvDtype kv_dtype() const override { return inner_.kv_dtype(); }

@@ -97,7 +97,7 @@ void KvBlockManager::Reserve(int num_seqs, int blocks_per_seq) {
   }
 }
 
-void KvBlockManager::Reset(int seq, std::vector<int>* freed) {
+void KvBlockManager::ResetSeq(int seq, std::vector<int>* freed) {
   Table* t = const_cast<Table*>(SeqOrNull(seq));
   if (t == nullptr) {
     return;

@@ -12,10 +12,10 @@
 /// The manager is deliberately storage-free so it serves two masters:
 ///   * hkv::PagedKvCache embeds it and applies the returned WriteAccess/freed-block events
 ///     to real F16 storage (copying on CoW splits, poisoning freed blocks in debug builds);
-///   * hserve::AnalyticBackend drives one directly as a DRAM accountant for full-size
-///     models where materializing KV would cost gigabytes — same block math, no bytes.
-/// Driving both with the same operation stream yields bit-identical block statistics, which
-/// the serving tests assert.
+///   * hserve::AnalyticBackend drives one as a DRAM accountant for full-size models where
+///     materializing KV would cost gigabytes — same block math, no bytes.
+/// Both serving backends drive their store through one hserve::SlotKvBook, so the same job
+/// stream yields bit-identical block statistics, which the serving tests assert.
 ///
 /// Thread-compatible, not thread-safe: the serving layer mutates block tables only from the
 /// admission/step bookkeeping thread. Parallel decode lanes touch the underlying BlockPool
@@ -100,8 +100,10 @@ class KvBlockManager {
   void Reserve(int num_seqs, int blocks_per_seq);
 
   // Releases every block reference the sequence holds. Blocks whose last reference dropped
-  // are appended to `freed` (nullable).
-  void Reset(int seq, std::vector<int>* freed);
+  // are appended to `freed` (nullable). ResetSeq/DropHandle share their names with
+  // hkv::PagedKvCache's, so code written over either store (hserve::SlotKvBook) reads the
+  // same.
+  void ResetSeq(int seq, std::vector<int>* freed = nullptr);
 
   // Shrinks `seq` to `new_len` positions (the speculative-decode rollback primitive): whole
   // tail blocks past ceil(new_len / block_tokens) are Unref'd (last-owner blocks appended to
@@ -123,7 +125,7 @@ class KvBlockManager {
   // too — the first append into it CoW-splits.
   void ShareFromHandle(int64_t handle, int dst, int len);
 
-  void DropHandle(int64_t handle, std::vector<int>* freed);
+  void DropHandle(int64_t handle, std::vector<int>* freed = nullptr);
 
   // Blocks a fresh admission will newly allocate to grow from `shared_tokens` of mapped
   // prefix to `total_tokens`, including the CoW split of a partial shared tail.

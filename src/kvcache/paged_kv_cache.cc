@@ -242,7 +242,7 @@ void PagedKvCache::Advance(int seq) {
 
 void PagedKvCache::ResetSeq(int seq) {
   freed_scratch_.clear();
-  mgr_.Reset(seq, &freed_scratch_);
+  mgr_.ResetSeq(seq, &freed_scratch_);
   PoisonFreed();
 }
 

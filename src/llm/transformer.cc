@@ -45,8 +45,8 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
           hkv::kDefaultBlockTokens, kv_pool_blocks, hquant::KvDtypeFromEnv(kv_dtype),
           kv_quant_group),
       max_batch_(max_batch),
-      max_rows_(std::max(max_step_rows, max_batch)),
-      ws_(StepWorkspaceBytes(weights.config, std::max(max_step_rows, max_batch))) {
+      max_rows_(std::max({max_step_rows, max_batch, hkern::kAttnQTile})),
+      ws_(StepWorkspaceBytes(weights.config, max_rows_)) {
   if (kv_.dtype() != hquant::KvDtype::kF16) {
     // Per-kv-head attention views slice rows at head boundaries, so quant groups must not
     // straddle heads.
@@ -55,6 +55,7 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
   kv_.ReserveSeqs(max_batch);
   identity_seq_ids_.resize(static_cast<size_t>(max_batch));
   std::iota(identity_seq_ids_.begin(), identity_seq_ids_.end(), 0);
+  one_row_spans_.assign(static_cast<size_t>(max_batch), 1);
   span_row0_.reserve(static_cast<size_t>(max_batch));
   // lm_head converted to float once and transposed to row-major [hidden x vocab]: the
   // blocked CPU lm_head then converts each hidden row once per step and streams contiguous
@@ -69,31 +70,6 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
     }
   }
   rope_inv_freq_ = hkern::RopeInvFreq(c.head_dim, c.rope_theta);
-  const size_t cap = static_cast<size_t>(kv_.blocks_per_seq_capacity());
-  if (kv_.dtype() == hquant::KvDtype::kF16) {
-    layer_k_ptrs_.resize(cap);
-    layer_v_ptrs_.resize(cap);
-  } else {
-    layer_kq_ptrs_.resize(cap);
-    layer_vq_ptrs_.resize(cap);
-  }
-}
-
-hkern::PagedQKvHeadView Transformer::QuantHeadView(const uint8_t* const* k_bases,
-                                                   const uint8_t* const* v_bases,
-                                                   int kv_head) const {
-  const int dh = weights_.config.head_dim;
-  const int64_t head_start = static_cast<int64_t>(kv_head) * dh;
-  hkern::PagedQKvHeadView view;
-  view.k_blocks = k_bases;
-  view.v_blocks = v_bases;
-  view.block_tokens = kv_.block_tokens();
-  view.row_bytes = kv_.row_bytes();
-  view.payload_offset = hquant::KvPayloadBytes(kv_.dtype(), head_start);
-  view.scales_offset = kv_.scales_offset() + (head_start / kv_.quant_group()) * 2;
-  view.group = kv_.quant_group();
-  view.dtype = kv_.dtype();
-  return view;
 }
 
 void Transformer::FaultAttendedBlocks(int seq, int q_len, int kv_len, int q_pos_offset) {
@@ -122,57 +98,76 @@ std::span<const hkern::ExpLut* const> Transformer::EnsureShardLuts(int slots) {
 
 void Transformer::EnsureSlotScratch(int slots) {
   const size_t cap = static_cast<size_t>(kv_.blocks_per_seq_capacity());
-  if (kv_.dtype() == hquant::KvDtype::kF16) {
-    while (static_cast<int>(slot_k_ptrs_.size()) < slots) {
-      slot_k_ptrs_.emplace_back(cap);
-      slot_v_ptrs_.emplace_back(cap);
-    }
-  } else {
-    while (static_cast<int>(slot_kq_ptrs_.size()) < slots) {
-      slot_kq_ptrs_.emplace_back(cap);
-      slot_vq_ptrs_.emplace_back(cap);
-    }
+  while (static_cast<int>(slot_ptrs_.size()) < slots) {
+    SlotBlockPtrs& p = slot_ptrs_.emplace_back();
+    p.k.resize(cap);
+    p.v.resize(cap);
+    p.kq.resize(cap);
+    p.vq.resize(cap);
   }
 }
 
 void Transformer::Step(std::span<const int> tokens, std::span<float> logits,
                        hkern::SoftmaxVariant exp_variant) {
   HEXLLM_CHECK(static_cast<int>(tokens.size()) <= max_batch_);
-  StepSeqSubset(tokens,
-                std::span<const int>(identity_seq_ids_.data(), tokens.size()), logits,
-                exp_variant);
+  StepSeqs(tokens, std::span<const int>(identity_seq_ids_.data(), tokens.size()), logits,
+           exp_variant);
 }
 
 void Transformer::StepSeqs(std::span<const int> tokens, std::span<const int> seq_ids,
                            std::span<float> logits, hkern::SoftmaxVariant exp_variant) {
-  HEXLLM_CHECK(tokens.size() == seq_ids.size());
-  StepSeqSubset(tokens, seq_ids, logits, exp_variant);
+  HEXLLM_CHECK(tokens.size() == seq_ids.size() && tokens.size() <= one_row_spans_.size());
+  const std::span<const int> one_row_each(one_row_spans_.data(), tokens.size());
+  Forward({tokens, seq_ids, one_row_each, logits}, exp_variant);
 }
 
 void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> seq_ids,
                             std::span<const int> span_rows, std::span<float> logits,
                             hkern::SoftmaxVariant exp_variant) {
+  Forward({tokens, seq_ids, span_rows, logits}, exp_variant);
+}
+
+void Transformer::Prefill(int seq, std::span<const int> tokens) {
+  for (size_t done = 0; done < tokens.size();) {
+    const int rows =
+        static_cast<int>(std::min<size_t>(hkern::kAttnQTile, tokens.size() - done));
+    Forward({tokens.subspan(done, static_cast<size_t>(rows)), std::span<const int>(&seq, 1),
+             std::span<const int>(&rows, 1), {}},
+            hkern::SoftmaxVariant::kLut);
+    done += static_cast<size_t>(rows);
+  }
+}
+
+void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant) {
   const ModelConfig& c = weights_.config;
+  const std::span<const int> seq_ids = plan.seq_ids;
+  const std::span<const int> span_rows = plan.span_rows;
   const int spans = static_cast<int>(seq_ids.size());
   HEXLLM_CHECK(spans >= 1 && spans <= max_batch_);
   HEXLLM_CHECK(span_rows.size() == seq_ids.size());
   span_row0_.resize(static_cast<size_t>(spans));
-  int64_t total = 0;
+  int rows = 0;
   for (int s = 0; s < spans; ++s) {
     HEXLLM_CHECK(span_rows[static_cast<size_t>(s)] >= 1);
-    span_row0_[static_cast<size_t>(s)] = static_cast<int>(total);
-    total += span_rows[static_cast<size_t>(s)];
+    span_row0_[static_cast<size_t>(s)] = rows;
+    rows += span_rows[static_cast<size_t>(s)];
   }
-  const int rows = static_cast<int>(total);
   HEXLLM_CHECK(rows <= max_rows_);
-  HEXLLM_CHECK(tokens.size() == static_cast<size_t>(rows));
-  HEXLLM_CHECK(logits.size() == static_cast<size_t>(rows) * c.vocab);
+  HEXLLM_CHECK(plan.tokens.size() == static_cast<size_t>(rows));
+  const bool prefill = plan.logits.empty();
+  HEXLLM_CHECK(prefill || plan.logits.size() == static_cast<size_t>(rows) * c.vocab);
+  // Decode convention: when every span is one logits row, attention runs with
+  // q_pos_offset = -1, which skips the causal-mask sweep. Every other forward (verify,
+  // prefill chunk) attends causally from each span's base position, so row r of a span
+  // sees [0, base + r].
+  const bool decode = !prefill && rows == spans;
   const int hidden = c.hidden;
   const int q_dim = c.q_dim();
   const int kv_dim = c.kv_dim();
   const int dh = c.head_dim;
   const int group = c.heads / c.kv_heads;
 
+  // All forward scratch from the persistent arena — no heap traffic in steady state.
   ws_.Reset();
   F16* x = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
   F16* xn = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
@@ -185,26 +180,32 @@ void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> se
   F16* up = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
   F16* act = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
 
+  // Embedding lookup on the CPU.
   for (int r = 0; r < rows; ++r) {
-    HEXLLM_CHECK(tokens[static_cast<size_t>(r)] >= 0 &&
-                 tokens[static_cast<size_t>(r)] < c.vocab);
+    const int tok = plan.tokens[static_cast<size_t>(r)];
+    HEXLLM_CHECK(tok >= 0 && tok < c.vocab);
     std::memcpy(x + static_cast<int64_t>(r) * hidden,
-                weights_.embedding.data() +
-                    static_cast<size_t>(tokens[static_cast<size_t>(r)]) * hidden,
+                weights_.embedding.data() + static_cast<size_t>(tok) * hidden,
                 static_cast<size_t>(hidden) * 2);
   }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  const int slots = hexec::PlannedSlots(spans);
+  // At most one lane per query row: a decode span's head is a single query vector, too
+  // little attention work to pay for a hand-off to another lane, so decode keeps one lane
+  // per row while prefill chunks and verify spans also fan their heads out.
+  const int items = spans * c.heads;
+  const int slots = hexec::PlannedSlots(std::min(items, rows));
   const auto slot_luts = EnsureShardLuts(slots);
   EnsureSlotScratch(slots);
 
-  // Tiered offload: promote every block attention will stage, once per step — blocks hold
-  // all layers' rows, so the attended set is layer-invariant.
+  // Tiered offload: promote every block attention will stage, once per forward and on this
+  // (bookkeeping) thread — blocks hold all layers' rows, so the attended set is
+  // layer-invariant, and the parallel lanes below must never mutate pool residency.
   for (int s = 0; s < spans; ++s) {
     const int seq = seq_ids[static_cast<size_t>(s)];
     const int n = span_rows[static_cast<size_t>(s)];
-    FaultAttendedBlocks(seq, n, kv_.length(seq) + n, /*q_pos_offset=*/kv_.length(seq));
+    const int pos0 = kv_.length(seq);
+    FaultAttendedBlocks(seq, n, pos0 + n, decode ? -1 : pos0);
   }
 
   for (int l = 0; l < c.layers; ++l) {
@@ -221,62 +222,73 @@ void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> se
     for (int s = 0; s < spans; ++s) {
       const int seq = seq_ids[static_cast<size_t>(s)];
       const int pos0 = kv_.length(seq);
-      const int n = span_rows[static_cast<size_t>(s)];
       const int r0 = span_row0_[static_cast<size_t>(s)];
-      for (int r = 0; r < n; ++r) {
-        hkern::RopeHeadsF16(dev_, q + static_cast<int64_t>(r0 + r) * q_dim, c.heads, dh,
-                            pos0 + r, rope_inv_freq_.data());
-        hkern::RopeHeadsF16(dev_, k + static_cast<int64_t>(r0 + r) * kv_dim, c.kv_heads, dh,
-                            pos0 + r, rope_inv_freq_.data());
-        kv_.WriteKeyRow(l, seq, pos0 + r, k + static_cast<int64_t>(r0 + r) * kv_dim);
-        kv_.WriteValueRow(l, seq, pos0 + r, v + static_cast<int64_t>(r0 + r) * kv_dim);
+      for (int r = 0; r < span_rows[static_cast<size_t>(s)]; ++r) {
+        const int64_t row = r0 + r;
+        hkern::RopeHeadsF16(dev_, q + row * q_dim, c.heads, dh, pos0 + r,
+                            rope_inv_freq_.data());
+        hkern::RopeHeadsF16(dev_, k + row * kv_dim, c.kv_heads, dh, pos0 + r,
+                            rope_inv_freq_.data());
+        kv_.WriteKeyRow(l, seq, pos0 + r, k + row * kv_dim);
+        kv_.WriteValueRow(l, seq, pos0 + r, v + row * kv_dim);
       }
     }
 
-    // Per-span parallel causal attention: each span queries its own sequence's KV with
-    // q_pos_offset at the span base, so row r sees [0, pos0 + r]. The KV cache is
-    // read-only in this region and attn_out rows are disjoint, so results are
-    // bit-identical at any lane count (same argument as StepSeqSubset).
+    // Attention over (span, head) work items, span-major: each item is one head of one
+    // span querying its sequence's KV in place. A lane resolves a span's block table into
+    // its own pointer scratch once and reuses it for the span's consecutive heads, and
+    // charges its slot's shard device (per-slot exp LUT included). The KV cache is
+    // read-only in this region (the appends above already ran) and items write disjoint
+    // attn_out columns, so results are bit-identical at any lane count; shard accounting
+    // merges back in slot order right after the loop (docs/threading_model.md).
     const bool kv_quant = kv_.dtype() != hquant::KvDtype::kF16;
     hexec::ParallelFor(
-        spans,
-        [&](int64_t s_begin, int64_t s_end, int slot) {
+        items,
+        [&](int64_t begin, int64_t end, int slot) {
           hexsim::NpuDevice& d = dev_.ForSlot(slot);
           const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
-          for (int64_t s = s_begin; s < s_end; ++s) {
+          SlotBlockPtrs& ptrs = slot_ptrs_[static_cast<size_t>(slot)];
+          int resolved = -1;  // span whose block table `ptrs` holds
+          for (int64_t item = begin; item < end; ++item) {
+            const int s = static_cast<int>(item / c.heads);
+            const int h = static_cast<int>(item % c.heads);
             const int seq = seq_ids[static_cast<size_t>(s)];
             const int n = span_rows[static_cast<size_t>(s)];
-            const int r0 = span_row0_[static_cast<size_t>(s)];
+            const int64_t r0 = span_row0_[static_cast<size_t>(s)];
             const int pos0 = kv_.length(seq);
             const int kv_len = pos0 + n;  // includes the rows just written
+            const F16* qh = q + r0 * q_dim + h * dh;
+            F16* oh = attn_out + r0 * q_dim + h * dh;
+            const int64_t head_start = static_cast<int64_t>(h / group) * dh;
             if (kv_quant) {
-              const uint8_t** k_bases = slot_kq_ptrs_[static_cast<size_t>(slot)].data();
-              const uint8_t** v_bases = slot_vq_ptrs_[static_cast<size_t>(slot)].data();
-              kv_.FillQuantBlockPointers(l, seq, kv_len, k_bases, v_bases);
-              for (int h = 0; h < c.heads; ++h) {
-                const hkern::PagedQKvHeadView view =
-                    QuantHeadView(k_bases, v_bases, h / group);
-                hkern::FlashAttentionPagedQ(
-                    d, lut, exp_variant, q + static_cast<int64_t>(r0) * q_dim + h * dh,
-                    q_dim, view, attn_out + static_cast<int64_t>(r0) * q_dim + h * dh,
-                    q_dim, /*q_len=*/n, kv_len, dh, scale, /*q_pos_offset=*/pos0, win());
+              if (s != resolved) {
+                kv_.FillQuantBlockPointers(l, seq, kv_len, ptrs.kq.data(), ptrs.vq.data());
+                resolved = s;
               }
-              continue;
-            }
-            const F16** k_bases = slot_k_ptrs_[static_cast<size_t>(slot)].data();
-            const F16** v_bases = slot_v_ptrs_[static_cast<size_t>(slot)].data();
-            kv_.FillBlockPointers(l, seq, kv_len, k_bases, v_bases);
-            hkern::PagedKvHeadView view;
-            view.k_blocks = k_bases;
-            view.v_blocks = v_bases;
-            view.block_tokens = kv_.block_tokens();
-            view.row_stride = kv_.row_stride();
-            for (int h = 0; h < c.heads; ++h) {
-              view.head_offset = static_cast<int64_t>(h / group) * dh;
-              hkern::FlashAttentionPagedF16(
-                  d, lut, exp_variant, q + static_cast<int64_t>(r0) * q_dim + h * dh, q_dim,
-                  view, attn_out + static_cast<int64_t>(r0) * q_dim + h * dh, q_dim,
-                  /*q_len=*/n, kv_len, dh, scale, /*q_pos_offset=*/pos0, win());
+              hkern::PagedQKvHeadView view;
+              view.k_blocks = ptrs.kq.data();
+              view.v_blocks = ptrs.vq.data();
+              view.block_tokens = kv_.block_tokens();
+              view.row_bytes = kv_.row_bytes();
+              view.payload_offset = hquant::KvPayloadBytes(kv_.dtype(), head_start);
+              view.scales_offset = kv_.scales_offset() + (head_start / kv_.quant_group()) * 2;
+              view.group = kv_.quant_group();
+              view.dtype = kv_.dtype();
+              hkern::FlashAttentionPagedQ(d, lut, exp_variant, qh, q_dim, view, oh, q_dim, n,
+                                          kv_len, dh, scale, decode ? -1 : pos0, win());
+            } else {
+              if (s != resolved) {
+                kv_.FillBlockPointers(l, seq, kv_len, ptrs.k.data(), ptrs.v.data());
+                resolved = s;
+              }
+              hkern::PagedKvHeadView view;
+              view.k_blocks = ptrs.k.data();
+              view.v_blocks = ptrs.v.data();
+              view.block_tokens = kv_.block_tokens();
+              view.row_stride = kv_.row_stride();
+              view.head_offset = head_start;
+              hkern::FlashAttentionPagedF16(d, lut, exp_variant, qh, q_dim, view, oh, q_dim, n,
+                                            kv_len, dh, scale, decode ? -1 : pos0, win());
             }
           }
         },
@@ -300,283 +312,20 @@ void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> se
       kv_.Advance(seq_ids[static_cast<size_t>(s)]);
     }
   }
-
-  hkern::RmsNormF16(dev_, x, weights_.final_norm.data(), xn, rows, hidden, c.rms_eps);
-  float* xf = ws_.Alloc<float>(static_cast<int64_t>(rows) * hidden);
-  for (int64_t i = 0; i < static_cast<int64_t>(rows) * hidden; ++i) {
-    xf[i] = xn[i].ToFloat();
-  }
-  hkern::LmHeadForwardF32W(xf, lm_head_f32_.data(), logits.data(), rows, hidden, c.vocab);
-}
-
-void Transformer::Prefill(int seq, std::span<const int> tokens) {
-  size_t done = 0;
-  while (done < tokens.size()) {
-    const size_t chunk = std::min<size_t>(hkern::kAttnQTile, tokens.size() - done);
-    PrefillChunk(seq, tokens.subspan(done, chunk));
-    done += chunk;
-  }
-}
-
-void Transformer::PrefillChunk(int seq, std::span<const int> tokens) {
-  const ModelConfig& c = weights_.config;
-  const int rows = static_cast<int>(tokens.size());
-  HEXLLM_CHECK(rows >= 1 && rows <= hkern::kAttnQTile);
-  const int pos0 = kv_.length(seq);
-  const int hidden = c.hidden;
-  const int q_dim = c.q_dim();
-  const int kv_dim = c.kv_dim();
-  const int dh = c.head_dim;
-  const int group = c.heads / c.kv_heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-
-  ws_.Reset();
-  F16* x = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
-  F16* xn = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
-  F16* q = ws_.Alloc<F16>(static_cast<int64_t>(rows) * q_dim);
-  F16* k = ws_.Alloc<F16>(static_cast<int64_t>(rows) * kv_dim);
-  F16* v = ws_.Alloc<F16>(static_cast<int64_t>(rows) * kv_dim);
-  F16* attn_out = ws_.Alloc<F16>(static_cast<int64_t>(rows) * q_dim);
-  F16* proj = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
-  F16* gate = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
-  F16* up = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
-  F16* act = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
-
-  for (int r = 0; r < rows; ++r) {
-    HEXLLM_CHECK(tokens[static_cast<size_t>(r)] >= 0 &&
-                 tokens[static_cast<size_t>(r)] < c.vocab);
-    std::memcpy(x + static_cast<int64_t>(r) * hidden,
-                weights_.embedding.data() +
-                    static_cast<size_t>(tokens[static_cast<size_t>(r)]) * hidden,
-                static_cast<size_t>(hidden) * 2);
-  }
-
-  const int kv_len = pos0 + rows;
-  const int slots = std::min(hexec::PlannedSlots(c.heads), c.heads);
-  const auto slot_luts = EnsureShardLuts(slots);
-  FaultAttendedBlocks(seq, rows, kv_len, /*q_pos_offset=*/pos0);
-
-  for (int l = 0; l < c.layers; ++l) {
-    const LayerWeights& lw = weights_.layers[static_cast<size_t>(l)];
-    hkern::RmsNormF16(dev_, x, lw.attn_norm.data(), xn, rows, hidden, c.rms_eps);
-    lw.wq.Forward(dev_, xn, q, rows, &ws_);
-    lw.wk.Forward(dev_, xn, k, rows, &ws_);
-    lw.wv.Forward(dev_, xn, v, rows, &ws_);
-
-    // RoPE with per-row positions (all heads of a row share the hoisted angles), then
-    // append the chunk's K/V rows to the cache.
-    for (int r = 0; r < rows; ++r) {
-      hkern::RopeHeadsF16(dev_, q + static_cast<int64_t>(r) * q_dim, c.heads, dh, pos0 + r,
-                          rope_inv_freq_.data());
-      hkern::RopeHeadsF16(dev_, k + static_cast<int64_t>(r) * kv_dim, c.kv_heads, dh,
-                          pos0 + r, rope_inv_freq_.data());
-    }
-    for (int r = 0; r < rows; ++r) {
-      kv_.WriteKeyRow(l, seq, pos0 + r, k + static_cast<int64_t>(r) * kv_dim);
-      kv_.WriteValueRow(l, seq, pos0 + r, v + static_cast<int64_t>(r) * kv_dim);
-    }
-
-    // Causal FlashAttention over the chunk: rows x [0, kv_len) with offset pos0, heads in
-    // parallel across slots, each reading K/V in place through the block table resolved
-    // once per layer (the append loop above already ran, so the table is read-only here).
-    const bool kv_quant = kv_.dtype() != hquant::KvDtype::kF16;
-    if (kv_quant) {
-      kv_.FillQuantBlockPointers(l, seq, kv_len, layer_kq_ptrs_.data(),
-                                 layer_vq_ptrs_.data());
-    } else {
-      kv_.FillBlockPointers(l, seq, kv_len, layer_k_ptrs_.data(), layer_v_ptrs_.data());
-    }
-    hexec::ParallelFor(
-        c.heads,
-        [&](int64_t h_begin, int64_t h_end, int slot) {
-          hexsim::NpuDevice& d = dev_.ForSlot(slot);
-          const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
-          for (int64_t h = h_begin; h < h_end; ++h) {
-            if (kv_quant) {
-              const hkern::PagedQKvHeadView view = QuantHeadView(
-                  layer_kq_ptrs_.data(), layer_vq_ptrs_.data(), static_cast<int>(h / group));
-              hkern::FlashAttentionPagedQ(d, lut, hkern::SoftmaxVariant::kLut, q + h * dh,
-                                          q_dim, view, attn_out + h * dh, q_dim, rows,
-                                          kv_len, dh, scale, /*q_pos_offset=*/pos0, win());
-              continue;
-            }
-            hkern::PagedKvHeadView view;
-            view.k_blocks = layer_k_ptrs_.data();
-            view.v_blocks = layer_v_ptrs_.data();
-            view.block_tokens = kv_.block_tokens();
-            view.row_stride = kv_.row_stride();
-            view.head_offset = static_cast<int64_t>(h / group) * dh;
-            hkern::FlashAttentionPagedF16(d, lut, hkern::SoftmaxVariant::kLut, q + h * dh,
-                                          q_dim, view, attn_out + h * dh, q_dim, rows,
-                                          kv_len, dh, scale, /*q_pos_offset=*/pos0, win());
-          }
-        },
-        slots);
-    dev_.MergeShards();
-
-    lw.wo.Forward(dev_, attn_out, proj, rows, &ws_);
-    hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(rows) * hidden);
-    hkern::RmsNormF16(dev_, x, lw.ffn_norm.data(), xn, rows, hidden, c.rms_eps);
-    lw.w_gate.Forward(dev_, xn, gate, rows, &ws_);
-    lw.w_up.Forward(dev_, xn, up, rows, &ws_);
-    hkern::SiluMulF16(dev_, gate, up, act, static_cast<int64_t>(rows) * c.ffn_hidden);
-    lw.w_down.Forward(dev_, act, proj, rows, &ws_);
-    hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(rows) * hidden);
-  }
-
-  for (int r = 0; r < rows; ++r) {
-    kv_.Advance(seq);
-  }
-}
-
-void Transformer::StepSeqSubset(std::span<const int> tokens, std::span<const int> seq_ids,
-                                std::span<float> logits,
-                                hkern::SoftmaxVariant exp_variant) {
-  const ModelConfig& c = weights_.config;
-  const int batch = static_cast<int>(tokens.size());
-  HEXLLM_CHECK(batch >= 1 && batch <= max_batch_);
-  HEXLLM_CHECK(seq_ids.size() == tokens.size());
-  HEXLLM_CHECK(logits.size() == static_cast<size_t>(batch) * c.vocab);
-  const int hidden = c.hidden;
-  const int q_dim = c.q_dim();
-  const int kv_dim = c.kv_dim();
-  const int dh = c.head_dim;
-  const int group = c.heads / c.kv_heads;
-
-  // All step scratch from the persistent arena — no heap traffic in steady state.
-  ws_.Reset();
-  F16* x = ws_.Alloc<F16>(static_cast<int64_t>(batch) * hidden);
-  F16* xn = ws_.Alloc<F16>(static_cast<int64_t>(batch) * hidden);
-  F16* q = ws_.Alloc<F16>(static_cast<int64_t>(batch) * q_dim);
-  F16* k = ws_.Alloc<F16>(static_cast<int64_t>(batch) * kv_dim);
-  F16* v = ws_.Alloc<F16>(static_cast<int64_t>(batch) * kv_dim);
-  F16* attn_out = ws_.Alloc<F16>(static_cast<int64_t>(batch) * q_dim);
-  F16* proj = ws_.Alloc<F16>(static_cast<int64_t>(batch) * hidden);
-  F16* gate = ws_.Alloc<F16>(static_cast<int64_t>(batch) * c.ffn_hidden);
-  F16* up = ws_.Alloc<F16>(static_cast<int64_t>(batch) * c.ffn_hidden);
-  F16* act = ws_.Alloc<F16>(static_cast<int64_t>(batch) * c.ffn_hidden);
-
-  // Embedding lookup on the CPU.
-  for (int b = 0; b < batch; ++b) {
-    HEXLLM_CHECK(tokens[static_cast<size_t>(b)] >= 0 &&
-                 tokens[static_cast<size_t>(b)] < c.vocab);
-    std::memcpy(x + static_cast<int64_t>(b) * hidden,
-                weights_.embedding.data() +
-                    static_cast<size_t>(tokens[static_cast<size_t>(b)]) * hidden,
-                static_cast<size_t>(hidden) * 2);
-  }
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  const int slots = hexec::PlannedSlots(batch);
-  const auto slot_luts = EnsureShardLuts(slots);
-  EnsureSlotScratch(slots);
-
-  // Tiered offload: promote the attended blocks once per step, on this (bookkeeping)
-  // thread — the parallel lanes below must never mutate pool residency.
-  for (int b = 0; b < batch; ++b) {
-    const int seq = seq_ids[static_cast<size_t>(b)];
-    FaultAttendedBlocks(seq, /*q_len=*/1, kv_.length(seq) + 1, /*q_pos_offset=*/-1);
-  }
-
-  for (int l = 0; l < c.layers; ++l) {
-    const LayerWeights& lw = weights_.layers[static_cast<size_t>(l)];
-
-    // --- attention block ---
-    hkern::RmsNormF16(dev_, x, lw.attn_norm.data(), xn, batch, hidden, c.rms_eps);
-    lw.wq.Forward(dev_, xn, q, batch, &ws_);
-    lw.wk.Forward(dev_, xn, k, batch, &ws_);
-    lw.wv.Forward(dev_, xn, v, batch, &ws_);
-
-    for (int b = 0; b < batch; ++b) {
-      const int seq = seq_ids[static_cast<size_t>(b)];
-      const int pos = kv_.length(seq);
-      hkern::RopeHeadsF16(dev_, q + static_cast<int64_t>(b) * q_dim, c.heads, dh, pos,
-                          rope_inv_freq_.data());
-      hkern::RopeHeadsF16(dev_, k + static_cast<int64_t>(b) * kv_dim, c.kv_heads, dh, pos,
-                          rope_inv_freq_.data());
-      kv_.WriteKeyRow(l, seq, pos, k + static_cast<int64_t>(b) * kv_dim);
-      kv_.WriteValueRow(l, seq, pos, v + static_cast<int64_t>(b) * kv_dim);
-    }
-
-    // Per-row parallel attention: each batch row is an independent query against its own
-    // sequence's KV, so rows fan out across slots, each charging its slot's shard device
-    // (per-slot exp LUT included). Each lane resolves its sequences' block tables into its
-    // own pointer scratch and the kernel reads K/V rows in place — no gather copies. The
-    // KV cache is read-only in this region (the append loop above already ran) and
-    // attn_out rows are disjoint, so results are bit-identical at any lane count. Shard
-    // accounting merges back right after the loop.
-    const bool kv_quant = kv_.dtype() != hquant::KvDtype::kF16;
-    hexec::ParallelFor(
-        batch,
-        [&](int64_t b_begin, int64_t b_end, int slot) {
-          hexsim::NpuDevice& d = dev_.ForSlot(slot);
-          const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
-          if (kv_quant) {
-            const uint8_t** k_bases = slot_kq_ptrs_[static_cast<size_t>(slot)].data();
-            const uint8_t** v_bases = slot_vq_ptrs_[static_cast<size_t>(slot)].data();
-            for (int64_t b = b_begin; b < b_end; ++b) {
-              const int seq = seq_ids[static_cast<size_t>(b)];
-              const int kv_len = kv_.length(seq) + 1;  // includes the row just written
-              kv_.FillQuantBlockPointers(l, seq, kv_len, k_bases, v_bases);
-              for (int h = 0; h < c.heads; ++h) {
-                const hkern::PagedQKvHeadView view =
-                    QuantHeadView(k_bases, v_bases, h / group);
-                hkern::FlashAttentionPagedQ(
-                    d, lut, exp_variant, q + static_cast<int64_t>(b) * q_dim + h * dh, q_dim,
-                    view, attn_out + static_cast<int64_t>(b) * q_dim + h * dh, q_dim,
-                    /*q_len=*/1, kv_len, dh, scale, /*q_pos_offset=*/-1, win());
-              }
-            }
-            return;
-          }
-          const F16** k_bases = slot_k_ptrs_[static_cast<size_t>(slot)].data();
-          const F16** v_bases = slot_v_ptrs_[static_cast<size_t>(slot)].data();
-          for (int64_t b = b_begin; b < b_end; ++b) {
-            const int seq = seq_ids[static_cast<size_t>(b)];
-            const int kv_len = kv_.length(seq) + 1;  // includes the row just written
-            kv_.FillBlockPointers(l, seq, kv_len, k_bases, v_bases);
-            hkern::PagedKvHeadView view;
-            view.k_blocks = k_bases;
-            view.v_blocks = v_bases;
-            view.block_tokens = kv_.block_tokens();
-            view.row_stride = kv_.row_stride();
-            for (int h = 0; h < c.heads; ++h) {
-              view.head_offset = static_cast<int64_t>(h / group) * dh;
-              hkern::FlashAttentionPagedF16(
-                  d, lut, exp_variant, q + static_cast<int64_t>(b) * q_dim + h * dh, q_dim,
-                  view, attn_out + static_cast<int64_t>(b) * q_dim + h * dh, q_dim,
-                  /*q_len=*/1, kv_len, dh, scale, /*q_pos_offset=*/-1, win());
-            }
-          }
-        },
-        slots);
-    dev_.MergeShards();
-
-    lw.wo.Forward(dev_, attn_out, proj, batch, &ws_);
-    hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(batch) * hidden);
-
-    // --- FFN block ---
-    hkern::RmsNormF16(dev_, x, lw.ffn_norm.data(), xn, batch, hidden, c.rms_eps);
-    lw.w_gate.Forward(dev_, xn, gate, batch, &ws_);
-    lw.w_up.Forward(dev_, xn, up, batch, &ws_);
-    hkern::SiluMulF16(dev_, gate, up, act, static_cast<int64_t>(batch) * c.ffn_hidden);
-    lw.w_down.Forward(dev_, act, proj, batch, &ws_);
-    hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(batch) * hidden);
-  }
-
-  for (size_t i = 0; i < seq_ids.size(); ++i) {
-    kv_.Advance(seq_ids[i]);
+  if (prefill) {
+    return;
   }
 
   // Final norm + blocked CPU lm_head: each hidden row converts F16->float once, and the
   // pre-converted weight matrix streams through in vocab tiles (bit-identical logits —
   // see LmHeadForwardF32W).
-  hkern::RmsNormF16(dev_, x, weights_.final_norm.data(), xn, batch, hidden, c.rms_eps);
-  float* xf = ws_.Alloc<float>(static_cast<int64_t>(batch) * hidden);
-  for (int64_t i = 0; i < static_cast<int64_t>(batch) * hidden; ++i) {
+  hkern::RmsNormF16(dev_, x, weights_.final_norm.data(), xn, rows, hidden, c.rms_eps);
+  float* xf = ws_.Alloc<float>(static_cast<int64_t>(rows) * hidden);
+  for (int64_t i = 0; i < static_cast<int64_t>(rows) * hidden; ++i) {
     xf[i] = xn[i].ToFloat();
   }
-  hkern::LmHeadForwardF32W(xf, lm_head_f32_.data(), logits.data(), batch, hidden, c.vocab);
+  hkern::LmHeadForwardF32W(xf, lm_head_f32_.data(), plan.logits.data(), rows, hidden,
+                           c.vocab);
 }
 
 }  // namespace hllm

@@ -77,18 +77,20 @@ class Transformer {
   // share every GEMM/RMSNorm as one big batch (this is how a verify fills HMX tile rows
   // like Best-of-N lanes), while attention is per-span causal FlashAttention with
   // q_pos_offset at the span's base position. Writes FP32 logits for EVERY row,
-  // [tokens.size(), vocab]. With all-ones span_rows this is bit-identical to StepSeqs:
-  // every per-row computation (norms, GEMM rows, RoPE, single-row causal attention, the
-  // blocked lm_head) is row-independent, and causally masked positions contribute exactly
-  // +0.0f to the online softmax — the lossless-under-greedy invariant the speculative
-  // serving path is built on (docs/speculative_decoding.md).
+  // [tokens.size(), vocab]. With all-ones span_rows this IS StepSeqs (same plan, same
+  // charges). A one-row span inside a mixed verify attends causally and still matches
+  // plain decode bit for bit: every per-row computation (norms, GEMM rows, RoPE,
+  // attention, the blocked lm_head) is row-independent, and causally masked positions
+  // contribute exactly +0.0f to the online softmax — the lossless-under-greedy invariant
+  // the speculative serving path is built on (docs/speculative_decoding.md).
   void StepSpans(std::span<const int> tokens, std::span<const int> seq_ids,
                  std::span<const int> span_rows, std::span<float> logits,
                  hkern::SoftmaxVariant exp_variant = hkern::SoftmaxVariant::kLut);
 
   // Prefills sequence `seq` with a prompt, processed in chunks of up to 32 tokens per
-  // forward pass (causal FlashAttention handles intra-chunk masking) — the paper's chunked
-  // prefill pipeline, not token-by-token decoding. Logits are discarded.
+  // forward pass (one span per chunk; causal FlashAttention handles intra-chunk masking) —
+  // the paper's chunked prefill pipeline, not token-by-token decoding. Logits are
+  // discarded.
   void Prefill(int seq, std::span<const int> tokens);
 
   // Installs sliding-window + attention-sink masking (docs/long_context.md) on every
@@ -111,11 +113,17 @@ class Transformer {
   const DecodeWorkspace& workspace() const { return ws_; }
 
  private:
-  void StepSeqSubset(std::span<const int> tokens, std::span<const int> seq_ids,
-                     std::span<float> logits, hkern::SoftmaxVariant exp_variant);
-  // One prefill chunk for a single sequence: rows = tokens.size() (<= 32) query positions
-  // starting at the sequence's current KV length.
-  void PrefillChunk(int seq, std::span<const int> tokens);
+  // The batched forward behind decode, verify and prefill. Span s consumes span_rows[s]
+  // consecutive tokens (flattened span-major) at sequence seq_ids[s]'s current position;
+  // every span's rows share the norms and GEMMs, and attention fans out over (span, head)
+  // work items. Empty logits means a prefill chunk: no final norm, no lm_head.
+  struct RowPlan {
+    std::span<const int> tokens;
+    std::span<const int> seq_ids;
+    std::span<const int> span_rows;
+    std::span<float> logits;
+  };
+  void Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant);
 
   // Parallel attention needs one exp LUT per execution slot, resident in that slot's shard
   // TCM (the softmax vgathers the table from the device it runs on). Lazily builds shard
@@ -124,14 +132,9 @@ class Transformer {
   // folded into the parent at the next merge.
   std::span<const hkern::ExpLut* const> EnsureShardLuts(int slots);
 
-  // Grows the per-slot block-pointer scratch (decode attention lanes each resolve their
-  // own sequences' block tables). Amortized: no growth in steady state.
+  // Grows the per-slot block-pointer scratch (each attention lane resolves the block
+  // tables of the spans it works on). Amortized: no growth in steady state.
   void EnsureSlotScratch(int slots);
-
-  // Builds the quantized attention view for one KV head over the given block bases
-  // (quantized modes only).
-  hkern::PagedQKvHeadView QuantHeadView(const uint8_t* const* k_bases,
-                                        const uint8_t* const* v_bases, int kv_head) const;
 
   // The window pointer attention kernels receive: null when windowing is off.
   const hkern::AttnWindowSpec* win() const {
@@ -149,7 +152,7 @@ class Transformer {
   hkern::ExpLut lut_;
   KvCache kv_;
   int max_batch_;
-  int max_rows_;  // per-forward row capacity (>= max_batch_; see max_step_rows)
+  int max_rows_;  // per-forward row capacity (max_batch, max_step_rows or one prefill chunk)
   std::vector<std::unique_ptr<hkern::ExpLut>> shard_luts_;
   std::vector<const hkern::ExpLut*> slot_lut_ptrs_;
 
@@ -158,20 +161,17 @@ class Transformer {
   std::vector<float> lm_head_f32_;       // [hidden x vocab] row-major, converted once
   std::vector<double> rope_inv_freq_;    // base^(-2i/d) per pair, pow() hoisted once
   std::vector<int> identity_seq_ids_;    // 0..max_batch-1, for Step()
-  std::vector<int> span_row0_;           // per-span first-row offsets, for StepSpans()
+  std::vector<int> one_row_spans_;       // max_batch ones: decode's span_rows
+  std::vector<int> span_row0_;           // per-span first-row offsets within a forward
   hkern::AttnWindowSpec window_;         // disabled unless SetAttentionWindow installs one
   std::vector<int> attended_scratch_;    // table indices for FaultAttendedBlocks
-  // Block-pointer scratch: per decode slot (parallel lanes), and one shared set for the
-  // single-sequence prefill (filled once per layer, read by all head lanes).
-  std::vector<std::vector<const hexllm::F16*>> slot_k_ptrs_;
-  std::vector<std::vector<const hexllm::F16*>> slot_v_ptrs_;
-  std::vector<const hexllm::F16*> layer_k_ptrs_;
-  std::vector<const hexllm::F16*> layer_v_ptrs_;
-  // Quantized-mode twins (byte-addressed block bases for hkern::PagedQKvHeadView).
-  std::vector<std::vector<const uint8_t*>> slot_kq_ptrs_;
-  std::vector<std::vector<const uint8_t*>> slot_vq_ptrs_;
-  std::vector<const uint8_t*> layer_kq_ptrs_;
-  std::vector<const uint8_t*> layer_vq_ptrs_;
+  // Per-slot block-pointer scratch for in-place paged attention: F16 bases, or the
+  // byte-addressed bases of a quantized cache (hkern::PagedQKvHeadView).
+  struct SlotBlockPtrs {
+    std::vector<const hexllm::F16*> k, v;
+    std::vector<const uint8_t*> kq, vq;
+  };
+  std::vector<SlotBlockPtrs> slot_ptrs_;
 };
 
 }  // namespace hllm

@@ -62,6 +62,9 @@ ContinuousBatcher::ContinuousBatcher(ExecutionBackend& backend, const ServeOptio
 }
 
 void ContinuousBatcher::Reset() {
+  if (poisoned_) {
+    backend_.ClearKv();
+  }
   r_ = ScheduleResult{};
   jobs_.clear();
   groups_.clear();

@@ -249,7 +249,10 @@ class ContinuousBatcher {
   // here so the Finish() snapshot carries them. References are invalidated by Reset/Run.
   obs::Registry& registry() { return reg_; }
 
-  // Clears all run state (implicit on Run, and on the first Submit after Finish).
+  // Clears all run state (implicit on Run, and on the first Submit after Finish). After a
+  // poisoned run it also clears the backend's KV book (ExecutionBackend::ClearKv): the
+  // failed run's slots, retained stems, anchors and paused snapshots would otherwise leak
+  // into the next run.
   void Reset();
 
  private:

@@ -148,115 +148,41 @@ void AnalyticBackend::ExportMetrics(obs::Registry& registry) const {
 
 int AnalyticBackend::max_context() const { return engine_.options().context_budget; }
 
-void AnalyticBackend::TrackSlot(int slot, int end_len) {
-  HEXLLM_CHECK(slot >= 0);
-  if (slot >= static_cast<int>(end_len_.size())) {
-    end_len_.resize(static_cast<size_t>(slot) + 1, 0);
-  }
-  end_len_[static_cast<size_t>(slot)] = end_len;
-}
-
-int AnalyticBackend::SharedPrefixLen(const ServeJob& job, int context_tokens) const {
-  if (job.parent_job >= 0) {
-    const auto it = retained_.find(job.parent_job);
-    return it != retained_.end() ? std::min(it->second.len, context_tokens) : 0;
-  }
-  if (GroupPrefixLen(job) > 0) {
-    const auto it = anchors_.find(job.prompt_group);
-    if (it != anchors_.end()) {
-      return std::min({it->second.len, GroupPrefixLen(job), context_tokens});
-    }
-  }
-  return 0;
+int64_t AnalyticBackend::ResidentCap() const {
+  // With a sliding window only sinks + window + the active block must ever be resident;
+  // the masked interior could live anywhere (or nowhere), so admission and resume price
+  // the capped working set instead of the full context.
+  return window_.enabled() ? hexllm::CeilDiv(window_.ResidentTokens(), window_.block_tokens) + 1
+                           : INT64_MAX;
 }
 
 bool AnalyticBackend::CanAdmit(const ServeJob& job, int context_tokens) {
-  if (budget_blocks_ < 0) {
+  // Tiered offload: DRAM holds only the resident working set and the flash store backs
+  // everything else, so the DRAM budget no longer gates admission — the cost shows up as
+  // flash traffic and stall in ChargeOffload instead of a rejection here.
+  if (budget_blocks_ < 0 || offload_blocks_ > 0) {
     return true;
   }
-  if (offload_blocks_ > 0) {
-    // Tiered offload: DRAM holds only the resident working set and the flash store backs
-    // everything else, so the DRAM budget no longer gates admission — the cost shows up as
-    // flash traffic and stall in ChargeOffload instead of a rejection here.
-    return true;
+  return book_.CanAdmit(job, context_tokens, FreeBudgetBlocks(), ResidentCap());
+}
+
+bool AnalyticBackend::CanResume(int job_id) {
+  if (budget_blocks_ < 0 || offload_blocks_ > 0) {
+    return true;  // see CanAdmit: the flash tier backs any overflow
   }
-  // With a sliding window only sinks + window + the active block must ever be resident;
-  // the masked interior could live anywhere (or nowhere), so admission prices the capped
-  // working set instead of the full context.
-  const int64_t resident_cap =
-      window_.enabled()
-          ? hexllm::CeilDiv(window_.ResidentTokens(), window_.block_tokens) + 1
-          : INT64_MAX;
-  const int64_t needed =
-      std::min(resident_cap, kv_.BlocksToAdmit(context_tokens + job.decode_tokens,
-                                               SharedPrefixLen(job, context_tokens)));
-  // Reserve worst-case growth (plus a pending CoW tail split) for every running slot, so an
-  // admission never starves a slot that already committed to decode to its end length.
-  int64_t reserved = 0;
-  for (size_t s = 0; s < end_len_.size(); ++s) {
-    if (end_len_[s] <= 0) {
-      continue;
-    }
-    const int64_t want = hexllm::CeilDiv(end_len_[s], kv_.block_tokens());
-    const int64_t growth =
-        std::min(resident_cap, std::max<int64_t>(0, want - kv_.table_blocks(static_cast<int>(s))));
-    reserved += growth + (kv_.TailShared(static_cast<int>(s)) ? 1 : 0);
-  }
-  const int64_t free = budget_blocks_ - kv_.stats().physical_blocks;
-  return free - reserved >= needed;
+  return book_.CanResume(job_id, FreeBudgetBlocks(), ResidentCap());
 }
 
 double AnalyticBackend::AdmitSlot(int slot, const ServeJob& job, int context_tokens,
                                   int charged_prefill_tokens) {
-  kv_.Reset(slot, nullptr);
-  TrackSlot(slot, context_tokens + job.decode_tokens);
-
-  if (job.parent_job >= 0) {
-    // Fork: map the parent's retained stem copy-on-write — no token of it is re-prefilled.
-    // Tokens PAST the parent's length (a session's new turn) append fresh and run through
-    // the charged chunked prefill below.
-    const auto it = retained_.find(job.parent_job);
-    HEXLLM_CHECK_MSG(it != retained_.end(), "fork admitted before its parent was retained");
-    const int shared = it->second.len;
-    HEXLLM_CHECK_MSG(shared <= context_tokens,
-                     "fork context must cover the parent's final KV length");
-    kv_.ShareFromHandle(it->second.handle, slot, shared);
-    for (int pos = shared; pos < context_tokens; ++pos) {
-      kv_.EnsureWritable(slot, pos);
-      kv_.Advance(slot);
-    }
-    if (charged_prefill_tokens <= 0) {
-      return 0.0;
-    }
-    auto [pit, inserted] = prefill_cache_.try_emplace(charged_prefill_tokens, 0.0);
-    if (inserted) {
-      pit->second = engine_.Prefill(charged_prefill_tokens).total_s;
-    }
-    return pit->second;
-  }
-
-  // Map the group's shared prompt prefix when it is already resident; account the rest as
-  // freshly appended blocks (the chunked prefill the charged pricing below models).
-  int shared = 0;
-  bool make_anchor = false;
-  if (GroupPrefixLen(job) > 0) {
-    const auto it = anchors_.find(job.prompt_group);
-    if (it != anchors_.end()) {
-      shared = std::min({it->second.len, GroupPrefixLen(job), context_tokens});
-      kv_.ShareFromHandle(it->second.handle, slot, shared);
-    } else {
-      make_anchor = true;
-    }
-  }
-  for (int pos = shared; pos < context_tokens; ++pos) {
+  // Map the shared prefix (fork stem or group anchor); account the rest as freshly appended
+  // blocks — the chunked prefill the charged pricing below models.
+  book_.Admit(slot, job, context_tokens);
+  for (int pos = kv_.length(slot); pos < context_tokens; ++pos) {
     kv_.EnsureWritable(slot, pos);
     kv_.Advance(slot);
   }
-  if (make_anchor) {
-    const int len = std::min(GroupPrefixLen(job), context_tokens);
-    anchors_.emplace(job.prompt_group, Retained{kv_.Retain(slot, len), len});
-  }
-
+  book_.AnchorGroup(slot, job, context_tokens);
   if (charged_prefill_tokens <= 0) {
     return 0.0;
   }
@@ -267,78 +193,7 @@ double AnalyticBackend::AdmitSlot(int slot, const ServeJob& job, int context_tok
   return it->second;
 }
 
-void AnalyticBackend::ReleaseSlot(int slot) {
-  kv_.Reset(slot, nullptr);
-  TrackSlot(slot, 0);
-}
-
-void AnalyticBackend::RetainKv(int slot, int job_id) {
-  const auto [it, inserted] =
-      retained_.emplace(job_id, Retained{kv_.Retain(slot, -1), kv_.length(slot)});
-  HEXLLM_CHECK_MSG(inserted, "job retained twice");
-}
-
-void AnalyticBackend::DropRetained(int job_id) {
-  const auto it = retained_.find(job_id);
-  HEXLLM_CHECK(it != retained_.end());
-  kv_.DropHandle(it->second.handle, nullptr);
-  retained_.erase(it);
-}
-
-void AnalyticBackend::ReleaseGroup(int prompt_group) {
-  const auto it = anchors_.find(prompt_group);
-  if (it == anchors_.end()) {
-    return;
-  }
-  kv_.DropHandle(it->second.handle, nullptr);
-  anchors_.erase(it);
-}
-
-void AnalyticBackend::PauseSlot(int slot, int job_id) {
-  const auto [it, inserted] = paused_.emplace(
-      job_id, Paused{kv_.Retain(slot, -1), kv_.length(slot), end_len_[static_cast<size_t>(slot)]});
-  HEXLLM_CHECK_MSG(inserted, "job paused twice");
-  kv_.Reset(slot, nullptr);
-  TrackSlot(slot, 0);
-}
-
-void AnalyticBackend::ResumeSlot(int slot, int job_id, int context_tokens) {
-  const auto it = paused_.find(job_id);
-  HEXLLM_CHECK_MSG(it != paused_.end(), "resume of a job that was never paused");
-  HEXLLM_CHECK(it->second.len == context_tokens);
-  // Map the snapshot back, then drop the handle: the slot's own block references keep every
-  // page alive, and with the handle gone the tail block's refcount returns to 1 — the next
-  // append extends it in place with NO copy-on-write split, exactly as if the job had never
-  // been paused. That is what keeps block statistics identical to an un-preempted run.
-  kv_.ShareFromHandle(it->second.handle, slot, context_tokens);
-  kv_.DropHandle(it->second.handle, nullptr);
-  TrackSlot(slot, it->second.end_len);
-  paused_.erase(it);
-}
-
-bool AnalyticBackend::CanResume(int job_id) {
-  if (budget_blocks_ < 0 || offload_blocks_ > 0) {
-    return true;  // see CanAdmit: the flash tier backs any overflow
-  }
-  const auto it = paused_.find(job_id);
-  HEXLLM_CHECK_MSG(it != paused_.end(), "resume of a job that was never paused");
-  // The paused pages are already resident; only growth to the committed end length needs
-  // headroom (plus one block of tail slack, mirroring CanAdmit's reservation rule).
-  const int64_t needed =
-      hexllm::CeilDiv(it->second.end_len, kv_.block_tokens()) -
-      hexllm::CeilDiv(it->second.len, kv_.block_tokens()) + 1;
-  int64_t reserved = 0;
-  for (size_t s = 0; s < end_len_.size(); ++s) {
-    if (end_len_[s] <= 0) {
-      continue;
-    }
-    const int64_t want = hexllm::CeilDiv(end_len_[s], kv_.block_tokens());
-    reserved += std::max<int64_t>(0, want - kv_.table_blocks(static_cast<int>(s))) +
-                (kv_.TailShared(static_cast<int>(s)) ? 1 : 0);
-  }
-  const int64_t free = budget_blocks_ - kv_.stats().physical_blocks;
-  return free - reserved >= needed;
-}
+void AnalyticBackend::ReleaseSlot(int slot) { book_.Release(slot); }
 
 const hrt::StepCost& AnalyticBackend::BucketedCost(int batch, int context) {
   const int bucket =
@@ -496,7 +351,6 @@ FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWe
       last_token_(static_cast<size_t>(max_batch), 1),
       sampler_opts_(static_cast<size_t>(max_batch)),
       sampler_rng_(static_cast<size_t>(max_batch), hexllm::Rng(0)),
-      end_len_(static_cast<size_t>(max_batch), 0),
       spec_gamma_(spec.draft != nullptr ? SpecGammaFromEnv(spec.gamma) : 0) {
   const size_t verify_rows =
       static_cast<size_t>(max_batch) * (spec_gamma_ > 0 ? spec_gamma_ + 1 : 1);
@@ -573,36 +427,6 @@ void FunctionalBackend::FoldOffload(const hkv::KvOffloadStats& mark, std::span<c
   cost->total_s += stall;  // only the non-overlapped remainder of the reads stalls the step
 }
 
-int FunctionalBackend::SharedPrefixLen(const ServeJob& job, int context_tokens) const {
-  if (job.parent_job >= 0) {
-    const auto it = retained_.find(job.parent_job);
-    return it != retained_.end() ? std::min(it->second.len, context_tokens) : 0;
-  }
-  if (GroupPrefixLen(job) > 0) {
-    const auto it = anchors_.find(job.prompt_group);
-    if (it != anchors_.end()) {
-      return std::min({it->second.len, GroupPrefixLen(job), context_tokens});
-    }
-  }
-  return 0;
-}
-
-bool FunctionalBackend::CanAdmit(const ServeJob& job, int context_tokens) {
-  const hllm::KvCache& kv = tf_.kv();
-  const int64_t needed = kv.BlocksToAdmit(context_tokens + job.decode_tokens,
-                                          SharedPrefixLen(job, context_tokens));
-  int64_t reserved = 0;
-  for (size_t s = 0; s < end_len_.size(); ++s) {
-    if (end_len_[s] <= 0) {
-      continue;
-    }
-    const int64_t want = hexllm::CeilDiv(end_len_[s], kv.block_tokens());
-    reserved += std::max<int64_t>(0, want - kv.table_blocks(static_cast<int>(s))) +
-                (kv.TailShared(static_cast<int>(s)) ? 1 : 0);
-  }
-  return kv.free_blocks() - reserved >= needed;
-}
-
 double FunctionalBackend::AdmitSlot(int slot, const ServeJob& job, int context_tokens,
                                     int charged_prefill_tokens) {
   return AdmitTarget(slot, job, context_tokens, charged_prefill_tokens) +
@@ -614,11 +438,7 @@ double FunctionalBackend::AdmitDraft(int slot, int job_id, bool speculative,
   if (draft_ == nullptr) {
     return 0.0;
   }
-  if (spec_slot_[static_cast<size_t>(slot)]) {
-    draft_->kv().ResetSeq(slot);  // stale draft state from the slot's previous tenant
-    spec_slot_[static_cast<size_t>(slot)] = false;
-  }
-  draft_carry_[static_cast<size_t>(slot)] = -1;
+  ResetDraftSlot(slot);  // stale draft state from the slot's previous tenant
   if (!speculative) {
     return 0.0;
   }
@@ -647,75 +467,22 @@ double FunctionalBackend::AdmitTarget(int slot, const ServeJob& job, int context
                                       int /*charged_prefill_tokens*/) {
   HEXLLM_CHECK(slot >= 0 && slot < static_cast<int>(last_token_.size()));
   HEXLLM_CHECK(context_tokens + job.decode_tokens <= max_context_);
-  hllm::KvCache& kv = tf_.kv();
-  kv.ResetSeq(slot);
+  // Map the shared prefix: a fork's retained stem, or the group's prompt once a previous
+  // admission materialized it. Only the rest runs through the chunked prefill below.
+  const auto* from = book_.Admit(slot, job, context_tokens);
   const hkv::KvOffloadStats omark = BeginOffloadStep();
-  end_len_[static_cast<size_t>(slot)] = context_tokens + job.decode_tokens;
   // Per-request sampling policy, seeded at admission. Sampling is consumed on the
   // bookkeeping thread in Step, so the token stream is deterministic at any thread count.
   sampler_opts_[static_cast<size_t>(slot)] = job.sampler;
   sampler_rng_[static_cast<size_t>(slot)] = hexllm::Rng(job.seed);
   const int vocab = tf_.config().vocab;
-
-  if (job.parent_job >= 0) {
-    // Fork: the child's KV starts as the parent's retained stem, mapped block-for-block
-    // (the first divergent append copy-on-write splits the tail; none of it is
-    // re-prefilled). Tokens PAST the parent's length — a dialog session's new turn — are
-    // fresh and run through the chunked prefill like any prompt.
-    const auto it = retained_.find(job.parent_job);
-    HEXLLM_CHECK_MSG(it != retained_.end(), "fork admitted before its parent was retained");
-    const int shared = it->second.len;
-    HEXLLM_CHECK_MSG(shared <= context_tokens,
-                     "fork context must cover the parent's final KV length");
-    kv.ShareFromHandle(it->second.handle, slot, shared);
-    const int fresh = context_tokens - shared;
-    if (fresh == 0) {
-      last_token_[static_cast<size_t>(slot)] = it->second.last_token;
-      return 0.0;
-    }
-    std::vector<int> prompt(static_cast<size_t>(fresh));
-    for (int i = 0; i < fresh; ++i) {
-      prompt[static_cast<size_t>(i)] = SyntheticToken(job.id, shared + i, vocab);
-    }
-    const hexsim::CycleLedger mark = dev_.ledger();
-    tf_.Prefill(slot, prompt);
-    last_token_[static_cast<size_t>(slot)] = prompt.back();
-    hrt::StepCost cost;
-    const double npu_s = ComposeStep(mark, /*batch=*/0, &cost);
-    // Demote the freshly-admitted context down to the resident budget and absorb any
-    // prefill fault stall (cost.total_s carries only the FoldOffload stall here).
-    FoldOffload(omark, std::span<const int>(&slot, 1),
-                std::span<const int>(&context_tokens, 1), npu_s, &cost);
-    const int chunks = static_cast<int>(hexllm::CeilDiv(fresh, hkern::kAttnQTile));
-    return npu_s + cost.total_s +
-           chunks * (2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6);
-  }
-  if (context_tokens == 0) {
-    // Nothing to prefill: decode starts from a fixed BOS-like token.
-    last_token_[static_cast<size_t>(slot)] = 1 % vocab;
-    return 0.0;
-  }
-
-  // Map the group's prompt prefix if a previous admission materialized it — later samples
-  // of the group attend to the SAME physical prompt KV the first sample prefilled (stored
-  // once). Only the remainder (a beam prefix, or a whole prompt on the group's first
-  // admission) runs through the chunked prefill pipeline.
-  const Retained* anchor = nullptr;
-  int shared = 0;
-  if (GroupPrefixLen(job) > 0) {
-    const auto it = anchors_.find(job.prompt_group);
-    if (it != anchors_.end()) {
-      anchor = &it->second;
-      shared = std::min({anchor->len, GroupPrefixLen(job), context_tokens});
-      kv.ShareFromHandle(anchor->handle, slot, shared);
-    }
-  }
+  const int shared = tf_.kv().length(slot);
   const int fresh = context_tokens - shared;
   double admit_s = 0.0;
   if (fresh > 0) {
     // Synthetic but deterministic per (job, absolute position), so reruns reproduce
-    // token-for-token. The group's prompt positions use the first-admitted job's tokens
-    // (they are the shared prefix); positions past `shared` use this job's.
+    // token-for-token. Shared positions keep the tokens of the job that first wrote them;
+    // positions past `shared` use this job's.
     std::vector<int> prompt(static_cast<size_t>(fresh));
     for (int i = 0; i < fresh; ++i) {
       prompt[static_cast<size_t>(i)] = SyntheticToken(job.id, shared + i, vocab);
@@ -727,123 +494,70 @@ double FunctionalBackend::AdmitTarget(int slot, const ServeJob& job, int context
     // 32-token chunk (mirrors Engine::Prefill's comm model). No lm_head — logits discarded.
     hrt::StepCost cost;
     const double npu_s = ComposeStep(mark, /*batch=*/0, &cost);
+    // Demote the freshly-admitted context down to the resident budget and absorb any
+    // prefill fault stall (cost.total_s carries only the FoldOffload stall here).
     FoldOffload(omark, std::span<const int>(&slot, 1),
                 std::span<const int>(&context_tokens, 1), npu_s, &cost);
     const int chunks = static_cast<int>(hexllm::CeilDiv(fresh, hkern::kAttnQTile));
     admit_s = npu_s + cost.total_s +
               chunks * (2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6);
   } else {
-    last_token_[static_cast<size_t>(slot)] = anchor->last_token;
+    // Nothing to prefill: continue from the mapped snapshot's last token, or start from a
+    // fixed BOS-like token on an empty context.
+    last_token_[static_cast<size_t>(slot)] = from != nullptr ? from->last_token : 1 % vocab;
   }
-  if (anchor == nullptr && GroupPrefixLen(job) > 0) {
-    // First admission of the group: retain the prompt prefix so every later sample maps it.
-    const int len = std::min(GroupPrefixLen(job), context_tokens);
-    anchors_.emplace(job.prompt_group,
-                     Retained{kv.Retain(slot, len), len, SyntheticToken(job.id, len - 1, vocab)});
+  if (auto* anchor = book_.AnchorGroup(slot, job, context_tokens)) {
+    anchor->last_token = SyntheticToken(job.id, anchor->len - 1, vocab);
   }
   return admit_s;
 }
 
-void FunctionalBackend::ReleaseSlot(int slot) {
-  tf_.kv().ResetSeq(slot);
-  end_len_[static_cast<size_t>(slot)] = 0;
-  if (draft_ != nullptr && spec_slot_[static_cast<size_t>(slot)]) {
-    draft_->kv().ResetSeq(slot);
-    spec_slot_[static_cast<size_t>(slot)] = false;
-    draft_carry_[static_cast<size_t>(slot)] = -1;
-  }
-}
-
-void FunctionalBackend::RetainKv(int slot, int job_id) {
-  hllm::KvCache& kv = tf_.kv();
-  const auto [it, inserted] = retained_.emplace(
-      job_id,
-      Retained{kv.Retain(slot, -1), kv.length(slot), last_token_[static_cast<size_t>(slot)]});
-  HEXLLM_CHECK_MSG(inserted, "job retained twice");
-}
-
-void FunctionalBackend::DropRetained(int job_id) {
-  const auto it = retained_.find(job_id);
-  HEXLLM_CHECK(it != retained_.end());
-  tf_.kv().DropHandle(it->second.handle);
-  retained_.erase(it);
-}
-
-void FunctionalBackend::ReleaseGroup(int prompt_group) {
-  const auto it = anchors_.find(prompt_group);
-  if (it == anchors_.end()) {
+void FunctionalBackend::ResetDraftSlot(int slot) {
+  if (draft_ == nullptr) {
     return;
   }
-  tf_.kv().DropHandle(it->second.handle);
-  anchors_.erase(it);
+  if (spec_slot_[static_cast<size_t>(slot)]) {
+    draft_->kv().ResetSeq(slot);
+    spec_slot_[static_cast<size_t>(slot)] = false;
+  }
+  draft_carry_[static_cast<size_t>(slot)] = -1;
+}
+
+void FunctionalBackend::ReleaseSlot(int slot) {
+  book_.Release(slot);
+  ResetDraftSlot(slot);
+}
+
+void FunctionalBackend::ClearKv() {
+  book_.Clear();
+  for (int slot = 0; slot < static_cast<int>(last_token_.size()); ++slot) {
+    ResetDraftSlot(slot);
+  }
 }
 
 void FunctionalBackend::PauseSlot(int slot, int job_id) {
-  hllm::KvCache& kv = tf_.kv();
-  Paused p;
-  p.handle = kv.Retain(slot, -1);
-  p.len = kv.length(slot);
-  p.last_token = last_token_[static_cast<size_t>(slot)];
-  p.end_len = end_len_[static_cast<size_t>(slot)];
-  p.opts = sampler_opts_[static_cast<size_t>(slot)];
-  p.rng = sampler_rng_[static_cast<size_t>(slot)];  // exact sampler state at the pause point
+  auto& snap = book_.Pause(slot, job_id);
+  snap.last_token = last_token_[static_cast<size_t>(slot)];
+  snap.sampler = sampler_opts_[static_cast<size_t>(slot)];
+  snap.rng = sampler_rng_[static_cast<size_t>(slot)];  // exact sampler state at the pause
   // Draft KV is NOT snapshotted: it is rebuilt from the synthetic context view at resume.
   // A different draft conditioning can only change acceptance (cycle timing), never the
   // committed token stream — losslessness keeps pause/resume bit-identical regardless.
-  p.speculative = draft_ != nullptr && spec_slot_[static_cast<size_t>(slot)];
-  if (p.speculative) {
-    draft_->kv().ResetSeq(slot);
-    spec_slot_[static_cast<size_t>(slot)] = false;
-    draft_carry_[static_cast<size_t>(slot)] = -1;
-  }
-  const auto [it, inserted] = paused_.emplace(job_id, std::move(p));
-  HEXLLM_CHECK_MSG(inserted, "job paused twice");
-  kv.ResetSeq(slot);  // the handle's references keep every page resident
-  end_len_[static_cast<size_t>(slot)] = 0;
+  snap.speculative = draft_ != nullptr && spec_slot_[static_cast<size_t>(slot)];
+  ResetDraftSlot(slot);
 }
 
 void FunctionalBackend::ResumeSlot(int slot, int job_id, int context_tokens) {
-  const auto it = paused_.find(job_id);
-  HEXLLM_CHECK_MSG(it != paused_.end(), "resume of a job that was never paused");
-  HEXLLM_CHECK(it->second.len == context_tokens);
-  hllm::KvCache& kv = tf_.kv();
-  // Map the snapshot back, then drop the handle: the slot's own references keep the pages
-  // alive, and the tail block's refcount returns to 1 so the next append extends in place —
-  // no copy-on-write split, block statistics identical to an un-preempted run.
-  kv.ShareFromHandle(it->second.handle, slot, context_tokens);
-  kv.DropHandle(it->second.handle);
-  last_token_[static_cast<size_t>(slot)] = it->second.last_token;
-  end_len_[static_cast<size_t>(slot)] = it->second.end_len;
-  sampler_opts_[static_cast<size_t>(slot)] = it->second.opts;
-  sampler_rng_[static_cast<size_t>(slot)] = it->second.rng;
-  const bool speculative = it->second.speculative;
-  paused_.erase(it);
-  if (speculative) {
+  const auto snap = book_.Resume(slot, job_id, context_tokens);
+  last_token_[static_cast<size_t>(slot)] = snap.last_token;
+  sampler_opts_[static_cast<size_t>(slot)] = snap.sampler;
+  sampler_rng_[static_cast<size_t>(slot)] = snap.rng;
+  if (snap.speculative) {
     // Re-prime the draft from the synthetic context view (the pause dropped its KV).
     // Resume is charged as free (mirroring the mapped-KV target resume), so the returned
     // prefill cost is discarded; the next cycle's ledger mark is taken after this runs.
     AdmitDraft(slot, job_id, /*speculative=*/true, context_tokens);
   }
-}
-
-bool FunctionalBackend::CanResume(int job_id) {
-  const auto it = paused_.find(job_id);
-  HEXLLM_CHECK_MSG(it != paused_.end(), "resume of a job that was never paused");
-  const hllm::KvCache& kv = tf_.kv();
-  // The paused pages are already resident; only growth to the committed end length needs
-  // headroom (plus one block of tail slack, mirroring CanAdmit's reservation rule).
-  const int64_t needed = hexllm::CeilDiv(it->second.end_len, kv.block_tokens()) -
-                         hexllm::CeilDiv(it->second.len, kv.block_tokens()) + 1;
-  int64_t reserved = 0;
-  for (size_t s = 0; s < end_len_.size(); ++s) {
-    if (end_len_[s] <= 0) {
-      continue;
-    }
-    const int64_t want = hexllm::CeilDiv(end_len_[s], kv.block_tokens());
-    reserved += std::max<int64_t>(0, want - kv.table_blocks(static_cast<int>(s))) +
-                (kv.TailShared(static_cast<int>(s)) ? 1 : 0);
-  }
-  return kv.free_blocks() - reserved >= needed;
 }
 
 StepOutcome FunctionalBackend::Step(std::span<const int> slots, std::span<const int> contexts) {

@@ -8,9 +8,10 @@
 /// level policy (slot pool, admission queue, barriers).
 ///
 /// Both implementations manage KV memory through the paged block-pool manager
-/// (src/kvcache): parallel samples of one prompt_group share the prompt's blocks
-/// physically, and beam-search fork jobs (ServeJob::parent_job) map a completed stem's
-/// retained blocks copy-on-write instead of re-prefilling it.
+/// (src/kvcache) and run its slot-level lifecycle through one hserve::SlotKvBook: parallel
+/// samples of one prompt_group share the prompt's blocks physically, and beam-search fork
+/// jobs (ServeJob::parent_job) map a completed stem's retained blocks copy-on-write instead
+/// of re-prefilling it.
 ///
 /// Two implementations:
 ///   * AnalyticBackend — wraps hrt::Engine. Prices a step for the given active batch and
@@ -50,6 +51,7 @@
 #include "src/obs/metrics.h"
 #include "src/runtime/engine.h"
 #include "src/serving/job.h"
+#include "src/serving/slot_kv_book.h"
 
 namespace hserve {
 
@@ -136,6 +138,11 @@ class ExecutionBackend {
   // Largest context (prompt + context + decode) a job may reach on this backend.
   virtual int max_context() const { return std::numeric_limits<int>::max(); }
 
+  // Drops every slot's KV plus every retained stem, group anchor and paused snapshot —
+  // the state a poisoned run leaves behind — so the backend can serve the next run.
+  // ContinuousBatcher::Reset calls it after a poisoned run.
+  virtual void ClearKv() {}
+
   // Physical-vs-logical KV accounting snapshot (zeroed for backends without it).
   virtual hkv::KvStats kv_stats() const { return {}; }
 
@@ -204,13 +211,16 @@ class AnalyticBackend : public ExecutionBackend {
   StepOutcome SpeculativeStep(std::span<const int> slots, std::span<const int> contexts,
                               std::span<const int> gammas) override;
   int spec_gamma() const override { return spec_gamma_; }
-  void RetainKv(int slot, int job_id) override;
-  void DropRetained(int job_id) override;
-  void ReleaseGroup(int prompt_group) override;
-  void PauseSlot(int slot, int job_id) override;
-  void ResumeSlot(int slot, int job_id, int context_tokens) override;
+  void RetainKv(int slot, int job_id) override { book_.Retain(slot, job_id); }
+  void DropRetained(int job_id) override { book_.DropRetained(job_id); }
+  void ReleaseGroup(int prompt_group) override { book_.ReleaseGroup(prompt_group); }
+  void PauseSlot(int slot, int job_id) override { book_.Pause(slot, job_id); }
+  void ResumeSlot(int slot, int job_id, int context_tokens) override {
+    book_.Resume(slot, job_id, context_tokens);
+  }
   bool CanResume(int job_id) override;
   bool CanAdmit(const ServeJob& job, int context_tokens) override;
+  void ClearKv() override { book_.Clear(); }
   int max_context() const override;
   hkv::KvStats kv_stats() const override { return kv_.stats(); }
   hquant::KvDtype kv_dtype() const override { return kv_dtype_; }
@@ -224,27 +234,15 @@ class AnalyticBackend : public ExecutionBackend {
   const hrt::StepCost& BucketedCost(int batch, int context);
 
  private:
-  struct Retained {
-    int64_t handle = 0;
-    int len = 0;
-  };
-
-  // A preempted job's snapshot: the retained KV plus the end length the batcher committed
-  // to at admission (so the free-block reservation survives the pause).
-  struct Paused {
-    int64_t handle = 0;
-    int len = 0;
-    int end_len = 0;
-  };
-
   static Options MakeOptions(int context_bucket_tokens) {
     Options o;
     o.context_bucket_tokens = context_bucket_tokens;
     return o;
   }
-  // Shared-prefix length `job` would map on admission (fork stem or group prompt anchor).
-  int SharedPrefixLen(const ServeJob& job, int context_tokens) const;
-  void TrackSlot(int slot, int end_len);
+  // The book's reservation inputs: DRAM-budget headroom, and the blocks a sliding window
+  // keeps resident per row (INT64_MAX without a window).
+  int64_t FreeBudgetBlocks() const { return budget_blocks_ - kv_.stats().physical_blocks; }
+  int64_t ResidentCap() const;
   // Per-row context as priced: windowed rows attend at most ResidentTokens().
   int EffectiveContext(int context) const;
   // Flash streaming for one step over the (effective) contexts: charges the tier for the
@@ -270,8 +268,9 @@ class AnalyticBackend : public ExecutionBackend {
   int64_t spec_cycles_ = 0;
 
   // Storage-free KV accountant: same block math as the functional backend's PagedKvCache,
-  // no bytes. budget_blocks_ < 0 means unlimited.
+  // no bytes, driven through the same SlotKvBook. budget_blocks_ < 0 means unlimited.
   hkv::KvBlockManager kv_;
+  SlotKvBook<hkv::KvBlockManager> book_{kv_};
   hquant::KvDtype kv_dtype_ = hquant::KvDtype::kF16;
   int64_t budget_blocks_ = -1;
   // Tiered offload + window pricing state (docs/long_context.md). offload_blocks_ <= 0
@@ -282,10 +281,6 @@ class AnalyticBackend : public ExecutionBackend {
   double offload_stall_s_ = 0.0;
   hkern::AttnWindowSpec window_;
   std::vector<int> eff_contexts_;  // per-step scratch for windowed pricing
-  std::vector<int> end_len_;           // per slot: context+decode at admission (0 = free)
-  std::map<int, Retained> retained_;   // completed job id -> retained stem
-  std::map<int, Retained> anchors_;    // prompt_group -> retained prompt prefix
-  std::map<int, Paused> paused_;       // preempted job id -> paused snapshot
 };
 
 // Actually decodes tokens through the functional Transformer on the NPU simulator. Intended
@@ -334,13 +329,20 @@ class FunctionalBackend : public ExecutionBackend {
   StepOutcome SpeculativeStep(std::span<const int> slots, std::span<const int> contexts,
                               std::span<const int> gammas) override;
   int spec_gamma() const override { return spec_gamma_; }
-  void RetainKv(int slot, int job_id) override;
-  void DropRetained(int job_id) override;
-  void ReleaseGroup(int prompt_group) override;
+  void RetainKv(int slot, int job_id) override {
+    book_.Retain(slot, job_id).last_token = last_token_[static_cast<size_t>(slot)];
+  }
+  void DropRetained(int job_id) override { book_.DropRetained(job_id); }
+  void ReleaseGroup(int prompt_group) override { book_.ReleaseGroup(prompt_group); }
   void PauseSlot(int slot, int job_id) override;
   void ResumeSlot(int slot, int job_id, int context_tokens) override;
-  bool CanResume(int job_id) override;
-  bool CanAdmit(const ServeJob& job, int context_tokens) override;
+  bool CanResume(int job_id) override {
+    return book_.CanResume(job_id, tf_.kv().free_blocks(), INT64_MAX);
+  }
+  bool CanAdmit(const ServeJob& job, int context_tokens) override {
+    return book_.CanAdmit(job, context_tokens, tf_.kv().free_blocks(), INT64_MAX);
+  }
+  void ClearKv() override;
   int max_context() const override { return max_context_; }
   hkv::KvStats kv_stats() const override { return tf_.kv().stats(); }
   hquant::KvDtype kv_dtype() const override { return tf_.kv().dtype(); }
@@ -377,25 +379,6 @@ class FunctionalBackend : public ExecutionBackend {
   hllm::Transformer* draft_transformer() { return draft_.get(); }
 
  private:
-  struct Retained {
-    int64_t handle = 0;
-    int len = 0;
-    int last_token = 0;  // token the forked child's first decode step consumes
-  };
-
-  // A preempted job's full decode state. The Rng copy is the exact sampler state at the
-  // pause point (hexllm::Rng copies are state snapshots), which is what makes the resumed
-  // stream bit-identical for stochastic sampling policies, not just greedy.
-  struct Paused {
-    int64_t handle = 0;
-    int len = 0;
-    int last_token = 0;
-    int end_len = 0;
-    bool speculative = false;  // resume re-primes the draft KV from the synthetic view
-    hllm::SamplerOptions opts;
-    hexllm::Rng rng{0};
-  };
-
   // Seconds elapsed on the critical path for the ledger activity since `mark`, plus the
   // CPU lm_head and mailbox costs for `batch` rows; fills `cost`'s busy fields.
   double ComposeStep(const hexsim::CycleLedger& mark, int batch, hrt::StepCost* cost) const;
@@ -408,7 +391,6 @@ class FunctionalBackend : public ExecutionBackend {
   hkv::KvOffloadStats BeginOffloadStep();
   void FoldOffload(const hkv::KvOffloadStats& mark, std::span<const int> slots,
                    std::span<const int> contexts, double npu_s, hrt::StepCost* cost);
-  int SharedPrefixLen(const ServeJob& job, int context_tokens) const;
   // Target-side admission (the pre-speculation AdmitSlot body).
   double AdmitTarget(int slot, const ServeJob& job, int context_tokens,
                      int charged_prefill_tokens);
@@ -416,14 +398,19 @@ class FunctionalBackend : public ExecutionBackend {
   // synthetic view of its context; clears any stale draft state otherwise. Returns the
   // draft prefill's wall-time cost.
   double AdmitDraft(int slot, int job_id, bool speculative, int context_tokens);
+  // Drops the slot's draft KV and carry (no-op without a draft model).
+  void ResetDraftSlot(int slot);
 
   hexsim::NpuDevice& dev_;
   hllm::Transformer tf_;
+  SlotKvBook<hkv::PagedKvCache> book_{tf_.kv()};
   int max_context_;
   std::vector<int> last_token_;    // per slot: token the next step consumes
   // Per-slot sampling policy + Rng, seeded from the job at admission. Sampling runs on the
   // batcher's bookkeeping thread (after StepSeqs returns), so decoded tokens are
-  // deterministic at any HEXLLM_NUM_THREADS.
+  // deterministic at any HEXLLM_NUM_THREADS. A pause snapshots the Rng by copy (an exact
+  // state snapshot), which keeps the resumed stream bit-identical for stochastic sampling
+  // policies, not just greedy.
   std::vector<hllm::SamplerOptions> sampler_opts_;
   std::vector<hexllm::Rng> sampler_rng_;
   // Double-buffered logits, [max_batch * vocab] each: step N writes buffer N % 2 and the
@@ -433,10 +420,6 @@ class FunctionalBackend : public ExecutionBackend {
   // max(npu, lm_head) instead of their sum (docs/threading_model.md).
   std::array<std::vector<float>, 2> logits_buf_;
   int logits_cur_ = 0;             // buffer index the LAST step wrote
-  std::vector<int> end_len_;       // per slot: context+decode at admission (0 = free)
-  std::map<int, Retained> retained_;  // completed job id -> retained stem
-  std::map<int, Retained> anchors_;   // prompt_group -> retained prompt prefix
-  std::map<int, Paused> paused_;      // preempted job id -> paused snapshot
 
   // Speculative decoding (docs/speculative_decoding.md). The draft transformer shares the
   // simulated device, so its charges land in the same cycle ledger the cycle cost is

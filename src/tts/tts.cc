@@ -21,7 +21,7 @@ double TrialTheta(double theta, hexllm::Rng& rng) {
 }
 
 // Decode length for sample `index` of (task, trial): the same lognormal dispersion as
-// hrt::MakeSampleJobs, but drawn from a stream keyed on (task, trial, index) instead of the
+// MakeSampleJobs, but drawn from a stream keyed on (task, trial, index) instead of the
 // method's rng, so emitting jobs does not perturb the accuracy statistics or any caller's
 // rng-dependent expectations.
 int SampledDecodeTokens(const ReasoningTask& t, int trial, int index) {
@@ -271,6 +271,25 @@ MethodResult RunBeamSearch(const TaskSet& tasks, double theta, const ProcessRewa
   r.avg_seq_tokens = seq_tokens / total;
   r.avg_total_tokens = r.avg_seq_tokens * r.batch;
   return r;
+}
+
+std::vector<SampleJob> MakeSampleJobs(int tasks, int samples_per_task, int mean_tokens,
+                                      hexllm::Rng& rng) {
+  HEXLLM_CHECK(tasks >= 1 && samples_per_task >= 1 && mean_tokens >= 16);
+  std::vector<SampleJob> jobs;
+  jobs.reserve(static_cast<size_t>(tasks) * samples_per_task);
+  int id = 0;
+  for (int t = 0; t < tasks; ++t) {
+    for (int s = 0; s < samples_per_task; ++s) {
+      // Lognormal with sigma ~0.5: a realistic generation-length spread.
+      const double len = mean_tokens * std::exp(0.5 * rng.NextGaussian() - 0.125);
+      SampleJob job;
+      job.id = id++;
+      job.total_tokens = static_cast<int>(std::clamp(len, 16.0, 4.0 * mean_tokens));
+      jobs.push_back(job);
+    }
+  }
+  return jobs;
 }
 
 }  // namespace htts

@@ -57,6 +57,21 @@ MethodResult RunBeamSearch(const TaskSet& tasks, double theta, const ProcessRewa
                            int n, int expansion, int trials, hexllm::Rng& rng,
                            std::vector<hserve::ServeJob>* jobs = nullptr);
 
+// A bare parallel-sampling workload for scheduler studies: N samples per task whose decode
+// lengths disperse lognormally (a short confident solution vs a long meandering one), so
+// static batching idles finished rows until the longest sample of the wave ends while
+// continuous batching reclaims them. Drive it through hserve::ContinuousBatcher with
+// ServeJobs (context_tokens = the starting KV depth, decode_tokens = total_tokens).
+struct SampleJob {
+  int id = 0;
+  int total_tokens = 0;  // decode length of this sample
+};
+
+// Generates N-per-task sample jobs with lengths lognormal around `mean_tokens` (clamped to
+// [16, 4 * mean]).
+std::vector<SampleJob> MakeSampleJobs(int tasks, int samples_per_task, int mean_tokens,
+                                      hexllm::Rng& rng);
+
 }  // namespace htts
 
 #endif  // SRC_TTS_TTS_H_

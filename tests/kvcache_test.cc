@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,9 +115,9 @@ TEST(KvBlockManagerTest, ShareForkAndCowAccounting) {
   // Releasing the fork frees only its private block; the handle pins the prefix even after
   // the parent sequence resets.
   std::vector<int> freed;
-  mgr.Reset(1, &freed);
+  mgr.ResetSeq(1, &freed);
   EXPECT_EQ(freed.size(), 1u);
-  mgr.Reset(0, &freed);
+  mgr.ResetSeq(0, &freed);
   EXPECT_EQ(mgr.stats().physical_blocks, 2);  // retained prefix survives
   mgr.DropHandle(h, &freed);
   EXPECT_EQ(mgr.stats().physical_blocks, 0);
@@ -884,6 +885,156 @@ TEST_F(ServingKvTest, ForkHeavyBeamStreamHasBackendBlockParity) {
   EXPECT_EQ(ra.prefilled_tokens, 8);
   EXPECT_EQ(rf.prefilled_tokens, 8);
   EXPECT_GT(rf.kv.cow_splits, 0);  // stems really were shared, then diverged
+}
+
+// What one live serving session did, step by step: lifecycle events and the KV book's
+// statistics after every step, plus the run's admission record.
+struct LiveSessionTrace {
+  std::vector<std::vector<int>> admitted, paused, completed;
+  std::vector<hkv::KvStats> kv;
+  ScheduleResult result;
+};
+
+// A scripted live stream with KV pressure (a `pool_blocks` budget), preemption, prompt-group
+// sharing and retain_kv session turns forking off completed turns.
+LiveSessionTrace DriveLiveSessions(ExecutionBackend& backend) {
+  ServeOptions so;
+  so.max_batch = 3;
+  so.enable_preemption = true;
+  ContinuousBatcher batcher(backend, so);
+  const auto submit = [&](ServeJob job, int priority, bool retain) {
+    job.priority = priority;
+    job.retain_kv = retain;
+    std::string error;
+    EXPECT_TRUE(batcher.Submit(job, &error)) << error;
+  };
+  submit(Job(0, 24, -1, 40), 0, /*retain=*/true);  // session turn 1
+  submit(Job(1, 40, -1, 20), 0, false);
+  submit(Job(2, 16, /*group=*/7, 33), 0, false);
+  submit(Job(3, 16, /*group=*/7, 33), 0, false);
+  bool turn2 = false;
+  bool turn3 = false;
+  LiveSessionTrace t;
+  for (int step = 0; step < 400 && (batcher.HasWork() || !turn3); ++step) {
+    if (step == 4) {
+      submit(Job(4, 8, -1, 10), 3, false);  // outranks everything running: preempts
+    }
+    if (!turn2 && batcher.job_state(0) == JobState::kDone) {
+      submit(Job(5, 12, -1, /*prompt=*/40 + 24 + 6, 0, 0, /*parent=*/0), 1, true);
+      turn2 = true;
+    }
+    if (turn2 && !turn3 && batcher.job_state(5) == JobState::kDone) {
+      submit(Job(6, 8, -1, /*prompt=*/70 + 12 + 5, 0, 0, /*parent=*/5), 0, false);
+      batcher.ReleaseRetained(0);
+      turn3 = true;
+    }
+    const StepEvents ev = batcher.Step();
+    t.admitted.push_back(ev.admitted);
+    t.paused.push_back(ev.paused);
+    t.completed.push_back(ev.completed);
+    t.kv.push_back(backend.kv_stats());
+  }
+  batcher.ReleaseRetained(5);
+  t.result = batcher.Finish();
+  return t;
+}
+
+TEST_F(ServingKvTest, LiveSessionStreamHasBackendBlockParityAfterEveryStep) {
+  // The live Submit/Step path — preemption, resume, group sharing and retain_kv session
+  // forks under a tight KV budget — through both backends: the same admit/pause/resume/
+  // deferral decisions, and bit-identical block statistics after every single step.
+  constexpr int kPoolBlocks = 8;
+  AnalyticBackend::Options bo;
+  bo.kv_budget_bytes = kPoolBlocks * config_.KvCacheBytes(hkv::kDefaultBlockTokens);
+  AnalyticBackend analytic(*toy_engine_, bo);
+  FunctionalBackend functional(dev_, weights_, /*max_batch=*/3, /*max_context=*/128,
+                               kPoolBlocks);
+  const LiveSessionTrace a = DriveLiveSessions(analytic);
+  const LiveSessionTrace f = DriveLiveSessions(functional);
+  ASSERT_TRUE(a.result.error.empty()) << a.result.error;
+  ASSERT_TRUE(f.result.error.empty()) << f.result.error;
+
+  ASSERT_EQ(a.kv.size(), f.kv.size());
+  for (size_t i = 0; i < a.kv.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    EXPECT_EQ(a.admitted[i], f.admitted[i]);
+    EXPECT_EQ(a.paused[i], f.paused[i]);
+    EXPECT_EQ(a.completed[i], f.completed[i]);
+    ExpectStatsEqual(a.kv[i], f.kv[i]);
+  }
+  ASSERT_EQ(a.result.admissions.size(), f.result.admissions.size());
+  for (size_t i = 0; i < a.result.admissions.size(); ++i) {
+    EXPECT_EQ(a.result.admissions[i].job_id, f.result.admissions[i].job_id) << i;
+    EXPECT_EQ(a.result.admissions[i].slot, f.result.admissions[i].slot) << i;
+    EXPECT_EQ(a.result.admissions[i].step, f.result.admissions[i].step) << i;
+    EXPECT_EQ(a.result.admissions[i].resumed, f.result.admissions[i].resumed) << i;
+  }
+  EXPECT_EQ(a.result.admission_deferrals, f.result.admission_deferrals);
+  EXPECT_EQ(a.result.preemptions, f.result.preemptions);
+  EXPECT_EQ(a.result.resumes, f.result.resumes);
+  // The stream really exercised every path it claims to.
+  EXPECT_GT(f.result.admission_deferrals, 0);
+  EXPECT_GT(f.result.preemptions, 0);
+  EXPECT_GT(f.result.resumes, 0);
+  EXPECT_EQ(f.result.forked_admissions, 2);
+  EXPECT_GT(f.result.kv.cow_splits, 0);
+  EXPECT_EQ(f.result.completions.size(), 7u);
+  EXPECT_EQ(f.result.kv.physical_blocks, 0);  // every block came back
+}
+
+TEST_F(ServingKvTest, WindowedResumeFitsWheneverAFreshAdmissionWould) {
+  // With a sliding window, admission prices only the resident working set (sinks + window
+  // + the active block). Resume must follow the same reservation rule: whenever a fresh,
+  // unshared admission of the same context and decode length fits, the paused job — whose
+  // pages are already resident — fits too.
+  constexpr int kContext = 1024;
+  constexpr int kDecode = 512;
+  int fitting_budgets = 0;
+  for (int budget_blocks = 33; budget_blocks <= 64; ++budget_blocks) {
+    AnalyticBackend::Options bo;
+    bo.kv_budget_bytes = budget_blocks * config_.KvCacheBytes(hkv::kDefaultBlockTokens);
+    bo.attn_window.sink_blocks = 1;
+    bo.attn_window.window_blocks = 2;
+    AnalyticBackend backend(*toy_engine_, bo);
+    const ServeJob paused = Job(0, kDecode, -1, kContext);
+    backend.AdmitSlot(/*slot=*/0, paused, kContext, /*charged_prefill_tokens=*/0);
+    backend.PauseSlot(/*slot=*/0, paused.id);
+    if (backend.CanAdmit(Job(1, kDecode, -1, kContext), kContext)) {
+      EXPECT_TRUE(backend.CanResume(paused.id)) << "budget " << budget_blocks << " blocks";
+      ++fitting_budgets;
+    }
+  }
+  EXPECT_GT(fitting_budgets, 0);
+}
+
+TEST_F(ServingKvTest, PoisonedRunLeavesBothBackendsReusable) {
+  // A KV budget below the retained beam stems poisons the run mid-stream: the next round's
+  // fork cannot fit into an empty batch. The backend must come out of that run clean —
+  // Run({}) reports no live block, and re-running the stream reproduces the same error
+  // instead of aborting on the failed run's leftover slots, stems and anchors.
+  const std::vector<ServeJob> jobs =
+      BeamForkStream(/*prompt=*/8, /*rounds=*/3, /*width=*/2, /*expansion=*/2,
+                     /*step_tokens=*/40);
+  constexpr int kBudgetBlocks = 5;
+  ServeOptions so;
+  so.max_batch = 4;
+  AnalyticBackend::Options bo;
+  bo.kv_budget_bytes = kBudgetBlocks * config_.KvCacheBytes(hkv::kDefaultBlockTokens);
+  AnalyticBackend analytic(*toy_engine_, bo);
+  FunctionalBackend functional(dev_, weights_, so.max_batch, /*max_context=*/128,
+                               kBudgetBlocks);
+  for (ExecutionBackend* backend : std::vector<ExecutionBackend*>{&analytic, &functional}) {
+    SCOPED_TRACE(backend->name());
+    ContinuousBatcher batcher(*backend, so);
+    const ScheduleResult first = batcher.Run(jobs);
+    ASSERT_NE(first.error.find("KV budget"), std::string::npos) << first.error;
+    EXPECT_GT(first.kv.physical_blocks, 0);  // retained stems were live when it failed
+    const ScheduleResult empty = batcher.Run({});
+    EXPECT_TRUE(empty.error.empty()) << empty.error;
+    EXPECT_EQ(empty.kv.physical_blocks, 0);
+    EXPECT_EQ(batcher.Run(jobs).error, first.error);
+    EXPECT_EQ(batcher.Run(jobs).error, first.error);  // straight after a poisoned run
+  }
 }
 
 TEST_F(ServingKvTest, SmallKvPoolDefersAdmissionInsteadOfDeadlocking) {

@@ -1,9 +1,12 @@
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -611,6 +614,169 @@ TEST_F(TransformerTest, PagedAttentionMatchesGatherReference) {
   EXPECT_GE(tf.kv().stats().cow_splits, 1);
 
   ExpectSameCharges(dev_, dev_ref);
+}
+
+// Prints a device's whole simulated-activity profile: ledger event counts, DDR bytes,
+// per-unit instruction counters, and every engine and tag busy-second total in exact
+// hexadecimal floating point (%a), so a string compare pins charges bit for bit.
+std::string ChargeProfile(const hexsim::NpuDevice& dev) {
+  std::string out;
+  char line[256];
+  for (const auto& [name, n] : dev.ledger().counts()) {
+    std::snprintf(line, sizeof(line), "count %s %lld\n", name.c_str(),
+                  static_cast<long long>(n));
+    out += line;
+  }
+  std::snprintf(line, sizeof(line),
+                "dma_bytes %lld\ntile_ops %lld\npackets %lld\nvgather %lld\nvscatter %lld\n"
+                "vlut16 %lld\n",
+                static_cast<long long>(dev.ledger().dma_bytes()),
+                static_cast<long long>(dev.hmx().tile_ops()),
+                static_cast<long long>(dev.hvx().packets()),
+                static_cast<long long>(dev.hvx().vgather_ops()),
+                static_cast<long long>(dev.hvx().vscatter_ops()),
+                static_cast<long long>(dev.hvx().vlut16_ops()));
+  out += line;
+  for (int e = 0; e < static_cast<int>(hexsim::Engine::kCount); ++e) {
+    const auto engine = static_cast<hexsim::Engine>(e);
+    std::snprintf(line, sizeof(line), "engine %s %a\n", hexsim::EngineName(engine),
+                  dev.ledger().EngineSeconds(engine));
+    out += line;
+  }
+  for (const auto& [tag, seconds] : dev.ledger().tags()) {
+    std::snprintf(line, sizeof(line), "tag %s %a\n", tag.c_str(), seconds);
+    out += line;
+  }
+  return out;
+}
+
+// Recorded from the three-forward implementation (decode, prefill chunk and verify each
+// ran their own forward) at one lane.
+constexpr const char* kForwardProfileF16 = R"(count dma.descriptors 640
+count kernel.add.calls 40
+count kernel.dequant_coalesced_lut.calls 120
+count kernel.exp_lut.builds 1
+count kernel.flash_attention.calls 160
+count kernel.gemm_hmx.calls 140
+count kernel.rmsnorm.calls 45
+count kernel.rope.calls 1488
+count kernel.silu_mul.calls 20
+dma_bytes 1112064
+tile_ops 3584
+packets 0
+vgather 1984
+vscatter 0
+vlut16 35840
+engine HVX 0x1.6d8267c18f2f8p-12
+engine HMX 0x1.473c5082e3c87p-16
+engine DMA 0x1.d4cebf9539259p-13
+engine CPU 0x0p+0
+engine GPU 0x0p+0
+tag attn.pack 0x1.084e410741d12p-17
+tag attn.pv 0x1.011d1aaffc1bdp-19
+tag attn.qk 0x1.011d1aaffc1bdp-19
+tag attn.rescale 0x1.084e410741d1ep-18
+tag attn.softmax 0x1.deb15413318b2p-14
+tag dma 0x1.d4cebf9539259p-13
+tag gemm.hmx 0x1.06f509d6e4bf4p-16
+tag gemm.pack 0x0p+0
+tag linear.dequant 0x1.7aa61ba9258adp-13
+tag misc.add 0x1.000bceff07c2ep-18
+tag misc.rmsnorm 0x1.684c131877bf3p-16
+tag misc.rope 0x1.cce20e3174617p-18
+tag misc.silu 0x1.4cdc26b1f07d9p-17
+verify_argmax 312 15 374 440 291 337 77 337 448
+)";
+constexpr const char* kForwardProfileInt4 = R"(count dma.descriptors 640
+count kernel.add.calls 40
+count kernel.attn_kv_dequant.calls 160
+count kernel.dequant_coalesced_lut.calls 120
+count kernel.exp_lut.builds 1
+count kernel.flash_attention.calls 160
+count kernel.gemm_hmx.calls 140
+count kernel.rmsnorm.calls 45
+count kernel.rope.calls 1488
+count kernel.silu_mul.calls 20
+dma_bytes 404032
+tile_ops 3584
+packets 0
+vgather 1984
+vscatter 0
+vlut16 43600
+engine HVX 0x1.880126598c9e2p-12
+engine HMX 0x1.473c5082e3c87p-16
+engine DMA 0x1.8c7c71fd1f968p-13
+engine CPU 0x0p+0
+engine GPU 0x0p+0
+tag attn.kv_dequant 0x1.a7ebe97fd6f73p-16
+tag attn.pack 0x1.084e410741d12p-17
+tag attn.pv 0x1.011d1aaffc1bdp-19
+tag attn.qk 0x1.011d1aaffc1bdp-19
+tag attn.rescale 0x1.084e410741d1ep-18
+tag attn.softmax 0x1.deb15413318b2p-14
+tag dma 0x1.8c7c71fd1f968p-13
+tag gemm.hmx 0x1.06f509d6e4bf4p-16
+tag gemm.pack 0x0p+0
+tag linear.dequant 0x1.7aa61ba9258adp-13
+tag misc.add 0x1.000bceff07c2ep-18
+tag misc.rmsnorm 0x1.684c131877bf3p-16
+tag misc.rope 0x1.cce20e3174617p-18
+tag misc.silu 0x1.4cdc26b1f07d9p-17
+verify_argmax 316 15 374 440 316 291 39 337 236
+)";
+
+// The fixed forward script behind ForwardChargeProfileIsPinned: prefills of 33 and 70
+// tokens (one-token and six-token tail chunks), a copy-on-write fork of sequence 0, four
+// decode steps at batch 3, and one speculative verify with spans {3, 1, 5}. Returns the
+// charge profile followed by the argmax token of every verify row.
+std::string ForwardScriptProfile(const ModelWeights& weights, hquant::KvDtype dtype) {
+  hexsim::NpuDevice dev(hexsim::OnePlus12());
+  const int64_t vocab = weights.config.vocab;
+  Transformer tf(dev, weights, /*max_batch=*/3, /*max_context=*/128, /*kv_pool_blocks=*/0,
+                 dtype, hquant::kGroupSize, /*max_step_rows=*/9);
+  for (const auto& [seq, len] : {std::pair{0, 33}, std::pair{1, 70}}) {
+    std::vector<int> prompt(static_cast<size_t>(len));
+    for (int i = 0; i < len; ++i) {
+      prompt[static_cast<size_t>(i)] = (i * 37 + seq * 101 + 5) % static_cast<int>(vocab);
+    }
+    tf.Prefill(seq, prompt);
+  }
+  const int64_t handle = tf.kv().Retain(0);
+  tf.kv().ShareFromHandle(handle, /*dst_seq=*/2, tf.kv().handle_length(handle));
+  tf.kv().DropHandle(handle);
+
+  std::vector<int> tokens{3, 9, 27};
+  const std::vector<int> seqs{0, 1, 2};
+  std::vector<float> logits(9 * static_cast<size_t>(vocab));
+  for (int step = 0; step < 4; ++step) {
+    tf.StepSeqs(tokens, seqs, std::span<float>(logits.data(), 3 * static_cast<size_t>(vocab)));
+    for (int b = 0; b < 3; ++b) {
+      tokens[static_cast<size_t>(b)] = ArgmaxToken(std::span<const float>(
+          logits.data() + b * vocab, static_cast<size_t>(vocab)));
+    }
+  }
+  const std::vector<int> verify_tokens{tokens[0], 11, 12, tokens[1], tokens[2], 21, 22, 23, 24};
+  const std::vector<int> span_rows{3, 1, 5};
+  tf.StepSpans(verify_tokens, seqs, span_rows, logits);
+
+  std::string out = ChargeProfile(dev) + "verify_argmax";
+  for (int r = 0; r < 9; ++r) {
+    out += ' ';
+    out += std::to_string(ArgmaxToken(
+        std::span<const float>(logits.data() + r * vocab, static_cast<size_t>(vocab))));
+  }
+  return out + "\n";
+}
+
+TEST_F(TransformerTest, ForwardChargeProfileIsPinned) {
+  // Decode, chunked prefill (incl. one-row tail chunks) and the multi-span verify must keep
+  // exactly the charges they had when each ran its own forward: the profile strings were
+  // recorded from that implementation at one lane.
+  hexec::ParallelismOverride serial(1);
+  const std::string f16 = ForwardScriptProfile(weights_, hquant::KvDtype::kF16);
+  EXPECT_TRUE(f16 == kForwardProfileF16) << "F16 profile:\n" << f16;
+  const std::string int4 = ForwardScriptProfile(weights_, hquant::KvDtype::kInt4);
+  EXPECT_TRUE(int4 == kForwardProfileInt4) << "INT4 profile:\n" << int4;
 }
 
 TEST_F(TransformerTest, WeightCacheReplayParity) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
-#include "src/runtime/scheduler.h"
 #include "src/serving/continuous_batcher.h"
+#include "src/tts/tts.h"
 
 namespace hrt {
 namespace {
+
+using htts::MakeSampleJobs;
+using htts::SampleJob;
 
 class SchedulerTest : public ::testing::Test {
  protected:
