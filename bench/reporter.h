@@ -135,10 +135,7 @@ class Reporter {
     // docs/metrics_schema.md). Unset knobs record as "" so any two reports diff
     // field-for-field regardless of which knobs the runs exported.
     obs::Json env = obs::Json::Object();
-    for (const char* knob :
-         {"HEXLLM_KV_DTYPE", "HEXLLM_NUM_THREADS", "HEXLLM_SPEC_GAMMA",
-          "HEXLLM_KV_OFFLOAD_GBPS", "HEXLLM_ATTN_SINK_BLOCKS", "HEXLLM_ATTN_WINDOW_BLOCKS",
-          "HEXLLM_BENCH_SMOKE"}) {
+    for (const char* knob : {"HEXLLM_NUM_THREADS", "HEXLLM_BENCH_SMOKE"}) {
       const char* v = std::getenv(knob);
       env.Set(knob, std::string(v != nullptr ? v : ""));
     }

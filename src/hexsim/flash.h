@@ -27,10 +27,6 @@ struct FlashSpec {
   double write_latency_us = 120.0;  // program latency exceeds read
 };
 
-// HEXLLM_KV_OFFLOAD_GBPS=<gbps> overrides read_gbps; write bandwidth scales by the same
-// factor so the read/write asymmetry of the base spec is preserved.
-FlashSpec FlashSpecFromEnv(FlashSpec spec = FlashSpec());
-
 struct FlashStats {
   int64_t read_ops = 0;
   int64_t write_ops = 0;

@@ -157,6 +157,9 @@ class NpuSession {
 
   // Simulated one-way communication latency of the polling mailbox.
   static constexpr double kMailboxLatencySeconds = 12e-6;
+  // Simulated host-side cost of one NPU dispatch: the mailbox round trip (submit +
+  // completion) plus cache maintenance of the shared activation buffers (§6).
+  static constexpr double kDispatchSeconds = 2 * kMailboxLatencySeconds + 30e-6;
 
  private:
   const DeviceProfile& profile_;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "src/base/check.h"
 #include "src/base/math_util.h"
-#include "src/exec/thread_pool.h"
 #include "src/hexsim/hmx.h"
 
 namespace hkern {
@@ -51,96 +49,35 @@ void PackTilePadded(const F16* src, int64_t src_stride, int valid_rows, int vali
   }
 }
 
-// K/V staging policies for the shared attention core. Both charge the DMA engine with one
-// descriptor of (head_dim * 2)-byte rows x n rows per call — DmaEngine::Cost2D depends only
-// on row bytes, row count and direction, so the two policies are charge-identical and the
-// paged kernel's counters match the gather-then-contiguous path bit for bit.
-struct ContigKvRows {
-  const F16* base;
-  int64_t stride;  // elements between consecutive KV positions
-
-  void Stage(hexsim::NpuDevice& dev, F16* dst, int j0, int n, int head_dim) const {
-    dev.dma().Transfer2D(dst, head_dim * 2, base + static_cast<int64_t>(j0) * stride,
-                         stride * 2, head_dim * 2, n, DmaDirection::kDdrToTcm);
+// Stages KV positions [j0, j0 + n) of one head into the F16 TCM buffer `dst`: one DMA
+// descriptor of KvRowBytes(dtype, head_dim, group)-byte rows (charge-only — null pointers
+// move no bytes but cost the same), then the row codec decodes each row's head slice. F16
+// decode is a memcpy; quantized rows also charge the dequant as HVX packets under
+// "attn.kv_dequant" following the DequantCoalescedLut shape (mixed_gemm.cc): INT4 costs 17
+// packets per 256 elements (nibble extract via vand/vshr + 2 level VLut16 + 2
+// scale-broadcast VLut16 + multiply/store) and bumps the vlut16 counter for its 4 lookups,
+// INT8 costs 3 packets per 64 elements (load + widen + scale-multiply, no table lookups).
+void StageKvRows(hexsim::NpuDevice& dev, const PagedKvHeadView& kv,
+                 const uint8_t* const* blocks, F16* dst, int j0, int n, int head_dim) {
+  const hquant::KvRowCodec& row = kv.row;
+  const int64_t staged_row_bytes = hquant::KvRowBytes(row.dtype, head_dim, row.group);
+  dev.dma().Transfer2D(nullptr, staged_row_bytes, nullptr, staged_row_bytes, staged_row_bytes,
+                       n, DmaDirection::kDdrToTcm);
+  const int64_t row_bytes = row.row_bytes();
+  for (int r = 0; r < n; ++r) {
+    const int j = j0 + r;
+    row.DecodeSlice(blocks[j / kv.block_tokens] + (j % kv.block_tokens) * row_bytes,
+                    kv.head_offset, head_dim, dst + static_cast<int64_t>(r) * head_dim);
   }
-};
-
-struct PagedKvRows {
-  const F16* const* blocks;
-  int block_tokens;
-  int64_t row_stride;
-  int64_t head_offset;
-
-  void Stage(hexsim::NpuDevice& dev, F16* dst, int j0, int n, int head_dim) const {
-    // Charge-only descriptor (null pointers move no bytes but cost the same), then copy the
-    // rows block-by-block — same bytes staged, same DMA accounting.
-    dev.dma().Transfer2D(nullptr, head_dim * 2, nullptr, head_dim * 2, head_dim * 2, n,
-                         DmaDirection::kDdrToTcm);
-    for (int r = 0; r < n; ++r) {
-      const int j = j0 + r;
-      const F16* src = blocks[j / block_tokens] +
-                       static_cast<int64_t>(j % block_tokens) * row_stride + head_offset;
-      std::memcpy(dst + static_cast<int64_t>(r) * head_dim, src,
-                  static_cast<size_t>(head_dim) * 2);
-    }
+  if (!row.quantized()) {
+    return;
   }
-};
-
-// Quantized paged staging: DMA is charged the *quantized* row bytes (payload + scales for
-// this head's slice) instead of the F16 bytes, then each group is dequantized into the F16
-// TCM staging buffer. The dequant work is charged as HVX packets under "attn.kv_dequant"
-// following the DequantCoalescedLut shape (mixed_gemm.cc): INT4 costs 17 packets per 256
-// elements (nibble extract via vand/vshr + 2 level VLut16 + 2 scale-broadcast VLut16 +
-// multiply/store), INT8 costs 3 packets per 64 elements (load + widen + scale-multiply, no
-// table lookups). vlut16 instruction-class counters are bumped for the INT4 lookups.
-struct PagedQuantKvRows {
-  const uint8_t* const* blocks;
-  int block_tokens;
-  int64_t row_bytes;        // bytes between consecutive KV positions in a block
-  int64_t payload_offset;   // row start -> this head's payload
-  int64_t scales_offset;    // row start -> this head's first F16 scale
-  int group;
-  hquant::KvDtype dtype;
-  int64_t staged_row_bytes;  // quantized bytes staged per row for this head
-
-  void Stage(hexsim::NpuDevice& dev, F16* dst, int j0, int n, int head_dim) const {
-    dev.dma().Transfer2D(nullptr, staged_row_bytes, nullptr, staged_row_bytes,
-                         staged_row_bytes, n, DmaDirection::kDdrToTcm);
-    const int groups = head_dim / group;
-    const int64_t group_payload = hquant::KvPayloadBytes(dtype, group);
-    for (int r = 0; r < n; ++r) {
-      const int j = j0 + r;
-      const uint8_t* row =
-          blocks[j / block_tokens] + static_cast<int64_t>(j % block_tokens) * row_bytes;
-      const uint8_t* payload = row + payload_offset;
-      const uint8_t* scales = row + scales_offset;
-      F16* out = dst + static_cast<int64_t>(r) * head_dim;
-      for (int g = 0; g < groups; ++g) {
-        uint16_t d_bits;
-        std::memcpy(&d_bits, scales + static_cast<int64_t>(g) * 2, 2);
-        const float d = hexllm::F16BitsToF32(d_bits);
-        if (dtype == hquant::KvDtype::kInt4) {
-          hquant::KvDequantGroupInt4(payload + g * group_payload, d, group, out + g * group);
-        } else {
-          hquant::KvDequantGroupInt8(
-              reinterpret_cast<const int8_t*>(payload + g * group_payload), d, group,
-              out + g * group);
-        }
-      }
-    }
-    const int64_t elems = static_cast<int64_t>(n) * head_dim;
-    int64_t packets;
-    int64_t vlut16_ops = 0;
-    if (dtype == hquant::KvDtype::kInt4) {
-      packets = (elems * 17 + 255) / 256;    // 17 packets per 256-element super-block
-      vlut16_ops = (elems * 4 + 255) / 256;  // 2 level + 2 scale lookups per super-block
-    } else {
-      packets = (elems * 3 + 63) / 64;  // load + widen + scale-multiply per register
-    }
-    dev.hvx().ReplayOps(0, 0, vlut16_ops);
-    dev.CommitHvxPackets(packets, 1, "attn.kv_dequant");
-  }
-};
+  const int64_t elems = static_cast<int64_t>(n) * head_dim;
+  const bool int4 = row.dtype == hquant::KvDtype::kInt4;
+  const int64_t packets = int4 ? (elems * 17 + 255) / 256 : (elems * 3 + 63) / 64;
+  dev.hvx().ReplayOps(0, 0, int4 ? (elems * 4 + 255) / 256 : 0);
+  dev.CommitHvxPackets(packets, 1, "attn.kv_dequant");
+}
 
 // Drops a window that is disabled or covers the whole KV range, so full-coverage windowed
 // calls run the exact legacy code path (bit-identical charges and outputs).
@@ -153,15 +90,20 @@ const AttnWindowSpec* NormalizeWindow(const AttnWindowSpec* window, int q_len, i
   return window->CoversAll(eff_off + q_len - 1) ? nullptr : window;
 }
 
-// Algorithm 1 core, shared by the contiguous and paged entry points. `KvRows::Stage` fills
-// the TCM staging buffer with KV positions [j0, j0 + n); Q/O rows are strided by
-// q_stride/o_stride elements so callers can point directly into packed activations.
-template <typename KvRows>
-void FlashAttentionCore(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
-                        const F16* q, int64_t q_stride, const KvRows& k_rows,
-                        const KvRows& v_rows, F16* o, int64_t o_stride, int q_len,
-                        int kv_len, int head_dim, float scale, int q_pos_offset,
-                        const AttnWindowSpec* window) {
+}  // namespace
+
+// Algorithm 1. StageKvRows fills the TCM staging buffer with KV positions [j0, j0 + n);
+// Q/O rows are strided by q_stride/o_stride elements so callers can point directly into
+// packed activations.
+void FlashAttentionPaged(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
+                         const F16* q, int64_t q_stride, const PagedKvHeadView& kv, F16* o,
+                         int64_t o_stride, int q_len, int kv_len, int head_dim, float scale,
+                         int q_pos_offset, const AttnWindowSpec* window) {
+  HEXLLM_CHECK(kv.k_blocks != nullptr && kv.v_blocks != nullptr && kv.block_tokens >= 1);
+  HEXLLM_CHECK(kv.row.SlicesAt(head_dim) && kv.head_offset + head_dim <= kv.row.elems);
+  if (kv.row.quantized()) {
+    dev.ledger().AddCount("kernel.attn_kv_dequant.calls");
+  }
   const bool causal = q_pos_offset >= 0;
   const AttnWindowSpec* win = NormalizeWindow(window, q_len, kv_len, q_pos_offset);
   // Absolute position of query row 0: rows align to the end of kv when no causal offset is
@@ -240,7 +182,7 @@ void FlashAttentionCore(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVarian
       }
 
       // Stage K rows and pack K^T tiles (weight layout: [head_dim x kv] tiles).
-      k_rows.Stage(dev, kv_stage, kv0, kvn, head_dim);
+      StageKvRows(dev, kv, kv.k_blocks, kv_stage, kv0, kvn, head_dim);
       for (int t = 0; t < kvt; ++t) {
         const int tile_rows = std::min(HmxEngine::kTileDim, kvn - t * HmxEngine::kTileDim);
         for (int dt = 0; dt < d_tiles; ++dt) {
@@ -253,7 +195,7 @@ void FlashAttentionCore(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVarian
         }
       }
       // Stage V rows and pack V tiles ([kv x head_dim]).
-      v_rows.Stage(dev, kv_stage, kv0, kvn, head_dim);
+      StageKvRows(dev, kv, kv.v_blocks, kv_stage, kv0, kvn, head_dim);
       for (int t = 0; t < kvt; ++t) {
         const int tile_rows = std::min(HmxEngine::kTileDim, kvn - t * HmxEngine::kTileDim);
         for (int dt = 0; dt < d_tiles; ++dt) {
@@ -409,18 +351,6 @@ void FlashAttentionCore(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVarian
   }
 }
 
-}  // namespace
-
-AttnWindowSpec AttnWindowFromEnv(AttnWindowSpec spec) {
-  if (const char* s = std::getenv("HEXLLM_ATTN_SINK_BLOCKS"); s != nullptr && *s != '\0') {
-    spec.sink_blocks = std::atoi(s);
-  }
-  if (const char* s = std::getenv("HEXLLM_ATTN_WINDOW_BLOCKS"); s != nullptr && *s != '\0') {
-    spec.window_blocks = std::atoi(s);
-  }
-  return spec;
-}
-
 void AppendAttendedBlocks(const AttnWindowSpec* window, int q_len, int kv_len,
                           int q_pos_offset, int block_tokens, std::vector<int>* out) {
   HEXLLM_CHECK(block_tokens >= 1);
@@ -437,7 +367,7 @@ void AppendAttendedBlocks(const AttnWindowSpec* window, int q_len, int kv_len,
     const int kv0 = chunk * kAttnKvChunk;
     const int kvn = std::min(kAttnKvChunk, kv_len - kv0);
     // A chunk is staged iff some q-tile both causally reaches it and does not have it
-    // fully window-masked — the exact pair of skip predicates in FlashAttentionCore.
+    // fully window-masked — the exact pair of skip predicates in FlashAttentionPaged.
     bool staged = false;
     for (int qt = 0; qt < q_tiles && !staged; ++qt) {
       const int q0 = qt * kAttnQTile;
@@ -465,77 +395,16 @@ void AppendAttendedBlocks(const AttnWindowSpec* window, int q_len, int kv_len,
 void FlashAttentionF16(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
                        const F16* q, const F16* k, const F16* v, F16* o, int q_len, int kv_len,
                        int head_dim, float scale, int q_pos_offset) {
-  const ContigKvRows k_rows{k, head_dim};
-  const ContigKvRows v_rows{v, head_dim};
-  FlashAttentionCore(dev, lut, exp_variant, q, head_dim, k_rows, v_rows, o, head_dim, q_len,
-                     kv_len, head_dim, scale, q_pos_offset, /*window=*/nullptr);
-}
-
-void FlashAttentionPagedF16(hexsim::NpuDevice& dev, const ExpLut& lut,
-                            SoftmaxVariant exp_variant, const F16* q, int64_t q_stride,
-                            const PagedKvHeadView& kv, F16* o, int64_t o_stride, int q_len,
-                            int kv_len, int head_dim, float scale, int q_pos_offset,
-                            const AttnWindowSpec* window) {
-  HEXLLM_CHECK(kv.k_blocks != nullptr && kv.v_blocks != nullptr && kv.block_tokens >= 1);
-  const PagedKvRows k_rows{kv.k_blocks, kv.block_tokens, kv.row_stride, kv.head_offset};
-  const PagedKvRows v_rows{kv.v_blocks, kv.block_tokens, kv.row_stride, kv.head_offset};
-  FlashAttentionCore(dev, lut, exp_variant, q, q_stride, k_rows, v_rows, o, o_stride, q_len,
-                     kv_len, head_dim, scale, q_pos_offset, window);
-}
-
-void FlashAttentionPagedQ(hexsim::NpuDevice& dev, const ExpLut& lut,
-                          SoftmaxVariant exp_variant, const F16* q, int64_t q_stride,
-                          const PagedQKvHeadView& kv, F16* o, int64_t o_stride, int q_len,
-                          int kv_len, int head_dim, float scale, int q_pos_offset,
-                          const AttnWindowSpec* window) {
-  HEXLLM_CHECK(kv.k_blocks != nullptr && kv.v_blocks != nullptr && kv.block_tokens >= 1);
-  HEXLLM_CHECK(kv.dtype != hquant::KvDtype::kF16);
-  HEXLLM_CHECK(kv.group >= 2 && head_dim % kv.group == 0);
-  dev.ledger().AddCount("kernel.attn_kv_dequant.calls");
-  const int64_t staged_row_bytes =
-      hquant::KvPayloadBytes(kv.dtype, head_dim) + (head_dim / kv.group) * 2;
-  const PagedQuantKvRows k_rows{kv.k_blocks,       kv.block_tokens, kv.row_bytes,
-                                kv.payload_offset, kv.scales_offset, kv.group,
-                                kv.dtype,          staged_row_bytes};
-  const PagedQuantKvRows v_rows{kv.v_blocks,       kv.block_tokens, kv.row_bytes,
-                                kv.payload_offset, kv.scales_offset, kv.group,
-                                kv.dtype,          staged_row_bytes};
-  FlashAttentionCore(dev, lut, exp_variant, q, q_stride, k_rows, v_rows, o, o_stride, q_len,
-                     kv_len, head_dim, scale, q_pos_offset, window);
-}
-
-void FlashAttentionHeadsF16(
-    hexsim::NpuDevice& dev, std::span<const ExpLut* const> slot_luts,
-    SoftmaxVariant exp_variant, int heads,
-    const std::function<void(int head, F16* k_dst, F16* v_dst, F16* q_dst)>& gather,
-    F16* attn_out, int out_stride, int q_len, int kv_len, int head_dim, float scale,
-    int q_pos_offset) {
-  HEXLLM_CHECK(heads >= 1 && !slot_luts.empty());
-  const int slots = std::min(hexec::PlannedSlots(heads),
-                             static_cast<int>(slot_luts.size()));
-  dev.EnsureShards(slots);
-  hexec::ParallelFor(
-      heads,
-      [&](int64_t h_begin, int64_t h_end, int slot) {
-        hexsim::NpuDevice& d = dev.ForSlot(slot);
-        const ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
-        std::vector<F16> k_head(static_cast<size_t>(kv_len) * head_dim);
-        std::vector<F16> v_head(static_cast<size_t>(kv_len) * head_dim);
-        std::vector<F16> q_head(static_cast<size_t>(q_len) * head_dim);
-        std::vector<F16> o_head(static_cast<size_t>(q_len) * head_dim);
-        for (int64_t h = h_begin; h < h_end; ++h) {
-          gather(static_cast<int>(h), k_head.data(), v_head.data(), q_head.data());
-          FlashAttentionF16(d, lut, exp_variant, q_head.data(), k_head.data(), v_head.data(),
-                            o_head.data(), q_len, kv_len, head_dim, scale, q_pos_offset);
-          for (int r = 0; r < q_len; ++r) {
-            std::memcpy(attn_out + static_cast<int64_t>(r) * out_stride + h * head_dim,
-                        o_head.data() + static_cast<size_t>(r) * head_dim,
-                        static_cast<size_t>(head_dim) * 2);
-          }
-        }
-      },
-      slots);
-  dev.MergeShards();
+  // Contiguous K/V is a paged view with one block spanning the whole context.
+  const uint8_t* k_block = reinterpret_cast<const uint8_t*>(k);
+  const uint8_t* v_block = reinterpret_cast<const uint8_t*>(v);
+  PagedKvHeadView kv;
+  kv.k_blocks = &k_block;
+  kv.v_blocks = &v_block;
+  kv.block_tokens = kv_len;
+  kv.row = {hquant::KvDtype::kF16, head_dim};
+  FlashAttentionPaged(dev, lut, exp_variant, q, head_dim, kv, o, head_dim, q_len, kv_len,
+                      head_dim, scale, q_pos_offset);
 }
 
 void AttentionF32Reference(const float* q, const float* k, const float* v, float* o, int q_len,

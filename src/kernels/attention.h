@@ -16,8 +16,6 @@
 #define SRC_KERNELS_ATTENTION_H_
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "src/base/fp16.h"
@@ -71,10 +69,6 @@ struct AttnWindowSpec {
   int ResidentTokens() const { return (sink_blocks + window_blocks + 1) * block_tokens; }
 };
 
-// Builds an AttnWindowSpec from HEXLLM_ATTN_SINK_BLOCKS / HEXLLM_ATTN_WINDOW_BLOCKS
-// (window disabled when the window var is unset or <= 0), overriding `spec`.
-AttnWindowSpec AttnWindowFromEnv(AttnWindowSpec spec = AttnWindowSpec());
-
 // Appends to `out` the KV-cache table-block indices a windowed FlashAttention call over
 // [0, kv_len) with `q_len` query rows at base position `q_pos_offset` (< 0: rows aligned
 // to the end of kv, the decode convention) will actually stage — chunk-granular, matching
@@ -102,85 +96,45 @@ void FlashAttentionF16(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant
 
 // One attention head's view of a paged KV cache (hkv::PagedKvCache), consumed in place —
 // no per-step gather of K/V into contiguous scratch. k_blocks/v_blocks[i] point at the
-// position-0 K / V row of table block i for the owning (layer, sequence); KV position j
-// lives at blocks[j / block_tokens] + (j % block_tokens) * row_stride + head_offset.
-// `head_offset` selects the head's columns inside the packed kv_dim row, so GQA query
+// position-0 K / V row bytes of table block i for the owning (layer, sequence); KV position
+// j's row starts at blocks[j / block_tokens] + (j % block_tokens) * row.row_bytes(), in the
+// cache's row format `row` (hquant::KvRowCodec: dtype, elements per row, group).
+// `head_offset` selects the head's first element inside the packed kv_dim row, so GQA query
 // heads sharing one KV head use the same view with the same offset — rows are never
-// duplicated. Block staging into TCM charges the DMA engine exactly like the contiguous
-// kernel (hexsim::DmaEngine::Cost2D depends only on row bytes / rows / direction), so
-// counters are bit-identical to the gather path (docs/performance.md).
+// duplicated. For quantized rows the head slice must be group-aligned.
 struct PagedKvHeadView {
-  const hexllm::F16* const* k_blocks = nullptr;
-  const hexllm::F16* const* v_blocks = nullptr;
+  const uint8_t* const* k_blocks = nullptr;
+  const uint8_t* const* v_blocks = nullptr;
   int block_tokens = 0;
-  int64_t row_stride = 0;  // F16 elements between consecutive positions in a block
-  int64_t head_offset = 0; // F16 elements from the row start to this head's columns
+  hquant::KvRowCodec row;
+  int64_t head_offset = 0;  // elements from the row start to this head's columns
 };
 
-// FlashAttentionF16 over a paged KV view. q rows are strided by `q_stride` elements
+// FlashAttention (Algorithm 1) over a paged KV view; FlashAttentionF16 is this kernel over
+// a one-block F16 view of contiguous K/V. q rows are strided by `q_stride` elements
 // (q row r = q + r * q_stride, first head_dim columns), o rows by `o_stride` — so the
 // kernel reads/writes head columns of the transformer's packed activations directly.
-// Same math, same charging as the contiguous kernel.
+//
+// Staging decodes the head slice of each KV row into the F16 TCM staging buffer through
+// the view's row codec, so outputs match PagedKvCache::ReadKeyRow/ReadValueRow numerics
+// exactly, and DMA is charged KvRowBytes(dtype, head_dim, group) per row — head_dim * 2
+// for F16 (hexsim::DmaEngine::Cost2D depends only on row bytes / rows / direction, so F16
+// charges equal the contiguous kernel's), the *quantized* bytes for INT8/INT4 (1.9-3.6x
+// less KV traffic). Quantized rows additionally pay the dequant as HVX work under the
+// "attn.kv_dequant" ledger tag (the LUT-GEMM idiom: nibble extract + VLut16 level/scale
+// lookups) and count one "kernel.attn_kv_dequant.calls"; F16 pays neither.
+//
 // `window`, when non-null and enabled, applies sliding-window + attention-sink masking on
 // top of the causal mask: fully-masked KV chunks are skipped (never staged, never charged)
 // and partially-masked chunks get -inf scores like the causal mask. A window covering the
 // whole KV range is normalized away, taking the exact legacy path (bit-identical charges
 // and outputs). When q_pos_offset < 0 the query rows are treated as ending at kv_len (the
 // decode convention) for window purposes.
-void FlashAttentionPagedF16(hexsim::NpuDevice& dev, const ExpLut& lut,
-                            SoftmaxVariant exp_variant, const hexllm::F16* q,
-                            int64_t q_stride, const PagedKvHeadView& kv, hexllm::F16* o,
-                            int64_t o_stride, int q_len, int kv_len, int head_dim,
-                            float scale, int q_pos_offset = -1,
-                            const AttnWindowSpec* window = nullptr);
-
-// One attention head's view of a low-bit quantized paged KV cache
-// (hkv::PagedKvCache with KvDtype kInt8/kInt4; docs/kv_quantization.md). Blocks store
-// group-quantized rows — payload bytes then one F16 scale per `group` elements — and the
-// kernel dequantizes each head's slice through the vlut16 table-lookup path while staging
-// into TCM, so DMA is charged the *quantized* row bytes (the whole point: 1.9-3.6x less KV
-// traffic). KV position j's row starts at blocks[j / block_tokens] +
-// (j % block_tokens) * row_bytes; this head's payload is at +payload_offset and its scales
-// at +scales_offset. `group` must divide head_dim so head slices stay group-aligned.
-struct PagedQKvHeadView {
-  const uint8_t* const* k_blocks = nullptr;
-  const uint8_t* const* v_blocks = nullptr;
-  int block_tokens = 0;
-  int64_t row_bytes = 0;       // bytes between consecutive positions in a block
-  int64_t payload_offset = 0;  // bytes from row start to this head's quantized payload
-  int64_t scales_offset = 0;   // bytes from row start to this head's first F16 group scale
-  int group = 0;               // elements per quantization group
-  hquant::KvDtype dtype = hquant::KvDtype::kInt4;
-};
-
-// FlashAttention over a quantized paged KV view: same Algorithm 1 core and math as
-// FlashAttentionPagedF16, but K/V blocks are dequantized inside the staging step (per the
-// LUT-GEMM idiom: nibble extract + VLut16 level/scale lookups, committed under the
-// "attn.kv_dequant" ledger tag) and the DMA ledger is charged the quantized bytes only.
-// Numerics match PagedKvCache::ReadKeyRow/ReadValueRow exactly — the attention output
-// deviates from the F16 kernel only by the KV round-trip quantization error.
-void FlashAttentionPagedQ(hexsim::NpuDevice& dev, const ExpLut& lut,
-                          SoftmaxVariant exp_variant, const hexllm::F16* q, int64_t q_stride,
-                          const PagedQKvHeadView& kv, hexllm::F16* o, int64_t o_stride,
-                          int q_len, int kv_len, int head_dim, float scale,
-                          int q_pos_offset = -1, const AttnWindowSpec* window = nullptr);
-
-// Runs `heads` independent attention heads, parallelized across hexec slots with one shard
-// device (and one exp LUT resident in that shard's TCM) per slot. `slot_luts[s]` must be
-// built in dev.ForSlot(s)'s TCM — slot_luts.size() caps the lane count, so passing a
-// single-entry span degrades to the serial per-head loop. For each head the kernel calls
-// `gather(head, k_dst, v_dst, q_dst)` on the owning slot's thread to fill contiguous
-// [kv_len x head_dim] K/V and [q_len x head_dim] Q host buffers, runs FlashAttentionF16 on
-// the slot device, and scatters the head's output rows to attn_out[r * out_stride +
-// head * head_dim]. Shard accounting is merged before returning, so the parent device's
-// counters match the serial loop exactly; outputs are bit-identical at any lane count.
-void FlashAttentionHeadsF16(
-    hexsim::NpuDevice& dev, std::span<const ExpLut* const> slot_luts,
-    SoftmaxVariant exp_variant, int heads,
-    const std::function<void(int head, hexllm::F16* k_dst, hexllm::F16* v_dst,
-                             hexllm::F16* q_dst)>& gather,
-    hexllm::F16* attn_out, int out_stride, int q_len, int kv_len, int head_dim, float scale,
-    int q_pos_offset = -1);
+void FlashAttentionPaged(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
+                         const hexllm::F16* q, int64_t q_stride, const PagedKvHeadView& kv,
+                         hexllm::F16* o, int64_t o_stride, int q_len, int kv_len, int head_dim,
+                         float scale, int q_pos_offset = -1,
+                         const AttnWindowSpec* window = nullptr);
 
 // Conventional full-precision attention (the Table 5 baseline): FP32 throughout, full S
 // matrix materialized. Pure host math — used as the numeric reference.

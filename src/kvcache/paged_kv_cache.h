@@ -10,22 +10,23 @@
 /// stem by mapping its blocks, and the first divergent write into a shared tail block
 /// splits it (copy-on-write) without touching the other owners.
 ///
-/// Storage dtype is selected at construction (hquant::KvDtype). The default F16 mode keeps
-/// the original 2-bytes/element layout and is bit-identical to the pre-quantization cache.
-/// INT8/INT4 modes store each K/V row as a group-quantized payload plus one F16 scale per
-/// group (Q8_0/Q4_0 scale rules); rows are written through WriteKeyRow/WriteValueRow (which
-/// quantize and accumulate a round-trip error proxy in KvQuantStats) and read back by the
-/// FlashAttentionPagedQ kernel, which dequantizes blocks through the vlut16 table-lookup
-/// path. Every byte figure reported by KvStats shrinks accordingly, so pool sizing, DRAM
-/// budgets, and admission all see the reduced footprint.
+/// Storage dtype is selected at construction (hquant::KvDtype) and fixes one row format,
+/// hquant::KvRowCodec: F16 rows keep the original 2-bytes/element layout (bit-identical to
+/// the pre-quantization cache); INT8/INT4 rows are a group-quantized payload plus one F16
+/// scale per group (Q8_0/Q4_0 scale rules). Every dtype shares one byte slab, one row
+/// offset and one write/read path: rows are encoded by WriteKeyRow/WriteValueRow (quantized
+/// writes also accumulate a round-trip error proxy in KvQuantStats) and decoded by
+/// ReadKeyRow/ReadValueRow or, in place, by hkern::FlashAttentionPaged. Every byte figure
+/// reported by KvStats shrinks with the dtype, so pool sizing, DRAM budgets, and admission
+/// all see the reduced footprint.
 ///
-/// In debug builds, a block whose last reference drops is poisoned with FP16 NaNs so a
-/// stale block-table entry (use-after-free of reclaimed KV rows) corrupts attention loudly
-/// instead of silently reusing old rows.
+/// In debug builds, a block whose last reference drops is poisoned with 0xFF bytes — NaN
+/// both as F16 data and as an F16 scale — so a stale block-table entry (use-after-free of
+/// reclaimed KV rows) corrupts attention loudly instead of silently reusing old rows.
 ///
 /// Thread-compatible: appends/resets run on the bookkeeping thread; parallel attention
-/// lanes only READ rows through KeyRowAt/ValueRowAt during a step, which is safe because
-/// every append for the step completes before the parallel region starts
+/// lanes only READ rows through FillBlockPointers bases during a step, which is safe
+/// because every append for the step completes before the parallel region starts
 /// (docs/threading_model.md).
 #ifndef SRC_KVCACHE_PAGED_KV_CACHE_H_
 #define SRC_KVCACHE_PAGED_KV_CACHE_H_
@@ -81,7 +82,7 @@ class PagedKvCache {
   // pool for `num_seqs` dense sequences of `max_context` plus per-sequence slack for
   // copy-on-write splits and retained prefixes. `dtype` selects F16 (default, bit-identical
   // legacy layout) or group-quantized INT8/INT4 rows with `quant_group` elements per scale
-  // (quant_group must divide kv_dim).
+  // (quant_group must be even and divide kv_dim).
   PagedKvCache(int layers, int kv_dim, int num_seqs, int max_context,
                int block_tokens = kDefaultBlockTokens, int64_t num_blocks = 0,
                hquant::KvDtype dtype = hquant::KvDtype::kF16,
@@ -90,16 +91,12 @@ class PagedKvCache {
   int max_context() const { return max_context_; }
   int block_tokens() const { return mgr_.block_tokens(); }
   int length(int seq) const { return mgr_.length(seq); }
-  hquant::KvDtype dtype() const { return dtype_; }
-  int quant_group() const { return quant_group_; }
-  // F16 elements between consecutive positions of one layer/plane within a block (= kv_dim);
-  // the row stride for in-place paged attention (hkern::PagedKvHeadView). F16 mode only.
-  int64_t row_stride() const { return kv_dim_; }
-  // Bytes between consecutive positions of one layer/plane within a quantized block
-  // (payload + per-group scales); the row stride for hkern::PagedQKvHeadView.
-  int64_t row_bytes() const { return row_bytes_; }
-  // Bytes from a quantized row's start to its scale array (= payload size).
-  int64_t scales_offset() const { return hquant::KvPayloadBytes(dtype_, kv_dim_); }
+  hquant::KvDtype dtype() const { return codec_.dtype; }
+  // The row format every K/V row is stored in; hkern::PagedKvHeadView carries it so
+  // attention decodes exactly what the cache encoded.
+  const hquant::KvRowCodec& row_codec() const { return codec_; }
+  // Bytes between consecutive positions of one layer/plane within a block.
+  int64_t row_bytes() const { return codec_.row_bytes(); }
   // Upper bound on table entries a sequence can hold — sizes FillBlockPointers arrays.
   int blocks_per_seq_capacity() const;
 
@@ -109,24 +106,17 @@ class PagedKvCache {
 
   // In-place paged attention support: fills per-block base pointers for `layer` of `seq`
   // covering the first `positions` positions. k_bases[i] / v_bases[i] point at the
-  // position-0 K / V row of table block i; position p lives at
-  // bases[p / block_tokens()] + (p % block_tokens()) * row_stride(). Returns the number of
+  // position-0 K / V row bytes of table block i; position p's row starts at
+  // bases[p / block_tokens()] + (p % block_tokens()) * row_bytes(). Returns the number of
   // entries written (ceil(positions / block_tokens())). Read-only — safe from parallel
   // attention lanes once the step's appends are done (docs/threading_model.md).
-  int FillBlockPointers(int layer, int seq, int positions, const hexllm::F16** k_bases,
-                        const hexllm::F16** v_bases) const;
+  int FillBlockPointers(int layer, int seq, int positions, const uint8_t** k_bases,
+                        const uint8_t** v_bases) const;
 
-  // Quantized-mode twin of FillBlockPointers: bases point at the position-0 K / V row bytes
-  // of each table block; position p lives at bases[p / block_tokens()] +
-  // (p % block_tokens()) * row_bytes().
-  int FillQuantBlockPointers(int layer, int seq, int positions, const uint8_t** k_bases,
-                             const uint8_t** v_bases) const;
-
-  // Dtype-agnostic row writes for the append region (pos >= length). The first write to a
-  // position allocates its block; the first write into a shared block copy-on-write splits
-  // it. `src` is one F16 row of kv_dim elements; quantized modes quantize it in place and
-  // accumulate the round-trip error in quant_stats(). In F16 mode this is exactly the
-  // legacy memcpy-into-KeyRow/ValueRow path (bit-identical).
+  // Row writes for the append region (pos >= length). The first write to a position
+  // allocates its block; the first write into a shared block copy-on-write splits it.
+  // `src` is one F16 row of kv_dim elements, encoded by row_codec() (a memcpy in F16
+  // mode); quantized writes accumulate the round-trip error in quant_stats().
   void WriteKeyRow(int layer, int seq, int pos, const hexllm::F16* src) {
     WriteRow(layer, seq, pos, false, src);
   }
@@ -134,28 +124,13 @@ class PagedKvCache {
     WriteRow(layer, seq, pos, true, src);
   }
 
-  // Dtype-agnostic row reads: dequantizes (or copies) one full row into `dst` (kv_dim F16
-  // elements). Works for any dtype; the F16 fast path is a memcpy.
+  // Row reads for materialized positions (pos < length, or rows just written in the
+  // current chunk): decodes one full row into `dst` (kv_dim F16 elements).
   void ReadKeyRow(int layer, int seq, int pos, hexllm::F16* dst) const {
     ReadRow(layer, seq, pos, false, dst);
   }
   void ReadValueRow(int layer, int seq, int pos, hexllm::F16* dst) const {
     ReadRow(layer, seq, pos, true, dst);
-  }
-
-  // Direct F16 write accessors (F16 mode only — quantized rows are written whole through
-  // WriteKeyRow/WriteValueRow).
-  hexllm::F16* KeyRow(int layer, int seq, int pos) { return MutableRow(layer, seq, pos, false); }
-  hexllm::F16* ValueRow(int layer, int seq, int pos) { return MutableRow(layer, seq, pos, true); }
-
-  // Read accessors for materialized positions (pos < length, or rows just written in the
-  // current chunk). Rows are contiguous [kv_dim] within one position; consecutive positions
-  // generally live in different blocks — gather per position. F16 mode only.
-  const hexllm::F16* KeyRowAt(int layer, int seq, int pos) const {
-    return Row(layer, seq, pos, false);
-  }
-  const hexllm::F16* ValueRowAt(int layer, int seq, int pos) const {
-    return Row(layer, seq, pos, true);
   }
 
   // Advances the sequence by one position (after all layers wrote their K/V rows).
@@ -211,65 +186,41 @@ class PagedKvCache {
   KvStats stats() const { return mgr_.stats(); }
   const KvQuantStats& quant_stats() const { return quant_stats_; }
   // Physical bytes of the whole block pool (allocated up front).
-  int64_t byte_size() const {
-    return dtype_ == hquant::KvDtype::kF16 ? static_cast<int64_t>(storage_.size()) * 2
-                                           : static_cast<int64_t>(qstorage_.size());
-  }
+  int64_t byte_size() const { return static_cast<int64_t>(storage_.size()); }
   int64_t num_blocks() const { return num_blocks_; }
 
-  // Raw block storage, for tests (poison checks). F16 mode.
-  const hexllm::F16* BlockDataForTest(int block) const {
-    return storage_.data() + static_cast<int64_t>(block) * block_elems_;
-  }
-  // Raw quantized block storage, for tests (poison checks). Quantized modes.
-  const uint8_t* QuantBlockDataForTest(int block) const {
-    return qstorage_.data() + static_cast<int64_t>(block) * block_bytes_;
-  }
+  // Raw block bytes, for tests (poison checks); row (layer, plane, p) of the block starts
+  // at (((layer * 2 + plane) * block_tokens()) + p) * row_bytes().
+  const uint8_t* BlockBytesForTest(int block) const { return BlockData(block); }
   // Physical block id behind table entry `table_idx` of `seq`, for tests
   // (residency/eviction checks against the pool).
   int BlockIdForTest(int seq, int table_idx) const { return mgr_.block_at(seq, table_idx); }
   const BlockPool& PoolForTest() const { return mgr_.pool(); }
 
  private:
-  hexllm::F16* BlockData(int block) {
-    return storage_.data() + static_cast<int64_t>(block) * block_elems_;
-  }
-  uint8_t* QuantBlockData(int block) {
-    return qstorage_.data() + static_cast<int64_t>(block) * block_bytes_;
-  }
+  uint8_t* BlockData(int block) { return storage_.data() + block * block_bytes_; }
+  const uint8_t* BlockData(int block) const { return storage_.data() + block * block_bytes_; }
+  // Bytes from a block's start to row `pos_in_block` of (layer, K or V).
   int64_t RowOffset(int layer, bool value, int pos_in_block) const;
-  int64_t QuantRowOffset(int layer, bool value, int pos_in_block) const;
-  hexllm::F16* MutableRow(int layer, int seq, int pos, bool value);
-  const hexllm::F16* Row(int layer, int seq, int pos, bool value) const;
   void WriteRow(int layer, int seq, int pos, bool value, const hexllm::F16* src);
   void ReadRow(int layer, int seq, int pos, bool value, hexllm::F16* dst) const;
-  void QuantizeRowInto(const hexllm::F16* src, uint8_t* row);
-  void DequantRowInto(const uint8_t* row, hexllm::F16* dst) const;
+  // Accumulates the round-trip error of the quantized row just encoded from `src`.
+  void AccountQuantRow(const hexllm::F16* src, const uint8_t* row);
   void PoisonFreed();
-  // Bytes per block in the active dtype's backing store (the offload payload unit).
-  int64_t StorageBlockBytes() const {
-    return dtype_ == hquant::KvDtype::kF16 ? block_elems_ * 2 : block_bytes_;
-  }
   // Write-path residency: faults the CoW source and destination blocks of a WriteAccess
   // back into DRAM before storage touches them. No-op when offload is off.
   void FaultForWrite(const KvBlockManager::WriteAccess& wa);
 
   int layers_;
-  int kv_dim_;
   int max_context_;
-  hquant::KvDtype dtype_;
-  int quant_group_;
+  hquant::KvRowCodec codec_;
   int64_t num_blocks_;
-  int64_t block_elems_;  // F16 elements per block (F16 mode)
-  int64_t row_bytes_;    // bytes per quantized K or V row (payload + scales)
-  int64_t block_bytes_;  // bytes per block in the active dtype
+  int64_t block_bytes_;  // layers * 2 planes * block_tokens rows of codec_.row_bytes()
   KvBlockManager mgr_;
-  std::vector<hexllm::F16> storage_;   // F16 mode backing store
-  std::vector<uint8_t> qstorage_;      // quantized-mode backing store
+  std::vector<uint8_t> storage_;  // num_blocks_ blocks of block_bytes_
   std::vector<int> freed_scratch_;
   std::vector<int> resident_scratch_;  // table-index -> block-id staging for EnsureResident
-  std::vector<float> quant_src_scratch_;  // one group of floats (writer-thread only)
-  std::vector<hexllm::F16> quant_rt_scratch_;  // round-trip dequant for error accounting
+  std::vector<hexllm::F16> quant_rt_scratch_;  // one decoded row for error accounting
   KvQuantStats quant_stats_;
   std::unique_ptr<KvOffloadEngine> offload_;
 };

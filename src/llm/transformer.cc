@@ -42,16 +42,13 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
                          int kv_quant_group, int max_step_rows)
     : dev_(dev), weights_(weights), lut_(dev),
       kv_(weights.config.layers, weights.config.kv_dim(), max_batch, max_context,
-          hkv::kDefaultBlockTokens, kv_pool_blocks, hquant::KvDtypeFromEnv(kv_dtype),
-          kv_quant_group),
+          hkv::kDefaultBlockTokens, kv_pool_blocks, kv_dtype, kv_quant_group),
       max_batch_(max_batch),
       max_rows_(std::max({max_step_rows, max_batch, hkern::kAttnQTile})),
       ws_(StepWorkspaceBytes(weights.config, max_rows_)) {
-  if (kv_.dtype() != hquant::KvDtype::kF16) {
-    // Per-kv-head attention views slice rows at head boundaries, so quant groups must not
-    // straddle heads.
-    HEXLLM_CHECK(weights.config.head_dim % kv_.quant_group() == 0);
-  }
+  // Per-kv-head attention views slice rows at head boundaries, so quant groups must not
+  // straddle heads.
+  HEXLLM_CHECK(kv_.row_codec().SlicesAt(weights.config.head_dim));
   kv_.ReserveSeqs(max_batch);
   identity_seq_ids_.resize(static_cast<size_t>(max_batch));
   std::iota(identity_seq_ids_.begin(), identity_seq_ids_.end(), 0);
@@ -102,8 +99,6 @@ void Transformer::EnsureSlotScratch(int slots) {
     SlotBlockPtrs& p = slot_ptrs_.emplace_back();
     p.k.resize(cap);
     p.v.resize(cap);
-    p.kq.resize(cap);
-    p.vq.resize(cap);
   }
 }
 
@@ -241,7 +236,6 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
     // read-only in this region (the appends above already ran) and items write disjoint
     // attn_out columns, so results are bit-identical at any lane count; shard accounting
     // merges back in slot order right after the loop (docs/threading_model.md).
-    const bool kv_quant = kv_.dtype() != hquant::KvDtype::kF16;
     hexec::ParallelFor(
         items,
         [&](int64_t begin, int64_t end, int slot) {
@@ -249,6 +243,11 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
           const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
           SlotBlockPtrs& ptrs = slot_ptrs_[static_cast<size_t>(slot)];
           int resolved = -1;  // span whose block table `ptrs` holds
+          hkern::PagedKvHeadView view;
+          view.k_blocks = ptrs.k.data();
+          view.v_blocks = ptrs.v.data();
+          view.block_tokens = kv_.block_tokens();
+          view.row = kv_.row_codec();
           for (int64_t item = begin; item < end; ++item) {
             const int s = static_cast<int>(item / c.heads);
             const int h = static_cast<int>(item % c.heads);
@@ -257,39 +256,14 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
             const int64_t r0 = span_row0_[static_cast<size_t>(s)];
             const int pos0 = kv_.length(seq);
             const int kv_len = pos0 + n;  // includes the rows just written
-            const F16* qh = q + r0 * q_dim + h * dh;
-            F16* oh = attn_out + r0 * q_dim + h * dh;
-            const int64_t head_start = static_cast<int64_t>(h / group) * dh;
-            if (kv_quant) {
-              if (s != resolved) {
-                kv_.FillQuantBlockPointers(l, seq, kv_len, ptrs.kq.data(), ptrs.vq.data());
-                resolved = s;
-              }
-              hkern::PagedQKvHeadView view;
-              view.k_blocks = ptrs.kq.data();
-              view.v_blocks = ptrs.vq.data();
-              view.block_tokens = kv_.block_tokens();
-              view.row_bytes = kv_.row_bytes();
-              view.payload_offset = hquant::KvPayloadBytes(kv_.dtype(), head_start);
-              view.scales_offset = kv_.scales_offset() + (head_start / kv_.quant_group()) * 2;
-              view.group = kv_.quant_group();
-              view.dtype = kv_.dtype();
-              hkern::FlashAttentionPagedQ(d, lut, exp_variant, qh, q_dim, view, oh, q_dim, n,
-                                          kv_len, dh, scale, decode ? -1 : pos0, win());
-            } else {
-              if (s != resolved) {
-                kv_.FillBlockPointers(l, seq, kv_len, ptrs.k.data(), ptrs.v.data());
-                resolved = s;
-              }
-              hkern::PagedKvHeadView view;
-              view.k_blocks = ptrs.k.data();
-              view.v_blocks = ptrs.v.data();
-              view.block_tokens = kv_.block_tokens();
-              view.row_stride = kv_.row_stride();
-              view.head_offset = head_start;
-              hkern::FlashAttentionPagedF16(d, lut, exp_variant, qh, q_dim, view, oh, q_dim, n,
-                                            kv_len, dh, scale, decode ? -1 : pos0, win());
+            if (s != resolved) {
+              kv_.FillBlockPointers(l, seq, kv_len, ptrs.k.data(), ptrs.v.data());
+              resolved = s;
             }
+            view.head_offset = static_cast<int64_t>(h / group) * dh;
+            hkern::FlashAttentionPaged(d, lut, exp_variant, q + r0 * q_dim + h * dh, q_dim, view,
+                                       attn_out + r0 * q_dim + h * dh, q_dim, n, kv_len, dh,
+                                       scale, decode ? -1 : pos0, win());
           }
         },
         slots);

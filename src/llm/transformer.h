@@ -12,7 +12,7 @@
 //
 // Host-performance contract (docs/performance.md): steady-state decode is zero-copy and
 // zero-alloc. Attention consumes K/V in place through the paged cache's block tables
-// (hkern::FlashAttentionPagedF16 — no per-step gather), all step scratch lives in a
+// (hkern::FlashAttentionPaged — no per-step gather), all step scratch lives in a
 // persistent DecodeWorkspace arena, weights dequantize once and replay their charges, and
 // the lm_head runs blocked over a float-converted weight matrix. All of it is charge- and
 // bit-identical to the straightforward path it replaced.
@@ -47,9 +47,8 @@ class Transformer {
   // `max_context` (plus CoW/retention slack); serving backends pass an explicit pool size
   // to model a DRAM budget. `kv_dtype` selects the KV storage mode (F16 default — bit- and
   // charge-identical to the pre-quant path; INT8/INT4 group-quantize K/V rows at append and
-  // route attention through hkern::FlashAttentionPagedQ). The HEXLLM_KV_DTYPE env var
-  // overrides the configured dtype (docs/kv_quantization.md). `kv_quant_group` elements
-  // share one scale and must divide head_dim.
+  // attention dequantizes them while staging; docs/kv_quantization.md). `kv_quant_group`
+  // elements share one scale and must divide head_dim.
   // `max_step_rows` (0 = max_batch) raises the per-forward row capacity above the sequence
   // count — speculative verify steps push max_batch spans of gamma+1 rows each through one
   // forward, so the serving backend sizes the scratch arena for max_batch * (gamma + 1).
@@ -165,11 +164,9 @@ class Transformer {
   std::vector<int> span_row0_;           // per-span first-row offsets within a forward
   hkern::AttnWindowSpec window_;         // disabled unless SetAttentionWindow installs one
   std::vector<int> attended_scratch_;    // table indices for FaultAttendedBlocks
-  // Per-slot block-pointer scratch for in-place paged attention: F16 bases, or the
-  // byte-addressed bases of a quantized cache (hkern::PagedQKvHeadView).
+  // Per-slot block-pointer scratch for in-place paged attention (hkern::PagedKvHeadView).
   struct SlotBlockPtrs {
-    std::vector<const hexllm::F16*> k, v;
-    std::vector<const uint8_t*> kq, vq;
+    std::vector<const uint8_t*> k, v;
   };
   std::vector<SlotBlockPtrs> slot_ptrs_;
 };

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -21,18 +20,15 @@ using hexllm::RoundToF16;
 
 namespace {
 
-std::atomic<bool>& WeightCacheFlag() {
-  static std::atomic<bool> enabled(std::getenv("HEXLLM_NO_WEIGHT_CACHE") == nullptr);
-  return enabled;
-}
+std::atomic<bool> g_weight_cache_enabled{true};
 
 }  // namespace
 
 void SetWeightCacheEnabled(bool enabled) {
-  WeightCacheFlag().store(enabled, std::memory_order_relaxed);
+  g_weight_cache_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-bool WeightCacheEnabled() { return WeightCacheFlag().load(std::memory_order_relaxed); }
+bool WeightCacheEnabled() { return g_weight_cache_enabled.load(std::memory_order_relaxed); }
 
 QuantizedLinear QuantizedLinear::Create(std::span<const float> w, int64_t k, int64_t n,
                                         hquant::WeightScheme scheme) {

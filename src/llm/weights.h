@@ -23,10 +23,8 @@
 
 namespace hllm {
 
-// Process-wide switch for the dequant-once weight cache (default on). The
-// HEXLLM_NO_WEIGHT_CACHE environment variable (any non-empty value) disables it at startup
-// — the escape hatch for memory-constrained runs and for the replay-parity tests
-// (docs/performance.md).
+// Process-wide switch for the dequant-once weight cache (default on) — the escape hatch for
+// memory-constrained runs and for the replay-parity tests (docs/performance.md).
 void SetWeightCacheEnabled(bool enabled);
 bool WeightCacheEnabled();
 

@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/base/fp16.h"
@@ -71,9 +70,10 @@ static_assert(sizeof(SuperBlockQ4) == 144, "super-block is 144 bytes");
 // elements. INT4 payloads pack pairwise — byte j holds element 2j in the low nibble and
 // element 2j+1 in the high nibble — unlike BlockQ4_0's j/j+16 split, so a row slices
 // cleanly at any group boundary (per-kv-head attention views need group-aligned slices).
+// F16 rows are the same format with a 2-byte payload element and no scales.
 //
-// These helpers are header-only on purpose: src/kvcache links neither hexllm_quant nor
-// hexllm_kernels, and the writer (PagedKvCache) and reader (FlashAttentionPagedQ) must
+// KvRowCodec is header-only on purpose: src/kvcache links neither hexllm_quant nor
+// hexllm_kernels, and the writer (PagedKvCache) and reader (FlashAttentionPaged) must
 // share bit-exact numerics.
 // ---------------------------------------------------------------------------------------
 
@@ -129,82 +129,91 @@ inline int64_t KvRowBytes(KvDtype d, int64_t row_elems, int group) {
   return KvPayloadBytes(d, row_elems) + (row_elems / group) * 2;
 }
 
-// Escape hatch: HEXLLM_KV_DTYPE=f16|int8|int4 overrides the configured KV dtype (e.g. to
-// force a quantized deployment back to F16 when chasing an accuracy regression). Unset or
-// unrecognized values keep `configured`.
-inline KvDtype KvDtypeFromEnv(KvDtype configured) {
-  const char* s = std::getenv("HEXLLM_KV_DTYPE");
-  if (s == nullptr || *s == '\0') {
-    return configured;
-  }
-  if (std::strcmp(s, "f16") == 0) {
-    return KvDtype::kF16;
-  }
-  if (std::strcmp(s, "int8") == 0) {
-    return KvDtype::kInt8;
-  }
-  if (std::strcmp(s, "int4") == 0) {
-    return KvDtype::kInt4;
-  }
-  return configured;
-}
+// The one KV row codec: encodes a row of `elems` F16 values into KvRowBytes bytes and
+// decodes any group-aligned slice of it (one kv head's columns) back to F16. For kF16 both
+// directions are a memcpy. Quantized scale rules mirror QuantizeQ4_0 (d = signed-max / -8)
+// and QuantizeQ8_0 (d = amax / 127) in group_quant.cc; a decoded value is
+// F16(q * d) — the multiply happens in float and rounds through FP16 once, matching what
+// the HVX vlut16 scale-multiply produces.
+struct KvRowCodec {
+  KvDtype dtype = KvDtype::kF16;
+  int64_t elems = 0;       // elements per row (the cache's kv_dim)
+  int group = kGroupSize;  // elements per F16 scale (quantized dtypes)
 
-// Quantizes `group` consecutive floats into an INT4 KV payload group, returning the F16
-// scale. Scale rule mirrors QuantizeQ4_0 (group_quant.cc): d = signed-max / -8.
-inline hexllm::F16 KvQuantizeGroupInt4(const float* x, int group, uint8_t* payload) {
-  float amax = 0.0f;
-  float vmax = 0.0f;  // signed value of the max-magnitude element
-  for (int i = 0; i < group; ++i) {
-    const float a = std::fabs(x[i]);
-    if (a > amax) {
-      amax = a;
-      vmax = x[i];
+  bool quantized() const { return dtype != KvDtype::kF16; }
+  int64_t row_bytes() const { return KvRowBytes(dtype, elems, group); }
+  // Bytes from a row's start to the payload of element `elem0` (group-aligned).
+  int64_t PayloadOffset(int64_t elem0) const { return KvPayloadBytes(dtype, elem0); }
+  // Bytes from a row's start to the F16 scale of the group starting at element `elem0`.
+  int64_t ScaleOffset(int64_t elem0) const {
+    return KvPayloadBytes(dtype, elems) + (elem0 / group) * 2;
+  }
+  // True when `n`-element slices at multiples of n stay group-aligned, as per-head views
+  // require. Always true for kF16.
+  bool SlicesAt(int64_t n) const { return !quantized() || n % group == 0; }
+
+  // Encodes one row of `elems` F16 values into `row` (row_bytes() bytes).
+  void Encode(const hexllm::F16* src, uint8_t* row) const {
+    if (!quantized()) {
+      std::memcpy(row, src, static_cast<size_t>(elems) * 2);
+      return;
+    }
+    for (int64_t e0 = 0; e0 < elems; e0 += group) {
+      const hexllm::F16* x = src + e0;
+      float amax = 0.0f;
+      float vmax = 0.0f;  // signed value of the max-magnitude element
+      for (int i = 0; i < group; ++i) {
+        const float a = std::fabs(x[i].ToFloat());
+        if (a > amax) {
+          amax = a;
+          vmax = x[i].ToFloat();
+        }
+      }
+      uint8_t* payload = row + PayloadOffset(e0);
+      const float d = dtype == KvDtype::kInt4 ? vmax / -8.0f : amax / 127.0f;
+      const float id = (d != 0.0f) ? 1.0f / d : 0.0f;
+      const auto q = [&](int i) { return static_cast<int>(std::lrintf(x[i].ToFloat() * id)); };
+      if (dtype == KvDtype::kInt4) {
+        for (int j = 0; j < group / 2; ++j) {
+          payload[j] = static_cast<uint8_t>(hexllm::Clamp(q(2 * j) + 8, 0, 15) |
+                                            (hexllm::Clamp(q(2 * j + 1) + 8, 0, 15) << 4));
+        }
+      } else {
+        for (int i = 0; i < group; ++i) {
+          payload[i] = static_cast<uint8_t>(hexllm::Clamp(q(i), -127, 127));
+        }
+      }
+      const uint16_t d_bits = hexllm::F16(d).bits();
+      std::memcpy(row + ScaleOffset(e0), &d_bits, 2);
     }
   }
-  const float d = vmax / -8.0f;
-  const float id = (d != 0.0f) ? 1.0f / d : 0.0f;
-  for (int j = 0; j < group / 2; ++j) {
-    const int q_lo = hexllm::Clamp(static_cast<int>(std::lrintf(x[2 * j] * id)) + 8, 0, 15);
-    const int q_hi =
-        hexllm::Clamp(static_cast<int>(std::lrintf(x[2 * j + 1] * id)) + 8, 0, 15);
-    payload[j] = static_cast<uint8_t>(q_lo | (q_hi << 4));
-  }
-  return hexllm::F16(d);
-}
 
-// Quantizes `group` consecutive floats into an INT8 KV payload group, returning the F16
-// scale. Scale rule mirrors QuantizeQ8_0 (group_quant.cc): d = amax / 127.
-inline hexllm::F16 KvQuantizeGroupInt8(const float* x, int group, int8_t* payload) {
-  float amax = 0.0f;
-  for (int i = 0; i < group; ++i) {
-    amax = std::max(amax, std::fabs(x[i]));
+  // Decodes elements [elem0, elem0 + n) of an encoded row into `dst` (elem0 and n
+  // group-aligned).
+  void DecodeSlice(const uint8_t* row, int64_t elem0, int64_t n, hexllm::F16* dst) const {
+    if (!quantized()) {
+      std::memcpy(dst, row + elem0 * 2, static_cast<size_t>(n) * 2);
+      return;
+    }
+    for (int64_t g0 = 0; g0 < n; g0 += group) {
+      uint16_t d_bits;
+      std::memcpy(&d_bits, row + ScaleOffset(elem0 + g0), 2);
+      const float d = hexllm::F16BitsToF32(d_bits);
+      const uint8_t* payload = row + PayloadOffset(elem0 + g0);
+      hexllm::F16* out = dst + g0;
+      if (dtype == KvDtype::kInt4) {
+        for (int j = 0; j < group / 2; ++j) {
+          out[2 * j] = hexllm::F16(static_cast<float>((payload[j] & 0x0F) - 8) * d);
+          out[2 * j + 1] = hexllm::F16(static_cast<float>((payload[j] >> 4) - 8) * d);
+        }
+      } else {
+        for (int i = 0; i < group; ++i) {
+          out[i] = hexllm::F16(static_cast<float>(static_cast<int8_t>(payload[i])) * d);
+        }
+      }
+    }
   }
-  const float d = amax / 127.0f;
-  const float id = (d != 0.0f) ? 1.0f / d : 0.0f;
-  for (int i = 0; i < group; ++i) {
-    payload[i] = static_cast<int8_t>(
-        hexllm::Clamp(static_cast<int>(std::lrintf(x[i] * id)), -127, 127));
-  }
-  return hexllm::F16(d);
-}
-
-// Dequantizes one INT4 KV group into F16 (the attention kernels stage K/V as F16 tiles).
-// value(i) = F16((nibble(i) - 8) * d) — the multiply happens in float and rounds through
-// FP16 once, matching what the HVX vlut16 scale-multiply produces.
-inline void KvDequantGroupInt4(const uint8_t* payload, float d, int group, hexllm::F16* out) {
-  for (int j = 0; j < group / 2; ++j) {
-    const uint8_t byte = payload[j];
-    out[2 * j] = hexllm::F16(static_cast<float>((byte & 0x0F) - 8) * d);
-    out[2 * j + 1] = hexllm::F16(static_cast<float>((byte >> 4) - 8) * d);
-  }
-}
-
-// Dequantizes one INT8 KV group into F16. value(i) = F16(qs[i] * d).
-inline void KvDequantGroupInt8(const int8_t* payload, float d, int group, hexllm::F16* out) {
-  for (int i = 0; i < group; ++i) {
-    out[i] = hexllm::F16(static_cast<float>(payload[i]) * d);
-  }
-}
+};
 
 }  // namespace hquant
 

@@ -248,7 +248,7 @@ StepCost Engine::AddLmHeadAndComm(StepCost cost, int batch) const {
   // Mailbox round trip (submit + completion) and cache maintenance for the shared
   // activation buffers (§6); models split across two sessions pay an extra hop per step.
   const int sessions = std::max(1, SessionsNeeded());
-  cost.comm_s = sessions * (2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6);
+  cost.comm_s = sessions * hexsim::NpuSession::kDispatchSeconds;
 
   cost.total_s =
       cost.linear_s + cost.attention_s + cost.misc_s + cost.lm_head_s + cost.comm_s;
@@ -336,7 +336,7 @@ StepCost Engine::Prefill(int prompt_len) const {
   cost.misc_s = misc_packets / (d.hvx_freq_ghz * 1e9) / kAttentionThreads;
   cost.hvx_busy_s += misc_packets / (d.hvx_freq_ghz * 1e9);
 
-  cost.comm_s = chunks * (2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6);
+  cost.comm_s = chunks * hexsim::NpuSession::kDispatchSeconds;
   cost.total_s = cost.linear_s + cost.attention_s + cost.misc_s + cost.comm_s;
   return cost;
 }

@@ -57,6 +57,26 @@ struct StepCost {
   double cpu_busy_s = 0.0;
   double gpu_busy_s = 0.0;
   int64_t ddr_bytes = 0;
+
+  // Field-wise sum: the cost of running `o` after this step (e.g. a speculative cycle's
+  // draft steps on top of its verify).
+  StepCost& operator+=(const StepCost& o) {
+    linear_s += o.linear_s;
+    attention_s += o.attention_s;
+    misc_s += o.misc_s;
+    lm_head_s += o.lm_head_s;
+    comm_s += o.comm_s;
+    flash_s += o.flash_s;
+    flash_bytes += o.flash_bytes;
+    total_s += o.total_s;
+    hvx_busy_s += o.hvx_busy_s;
+    hmx_busy_s += o.hmx_busy_s;
+    dma_busy_s += o.dma_busy_s;
+    cpu_busy_s += o.cpu_busy_s;
+    gpu_busy_s += o.gpu_busy_s;
+    ddr_bytes += o.ddr_bytes;
+    return *this;
+  }
 };
 
 struct PowerReport {

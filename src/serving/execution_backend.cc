@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 
 #include "src/base/check.h"
 #include "src/base/math_util.h"
@@ -37,19 +36,6 @@ int SyntheticToken(int job_id, int pos, int vocab) {
 
 }  // namespace
 
-int SpecGammaFromEnv(int configured) {
-  const char* env = std::getenv("HEXLLM_SPEC_GAMMA");
-  if (env == nullptr || *env == '\0') {
-    return std::max(0, configured);
-  }
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 0) {
-    return std::max(0, configured);
-  }
-  return static_cast<int>(v);
-}
-
 // ---------------------------------------------------------------------------
 // AnalyticBackend
 // ---------------------------------------------------------------------------
@@ -58,7 +44,7 @@ AnalyticBackend::AnalyticBackend(const hrt::Engine& engine, const Options& optio
     : engine_(engine),
       bucket_tokens_(std::max(1, options.context_bucket_tokens)),
       draft_engine_(options.draft_engine),
-      spec_gamma_(options.draft_engine != nullptr ? SpecGammaFromEnv(options.spec_gamma) : 0),
+      spec_gamma_(options.draft_engine != nullptr ? std::max(0, options.spec_gamma) : 0),
       spec_acceptance_(std::clamp(options.spec_acceptance, 0.0, 1.0)),
       spec_rng_(options.spec_seed),
       // Unbounded accountant: the DRAM budget gates admission (CanAdmit), it never aborts
@@ -66,16 +52,14 @@ AnalyticBackend::AnalyticBackend(const hrt::Engine& engine, const Options& optio
       // the configured KV dtype, so a budget admits proportionally more sequences when KV
       // is quantized — the same arithmetic the functional cache applies to its storage.
       kv_(options.kv_block_tokens, /*max_blocks=*/0,
-          engine.options().model->KvCacheBytes(options.kv_block_tokens,
-                                               hquant::KvDtypeFromEnv(options.kv_dtype),
+          engine.options().model->KvCacheBytes(options.kv_block_tokens, options.kv_dtype,
                                                options.kv_quant_group)),
-      kv_dtype_(hquant::KvDtypeFromEnv(options.kv_dtype)),
+      kv_dtype_(options.kv_dtype),
       offload_blocks_(std::max<int64_t>(0, options.kv_offload_resident_blocks)),
       bytes_per_block_(engine.options().model->KvCacheBytes(
-          options.kv_block_tokens, hquant::KvDtypeFromEnv(options.kv_dtype),
-          options.kv_quant_group)),
-      flash_(hexsim::FlashSpecFromEnv(options.flash)),
-      window_(hkern::AttnWindowFromEnv(options.attn_window)) {
+          options.kv_block_tokens, options.kv_dtype, options.kv_quant_group)),
+      flash_(options.flash),
+      window_(options.attn_window) {
   window_.block_tokens = options.kv_block_tokens;
   if (options.kv_budget_bytes > 0) {
     budget_blocks_ = options.kv_budget_bytes / bytes_per_block_;
@@ -278,21 +262,7 @@ StepOutcome AnalyticBackend::SpeculativeStep(std::span<const int> slots,
     for (const int g : gammas) {
       batch_j += g >= j ? 1 : 0;
     }
-    const hrt::StepCost& d = DraftCost(batch_j, bucket);
-    out.cost.linear_s += d.linear_s;
-    out.cost.attention_s += d.attention_s;
-    out.cost.misc_s += d.misc_s;
-    out.cost.lm_head_s += d.lm_head_s;
-    out.cost.comm_s += d.comm_s;
-    out.cost.total_s += d.total_s;
-    out.cost.hvx_busy_s += d.hvx_busy_s;
-    out.cost.hmx_busy_s += d.hmx_busy_s;
-    out.cost.dma_busy_s += d.dma_busy_s;
-    out.cost.cpu_busy_s += d.cpu_busy_s;
-    out.cost.gpu_busy_s += d.gpu_busy_s;
-    out.cost.ddr_bytes += d.ddr_bytes;
-    out.cost.flash_s += d.flash_s;
-    out.cost.flash_bytes += d.flash_bytes;
+    out.cost += DraftCost(batch_j, bucket);
   }
   // One offload charge per cycle: the verify step stages the full attended set once; the
   // draft model keeps its own (small) KV and never touches the flash tier.
@@ -346,12 +316,12 @@ FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWe
       // A speculative verify pushes max_batch spans of gamma+1 rows through one forward, so
       // the transformer's scratch arena is sized for that row count up front.
       tf_(dev, weights, max_batch, max_context, kv_pool_blocks, kv_dtype, kv_quant_group,
-          spec.draft != nullptr ? max_batch * (SpecGammaFromEnv(spec.gamma) + 1) : 0),
+          spec.draft != nullptr ? max_batch * (std::max(0, spec.gamma) + 1) : 0),
       max_context_(max_context),
       last_token_(static_cast<size_t>(max_batch), 1),
       sampler_opts_(static_cast<size_t>(max_batch)),
       sampler_rng_(static_cast<size_t>(max_batch), hexllm::Rng(0)),
-      spec_gamma_(spec.draft != nullptr ? SpecGammaFromEnv(spec.gamma) : 0) {
+      spec_gamma_(spec.draft != nullptr ? std::max(0, spec.gamma) : 0) {
   const size_t verify_rows =
       static_cast<size_t>(max_batch) * (spec_gamma_ > 0 ? spec_gamma_ + 1 : 1);
   const size_t logits_elems = verify_rows * weights.config.vocab;
@@ -373,13 +343,9 @@ FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWe
 
 void FunctionalBackend::ConfigureLongContext(const hkv::KvOffloadOptions& offload,
                                              const hkern::AttnWindowSpec& window) {
-  // Env knobs (HEXLLM_ATTN_*_BLOCKS, HEXLLM_KV_OFFLOAD_GBPS) override the configured
-  // values here, mirroring the AnalyticBackend constructor.
-  tf_.SetAttentionWindow(hkern::AttnWindowFromEnv(window));
+  tf_.SetAttentionWindow(window);
   if (offload.resident_block_budget > 0) {
-    hkv::KvOffloadOptions opts = offload;
-    opts.flash = hexsim::FlashSpecFromEnv(opts.flash);
-    tf_.kv().ConfigureOffload(opts);
+    tf_.kv().ConfigureOffload(offload);
   }
 }
 
@@ -460,7 +426,7 @@ double FunctionalBackend::AdmitDraft(int slot, int job_id, bool speculative,
   hrt::StepCost cost;
   const double npu_s = ComposeStep(mark, /*batch=*/0, &cost);
   const int chunks = static_cast<int>(hexllm::CeilDiv(context_tokens, hkern::kAttnQTile));
-  return npu_s + chunks * (2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6);
+  return npu_s + chunks * hexsim::NpuSession::kDispatchSeconds;
 }
 
 double FunctionalBackend::AdmitTarget(int slot, const ServeJob& job, int context_tokens,
@@ -499,8 +465,7 @@ double FunctionalBackend::AdmitTarget(int slot, const ServeJob& job, int context
     FoldOffload(omark, std::span<const int>(&slot, 1),
                 std::span<const int>(&context_tokens, 1), npu_s, &cost);
     const int chunks = static_cast<int>(hexllm::CeilDiv(fresh, hkern::kAttnQTile));
-    admit_s = npu_s + cost.total_s +
-              chunks * (2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6);
+    admit_s = npu_s + cost.total_s + chunks * hexsim::NpuSession::kDispatchSeconds;
   } else {
     // Nothing to prefill: continue from the mapped snapshot's last token, or start from a
     // fixed BOS-like token on an empty context.
@@ -752,8 +717,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
       hkern::LmHeadCostModel(d, total_rows, tf_.config().hidden, vocab);
   out.cost.lm_head_s = lm_head_s + verify_lm.seconds;
   out.cost.cpu_busy_s = lm_cpu_busy_s + verify_lm.cpu_busy_s;
-  out.cost.comm_s = (n_catchup + max_gamma + 1) *
-                    (2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6);
+  out.cost.comm_s = (n_catchup + max_gamma + 1) * hexsim::NpuSession::kDispatchSeconds;
   out.cost.total_s = npu_s + out.cost.lm_head_s + out.cost.comm_s;
   FoldOffload(omark, slots, contexts, npu_s, &out.cost);
   out.watts = hrt::StepPower(d, out.cost, batch).watts;
@@ -783,7 +747,7 @@ double FunctionalBackend::ComposeStep(const hexsim::CycleLedger& mark, int batch
       hkern::LmHeadCostModel(d, batch, tf_.config().hidden, tf_.config().vocab);
   cost->lm_head_s = lm.seconds;
   cost->cpu_busy_s = lm.cpu_busy_s;
-  cost->comm_s = 2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6;
+  cost->comm_s = hexsim::NpuSession::kDispatchSeconds;
   return npu_s + cost->lm_head_s + cost->comm_s;
 }
 

@@ -67,10 +67,6 @@ struct StepOutcome {
   std::vector<int> row_token_counts;
 };
 
-// Effective per-cycle draft length: the HEXLLM_SPEC_GAMMA environment variable overrides
-// `configured` when set to a non-negative integer (docs/speculative_decoding.md).
-int SpecGammaFromEnv(int configured);
-
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
@@ -179,8 +175,8 @@ class AnalyticBackend : public ExecutionBackend {
     // verify; per-row accepted-prefix lengths are drawn from the classic geometric
     // acceptance process at `spec_acceptance` (htts::SpeculativeAcceptanceRate supplies a
     // calibrated value) with a backend-owned deterministic Rng. Jobs opt in via
-    // ServeJob::speculative; nullptr leaves speculation off. HEXLLM_SPEC_GAMMA overrides
-    // spec_gamma. The draft engine must outlive the backend.
+    // ServeJob::speculative; nullptr leaves speculation off. The draft engine must outlive
+    // the backend.
     const hrt::Engine* draft_engine = nullptr;
     int spec_gamma = 4;
     double spec_acceptance = 0.8;
@@ -293,7 +289,7 @@ class FunctionalBackend : public ExecutionBackend {
   // docs/speculative_decoding.md). The draft weights must share the target's vocabulary
   // (exact-match acceptance compares token ids) and must outlive the backend; running the
   // draft on the SAME simulated device folds its charges into the same cycle ledger the
-  // cycle cost is composed from. HEXLLM_SPEC_GAMMA overrides gamma.
+  // cycle cost is composed from.
   struct SpecOptions {
     const hllm::ModelWeights* draft = nullptr;  // nullptr leaves speculation off
     int gamma = 4;                              // draft tokens per cycle

@@ -170,36 +170,15 @@ CapabilityModel::CapabilityModel() {
     // paged cache's write-time quantizers (docs/kv_quantization.md) before attention runs.
     // The measurement deliberately includes the F16+LUT softmax deviation — it is the total
     // output error a quantized-KV deployment sees, which is what the damage curves consume.
-    const int group = hquant::kGroupSize;
     const auto kv_attn_err = [&](hquant::KvDtype dtype) {
+      const hquant::KvRowCodec codec{dtype, d};
+      std::vector<uint8_t> row(static_cast<size_t>(codec.row_bytes()));
       std::vector<hexllm::F16> kq(kk.size()), vq(v.size());
-      std::vector<float> grp(static_cast<size_t>(group));
-      uint8_t payload[64];
-      for (size_t base = 0; base < kk.size(); base += static_cast<size_t>(group)) {
-        for (int j = 0; j < group; ++j) {
-          grp[static_cast<size_t>(j)] = kk[base + static_cast<size_t>(j)].ToFloat();
-        }
-        if (dtype == hquant::KvDtype::kInt4) {
-          const hexllm::F16 s = hquant::KvQuantizeGroupInt4(grp.data(), group, payload);
-          hquant::KvDequantGroupInt4(payload, s.ToFloat(), group, kq.data() + base);
-        } else {
-          const hexllm::F16 s = hquant::KvQuantizeGroupInt8(
-              grp.data(), group, reinterpret_cast<int8_t*>(payload));
-          hquant::KvDequantGroupInt8(reinterpret_cast<const int8_t*>(payload), s.ToFloat(),
-                                     group, kq.data() + base);
-        }
-        for (int j = 0; j < group; ++j) {
-          grp[static_cast<size_t>(j)] = v[base + static_cast<size_t>(j)].ToFloat();
-        }
-        if (dtype == hquant::KvDtype::kInt4) {
-          const hexllm::F16 s = hquant::KvQuantizeGroupInt4(grp.data(), group, payload);
-          hquant::KvDequantGroupInt4(payload, s.ToFloat(), group, vq.data() + base);
-        } else {
-          const hexllm::F16 s = hquant::KvQuantizeGroupInt8(
-              grp.data(), group, reinterpret_cast<int8_t*>(payload));
-          hquant::KvDequantGroupInt8(reinterpret_cast<const int8_t*>(payload), s.ToFloat(),
-                                     group, vq.data() + base);
-        }
+      for (size_t base = 0; base < kk.size(); base += static_cast<size_t>(d)) {
+        codec.Encode(kk.data() + base, row.data());
+        codec.DecodeSlice(row.data(), 0, d, kq.data() + base);
+        codec.Encode(v.data() + base, row.data());
+        codec.DecodeSlice(row.data(), 0, d, vq.data() + base);
       }
       hkern::FlashAttentionF16(dev, lut, hkern::SoftmaxVariant::kLut, q.data(), kq.data(),
                                vq.data(), o.data(), q_len, kv_len, d, scale);

@@ -806,21 +806,22 @@ TEST(AttnWindowTest, AppendAttendedBlocksMatchesKernelChunkSkips) {
   EXPECT_EQ(got.size(), 16u);
 }
 
-// Builds a paged single-head view over contiguous [kv_len, d] K/V buffers.
+// Builds a paged single-head F16 view over contiguous [kv_len, d] K/V buffers.
 void FillContiguousView(const std::vector<F16>& k, const std::vector<F16>& v, int d,
-                        int block_tokens, int kv_len, std::vector<const F16*>* kb,
-                        std::vector<const F16*>* vb, PagedKvHeadView* view) {
+                        int block_tokens, int kv_len, std::vector<const uint8_t*>* kb,
+                        std::vector<const uint8_t*>* vb, PagedKvHeadView* view) {
   const int blocks = (kv_len + block_tokens - 1) / block_tokens;
   kb->resize(static_cast<size_t>(blocks));
   vb->resize(static_cast<size_t>(blocks));
   for (int i = 0; i < blocks; ++i) {
-    (*kb)[static_cast<size_t>(i)] = k.data() + static_cast<size_t>(i) * block_tokens * d;
-    (*vb)[static_cast<size_t>(i)] = v.data() + static_cast<size_t>(i) * block_tokens * d;
+    const size_t at = static_cast<size_t>(i) * block_tokens * d;
+    (*kb)[static_cast<size_t>(i)] = reinterpret_cast<const uint8_t*>(k.data() + at);
+    (*vb)[static_cast<size_t>(i)] = reinterpret_cast<const uint8_t*>(v.data() + at);
   }
   view->k_blocks = kb->data();
   view->v_blocks = vb->data();
   view->block_tokens = block_tokens;
-  view->row_stride = d;
+  view->row = {hquant::KvDtype::kF16, d};
   view->head_offset = 0;
 }
 
@@ -839,7 +840,7 @@ TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
     k[i] = F16(static_cast<float>(rng.NextGaussian()));
     v[i] = F16(static_cast<float>(rng.NextGaussian()));
   }
-  std::vector<const F16*> kb, vb;
+  std::vector<const uint8_t*> kb, vb;
   PagedKvHeadView view;
   FillContiguousView(k, v, d, bt, kv_len, &kb, &vb, &view);
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
@@ -855,8 +856,8 @@ TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPagedF16(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, o_win.data(),
-                           d, 1, kv_len, d, scale, /*q_pos_offset=*/-1, &w);
+    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, o_win.data(),
+                        d, 1, kv_len, d, scale, /*q_pos_offset=*/-1, &w);
     // The covered window was normalized away — the windowed-call counter must NOT fire.
     EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.windowed_calls"), 0);
     win_s = dev.ledger().TagSeconds("attn.softmax") + dev.ledger().TagSeconds("dma");
@@ -864,8 +865,8 @@ TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPagedF16(dev, lut, SoftmaxVariant::kLut, q.data(), d, view,
-                           o_plain.data(), d, 1, kv_len, d, scale, -1, nullptr);
+    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view,
+                        o_plain.data(), d, 1, kv_len, d, scale, -1, nullptr);
     plain_s = dev.ledger().TagSeconds("attn.softmax") + dev.ledger().TagSeconds("dma");
   }
   for (size_t i = 0; i < o_win.size(); ++i) {
@@ -897,15 +898,15 @@ TEST(AttnWindowTest, MaskedInteriorIsNeverReadAndMatchesVisibleReference) {
   w.window_blocks = 1;
   w.block_tokens = bt;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  std::vector<const F16*> kb, vb;
+  std::vector<const uint8_t*> kb, vb;
   PagedKvHeadView view;
   FillContiguousView(k, v, d, bt, kv_len, &kb, &vb, &view);
   std::vector<F16> o_a(q.size());
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPagedF16(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, o_a.data(),
-                           d, 1, kv_len, d, scale, -1, &w);
+    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, o_a.data(),
+                        d, 1, kv_len, d, scale, -1, &w);
     // A surviving (non-normalized) window marks the call in the ledger.
     EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.windowed_calls"), 1);
   }
@@ -921,15 +922,15 @@ TEST(AttnWindowTest, MaskedInteriorIsNeverReadAndMatchesVisibleReference) {
       v2[at] = skipped_chunk ? F16(std::nanf("")) : F16(8.0f);
     }
   }
-  std::vector<const F16*> kb2, vb2;
+  std::vector<const uint8_t*> kb2, vb2;
   PagedKvHeadView view2;
   FillContiguousView(k2, v2, d, bt, kv_len, &kb2, &vb2, &view2);
   std::vector<F16> o_b(q.size());
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPagedF16(dev, lut, SoftmaxVariant::kLut, q.data(), d, view2, o_b.data(),
-                           d, 1, kv_len, d, scale, -1, &w);
+    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view2, o_b.data(),
+                        d, 1, kv_len, d, scale, -1, &w);
   }
   for (size_t i = 0; i < o_a.size(); ++i) {
     EXPECT_EQ(o_a[i].bits(), o_b[i].bits()) << i;

@@ -215,14 +215,36 @@ TEST(KvBlockManagerTest, BlocksToAdmitCoversRoundingAndAlignedTails) {
 
 // --- storage-backed paged cache ---
 
+// Writes a K (value=false) or V row of `kv` whose first element is `x0`, the rest zero.
+void WriteRow0(PagedKvCache& kv, bool value, int layer, int seq, int pos, float x0) {
+  std::vector<F16> row(static_cast<size_t>(kv.row_codec().elems), F16::Zero());
+  row[0] = F16(x0);
+  if (value) {
+    kv.WriteValueRow(layer, seq, pos, row.data());
+  } else {
+    kv.WriteKeyRow(layer, seq, pos, row.data());
+  }
+}
+
+// Element `i` of a decoded K (value=false) or V row.
+float ReadElem(const PagedKvCache& kv, bool value, int layer, int seq, int pos, int i = 0) {
+  std::vector<F16> row(static_cast<size_t>(kv.row_codec().elems));
+  if (value) {
+    kv.ReadValueRow(layer, seq, pos, row.data());
+  } else {
+    kv.ReadKeyRow(layer, seq, pos, row.data());
+  }
+  return row[static_cast<size_t>(i)].ToFloat();
+}
+
 TEST(PagedKvCacheTest, ForkReadsSharedRowsAndCowPreservesParent) {
   PagedKvCache kv(/*layers=*/2, /*kv_dim=*/4, /*num_seqs=*/2, /*max_context=*/64,
                   /*block_tokens=*/4);
   // Parent: 6 positions of distinguishable rows.
   for (int pos = 0; pos < 6; ++pos) {
     for (int l = 0; l < 2; ++l) {
-      kv.KeyRow(l, 0, pos)[0] = F16(static_cast<float>(100 * l + pos));
-      kv.ValueRow(l, 0, pos)[0] = F16(static_cast<float>(100 * l + pos) + 0.5f);
+      WriteRow0(kv, false, l, 0, pos, static_cast<float>(100 * l + pos));
+      WriteRow0(kv, true, l, 0, pos, static_cast<float>(100 * l + pos) + 0.5f);
     }
     kv.Advance(0);
   }
@@ -230,22 +252,22 @@ TEST(PagedKvCacheTest, ForkReadsSharedRowsAndCowPreservesParent) {
   kv.ShareFromHandle(h, 1, 6);
   // The fork reads the parent's rows through its own table without any copy.
   for (int pos = 0; pos < 6; ++pos) {
-    EXPECT_EQ(kv.KeyRowAt(1, 1, pos)[0].ToFloat(), 100.0f + pos);
+    EXPECT_EQ(ReadElem(kv, false, 1, 1, pos), 100.0f + pos);
   }
   // Divergent append: the child's write CoW-splits the tail block; the copied block carries
   // every layer's earlier rows, and the parent's rows stay untouched.
-  kv.KeyRow(0, 1, 6)[0] = F16(-1.0f);
-  kv.KeyRow(1, 1, 6)[0] = F16(-2.0f);
+  WriteRow0(kv, false, 0, 1, 6, -1.0f);
+  WriteRow0(kv, false, 1, 1, 6, -2.0f);
   kv.Advance(1);
-  EXPECT_EQ(kv.KeyRowAt(1, 1, 4)[0].ToFloat(), 104.0f);  // copied shared rows intact
-  EXPECT_EQ(kv.KeyRowAt(1, 1, 6)[0].ToFloat(), -2.0f);
+  EXPECT_EQ(ReadElem(kv, false, 1, 1, 4), 104.0f);  // copied shared rows intact
+  EXPECT_EQ(ReadElem(kv, false, 1, 1, 6), -2.0f);
   // Parent appends its own position 6 independently of the child's.
-  kv.KeyRow(0, 0, 6)[0] = F16(7.0f);
-  kv.KeyRow(1, 0, 6)[0] = F16(8.0f);
+  WriteRow0(kv, false, 0, 0, 6, 7.0f);
+  WriteRow0(kv, false, 1, 0, 6, 8.0f);
   kv.Advance(0);
-  EXPECT_EQ(kv.KeyRowAt(1, 0, 6)[0].ToFloat(), 8.0f);
-  EXPECT_EQ(kv.KeyRowAt(1, 1, 6)[0].ToFloat(), -2.0f);
-  EXPECT_EQ(kv.ValueRowAt(1, 0, 5)[0].ToFloat(), 105.5f);
+  EXPECT_EQ(ReadElem(kv, false, 1, 0, 6), 8.0f);
+  EXPECT_EQ(ReadElem(kv, false, 1, 1, 6), -2.0f);
+  EXPECT_EQ(ReadElem(kv, true, 1, 0, 5), 105.5f);
   // Two splits: the child's divergent append, and the parent's own append into its tail
   // block, which the retained handle pins as an immutable snapshot.
   EXPECT_EQ(kv.stats().cow_splits, 2);
@@ -387,8 +409,9 @@ TEST(KvQuantTest, QuantizedCowForkAndPauseResumeKeepRowsIntact) {
 
 TEST(KvQuantTest, F16ModeIsBitExactAndMatchesLegacyLayout) {
   // The F16 guard: the defaulted constructor and an explicit kF16 are the same mode, rows
-  // round-trip bit-exactly through the Write/Read API (it is a memcpy), and no quant
-  // bookkeeping runs — the legacy byte/checksum surface is untouched.
+  // round-trip bit-exactly through the Write/Read API (it is a memcpy) and sit in the block
+  // as plain 2-byte elements (the legacy layout), and no quant bookkeeping runs — the
+  // legacy byte/checksum surface is untouched.
   PagedKvCache legacy(/*layers=*/2, /*kv_dim=*/8, /*num_seqs=*/1, /*max_context=*/64,
                       /*block_tokens=*/4);
   PagedKvCache f16(2, 8, 1, 64, 4, /*num_blocks=*/0, hquant::KvDtype::kF16);
@@ -402,88 +425,91 @@ TEST(KvQuantTest, F16ModeIsBitExactAndMatchesLegacyLayout) {
     for (auto& x : src) {
       x = F16(static_cast<float>(rng.NextGaussian()));
     }
-    // Legacy direct-row write vs the new Write API must land identical bits.
-    std::memcpy(legacy.KeyRow(0, 0, pos), src.data(), src.size() * sizeof(F16));
-    f16.WriteKeyRow(0, 0, pos, src.data());
-    legacy.Advance(0);
+    f16.WriteKeyRow(1, 0, pos, src.data());
     f16.Advance(0);
-    EXPECT_EQ(std::memcmp(legacy.KeyRowAt(0, 0, pos), f16.KeyRowAt(0, 0, pos),
+    // Legacy layout: layer 1's K rows follow layer 0's K and V planes of the block.
+    const uint8_t* block = f16.BlockBytesForTest(f16.BlockIdForTest(0, pos / 4));
+    EXPECT_EQ(std::memcmp(block + ((1 * 2 + 0) * 4 + pos % 4) * f16.row_bytes(), src.data(),
                           src.size() * sizeof(F16)),
               0);
-    f16.ReadKeyRow(0, 0, pos, back.data());
+    f16.ReadKeyRow(1, 0, pos, back.data());
     EXPECT_EQ(std::memcmp(back.data(), src.data(), src.size() * sizeof(F16)), 0);
   }
   EXPECT_EQ(f16.quant_stats().rows, 0);  // no proxy accumulation in F16 mode
 }
 
 TEST(KvQuantTest, PagedQuantAttentionMatchesDequantizedF16Attention) {
-  // FlashAttentionPagedQ's in-kernel dequant promises ReadKeyRow/ReadValueRow numerics:
-  // attention over the quantized cache must be BIT-identical to F16 paged attention over a
-  // cache holding the round-tripped rows. Also checks the dequant shows up in the ledger
-  // (its own kernel counter plus HVX work under "attn.kv_dequant").
+  // FlashAttentionPaged's in-kernel dequant promises ReadKeyRow/ReadValueRow numerics:
+  // attention over a quantized cache must be BIT-identical to attention over an F16 cache
+  // holding the round-tripped rows. Also checks that only the quantized call charges the
+  // dequant (its own kernel counter plus HVX work under "attn.kv_dequant").
   const int head_dim = 64;
   const int kv_len = 19;  // straddles blocks, partial tail
   const int q_len = 2;
   const int block_tokens = 8;
-  hexsim::NpuDevice dev(hexsim::OnePlus12());
-  hkern::ExpLut lut(dev);
-  PagedKvCache qkv(1, head_dim, 1, 64, block_tokens, 0, hquant::KvDtype::kInt4, 32);
-  PagedKvCache fkv(1, head_dim, 1, 64, block_tokens);
-  hexllm::Rng rng(0xA17E);
-  std::vector<F16> row(head_dim);
-  std::vector<F16> rt(head_dim);
-  for (int pos = 0; pos < kv_len; ++pos) {
-    for (auto& x : row) {
-      x = F16(static_cast<float>(rng.NextGaussian()));
+  for (const hquant::KvDtype dtype : {hquant::KvDtype::kInt8, hquant::KvDtype::kInt4}) {
+    SCOPED_TRACE(hquant::KvDtypeName(dtype));
+    PagedKvCache qkv(1, head_dim, 1, 64, block_tokens, 0, dtype, 32);
+    PagedKvCache fkv(1, head_dim, 1, 64, block_tokens);
+    hexllm::Rng rng(0xA17E);
+    std::vector<F16> row(head_dim);
+    std::vector<F16> rt(head_dim);
+    for (int pos = 0; pos < kv_len; ++pos) {
+      for (auto& x : row) {
+        x = F16(static_cast<float>(rng.NextGaussian()));
+      }
+      qkv.WriteKeyRow(0, 0, pos, row.data());
+      qkv.ReadKeyRow(0, 0, pos, rt.data());
+      fkv.WriteKeyRow(0, 0, pos, rt.data());
+      for (auto& x : row) {
+        x = F16(static_cast<float>(rng.NextGaussian()));
+      }
+      qkv.WriteValueRow(0, 0, pos, row.data());
+      qkv.ReadValueRow(0, 0, pos, rt.data());
+      fkv.WriteValueRow(0, 0, pos, rt.data());
+      qkv.Advance(0);
+      fkv.Advance(0);
     }
-    qkv.WriteKeyRow(0, 0, pos, row.data());
-    qkv.ReadKeyRow(0, 0, pos, rt.data());
-    fkv.WriteKeyRow(0, 0, pos, rt.data());
-    for (auto& x : row) {
-      x = F16(static_cast<float>(rng.NextGaussian()));
-    }
-    qkv.WriteValueRow(0, 0, pos, row.data());
-    qkv.ReadValueRow(0, 0, pos, rt.data());
-    fkv.WriteValueRow(0, 0, pos, rt.data());
-    qkv.Advance(0);
-    fkv.Advance(0);
-  }
-  std::vector<const uint8_t*> qk(8), qvv(8);
-  std::vector<const F16*> fk(8), fv(8);
-  qkv.FillQuantBlockPointers(0, 0, kv_len, qk.data(), qvv.data());
-  fkv.FillBlockPointers(0, 0, kv_len, fk.data(), fv.data());
-  hkern::PagedQKvHeadView qview;
-  qview.k_blocks = qk.data();
-  qview.v_blocks = qvv.data();
-  qview.block_tokens = block_tokens;
-  qview.row_bytes = qkv.row_bytes();
-  qview.payload_offset = 0;
-  qview.scales_offset = qkv.scales_offset();
-  qview.group = 32;
-  qview.dtype = hquant::KvDtype::kInt4;
-  hkern::PagedKvHeadView fview;
-  fview.k_blocks = fk.data();
-  fview.v_blocks = fv.data();
-  fview.block_tokens = block_tokens;
-  fview.row_stride = head_dim;
-  fview.head_offset = 0;
+    const auto view = [&](const PagedKvCache& kv, std::vector<const uint8_t*>* k,
+                          std::vector<const uint8_t*>* v) {
+      k->resize(8);
+      v->resize(8);
+      kv.FillBlockPointers(0, 0, kv_len, k->data(), v->data());
+      hkern::PagedKvHeadView out;
+      out.k_blocks = k->data();
+      out.v_blocks = v->data();
+      out.block_tokens = block_tokens;
+      out.row = kv.row_codec();
+      return out;
+    };
+    std::vector<const uint8_t*> qk, qv, fk, fv;
+    const hkern::PagedKvHeadView qview = view(qkv, &qk, &qv);
+    const hkern::PagedKvHeadView fview = view(fkv, &fk, &fv);
 
-  std::vector<F16> q(static_cast<size_t>(q_len) * head_dim);
-  for (auto& x : q) {
-    x = F16(static_cast<float>(rng.NextGaussian()));
+    std::vector<F16> q(static_cast<size_t>(q_len) * head_dim);
+    for (auto& x : q) {
+      x = F16(static_cast<float>(rng.NextGaussian()));
+    }
+    std::vector<F16> oq(q.size()), of(q.size());
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    hexsim::NpuDevice fdev(hexsim::OnePlus12());
+    hkern::ExpLut flut(fdev);
+    hkern::FlashAttentionPaged(fdev, flut, hkern::SoftmaxVariant::kLut, q.data(), head_dim,
+                               fview, of.data(), head_dim, q_len, kv_len, head_dim, scale,
+                               kv_len - q_len);
+    EXPECT_EQ(fdev.ledger().Count("kernel.attn_kv_dequant.calls"), 0);
+    EXPECT_EQ(fdev.ledger().tags().count("attn.kv_dequant"), 0u);
+    hexsim::NpuDevice qdev(hexsim::OnePlus12());
+    hkern::ExpLut qlut(qdev);
+    hkern::FlashAttentionPaged(qdev, qlut, hkern::SoftmaxVariant::kLut, q.data(), head_dim,
+                               qview, oq.data(), head_dim, q_len, kv_len, head_dim, scale,
+                               /*q_pos_offset=*/kv_len - q_len);
+    for (size_t i = 0; i < oq.size(); ++i) {
+      EXPECT_EQ(oq[i].bits(), of[i].bits()) << i;
+    }
+    EXPECT_EQ(qdev.ledger().Count("kernel.attn_kv_dequant.calls"), 1);
+    EXPECT_GT(qdev.ledger().TagSeconds("attn.kv_dequant"), 0.0);
   }
-  std::vector<F16> oq(q.size()), of(q.size());
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  hkern::FlashAttentionPagedQ(dev, lut, hkern::SoftmaxVariant::kLut, q.data(), head_dim,
-                              qview, oq.data(), head_dim, q_len, kv_len, head_dim, scale,
-                              /*q_pos_offset=*/kv_len - q_len);
-  hkern::FlashAttentionPagedF16(dev, lut, hkern::SoftmaxVariant::kLut, q.data(), head_dim,
-                                fview, of.data(), head_dim, q_len, kv_len, head_dim, scale,
-                                kv_len - q_len);
-  for (size_t i = 0; i < oq.size(); ++i) {
-    EXPECT_EQ(oq[i].bits(), of[i].bits()) << i;
-  }
-  EXPECT_EQ(dev.ledger().Count("kernel.attn_kv_dequant.calls"), 1);
 }
 
 // --- tiered flash offload (docs/long_context.md) ---
@@ -629,14 +655,14 @@ TEST(PagedKvCacheTest, OffloadDemoteFaultRoundTripPreservesRowsThroughCache) {
   EXPECT_FALSE(pool.resident(b1));
   EXPECT_TRUE(kv.offload()->HasFlashCopy(b0));
   EXPECT_TRUE(kv.offload()->HasFlashCopy(b1));
-  EXPECT_TRUE(std::isnan(kv.KeyRowAt(0, 0, 0)[0].ToFloat()));
+  EXPECT_TRUE(std::isnan(ReadElem(kv, false, 0, 0, 0)));
   // Fault the whole attended set back in: every row restores bit-identically.
   const int want[] = {0, 1, 2, 3};
   EXPECT_GT(kv.EnsureResidentTableBlocks(0, want), 0.0);
   for (int pos = 0; pos < 16; ++pos) {
     for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(kv.KeyRowAt(0, 0, pos)[i].ToFloat(), row_val(pos, i)) << pos << "," << i;
-      EXPECT_EQ(kv.ValueRowAt(0, 0, pos)[i].ToFloat(), -row_val(pos, i)) << pos << "," << i;
+      EXPECT_EQ(ReadElem(kv, false, 0, 0, pos, i), row_val(pos, i)) << pos << "," << i;
+      EXPECT_EQ(ReadElem(kv, true, 0, 0, pos, i), -row_val(pos, i)) << pos << "," << i;
     }
   }
   // Accounting balances: everything demoted came back, byte-for-byte.
@@ -680,7 +706,7 @@ TEST(PagedKvCacheTest, OffloadPinnedBlocksNeverEvictAndAppendFaultsDemotedTail) 
   kv.offload()->Touch(b0);
   EXPECT_EQ(kv.offload()->EnforceBudget(), 1);
   EXPECT_FALSE(pool.resident(b1));
-  EXPECT_TRUE(std::isnan(kv.KeyRowAt(0, 0, 4)[0].ToFloat()));
+  EXPECT_TRUE(std::isnan(ReadElem(kv, false, 0, 0, 4)));
 
   // Appending into the demoted tail block auto-faults it (FaultForWrite): the new row
   // lands AND the block's earlier rows come back bit-identical.
@@ -688,9 +714,9 @@ TEST(PagedKvCacheTest, OffloadPinnedBlocksNeverEvictAndAppendFaultsDemotedTail) 
   write_pos(6);
   EXPECT_TRUE(pool.resident(b1));
   EXPECT_EQ(kv.offload()->stats().demand_faults, faults_before + 1);
-  EXPECT_EQ(kv.KeyRowAt(0, 0, 4)[0].ToFloat(), 5.0f);
-  EXPECT_EQ(kv.KeyRowAt(0, 0, 5)[2].ToFloat(), 6.0f);
-  EXPECT_EQ(kv.KeyRowAt(0, 0, 6)[0].ToFloat(), 7.0f);
+  EXPECT_EQ(ReadElem(kv, false, 0, 0, 4), 5.0f);
+  EXPECT_EQ(ReadElem(kv, false, 0, 0, 5, 2), 6.0f);
+  EXPECT_EQ(ReadElem(kv, false, 0, 0, 6), 7.0f);
 }
 
 #ifndef NDEBUG
@@ -704,27 +730,30 @@ TEST(PagedKvCacheTest, TruncateSeqPoisonsRejectedTailRowsInDebug) {
     kv.WriteKeyRow(0, 0, pos, row.data());
     kv.Advance(0);
   }
-  const F16* row4 = kv.KeyRowAt(0, 0, 4);
-  const F16* row5 = kv.KeyRowAt(0, 0, 5);
   // Mid-block speculative rollback: no whole blocks drop, but the rejected row inside the
   // kept partial tail block is poisoned while the still-live row stays intact.
   EXPECT_EQ(kv.TruncateSeq(0, 5), 0);
-  EXPECT_EQ(row4[0].ToFloat(), 5.0f);
-  EXPECT_TRUE(std::isnan(row5[0].ToFloat()));
+  EXPECT_EQ(ReadElem(kv, false, 0, 0, 4), 5.0f);
+  EXPECT_TRUE(std::isnan(ReadElem(kv, false, 0, 0, 5)));
 }
 #endif
 
 #ifndef NDEBUG
 TEST(PagedKvCacheTest, FreedBlocksArePoisonedWithNanInDebug) {
   PagedKvCache kv(1, 4, 1, 64, /*block_tokens=*/4);
-  kv.KeyRow(0, 0, 0)[0] = F16(3.0f);
+  WriteRow0(kv, false, 0, 0, 0, 3.0f);
   kv.Advance(0);
-  const F16* row = kv.KeyRowAt(0, 0, 0);
-  EXPECT_EQ(row[0].ToFloat(), 3.0f);
+  const int block = kv.BlockIdForTest(0, 0);
+  const auto first_key = [&] {
+    uint16_t bits;
+    std::memcpy(&bits, kv.BlockBytesForTest(block), 2);
+    return F16::FromBits(bits).ToFloat();
+  };
+  EXPECT_EQ(first_key(), 3.0f);
   kv.ResetSeq(0);
-  // The storage the stale pointer referenced is NaN-filled: a use-after-free of reclaimed
-  // KV rows corrupts attention loudly instead of silently reusing old values.
-  EXPECT_TRUE(std::isnan(row[0].ToFloat()));
+  // The storage the stale table entry referenced is NaN-filled: a use-after-free of
+  // reclaimed KV rows corrupts attention loudly instead of silently reusing old values.
+  EXPECT_TRUE(std::isnan(first_key()));
 }
 #endif
 

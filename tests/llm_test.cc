@@ -195,17 +195,34 @@ TEST(KvCacheTest, IndexingAndAdvance) {
   EXPECT_EQ(kv.length(0), 0);
   // Writes target the append region: every layer stores its rows for a position, then the
   // sequence advances. Distinct (layer, seq, k/v) rows must not alias.
-  kv.KeyRow(0, 0, 0)[0] = F16(1.5f);
-  kv.ValueRow(0, 0, 0)[0] = F16(2.0f);
-  kv.KeyRow(1, 0, 0)[0] = F16(3.0f);
-  kv.KeyRow(0, 1, 0)[0] = F16(4.0f);
+  std::vector<F16> row(static_cast<size_t>(c.kv_dim()), F16::Zero());
+  const auto write = [&](bool value, int layer, int seq, float x0) {
+    row[0] = F16(x0);
+    if (value) {
+      kv.WriteValueRow(layer, seq, 0, row.data());
+    } else {
+      kv.WriteKeyRow(layer, seq, 0, row.data());
+    }
+  };
+  const auto read = [&](bool value, int layer, int seq) {
+    if (value) {
+      kv.ReadValueRow(layer, seq, 0, row.data());
+    } else {
+      kv.ReadKeyRow(layer, seq, 0, row.data());
+    }
+    return row[0].ToFloat();
+  };
+  write(false, 0, 0, 1.5f);
+  write(true, 0, 0, 2.0f);
+  write(false, 1, 0, 3.0f);
+  write(false, 0, 1, 4.0f);
   kv.Advance(0);
   EXPECT_EQ(kv.length(0), 1);
   EXPECT_EQ(kv.length(1), 0);
-  EXPECT_FLOAT_EQ(kv.KeyRowAt(0, 0, 0)[0].ToFloat(), 1.5f);
-  EXPECT_FLOAT_EQ(kv.ValueRowAt(0, 0, 0)[0].ToFloat(), 2.0f);
-  EXPECT_FLOAT_EQ(kv.KeyRowAt(1, 0, 0)[0].ToFloat(), 3.0f);
-  EXPECT_FLOAT_EQ(kv.KeyRowAt(0, 1, 0)[0].ToFloat(), 4.0f);
+  EXPECT_FLOAT_EQ(read(false, 0, 0), 1.5f);
+  EXPECT_FLOAT_EQ(read(true, 0, 0), 2.0f);
+  EXPECT_FLOAT_EQ(read(false, 1, 0), 3.0f);
+  EXPECT_FLOAT_EQ(read(false, 0, 1), 4.0f);
   kv.ResetSeq(0);
   EXPECT_EQ(kv.length(0), 0);
 }
@@ -650,8 +667,9 @@ std::string ChargeProfile(const hexsim::NpuDevice& dev) {
   return out;
 }
 
-// Recorded from the three-forward implementation (decode, prefill chunk and verify each
-// ran their own forward) at one lane.
+// Recorded at one lane: F16 and INT4 from the three-forward implementation (decode,
+// prefill chunk and verify each ran their own forward), INT8 from the separate
+// F16/quantized paged-attention kernels that preceded the single FlashAttentionPaged.
 constexpr const char* kForwardProfileF16 = R"(count dma.descriptors 640
 count kernel.add.calls 40
 count kernel.dequant_coalesced_lut.calls 120
@@ -725,6 +743,44 @@ tag misc.silu 0x1.4cdc26b1f07d9p-17
 verify_argmax 316 15 374 440 316 291 39 337 236
 )";
 
+constexpr const char* kForwardProfileInt8 = R"(count dma.descriptors 640
+count kernel.add.calls 40
+count kernel.attn_kv_dequant.calls 160
+count kernel.dequant_coalesced_lut.calls 120
+count kernel.exp_lut.builds 1
+count kernel.flash_attention.calls 160
+count kernel.gemm_hmx.calls 140
+count kernel.rmsnorm.calls 45
+count kernel.rope.calls 1488
+count kernel.silu_mul.calls 20
+dma_bytes 650304
+tile_ops 3584
+packets 0
+vgather 1984
+vscatter 0
+vlut16 35840
+engine HVX 0x1.802f08c68f409p-12
+engine HMX 0x1.473c5082e3c87p-16
+engine DMA 0x1.aa4cc025905d5p-13
+engine CPU 0x0p+0
+engine GPU 0x0p+0
+tag attn.kv_dequant 0x1.2aca10500101fp-16
+tag attn.pack 0x1.084e410741d12p-17
+tag attn.pv 0x1.011d1aaffc1bdp-19
+tag attn.qk 0x1.011d1aaffc1bdp-19
+tag attn.rescale 0x1.084e410741d1ep-18
+tag attn.softmax 0x1.deb15413318b2p-14
+tag dma 0x1.aa4cc025905d5p-13
+tag gemm.hmx 0x1.06f509d6e4bf4p-16
+tag gemm.pack 0x0p+0
+tag linear.dequant 0x1.7aa61ba9258adp-13
+tag misc.add 0x1.000bceff07c2ep-18
+tag misc.rmsnorm 0x1.684c131877bf3p-16
+tag misc.rope 0x1.cce20e3174617p-18
+tag misc.silu 0x1.4cdc26b1f07d9p-17
+verify_argmax 312 15 374 440 291 337 77 337 448
+)";
+
 // The fixed forward script behind ForwardChargeProfileIsPinned: prefills of 33 and 70
 // tokens (one-token and six-token tail chunks), a copy-on-write fork of sequence 0, four
 // decode steps at batch 3, and one speculative verify with spans {3, 1, 5}. Returns the
@@ -775,6 +831,8 @@ TEST_F(TransformerTest, ForwardChargeProfileIsPinned) {
   hexec::ParallelismOverride serial(1);
   const std::string f16 = ForwardScriptProfile(weights_, hquant::KvDtype::kF16);
   EXPECT_TRUE(f16 == kForwardProfileF16) << "F16 profile:\n" << f16;
+  const std::string int8 = ForwardScriptProfile(weights_, hquant::KvDtype::kInt8);
+  EXPECT_TRUE(int8 == kForwardProfileInt8) << "INT8 profile:\n" << int8;
   const std::string int4 = ForwardScriptProfile(weights_, hquant::KvDtype::kInt4);
   EXPECT_TRUE(int4 == kForwardProfileInt4) << "INT4 profile:\n" << int4;
 }

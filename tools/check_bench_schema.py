@@ -276,7 +276,7 @@ def check_longcontext(path, doc, rows, errors):
                        f"and string 'token_checksum'", errors)
     if not isinstance(doc.get("env"), dict):
         fail(path, "longcontext must record the 'env' knob object "
-                   "(HEXLLM_KV_OFFLOAD_GBPS / HEXLLM_ATTN_*)", errors)
+                   "(HEXLLM_NUM_THREADS / HEXLLM_BENCH_SMOKE)", errors)
     summary = [r for r in rows
                if isinstance(r, dict) and r.get("series") == "functional_offload_summary"]
     if len(summary) != 1:
