@@ -215,7 +215,7 @@ std::vector<DeviceLoad> FleetSimulator::SampleLoads() const {
 }
 
 void FleetSimulator::SubmitRouted(int index, double time_s, FleetSummary& summary) {
-  const hfront::Request& req = trace_[static_cast<size_t>(index)];
+  const hfront::Request& req = book_.request(index);
   const int d = router_.Route(req, SampleLoads());
   summary.request_device[static_cast<size_t>(index)] = d;
   Device& dev = *devices_[static_cast<size_t>(d)];
@@ -230,40 +230,17 @@ void FleetSimulator::SubmitRouted(int index, double time_s, FleetSummary& summar
     dev.batcher->AdvanceTime(gap);
   }
 
-  const bool affine = options_.policy == RouterPolicy::kSessionAffine;
-  hserve::ServeJob job;
-  job.id = req.id;
-  job.decode_tokens = req.decode_tokens;
-  job.priority = req.priority;
-  job.sampler = req.sampler;
-  job.seed = req.seed;
-  job.retain_kv = affine && next_turn_.count(req.id) != 0;
-  if (req.turn_index > 0) {
-    const auto sit = sessions_.find(req.session);
-    HEXLLM_CHECK_MSG(sit != sessions_.end(), "follow-up turn before its session started");
-    if (affine) {
-      // The dialog so far is the parent turn's retained KV on this same device — mapped,
-      // not recomputed; only this turn's own tokens prefill.
-      job.parent_job = sit->second.last_job_id;
-      job.context_tokens = sit->second.kv_len;
-      job.prompt_tokens = req.prompt_tokens;
-    } else {
-      // Nothing retained: re-prefill the accumulated dialog plus this turn.
-      job.prompt_tokens = sit->second.kv_len + req.prompt_tokens;
+  hserve::ServeJob job = book_.BuildJob(index);
+  if (req.turn_index == 0 && req.prefix_id >= 0 && req.prefix_tokens > 0) {
+    const PrefixRegistry::Acquired acq = registry_->Acquire(d, req.prefix_id);
+    if (acq.evicted_prefix >= 0) {
+      dev.batcher->EvictGroup(acq.evicted_prefix);
     }
-  } else {
-    job.prompt_tokens = req.prompt_tokens;
-    if (req.prefix_id >= 0 && req.prefix_tokens > 0) {
-      const PrefixRegistry::Acquired acq = registry_->Acquire(d, req.prefix_id);
-      if (acq.evicted_prefix >= 0) {
-        dev.batcher->EvictGroup(acq.evicted_prefix);
-      }
-      // Pin on every acquire (idempotent): the anchor must outlive the group's current
-      // jobs so the NEXT request with this prefix CoW-maps it instead of re-prefilling.
-      dev.batcher->PinGroup(req.prefix_id);
-      job.prompt_group = req.prefix_id;
-      job.group_prefix_tokens = std::min(req.prefix_tokens, req.prompt_tokens);
-    }
+    // Pin on every acquire (idempotent): the anchor must outlive the group's current
+    // jobs so the NEXT request with this prefix CoW-maps it instead of re-prefilling.
+    dev.batcher->PinGroup(req.prefix_id);
+    job.prompt_group = req.prefix_id;
+    job.group_prefix_tokens = std::min(req.prefix_tokens, req.prompt_tokens);
   }
 
   ++dev.inflight;
@@ -274,105 +251,36 @@ void FleetSimulator::SubmitRouted(int index, double time_s, FleetSummary& summar
   }
 }
 
-void FleetSimulator::ProcessEvents(int device, const hserve::StepEvents& ev,
-                                   FleetSummary& summary) {
+void FleetSimulator::ProcessEvents(int device, const hserve::StepEvents& ev) {
   Device& dev = *devices_[static_cast<size_t>(device)];
-  const bool affine = options_.policy == RouterPolicy::kSessionAffine;
-  for (const hserve::StepEvents::Token& t : ev.tokens) {
-    hfront::RequestStats& st =
-        summary.requests[static_cast<size_t>(by_id_.at(t.job_id))];
-    if (st.tokens == 0) {
-      st.first_token_s = t.time_s;
-    }
-    ++st.tokens;
-    st.checksum = (st.checksum ^ static_cast<uint64_t>(static_cast<uint32_t>(t.token))) *
-                  1099511628211ull;
-  }
-  for (const int job_id : ev.paused) {
-    ++summary.requests[static_cast<size_t>(by_id_.at(job_id))].preemptions;
-  }
-  for (const int job_id : ev.admitted) {
-    const hfront::Request& req = trace_[static_cast<size_t>(by_id_.at(job_id))];
-    if (affine && req.turn_index > 0) {
-      // The fork admission mapped the superseded turn's KV; its snapshot handle can drop.
-      dev.batcher->ReleaseRetained(sessions_.at(req.session).last_job_id);
-    }
-  }
+  book_.Fold(ev, *dev.batcher);
   for (const int job_id : ev.completed) {
-    const int index = by_id_.at(job_id);
-    const hfront::Request& req = trace_[static_cast<size_t>(index)];
-    hfront::RequestStats& st = summary.requests[static_cast<size_t>(index)];
-    st.done_s = ev.time_s;
-    st.done = true;
-    ttft_hist_->Observe(st.ttft_s());
-    tpot_hist_->Observe(st.tpot_s());
     --dev.inflight;
+    const hfront::Request& req = book_.request_of_job(job_id);
     if (req.turn_index == 0 && req.prefix_id >= 0 && req.prefix_tokens > 0) {
       registry_->Release(device, req.prefix_id);
-    }
-    if (req.session >= 0) {
-      SessionState& sess = sessions_[req.session];
-      sess.last_job_id = req.id;
-      // Accumulated dialog length; doubles as the affine fork context and the non-affine
-      // re-prefill length.
-      sess.kv_len += req.prompt_tokens + req.decode_tokens;
-      const auto nit = next_turn_.find(req.id);
-      if (nit != next_turn_.end()) {
-        const int next_index = nit->second;
-        const double arrive =
-            ev.time_s + trace_[static_cast<size_t>(next_index)].arrival_s;
-        summary.requests[static_cast<size_t>(next_index)].arrival_s = arrive;
-        arrivals_.insert({arrive, next_index});
-      }
     }
   }
 }
 
 FleetSummary FleetSimulator::Run(const std::vector<hfront::Request>& trace) {
-  trace_ = trace;
-  by_id_.clear();
-  next_turn_.clear();
-  sessions_.clear();
-  arrivals_.clear();
   router_.Reset();
   registry_ = std::make_unique<PrefixRegistry>(device_count(),
                                                options_.prefix_capacity_per_device);
   BuildDevices();
   reg_.Clear();
-  ttft_hist_ = &reg_.histogram("fleet.ttft_seconds",
-                               obs::HistogramBuckets::Exponential(1e-3, 2.0, 16));
-  tpot_hist_ = &reg_.histogram("fleet.tpot_seconds",
-                               obs::HistogramBuckets::Exponential(1e-4, 2.0, 14));
 
   FleetSummary summary;
-  summary.requests.resize(trace_.size());
-  summary.request_device.assign(trace_.size(), -1);
-  std::map<std::pair<int, int>, int> by_turn;  // (session, turn) -> trace_ index
-  for (size_t i = 0; i < trace_.size(); ++i) {
-    const hfront::Request& req = trace_[i];
-    HEXLLM_CHECK_MSG(by_id_.try_emplace(req.id, static_cast<int>(i)).second,
-                     "duplicate request id");
-    hfront::RequestStats& st = summary.requests[i];
-    st.id = req.id;
-    st.session = req.session;
-    st.turn_index = req.turn_index;
-    st.slo = req.slo;
-    if (req.session >= 0) {
-      HEXLLM_CHECK_MSG(
-          by_turn.try_emplace({req.session, req.turn_index}, static_cast<int>(i)).second,
-          "duplicate session turn");
-    }
-    if (req.session < 0 || req.turn_index == 0) {
-      HEXLLM_CHECK(req.arrival_s >= 0.0);
-      arrivals_.insert({req.arrival_s, static_cast<int>(i)});
-      st.arrival_s = req.arrival_s;
-    }
-  }
-  for (const auto& [key, index] : by_turn) {
-    if (key.second > 0) {
-      const auto prev = by_turn.find({key.first, key.second - 1});
-      HEXLLM_CHECK_MSG(prev != by_turn.end(), "session turns must be contiguous from 0");
-      next_turn_[trace_[static_cast<size_t>(prev->second)].id] = index;
+  summary.request_device.assign(trace.size(), -1);
+  // Only the session-affine router lands every turn on the device retaining the previous
+  // one, so only it forks follow-up turns (FleetOptions).
+  summary.error = book_.Start(
+      trace, /*fork_followups=*/options_.policy == RouterPolicy::kSessionAffine,
+      &reg_.histogram("fleet.ttft_seconds", obs::HistogramBuckets::Exponential(1e-3, 2.0, 16)),
+      &reg_.histogram("fleet.tpot_seconds", obs::HistogramBuckets::Exponential(1e-4, 2.0, 14)));
+  for (const hfront::Request& req : trace) {
+    if (summary.error.empty() && req.device_hint >= device_count()) {
+      summary.error = "request " + std::to_string(req.id) + ": device_hint out of range";
     }
   }
 
@@ -388,10 +296,9 @@ FleetSummary FleetSimulator::Run(const std::vector<hfront::Request>& trace) {
         earliest = static_cast<int>(d);
       }
     }
-    if (!arrivals_.empty() && (earliest < 0 || arrivals_.begin()->first <= busy_min)) {
-      const auto [time_s, index] = *arrivals_.begin();
-      arrivals_.erase(arrivals_.begin());
-      SubmitRouted(index, time_s, summary);
+    if (book_.has_arrival() && (earliest < 0 || book_.next_arrival_s() <= busy_min)) {
+      const double time_s = book_.next_arrival_s();
+      SubmitRouted(book_.PopArrival(), time_s, summary);
       continue;
     }
     if (earliest < 0) {
@@ -399,7 +306,7 @@ FleetSummary FleetSimulator::Run(const std::vector<hfront::Request>& trace) {
     }
     hserve::ContinuousBatcher& batcher = *devices_[static_cast<size_t>(earliest)]->batcher;
     const hserve::StepEvents ev = batcher.Step();
-    ProcessEvents(earliest, ev, summary);
+    ProcessEvents(earliest, ev);
     if (!ev.stepped) {
       // The device has work it cannot ever admit (poisoned, e.g. KV budget too small);
       // its Finish() below carries the message.
@@ -409,7 +316,6 @@ FleetSummary FleetSimulator::Run(const std::vector<hfront::Request>& trace) {
   }
 
   // Per-device teardown and roll-up.
-  int64_t good_tokens = 0;
   double decoded_mean = 0.0;
   int64_t decoded_max = 0;
   for (size_t d = 0; d < devices_.size(); ++d) {
@@ -429,18 +335,7 @@ FleetSummary FleetSimulator::Run(const std::vector<hfront::Request>& trace) {
     summary.decoded_tokens += ds.schedule.decoded_tokens;
     summary.kv_peak_physical_bytes += ds.schedule.kv.peak_physical_bytes();
     decoded_max = std::max(decoded_max, ds.schedule.decoded_tokens);
-    for (const hserve::Admission& a : ds.schedule.admissions) {
-      const auto it = by_id_.find(a.job_id);
-      if (it == by_id_.end()) {
-        continue;
-      }
-      hfront::RequestStats& st = summary.requests[static_cast<size_t>(it->second)];
-      if (a.resumed) {
-        ++st.resumes;
-      } else if (st.admit_s < 0.0) {
-        st.admit_s = a.time_s;
-      }
-    }
+    book_.FoldAdmissions(ds.schedule.admissions);
     summary.devices.push_back(std::move(ds));
   }
   decoded_mean =
@@ -448,30 +343,20 @@ FleetSummary FleetSimulator::Run(const std::vector<hfront::Request>& trace) {
   if (decoded_mean > 0.0) {
     summary.load_imbalance = static_cast<double>(decoded_max) / decoded_mean;
   }
-  for (const hfront::RequestStats& st : summary.requests) {
-    if (st.slo.ttft_s > 0.0 || st.slo.tpot_s > 0.0) {
-      ++summary.slo_total;
-    }
-    if (st.slo_ok()) {
-      ++summary.slo_met;
-      good_tokens += st.tokens;
-    }
-  }
-  if (summary.makespan_s > 0.0) {
-    summary.goodput_tps = static_cast<double>(good_tokens) / summary.makespan_s;
-  }
+  book_.RollUpSlo(summary.makespan_s, &summary.slo_met, &summary.slo_total,
+                  &summary.goodput_tps);
+  summary.requests = std::move(book_.stats());
   summary.prefix_hits = registry_->hits();
   summary.prefix_misses = registry_->misses();
   summary.prefix_evictions = registry_->evictions();
-  if (!trace_.empty()) {
-    summary.energy_per_request_j =
-        summary.energy_j / static_cast<double>(trace_.size());
+  if (!trace.empty()) {
+    summary.energy_per_request_j = summary.energy_j / static_cast<double>(trace.size());
   }
 
   // fleet.* metrics (docs/metrics_schema.md): fleet-wide scalars plus one labeled series
   // per device, then the snapshot rides in the summary like ScheduleResult::metrics does.
   reg_.Set("fleet.devices", static_cast<double>(devices_.size()));
-  reg_.Count("fleet.requests", static_cast<int64_t>(trace_.size()));
+  reg_.Count("fleet.requests", static_cast<int64_t>(trace.size()));
   reg_.Count("fleet.decoded_tokens", summary.decoded_tokens);
   reg_.Count("fleet.prefix.hits", summary.prefix_hits);
   reg_.Count("fleet.prefix.misses", summary.prefix_misses);

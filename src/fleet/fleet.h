@@ -30,12 +30,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/fleet/throttled_backend.h"
-#include "src/frontend/serving_engine.h"
+#include "src/frontend/request_book.h"
 #include "src/frontend/traffic.h"
 #include "src/hexsim/device_profile.h"
 #include "src/hexsim/npu_device.h"
@@ -212,9 +211,9 @@ class FleetSimulator {
  public:
   FleetSimulator(const FleetOptions& options, const hllm::ModelWeights& weights);
 
-  // Runs the trace to completion. Request ids must be unique, session turns contiguous
-  // from 0 (same contract as ServingEngine::Run). Each Run builds the fleet's devices
-  // fresh, so repeated Runs are independent and bit-identical for identical traces.
+  // Runs the trace to completion. A malformed trace (hfront::RequestBook::Start) or a
+  // device_hint >= device_count() serves nothing and sets FleetSummary::error. Each Run
+  // builds the devices fresh, so reruns of one trace are independent and bit-identical.
   FleetSummary Run(const std::vector<hfront::Request>& trace);
 
   int device_count() const { return static_cast<int>(options_.devices.size()); }
@@ -232,17 +231,13 @@ class FleetSimulator {
     int64_t requests = 0;
   };
 
-  struct SessionState {
-    int last_job_id = -1;  // completed turn whose KV is retained (affine policy)
-    int kv_len = 0;        // accumulated dialog length (prompt + decode over turns)
-  };
-
   void BuildDevices();
   std::vector<DeviceLoad> SampleLoads() const;
-  // Routes and submits trace_[index], whose arrival time is `time_s` on the global
+  // Routes and submits trace request `index`, whose arrival time is `time_s` on the global
   // timeline. An idle target device fast-forwards (and cools) to the arrival first.
   void SubmitRouted(int index, double time_s, FleetSummary& summary);
-  void ProcessEvents(int device, const hserve::StepEvents& ev, FleetSummary& summary);
+  // Folds one device's step events into the book, its in-flight count and the registry.
+  void ProcessEvents(int device, const hserve::StepEvents& ev);
 
   FleetOptions options_;
   const hllm::ModelWeights& weights_;
@@ -251,14 +246,8 @@ class FleetSimulator {
   std::vector<std::unique_ptr<Device>> devices_;
 
   // --- per-run state ---
-  std::vector<hfront::Request> trace_;
-  std::map<int, int> by_id_;
-  std::map<int, int> next_turn_;
-  std::map<int, SessionState> sessions_;
-  std::set<std::pair<double, int>> arrivals_;  // (absolute arrival, trace_ index)
+  hfront::RequestBook book_;
   obs::Registry reg_;
-  obs::Histogram* ttft_hist_ = nullptr;
-  obs::Histogram* tpot_hist_ = nullptr;
 };
 
 }  // namespace hfleet

@@ -1,7 +1,7 @@
 /// \file
 /// The request frontend's wire types: a timestamped request (optionally one turn of a
 /// multi-turn dialog session), its latency SLO, and the per-request accounting the
-/// ServingEngine produces (docs/serving_frontend.md).
+/// RequestBook folds for both serving drivers (docs/serving_frontend.md).
 #ifndef SRC_FRONTEND_REQUEST_H_
 #define SRC_FRONTEND_REQUEST_H_
 
@@ -32,14 +32,14 @@ struct Request {
   int decode_tokens = 0;
   int priority = 0;      // higher admits first and may preempt (ServeJob::priority)
   // Fleet routing hint (src/fleet): a non-negative value asks the FleetRouter to place this
-  // request on that device index, overriding the policy. Ignored by the single-engine
-  // frontend.
+  // request on that device index, overriding the policy (a hint >= the fleet's device count
+  // is an error). Ignored by the single-engine frontend.
   int device_hint = -1;
   // Registered shared system prompt (docs/fleet.md). A non-negative id declares that the
   // FIRST `prefix_tokens` of `prompt_tokens` are the registered prefix: the fleet's
   // PrefixRegistry anchors it once per device and later requests CoW-map it instead of
-  // re-prefilling. Ignored by the single-engine frontend (requests there pay their own
-  // prompts, exactly as before).
+  // re-prefilling (turn 0 only). Ignored by the single-engine frontend (requests there pay
+  // their own prompts).
   int prefix_id = -1;
   int prefix_tokens = 0;
   hllm::SamplerOptions sampler = hserve::GreedySampler();
@@ -47,8 +47,8 @@ struct Request {
   SloSpec slo;
 };
 
-// What happened to one request, filled by the ServingEngine as events stream out of the
-// batcher. Times are the batcher's simulated clock (identical at any thread count).
+// What happened to one request, folded by the RequestBook as events stream out of the
+// batcher(s). Times are the batcher's simulated clock (identical at any thread count).
 struct RequestStats {
   int id = 0;
   int session = -1;

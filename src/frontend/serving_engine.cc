@@ -1,11 +1,8 @@
 #include "src/frontend/serving_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
-
-#include "src/base/check.h"
 
 namespace hfront {
 
@@ -21,185 +18,52 @@ double Percentile(std::vector<double> values, double q) {
   return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
-void ServingEngine::SubmitRequest(const Request& req, EngineSummary& summary) {
-  hserve::ServeJob job;
-  job.id = req.id;
-  job.prompt_tokens = req.prompt_tokens;
-  job.decode_tokens = req.decode_tokens;
-  job.priority = req.priority;
-  job.sampler = req.sampler;
-  job.seed = req.seed;
-  // Retain the final KV only when a follow-up turn will fork from it; the handle is
-  // released at that child's admission (ProcessEvents), so a session holds at most one
-  // superseded snapshot at a time.
-  job.retain_kv = next_turn_.count(req.id) != 0;
-  if (req.turn_index > 0) {
-    const auto sit = sessions_.find(req.session);
-    HEXLLM_CHECK_MSG(sit != sessions_.end(), "follow-up turn before its session started");
-    job.parent_job = sit->second.last_job_id;
-    // The dialog so far is the parent's retained KV (mapped, uncharged); only this turn's
-    // prompt_tokens are fresh and re-prefill.
-    job.context_tokens = sit->second.kv_len;
-  }
-  std::string error;
-  if (!batcher_.Submit(job, &error)) {
-    // Surface the rejection as the run's error; the event loop winds down.
-    summary.schedule.error = error;
-  }
-}
-
-void ServingEngine::ProcessEvents(const hserve::StepEvents& ev, EngineSummary& summary) {
-  for (const hserve::StepEvents::Token& t : ev.tokens) {
-    RequestStats& st = summary.requests[static_cast<size_t>(by_id_.at(t.job_id))];
-    if (st.tokens == 0) {
-      st.first_token_s = t.time_s;
-    }
-    ++st.tokens;
-    st.checksum = (st.checksum ^ static_cast<uint64_t>(static_cast<uint32_t>(t.token))) *
-                  1099511628211ull;
-    if (on_token_) {
-      on_token_(trace_[static_cast<size_t>(by_id_.at(t.job_id))], t.token, t.time_s);
-    }
-  }
-  for (const int job_id : ev.paused) {
-    ++summary.requests[static_cast<size_t>(by_id_.at(job_id))].preemptions;
-  }
-  for (const int job_id : ev.admitted) {
-    const Request& req = trace_[static_cast<size_t>(by_id_.at(job_id))];
-    if (req.turn_index > 0) {
-      // The fork admission has mapped the parent turn's KV into the new slot; the
-      // superseded snapshot handle can drop (shared blocks stay alive through the child's
-      // own references).
-      batcher_.ReleaseRetained(sessions_.at(req.session).last_job_id);
-    }
-  }
-  for (const int job_id : ev.completed) {
-    const int index = by_id_.at(job_id);
-    const Request& req = trace_[static_cast<size_t>(index)];
-    RequestStats& st = summary.requests[static_cast<size_t>(index)];
-    st.done_s = ev.time_s;
-    st.done = true;
-    ttft_hist_->Observe(st.ttft_s());
-    tpot_hist_->Observe(st.tpot_s());
-    if (req.session >= 0) {
-      SessionState& sess = sessions_[req.session];
-      sess.last_job_id = req.id;
-      sess.kv_len = req.prompt_tokens + req.decode_tokens +
-                    (req.turn_index > 0 ? sess.kv_len : 0);
-      const auto nit = next_turn_.find(req.id);
-      if (nit != next_turn_.end()) {
-        // The user reads the reply, then sends the next turn: its arrival is this
-        // completion plus the think time the trace encoded in arrival_s.
-        const int next_index = nit->second;
-        const double arrive =
-            ev.time_s + trace_[static_cast<size_t>(next_index)].arrival_s;
-        summary.requests[static_cast<size_t>(next_index)].arrival_s = arrive;
-        arrivals_.insert({arrive, next_index});
-      }
-    }
-  }
-}
-
 EngineSummary ServingEngine::Run(const std::vector<Request>& requests) {
-  trace_ = requests;
-  by_id_.clear();
-  next_turn_.clear();
-  sessions_.clear();
-  arrivals_.clear();
-
   EngineSummary summary;
-  summary.requests.resize(trace_.size());
-  std::map<std::pair<int, int>, int> by_turn;  // (session, turn) -> trace_ index
-  for (size_t i = 0; i < trace_.size(); ++i) {
-    const Request& req = trace_[i];
-    HEXLLM_CHECK_MSG(by_id_.try_emplace(req.id, static_cast<int>(i)).second,
-                     "duplicate request id");
-    RequestStats& st = summary.requests[i];
-    st.id = req.id;
-    st.session = req.session;
-    st.turn_index = req.turn_index;
-    st.slo = req.slo;
-    if (req.session >= 0) {
-      HEXLLM_CHECK_MSG(by_turn.try_emplace({req.session, req.turn_index},
-                                           static_cast<int>(i)).second,
-                       "duplicate session turn");
-    }
-    if (req.session < 0 || req.turn_index == 0) {
-      HEXLLM_CHECK(req.arrival_s >= 0.0);
-      arrivals_.insert({req.arrival_s, static_cast<int>(i)});
-      summary.requests[i].arrival_s = req.arrival_s;
-    }
-  }
-  for (const auto& [key, index] : by_turn) {
-    if (key.second > 0) {
-      const auto prev = by_turn.find({key.first, key.second - 1});
-      HEXLLM_CHECK_MSG(prev != by_turn.end(), "session turns must be contiguous from 0");
-      next_turn_[trace_[static_cast<size_t>(prev->second)].id] = index;
-    }
-  }
-
   batcher_.Reset();
-  ttft_hist_ = &batcher_.registry().histogram(
-      "serve.ttft_seconds", obs::HistogramBuckets::Exponential(1e-3, 2.0, 16));
-  tpot_hist_ = &batcher_.registry().histogram(
-      "serve.tpot_seconds", obs::HistogramBuckets::Exponential(1e-4, 2.0, 14));
+  obs::Registry& reg = batcher_.registry();
+  summary.schedule.error = book_.Start(
+      requests, /*fork_followups=*/true,
+      &reg.histogram("serve.ttft_seconds", obs::HistogramBuckets::Exponential(1e-3, 2.0, 16)),
+      &reg.histogram("serve.tpot_seconds", obs::HistogramBuckets::Exponential(1e-4, 2.0, 14)));
 
   while (summary.schedule.error.empty()) {
-    while (!arrivals_.empty() && arrivals_.begin()->first <= batcher_.now_s()) {
-      const int index = arrivals_.begin()->second;
-      arrivals_.erase(arrivals_.begin());
-      SubmitRequest(trace_[static_cast<size_t>(index)], summary);
+    while (summary.schedule.error.empty() && book_.has_arrival() &&
+           book_.next_arrival_s() <= batcher_.now_s()) {
+      // A rejected submission becomes the run's error; the event loop winds down.
+      batcher_.Submit(book_.BuildJob(book_.PopArrival()), &summary.schedule.error);
     }
     if (!summary.schedule.error.empty()) {
       break;
     }
     if (!batcher_.HasWork()) {
-      if (arrivals_.empty()) {
+      if (!book_.has_arrival()) {
         break;  // drained: every submitted request completed, nothing left to arrive
       }
-      batcher_.AdvanceTime(arrivals_.begin()->first - batcher_.now_s());
+      batcher_.AdvanceTime(book_.next_arrival_s() - batcher_.now_s());
       continue;
     }
     const hserve::StepEvents ev = batcher_.Step();
-    ProcessEvents(ev, summary);
+    book_.Fold(ev, batcher_);
+    if (on_token_) {
+      for (const hserve::StepEvents::Token& t : ev.tokens) {
+        on_token_(book_.request_of_job(t.job_id), t.token, t.time_s);
+      }
+    }
     if (!ev.stepped) {
       break;  // poisoned (KV budget cannot admit); Finish carries the error
     }
   }
 
-  const std::string submit_error = summary.schedule.error;
+  const std::string run_error = summary.schedule.error;
   summary.schedule = batcher_.Finish();
   if (summary.schedule.error.empty()) {
-    summary.schedule.error = submit_error;
+    summary.schedule.error = run_error;
   }
-
-  // Admission times (and resume counts) come from the batcher's admission log, which
-  // records the exact post-prefill clock (StepEvents only reports end-of-step times).
-  for (const hserve::Admission& a : summary.schedule.admissions) {
-    const auto it = by_id_.find(a.job_id);
-    if (it == by_id_.end()) {
-      continue;
-    }
-    RequestStats& st = summary.requests[static_cast<size_t>(it->second)];
-    if (a.resumed) {
-      ++st.resumes;
-    } else if (st.admit_s < 0.0) {
-      st.admit_s = a.time_s;
-    }
-  }
-  int64_t good_tokens = 0;
-  for (const RequestStats& st : summary.requests) {
-    if (st.slo.ttft_s > 0.0 || st.slo.tpot_s > 0.0) {
-      ++summary.slo_total;
-    }
-    if (st.slo_ok()) {
-      ++summary.slo_met;
-      good_tokens += st.tokens;
-    }
-  }
-  if (summary.schedule.makespan_s > 0.0) {
-    summary.goodput_tps = static_cast<double>(good_tokens) / summary.schedule.makespan_s;
-  }
+  book_.FoldAdmissions(summary.schedule.admissions);
+  book_.RollUpSlo(summary.schedule.makespan_s, &summary.slo_met, &summary.slo_total,
+                  &summary.goodput_tps);
+  summary.requests = std::move(book_.stats());
   return summary;
 }
 

@@ -550,8 +550,7 @@ StepEvents ContinuousBatcher::Step() {
   const double serial_s = out.cost.total_s;
   const double npu_s = serial_s - out.cost.lm_head_s - out.cost.comm_s;
   double charged_s = serial_s;
-  if (options_.overlap_lm_head && row_slots_.size() >= 2 && out.cost.lm_head_s > 0.0 &&
-      npu_s > 0.0) {
+  if (row_slots_.size() >= 2 && out.cost.lm_head_s > 0.0 && npu_s > 0.0) {
     charged_s = std::max(npu_s, out.cost.lm_head_s) + out.cost.comm_s;
     overlap_saved_s_ += serial_s - charged_s;
     overlap_lm_s_ += out.cost.lm_head_s;

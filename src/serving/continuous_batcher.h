@@ -18,8 +18,10 @@
 ///     retained KV (a session's follow-up turn re-prefills only the new turn);
 ///   * step pricing from each slot's ACTUAL growing context (the backend sees per-slot
 ///     context lengths every step), replacing the old fixed-context simplification;
-///   * NPU/CPU overlap accounting (ServeOptions::overlap_lm_head): the CPU lm_head of step
-///     N pipelines under the NPU time of step N+1, the paper's Figure 16 optimization;
+///   * NPU/CPU overlap accounting (always on): the CPU lm_head of step N pipelines under
+///     the NPU time of step N+1, the paper's Figure 16 optimization — a step with >= 2
+///     occupied rows charges max(npu_s, lm_head_s) + comm_s instead of the serial sum
+///     (docs/threading_model.md §4);
 ///   * speculative-decoding cycles (ServeJob::speculative + a backend draft model,
 ///     docs/speculative_decoding.md): rows with per-row gamma > 0 commit up to gamma+1
 ///     tokens per charged step through ExecutionBackend::SpeculativeStep, losslessly;
@@ -74,14 +76,6 @@ struct ServeOptions {
   bool record_trace = false;  // export per-step lanes into ScheduleResult::trace
   int max_trace_steps = 256;  // cap on traced steps/admissions (traces grow fast)
   bool record_steps = false;  // per-step occupancy log (step_active / step_occupied)
-  // Pipeline the CPU lm_head of step N under the NPU execution of step N+1 (the paper's
-  // Figure 16 NPU/CPU overlap; the functional backend's double-buffered logits are the
-  // enabling mechanism). A step with >= 2 occupied rows is charged
-  // max(npu_s, lm_head_s) + comm_s instead of the serial sum; singleton steps — and
-  // backends whose cost carries no lm_head/NPU split — always charge serially. The charged
-  // value is applied uniformly to makespan, decode time, energy and the step-latency
-  // histogram (docs/threading_model.md has the full accounting rule).
-  bool overlap_lm_head = true;
   // Allow admission to pause a running strictly-lower-priority decode when the slot pool is
   // full (continuous policy only). The victim is the decoding job with the lowest priority
   // (ties: most tokens remaining, then highest slot) and it re-enters the admission queue

@@ -51,16 +51,16 @@ AnalyticBackend::AnalyticBackend(const hrt::Engine& engine, const Options& optio
       // mid-decode. bytes_per_block is the model's true K+V footprint for one block under
       // the configured KV dtype, so a budget admits proportionally more sequences when KV
       // is quantized — the same arithmetic the functional cache applies to its storage.
-      kv_(options.kv_block_tokens, /*max_blocks=*/0,
-          engine.options().model->KvCacheBytes(options.kv_block_tokens, options.kv_dtype,
+      kv_(hkv::kDefaultBlockTokens, /*max_blocks=*/0,
+          engine.options().model->KvCacheBytes(hkv::kDefaultBlockTokens, options.kv_dtype,
                                                options.kv_quant_group)),
       kv_dtype_(options.kv_dtype),
       offload_blocks_(std::max<int64_t>(0, options.kv_offload_resident_blocks)),
       bytes_per_block_(engine.options().model->KvCacheBytes(
-          options.kv_block_tokens, options.kv_dtype, options.kv_quant_group)),
+          hkv::kDefaultBlockTokens, options.kv_dtype, options.kv_quant_group)),
       flash_(options.flash),
       window_(options.attn_window) {
-  window_.block_tokens = options.kv_block_tokens;
+  window_.block_tokens = hkv::kDefaultBlockTokens;
   if (options.kv_budget_bytes > 0) {
     budget_blocks_ = options.kv_budget_bytes / bytes_per_block_;
   }
@@ -537,7 +537,7 @@ StepOutcome FunctionalBackend::Step(std::span<const int> slots, std::span<const 
   }
   // Flip to the buffer the PREVIOUS step did not write: its logits stay intact while the
   // NPU fills this one, which is what lets the batcher overlap the previous step's CPU
-  // lm_head with this step's NPU time (ServeOptions::overlap_lm_head).
+  // lm_head with this step's NPU time (the batcher's overlap rule).
   logits_cur_ ^= 1;
   std::vector<float>& logits_vec = logits_buf_[static_cast<size_t>(logits_cur_)];
   std::span<float> logits(logits_vec.data(), static_cast<size_t>(batch) * vocab);

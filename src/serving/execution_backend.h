@@ -154,14 +154,12 @@ class ExecutionBackend {
 
 // Prices steps with the analytic engine. DecodeStep is deterministic per (batch, context),
 // so results are cached keyed on (batch, context bucket) — the per-slot-context successor of
-// the old scheduler's fixed-context StepCostCache.
+// the old scheduler's fixed-context StepCostCache. The KV accountant uses the functional
+// cache's block size (hkv::kDefaultBlockTokens), so both backends count the same blocks.
 class AnalyticBackend : public ExecutionBackend {
  public:
   struct Options {
     int context_bucket_tokens = 64;
-    // Positions per KV block in the accountant. Must match the functional backend's block
-    // size (hkv::kDefaultBlockTokens) for stat-parity tests.
-    int kv_block_tokens = hkv::kDefaultBlockTokens;
     // DRAM budget for KV blocks; admissions are deferred (or rejected when the batch is
     // empty) once the worst-case block demand exceeds it. <= 0 tracks without gating.
     int64_t kv_budget_bytes = 0;
@@ -411,8 +409,8 @@ class FunctionalBackend : public ExecutionBackend {
   std::vector<hexllm::Rng> sampler_rng_;
   // Double-buffered logits, [max_batch * vocab] each: step N writes buffer N % 2 and the
   // previous step's buffer stays intact until step N+1 flips again. This is the mechanism
-  // behind ServeOptions::overlap_lm_head — the CPU lm_head (argmax consumer) of step N can
-  // run while the NPU fills the other buffer for step N+1, so the batcher may charge
+  // behind the batcher's NPU/CPU overlap rule — the CPU lm_head (argmax consumer) of step
+  // N can run while the NPU fills the other buffer for step N+1, so the batcher charges
   // max(npu, lm_head) instead of their sum (docs/threading_model.md).
   std::array<std::vector<float>, 2> logits_buf_;
   int logits_cur_ = 0;             // buffer index the LAST step wrote

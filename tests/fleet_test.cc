@@ -5,6 +5,7 @@
 // latency and fleet KV footprint) and bit-identical reruns.
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -328,7 +329,8 @@ class FleetEndToEndTest : public FleetFixture {
 
   // Session-heavy traffic with registered shared prefixes — the preset the affine router
   // and prefix registry exist for.
-  std::vector<hfront::Request> SessionTrace(int arrivals, uint64_t seed) {
+  std::vector<hfront::Request> SessionTrace(int arrivals, uint64_t seed,
+                                            int prefix_count = 2) {
     hfront::TrafficOptions t;
     t.arrivals = arrivals;
     t.seed = seed;
@@ -341,7 +343,7 @@ class FleetEndToEndTest : public FleetFixture {
     t.session_fraction = 0.7;
     t.session_turns = 3;
     t.mean_think_s = 0.002;
-    t.prefix_count = 2;
+    t.prefix_count = prefix_count;
     t.prefix_tokens = 64;
     t.prefix_fraction = 0.6;
     return hfront::GenerateTraffic(t);
@@ -488,6 +490,115 @@ TEST_F(FleetEndToEndTest, AffineWithPrefixRegistryBeatsRoundRobin) {
   EXPECT_LT(affine.kv_peak_physical_bytes, rr.kv_peak_physical_bytes);
   // Both policies decode the same token budget.
   EXPECT_EQ(affine.decoded_tokens, rr.decoded_tokens);
+}
+
+// Both drivers run one request protocol (hfront::RequestBook), so a one-device,
+// non-thermal, session-affine fleet serves a session trace exactly like the single-engine
+// frontend over the same functional configuration: every per-request number, the
+// makespan, the energy and the SLO roll-up are bit-equal.
+TEST_F(FleetEndToEndTest, OneDeviceFleetMatchesServingEngine) {
+  const std::vector<hfront::Request> trace = SessionTrace(16, 1, /*prefix_count=*/0);
+  FleetOptions o = Options(1, RouterPolicy::kSessionAffine);
+  o.devices[0] = FleetDeviceSpec{};  // V75, full-size, never throttled
+  const FleetSummary fleet = FleetSimulator(o, weights_).Run(trace);
+  ASSERT_TRUE(fleet.error.empty()) << fleet.error;
+
+  auto backend = MakeBackend(o.serve.max_batch, o.max_context);
+  hserve::ContinuousBatcher batcher(*backend, o.serve);
+  const hfront::EngineSummary engine = hfront::ServingEngine(batcher).Run(trace);
+  ASSERT_TRUE(engine.schedule.error.empty()) << engine.schedule.error;
+
+  ASSERT_EQ(fleet.requests.size(), trace.size());
+  ASSERT_EQ(engine.requests.size(), trace.size());
+  int preemptions = 0;
+  int follow_ups = 0;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const hfront::RequestStats& f = fleet.requests[i];
+    const hfront::RequestStats& e = engine.requests[i];
+    EXPECT_EQ(f.id, e.id) << "request " << i;
+    EXPECT_EQ(f.session, e.session) << "request " << i;
+    EXPECT_EQ(f.turn_index, e.turn_index) << "request " << i;
+    EXPECT_EQ(f.arrival_s, e.arrival_s) << "request " << i;
+    EXPECT_EQ(f.admit_s, e.admit_s) << "request " << i;
+    EXPECT_EQ(f.first_token_s, e.first_token_s) << "request " << i;
+    EXPECT_EQ(f.done_s, e.done_s) << "request " << i;
+    EXPECT_EQ(f.tokens, e.tokens) << "request " << i;
+    EXPECT_EQ(f.checksum, e.checksum) << "request " << i;
+    EXPECT_EQ(f.preemptions, e.preemptions) << "request " << i;
+    EXPECT_EQ(f.resumes, e.resumes) << "request " << i;
+    EXPECT_EQ(f.done, e.done) << "request " << i;
+    EXPECT_EQ(f.slo.ttft_s, e.slo.ttft_s) << "request " << i;
+    EXPECT_EQ(f.slo.tpot_s, e.slo.tpot_s) << "request " << i;
+    EXPECT_TRUE(f.done) << "request " << i;
+    preemptions += f.preemptions;
+    follow_ups += f.turn_index > 0 ? 1 : 0;
+  }
+  EXPECT_GT(preemptions, 0) << "preset no longer exercises preemption";
+  EXPECT_GT(follow_ups, 0) << "preset no longer exercises session forks";
+  EXPECT_EQ(fleet.makespan_s, engine.schedule.makespan_s);
+  EXPECT_EQ(fleet.energy_j, engine.schedule.energy_j);
+  EXPECT_EQ(fleet.goodput_tps, engine.goodput_tps);
+  EXPECT_EQ(fleet.slo_met, engine.slo_met);
+  EXPECT_EQ(fleet.slo_total, engine.slo_total);
+}
+
+// A malformed trace is an error, never an abort, in both drivers: it is rejected before
+// any batcher steps, so nothing is routed or served.
+TEST_F(FleetEndToEndTest, MalformedTracesReturnAnErrorInBothDrivers) {
+  std::vector<hfront::Request> base(3);
+  for (int i = 0; i < 3; ++i) {
+    base[static_cast<size_t>(i)].id = i;
+    base[static_cast<size_t>(i)].prompt_tokens = 8;
+    base[static_cast<size_t>(i)].decode_tokens = 4;
+  }
+  base[1].session = 0;  // a two-turn dialog: request 1 is turn 0, request 2 turn 1
+  base[2].session = 0;
+  base[2].turn_index = 1;
+  base[2].arrival_s = 0.001;  // think time
+
+  struct Case {
+    const char* name;
+    void (*mutate)(std::vector<hfront::Request>&);
+    bool engine_rejects;  // the single-engine frontend ignores device_hint
+  };
+  const Case cases[] = {
+      {"duplicate id", [](auto& t) { t[2].id = 0; }, true},
+      {"duplicate session turn", [](auto& t) { t[2].turn_index = 0; }, true},
+      {"non-contiguous turns", [](auto& t) { t[2].turn_index = 2; }, true},
+      {"negative turn", [](auto& t) { t[2].turn_index = -1; }, true},
+      {"follow-up without session", [](auto& t) { t[0].turn_index = 1; }, true},
+      {"negative arrival", [](auto& t) { t[0].arrival_s = -1.0; }, true},
+      {"NaN arrival",
+       [](auto& t) { t[1].arrival_s = std::numeric_limits<double>::quiet_NaN(); }, true},
+      {"device_hint out of range", [](auto& t) { t[0].device_hint = 7; }, false},
+  };
+  const FleetOptions o = Options(1, RouterPolicy::kSessionAffine);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<hfront::Request> trace = base;
+    c.mutate(trace);
+
+    const FleetSummary fleet = FleetSimulator(o, weights_).Run(trace);
+    EXPECT_FALSE(fleet.error.empty());
+    ASSERT_EQ(fleet.requests.size(), trace.size());
+    for (size_t i = 0; i < trace.size(); ++i) {
+      EXPECT_FALSE(fleet.requests[i].done);
+      EXPECT_EQ(fleet.request_device[i], -1);
+    }
+    EXPECT_EQ(fleet.decoded_tokens, 0);
+
+    auto backend = MakeBackend(o.serve.max_batch, o.max_context);
+    hserve::ContinuousBatcher batcher(*backend, o.serve);
+    const hfront::EngineSummary engine = hfront::ServingEngine(batcher).Run(trace);
+    ASSERT_EQ(engine.requests.size(), trace.size());
+    EXPECT_EQ(!engine.schedule.error.empty(), c.engine_rejects) << engine.schedule.error;
+    if (c.engine_rejects) {
+      EXPECT_EQ(engine.schedule.decoded_tokens, 0);
+      for (const hfront::RequestStats& st : engine.requests) {
+        EXPECT_FALSE(st.done);
+      }
+    }
+  }
 }
 
 }  // namespace
