@@ -66,9 +66,9 @@ int main() {
     for (int i = 0; i < rows * cols; ++i) {
       s[i] = hexllm::F16(static_cast<float>(rng.NextGaussian()));
     }
-    dev.hvx().ResetPackets();
+    const int64_t before = dev.hvx().packets();
     hkern::SoftmaxRowsF16(dev, SoftmaxVariant::kLut, &lut, s, rows, cols);
-    const int64_t emulated = dev.hvx().packets();
+    const int64_t emulated = dev.hvx().packets() - before;
     const int64_t model =
         hkern::SoftmaxPacketCost(profile, SoftmaxVariant::kLut, rows, cols);
     std::printf("functional cross-check (q=4, kv=1024, LUT): emulated %lld packets, cost "

@@ -28,9 +28,11 @@ void HmxEngine::UnpackTile(const F16* tile, F16* rowmajor, int64_t row_stride,
   }
 }
 
-void HmxEngine::TileMacc(const Tcm& tcm, const F16* a_tile, const F16* b_tile, float* acc) {
+void HmxEngine::TileMacc(const Tcm& tcm, const F16* a_tile, const F16* b_tile, float* acc,
+                         int row_begin, int row_end) {
   HEXLLM_CHECK_MSG(tcm.Contains(a_tile), "HMX activation tile must reside in TCM");
   HEXLLM_CHECK_MSG(tcm.Contains(b_tile), "HMX weight tile must reside in TCM");
+  HEXLLM_DCHECK(row_begin >= 0 && row_begin <= row_end && row_end <= kTileDim);
   ++tile_ops_;
 
   // Decode the weight tile into scratch row-major form once (the hardware streams the
@@ -50,7 +52,7 @@ void HmxEngine::TileMacc(const Tcm& tcm, const F16* a_tile, const F16* b_tile, f
   // the av == 0.0f values) contributes nothing, so padded rows skip both the table lookup
   // and the MAC sweep — bit-identical result, and the simulation cost scales with the
   // tile's occupied rows instead of the full 32.
-  for (int r = 0; r < kTileDim; ++r) {
+  for (int r = row_begin; r < row_end; ++r) {
     const F16* a_row = a_tile + (r / 2) * 2 * kTileDim + (r % 2);
     float* acc_row = acc + r * kTileDim;
     for (int k = 0; k < kTileDim; ++k) {

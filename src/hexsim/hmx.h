@@ -50,9 +50,12 @@ class HmxEngine {
                          int valid_rows = kTileDim);
 
   // acc[32*32] (FP32, row-major) += A * B where A and B are HMX-layout tiles in TCM.
-  // A is the activation tile (rows x k), B the weight tile (k x cols).
+  // A is the activation tile (rows x k), B the weight tile (k x cols). One tile op
+  // whatever the range: only accumulator rows [row_begin, row_end) are computed, the rest
+  // are left untouched (callers that consume a subset of rows skip the others — pure
+  // host-time saving, the computed rows are bit-identical).
   void TileMacc(const Tcm& tcm, const hexllm::F16* a_tile, const hexllm::F16* b_tile,
-                float* acc);
+                float* acc, int row_begin = 0, int row_end = kTileDim);
 
   // Writes the FP32 accumulator to an HMX-layout FP16 output tile, applying the per-column
   // (output-channel) scale and bias the hardware supports. scale/bias may be null. Rows >=

@@ -90,16 +90,27 @@ class HvxContext {
   const DeviceProfile& profile() const { return profile_; }
 
   // --- packet accounting ---
-  int64_t packets() const { return packets_; }
-  void ResetPackets() { packets_ = 0; }
+  // issued(): every packet the instruction stream has issued on this context, monotonic.
+  // A kernel measures its own cost as an issued() delta and commits it through
+  // NpuDevice::CommitHvxPackets. packets(): the packets committed that way, monotonic — the
+  // count behind the committed HVX busy seconds (`hexsim.hvx.packets`). Issued packets that
+  // are never committed cost no simulated time and do not count.
+  int64_t issued() const { return issued_; }
+  int64_t packets() const { return committed_; }
+  void NoteCommitted(int64_t n) {
+    HEXLLM_DCHECK(n >= 0);
+    committed_ += n;
+  }
   // Adds `other`'s instruction counters into this context and zeroes them in `other`; used
   // by NpuDevice::MergeShards to fold per-lane shard accounting back into the parent.
   void AbsorbCounters(HvxContext& other) {
-    packets_ += other.packets_;
+    issued_ += other.issued_;
+    committed_ += other.committed_;
     vgather_ops_ += other.vgather_ops_;
     vscatter_ops_ += other.vscatter_ops_;
     vlut16_ops_ += other.vlut16_ops_;
-    other.packets_ = 0;
+    other.issued_ = 0;
+    other.committed_ = 0;
     other.vgather_ops_ = 0;
     other.vscatter_ops_ = 0;
     other.vlut16_ops_ = 0;
@@ -122,7 +133,7 @@ class HvxContext {
   }
   void Charge(int64_t n) {
     HEXLLM_DCHECK(n >= 0);
-    packets_ += n;
+    issued_ += n;
   }
   // Models VLIW pipeline bubbles from serial dependency chains.
   void ChargeStalls(int64_t n) { Charge(n); }
@@ -242,7 +253,8 @@ class HvxContext {
 
  private:
   const DeviceProfile& profile_;
-  int64_t packets_ = 0;
+  int64_t issued_ = 0;
+  int64_t committed_ = 0;
   int64_t vgather_ops_ = 0;
   int64_t vscatter_ops_ = 0;
   int64_t vlut16_ops_ = 0;

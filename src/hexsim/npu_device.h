@@ -48,11 +48,13 @@ class NpuDevice {
   const HvxContext& hvx() const { return hvx_; }
 
   // Converts HVX packets executed by a kernel into wall/busy seconds, given how many HVX
-  // hardware threads the kernel spread its work across. Records busy time under `tag` and
-  // returns the latency (busy / threads).
+  // hardware threads the kernel spread its work across. Records busy time under `tag`,
+  // counts the packets as committed (HvxContext::packets) and returns the latency
+  // (busy / threads).
   double CommitHvxPackets(int64_t packets, int threads, std::string_view tag) {
     HEXLLM_CHECK(threads >= 1 && threads <= profile_.hvx_threads);
     const double busy = hvx_.PacketsToSeconds(packets);
+    hvx_.NoteCommitted(packets);
     ledger_.AddSeconds(Engine::kHvx, busy, tag);
     return busy / threads;
   }

@@ -1,8 +1,10 @@
 // FP16 FlashAttention on the simulated Hexagon NPU (Algorithm 1) plus a conventional FP32
 // reference implementation.
 //
-// Structure of the NPU kernel (per attention head):
-//   * Q is processed in 32-row tiles (the HMX tile height); KV in chunks of 128 (4 tiles).
+// Structure of the NPU kernel (one KV head, any number of query rows):
+//   * Query rows are stacked into 32-row tiles (the HMX tile height) — the query heads of a
+//     GQA group, and every span that shares a KV chunk, fill one tile. KV runs in chunks of
+//     128 (4 tiles); each chunk is staged once and run against every tile that reads it.
 //   * S = (Q * K^T) * scale runs on HMX with FP32 accumulation ("attn.qk").
 //   * Online safe softmax runs on HVX: running row-max m, running row-sum l (FP32
 //     accumulation), P = exp(S - m) through one of the three exp variants ("attn.softmax").
@@ -15,7 +17,9 @@
 #ifndef SRC_KERNELS_ATTENTION_H_
 #define SRC_KERNELS_ATTENTION_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/base/fp16.h"
@@ -61,6 +65,11 @@ struct AttnWindowSpec {
   bool ChunkFullyMasked(int kv0, int n, int qa0) const {
     return kv0 >= sink_tokens() && kv0 + n <= WindowStart(qa0);
   }
+  // True when the query at qa has at least one masked position inside [kv0, kv0 + n) — the
+  // chunks whose window sweep masks something.
+  bool CutsChunk(int kv0, int n, int qa) const {
+    return std::max(kv0, sink_tokens()) < std::min(kv0 + n, WindowStart(qa));
+  }
   // True when no position in [0, kv_len) is masked for any query up to qa_max — the
   // full-coverage case that must degrade to legacy causal attention.
   bool CoversAll(int qa_max) const { return WindowStart(qa_max) <= sink_tokens(); }
@@ -69,15 +78,22 @@ struct AttnWindowSpec {
   int ResidentTokens() const { return (sink_blocks + window_blocks + 1) * block_tokens; }
 };
 
-// Appends to `out` the KV-cache table-block indices a windowed FlashAttention call over
-// [0, kv_len) with `q_len` query rows at base position `q_pos_offset` (< 0: rows aligned
-// to the end of kv, the decode convention) will actually stage — chunk-granular, matching
-// FlashAttentionCore's causal and window chunk-skip logic exactly. The serving layer
-// faults exactly these blocks resident before the kernel runs; everything else is
-// evictable. `window` may be null (plain causal attention stages every block up to the
-// causal frontier).
-void AppendAttendedBlocks(const AttnWindowSpec* window, int q_len, int kv_len,
-                          int q_pos_offset, int block_tokens, std::vector<int>* out);
+// True when a query row at absolute position `pos` attends KV chunk [kv0, kv0 + n): the
+// chunk starts at or before the row's causal frontier and is not wholly inside the row's
+// masked window interior. This is the per-row chunk skip of FlashAttentionBatch; `window`
+// must already be normalized (null when disabled).
+inline bool RowAttendsChunk(const AttnWindowSpec* window, int pos, int kv0, int n) {
+  return kv0 <= pos && (window == nullptr || !window->ChunkFullyMasked(kv0, n, pos));
+}
+
+// Appends to `out` the KV-cache table-block indices that FlashAttention over [0, kv_len)
+// stages for query rows at positions first_pos..last_pos (one row per position; a decode
+// row sits at kv_len - 1) — chunk-granular, the union over rows of RowAttendsChunk, so it
+// matches the kernel's chunk skips exactly. The serving layer faults exactly these blocks
+// resident before the kernel runs; everything else is evictable. `window` may be null
+// (plain causal attention stages every block up to the causal frontier).
+void AppendAttendedBlocks(const AttnWindowSpec* window, int first_pos, int last_pos,
+                          int kv_len, int block_tokens, std::vector<int>* out);
 
 // Runs one head of FP16 FlashAttention. q: [q_len, head_dim], k/v: [kv_len, head_dim],
 // o: [q_len, head_dim], all row-major FP16 in (simulated) DDR. head_dim must be a multiple
@@ -85,10 +101,11 @@ void AppendAttendedBlocks(const AttnWindowSpec* window, int q_len, int kv_len,
 // exp2 variants are used — here variants all compute natural exp, so scale is just
 // 1/sqrt(d)).
 //
-// Causal masking (chunked prefill): when q_pos_offset >= 0, query row i attends only to KV
-// positions <= q_pos_offset + i (masked scores become -inf and exp to 0; fully-masked KV
-// chunks are skipped, which also halves the average cost — the standard causal-prefill
-// saving). q_pos_offset < 0 disables masking (pure cross-attention over the whole KV).
+// Causal masking (chunked prefill): when q_pos_offset >= 0, query row i sits at position
+// q_pos_offset + i and attends only KV positions up to it (masked scores become -inf and
+// exp to 0; chunks past a row's position are skipped for that row — the standard
+// causal-prefill saving). q_pos_offset < 0 puts every row at kv_len - 1, so each attends
+// the whole KV (pure cross-attention). A view over FlashAttentionBatch with one span.
 void FlashAttentionF16(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
                        const hexllm::F16* q, const hexllm::F16* k, const hexllm::F16* v,
                        hexllm::F16* o, int q_len, int kv_len, int head_dim, float scale,
@@ -110,26 +127,68 @@ struct PagedKvHeadView {
   int64_t head_offset = 0;  // elements from the row start to this head's columns
 };
 
-// FlashAttention (Algorithm 1) over a paged KV view; FlashAttentionF16 is this kernel over
-// a one-block F16 view of contiguous K/V. q rows are strided by `q_stride` elements
-// (q row r = q + r * q_stride, first head_dim columns), o rows by `o_stride` — so the
-// kernel reads/writes head columns of the transformer's packed activations directly.
+// One query row of a batched attention call: its query vector and output row (head_dim
+// F16 each, anywhere in memory), its absolute position `pos` — the row attends KV
+// positions [0, pos] and anchors its sink+window mask there — and the index of the span
+// whose KV it reads. The query heads of one GQA group at one token are rows with the same
+// pos and span.
+struct AttnQueryRow {
+  const hexllm::F16* q = nullptr;
+  hexllm::F16* o = nullptr;
+  int pos = 0;
+  int span = 0;
+};
+
+// One span's KV in a batched attention call: the KV head's view of the span's block table
+// and the number of positions it holds (0 <= pos < kv_len for each of its rows).
+struct AttnKvSpan {
+  PagedKvHeadView kv;
+  int kv_len = 0;
+};
+
+// FlashAttention (Algorithm 1) for any set of query rows over one KV head of a paged cache.
+// Every span must share the view layout (block size, row codec, head offset); rows of one
+// span should be consecutive.
+//
+// Rows are stacked into fixed 32-row q tiles in order, a span's consecutive rows kept in
+// one tile when they fit. Per KV chunk of 128 positions (ascending), spans whose block
+// tables map the same physical blocks for a whole chunk read one instance of it; every
+// other chunk is an instance of its own span. Each instance is staged once and run against
+// every tile that has a row of a mapping span attending it (RowAttendsChunk). Inside a
+// tile only those rows update their online-softmax state, so each row sees exactly the
+// chunks, order and FP32 accumulation it would see alone: outputs do not depend on which
+// rows share a tile.
 //
 // Staging decodes the head slice of each KV row into the F16 TCM staging buffer through
 // the view's row codec, so outputs match PagedKvCache::ReadKeyRow/ReadValueRow numerics
 // exactly, and DMA is charged KvRowBytes(dtype, head_dim, group) per row — head_dim * 2
-// for F16 (hexsim::DmaEngine::Cost2D depends only on row bytes / rows / direction, so F16
-// charges equal the contiguous kernel's), the *quantized* bytes for INT8/INT4 (1.9-3.6x
-// less KV traffic). Quantized rows additionally pay the dequant as HVX work under the
-// "attn.kv_dequant" ledger tag (the LUT-GEMM idiom: nibble extract + VLut16 level/scale
-// lookups) and count one "kernel.attn_kv_dequant.calls"; F16 pays neither.
+// for F16, the *quantized* bytes for INT8/INT4 (1.9-3.6x less KV traffic). Quantized rows
+// additionally pay the dequant as HVX work under "attn.kv_dequant" (the LUT-GEMM idiom:
+// nibble extract + VLut16 level/scale lookups) and the call counts one
+// "kernel.attn_kv_dequant.calls"; F16 pays neither.
+//
+// Charges follow what runs: Q DMA, Q packing and O DMA once per tile; K/V staging once
+// per instance; HMX tile ops, S/P/PV packing and the PV accumulate sweep per (tile,
+// instance) step; softmax and the O rescale per live row and step, with vgather
+// contention on the step's live row count. The padded-KV mask and the causal and window
+// mask sweeps commit under "attn.mask" — a sweep only on steps where some live row's
+// position masks part of the chunk — and the final normalization's scalar reciprocal
+// under "attn.normalize".
 //
 // `window`, when non-null and enabled, applies sliding-window + attention-sink masking on
-// top of the causal mask: fully-masked KV chunks are skipped (never staged, never charged)
-// and partially-masked chunks get -inf scores like the causal mask. A window covering the
-// whole KV range is normalized away, taking the exact legacy path (bit-identical charges
-// and outputs). When q_pos_offset < 0 the query rows are treated as ending at kv_len (the
-// decode convention) for window purposes.
+// top of the causal mask: chunks fully masked for a row are skipped for it (never staged
+// when no row attends them) and partially-masked chunks get -inf scores like the causal
+// mask. A window covering every row's whole range is normalized away (no
+// "kernel.flash_attention.windowed_calls"); it would mask nothing, so outputs and charges
+// are those of unwindowed attention either way.
+void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
+                         std::span<const AttnKvSpan> spans, std::span<const AttnQueryRow> rows,
+                         int head_dim, float scale, const AttnWindowSpec* window = nullptr);
+
+// One head of one span over a paged KV view: FlashAttentionBatch with one span. q rows are
+// strided by `q_stride` elements (q row r = q + r * q_stride, first head_dim columns), o
+// rows by `o_stride`, and row r sits at position q_pos_offset + r (q_pos_offset < 0: every
+// row at kv_len - 1, the decode convention).
 void FlashAttentionPaged(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
                          const hexllm::F16* q, int64_t q_stride, const PagedKvHeadView& kv,
                          hexllm::F16* o, int64_t o_stride, int q_len, int kv_len, int head_dim,

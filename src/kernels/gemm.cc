@@ -144,7 +144,7 @@ double GemmF16Hvx(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* c, in
   HEXLLM_CHECK(n % 64 == 0);
   dev.ledger().AddCount("kernel.gemm_hvx.calls");
   HvxContext& ctx = dev.hvx();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
 
   // Output rows are independent; each slot runs the legacy row loop on its shard context.
   // Per-chunk packet cost is position-independent, so the merged parent packet delta equals
@@ -173,7 +173,7 @@ double GemmF16Hvx(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* c, in
       slots);
   dev.MergeShards();
 
-  const int64_t used = ctx.packets() - start;
+  const int64_t used = ctx.issued() - start;
   HEXLLM_CHECK(used == GemmF16HvxPackets(dev.profile(), m, k, n));
   return dev.CommitHvxPackets(used, 1, "gemm.hvx");
 }

@@ -17,7 +17,7 @@ void RmsNormF16(hexsim::NpuDevice& dev, const F16* x, const F16* gamma, F16* y, 
   HEXLLM_CHECK(width % HvxVec::kHalfwords == 0);
   dev.ledger().AddCount("kernel.rmsnorm.calls");
   HvxContext& ctx = dev.hvx();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
   const int regs = width / HvxVec::kHalfwords;
 
   for (int r = 0; r < rows; ++r) {
@@ -47,8 +47,7 @@ void RmsNormF16(hexsim::NpuDevice& dev, const F16* x, const F16* gamma, F16* y, 
       ctx.Store(out + g * HvxVec::kHalfwords, v);
     }
   }
-  dev.CommitHvxPackets(ctx.packets() - start, 1, "misc.rmsnorm");
-  ctx.ResetPackets();
+  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.rmsnorm");
 }
 
 void RopeF16(hexsim::NpuDevice& dev, F16* x, int rows, int head_dim, int pos0,
@@ -56,7 +55,7 @@ void RopeF16(hexsim::NpuDevice& dev, F16* x, int rows, int head_dim, int pos0,
   HEXLLM_CHECK(head_dim % 2 == 0);
   dev.ledger().AddCount("kernel.rope.calls");
   HvxContext& ctx = dev.hvx();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
 
   for (int r = 0; r < rows; ++r) {
     const int pos = pos0 + r;
@@ -75,8 +74,7 @@ void RopeF16(hexsim::NpuDevice& dev, F16* x, int rows, int head_dim, int pos0,
       row[2 * i + 1] = F16(RoundToF16(a * s + b * c));
     }
   }
-  dev.CommitHvxPackets(ctx.packets() - start, 1, "misc.rope");
-  ctx.ResetPackets();
+  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.rope");
 }
 
 namespace {
@@ -88,7 +86,7 @@ void RopeHeadsImpl(hexsim::NpuDevice& dev, F16* x, int heads, int head_dim, int 
   HEXLLM_CHECK(head_dim % 2 == 0 && heads >= 1);
   dev.ledger().AddCount("kernel.rope.calls", heads);
   HvxContext& ctx = dev.hvx();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
   ctx.Charge(static_cast<int64_t>(heads) *
              ((head_dim + HvxVec::kHalfwords - 1) / HvxVec::kHalfwords * 6));
   for (int i = 0; i < head_dim / 2; ++i) {
@@ -104,8 +102,7 @@ void RopeHeadsImpl(hexsim::NpuDevice& dev, F16* x, int heads, int head_dim, int 
       row[2 * i + 1] = F16(RoundToF16(a * s + b * c));
     }
   }
-  dev.CommitHvxPackets(ctx.packets() - start, 1, "misc.rope");
-  ctx.ResetPackets();
+  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.rope");
 }
 
 }  // namespace
@@ -137,7 +134,7 @@ void SiluMulF16(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* y, int6
   HEXLLM_CHECK(count % HvxVec::kHalfwords == 0);
   dev.ledger().AddCount("kernel.silu_mul.calls");
   HvxContext& ctx = dev.hvx();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
   const int64_t regs = count / HvxVec::kHalfwords;
   // Per register: 2 loads + sigmoid approximation (~8) + 2 multiplies + store.
   ctx.Charge(regs * 13);
@@ -147,15 +144,14 @@ void SiluMulF16(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* y, int6
     const float silu = av / (1.0f + std::exp(-av));
     y[i] = F16(RoundToF16(RoundToF16(silu) * bv));
   }
-  dev.CommitHvxPackets(ctx.packets() - start, 1, "misc.silu");
-  ctx.ResetPackets();
+  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.silu");
 }
 
 void AddF16(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* y, int64_t count) {
   HEXLLM_CHECK(count % HvxVec::kHalfwords == 0);
   dev.ledger().AddCount("kernel.add.calls");
   HvxContext& ctx = dev.hvx();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
   for (int64_t off = 0; off < count; off += HvxVec::kHalfwords) {
     const HvxVec va = ctx.LoadAligned(a + off);
     const HvxVec vb = ctx.LoadAligned(b + off);
@@ -163,8 +159,7 @@ void AddF16(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* y, int64_t 
     s = ctx.ConvertQf(s);
     ctx.Store(y + off, s);
   }
-  dev.CommitHvxPackets(ctx.packets() - start, 1, "misc.add");
-  ctx.ResetPackets();
+  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.add");
 }
 
 }  // namespace hkern

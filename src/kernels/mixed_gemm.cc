@@ -63,7 +63,7 @@ int64_t DequantCoalescedLut(hexsim::NpuDevice& dev, std::span<const hquant::Supe
   HEXLLM_CHECK(dev.tcm().Contains(out_tcm));
   dev.ledger().AddCount("kernel.dequant_coalesced_lut.calls");
   HvxContext& ctx = dev.hvx();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
   const auto levels = hquant::CodebookLevelsF16(codebook);
 
   // Super-blocks are independent (each writes a disjoint 256-element slice of out_tcm), so
@@ -75,7 +75,7 @@ int64_t DequantCoalescedLut(hexsim::NpuDevice& dev, std::span<const hquant::Supe
     // Hoisted constants are still emitted on an empty call, matching the serial kernel.
     ctx.VSplatB(0x0F);
     ctx.Charge(3);
-    return ctx.packets() - start;
+    return ctx.issued() - start;
   }
   const int slots = hexec::PlannedSlots(static_cast<int64_t>(sbs.size()));
   dev.EnsureShards(slots);
@@ -145,7 +145,7 @@ int64_t DequantCoalescedLut(hexsim::NpuDevice& dev, std::span<const hquant::Supe
       },
       slots);
   dev.MergeShards();
-  return ctx.packets() - start;
+  return ctx.issued() - start;
 }
 
 int64_t DequantHmxLayout(hexsim::NpuDevice& dev, std::span<const hquant::BlockQ4_0> blocks,
@@ -154,7 +154,7 @@ int64_t DequantHmxLayout(hexsim::NpuDevice& dev, std::span<const hquant::BlockQ4
   HEXLLM_CHECK(blocks.size() % 2 == 0);
   dev.ledger().AddCount("kernel.dequant_hmx_layout.calls");
   HvxContext& ctx = dev.hvx();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
   const int64_t per64 =
       static_cast<int64_t>(DequantPacketsPer64(dev.profile(), DequantKernel::kHmxLayout));
 
@@ -173,7 +173,7 @@ int64_t DequantHmxLayout(hexsim::NpuDevice& dev, std::span<const hquant::BlockQ4
       ctx.Charge(per64);
     }
   }
-  return ctx.packets() - start;
+  return ctx.issued() - start;
 }
 
 int64_t DequantBaselineScatter(hexsim::NpuDevice& dev,
@@ -185,7 +185,7 @@ int64_t DequantBaselineScatter(hexsim::NpuDevice& dev,
   dev.ledger().AddCount("kernel.dequant_baseline_scatter.calls");
   HvxContext& ctx = dev.hvx();
   hexsim::Tcm& tcm = dev.tcm();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
   const int64_t out_base = tcm.OffsetOf(out_tcm);
   const int64_t conv =
       static_cast<int64_t>(DequantPacketsPer64(dev.profile(), DequantKernel::kHmxLayout));
@@ -217,7 +217,7 @@ int64_t DequantBaselineScatter(hexsim::NpuDevice& dev,
       ctx.VScatterH(tcm, window_base, offsets, values);
     }
   }
-  return ctx.packets() - start;
+  return ctx.issued() - start;
 }
 
 MixedGemmCost MixedGemmCostModel(const hexsim::DeviceProfile& profile, DequantKernel k,

@@ -123,7 +123,7 @@ int64_t ExpRegPacketCost(const hexsim::DeviceProfile& profile, SoftmaxVariant v,
 HvxVec ExpNonPosF16(hexsim::NpuDevice& dev, SoftmaxVariant v, const ExpLut* lut,
                     const HvxVec& x, int parallel_rows) {
   HvxContext& ctx = dev.hvx();
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
   HvxVec out;
 
   switch (v) {
@@ -172,7 +172,7 @@ HvxVec ExpNonPosF16(hexsim::NpuDevice& dev, SoftmaxVariant v, const ExpLut* lut,
   // Top up to the calibrated budget with pipeline-stall cycles so that the emulated count
   // equals ExpRegPacketCost exactly.
   const int64_t budget = ExpRegPacketCost(dev.profile(), v, parallel_rows);
-  const int64_t issued = ctx.packets() - start;
+  const int64_t issued = ctx.issued() - start;
   HEXLLM_CHECK_MSG(issued <= budget, "exp instruction stream exceeds its calibrated budget");
   ctx.ChargeStalls(budget - issued);
   return out;
@@ -184,7 +184,7 @@ void SoftmaxRowsF16(hexsim::NpuDevice& dev, SoftmaxVariant v, const ExpLut* lut,
   dev.ledger().AddCount("kernel.softmax_rows.calls");
   HvxContext& ctx = dev.hvx();
   const int regs = cols / HvxVec::kHalfwords;
-  const int64_t start = ctx.packets();
+  const int64_t start = ctx.issued();
 
   for (int r = 0; r < rows; ++r) {
     F16* row = s + static_cast<int64_t>(r) * cols;
@@ -227,7 +227,7 @@ void SoftmaxRowsF16(hexsim::NpuDevice& dev, SoftmaxVariant v, const ExpLut* lut,
     }
   }
 
-  const int64_t used = ctx.packets() - start;
+  const int64_t used = ctx.issued() - start;
   dev.CommitHvxPackets(used, 1, "softmax");
 }
 

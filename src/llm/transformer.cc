@@ -50,6 +50,13 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
   // straddle heads.
   HEXLLM_CHECK(kv_.row_codec().SlicesAt(weights.config.head_dim));
   kv_.ReserveSeqs(max_batch);
+  const size_t ptr_cap = static_cast<size_t>(max_batch) * kv_.blocks_per_seq_capacity();
+  span_k_ptrs_.resize(ptr_cap);
+  span_v_ptrs_.resize(ptr_cap);
+  span_kv_len_.reserve(static_cast<size_t>(max_batch));
+  span_lead_.reserve(static_cast<size_t>(max_batch));
+  cluster_spans_.reserve(static_cast<size_t>(max_batch));
+  cluster0_.reserve(static_cast<size_t>(max_batch) + 1);
   identity_seq_ids_.resize(static_cast<size_t>(max_batch));
   std::iota(identity_seq_ids_.begin(), identity_seq_ids_.end(), 0);
   one_row_spans_.assign(static_cast<size_t>(max_batch), 1);
@@ -69,12 +76,12 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
   rope_inv_freq_ = hkern::RopeInvFreq(c.head_dim, c.rope_theta);
 }
 
-void Transformer::FaultAttendedBlocks(int seq, int q_len, int kv_len, int q_pos_offset) {
+void Transformer::FaultAttendedBlocks(int seq, int first_pos, int last_pos, int kv_len) {
   if (!kv_.offload_enabled()) {
     return;
   }
   attended_scratch_.clear();
-  hkern::AppendAttendedBlocks(win(), q_len, kv_len, q_pos_offset, kv_.block_tokens(),
+  hkern::AppendAttendedBlocks(win(), first_pos, last_pos, kv_len, kv_.block_tokens(),
                               &attended_scratch_);
   kv_.EnsureResidentTableBlocks(seq, attended_scratch_);
 }
@@ -93,13 +100,53 @@ std::span<const hkern::ExpLut* const> Transformer::EnsureShardLuts(int slots) {
                                                static_cast<size_t>(slots));
 }
 
-void Transformer::EnsureSlotScratch(int slots) {
-  const size_t cap = static_cast<size_t>(kv_.blocks_per_seq_capacity());
-  while (static_cast<int>(slot_ptrs_.size()) < slots) {
-    SlotBlockPtrs& p = slot_ptrs_.emplace_back();
-    p.k.resize(cap);
-    p.v.resize(cap);
+void Transformer::EnsureLaneScratch(int slots) {
+  const ModelConfig& c = weights_.config;
+  while (static_cast<int>(lane_scratch_.size()) < slots) {
+    LaneScratch& lane = lane_scratch_.emplace_back();
+    lane.spans.resize(static_cast<size_t>(max_batch_));
+    lane.rows.resize(static_cast<size_t>(max_rows_) * (c.heads / c.kv_heads));
   }
+}
+
+void Transformer::BuildClusters(int spans) {
+  // Spans whose first whole KV chunk is the same physical blocks (siblings of one shared
+  // prompt, forks of one stem) form a cluster; later chunks are matched inside the kernel.
+  // Block identity is layer-invariant, so one layer's pointers decide for every layer.
+  const int cap = kv_.blocks_per_seq_capacity();
+  const int chunk_blocks =
+      static_cast<int>(hexllm::CeilDiv(hkern::kAttnKvChunk, kv_.block_tokens()));
+  const auto whole_chunk0 = [&](int s) {
+    return span_kv_len_[static_cast<size_t>(s)] >= hkern::kAttnKvChunk;
+  };
+  const auto same_chunk0 = [&](int a, int b) {
+    const auto first = [&](int s) { return span_k_ptrs_.begin() + static_cast<int64_t>(s) * cap; };
+    return std::equal(first(a), first(a) + chunk_blocks, first(b));
+  };
+  span_lead_.resize(static_cast<size_t>(spans));
+  for (int s = 0; s < spans; ++s) {
+    int& lead = span_lead_[static_cast<size_t>(s)];
+    lead = s;
+    for (int l = 0; l < s && lead == s && whole_chunk0(s); ++l) {
+      if (span_lead_[static_cast<size_t>(l)] == l && whole_chunk0(l) && same_chunk0(l, s)) {
+        lead = l;
+      }
+    }
+  }
+  cluster_spans_.clear();
+  cluster0_.clear();
+  for (int l = 0; l < spans; ++l) {
+    if (span_lead_[static_cast<size_t>(l)] != l) {
+      continue;
+    }
+    cluster0_.push_back(static_cast<int>(cluster_spans_.size()));
+    for (int s = l; s < spans; ++s) {
+      if (span_lead_[static_cast<size_t>(s)] == l) {
+        cluster_spans_.push_back(s);
+      }
+    }
+  }
+  cluster0_.push_back(static_cast<int>(cluster_spans_.size()));
 }
 
 void Transformer::Step(std::span<const int> tokens, std::span<float> logits,
@@ -141,21 +188,20 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
   HEXLLM_CHECK(spans >= 1 && spans <= max_batch_);
   HEXLLM_CHECK(span_rows.size() == seq_ids.size());
   span_row0_.resize(static_cast<size_t>(spans));
+  span_kv_len_.resize(static_cast<size_t>(spans));
   int rows = 0;
   for (int s = 0; s < spans; ++s) {
     HEXLLM_CHECK(span_rows[static_cast<size_t>(s)] >= 1);
     span_row0_[static_cast<size_t>(s)] = rows;
     rows += span_rows[static_cast<size_t>(s)];
+    // Attention reads the span's context plus the rows this forward appends.
+    span_kv_len_[static_cast<size_t>(s)] =
+        kv_.length(seq_ids[static_cast<size_t>(s)]) + span_rows[static_cast<size_t>(s)];
   }
   HEXLLM_CHECK(rows <= max_rows_);
   HEXLLM_CHECK(plan.tokens.size() == static_cast<size_t>(rows));
   const bool prefill = plan.logits.empty();
   HEXLLM_CHECK(prefill || plan.logits.size() == static_cast<size_t>(rows) * c.vocab);
-  // Decode convention: when every span is one logits row, attention runs with
-  // q_pos_offset = -1, which skips the causal-mask sweep. Every other forward (verify,
-  // prefill chunk) attends causally from each span's base position, so row r of a span
-  // sees [0, base + r].
-  const bool decode = !prefill && rows == spans;
   const int hidden = c.hidden;
   const int q_dim = c.q_dim();
   const int kv_dim = c.kv_dim();
@@ -185,22 +231,18 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
   }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  // At most one lane per query row: a decode span's head is a single query vector, too
-  // little attention work to pay for a hand-off to another lane, so decode keeps one lane
-  // per row while prefill chunks and verify spans also fan their heads out.
-  const int items = spans * c.heads;
-  const int slots = hexec::PlannedSlots(std::min(items, rows));
-  const auto slot_luts = EnsureShardLuts(slots);
-  EnsureSlotScratch(slots);
+  const int cap = kv_.blocks_per_seq_capacity();
+  int items = 0;
+  int slots = 1;
+  std::span<const hkern::ExpLut* const> slot_luts;
 
   // Tiered offload: promote every block attention will stage, once per forward and on this
   // (bookkeeping) thread — blocks hold all layers' rows, so the attended set is
   // layer-invariant, and the parallel lanes below must never mutate pool residency.
   for (int s = 0; s < spans; ++s) {
-    const int seq = seq_ids[static_cast<size_t>(s)];
     const int n = span_rows[static_cast<size_t>(s)];
-    const int pos0 = kv_.length(seq);
-    FaultAttendedBlocks(seq, n, pos0 + n, decode ? -1 : pos0);
+    const int kv_len = span_kv_len_[static_cast<size_t>(s)];
+    FaultAttendedBlocks(seq_ids[static_cast<size_t>(s)], kv_len - n, kv_len - 1, kv_len);
   }
 
   for (int l = 0; l < c.layers; ++l) {
@@ -229,41 +271,68 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
       }
     }
 
-    // Attention over (span, head) work items, span-major: each item is one head of one
-    // span querying its sequence's KV in place. A lane resolves a span's block table into
-    // its own pointer scratch once and reuses it for the span's consecutive heads, and
-    // charges its slot's shard device (per-slot exp LUT included). The KV cache is
+    // Batched attention: each (cluster, KV head) item stacks the GQA group's query heads of
+    // every row of every span in the cluster (span-major, then token, then head; row r of
+    // a span sits at position base + r) and runs them through one FlashAttentionBatch, so
+    // each KV chunk is staged once per KV head and shared chunks once per cluster. Lanes
+    // charge their slot's shard device (per-slot exp LUT included). The KV cache is
     // read-only in this region (the appends above already ran) and items write disjoint
     // attn_out columns, so results are bit-identical at any lane count; shard accounting
     // merges back in slot order right after the loop (docs/threading_model.md).
+    for (int s = 0; s < spans; ++s) {
+      kv_.FillBlockPointers(l, seq_ids[static_cast<size_t>(s)],
+                            span_kv_len_[static_cast<size_t>(s)],
+                            span_k_ptrs_.data() + static_cast<int64_t>(s) * cap,
+                            span_v_ptrs_.data() + static_cast<int64_t>(s) * cap);
+    }
+    if (l == 0) {
+      // Block tables are final once layer 0 has appended (first writes allocate or CoW-split
+      // blocks that hold every layer's rows), so the clusters hold for every layer. At most
+      // one lane per query row: a decode span is a single token, too little attention work
+      // to pay for a hand-off to another lane, so batch-1 decode stays on one lane.
+      BuildClusters(spans);
+      items = (static_cast<int>(cluster0_.size()) - 1) * c.kv_heads;
+      slots = hexec::PlannedSlots(std::min(items, rows));
+      slot_luts = EnsureShardLuts(slots);
+      EnsureLaneScratch(slots);
+    }
     hexec::ParallelFor(
         items,
         [&](int64_t begin, int64_t end, int slot) {
           hexsim::NpuDevice& d = dev_.ForSlot(slot);
           const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
-          SlotBlockPtrs& ptrs = slot_ptrs_[static_cast<size_t>(slot)];
-          int resolved = -1;  // span whose block table `ptrs` holds
-          hkern::PagedKvHeadView view;
-          view.k_blocks = ptrs.k.data();
-          view.v_blocks = ptrs.v.data();
-          view.block_tokens = kv_.block_tokens();
-          view.row = kv_.row_codec();
+          LaneScratch& lane = lane_scratch_[static_cast<size_t>(slot)];
           for (int64_t item = begin; item < end; ++item) {
-            const int s = static_cast<int>(item / c.heads);
-            const int h = static_cast<int>(item % c.heads);
-            const int seq = seq_ids[static_cast<size_t>(s)];
-            const int n = span_rows[static_cast<size_t>(s)];
-            const int64_t r0 = span_row0_[static_cast<size_t>(s)];
-            const int pos0 = kv_.length(seq);
-            const int kv_len = pos0 + n;  // includes the rows just written
-            if (s != resolved) {
-              kv_.FillBlockPointers(l, seq, kv_len, ptrs.k.data(), ptrs.v.data());
-              resolved = s;
+            const int cl = static_cast<int>(item / c.kv_heads);
+            const int kh = static_cast<int>(item % c.kv_heads);
+            int n_spans = 0;
+            int n_rows = 0;
+            for (int ci = cluster0_[static_cast<size_t>(cl)];
+                 ci < cluster0_[static_cast<size_t>(cl) + 1]; ++ci) {
+              const int s = cluster_spans_[static_cast<size_t>(ci)];
+              const int n = span_rows[static_cast<size_t>(s)];
+              const int kv_len = span_kv_len_[static_cast<size_t>(s)];
+              hkern::AttnKvSpan& ks = lane.spans[static_cast<size_t>(n_spans)];
+              ks.kv.k_blocks = span_k_ptrs_.data() + static_cast<int64_t>(s) * cap;
+              ks.kv.v_blocks = span_v_ptrs_.data() + static_cast<int64_t>(s) * cap;
+              ks.kv.block_tokens = kv_.block_tokens();
+              ks.kv.row = kv_.row_codec();
+              ks.kv.head_offset = static_cast<int64_t>(kh) * dh;
+              ks.kv_len = kv_len;
+              for (int r = 0; r < n; ++r) {
+                const int64_t row = span_row0_[static_cast<size_t>(s)] + r;
+                for (int h = kh * group; h < (kh + 1) * group; ++h) {
+                  lane.rows[static_cast<size_t>(n_rows++)] = {
+                      q + row * q_dim + h * dh, attn_out + row * q_dim + h * dh,
+                      kv_len - n + r, n_spans};
+                }
+              }
+              ++n_spans;
             }
-            view.head_offset = static_cast<int64_t>(h / group) * dh;
-            hkern::FlashAttentionPaged(d, lut, exp_variant, q + r0 * q_dim + h * dh, q_dim, view,
-                                       attn_out + r0 * q_dim + h * dh, q_dim, n, kv_len, dh,
-                                       scale, decode ? -1 : pos0, win());
+            hkern::FlashAttentionBatch(d, lut, exp_variant,
+                                       std::span(lane.spans.data(), static_cast<size_t>(n_spans)),
+                                       std::span(lane.rows.data(), static_cast<size_t>(n_rows)),
+                                       dh, scale, win());
           }
         },
         slots);

@@ -1,8 +1,8 @@
 // Functional batched transformer running end-to-end on the NPU simulator.
 //
 // Decode path per layer: RMSNorm -> Q/K/V projections (tile-quantized mixed GEMM on
-// HVX+HMX) -> RoPE -> KV-cache append -> per-head FP16 FlashAttention with LUT softmax ->
-// output projection -> residual -> RMSNorm -> SwiGLU FFN -> residual. The final hidden
+// HVX+HMX) -> RoPE -> KV-cache append -> FP16 FlashAttention per KV head (GQA group and
+// prefix-sharing spans stacked, LUT softmax) -> output projection -> residual -> RMSNorm -> SwiGLU FFN -> residual. The final hidden
 // states project to logits on the (simulated) CPU, matching the paper's operator placement
 // (§6, §7.2.2).
 //
@@ -12,7 +12,7 @@
 //
 // Host-performance contract (docs/performance.md): steady-state decode is zero-copy and
 // zero-alloc. Attention consumes K/V in place through the paged cache's block tables
-// (hkern::FlashAttentionPaged — no per-step gather), all step scratch lives in a
+// (hkern::FlashAttentionBatch — no per-step gather), all step scratch lives in a
 // persistent DecodeWorkspace arena, weights dequantize once and replay their charges, and
 // the lm_head runs blocked over a float-converted weight matrix. All of it is charge- and
 // bit-identical to the straightforward path it replaced.
@@ -74,14 +74,13 @@ class Transformer {
   // span_rows[s] consecutive tokens starting at sequence seq_ids[s]'s current position
   // (tokens are flattened span-major; tokens.size() == sum(span_rows)). All spans' rows
   // share every GEMM/RMSNorm as one big batch (this is how a verify fills HMX tile rows
-  // like Best-of-N lanes), while attention is per-span causal FlashAttention with
-  // q_pos_offset at the span's base position. Writes FP32 logits for EVERY row,
+  // like Best-of-N lanes), while attention is causal per row, row r of a span sitting at
+  // the span's base position + r. Writes FP32 logits for EVERY row,
   // [tokens.size(), vocab]. With all-ones span_rows this IS StepSeqs (same plan, same
-  // charges). A one-row span inside a mixed verify attends causally and still matches
-  // plain decode bit for bit: every per-row computation (norms, GEMM rows, RoPE,
-  // attention, the blocked lm_head) is row-independent, and causally masked positions
-  // contribute exactly +0.0f to the online softmax — the lossless-under-greedy invariant
-  // the speculative serving path is built on (docs/speculative_decoding.md).
+  // charges). A one-row span inside a mixed verify matches plain decode bit for bit:
+  // every per-row computation (norms, GEMM rows, RoPE, attention, the blocked lm_head) is
+  // row-independent, whatever rows share its attention tile — the lossless-under-greedy
+  // invariant the speculative serving path is built on (docs/speculative_decoding.md).
   void StepSpans(std::span<const int> tokens, std::span<const int> seq_ids,
                  std::span<const int> span_rows, std::span<float> logits,
                  hkern::SoftmaxVariant exp_variant = hkern::SoftmaxVariant::kLut);
@@ -114,8 +113,8 @@ class Transformer {
  private:
   // The batched forward behind decode, verify and prefill. Span s consumes span_rows[s]
   // consecutive tokens (flattened span-major) at sequence seq_ids[s]'s current position;
-  // every span's rows share the norms and GEMMs, and attention fans out over (span, head)
-  // work items. Empty logits means a prefill chunk: no final norm, no lm_head.
+  // every span's rows share the norms and GEMMs, and attention fans out over (sharing
+  // cluster, KV head) work items. Empty logits means a prefill chunk: no final norm, no lm_head.
   struct RowPlan {
     std::span<const int> tokens;
     std::span<const int> seq_ids;
@@ -131,20 +130,25 @@ class Transformer {
   // folded into the parent at the next merge.
   std::span<const hkern::ExpLut* const> EnsureShardLuts(int slots);
 
-  // Grows the per-slot block-pointer scratch (each attention lane resolves the block
-  // tables of the spans it works on). Amortized: no growth in steady state.
-  void EnsureSlotScratch(int slots);
+  // Grows the per-lane attention item scratch (each lane lists its item's spans and query
+  // rows there). Amortized: no growth in steady state.
+  void EnsureLaneScratch(int slots);
+
+  // Groups the forward's spans into sharing clusters (cluster_spans_/cluster0_) from the
+  // block pointers in span_k_ptrs_ and the lengths in span_kv_len_.
+  void BuildClusters(int spans);
 
   // The window pointer attention kernels receive: null when windowing is off.
   const hkern::AttnWindowSpec* win() const {
     return window_.enabled() ? &window_ : nullptr;
   }
 
-  // Faults the KV blocks an attention call with this shape will stage back into DRAM
-  // (tiered offload; no-op when offload is off). Must run on the bookkeeping thread
-  // BEFORE the parallel attention region — block promotion mutates pool residency state,
-  // which the read-only parallel lanes must never do (docs/threading_model.md).
-  void FaultAttendedBlocks(int seq, int q_len, int kv_len, int q_pos_offset);
+  // Faults the KV blocks attention stages for query rows at positions first_pos..last_pos
+  // over [0, kv_len) back into DRAM (tiered offload; no-op when offload is off). Must run
+  // on the bookkeeping thread BEFORE the parallel attention region — block promotion
+  // mutates pool residency state, which the read-only parallel lanes must never do
+  // (docs/threading_model.md).
+  void FaultAttendedBlocks(int seq, int first_pos, int last_pos, int kv_len);
 
   hexsim::NpuDevice& dev_;
   const ModelWeights& weights_;
@@ -162,13 +166,22 @@ class Transformer {
   std::vector<int> identity_seq_ids_;    // 0..max_batch-1, for Step()
   std::vector<int> one_row_spans_;       // max_batch ones: decode's span_rows
   std::vector<int> span_row0_;           // per-span first-row offsets within a forward
+  std::vector<int> span_kv_len_;         // per-span KV length attention reads (incl. new rows)
   hkern::AttnWindowSpec window_;         // disabled unless SetAttentionWindow installs one
   std::vector<int> attended_scratch_;    // table indices for FaultAttendedBlocks
-  // Per-slot block-pointer scratch for in-place paged attention (hkern::PagedKvHeadView).
-  struct SlotBlockPtrs {
-    std::vector<const uint8_t*> k, v;
+  // In-place paged attention (hkern::PagedKvHeadView): every span's block base pointers
+  // for the current layer, span s at s * blocks_per_seq_capacity(), resolved on the calling
+  // thread and read by the lanes.
+  std::vector<const uint8_t*> span_k_ptrs_, span_v_ptrs_;
+  // Sharing clusters of the current forward: cluster c is the span indices
+  // cluster_spans_[cluster0_[c], cluster0_[c + 1]); span_lead_ is BuildClusters' scratch.
+  std::vector<int> span_lead_, cluster_spans_, cluster0_;
+  // Per-lane attention item scratch: the item's spans and stacked query rows.
+  struct LaneScratch {
+    std::vector<hkern::AttnKvSpan> spans;
+    std::vector<hkern::AttnQueryRow> rows;
   };
-  std::vector<SlotBlockPtrs> slot_ptrs_;
+  std::vector<LaneScratch> lane_scratch_;
 };
 
 }  // namespace hllm

@@ -77,14 +77,12 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
       dev.ledger().AddCount("kernel.dequant_coalesced_lut.calls");
       dev.hvx().ReplayOps(cache_->vgather, cache_->vscatter, cache_->vlut16);
       dev.CommitHvxPackets(cache_->packets, 1, "linear.dequant");
-      dev.hvx().ResetPackets();
     } else {
       const int64_t vgather0 = dev.hvx().vgather_ops();
       const int64_t vscatter0 = dev.hvx().vscatter_ops();
       const int64_t vlut0 = dev.hvx().vlut16_ops();
       const int64_t packets = hkern::DequantCoalescedLut(dev, sb4_, w_tcm);
       dev.CommitHvxPackets(packets, 1, "linear.dequant");
-      dev.hvx().ResetPackets();
       if (cache_on) {
         std::lock_guard<std::mutex> lock(cache_->mu);
         if (!cache_->ready.load(std::memory_order_relaxed)) {

@@ -380,8 +380,9 @@ void FunctionalBackend::FoldOffload(const hkv::KvOffloadStats& mark, std::span<c
   const hkern::AttnWindowSpec* winp = win.enabled() ? &win : nullptr;
   for (size_t i = 0; i < slots.size(); ++i) {
     prefetch_scratch_.clear();
-    hkern::AppendAttendedBlocks(winp, /*q_len=*/1, /*kv_len=*/contexts[i] + 2,
-                                /*q_pos_offset=*/-1, kv.block_tokens(), &prefetch_scratch_);
+    hkern::AppendAttendedBlocks(winp, /*first_pos=*/contexts[i] + 1, /*last_pos=*/contexts[i] + 1,
+                                /*kv_len=*/contexts[i] + 2, kv.block_tokens(),
+                                &prefetch_scratch_);
     kv.PrefetchTableBlocks(slots[i], prefetch_scratch_);
   }
   const hkv::KvOffloadStats& now = off->stats();

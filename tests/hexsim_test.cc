@@ -161,24 +161,27 @@ TEST_F(HvxTest, F16ArithmeticRoundsEachOp) {
 }
 
 TEST_F(HvxTest, PacketAccounting) {
-  ctx_.ResetPackets();
+  const int64_t start = ctx_.issued();
   const HvxVec a = ctx_.VSplatHf(1.0f);  // 1
   const HvxVec b = ctx_.VAddHf(a, a);    // 1
   (void)b;
-  EXPECT_EQ(ctx_.packets(), 2);
+  EXPECT_EQ(ctx_.issued() - start, 2);
   ctx_.ChargeStalls(5);
+  EXPECT_EQ(ctx_.issued() - start, 7);
+  // Issued packets count as packets() only once committed.
+  EXPECT_EQ(ctx_.packets(), 0);
+  ctx_.NoteCommitted(7);
   EXPECT_EQ(ctx_.packets(), 7);
 }
 
 TEST_F(HvxTest, QfloatConversionCostsOnV75NotV79) {
   HvxContext v79(OnePlusAce5Pro());
   const HvxVec a = ctx_.VSplatHf(1.0f);
-  ctx_.ResetPackets();
+  const int64_t start = ctx_.issued();
   (void)ctx_.ConvertQf(a);
-  EXPECT_EQ(ctx_.packets(), 1);
-  v79.ResetPackets();
+  EXPECT_EQ(ctx_.issued() - start, 1);
   (void)v79.ConvertQf(a);
-  EXPECT_EQ(v79.packets(), 0);
+  EXPECT_EQ(v79.issued(), 0);
 }
 
 TEST_F(HvxTest, VLut16LooksUp16Halfwords) {
@@ -217,9 +220,9 @@ TEST_F(HvxTest, GatherReadsTcmAndChargesLatency) {
   for (int i = 0; i < 64; ++i) {
     offsets.SetU16(i, static_cast<uint16_t>((i * 7 % 2048) * 2));
   }
-  ctx_.ResetPackets();
+  const int64_t start = ctx_.issued();
   const HvxVec out = ctx_.VGather(tcm, tcm.OffsetOf(data), offsets);
-  EXPECT_EQ(ctx_.packets(), OnePlus12().vgather_packets);
+  EXPECT_EQ(ctx_.issued() - start, OnePlus12().vgather_packets);
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(out.GetU16(i), static_cast<uint16_t>((i * 7 % 2048) * 3));
   }
@@ -234,9 +237,9 @@ TEST_F(HvxTest, ScatterWritesTcmAndCostsMoreThanGather) {
     offsets.SetU16(i, static_cast<uint16_t>(i * 4));
     values.SetU16(i, static_cast<uint16_t>(1000 + i));
   }
-  ctx_.ResetPackets();
+  const int64_t start = ctx_.issued();
   ctx_.VScatterH(tcm, tcm.OffsetOf(data), offsets, values);
-  EXPECT_GT(ctx_.packets(), OnePlus12().vgather_packets);
+  EXPECT_GT(ctx_.issued() - start, OnePlus12().vgather_packets);
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(data[i * 2], 1000 + i);
   }
@@ -283,12 +286,11 @@ TEST_F(HvxTest, Reductions) {
 
 TEST_F(HvxTest, DdrLoadSlowerThanTcmLoad) {
   std::vector<uint8_t> buf(128, 1);
-  ctx_.ResetPackets();
+  const int64_t start = ctx_.issued();
   (void)ctx_.LoadAligned(buf.data());
-  const int64_t tcm_cost = ctx_.packets();
-  ctx_.ResetPackets();
+  const int64_t tcm_cost = ctx_.issued() - start;
   (void)ctx_.LoadFromDdr(buf.data());
-  EXPECT_GT(ctx_.packets(), 3 * tcm_cost);
+  EXPECT_GT(ctx_.issued() - start - tcm_cost, 3 * tcm_cost);
 }
 
 // --- HMX ---

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -102,11 +103,10 @@ TEST_P(ExpVariantTest, PacketCountMatchesCostModel) {
     NpuDevice dev(*profile);
     ExpLut lut(dev);
     for (int rows : {1, 4, 16, 64}) {
-      dev.hvx().ResetPackets();
       HvxVec in = dev.hvx().VSplatHf(-1.0f);
-      dev.hvx().ResetPackets();
+      const int64_t start = dev.hvx().issued();
       (void)ExpNonPosF16(dev, GetParam(), &lut, in, rows);
-      EXPECT_EQ(dev.hvx().packets(), ExpRegPacketCost(*profile, GetParam(), rows))
+      EXPECT_EQ(dev.hvx().issued() - start, ExpRegPacketCost(*profile, GetParam(), rows))
           << profile->device_name << " rows=" << rows;
     }
   }
@@ -194,9 +194,9 @@ TEST_P(SoftmaxTest, PacketCostModelMatchesEmulation) {
     for (int i = 0; i < rows * cols; ++i) {
       s[i] = F16(-0.5f);
     }
-    dev.hvx().ResetPackets();
+    const int64_t before = dev.hvx().packets();
     SoftmaxRowsF16(dev, GetParam(), &lut, s, rows, cols);
-    EXPECT_EQ(dev.hvx().packets(), SoftmaxPacketCost(*profile, GetParam(), rows, cols))
+    EXPECT_EQ(dev.hvx().packets() - before, SoftmaxPacketCost(*profile, GetParam(), rows, cols))
         << profile->device_name;
   }
 }
@@ -781,7 +781,7 @@ TEST(AttnWindowTest, SpecSemantics) {
 TEST(AttnWindowTest, AppendAttendedBlocksMatchesKernelChunkSkips) {
   // Plain causal decode stages every block up to the causal frontier.
   std::vector<int> got;
-  AppendAttendedBlocks(nullptr, /*q_len=*/1, /*kv_len=*/512, /*q_pos_offset=*/-1,
+  AppendAttendedBlocks(nullptr, /*first_pos=*/511, /*last_pos=*/511, /*kv_len=*/512,
                        /*block_tokens=*/32, &got);
   ASSERT_EQ(got.size(), 16u);
   for (int i = 0; i < 16; ++i) {
@@ -795,14 +795,14 @@ TEST(AttnWindowTest, AppendAttendedBlocksMatchesKernelChunkSkips) {
   w.window_blocks = 1;
   w.block_tokens = 32;
   got.clear();
-  AppendAttendedBlocks(&w, 1, 512, -1, 32, &got);
+  AppendAttendedBlocks(&w, 511, 511, 512, 32, &got);
   const std::vector<int> expected{0, 1, 2, 3, 12, 13, 14, 15};
   EXPECT_EQ(got, expected);
   // A full-coverage window stages everything, exactly like no window.
   AttnWindowSpec wide = w;
   wide.window_blocks = 64;
   got.clear();
-  AppendAttendedBlocks(&wide, 1, 512, -1, 32, &got);
+  AppendAttendedBlocks(&wide, 511, 511, 512, 32, &got);
   EXPECT_EQ(got.size(), 16u);
 }
 
@@ -953,6 +953,135 @@ TEST(AttnWindowTest, MaskedInteriorIsNeverReadAndMatchesVisibleReference) {
   AttentionF32Reference(qf.data(), kf.data(), vf.data(), of.data(), 1, visible, d, scale);
   for (size_t i = 0; i < o_a.size(); ++i) {
     EXPECT_NEAR(o_a[i].ToFloat(), of[i], 0.03) << i;
+  }
+}
+
+// --- batched attention: shared-prefix, GQA-grouped stacking ---
+
+// Paged K/V for spans that map the same `shared_blocks` physical blocks (a shared prompt)
+// followed by private tail blocks, stored in `row` format with two heads per row; the
+// views select head 1.
+struct SharedPrefixKv {
+  std::vector<std::vector<uint8_t>> k_blocks, v_blocks;  // physical block bytes
+  std::vector<std::vector<const uint8_t*>> k_tables, v_tables;  // per span
+  std::vector<AttnKvSpan> spans;
+
+  SharedPrefixKv(const hquant::KvRowCodec& row, int head_dim, int block_tokens,
+                 int shared_blocks, const std::vector<int>& kv_lens, Rng& rng) {
+    const auto new_block = [&](std::vector<std::vector<uint8_t>>* blocks) {
+      std::vector<F16> src(static_cast<size_t>(row.elems));
+      std::vector<uint8_t>& b = blocks->emplace_back(
+          static_cast<size_t>(block_tokens * row.row_bytes()));
+      for (int p = 0; p < block_tokens; ++p) {
+        for (auto& x : src) {
+          x = F16(static_cast<float>(rng.NextGaussian()));
+        }
+        row.Encode(src.data(), b.data() + p * row.row_bytes());
+      }
+      return b.data();
+    };
+    std::vector<const uint8_t*> shared_k, shared_v;
+    for (int i = 0; i < shared_blocks; ++i) {
+      shared_k.push_back(new_block(&k_blocks));
+      shared_v.push_back(new_block(&v_blocks));
+    }
+    for (const int kv_len : kv_lens) {
+      std::vector<const uint8_t*> kt = shared_k, vt = shared_v;
+      while (static_cast<int>(kt.size()) * block_tokens < kv_len) {
+        kt.push_back(new_block(&k_blocks));
+        vt.push_back(new_block(&v_blocks));
+      }
+      k_tables.push_back(std::move(kt));
+      v_tables.push_back(std::move(vt));
+    }
+    for (size_t s = 0; s < kv_lens.size(); ++s) {
+      AttnKvSpan& span = spans.emplace_back();
+      span.kv.k_blocks = k_tables[s].data();
+      span.kv.v_blocks = v_tables[s].data();
+      span.kv.block_tokens = block_tokens;
+      span.kv.row = row;
+      span.kv.head_offset = head_dim;
+      span.kv_len = kv_lens[s];
+    }
+  }
+};
+
+TEST(FlashAttentionBatchTest, RowsAreIndependentOfTheirTileMates) {
+  // Rows of 1, 2, 8 and 16 spans over a two-chunk shared prefix with private tails (some a
+  // whole private chunk long), two query heads per span and token (a GQA group), span 0 a
+  // four-token causal span: every row's output is bit-equal to that row run alone, for
+  // F16/INT8/INT4 KV, with and without a sink+window mask. Without a window the shared
+  // chunks are staged once per call.
+  const int d = 64;
+  const int bt = 32;
+  const int shared_blocks = 8;  // two whole 128-position chunks
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  AttnWindowSpec window;
+  window.sink_blocks = 1;
+  window.window_blocks = 2;
+  window.block_tokens = bt;
+  for (const auto dtype : {hquant::KvDtype::kF16, hquant::KvDtype::kInt8,
+                           hquant::KvDtype::kInt4}) {
+    const hquant::KvRowCodec row{dtype, 2 * d};
+    for (const int n_spans : {1, 2, 8, 16}) {
+      for (const bool windowed : {false, true}) {
+        const AttnWindowSpec* win = windowed ? &window : nullptr;
+        Rng rng(static_cast<uint64_t>(91 + n_spans));
+        std::vector<int> kv_lens;
+        for (int s = 0; s < n_spans; ++s) {
+          kv_lens.push_back(shared_blocks * bt + 1 + (s * 53 + 17) % 190);
+        }
+        const SharedPrefixKv kv(row, d, bt, shared_blocks, kv_lens, rng);
+        std::vector<AttnQueryRow> rows;
+        for (int s = 0; s < n_spans; ++s) {
+          const int tokens = s == 0 ? 4 : 1;
+          for (int t = 0; t < tokens; ++t) {
+            for (int g = 0; g < 2; ++g) {
+              rows.push_back({nullptr, nullptr, kv_lens[static_cast<size_t>(s)] - tokens + t, s});
+            }
+          }
+        }
+        const size_t n_rows = rows.size();
+        std::vector<F16> q(n_rows * d), o_all(n_rows * d), o_alone(n_rows * d);
+        for (auto& x : q) {
+          x = F16(static_cast<float>(rng.NextGaussian()));
+        }
+        for (size_t i = 0; i < n_rows; ++i) {
+          rows[i].q = q.data() + i * d;
+          rows[i].o = o_all.data() + i * d;
+        }
+        NpuDevice dev(OnePlus12());
+        ExpLut lut(dev);
+        const int64_t dma0 = dev.ledger().dma_bytes();
+        FlashAttentionBatch(dev, lut, SoftmaxVariant::kLut, kv.spans, rows, d, scale, win);
+        EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.calls"), 1);
+        if (win == nullptr) {
+          // K and V stage the shared positions once plus each span's private positions;
+          // Q and O move every row once.
+          int64_t staged = shared_blocks * bt;
+          for (const int kv_len : kv_lens) {
+            staged += kv_len - shared_blocks * bt;
+          }
+          EXPECT_EQ(dev.ledger().dma_bytes() - dma0,
+                    2 * staged * hquant::KvRowBytes(dtype, d, row.group) +
+                        2 * static_cast<int64_t>(n_rows) * d * 2)
+              << "spans " << n_spans;
+        }
+        for (size_t i = 0; i < n_rows; ++i) {
+          AttnQueryRow alone = rows[i];
+          alone.o = o_alone.data() + i * d;
+          alone.span = 0;
+          const AttnKvSpan& span = kv.spans[static_cast<size_t>(rows[i].span)];
+          FlashAttentionBatch(dev, lut, SoftmaxVariant::kLut, std::span(&span, 1),
+                              std::span(&alone, 1), d, scale, win);
+        }
+        for (size_t e = 0; e < o_all.size(); ++e) {
+          ASSERT_EQ(o_all[e].bits(), o_alone[e].bits())
+              << "dtype " << static_cast<int>(dtype) << " spans " << n_spans << " window "
+              << (win != nullptr) << " row " << e / d;
+        }
+      }
+    }
   }
 }
 

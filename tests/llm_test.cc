@@ -1,8 +1,10 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <span>
 #include <string>
@@ -18,6 +20,7 @@
 #include "src/kernels/exp_lut.h"
 #include "src/kernels/lm_head.h"
 #include "src/kernels/misc_ops.h"
+#include "src/kvcache/kv_offload.h"
 #include "src/llm/model_config.h"
 #include "src/llm/sampling.h"
 #include "src/llm/transformer.h"
@@ -449,7 +452,7 @@ struct GatherSeq {
   explicit GatherSeq(int layers) : k(static_cast<size_t>(layers)), v(static_cast<size_t>(layers)) {}
 };
 
-// One decode step in the pre-zero-copy style: heap scratch, per-head gather of K/V into
+// One decode step in the pre-zero-copy style: heap scratch, per-KV-head gather of K/V into
 // contiguous buffers consumed by the contiguous FlashAttentionF16, theta_base RoPE, and
 // the all-F16 lm_head. The production Step (in-place paged attention, persistent
 // workspace, dequant-once replay, blocked FP32 lm_head) must match this bit-for-bit in
@@ -514,8 +517,7 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
       const int kv_len = static_cast<int>(s.k[static_cast<size_t>(l)].size()) / kv_dim;
       kbuf.resize(static_cast<size_t>(kv_len) * dh);
       vbuf.resize(static_cast<size_t>(kv_len) * dh);
-      for (int h = 0; h < c.heads; ++h) {
-        const int kvh = h / group;
+      for (int kvh = 0; kvh < c.kv_heads; ++kvh) {
         for (int p = 0; p < kv_len; ++p) {
           std::memcpy(kbuf.data() + static_cast<int64_t>(p) * dh,
                       s.k[static_cast<size_t>(l)].data() +
@@ -526,11 +528,11 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
                           static_cast<int64_t>(p) * kv_dim + static_cast<int64_t>(kvh) * dh,
                       static_cast<size_t>(dh) * 2);
         }
-        hkern::FlashAttentionF16(dev, lut, hkern::SoftmaxVariant::kLut,
-                                 q.data() + static_cast<int64_t>(b) * q_dim + h * dh,
-                                 kbuf.data(), vbuf.data(),
-                                 attn.data() + static_cast<int64_t>(b) * q_dim + h * dh,
-                                 /*q_len=*/1, kv_len, dh, scale);
+        // The GQA group's query heads are adjacent in q: one call stacks them as rows.
+        const int64_t head0 = static_cast<int64_t>(b) * q_dim + kvh * group * dh;
+        hkern::FlashAttentionF16(dev, lut, hkern::SoftmaxVariant::kLut, q.data() + head0,
+                                 kbuf.data(), vbuf.data(), attn.data() + head0,
+                                 /*q_len=*/group, kv_len, dh, scale);
       }
     }
 
@@ -667,35 +669,41 @@ std::string ChargeProfile(const hexsim::NpuDevice& dev) {
   return out;
 }
 
-// Recorded at one lane: F16 and INT4 from the three-forward implementation (decode,
-// prefill chunk and verify each ran their own forward), INT8 from the separate
-// F16/quantized paged-attention kernels that preceded the single FlashAttentionPaged.
-constexpr const char* kForwardProfileF16 = R"(count dma.descriptors 640
+// Recorded at one lane from the batched attention (one FlashAttentionBatch per KV head
+// and sharing cluster, the GQA group's query heads stacked in one q tile), with the
+// attention mask and normalization packets committed and `packets` counting committed
+// HVX packets. Against the per-(span, head) kernel before it, attention DMA fell from
+// 1112064 to 619520 bytes (F16), 650304 to 388640 (INT8) and 404032 to 265504 (INT4), and
+// HMX tile ops from 3584 to 3264 (attention's share 704 -> 384); verify argmaxes are
+// unchanged.
+constexpr const char* kForwardProfileF16 = R"(count dma.descriptors 344
 count kernel.add.calls 40
 count kernel.dequant_coalesced_lut.calls 120
 count kernel.exp_lut.builds 1
-count kernel.flash_attention.calls 160
+count kernel.flash_attention.calls 80
 count kernel.gemm_hmx.calls 140
 count kernel.rmsnorm.calls 45
 count kernel.rope.calls 1488
 count kernel.silu_mul.calls 20
-dma_bytes 1112064
-tile_ops 3584
-packets 0
+dma_bytes 619520
+tile_ops 3264
+packets 451658
 vgather 1984
 vscatter 0
 vlut16 35840
-engine HVX 0x1.6d8267c18f2f8p-12
-engine HMX 0x1.473c5082e3c87p-16
-engine DMA 0x1.d4cebf9539259p-13
+engine HVX 0x1.6c4e52f0f5ec7p-12
+engine HMX 0x1.2a04a4c058954p-16
+engine DMA 0x1.003b9a964f431p-13
 engine CPU 0x0p+0
 engine GPU 0x0p+0
-tag attn.pack 0x1.084e410741d12p-17
-tag attn.pv 0x1.011d1aaffc1bdp-19
-tag attn.qk 0x1.011d1aaffc1bdp-19
-tag attn.rescale 0x1.084e410741d1ep-18
-tag attn.softmax 0x1.deb15413318b2p-14
-tag dma 0x1.d4cebf9539259p-13
+tag attn.mask 0x1.916a0c5c9f29fp-21
+tag attn.normalize 0x1.99ac7e64d938fp-20
+tag attn.pack 0x1.2536d0240d04cp-18
+tag attn.pv 0x1.187cd74b9eaa3p-20
+tag attn.qk 0x1.187cd74b9eaa3p-20
+tag attn.rescale 0x1.2ff39795254a6p-19
+tag attn.softmax 0x1.e6131d30f23edp-14
+tag dma 0x1.003b9a964f431p-13
 tag gemm.hmx 0x1.06f509d6e4bf4p-16
 tag gemm.pack 0x0p+0
 tag linear.dequant 0x1.7aa61ba9258adp-13
@@ -705,34 +713,36 @@ tag misc.rope 0x1.cce20e3174617p-18
 tag misc.silu 0x1.4cdc26b1f07d9p-17
 verify_argmax 312 15 374 440 291 337 77 337 448
 )";
-constexpr const char* kForwardProfileInt4 = R"(count dma.descriptors 640
+constexpr const char* kForwardProfileInt4 = R"(count dma.descriptors 344
 count kernel.add.calls 40
-count kernel.attn_kv_dequant.calls 160
+count kernel.attn_kv_dequant.calls 80
 count kernel.dequant_coalesced_lut.calls 120
 count kernel.exp_lut.builds 1
-count kernel.flash_attention.calls 160
+count kernel.flash_attention.calls 80
 count kernel.gemm_hmx.calls 140
 count kernel.rmsnorm.calls 45
 count kernel.rope.calls 1488
 count kernel.silu_mul.calls 20
-dma_bytes 404032
-tile_ops 3584
-packets 0
+dma_bytes 265504
+tile_ops 3264
+packets 468082
 vgather 1984
 vscatter 0
-vlut16 43600
-engine HVX 0x1.880126598c9e2p-12
-engine HMX 0x1.473c5082e3c87p-16
-engine DMA 0x1.8c7c71fd1f968p-13
+vlut16 39720
+engine HVX 0x1.798db23cf4a3bp-12
+engine HMX 0x1.2a04a4c058954p-16
+engine DMA 0x1.b824e79484f68p-14
 engine CPU 0x0p+0
 engine GPU 0x0p+0
-tag attn.kv_dequant 0x1.a7ebe97fd6f73p-16
-tag attn.pack 0x1.084e410741d12p-17
-tag attn.pv 0x1.011d1aaffc1bdp-19
-tag attn.qk 0x1.011d1aaffc1bdp-19
-tag attn.rescale 0x1.084e410741d1ep-18
-tag attn.softmax 0x1.deb15413318b2p-14
-tag dma 0x1.8c7c71fd1f968p-13
+tag attn.kv_dequant 0x1.a7ebe97fd6f6fp-17
+tag attn.mask 0x1.916a0c5c9f29fp-21
+tag attn.normalize 0x1.99ac7e64d938fp-20
+tag attn.pack 0x1.2536d0240d04cp-18
+tag attn.pv 0x1.187cd74b9eaa3p-20
+tag attn.qk 0x1.187cd74b9eaa3p-20
+tag attn.rescale 0x1.2ff39795254a6p-19
+tag attn.softmax 0x1.e6131d30f23edp-14
+tag dma 0x1.b824e79484f68p-14
 tag gemm.hmx 0x1.06f509d6e4bf4p-16
 tag gemm.pack 0x0p+0
 tag linear.dequant 0x1.7aa61ba9258adp-13
@@ -743,34 +753,36 @@ tag misc.silu 0x1.4cdc26b1f07d9p-17
 verify_argmax 316 15 374 440 316 291 39 337 236
 )";
 
-constexpr const char* kForwardProfileInt8 = R"(count dma.descriptors 640
+constexpr const char* kForwardProfileInt8 = R"(count dma.descriptors 344
 count kernel.add.calls 40
-count kernel.attn_kv_dequant.calls 160
+count kernel.attn_kv_dequant.calls 80
 count kernel.dequant_coalesced_lut.calls 120
 count kernel.exp_lut.builds 1
-count kernel.flash_attention.calls 160
+count kernel.flash_attention.calls 80
 count kernel.gemm_hmx.calls 140
 count kernel.rmsnorm.calls 45
 count kernel.rope.calls 1488
 count kernel.silu_mul.calls 20
-dma_bytes 650304
-tile_ops 3584
-packets 0
+dma_bytes 388640
+tile_ops 3264
+packets 463234
 vgather 1984
 vscatter 0
 vlut16 35840
-engine HVX 0x1.802f08c68f409p-12
-engine HMX 0x1.473c5082e3c87p-16
-engine DMA 0x1.aa4cc025905d5p-13
+engine HVX 0x1.75a4a37375f4fp-12
+engine HMX 0x1.2a04a4c058954p-16
+engine DMA 0x1.d5f535bcf5bd2p-14
 engine CPU 0x0p+0
 engine GPU 0x0p+0
-tag attn.kv_dequant 0x1.2aca10500101fp-16
-tag attn.pack 0x1.084e410741d12p-17
-tag attn.pv 0x1.011d1aaffc1bdp-19
-tag attn.qk 0x1.011d1aaffc1bdp-19
-tag attn.rescale 0x1.084e410741d1ep-18
-tag attn.softmax 0x1.deb15413318b2p-14
-tag dma 0x1.aa4cc025905d5p-13
+tag attn.kv_dequant 0x1.2aca105001014p-17
+tag attn.mask 0x1.916a0c5c9f29fp-21
+tag attn.normalize 0x1.99ac7e64d938fp-20
+tag attn.pack 0x1.2536d0240d04cp-18
+tag attn.pv 0x1.187cd74b9eaa3p-20
+tag attn.qk 0x1.187cd74b9eaa3p-20
+tag attn.rescale 0x1.2ff39795254a6p-19
+tag attn.softmax 0x1.e6131d30f23edp-14
+tag dma 0x1.d5f535bcf5bd2p-14
 tag gemm.hmx 0x1.06f509d6e4bf4p-16
 tag gemm.pack 0x0p+0
 tag linear.dequant 0x1.7aa61ba9258adp-13
@@ -825,9 +837,8 @@ std::string ForwardScriptProfile(const ModelWeights& weights, hquant::KvDtype dt
 }
 
 TEST_F(TransformerTest, ForwardChargeProfileIsPinned) {
-  // Decode, chunked prefill (incl. one-row tail chunks) and the multi-span verify must keep
-  // exactly the charges they had when each ran its own forward: the profile strings were
-  // recorded from that implementation at one lane.
+  // Decode, chunked prefill (incl. one-row tail chunks) and the multi-span verify keep
+  // exactly their recorded charges and verify tokens at one lane.
   hexec::ParallelismOverride serial(1);
   const std::string f16 = ForwardScriptProfile(weights_, hquant::KvDtype::kF16);
   EXPECT_TRUE(f16 == kForwardProfileF16) << "F16 profile:\n" << f16;
@@ -835,6 +846,242 @@ TEST_F(TransformerTest, ForwardChargeProfileIsPinned) {
   EXPECT_TRUE(int8 == kForwardProfileInt8) << "INT8 profile:\n" << int8;
   const std::string int4 = ForwardScriptProfile(weights_, hquant::KvDtype::kInt4);
   EXPECT_TRUE(int4 == kForwardProfileInt4) << "INT4 profile:\n" << int4;
+}
+
+TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
+  // Three forked sequences (a 200-token shared prompt, then private prefills of different
+  // lengths) under a 1-sink + 2-block window. One transformer offloads every evictable
+  // block outside the attended set after each call; its twin keeps every block resident.
+  // End to end, decode, a prefill chunk and a multi-span verify give bit-equal logits. At
+  // the kernel, GQA-grouped FlashAttentionBatch over the offloaded cache matches per-head
+  // FlashAttentionPaged calls over the resident one bit for bit, and its staging DMA is
+  // exactly the AppendAttendedBlocks set, with chunks the spans share staged once.
+  const ModelConfig& c = config_;
+  const int64_t vocab = c.vocab;
+  const int dh = c.head_dim;
+  const int group = c.heads / c.kv_heads;
+  hkern::AttnWindowSpec window;
+  window.sink_blocks = 1;
+  window.window_blocks = 2;
+  hexsim::NpuDevice dev_off(hexsim::OnePlus12());
+  hexsim::NpuDevice dev_ref(hexsim::OnePlus12());
+  Transformer off(dev_off, weights_, /*max_batch=*/3, /*max_context=*/512, 0,
+                  hquant::KvDtype::kF16, hquant::kGroupSize, /*max_step_rows=*/8);
+  Transformer ref(dev_ref, weights_, 3, 512, 0, hquant::KvDtype::kF16, hquant::kGroupSize, 8);
+  hkv::KvOffloadOptions opts;
+  opts.resident_block_budget = 4;
+  off.kv().ConfigureOffload(opts);
+  for (Transformer* tf : {&off, &ref}) {
+    tf->SetAttentionWindow(window);
+  }
+  const auto demote = [&] { off.kv().offload()->EnforceBudget(); };
+  const auto prompt = [&](int seq, int len) {
+    std::vector<int> t(static_cast<size_t>(len));
+    for (int i = 0; i < len; ++i) {
+      t[static_cast<size_t>(i)] = (i * 31 + seq * 7 + 3) % static_cast<int>(vocab);
+    }
+    return t;
+  };
+  for (Transformer* tf : {&off, &ref}) {
+    tf->Prefill(0, prompt(0, 200));
+    const int64_t handle = tf->kv().Retain(0);
+    for (const int seq : {1, 2}) {
+      tf->kv().ShareFromHandle(handle, seq, tf->kv().handle_length(handle));
+    }
+    tf->kv().DropHandle(handle);
+  }
+  for (const auto& [seq, len] : {std::pair{0, 150}, std::pair{1, 140}, std::pair{2, 160}}) {
+    off.Prefill(seq, prompt(seq + 3, len));
+    ref.Prefill(seq, prompt(seq + 3, len));
+    demote();
+  }
+  ASSERT_GT(off.kv().offload()->stats().demotions, 0);
+
+  const std::vector<int> seqs{0, 1, 2};
+  std::vector<float> lo(8 * static_cast<size_t>(vocab)), lr(lo.size());
+  std::vector<int> tokens{5, 6, 7};
+  for (int step = 0; step < 2; ++step) {  // GQA-grouped decode at batch 3
+    off.StepSeqs(tokens, seqs, std::span<float>(lo.data(), 3 * static_cast<size_t>(vocab)));
+    ref.StepSeqs(tokens, seqs, std::span<float>(lr.data(), 3 * static_cast<size_t>(vocab)));
+    demote();
+    ASSERT_EQ(std::memcmp(lo.data(), lr.data(), 3 * vocab * sizeof(float)), 0) << step;
+    for (int b = 0; b < 3; ++b) {
+      tokens[static_cast<size_t>(b)] = ArgmaxToken(std::span<const float>(
+          lo.data() + b * vocab, static_cast<size_t>(vocab)));
+    }
+  }
+  off.Prefill(1, prompt(9, 5));  // one 5-row prefill chunk
+  ref.Prefill(1, prompt(9, 5));
+  demote();
+  const std::vector<int> verify_tokens{tokens[0], 11, 12, tokens[1], tokens[2], 21};
+  const std::vector<int> verify_rows{3, 1, 2};
+  off.StepSpans(verify_tokens, seqs, verify_rows, std::span<float>(lo.data(), 6 * vocab));
+  ref.StepSpans(verify_tokens, seqs, verify_rows, std::span<float>(lr.data(), 6 * vocab));
+  demote();
+  ASSERT_EQ(std::memcmp(lo.data(), lr.data(), 6 * vocab * sizeof(float)), 0);
+
+  // Kernel level, over the final caches: decode rows of every span, a 5-row prefill chunk
+  // of sequence 1, and verify spans of 3, 1 and 2 rows.
+  const int bt = off.kv().block_tokens();
+  const int cap = off.kv().blocks_per_seq_capacity();
+  hkern::ExpLut lut_off(dev_off);
+  hkern::ExpLut lut_ref(dev_ref);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  hexllm::Rng rng(17);
+  const std::vector<std::vector<int>> shapes{{1, 1, 1}, {0, 5, 0}, {3, 1, 2}};
+  for (const auto& span_rows : shapes) {
+    for (int l = 0; l < c.layers; ++l) {
+      // Rows [row0[s], row0[s] + n) of span s, each with every query head.
+      std::vector<int> row0;
+      int total = 0;
+      for (const int n : span_rows) {
+        row0.push_back(total);
+        total += n;
+      }
+      std::vector<F16> q(static_cast<size_t>(total) * c.heads * dh);
+      for (auto& x : q) {
+        x = F16(static_cast<float>(rng.NextGaussian()));
+      }
+      std::vector<F16> o_grouped(q.size()), o_heads(q.size());
+      std::vector<std::vector<const uint8_t*>> kb(3, std::vector<const uint8_t*>(cap));
+      std::vector<std::vector<const uint8_t*>> vb(kb);
+      demote();
+      // Staged K/V rows the attended sets imply: one per position of each distinct chunk
+      // instance (a whole chunk on the same physical blocks is one instance for all spans).
+      std::vector<std::vector<const uint8_t*>> instances;
+      int64_t staged_rows = 0;
+      for (int s = 0; s < 3; ++s) {
+        const int n = span_rows[static_cast<size_t>(s)];
+        const int len = off.kv().length(s);
+        if (n == 0) {
+          continue;
+        }
+        std::vector<int> attended;
+        hkern::AppendAttendedBlocks(&off.attention_window(), len - n, len - 1, len, bt,
+                                    &attended);
+        off.kv().EnsureResidentTableBlocks(s, attended);
+        off.kv().FillBlockPointers(l, s, len, kb[static_cast<size_t>(s)].data(),
+                                   vb[static_cast<size_t>(s)].data());
+        int prev_chunk = -1;
+        for (const int b : attended) {
+          const int chunk = b * bt / hkern::kAttnKvChunk;
+          if (chunk == prev_chunk) {
+            continue;
+          }
+          prev_chunk = chunk;
+          const int kv0 = chunk * hkern::kAttnKvChunk;
+          const int kvn = std::min(hkern::kAttnKvChunk, len - kv0);
+          if (kvn < hkern::kAttnKvChunk) {
+            staged_rows += kvn;  // a partial chunk is always the span's own instance
+            continue;
+          }
+          const std::vector<const uint8_t*> blocks(
+              kb[static_cast<size_t>(s)].begin() + kv0 / bt,
+              kb[static_cast<size_t>(s)].begin() + (kv0 + kvn) / bt);
+          if (std::find(instances.begin(), instances.end(), blocks) == instances.end()) {
+            instances.push_back(blocks);
+            staged_rows += kvn;
+          }
+        }
+      }
+      for (int kh = 0; kh < c.kv_heads; ++kh) {
+        std::vector<hkern::AttnKvSpan> spans;
+        std::vector<hkern::AttnQueryRow> rows;
+        for (int s = 0; s < 3; ++s) {
+          const int n = span_rows[static_cast<size_t>(s)];
+          const int len = off.kv().length(s);
+          if (n == 0) {
+            continue;
+          }
+          hkern::AttnKvSpan& span = spans.emplace_back();
+          span.kv.k_blocks = kb[static_cast<size_t>(s)].data();
+          span.kv.v_blocks = vb[static_cast<size_t>(s)].data();
+          span.kv.block_tokens = bt;
+          span.kv.row = off.kv().row_codec();
+          span.kv.head_offset = static_cast<int64_t>(kh) * dh;
+          span.kv_len = len;
+          for (int r = 0; r < n; ++r) {
+            for (int h = kh * group; h < (kh + 1) * group; ++h) {
+              const int64_t at =
+                  (static_cast<int64_t>(row0[static_cast<size_t>(s)] + r) * c.heads + h) * dh;
+              rows.push_back({q.data() + at, o_grouped.data() + at, len - n + r,
+                              static_cast<int>(spans.size()) - 1});
+            }
+          }
+        }
+        const int64_t dma0 = dev_off.ledger().dma_bytes();
+        hkern::FlashAttentionBatch(dev_off, lut_off, hkern::SoftmaxVariant::kLut, spans, rows,
+                                   dh, scale, &off.attention_window());
+        if (kh == 0) {
+          EXPECT_EQ(dev_off.ledger().dma_bytes() - dma0,
+                    2 * staged_rows * dh * 2 + 2 * static_cast<int64_t>(rows.size()) * dh * 2)
+              << "shape " << span_rows[0] << span_rows[1] << span_rows[2] << " layer " << l;
+        }
+      }
+      for (int s = 0; s < 3; ++s) {
+        const int n = span_rows[static_cast<size_t>(s)];
+        const int len = ref.kv().length(s);
+        if (n == 0) {
+          continue;
+        }
+        std::vector<const uint8_t*> rk(static_cast<size_t>(cap)), rv(rk.size());
+        ref.kv().FillBlockPointers(l, s, len, rk.data(), rv.data());
+        for (int h = 0; h < c.heads; ++h) {
+          hkern::PagedKvHeadView view;
+          view.k_blocks = rk.data();
+          view.v_blocks = rv.data();
+          view.block_tokens = bt;
+          view.row = ref.kv().row_codec();
+          view.head_offset = static_cast<int64_t>(h / group) * dh;
+          const int64_t at =
+              static_cast<int64_t>(row0[static_cast<size_t>(s)]) * c.heads * dh + h * dh;
+          hkern::FlashAttentionPaged(dev_ref, lut_ref, hkern::SoftmaxVariant::kLut, q.data() + at,
+                                     c.heads * dh, view, o_heads.data() + at, c.heads * dh, n,
+                                     len, dh, scale, len - n, &ref.attention_window());
+        }
+      }
+      for (size_t e = 0; e < q.size(); ++e) {
+        ASSERT_EQ(o_grouped[e].bits(), o_heads[e].bits())
+            << "shape " << span_rows[0] << span_rows[1] << span_rows[2] << " layer " << l
+            << " element " << e;
+      }
+    }
+  }
+}
+
+TEST_F(TransformerTest, HvxPacketsCountCommittedWork) {
+  // hvx().packets() (exported as hexsim.hvx.packets) counts exactly the packets committed
+  // as HVX busy time: a cold and a warm weight cache commit the same count, 1 and 4 lanes
+  // commit the same count, and the HVX busy seconds equal PacketsToSeconds of the count.
+  const int64_t vocab = config_.vocab;
+  const auto run = [&](int lanes) {
+    hexec::ParallelismOverride pin(lanes);
+    auto dev = std::make_unique<hexsim::NpuDevice>(hexsim::OnePlus12());
+    Transformer tf(*dev, weights_, /*max_batch=*/3, /*max_context=*/64, 0,
+                   hquant::KvDtype::kInt4, hquant::kGroupSize, /*max_step_rows=*/6);
+    std::vector<int> prompt(40);
+    for (int i = 0; i < 40; ++i) {
+      prompt[static_cast<size_t>(i)] = (i * 13 + 1) % static_cast<int>(vocab);
+    }
+    for (int seq = 0; seq < 3; ++seq) {
+      tf.Prefill(seq, std::span<const int>(prompt.data(), static_cast<size_t>(30 + seq)));
+    }
+    std::vector<float> logits(6 * static_cast<size_t>(vocab));
+    const std::vector<int> seqs{0, 1, 2};
+    tf.StepSeqs({{3, 4, 5}}, seqs, std::span<float>(logits.data(), 3 * vocab));
+    tf.StepSpans({{6, 7, 8, 9, 10, 11}}, seqs, {{2, 1, 3}}, logits);
+    return dev;
+  };
+  const auto cold = run(1);
+  const auto warm = run(1);
+  const auto lanes4 = run(4);
+  EXPECT_GT(cold->hvx().packets(), 0);
+  EXPECT_EQ(cold->hvx().packets(), warm->hvx().packets());
+  EXPECT_EQ(cold->hvx().packets(), lanes4->hvx().packets());
+  for (const hexsim::NpuDevice* dev : {cold.get(), warm.get(), lanes4.get()}) {
+    const double busy = dev->ledger().EngineSeconds(hexsim::Engine::kHvx);
+    EXPECT_NEAR(busy, dev->hvx().PacketsToSeconds(dev->hvx().packets()), busy * 1e-9);
+  }
 }
 
 TEST_F(TransformerTest, WeightCacheReplayParity) {
