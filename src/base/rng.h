@@ -39,9 +39,6 @@ class Rng {
   // Uniform in [0, 1).
   double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
-  // Uniform in [0, 1).
-  float NextFloat() { return static_cast<float>(NextU64() >> 40) * 0x1.0p-24f; }
-
   // Uniform integer in [0, bound). bound must be > 0.
   uint64_t NextBounded(uint64_t bound) { return NextU64() % bound; }
 

@@ -69,10 +69,6 @@ class Tensor {
   Tensor() = default;
   Tensor(DType dtype, std::vector<int64_t> shape);
 
-  static Tensor Zeros(DType dtype, std::vector<int64_t> shape) {
-    return Tensor(dtype, std::move(shape));
-  }
-
   DType dtype() const { return dtype_; }
   int rank() const { return static_cast<int>(shape_.size()); }
   int64_t dim(int i) const {

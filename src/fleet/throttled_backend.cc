@@ -34,9 +34,7 @@ double ThrottledBackend::AdmitSlot(int slot, const hserve::ServeJob& job, int co
   return seconds;
 }
 
-hserve::StepOutcome ThrottledBackend::Step(std::span<const int> slots,
-                                           std::span<const int> contexts) {
-  hserve::StepOutcome out = inner_.Step(slots, contexts);
+hserve::StepOutcome ThrottledBackend::Throttle(hserve::StepOutcome out) {
   const double k = 1.0 / clock_scale();
   if (k != 1.0) {
     DilateCost(&out.cost, k);

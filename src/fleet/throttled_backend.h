@@ -2,10 +2,12 @@
 /// A thermally-throttled decorator over any ExecutionBackend (docs/fleet.md).
 ///
 /// The fleet layer simulates phones, and phones throttle: sustained NPU activity heats the
-/// SoC and the DVFS governor sheds clocks. This decorator threads every admission and decode
-/// step through a hexsim::ThermalState — the step's cost comes out of the wrapped backend at
-/// nominal clocks and is dilated by the instantaneous 1/clock_scale, then the dilated busy
-/// time feeds back into the thermal state. Idle gaps (the fleet's AdvanceTime) cool it.
+/// SoC and the DVFS governor sheds clocks. This decorator threads every admission, decode
+/// step and speculative cycle through a hexsim::ThermalState — the call's cost comes out of
+/// the wrapped backend at nominal clocks and is dilated by the instantaneous 1/clock_scale,
+/// then the dilated busy time feeds back into the thermal state. Idle gaps (the fleet's
+/// AdvanceTime) cool it. The wrapped backend's draft length is forwarded, so speculative
+/// jobs keep drafting behind a throttle.
 ///
 /// Two invariants keep the simulation honest and deterministic:
 ///   * the clock scale is sampled ONCE per call, so a step's every cost component stretches
@@ -37,9 +39,17 @@ class ThrottledBackend : public hserve::ExecutionBackend {
   double AdmitSlot(int slot, const hserve::ServeJob& job, int context_tokens,
                    int charged_prefill_tokens) override;
   hserve::StepOutcome Step(std::span<const int> slots,
-                           std::span<const int> contexts) override;
+                           std::span<const int> contexts) override {
+    return Throttle(inner_.Step(slots, contexts));
+  }
+  hserve::StepOutcome SpeculativeStep(std::span<const int> slots,
+                                      std::span<const int> contexts,
+                                      std::span<const int> gammas) override {
+    return Throttle(inner_.SpeculativeStep(slots, contexts, gammas));
+  }
 
   // Everything below is pure delegation — throttling changes time and power, not behavior.
+  int spec_gamma() const override { return inner_.spec_gamma(); }
   void ReleaseSlot(int slot) override { inner_.ReleaseSlot(slot); }
   void RetainKv(int slot, int job_id) override { inner_.RetainKv(slot, job_id); }
   void DropRetained(int job_id) override { inner_.DropRetained(job_id); }
@@ -73,6 +83,10 @@ class ThrottledBackend : public hserve::ExecutionBackend {
   bool enabled() const { return enabled_; }
 
  private:
+  // Dilates a nominal-clock step or cycle by the current clock scale, scales its power down
+  // by the same factor, and feeds its busy time into the thermal state.
+  hserve::StepOutcome Throttle(hserve::StepOutcome out);
+
   hserve::ExecutionBackend& inner_;
   hexsim::ThermalState thermal_;
   bool enabled_;

@@ -3,7 +3,7 @@
 // Every engine (HVX, HMX, DMA, CPU, GPU) accumulates *busy seconds*; kernels additionally tag
 // contributions (e.g. "attn.softmax") so benches can print breakdowns like the paper's
 // Figure 8. Busy seconds feed the power model: energy = sum(engine busy x engine power) +
-// base power x wall-clock.
+// base power x the step's wall time, which callers compose from the busy seconds.
 //
 // Beyond time, the ledger carries the simulator's generic event counters (AddCount):
 // hardware units and kernels record DMA descriptors, rpcmem coherence ops, per-op
@@ -54,21 +54,12 @@ class CycleLedger {
     }
   }
 
-  // Advances the simulated wall clock (latency-critical path), independent of engine busy
-  // time: overlapped engine work advances the wall clock only once.
-  void AdvanceWall(double seconds) {
-    HEXLLM_DCHECK(seconds >= 0.0);
-    wall_seconds_ += seconds;
-  }
-
   double EngineSeconds(Engine e) const { return busy_[static_cast<size_t>(e)]; }
 
   double TagSeconds(std::string_view tag) const {
     auto it = tags_.find(tag);
     return it == tags_.end() ? 0.0 : it->second;
   }
-
-  double wall_seconds() const { return wall_seconds_; }
 
   const std::map<std::string, double, std::less<>>& tags() const { return tags_; }
 
@@ -100,7 +91,7 @@ class CycleLedger {
   const std::map<std::string, int64_t, std::less<>>& counts() const { return counts_; }
 
   // Publishes the ledger into `registry`:
-  //   gauges   hexsim.<engine>.busy_seconds, hexsim.wall_seconds
+  //   gauges   hexsim.<engine>.busy_seconds
   //   counters hexsim.dma.ddr_bytes, plus every counts() key — simulator-unit counts
   //            (dma.*) under the hexsim prefix, kernel invocation counts (kernel.*)
   //            verbatim since kernels are their own unit (docs/metrics_schema.md)
@@ -113,7 +104,6 @@ class CycleLedger {
       }
       registry.Set("hexsim." + name + ".busy_seconds", busy_[i]);
     }
-    registry.Set("hexsim.wall_seconds", wall_seconds_);
     registry.Count("hexsim.dma.ddr_bytes", dma_bytes_);
     for (const auto& [tag, seconds] : tags_) {
       registry.Set("hexsim.tag_seconds", seconds, tag);
@@ -133,7 +123,6 @@ class CycleLedger {
     }
     tags_.clear();
     counts_.clear();
-    wall_seconds_ = 0.0;
     dma_bytes_ = 0;
   }
 
@@ -147,7 +136,6 @@ class CycleLedger {
     for (const auto& [k, v] : other.counts_) {
       counts_[k] += v;
     }
-    wall_seconds_ += other.wall_seconds_;
     dma_bytes_ += other.dma_bytes_;
   }
 
@@ -156,7 +144,6 @@ class CycleLedger {
   // std::less<> enables find(string_view) without materializing a key string.
   std::map<std::string, double, std::less<>> tags_;
   std::map<std::string, int64_t, std::less<>> counts_;
-  double wall_seconds_ = 0.0;
   int64_t dma_bytes_ = 0;
 };
 

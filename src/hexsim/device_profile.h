@@ -70,9 +70,6 @@ struct DeviceProfile {
   double p_ddr_per_gbps_w = 0.018; // DDR interface per GB/s actually moved
   double p_cpu_core_w = 0.9;       // each busy big CPU core
 
-  double HvxCyclesToSeconds(double cycles) const { return cycles / (hvx_freq_ghz * 1e9); }
-  double HmxCyclesToSeconds(double cycles) const { return cycles / (hmx_freq_ghz * 1e9); }
-
   // Peak HMX FP16 throughput implied by the calibration, in GFLOPS.
   double HmxPeakGflops() const {
     const double flops_per_tile = 2.0 * 32 * 32 * 32;

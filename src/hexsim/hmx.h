@@ -65,7 +65,6 @@ class HmxEngine {
                 const float* col_bias, int valid_rows = kTileDim);
 
   int64_t tile_ops() const { return tile_ops_; }
-  void ResetTileOps() { tile_ops_ = 0; }
   // Adds `other`'s tile-op counter into this engine and zeroes it in `other`; used by
   // NpuDevice::MergeShards to fold per-lane shard accounting back into the parent.
   void AbsorbTileOps(HmxEngine& other) {

@@ -50,15 +50,6 @@ HvxVec HvxContext::VSplatH(uint16_t x) {
   return v;
 }
 
-HvxVec HvxContext::VSplatW(uint32_t x) {
-  Charge(1);
-  HvxVec v;
-  for (int i = 0; i < HvxVec::kWords; ++i) {
-    v.SetU32(i, x);
-  }
-  return v;
-}
-
 HvxVec HvxContext::VSplatSf(float x) {
   Charge(1);
   HvxVec v;
@@ -84,28 +75,10 @@ HvxVec HvxContext::VMaxHf(const HvxVec& a, const HvxVec& b) {
   Charge(1);
   return LanewiseHf(a, b, [](float x, float y) { return std::max(x, y); });
 }
-HvxVec HvxContext::VMinHf(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  return LanewiseHf(a, b, [](float x, float y) { return std::min(x, y); });
-}
-
 HvxVec HvxContext::VAddSf(const HvxVec& a, const HvxVec& b) {
   Charge(1);
   return LanewiseSf(a, b, [](float x, float y) { return x + y; });
 }
-HvxVec HvxContext::VSubSf(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  return LanewiseSf(a, b, [](float x, float y) { return x - y; });
-}
-HvxVec HvxContext::VMpySf(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  return LanewiseSf(a, b, [](float x, float y) { return x * y; });
-}
-HvxVec HvxContext::VMaxSf(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  return LanewiseSf(a, b, [](float x, float y) { return std::max(x, y); });
-}
-
 HvxVecPair HvxContext::WidenHfToSf(const HvxVec& a) {
   Charge(2);
   HvxVecPair p;
@@ -143,24 +116,6 @@ HvxVec HvxContext::VCvtHfToH(const HvxVec& a) {
     const int32_t v =
         static_cast<int32_t>(std::lrintf(hexllm::Clamp(f, -32768.0f, 32767.0f)));
     out.SetU16(i, static_cast<uint16_t>(static_cast<int16_t>(v)));
-  }
-  return out;
-}
-
-HvxVec HvxContext::VCvtSfToW(const HvxVec& a) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kWords; ++i) {
-    out.SetU32(i, static_cast<uint32_t>(static_cast<int32_t>(a.GetF32(i))));
-  }
-  return out;
-}
-
-HvxVec HvxContext::VCvtWToSf(const HvxVec& a) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kWords; ++i) {
-    out.SetF32(i, static_cast<float>(static_cast<int32_t>(a.GetU32(i))));
   }
   return out;
 }
@@ -206,71 +161,6 @@ HvxVec HvxContext::VShrH(const HvxVec& a, int sh) {
   }
   return out;
 }
-HvxVec HvxContext::VAShrH(const HvxVec& a, int sh) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kHalfwords; ++i) {
-    out.SetU16(i, static_cast<uint16_t>(static_cast<int16_t>(a.GetU16(i)) >> sh));
-  }
-  return out;
-}
-HvxVec HvxContext::VShlW(const HvxVec& a, int sh) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kWords; ++i) {
-    out.SetU32(i, a.GetU32(i) << sh);
-  }
-  return out;
-}
-HvxVec HvxContext::VShrW(const HvxVec& a, int sh) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kWords; ++i) {
-    out.SetU32(i, a.GetU32(i) >> sh);
-  }
-  return out;
-}
-HvxVec HvxContext::VAddH(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kHalfwords; ++i) {
-    out.SetU16(i, static_cast<uint16_t>(a.GetU16(i) + b.GetU16(i)));
-  }
-  return out;
-}
-HvxVec HvxContext::VSubH(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kHalfwords; ++i) {
-    out.SetU16(i, static_cast<uint16_t>(a.GetU16(i) - b.GetU16(i)));
-  }
-  return out;
-}
-HvxVec HvxContext::VAddW(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kWords; ++i) {
-    out.SetU32(i, a.GetU32(i) + b.GetU32(i));
-  }
-  return out;
-}
-HvxVec HvxContext::VSubW(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kWords; ++i) {
-    out.SetU32(i, a.GetU32(i) - b.GetU32(i));
-  }
-  return out;
-}
-HvxVec HvxContext::VSubB(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kBytes; ++i) {
-    out.b[i] = static_cast<uint8_t>(a.b[i] - b.b[i]);
-  }
-  return out;
-}
-
 HvxVec HvxContext::VPermuteBytes(const HvxVec& a, const std::array<uint8_t, 128>& idx) {
   Charge(1);
   HvxVec out;
@@ -353,16 +243,6 @@ float HvxContext::ReduceSumSf(const HvxVec& a) {
   float s = 0.0f;
   for (int i = 0; i < HvxVec::kWords; ++i) {
     s += a.GetF32(i);
-  }
-  return s;
-}
-
-float HvxContext::ReduceSumHfAsSf(const HvxVec& a) {
-  // widen (2) + two 32-lane reductions merged: ~2 + 6 packets.
-  Charge(8);
-  float s = 0.0f;
-  for (int i = 0; i < HvxVec::kHalfwords; ++i) {
-    s += F16BitsToF32(a.GetU16(i));
   }
   return s;
 }

@@ -170,7 +170,6 @@ class HvxContext {
   // --- splats ---
   HvxVec VSplatB(uint8_t x);
   HvxVec VSplatH(uint16_t x);
-  HvxVec VSplatW(uint32_t x);
   HvxVec VSplatHf(float x) { return VSplatH(hexllm::F32ToF16Bits(x)); }
   HvxVec VSplatSf(float x);
 
@@ -179,13 +178,9 @@ class HvxContext {
   HvxVec VSubHf(const HvxVec& a, const HvxVec& b);
   HvxVec VMpyHf(const HvxVec& a, const HvxVec& b);
   HvxVec VMaxHf(const HvxVec& a, const HvxVec& b);
-  HvxVec VMinHf(const HvxVec& a, const HvxVec& b);
 
   // --- FP32 lanewise (32 lanes) ---
   HvxVec VAddSf(const HvxVec& a, const HvxVec& b);
-  HvxVec VSubSf(const HvxVec& a, const HvxVec& b);
-  HvxVec VMpySf(const HvxVec& a, const HvxVec& b);
-  HvxVec VMaxSf(const HvxVec& a, const HvxVec& b);
 
   // --- conversions ---
   // FP16 -> FP32 widen: lo gets lanes 0..31, hi gets lanes 32..63. 2 packets.
@@ -195,9 +190,6 @@ class HvxContext {
   // int16 lanes -> FP16 lanes (1 packet) and back (round-to-nearest, 1 packet).
   HvxVec VCvtHToHf(const HvxVec& a);
   HvxVec VCvtHfToH(const HvxVec& a);
-  // FP32 lanes -> int32 (truncate) and int32 -> FP32. 1 packet each.
-  HvxVec VCvtSfToW(const HvxVec& a);
-  HvxVec VCvtWToSf(const HvxVec& a);
   // qfloat -> IEEE conversion: numerically identity in this model; charges a packet on parts
   // without native IEEE HVX results (V73/V75), free on V79 (§5.2.2).
   HvxVec ConvertQf(const HvxVec& a) {
@@ -213,14 +205,6 @@ class HvxContext {
   HvxVec VXor(const HvxVec& a, const HvxVec& b);
   HvxVec VShlH(const HvxVec& a, int sh);   // logical shift left, u16 lanes
   HvxVec VShrH(const HvxVec& a, int sh);   // logical shift right, u16 lanes
-  HvxVec VAShrH(const HvxVec& a, int sh);  // arithmetic shift right, i16 lanes
-  HvxVec VShlW(const HvxVec& a, int sh);
-  HvxVec VShrW(const HvxVec& a, int sh);
-  HvxVec VAddH(const HvxVec& a, const HvxVec& b);  // wrapping u16 add
-  HvxVec VSubH(const HvxVec& a, const HvxVec& b);
-  HvxVec VAddW(const HvxVec& a, const HvxVec& b);
-  HvxVec VSubW(const HvxVec& a, const HvxVec& b);
-  HvxVec VSubB(const HvxVec& a, const HvxVec& b);  // wrapping u8 sub
 
   // --- permutation ---
   // Generic in-register byte permutation (models vdelta/vrdelta with a precomputed control).
@@ -248,8 +232,6 @@ class HvxContext {
   float ReduceMaxHf(const HvxVec& a);
   // Horizontal sum of the FP32 lanes: log2(32) steps + extract.
   float ReduceSumSf(const HvxVec& a);
-  // Horizontal sum of FP16 lanes accumulated in FP32 (widen + reduce).
-  float ReduceSumHfAsSf(const HvxVec& a);
 
  private:
   const DeviceProfile& profile_;

@@ -211,9 +211,6 @@ struct AttentionCost {
   double dma_s = 0.0;
 
   double HvxBusySeconds() const { return hvx_softmax_s + hvx_rescale_s + hvx_pack_s; }
-  double TotalSerialSeconds() const {
-    return hmx_qk_s + hmx_pv_s + HvxBusySeconds() + dma_s;
-  }
 };
 
 AttentionCost FlashAttentionCost(const hexsim::DeviceProfile& profile,

@@ -133,11 +133,6 @@ class Engine {
   // Prefill throughput in tokens/second.
   double PrefillThroughput(int prompt_len) const;
 
-  // Average decode latency per generated token per sequence, in seconds.
-  double DecodeSecondsPerToken(int batch, int context) const {
-    return DecodeStep(batch, context).total_s;
-  }
-
   PowerReport DecodePower(int batch, int context) const;
   MemoryReport Memory(int batch) const;
 

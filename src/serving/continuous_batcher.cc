@@ -507,12 +507,10 @@ StepEvents ContinuousBatcher::Step() {
   row_contexts_.clear();
   row_gammas_.clear();
   int useful = 0;
-  // Effective draft length: the backend's configured gamma, optionally capped/disabled by
-  // the run's policy. Per row it further caps at remaining - 1 so a cycle can never commit
-  // past the job's decode budget (a job's LAST token always comes from a plain position).
-  const int run_gamma = options_.spec_gamma < 0
-                            ? backend_.spec_gamma()
-                            : std::min(options_.spec_gamma, backend_.spec_gamma());
+  // Draft length: the backend's configured gamma, capped per row at remaining - 1 so a
+  // cycle can never commit past the job's decode budget (a job's LAST token always comes
+  // from a plain position).
+  const int run_gamma = backend_.spec_gamma();
   bool any_spec = false;
   for (int s = 0; s < options_.max_batch; ++s) {
     const Slot& sl = slots_[static_cast<size_t>(s)];
@@ -535,7 +533,8 @@ StepEvents ContinuousBatcher::Step() {
 
   const double t0 = r_.makespan_s;
   // A cycle with at least one drafting row runs as gamma draft steps + ONE batched
-  // multi-row verify, charged as one step; otherwise the exact legacy single-token step.
+  // multi-row verify, charged as one step; otherwise a plain single-token step (the
+  // backends run both through one cycle body).
   const StepOutcome out = any_spec
                               ? backend_.SpeculativeStep(row_slots_, row_contexts_, row_gammas_)
                               : backend_.Step(row_slots_, row_contexts_);

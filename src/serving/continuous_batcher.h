@@ -81,13 +81,6 @@ struct ServeOptions {
   // (ties: most tokens remaining, then highest slot) and it re-enters the admission queue
   // at its own priority, resuming from its retained KV when a slot frees.
   bool enable_preemption = false;
-  // Speculative-decoding gamma policy (docs/speculative_decoding.md). -1 uses the backend's
-  // configured gamma as-is; 0 disables speculation for the whole run (every job decodes
-  // plainly, even with ServeJob::speculative set); > 0 caps the per-cycle draft length at
-  // min(spec_gamma, backend gamma). Per row the batcher further caps gamma at
-  // remaining - 1, so a cycle can never commit past the job's decode budget (and the final
-  // token of every job is produced by a plain-position row).
-  int spec_gamma = -1;
 };
 
 // One admission record (job -> slot binding), in admission order. Resumed jobs admit again

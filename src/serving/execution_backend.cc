@@ -34,6 +34,14 @@ int SyntheticToken(int job_id, int pos, int vocab) {
       static_cast<uint32_t>(vocab));
 }
 
+// A functional chunked prefill's wall time: the NPU critical path, any flash stall, and one
+// mailbox round trip per 32-token chunk (mirrors Engine::Prefill's comm model). No
+// lm_head — prefill logits are discarded.
+double PrefillSeconds(double npu_s, double stall_s, int tokens) {
+  const int chunks = static_cast<int>(hexllm::CeilDiv(tokens, hkern::kAttnQTile));
+  return npu_s + stall_s + chunks * hexsim::NpuSession::kDispatchSeconds;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -46,7 +54,6 @@ AnalyticBackend::AnalyticBackend(const hrt::Engine& engine, const Options& optio
       draft_engine_(options.draft_engine),
       spec_gamma_(options.draft_engine != nullptr ? std::max(0, options.spec_gamma) : 0),
       spec_acceptance_(std::clamp(options.spec_acceptance, 0.0, 1.0)),
-      spec_rng_(options.spec_seed),
       // Unbounded accountant: the DRAM budget gates admission (CanAdmit), it never aborts
       // mid-decode. bytes_per_block is the model's true K+V footprint for one block under
       // the configured KV dtype, so a budget admits proportionally more sequences when KV
@@ -179,22 +186,34 @@ double AnalyticBackend::AdmitSlot(int slot, const ServeJob& job, int context_tok
 
 void AnalyticBackend::ReleaseSlot(int slot) { book_.Release(slot); }
 
-const hrt::StepCost& AnalyticBackend::BucketedCost(int batch, int context) {
+const hrt::StepCost& AnalyticBackend::BucketedCost(int batch, int context, bool draft) {
   const int bucket =
       static_cast<int>(hexllm::RoundUp(std::max(context, 1), bucket_tokens_));
-  const auto key = std::make_pair(batch, bucket);
-  auto it = step_cache_.find(key);
-  if (it == step_cache_.end()) {
-    const hrt::StepCost cost = engine_.DecodeStep(batch, bucket);
-    const bool gpu = engine_.options().backend == hrt::Backend::kGpuOpenCl;
-    const double watts = hrt::StepPower(*engine_.options().device, cost, batch, gpu).watts;
-    it = step_cache_.emplace(key, std::make_pair(cost, watts)).first;
+  auto [it, inserted] = step_cache_.try_emplace(std::make_tuple(draft, batch, bucket));
+  if (inserted) {
+    it->second = (draft ? *draft_engine_ : engine_).DecodeStep(batch, bucket);
   }
-  return it->second.first;
+  return it->second;
 }
 
 StepOutcome AnalyticBackend::Step(std::span<const int> slots, std::span<const int> contexts) {
-  HEXLLM_CHECK(!slots.empty() && slots.size() == contexts.size());
+  return AnalyticBackend::SpeculativeStep(slots, contexts, {});
+}
+
+StepOutcome AnalyticBackend::SpeculativeStep(std::span<const int> slots,
+                                             std::span<const int> contexts,
+                                             std::span<const int> gammas) {
+  HEXLLM_CHECK(!slots.empty() && slots.size() == contexts.size() &&
+               (gammas.empty() || slots.size() == gammas.size()));
+  int max_gamma = 0;
+  for (const int g : gammas) {
+    HEXLLM_CHECK(g >= 0);
+    max_gamma = std::max(max_gamma, g);
+  }
+  if (draft_engine_ == nullptr) {
+    max_gamma = 0;  // nothing can draft: every row decodes plainly
+  }
+  const auto gamma = [&](size_t i) { return max_gamma > 0 ? gammas[i] : 0; };
   const int batch = static_cast<int>(slots.size());
   // Attention cost scales with the ATTENDED context: a sliding window caps every row at its
   // resident token count (the kernel skips masked chunks), so pricing buckets the effective
@@ -204,68 +223,28 @@ StepOutcome AnalyticBackend::Step(std::span<const int> slots, std::span<const in
     eff_contexts_.push_back(EffectiveContext(c));
   }
   const int bucket = ContextBucket(eff_contexts_, bucket_tokens_);
-  // Mirror the functional backend's KV appends exactly (one position per row), so the two
-  // backends report bit-identical block statistics for one job stream.
-  for (size_t i = 0; i < slots.size(); ++i) {
-    HEXLLM_DCHECK(kv_.length(slots[i]) == contexts[i]);
-    kv_.EnsureWritable(slots[i], contexts[i]);
-    kv_.Advance(slots[i]);
-  }
-  StepOutcome out;
-  out.cost = BucketedCost(batch, bucket);
-  out.watts = step_cache_.at(std::make_pair(batch, bucket)).second;
-  ChargeOffload(contexts, &out.cost);
-  return out;
-}
-
-const hrt::StepCost& AnalyticBackend::DraftCost(int batch, int context_bucket) {
-  const auto key = std::make_pair(batch, context_bucket);
-  auto it = draft_step_cache_.find(key);
-  if (it == draft_step_cache_.end()) {
-    it = draft_step_cache_.emplace(key, draft_engine_->DecodeStep(batch, context_bucket))
-             .first;
-  }
-  return it->second;
-}
-
-StepOutcome AnalyticBackend::SpeculativeStep(std::span<const int> slots,
-                                             std::span<const int> contexts,
-                                             std::span<const int> gammas) {
-  HEXLLM_CHECK(!slots.empty() && slots.size() == contexts.size() &&
-               slots.size() == gammas.size());
-  int max_gamma = 0;
-  int64_t verify_rows = 0;
-  for (const int g : gammas) {
-    HEXLLM_CHECK(g >= 0);
-    max_gamma = std::max(max_gamma, g);
-    verify_rows += g + 1;
-  }
-  if (max_gamma == 0 || draft_engine_ == nullptr) {
-    return Step(slots, contexts);
-  }
-  ++spec_cycles_;
-  const int batch = static_cast<int>(slots.size());
-  eff_contexts_.clear();
-  for (const int c : contexts) {
-    eff_contexts_.push_back(EffectiveContext(c));
-  }
-  const int bucket = ContextBucket(eff_contexts_, bucket_tokens_);
 
   // Cycle cost = gamma autoregressive draft steps (only rows still drafting batch into step
   // j) + ONE target step verifying all gamma+1 positions per row — the verify fills HMX
   // tile rows exactly like Best-of-N lanes, so it is priced as a verify_rows-row batched
-  // step, charged once (src/tts/speculative.h's closed form, made operational).
+  // step, charged once (src/tts/speculative.h's closed form, made operational). With no
+  // drafting row this is one plain batch-row step.
+  int verify_rows = 0;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    verify_rows += gamma(i) + 1;
+  }
   StepOutcome out;
-  out.cost = BucketedCost(static_cast<int>(verify_rows), bucket);
+  out.cost = BucketedCost(verify_rows, bucket);
   for (int j = 1; j <= max_gamma; ++j) {
     int batch_j = 0;
     for (const int g : gammas) {
       batch_j += g >= j ? 1 : 0;
     }
-    out.cost += DraftCost(batch_j, bucket);
+    out.cost += BucketedCost(batch_j, bucket, /*draft=*/true);
   }
   // One offload charge per cycle: the verify step stages the full attended set once; the
-  // draft model keeps its own (small) KV and never touches the flash tier.
+  // draft model keeps its own (small) KV and never touches the flash tier. Power is drawn
+  // over the final cost, stall included.
   ChargeOffload(contexts, &out.cost);
   const bool gpu = engine_.options().backend == hrt::Backend::kGpuOpenCl;
   out.watts = hrt::StepPower(*engine_.options().device, out.cost, batch, gpu).watts;
@@ -274,14 +253,17 @@ StepOutcome AnalyticBackend::SpeculativeStep(std::span<const int> slots,
   // functional backend performs: append all gamma+1 verify positions, roll the rejected
   // suffix back through the accountant's Truncate. Refcount/CoW invariants are exercised
   // identically (a shared tail CoW-splits on the first verify append, rollback drops only
-  // whole last-owner tail blocks).
-  out.row_token_counts.resize(static_cast<size_t>(batch));
-  for (int i = 0; i < batch; ++i) {
-    const int slot = slots[static_cast<size_t>(i)];
-    const int g = gammas[static_cast<size_t>(i)];
-    HEXLLM_DCHECK(kv_.length(slot) == contexts[static_cast<size_t>(i)]);
+  // whole last-owner tail blocks). A plain step appends one position per row, so the two
+  // backends report bit-identical block statistics for one job stream.
+  if (max_gamma > 0) {
+    ++spec_cycles_;
+  }
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const int slot = slots[i];
+    const int g = gamma(i);
+    HEXLLM_DCHECK(kv_.length(slot) == contexts[i]);
     for (int p = 0; p <= g; ++p) {
-      kv_.EnsureWritable(slot, contexts[static_cast<size_t>(i)] + p);
+      kv_.EnsureWritable(slot, contexts[i] + p);
       kv_.Advance(slot);
     }
     int accepted = 0;
@@ -290,10 +272,11 @@ StepOutcome AnalyticBackend::SpeculativeStep(std::span<const int> slots,
     }
     const int committed = accepted + 1;  // accepted prefix + the target's own token
     if (committed < g + 1) {
-      spec_rollback_blocks_ +=
-          kv_.Truncate(slot, contexts[static_cast<size_t>(i)] + committed, nullptr);
+      spec_rollback_blocks_ += kv_.Truncate(slot, contexts[i] + committed, nullptr);
     }
-    out.row_token_counts[static_cast<size_t>(i)] = committed;
+    if (max_gamma > 0) {
+      out.row_token_counts.push_back(committed);
+    }
   }
   return out;
 }
@@ -425,9 +408,7 @@ double FunctionalBackend::AdmitDraft(int slot, int job_id, bool speculative,
   const hexsim::CycleLedger mark = dev_.ledger();
   draft_->Prefill(slot, prompt);
   hrt::StepCost cost;
-  const double npu_s = ComposeStep(mark, /*batch=*/0, &cost);
-  const int chunks = static_cast<int>(hexllm::CeilDiv(context_tokens, hkern::kAttnQTile));
-  return npu_s + chunks * hexsim::NpuSession::kDispatchSeconds;
+  return PrefillSeconds(ComposeStep(mark, &cost), /*stall_s=*/0.0, context_tokens);
 }
 
 double FunctionalBackend::AdmitTarget(int slot, const ServeJob& job, int context_tokens,
@@ -457,16 +438,13 @@ double FunctionalBackend::AdmitTarget(int slot, const ServeJob& job, int context
     const hexsim::CycleLedger mark = dev_.ledger();
     tf_.Prefill(slot, prompt);
     last_token_[static_cast<size_t>(slot)] = prompt.back();
-    // Prefill's critical path: overlapped engine busy time plus one mailbox round trip per
-    // 32-token chunk (mirrors Engine::Prefill's comm model). No lm_head — logits discarded.
     hrt::StepCost cost;
-    const double npu_s = ComposeStep(mark, /*batch=*/0, &cost);
+    const double npu_s = ComposeStep(mark, &cost);
     // Demote the freshly-admitted context down to the resident budget and absorb any
     // prefill fault stall (cost.total_s carries only the FoldOffload stall here).
     FoldOffload(omark, std::span<const int>(&slot, 1),
                 std::span<const int>(&context_tokens, 1), npu_s, &cost);
-    const int chunks = static_cast<int>(hexllm::CeilDiv(fresh, hkern::kAttnQTile));
-    admit_s = npu_s + cost.total_s + chunks * hexsim::NpuSession::kDispatchSeconds;
+    admit_s = PrefillSeconds(npu_s, cost.total_s, fresh);
   } else {
     // Nothing to prefill: continue from the mapped snapshot's last token, or start from a
     // fixed BOS-like token on an empty context.
@@ -527,59 +505,27 @@ void FunctionalBackend::ResumeSlot(int slot, int job_id, int context_tokens) {
 }
 
 StepOutcome FunctionalBackend::Step(std::span<const int> slots, std::span<const int> contexts) {
-  HEXLLM_CHECK(!slots.empty() && slots.size() == contexts.size());
-  const int batch = static_cast<int>(slots.size());
-  const int vocab = tf_.config().vocab;
-  std::vector<int> tokens(static_cast<size_t>(batch));
-  for (int i = 0; i < batch; ++i) {
-    const int slot = slots[static_cast<size_t>(i)];
-    HEXLLM_DCHECK(tf_.kv().length(slot) == contexts[static_cast<size_t>(i)]);
-    tokens[static_cast<size_t>(i)] = last_token_[static_cast<size_t>(slot)];
-  }
-  // Flip to the buffer the PREVIOUS step did not write: its logits stay intact while the
-  // NPU fills this one, which is what lets the batcher overlap the previous step's CPU
-  // lm_head with this step's NPU time (the batcher's overlap rule).
-  logits_cur_ ^= 1;
-  std::vector<float>& logits_vec = logits_buf_[static_cast<size_t>(logits_cur_)];
-  std::span<float> logits(logits_vec.data(), static_cast<size_t>(batch) * vocab);
-  const hexsim::CycleLedger mark = dev_.ledger();
-  const hkv::KvOffloadStats omark = BeginOffloadStep();
-  tf_.StepSeqs(tokens, slots, logits);
-  StepOutcome out;
-  out.cost.total_s = ComposeStep(mark, batch, &out.cost);
-  FoldOffload(omark, slots, contexts, out.cost.linear_s, &out.cost);
-  out.watts = hrt::StepPower(dev_.profile(), out.cost, batch).watts;
-  out.tokens.resize(static_cast<size_t>(batch));
-  for (int i = 0; i < batch; ++i) {
-    // Every decode path samples through the one sampler entry point: the per-slot policy
-    // seeded at admission. The default policy is greedy (temperature 0), where SampleToken
-    // reduces to the old argmax without consuming Rng state — token checksums unchanged.
-    const int slot = slots[static_cast<size_t>(i)];
-    const int tok = hllm::SampleToken(
-        std::span<const float>(logits_vec.data() + static_cast<size_t>(i) * vocab,
-                               static_cast<size_t>(vocab)),
-        sampler_opts_[static_cast<size_t>(slot)], sampler_rng_[static_cast<size_t>(slot)]);
-    out.tokens[static_cast<size_t>(i)] = tok;
-    last_token_[static_cast<size_t>(slot)] = tok;
-  }
-  return out;
+  return FunctionalBackend::SpeculativeStep(slots, contexts, {});
 }
 
 StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
                                                std::span<const int> contexts,
                                                std::span<const int> gammas) {
   HEXLLM_CHECK(!slots.empty() && slots.size() == contexts.size() &&
-               slots.size() == gammas.size());
+               (gammas.empty() || slots.size() == gammas.size()));
   int max_gamma = 0;
   for (const int g : gammas) {
     HEXLLM_CHECK(g >= 0);
     max_gamma = std::max(max_gamma, g);
   }
-  if (max_gamma == 0 || draft_ == nullptr) {
-    return Step(slots, contexts);  // nothing to draft this cycle: exact legacy behavior
+  if (draft_ == nullptr) {
+    max_gamma = 0;  // nothing can draft: every row decodes plainly
   }
-  ++spec_cycles_;
-  const int batch = static_cast<int>(slots.size());
+  const auto gamma = [&](size_t i) { return max_gamma > 0 ? gammas[i] : 0; };
+  if (max_gamma > 0) {
+    ++spec_cycles_;
+  }
+  const size_t batch = slots.size();
   const int vocab = tf_.config().vocab;
   const hexsim::DeviceProfile& d = dev_.profile();
   // One ledger window prices the whole cycle: the draft shares dev_, so its gamma decode
@@ -591,9 +537,9 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
   // one token short (the target committed gamma+1 tokens but the draft only consumed
   // gamma); the carried proposal closes the gap with a 1-token prefill.
   int n_catchup = 0;
-  for (int i = 0; i < batch; ++i) {
-    const size_t slot = static_cast<size_t>(slots[static_cast<size_t>(i)]);
-    if (gammas[static_cast<size_t>(i)] <= 0) {
+  for (size_t i = 0; i < batch; ++i) {
+    const size_t slot = static_cast<size_t>(slots[i]);
+    if (gamma(i) <= 0) {
       continue;
     }
     HEXLLM_DCHECK(spec_slot_[slot]);
@@ -603,8 +549,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
       draft_carry_[slot] = -1;
       ++n_catchup;
     }
-    HEXLLM_DCHECK(draft_->kv().length(static_cast<int>(slot)) ==
-                  contexts[static_cast<size_t>(i)]);
+    HEXLLM_DCHECK(draft_->kv().length(static_cast<int>(slot)) == contexts[i]);
     draft_prev_[slot] = last_token_[slot];
     spec_proposals_[slot].clear();
   }
@@ -615,25 +560,25 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
   double lm_head_s = 0.0;
   double lm_cpu_busy_s = 0.0;
   for (int j = 1; j <= max_gamma; ++j) {
-    spec_tokens_.clear();
-    spec_seqs_.clear();
-    for (int i = 0; i < batch; ++i) {
-      if (gammas[static_cast<size_t>(i)] < j) {
+    step_tokens_.clear();
+    draft_seqs_.clear();
+    for (size_t i = 0; i < batch; ++i) {
+      if (gamma(i) < j) {
         continue;
       }
-      const size_t slot = static_cast<size_t>(slots[static_cast<size_t>(i)]);
-      spec_tokens_.push_back(draft_prev_[slot]);
-      spec_seqs_.push_back(static_cast<int>(slot));
+      const size_t slot = static_cast<size_t>(slots[i]);
+      step_tokens_.push_back(draft_prev_[slot]);
+      draft_seqs_.push_back(static_cast<int>(slot));
     }
-    const int draft_batch = static_cast<int>(spec_tokens_.size());
+    const int draft_batch = static_cast<int>(step_tokens_.size());
     std::span<float> dlogits(draft_logits_.data(), static_cast<size_t>(draft_batch) * vocab);
-    draft_->StepSeqs(spec_tokens_, spec_seqs_, dlogits);
+    draft_->StepSeqs(step_tokens_, draft_seqs_, dlogits);
     const hkern::LmHeadCost lm =
         hkern::LmHeadCostModel(d, draft_batch, draft_->config().hidden, vocab);
     lm_head_s += lm.seconds;
     lm_cpu_busy_s += lm.cpu_busy_s;
     for (int r = 0; r < draft_batch; ++r) {
-      const size_t slot = static_cast<size_t>(spec_seqs_[static_cast<size_t>(r)]);
+      const size_t slot = static_cast<size_t>(draft_seqs_[static_cast<size_t>(r)]);
       const int tok = hllm::ArgmaxToken(std::span<const float>(
           draft_logits_.data() + static_cast<size_t>(r) * vocab, static_cast<size_t>(vocab)));
       spec_proposals_[slot].push_back(tok);
@@ -643,37 +588,42 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
 
   // One batched multi-row verify: row span [last committed token, proposals...] per
   // sequence, all spans' rows filling HMX tile rows of one forward (Transformer::StepSpans).
-  spec_tokens_.clear();
-  spec_counts_.clear();
+  // With no drafting row every span is one row: the plain decode step's forward plan.
+  step_tokens_.clear();
+  span_rows_.clear();
   int total_rows = 0;
-  for (int i = 0; i < batch; ++i) {
-    const size_t slot = static_cast<size_t>(slots[static_cast<size_t>(i)]);
-    const int g = gammas[static_cast<size_t>(i)];
-    spec_tokens_.push_back(last_token_[slot]);
+  for (size_t i = 0; i < batch; ++i) {
+    const size_t slot = static_cast<size_t>(slots[i]);
+    const int g = gamma(i);
+    HEXLLM_DCHECK(tf_.kv().length(static_cast<int>(slot)) == contexts[i]);
+    step_tokens_.push_back(last_token_[slot]);
     for (int j = 0; j < g; ++j) {
-      spec_tokens_.push_back(spec_proposals_[slot][static_cast<size_t>(j)]);
+      step_tokens_.push_back(spec_proposals_[slot][static_cast<size_t>(j)]);
     }
-    spec_counts_.push_back(g + 1);
+    span_rows_.push_back(g + 1);
     total_rows += g + 1;
   }
+  // Flip to the buffer the PREVIOUS step did not write: its logits stay intact while the
+  // NPU fills this one, which is what lets the batcher overlap the previous step's CPU
+  // lm_head with this step's NPU time (the batcher's overlap rule).
   logits_cur_ ^= 1;
   std::vector<float>& logits_vec = logits_buf_[static_cast<size_t>(logits_cur_)];
   std::span<float> logits(logits_vec.data(), static_cast<size_t>(total_rows) * vocab);
-  tf_.StepSpans(spec_tokens_, slots, spec_counts_, logits);
+  tf_.StepSpans(step_tokens_, slots, span_rows_, logits);
 
   // Acceptance walk. Every committed token is sampled from the TARGET's logits at exact
   // plain-decode conditioning (row j of a span saw positions < ctx+j only), consuming the
   // slot's Rng one draw per committed token in stream order — so the committed stream is
   // bit-identical to plain decode for any sampler, and rejection can only shorten a cycle.
+  // The per-slot sampling policy was seeded at admission; the default is greedy
+  // (temperature 0), where SampleToken reduces to argmax without consuming Rng state.
   StepOutcome out;
-  out.row_token_counts.assign(static_cast<size_t>(batch), 0);
   out.tokens.reserve(static_cast<size_t>(total_rows));
   int row0 = 0;
-  for (int i = 0; i < batch; ++i) {
-    const size_t slot = static_cast<size_t>(slots[static_cast<size_t>(i)]);
-    const int g = gammas[static_cast<size_t>(i)];
-    const int ctx = contexts[static_cast<size_t>(i)];
-    const std::vector<int>& props = spec_proposals_[slot];
+  for (size_t i = 0; i < batch; ++i) {
+    const size_t slot = static_cast<size_t>(slots[i]);
+    const int g = gamma(i);
+    const int ctx = contexts[i];
     int committed = 0;
     for (int j = 0; j <= g; ++j) {
       const int tok = hllm::SampleToken(
@@ -685,11 +635,10 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
       ++committed;
       // Row j+1's logits conditioned on proposal d_{j+1}; a mismatch invalidates them (and
       // everything after). Row g is the bonus row — nothing proposed beyond it.
-      if (j == g || tok != props[static_cast<size_t>(j)]) {
+      if (j == g || tok != spec_proposals_[slot][static_cast<size_t>(j)]) {
         break;
       }
     }
-    out.row_token_counts[static_cast<size_t>(i)] = committed;
     // The verify appended g+1 target KV rows (positions ctx..ctx+g); roll the rejected
     // suffix back through the paged-cache tail. committed == g+1 means nothing to drop.
     if (committed < g + 1) {
@@ -699,21 +648,26 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
       if (committed == g + 1) {
         // Full acceptance: the draft consumed only t0,d_1..d_{g-1} (length ctx+g) but the
         // target committed to ctx+g+1. Carry d_g for a 1-token catch-up next cycle.
-        draft_carry_[slot] = props[static_cast<size_t>(g - 1)];
+        draft_carry_[slot] = spec_proposals_[slot][static_cast<size_t>(g - 1)];
       } else {
         // Resync the draft to the committed prefix; its next input is last_token_.
         draft_->kv().TruncateSeq(static_cast<int>(slot), ctx + committed);
         draft_carry_[slot] = -1;
       }
     }
+    if (max_gamma > 0) {
+      out.row_token_counts.push_back(committed);
+    }
     row0 += g + 1;
   }
 
-  // Cycle cost: overlapped engine busy time across the whole window (drafts + verify),
-  // plus the CPU lm_head per forward (gamma draft heads + ONE verify head over all rows —
-  // the multi-row verify is charged as one step, like Best-of-N lanes), plus one mailbox
-  // round trip per forward dispatched (catch-up prefills + gamma drafts + the verify).
-  const double npu_s = ComposeStep(mark, /*batch=*/0, &out.cost);
+  // Step cost, composed once for plain steps and cycles alike: overlapped engine busy time
+  // across the whole window (drafts + verify), plus the CPU lm_head per forward (gamma
+  // draft heads + ONE verify head over all rows — the multi-row verify is charged as one
+  // step, like Best-of-N lanes), plus one mailbox round trip per forward dispatched
+  // (catch-up prefills + gamma drafts + the verify), plus any flash stall. Power is drawn
+  // over the final cost.
+  const double npu_s = ComposeStep(mark, &out.cost);
   const hkern::LmHeadCost verify_lm =
       hkern::LmHeadCostModel(d, total_rows, tf_.config().hidden, vocab);
   out.cost.lm_head_s = lm_head_s + verify_lm.seconds;
@@ -721,35 +675,25 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
   out.cost.comm_s = (n_catchup + max_gamma + 1) * hexsim::NpuSession::kDispatchSeconds;
   out.cost.total_s = npu_s + out.cost.lm_head_s + out.cost.comm_s;
   FoldOffload(omark, slots, contexts, npu_s, &out.cost);
-  out.watts = hrt::StepPower(d, out.cost, batch).watts;
+  out.watts = hrt::StepPower(d, out.cost, static_cast<int>(batch)).watts;
   return out;
 }
 
-double FunctionalBackend::ComposeStep(const hexsim::CycleLedger& mark, int batch,
+double FunctionalBackend::ComposeStep(const hexsim::CycleLedger& mark,
                                       hrt::StepCost* cost) const {
   const hexsim::CycleLedger& led = dev_.ledger();
   const auto delta = [&](hexsim::Engine e) {
     return led.EngineSeconds(e) - mark.EngineSeconds(e);
   };
-  const hexsim::DeviceProfile& d = dev_.profile();
   cost->hvx_busy_s = delta(hexsim::Engine::kHvx);
   cost->hmx_busy_s = delta(hexsim::Engine::kHmx);
   cost->dma_busy_s = delta(hexsim::Engine::kDma);
   cost->ddr_bytes = led.dma_bytes() - mark.dma_bytes();
   // Critical path mirrors the analytic engine's pipeline composition: DMA, HMX and the
   // HVX thread pool overlap; the slowest engine sets the NPU-side step time.
-  const double npu_s =
-      std::max({cost->dma_busy_s, cost->hmx_busy_s, cost->hvx_busy_s / d.hvx_threads});
-  cost->linear_s = npu_s;
-  if (batch < 1) {
-    return npu_s;  // prefill: caller adds per-chunk comm; no lm_head
-  }
-  const hkern::LmHeadCost lm =
-      hkern::LmHeadCostModel(d, batch, tf_.config().hidden, tf_.config().vocab);
-  cost->lm_head_s = lm.seconds;
-  cost->cpu_busy_s = lm.cpu_busy_s;
-  cost->comm_s = hexsim::NpuSession::kDispatchSeconds;
-  return npu_s + cost->lm_head_s + cost->comm_s;
+  cost->linear_s = std::max(
+      {cost->dma_busy_s, cost->hmx_busy_s, cost->hvx_busy_s / dev_.profile().hvx_threads});
+  return cost->linear_s;
 }
 
 }  // namespace hserve

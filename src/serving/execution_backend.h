@@ -22,7 +22,7 @@
 ///   * FunctionalBackend — wraps hllm::Transformer on the hexsim NPU simulator. Actually
 ///     decodes tokens (toy configs) through a real hkv::PagedKvCache and meters time from
 ///     the simulator's cycle ledger, so the same batcher code path is exercised with real
-///     numerics in tests. Decode rows fan out across hexec lanes inside StepSeqs and the
+///     numerics in tests. Decode rows fan out across hexec lanes inside the forward and the
 ///     step's logits are double-buffered for the lm_head overlap; decoded tokens are
 ///     bit-identical at any lane count (docs/threading_model.md). Driving both backends
 ///     with one job stream must produce bit-identical block statistics — the serving tests
@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -84,7 +85,9 @@ class ExecutionBackend {
   virtual void ReleaseSlot(int slot) {}
 
   // One decode step advancing every listed slot by one token. `contexts[i]` is slot
-  // `slots[i]`'s current KV length; pricing must reflect these actual contexts.
+  // `slots[i]`'s current KV length; pricing must reflect these actual contexts. A plain step
+  // is a speculative cycle in which no row drafts: both backends implement it as
+  // SpeculativeStep with empty `gammas`.
   virtual StepOutcome Step(std::span<const int> slots, std::span<const int> contexts) = 0;
 
   // One speculative decode cycle (docs/speculative_decoding.md): row i drafts gammas[i]
@@ -95,7 +98,8 @@ class ExecutionBackend {
   // KV back to the committed length. The returned cost covers the whole cycle: gamma draft
   // steps plus one verify step. The caller must keep gammas[i] < the row's remaining decode
   // budget so a fully-accepted cycle never overshoots the admission's KV reservation.
-  // Backends without a draft model fall back to a plain step.
+  // Empty `gammas`, all-zero gammas, or a backend without a draft model make the call the
+  // plain step: every row commits one token and row_token_counts stays empty.
   virtual StepOutcome SpeculativeStep(std::span<const int> slots,
                                       std::span<const int> contexts,
                                       std::span<const int> gammas) {
@@ -153,8 +157,9 @@ class ExecutionBackend {
 };
 
 // Prices steps with the analytic engine. DecodeStep is deterministic per (batch, context),
-// so results are cached keyed on (batch, context bucket) — the per-slot-context successor of
-// the old scheduler's fixed-context StepCostCache. The KV accountant uses the functional
+// so results are cached keyed on (engine, batch, context bucket) — the per-slot-context
+// successor of the old scheduler's fixed-context StepCostCache. One cycle body prices plain
+// steps and speculative cycles; watts are StepPower of the final cost, stall included. The KV accountant uses the functional
 // cache's block size (hkv::kDefaultBlockTokens), so both backends count the same blocks.
 class AnalyticBackend : public ExecutionBackend {
  public:
@@ -178,7 +183,6 @@ class AnalyticBackend : public ExecutionBackend {
     const hrt::Engine* draft_engine = nullptr;
     int spec_gamma = 4;
     double spec_acceptance = 0.8;
-    uint64_t spec_seed = 0x5eedbeef;
     // Tiered KV offload (docs/long_context.md): DRAM-resident KV budget in blocks; <= 0
     // disables the tier. When enabled, contexts whose attended set exceeds the budget
     // stream the excess blocks from a flash tier every step (charged per StepCost::flash_s;
@@ -223,9 +227,10 @@ class AnalyticBackend : public ExecutionBackend {
   // keeping legacy metric snapshots byte-identical.
   void ExportMetrics(obs::Registry& registry) const override;
 
-  // Bucketed step pricing (exposed for tests): cost of one step at `batch` rows whose mean
-  // context rounds up to the bucket containing `context`.
-  const hrt::StepCost& BucketedCost(int batch, int context);
+  // Bucketed step pricing (exposed for tests): cost of one target step (a draft-engine step
+  // with `draft`) at `batch` rows whose mean context rounds up to the bucket containing
+  // `context`.
+  const hrt::StepCost& BucketedCost(int batch, int context, bool draft = false);
 
  private:
   static Options MakeOptions(int context_bucket_tokens) {
@@ -243,21 +248,20 @@ class AnalyticBackend : public ExecutionBackend {
   // attended blocks beyond the resident budget and folds the non-overlapped stall into
   // `cost` (cost->total_s must already hold the step's compute time).
   void ChargeOffload(std::span<const int> contexts, hrt::StepCost* cost);
-  // Bucketed draft-engine step pricing (the draft twin of BucketedCost).
-  const hrt::StepCost& DraftCost(int batch, int context_bucket);
 
   const hrt::Engine& engine_;
   int bucket_tokens_;
-  std::map<std::pair<int, int>, std::pair<hrt::StepCost, double>> step_cache_;
+  // BucketedCost's prices, keyed (draft, batch, context bucket).
+  std::map<std::tuple<bool, int, int>, hrt::StepCost> step_cache_;
   std::map<int, double> prefill_cache_;
 
-  // Speculative decoding: draft-engine pricing cache plus the deterministic geometric
-  // acceptance process. spec_gamma_ is 0 when no draft engine is configured.
+  // Speculative decoding: the draft engine plus the geometric acceptance process, drawn
+  // from a fixed-seed Rng so analytic runs replay exactly. spec_gamma_ is 0 when no draft
+  // engine is configured.
   const hrt::Engine* draft_engine_ = nullptr;
   int spec_gamma_ = 0;
   double spec_acceptance_ = 0.0;
-  hexllm::Rng spec_rng_{0};
-  std::map<std::pair<int, int>, hrt::StepCost> draft_step_cache_;
+  hexllm::Rng spec_rng_{0x5eedbeef};
   int64_t spec_rollback_blocks_ = 0;
   int64_t spec_cycles_ = 0;
 
@@ -373,9 +377,9 @@ class FunctionalBackend : public ExecutionBackend {
   hllm::Transformer* draft_transformer() { return draft_.get(); }
 
  private:
-  // Seconds elapsed on the critical path for the ledger activity since `mark`, plus the
-  // CPU lm_head and mailbox costs for `batch` rows; fills `cost`'s busy fields.
-  double ComposeStep(const hexsim::CycleLedger& mark, int batch, hrt::StepCost* cost) const;
+  // NPU critical-path seconds for the ledger activity since `mark`; fills `cost`'s engine
+  // busy fields, ddr_bytes and linear_s. Callers add lm_head, mailbox and stall time.
+  double ComposeStep(const hexsim::CycleLedger& mark, hrt::StepCost* cost) const;
   // Tiered-offload step choreography (no-op when offload is off). BeginOffloadStep runs
   // before the forward: advances the engine clock by the PREVIOUS forward's compute time —
   // that is the window queued prefetches overlapped with — and snapshots the stats.
@@ -385,7 +389,7 @@ class FunctionalBackend : public ExecutionBackend {
   hkv::KvOffloadStats BeginOffloadStep();
   void FoldOffload(const hkv::KvOffloadStats& mark, std::span<const int> slots,
                    std::span<const int> contexts, double npu_s, hrt::StepCost* cost);
-  // Target-side admission (the pre-speculation AdmitSlot body).
+  // Target-side admission (the target's half of AdmitSlot).
   double AdmitTarget(int slot, const ServeJob& job, int context_tokens,
                      int charged_prefill_tokens);
   // (Re)builds the slot's draft KV for a speculative job by prefilling the deterministic
@@ -401,7 +405,7 @@ class FunctionalBackend : public ExecutionBackend {
   int max_context_;
   std::vector<int> last_token_;    // per slot: token the next step consumes
   // Per-slot sampling policy + Rng, seeded from the job at admission. Sampling runs on the
-  // batcher's bookkeeping thread (after StepSeqs returns), so decoded tokens are
+  // batcher's bookkeeping thread (after the forward returns), so decoded tokens are
   // deterministic at any HEXLLM_NUM_THREADS. A pause snapshots the Rng by copy (an exact
   // state snapshot), which keeps the resumed stream bit-identical for stochastic sampling
   // policies, not just greedy.
@@ -428,8 +432,9 @@ class FunctionalBackend : public ExecutionBackend {
                                      // one-token catch-up prefill at the next cycle
   std::vector<int> draft_prev_;      // per slot: input of the next draft step (intra-cycle)
   std::vector<float> draft_logits_;  // [max_batch x vocab] draft-step scratch
-  // Cycle scratch (reused across cycles; see docs/performance.md).
-  std::vector<int> spec_tokens_, spec_seqs_, spec_counts_;
+  // Step scratch (reused across steps; see docs/performance.md): the forward's input tokens,
+  // a draft step's sequence ids, and the verify's rows per span.
+  std::vector<int> step_tokens_, draft_seqs_, span_rows_;
   std::vector<std::vector<int>> spec_proposals_;  // per slot: this cycle's draft tokens
   int64_t spec_rollback_blocks_ = 0;
   int64_t spec_cycles_ = 0;

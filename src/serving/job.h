@@ -67,10 +67,10 @@ struct ServeJob {
   // Decode with speculative drafting (docs/speculative_decoding.md): a smaller draft model
   // proposes gamma tokens per cycle and the target verifies all gamma+1 positions in one
   // batched multi-row step, rolling rejected suffixes back through the paged-KV tail.
-  // Honored only when the backend was configured with a draft model (and
-  // ServeOptions::spec_gamma does not disable it); plain decode otherwise. Lossless: the
-  // committed token stream is bit-identical to plain decode for any sampler, because every
-  // committed token is sampled from the target's own logits under identical conditioning.
+  // Honored only when the backend was configured with a draft model; plain decode
+  // otherwise. Lossless: the committed token stream is bit-identical to plain decode for
+  // any sampler, because every committed token is sampled from the target's own logits
+  // under identical conditioning.
   bool speculative = false;
   // Per-request sampling policy, applied by token-producing backends. Defaults to greedy
   // argmax, which keeps decoded streams identical to the pre-sampler runtime. Together with

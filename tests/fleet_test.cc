@@ -79,53 +79,75 @@ TEST(ThermalTest, ClockScaleIsMonotoneNonIncreasingAndBounded) {
 class FleetFixture : public ::testing::Test {
  protected:
   FleetFixture()
-      : config_(hllm::ToyConfig()), weights_(hllm::ModelWeights::Random(config_, 42)) {}
+      : config_(hllm::ToyConfig()),
+        weights_(hllm::ModelWeights::Random(config_, 42)),
+        draft_weights_(hllm::ModelWeights::Random(config_, 7)) {}
 
+  // `speculative` gives the backend a draft model (gamma 3).
   std::unique_ptr<hserve::FunctionalBackend> MakeBackend(int max_batch,
-                                                         int max_context = 256) {
+                                                         int max_context = 256,
+                                                         bool speculative = false) {
     devs_.push_back(std::make_unique<hexsim::NpuDevice>(hexsim::OnePlus12()));
+    hserve::FunctionalBackend::SpecOptions spec;
+    spec.draft = speculative ? &draft_weights_ : nullptr;
+    spec.gamma = 3;
     return std::make_unique<hserve::FunctionalBackend>(*devs_.back(), weights_, max_batch,
-                                                       max_context);
+                                                       max_context, /*kv_pool_blocks=*/0,
+                                                       hquant::KvDtype::kF16,
+                                                       hquant::kGroupSize, spec);
+  }
+
+  // Four jobs of 8 prompt and `decode` tokens, drafting when `speculative`.
+  static std::vector<hserve::ServeJob> Jobs(int decode, bool speculative) {
+    std::vector<hserve::ServeJob> jobs;
+    for (int i = 0; i < 4; ++i) {
+      hserve::ServeJob j;
+      j.id = i;
+      j.prompt_tokens = 8;
+      j.decode_tokens = decode;
+      j.speculative = speculative;
+      jobs.push_back(j);
+    }
+    return jobs;
   }
 
   hllm::ModelConfig config_;
   hllm::ModelWeights weights_;
+  hllm::ModelWeights draft_weights_;
   std::vector<std::unique_ptr<hexsim::NpuDevice>> devs_;
 };
 
 TEST_F(FleetFixture, ThrottlingDilatesTimeButPreservesTokensAndEnergy) {
   hexsim::ThermalParams aggressive;
   aggressive.heat_c_per_busy_s = 1e7;  // throttles to the floor almost immediately
-  const auto run = [&](bool thermal) {
-    auto inner = MakeBackend(2);
+  const auto run = [&](bool thermal, bool speculative) {
+    auto inner = MakeBackend(2, 256, speculative);
     ThrottledBackend backend(*inner, aggressive, thermal);
     hserve::ServeOptions so;
     so.max_batch = 2;
-    std::vector<hserve::ServeJob> jobs;
-    for (int i = 0; i < 4; ++i) {
-      hserve::ServeJob j;
-      j.id = i;
-      j.prompt_tokens = 8;
-      j.decode_tokens = 12;
-      jobs.push_back(j);
-    }
-    return hserve::ContinuousBatcher(backend, so).Run(jobs);
+    return hserve::ContinuousBatcher(backend, so).Run(Jobs(12, speculative));
   };
-  const hserve::ScheduleResult cool = run(false);
-  const hserve::ScheduleResult hot = run(true);
-  ASSERT_TRUE(cool.error.empty()) << cool.error;
-  ASSERT_TRUE(hot.error.empty()) << hot.error;
-  // Same work decoded, token-for-token.
-  EXPECT_EQ(hot.decoded_tokens, cool.decoded_tokens);
-  ASSERT_EQ(hot.job_tokens.size(), cool.job_tokens.size());
-  for (size_t j = 0; j < hot.job_tokens.size(); ++j) {
-    EXPECT_EQ(hot.job_tokens[j], cool.job_tokens[j]) << "job " << j;
+  // Plain decode steps and speculative cycles both go through the throttle.
+  for (const bool speculative : {false, true}) {
+    SCOPED_TRACE(speculative ? "speculative" : "plain");
+    const hserve::ScheduleResult cool = run(false, speculative);
+    const hserve::ScheduleResult hot = run(true, speculative);
+    ASSERT_TRUE(cool.error.empty()) << cool.error;
+    ASSERT_TRUE(hot.error.empty()) << hot.error;
+    // Same work decoded, token-for-token, in the same cycles.
+    EXPECT_EQ(hot.decoded_tokens, cool.decoded_tokens);
+    ASSERT_EQ(hot.job_tokens.size(), cool.job_tokens.size());
+    for (size_t j = 0; j < hot.job_tokens.size(); ++j) {
+      EXPECT_EQ(hot.job_tokens[j], cool.job_tokens[j]) << "job " << j;
+    }
+    EXPECT_EQ(hot.spec_cycles, cool.spec_cycles);
+    EXPECT_EQ(cool.spec_cycles > 0, speculative);
+    // Throttled clocks stretch the makespan toward 1/min_clock_scale...
+    EXPECT_GT(hot.makespan_s, cool.makespan_s * 1.5);
+    EXPECT_LE(hot.makespan_s, cool.makespan_s / aggressive.min_clock_scale * 1.0001);
+    // ...but DVFS trades latency, not joules: each step's energy is clock-invariant.
+    EXPECT_NEAR(hot.energy_j, cool.energy_j, cool.energy_j * 1e-9);
   }
-  // Throttled clocks stretch the makespan toward 1/min_clock_scale...
-  EXPECT_GT(hot.makespan_s, cool.makespan_s * 1.5);
-  EXPECT_LE(hot.makespan_s, cool.makespan_s / aggressive.min_clock_scale * 1.0001);
-  // ...but DVFS trades latency, not joules: each step's energy is clock-invariant.
-  EXPECT_NEAR(hot.energy_j, cool.energy_j, cool.energy_j * 1e-9);
 }
 
 TEST_F(FleetFixture, DisabledThrottleIsTransparent) {
@@ -145,6 +167,38 @@ TEST_F(FleetFixture, DisabledThrottleIsTransparent) {
   ASSERT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(r.decoded_tokens, 6);
   EXPECT_DOUBLE_EQ(backend.clock_scale(), 1.0);  // no heat accumulated
+
+  // A speculative backend behind a disabled throttle schedules exactly like the bare
+  // backend: same cycles, same clock, same energy, same tokens.
+  const auto run_spec = [&](bool wrapped) {
+    auto spec_inner = MakeBackend(2, 256, /*speculative=*/true);
+    ThrottledBackend throttled(*spec_inner, p, /*enabled=*/false);
+    hserve::ExecutionBackend& b = wrapped ? static_cast<hserve::ExecutionBackend&>(throttled)
+                                          : *spec_inner;
+    return hserve::ContinuousBatcher(b, so).Run(Jobs(10, /*speculative=*/true));
+  };
+  const hserve::ScheduleResult bare = run_spec(false);
+  const hserve::ScheduleResult thr = run_spec(true);
+  ASSERT_TRUE(bare.error.empty()) << bare.error;
+  ASSERT_TRUE(thr.error.empty()) << thr.error;
+  EXPECT_GT(bare.spec_cycles, 0);
+  EXPECT_EQ(thr.spec_cycles, bare.spec_cycles);
+  EXPECT_EQ(thr.spec_proposed_tokens, bare.spec_proposed_tokens);
+  EXPECT_EQ(thr.spec_accepted_tokens, bare.spec_accepted_tokens);
+  EXPECT_EQ(thr.steps, bare.steps);
+  EXPECT_EQ(thr.decoded_tokens, bare.decoded_tokens);
+  EXPECT_EQ(thr.makespan_s, bare.makespan_s);
+  EXPECT_EQ(thr.prefill_s, bare.prefill_s);
+  EXPECT_EQ(thr.decode_s, bare.decode_s);
+  EXPECT_EQ(thr.energy_j, bare.energy_j);
+  EXPECT_EQ(thr.avg_context, bare.avg_context);
+  EXPECT_EQ(thr.job_tokens, bare.job_tokens);
+  ASSERT_EQ(thr.completions.size(), bare.completions.size());
+  for (size_t i = 0; i < thr.completions.size(); ++i) {
+    EXPECT_EQ(thr.completions[i].time_s, bare.completions[i].time_s) << i;
+  }
+  EXPECT_EQ(thr.metrics.CounterValue("spec.rollback_blocks"),
+            bare.metrics.CounterValue("spec.rollback_blocks"));
 }
 
 // ---------------------------------------------------------------------------------------

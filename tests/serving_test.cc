@@ -1,13 +1,16 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
+#include "src/exec/thread_pool.h"
 #include "src/hexsim/device_profile.h"
 #include "src/hexsim/npu_device.h"
 #include "src/llm/model_config.h"
@@ -284,6 +287,45 @@ TEST_F(AnalyticServingTest, TraceRecordsStepsAndAdmissions) {
   }
   EXPECT_TRUE(lanes.count("ADMIT"));
   EXPECT_TRUE(lanes.count("CPU"));
+}
+
+TEST_F(AnalyticServingTest, OffloadStallStepPowerUsesFinalCost) {
+  // A 4096-token context over a 4-block DRAM-resident budget streams ~125 blocks from a
+  // slow flash tier every step, so the read outlasts the step's compute and stalls it. The
+  // step's power is drawn over that stalled wall time: watts come from the final cost, for
+  // a plain step and for a speculative cycle alike.
+  hrt::EngineOptions dopt = options_;
+  dopt.model = &hllm::Qwen25_0_5B();
+  const hrt::Engine draft(dopt);
+  AnalyticBackend::Options opts;
+  opts.kv_offload_resident_blocks = 4;
+  opts.flash.read_gbps = 0.5;
+  opts.draft_engine = &draft;
+  opts.spec_gamma = 2;
+  AnalyticBackend backend(*engine_, opts);
+  constexpr int kContext = 4096;
+  ServeJob job = Job(0, 16, /*group=*/-1, /*prompt=*/kContext);
+  job.speculative = true;
+  backend.AdmitSlot(/*slot=*/0, job, kContext, kContext);
+  const int slot = 0;
+  int context = kContext;
+  const auto expect_final_cost_power = [&](const StepOutcome& out) {
+    EXPECT_GT(out.cost.flash_s, 0.0);
+    EXPECT_GT(out.cost.flash_bytes, 0);
+    EXPECT_EQ(out.watts, hrt::StepPower(*options_.device, out.cost, /*batch=*/1).watts);
+  };
+  const StepOutcome plain =
+      backend.Step(std::span<const int>(&slot, 1), std::span<const int>(&context, 1));
+  // The stall extends the step past the priced compute time.
+  EXPECT_GT(plain.cost.total_s, backend.BucketedCost(1, kContext).total_s);
+  expect_final_cost_power(plain);
+  context += 1;
+  const int gamma = 2;
+  const StepOutcome cycle = backend.SpeculativeStep(std::span<const int>(&slot, 1),
+                                                    std::span<const int>(&context, 1),
+                                                    std::span<const int>(&gamma, 1));
+  ASSERT_EQ(cycle.row_token_counts.size(), 1u);
+  expect_final_cost_power(cycle);
 }
 
 // --- the acceptance-criteria centerpiece: both backends, one batcher code path ---
@@ -607,18 +649,19 @@ TEST_F(SpeculativeServingTest, AnySamplerSpeculativeMatchesPlainDecodeTokenForTo
 }
 
 TEST_F(SpeculativeServingTest, RunGammaCapAndDisableControlTheCycle) {
-  const std::vector<ServeJob> jobs = SpecJobs(1, 12, /*prompt=*/8, true);
-  hexsim::NpuDevice dev(hexsim::OnePlus12());
-  FunctionalBackend::SpecOptions spec;
-  spec.draft = &draft_weights_;
-  spec.gamma = 4;
-  FunctionalBackend backend(dev, weights_, 1, 96, 0, hquant::KvDtype::kF16,
-                            hquant::kGroupSize, spec);
-  // spec_gamma = 0 disables drafting for the whole run even on a spec-capable backend...
-  ServeOptions off;
-  off.max_batch = 1;
-  off.spec_gamma = 0;
-  const ScheduleResult r_off = ContinuousBatcher(backend, off).Run(jobs);
+  const auto run = [&](int gamma, bool speculative) {
+    hexsim::NpuDevice dev(hexsim::OnePlus12());
+    FunctionalBackend::SpecOptions spec;
+    spec.draft = &draft_weights_;
+    spec.gamma = gamma;
+    FunctionalBackend backend(dev, weights_, 1, 96, 0, hquant::KvDtype::kF16,
+                              hquant::kGroupSize, spec);
+    ServeOptions so;
+    so.max_batch = 1;
+    return ContinuousBatcher(backend, so).Run(SpecJobs(1, 12, /*prompt=*/8, speculative));
+  };
+  // Jobs that do not opt in decode plainly even on a spec-capable backend...
+  const ScheduleResult r_off = run(/*gamma=*/4, /*speculative=*/false);
   ASSERT_TRUE(r_off.error.empty()) << r_off.error;
   EXPECT_EQ(r_off.spec_cycles, 0);
   EXPECT_EQ(r_off.steps, 12);
@@ -626,12 +669,11 @@ TEST_F(SpeculativeServingTest, RunGammaCapAndDisableControlTheCycle) {
   bool found = false;
   r_off.metrics.CounterValue("spec.cycles", {}, &found);
   EXPECT_FALSE(found);
+  r_off.metrics.CounterValue("spec.rollback_blocks", {}, &found);
+  EXPECT_FALSE(found);
 
-  // A positive spec_gamma caps the backend's configured draft length per cycle.
-  ServeOptions capped;
-  capped.max_batch = 1;
-  capped.spec_gamma = 1;
-  const ScheduleResult r_cap = ContinuousBatcher(backend, capped).Run(jobs);
+  // The backend's configured gamma sets the draft length per cycle.
+  const ScheduleResult r_cap = run(/*gamma=*/1, /*speculative=*/true);
   ASSERT_TRUE(r_cap.error.empty()) << r_cap.error;
   EXPECT_GT(r_cap.spec_cycles, 0);
   EXPECT_EQ(r_cap.spec_proposed_tokens, r_cap.spec_cycles);  // one proposal per cycle
@@ -754,6 +796,247 @@ TEST_F(SpeculativeServingTest, AnalyticSpeculativeSpeedsUpDecodeAndExportsMetric
             r_spec.spec_proposed_tokens);
   EXPECT_EQ(r_spec.metrics.CounterValue("spec.rejected_tokens"),
             r_spec.spec_proposed_tokens - r_spec.spec_accepted_tokens);
+}
+
+
+// --- the step path's numbers, pinned across every decode body ---
+
+// Forwards every call to the wrapped backend and prints one line per admission (its
+// seconds) and per decode call (every StepOutcome::cost field in %a, watts, tokens and
+// per-row token counts).
+class StepRecorder : public ExecutionBackend {
+ public:
+  explicit StepRecorder(ExecutionBackend& inner) : inner_(inner) {}
+
+  const char* name() const override { return inner_.name(); }
+  double AdmitSlot(int slot, const ServeJob& job, int context_tokens,
+                   int charged_prefill_tokens) override {
+    const double s = inner_.AdmitSlot(slot, job, context_tokens, charged_prefill_tokens);
+    char line[128];
+    std::snprintf(line, sizeof(line), "admit job %d slot %d ctx %d -> %a\n", job.id, slot,
+                  context_tokens, s);
+    profile_ += line;
+    return s;
+  }
+  StepOutcome Step(std::span<const int> slots, std::span<const int> contexts) override {
+    return Record("step", inner_.Step(slots, contexts));
+  }
+  StepOutcome SpeculativeStep(std::span<const int> slots, std::span<const int> contexts,
+                              std::span<const int> gammas) override {
+    return Record("cycle", inner_.SpeculativeStep(slots, contexts, gammas));
+  }
+  int spec_gamma() const override { return inner_.spec_gamma(); }
+  void ReleaseSlot(int slot) override { inner_.ReleaseSlot(slot); }
+  void RetainKv(int slot, int job_id) override { inner_.RetainKv(slot, job_id); }
+  void DropRetained(int job_id) override { inner_.DropRetained(job_id); }
+  void PauseSlot(int slot, int job_id) override { inner_.PauseSlot(slot, job_id); }
+  void ResumeSlot(int slot, int job_id, int context_tokens) override {
+    inner_.ResumeSlot(slot, job_id, context_tokens);
+  }
+  bool CanResume(int job_id) override { return inner_.CanResume(job_id); }
+  void ReleaseGroup(int prompt_group) override { inner_.ReleaseGroup(prompt_group); }
+  bool CanAdmit(const ServeJob& job, int context_tokens) override {
+    return inner_.CanAdmit(job, context_tokens);
+  }
+  void ClearKv() override { inner_.ClearKv(); }
+  int max_context() const override { return inner_.max_context(); }
+  hkv::KvStats kv_stats() const override { return inner_.kv_stats(); }
+  hquant::KvDtype kv_dtype() const override { return inner_.kv_dtype(); }
+
+  const std::string& profile() const { return profile_; }
+
+ private:
+  StepOutcome Record(const char* kind, StepOutcome out) {
+    const hrt::StepCost& c = out.cost;
+    char line[512];
+    std::snprintf(line, sizeof(line),
+                  "%s total %a linear %a attn %a misc %a lm %a comm %a flash %a fbytes %lld "
+                  "hvx %a hmx %a dma %a cpu %a gpu %a ddr %lld watts %a tokens",
+                  kind, c.total_s, c.linear_s, c.attention_s, c.misc_s, c.lm_head_s, c.comm_s,
+                  c.flash_s, static_cast<long long>(c.flash_bytes), c.hvx_busy_s,
+                  c.hmx_busy_s, c.dma_busy_s, c.cpu_busy_s, c.gpu_busy_s,
+                  static_cast<long long>(c.ddr_bytes), out.watts);
+    profile_ += line;
+    for (const int t : out.tokens) {
+      profile_ += ' ';
+      profile_ += std::to_string(t);
+    }
+    profile_ += " counts";
+    for (const int n : out.row_token_counts) {
+      profile_ += ' ';
+      profile_ += std::to_string(n);
+    }
+    profile_ += '\n';
+    return out;
+  }
+
+  ExecutionBackend& inner_;
+  std::string profile_;
+};
+
+// The fixed serving script behind StepCostProfileIsPinned, driven live at max_batch 3: a
+// two-job shared prompt group whose first job retains its KV, an ungrouped job paused after
+// two steps and resumed, and a fork of the first job submitted once it completes. With
+// `speculative`, every job but job 1 drafts, so cycles mix drafting and plain rows.
+std::string ServeScriptProfile(ExecutionBackend& backend, int prompt, bool speculative) {
+  StepRecorder rec(backend);
+  ServeOptions so;
+  so.max_batch = 3;
+  ContinuousBatcher batcher(rec, so);
+  std::vector<ServeJob> jobs = {Job(0, 4, /*group=*/0, prompt), Job(1, 6, 0, prompt),
+                                Job(2, 7, /*group=*/-1, prompt - 3)};
+  jobs[0].retain_kv = true;
+  ServeJob fork = Job(3, 3, /*group=*/0, prompt, /*context=*/4);
+  fork.parent_job = 0;
+  jobs.push_back(fork);
+  for (ServeJob& j : jobs) {
+    j.speculative = speculative && j.id != 1;
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(batcher.Submit(jobs[static_cast<size_t>(i)]));
+  }
+  for (int step = 0; batcher.HasWork(); ++step) {
+    const StepEvents ev = batcher.Step();
+    if (step == 1) {
+      EXPECT_TRUE(batcher.PauseJob(2, /*requeue=*/true));
+    }
+    if (std::find(ev.completed.begin(), ev.completed.end(), 0) != ev.completed.end()) {
+      EXPECT_TRUE(batcher.Submit(jobs[3]));
+    }
+  }
+  batcher.ReleaseRetained(0);
+  const ScheduleResult r = batcher.Finish();
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_EQ(r.preemptions, 1);
+  EXPECT_EQ(r.forked_admissions, 1);
+  return rec.profile();
+}
+
+constexpr const char* kStepProfileF16 = R"(admit job 0 slot 0 ctx 8 -> 0x1.00cf8f5a64562p-14
+admit job 1 slot 1 ctx 8 -> 0x0p+0
+admit job 2 slot 2 ctx 5 -> 0x1.f7f7dca1919e9p-15
+step total 0x1.2c375f36aeb17p-14 linear 0x1.b0b7cbe7523c9p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d49cp-16 hmx 0x1.c7cadddae1d54p-20 dma 0x1.b0b7cbe7523c9p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 15360 watts 0x1.41a21e8e52c23p+1 tokens 149 149 59 counts
+step total 0x1.2c92ff762f80ap-14 linear 0x1.b394cde358b62p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d4bp-16 hmx 0x1.c7cadddae1d68p-20 dma 0x1.b394cde358b62p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 16896 watts 0x1.41a28ed4c061p+1 tokens 166 166 59 counts
+step total 0x1.2cee9fb5b04fep-14 linear 0x1.b671cfdf5f3p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d4bp-16 hmx 0x1.c7cadddae1d74p-20 dma 0x1.b671cfdf5f3p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 18432 watts 0x1.41a2fed6cf5cdp+1 tokens 166 166 59 counts
+step total 0x1.2d4a3ff5311eep-14 linear 0x1.b94ed1db65a8p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d478p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.b94ed1db65a8p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 19968 watts 0x1.41a36e94be15cp+1 tokens 166 166 59 counts
+admit job 3 slot 0 ctx 12 -> 0x0p+0
+step total 0x1.2da5e034b1edap-14 linear 0x1.bc2bd3d76c1ep-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d47p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.bc2bd3d76c1ep-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 21504 watts 0x1.41a3de0ecaa0ap+1 tokens 166 166 59 counts
+step total 0x1.2e01807432bd2p-14 linear 0x1.bf08d5d3729ap-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d47p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.bf08d5d3729ap-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 23040 watts 0x1.41a44d4532c66p+1 tokens 166 166 59 counts
+step total 0x1.1b7facf5e3916p-14 linear 0x1.2afa39e0f93cp-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.5b28c8e9c8348p-16 hmx 0x1.bc1aff8d108fp-20 dma 0x1.2afa39e0f93cp-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 15872 watts 0x1.3b1a1a19ec02p+1 tokens 166 59 counts
+)";
+constexpr const char* kStepProfileInt4 = R"(admit job 0 slot 0 ctx 8 -> 0x1.00eba477b381fp-14
+admit job 1 slot 1 ctx 8 -> 0x0p+0
+admit job 2 slot 2 ctx 5 -> 0x1.f81c3430e9047p-15
+step total 0x1.2a697a049592cp-14 linear 0x1.a248a2568946cp-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.76c05aa6dd5a6p-16 hmx 0x1.c7cadddae1d54p-20 dma 0x1.a248a2568946cp-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 6528 watts 0x1.41c86fca1bc2bp+1 tokens 149 149 59 counts
+step total 0x1.2a8b5d9dd33ep-14 linear 0x1.a357bf2076a12p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.775ef00114e9p-16 hmx 0x1.c7cadddae1d68p-20 dma 0x1.a357bf2076a12p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 6960 watts 0x1.41cd1081936fbp+1 tokens 166 166 59 counts
+step total 0x1.2aad413710e92p-14 linear 0x1.a466dbea63fap-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.77fd855b4c77p-16 hmx 0x1.c7cadddae1d74p-20 dma 0x1.a466dbea63fap-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 7392 watts 0x1.41d1b02c32b42p+1 tokens 166 166 59 counts
+step total 0x1.2acf24d04e94ep-14 linear 0x1.a575f8b45158p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.78b688ef37eacp-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.a575f8b45158p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 7824 watts 0x1.41d73de9222f4p+1 tokens 166 166 59 counts
+admit job 3 slot 0 ctx 12 -> 0x0p+0
+step total 0x1.2af108698c402p-14 linear 0x1.a685157e3eb2p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.79551e496f7bp-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.a685157e3eb2p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 8256 watts 0x1.41dbdb60075d8p+1 tokens 166 166 59 counts
+step total 0x1.2b12ec02c9eb2p-14 linear 0x1.a79432482c0ap-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.79f3b3a3a707p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.a79432482c0ap-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 8688 watts 0x1.41e077cb2c35fp+1 tokens 166 166 59 counts
+step total 0x1.19780b1d874eep-14 linear 0x1.1abd2b1e1728p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.6125c1fc8be48p-16 hmx 0x1.bc1aff8d108fp-20 dma 0x1.1abd2b1e1728p-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 5936 watts 0x1.3b3a22791ca5ep+1 tokens 166 59 counts
+)";
+constexpr const char* kStepProfileSpec = R"(admit job 0 slot 0 ctx 8 -> 0x1.ecc3fae2d9c14p-14
+admit job 1 slot 1 ctx 8 -> 0x0p+0
+admit job 2 slot 2 ctx 5 -> 0x1.e7894591cd516p-14
+cycle total 0x1.0d30b5989bc0ep-12 linear 0x1.b9aa721ae6772p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.e2ffefaaaa4efp-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.4bac331a5b584p-15 hmx 0x1.4d143fa9cc6b5p-19 dma 0x1.b9aa721ae6772p-16 cpu 0x1.6d31e7299ffd4p-15 gpu 0x0p+0 ddr 39168 watts 0x1.3599ec868d34fp+1 tokens 149 149 59 counts 1 1 1
+cycle total 0x1.0a1c708fe1fep-12 linear 0x1.9624917c36288p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.c7830fd0d2914p-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.3cf77edf4f2d2p-15 hmx 0x1.4a284816581ap-19 dma 0x1.9624917c36288p-16 cpu 0x1.3e12b08f9bdcap-15 gpu 0x0p+0 ddr 37376 watts 0x1.330d94699f4cfp+1 tokens 166 166 59 counts 1 1 1
+cycle total 0x1.07045a2f2d881p-12 linear 0x1.72619b5ddaa8p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.ac062ff6fad38p-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.2ee15ffe7a908p-15 hmx 0x1.473c5082e3c8p-19 dma 0x1.72619b5ddaa8p-16 cpu 0x1.0ef379f597bbep-15 gpu 0x0p+0 ddr 35328 watts 0x1.3074e01922937p+1 tokens 166 166 59 counts 1 1 1
+cycle total 0x1.03e872767e5eap-12 linear 0x1.4e618fbfd3f08p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.9089501d2315cp-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.215c9f5b038bcp-15 hmx 0x1.445058ef6f76p-19 dma 0x1.4e618fbfd3f08p-16 cpu 0x1.bfa886b727367p-16 gpu 0x0p+0 ddr 33024 watts 0x1.2dcefc8eed9b5p+1 tokens 166 166 59 counts 1 1 1
+admit job 3 slot 0 ctx 12 -> 0x1.d8fbb7cf6d43ep-15
+cycle total 0x1.988912509ac48p-13 linear 0x1.77a17456912dp-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.5d7cd4f64947bp-17 comm 0x1.53bd1676640a6p-13 flash 0x0p+0 fbytes 0 hvx 0x1.1975083923facp-15 hmx 0x1.2a04a4c058958p-19 dma 0x1.77a17456912dp-16 cpu 0x1.0ef379f597bbep-15 gpu 0x0p+0 ddr 40960 watts 0x1.365b71e422f9ep+1 tokens 166 166 59 counts 1 1 1
+cycle total 0x1.16c8b8bd9392ap-13 linear 0x1.2c87459ed20cp-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.d73822042946cp-18 comm 0x1.c4fc1df3300dep-14 flash 0x0p+0 fbytes 0 hvx 0x1.d0f61018b768p-16 hmx 0x1.06f509d6e4c08p-19 dma 0x1.2c87459ed20cp-16 cpu 0x1.88aec70377bbp-16 gpu 0x0p+0 ddr 33024 watts 0x1.39b6cb0cfd099p+1 tokens 166 166 59 counts 1 1 1
+step total 0x1.1b7facf5e390ep-14 linear 0x1.2afa39e0f938p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.5b28c8e9c82fp-16 hmx 0x1.bc1aff8d108cp-20 dma 0x1.2afa39e0f938p-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 15872 watts 0x1.3b1a1a19ec01dp+1 tokens 166 59 counts
+)";
+constexpr const char* kStepProfileOffload = R"(admit job 0 slot 0 ctx 72 -> 0x1.a30ec8d97ec7bp-13
+admit job 1 slot 1 ctx 72 -> 0x0p+0
+admit job 2 slot 2 ctx 69 -> 0x1.a0a27dff48258p-13
+step total 0x1.b7d7ff50f0142p-13 linear 0x1.33fc257478428p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.97c1b40841cecp-11 fbytes 114688 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4bd8p-19 dma 0x1.33fc257478428p-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 113664 watts 0x1.28a0acd248795p+1 tokens 390 390 13 counts
+step total 0x1.480144f91b83ap-12 linear 0x1.356aa6727b7fp-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4bd8p-19 dma 0x1.356aa6727b7fp-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 115200 watts 0x1.23afe56669fffp+1 tokens 291 291 28 counts
+step total 0x1.480144f91b83ap-12 linear 0x1.36d927707eb9p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4cp-19 dma 0x1.36d927707eb9p-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 116736 watts 0x1.23b2cad5cad21p+1 tokens 390 390 10 counts
+step total 0x1.480144f91b83ep-12 linear 0x1.3847a86e81f6cp-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1bp-11 fbytes 98304 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4c2p-19 dma 0x1.3847a86e81f6cp-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 118272 watts 0x1.23b5b0452ba44p+1 tokens 291 291 10 counts
+admit job 3 slot 0 ctx 76 -> 0x0p+0
+step total 0x1.347cca7233648p-12 linear 0x1.39b6296c8538p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.97c1b40841cecp-11 fbytes 114688 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4c2p-19 dma 0x1.39b6296c8538p-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 119808 watts 0x1.245c831b2b774p+1 tokens 390 390 276 counts
+step total 0x1.480144f91b838p-12 linear 0x1.3b24aa6a887p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4c2p-19 dma 0x1.3b24aa6a887p-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 121344 watts 0x1.23bb7b23ed488p+1 tokens 337 337 144 counts
+step total 0x1.41613c0c4ddf4p-12 linear 0x1.a525393762c8p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.c42769f20e2dp-12 fbytes 65536 hvx 0x1.5f7ede614d0fp-16 hmx 0x1.eada78c455acp-20 dma 0x1.a525393762c8p-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 81408 watts 0x1.219c70c06869ap+1 tokens 390 10 counts
+)";
+constexpr const char* kStepProfileAnalytic = R"(admit job 0 slot 0 ctx 8 -> 0x1.11663fe74821dp-12
+admit job 1 slot 1 ctx 8 -> 0x0p+0
+admit job 2 slot 2 ctx 5 -> 0x1.10733658afa8bp-12
+step total 0x1.2f64892d38d61p-14 linear 0x1.0f2c3d3be0d9dp-17 attn 0x1.c5c1198201ad4p-18 misc 0x1.cce20e31745fp-23 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.285cf203fcc08p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.aab3b777ac1aap-17 cpu 0x1.49da7e361ce4cp-17 gpu 0x0p+0 ddr 231424 watts 0x1.3ef2e0fba2e36p+1 tokens counts
+step total 0x1.2f64892d38d61p-14 linear 0x1.0f2c3d3be0d9dp-17 attn 0x1.c5c1198201ad4p-18 misc 0x1.cce20e31745fp-23 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.285cf203fcc08p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.aab3b777ac1aap-17 cpu 0x1.49da7e361ce4cp-17 gpu 0x0p+0 ddr 231424 watts 0x1.3ef2e0fba2e36p+1 tokens counts
+step total 0x1.2f64892d38d61p-14 linear 0x1.0f2c3d3be0d9dp-17 attn 0x1.c5c1198201ad4p-18 misc 0x1.cce20e31745fp-23 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.285cf203fcc08p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.aab3b777ac1aap-17 cpu 0x1.49da7e361ce4cp-17 gpu 0x0p+0 ddr 231424 watts 0x1.3ef2e0fba2e36p+1 tokens counts
+step total 0x1.2f64892d38d61p-14 linear 0x1.0f2c3d3be0d9dp-17 attn 0x1.c5c1198201ad4p-18 misc 0x1.cce20e31745fp-23 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.285cf203fcc08p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.aab3b777ac1aap-17 cpu 0x1.49da7e361ce4cp-17 gpu 0x0p+0 ddr 231424 watts 0x1.3ef2e0fba2e36p+1 tokens counts
+admit job 3 slot 0 ctx 12 -> 0x0p+0
+step total 0x1.2f64892d38d61p-14 linear 0x1.0f2c3d3be0d9dp-17 attn 0x1.c5c1198201ad4p-18 misc 0x1.cce20e31745fp-23 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.285cf203fcc08p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.aab3b777ac1aap-17 cpu 0x1.49da7e361ce4cp-17 gpu 0x0p+0 ddr 231424 watts 0x1.3ef2e0fba2e36p+1 tokens counts
+step total 0x1.2f64892d38d61p-14 linear 0x1.0f2c3d3be0d9dp-17 attn 0x1.c5c1198201ad4p-18 misc 0x1.cce20e31745fp-23 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.285cf203fcc08p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.aab3b777ac1aap-17 cpu 0x1.49da7e361ce4cp-17 gpu 0x0p+0 ddr 231424 watts 0x1.3ef2e0fba2e36p+1 tokens counts
+step total 0x1.2e1042b92eba8p-14 linear 0x1.0e23eefad998p-17 attn 0x1.b75a543e9d046p-18 misc 0x1.33415ecba2eap-23 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.1711d342c331fp-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.a9bf6178ff479p-17 cpu 0x1.b7cdfd9d7bdbbp-18 gpu 0x0p+0 ddr 231424 watts 0x1.394455050baafp+1 tokens counts
+)";
+constexpr const char* kStepProfileAnalyticSpec = R"(admit job 0 slot 0 ctx 8 -> 0x1.11663fe74821dp-12
+admit job 1 slot 1 ctx 8 -> 0x0p+0
+admit job 2 slot 2 ctx 5 -> 0x1.10733658afa8bp-12
+cycle total 0x1.1251d892a74adp-12 linear 0x1.f4a46c517e50dp-17 attn 0x1.2766601d15237p-16 misc 0x1.ab6e8d29bc70dp-21 lm 0x1.9c511dc3a41dep-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.133fe4ebc1f1ap-15 hmx 0x1.52ec2ed0b50d9p-19 dma 0x1.daf749a6acae1p-16 cpu 0x1.49da7e361ce4dp-15 gpu 0x0p+0 ddr 361984 watts 0x1.3501d6f97d5a8p+1 tokens counts 3 1 2
+cycle total 0x1.0e473a43edf67p-12 linear 0x1.f0c05232d15dap-17 attn 0x1.16cab02e0f706p-16 misc 0x1.0f53885b0cc45p-21 lm 0x1.49da7e361ce4cp-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.d924af75aa8cbp-16 hmx 0x1.52ec2ed0b50d9p-19 dma 0x1.d8d18829a7d34p-16 cpu 0x1.9c511dc3a41ep-16 gpu 0x0p+0 ddr 361984 watts 0x1.2e12362227786p+1 tokens counts 1 1 4
+admit job 3 slot 0 ctx 12 -> 0x0p+0
+cycle total 0x1.9a54dd70df5e3p-13 linear 0x1.a58ef5e08131bp-17 attn 0x1.bed4f2b2913c7p-17 misc 0x1.b6950d81a46aep-22 lm 0x1.eec7bd512b573p-18 comm 0x1.53bd1676640a6p-13 flash 0x0p+0 fbytes 0 hvx 0x1.9d2f220ebeb18p-16 hmx 0x1.2fdc93e741385p-19 dma 0x1.82544eafb73bfp-16 cpu 0x1.49da7e361ce4dp-16 gpu 0x0p+0 ddr 318464 watts 0x1.302af9b361783p+1 tokens counts 3 1 1
+step total 0x1.2cbf4a0c5b1cap-14 linear 0x1.0d1ba0b9d2563p-17 attn 0x1.a9286b6ea0358p-18 misc 0x1.33415ecba2eap-24 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.05fb90f4f17d8p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.a8cb0b7a52748p-17 cpu 0x1.b7cdfd9d7bdbbp-19 gpu 0x0p+0 ddr 231424 watts 0x1.338a7fb2028f1p+1 tokens counts
+step total 0x1.2cbf4a0c5b1cap-14 linear 0x1.0d1ba0b9d2563p-17 attn 0x1.a9286b6ea0358p-18 misc 0x1.33415ecba2eap-24 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.05fb90f4f17d8p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.a8cb0b7a52748p-17 cpu 0x1.b7cdfd9d7bdbbp-19 gpu 0x0p+0 ddr 231424 watts 0x1.338a7fb2028f1p+1 tokens counts
+step total 0x1.2cbf4a0c5b1cap-14 linear 0x1.0d1ba0b9d2563p-17 attn 0x1.a9286b6ea0358p-18 misc 0x1.33415ecba2eap-24 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.05fb90f4f17d8p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.a8cb0b7a52748p-17 cpu 0x1.b7cdfd9d7bdbbp-19 gpu 0x0p+0 ddr 231424 watts 0x1.338a7fb2028f1p+1 tokens counts
+)";
+
+class ServingStepTest : public SpeculativeServingTest {};
+
+TEST_F(ServingStepTest, StepCostProfileIsPinned) {
+  // Every admission's seconds and every decode call's cost, power and tokens keep exactly
+  // their recorded values at one lane, whichever decode body serves the call: plain F16 and
+  // INT4 functional runs, a functional draft-model run, a functional sink + window run over
+  // a small resident budget, and plain and speculative analytic runs.
+  hexec::ParallelismOverride serial(1);
+  const auto functional = [&](hquant::KvDtype dtype, const FunctionalBackend::SpecOptions& spec,
+                              bool long_context) {
+    hexsim::NpuDevice dev(hexsim::OnePlus12());
+    FunctionalBackend backend(dev, weights_, /*max_batch=*/3, /*max_context=*/128,
+                              /*kv_pool_blocks=*/0, dtype, hquant::kGroupSize, spec);
+    if (long_context) {
+      hkv::KvOffloadOptions offload;
+      offload.resident_block_budget = 4;
+      hkern::AttnWindowSpec window;
+      window.sink_blocks = 1;
+      window.window_blocks = 1;
+      backend.ConfigureLongContext(offload, window);
+      return ServeScriptProfile(backend, /*prompt=*/72, spec.draft != nullptr);
+    }
+    return ServeScriptProfile(backend, /*prompt=*/8, spec.draft != nullptr);
+  };
+  FunctionalBackend::SpecOptions draft;
+  draft.draft = &draft_weights_;
+  draft.gamma = 3;
+  const std::string f16 = functional(hquant::KvDtype::kF16, {}, false);
+  EXPECT_TRUE(f16 == kStepProfileF16) << "F16 profile:\n" << f16;
+  const std::string int4 = functional(hquant::KvDtype::kInt4, {}, false);
+  EXPECT_TRUE(int4 == kStepProfileInt4) << "INT4 profile:\n" << int4;
+  const std::string spec = functional(hquant::KvDtype::kF16, draft, false);
+  EXPECT_TRUE(spec == kStepProfileSpec) << "speculative profile:\n" << spec;
+  const std::string offload = functional(hquant::KvDtype::kF16, {}, true);
+  EXPECT_TRUE(offload == kStepProfileOffload) << "offload profile:\n" << offload;
+
+  hrt::EngineOptions topt;
+  topt.model = &config_;
+  topt.device = &hexsim::OnePlus12();
+  const hrt::Engine target(topt);
+  hrt::EngineOptions dopt = topt;
+  dopt.model = &draft_config_;
+  const hrt::Engine draft_engine(dopt);
+  AnalyticBackend plain(target);
+  const std::string analytic = ServeScriptProfile(plain, /*prompt=*/8, false);
+  EXPECT_TRUE(analytic == kStepProfileAnalytic) << "analytic profile:\n" << analytic;
+  AnalyticBackend::Options ao;
+  ao.draft_engine = &draft_engine;
+  ao.spec_gamma = 3;
+  AnalyticBackend speculative(target, ao);
+  const std::string analytic_spec = ServeScriptProfile(speculative, /*prompt=*/8, true);
+  EXPECT_TRUE(analytic_spec == kStepProfileAnalyticSpec)
+      << "analytic speculative profile:\n" << analytic_spec;
 }
 
 }  // namespace
