@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -98,33 +99,56 @@ int main() {
       steps = 8;
     }
     const int threads = hexec::MaxSlots();
+    // Each batch decodes kRepeats times from scratch and reports the fastest pass: one
+    // pass is only tens of milliseconds of host time, so the minimum is the estimate least
+    // disturbed by a shared host. Every pass must decode the same tokens.
+    constexpr int kRepeats = 5;
+
+    // Decodes `steps` greedy tokens for `batch` rows; returns the token checksum.
+    const auto decode_pass = [&](int batch) {
+      hexsim::NpuDevice dev(hexsim::OnePlus12());
+      hllm::Transformer model(dev, weights, batch, /*max_context=*/steps + 8);
+      std::vector<float> logits(static_cast<size_t>(batch) * toy.vocab);
+      std::vector<int> tokens(static_cast<size_t>(batch));
+      for (int b = 0; b < batch; ++b) {
+        tokens[static_cast<size_t>(b)] = (7 * b + 1) % toy.vocab;
+      }
+      uint64_t checksum = 14695981039346656037ull;  // FNV-1a over the decoded stream
+      for (int s = 0; s < steps; ++s) {
+        model.Step(tokens, logits);
+        for (int b = 0; b < batch; ++b) {
+          const int tok = hllm::ArgmaxToken(std::span<const float>(
+              logits.data() + static_cast<size_t>(b) * toy.vocab,
+              static_cast<size_t>(toy.vocab)));
+          tokens[static_cast<size_t>(b)] = tok;
+          checksum = (checksum ^ static_cast<uint64_t>(tok)) * 1099511628211ull;
+        }
+      }
+      return checksum;
+    };
 
     auto run_functional = [&](const char* row_name) {
       std::vector<double> tps;
-      std::printf("%-8s%12s%16s%20s   (threads=%d)\n", "batch", "wall (ms)",
-                  "host tokens/s", "token checksum", threads);
+      std::printf("%-8s%12s%16s%20s   (threads=%d, min of %d passes)\n", "batch", "wall (ms)",
+                  "host tokens/s", "token checksum", threads, kRepeats);
       for (const int batch : fbatches) {
-        hexsim::NpuDevice dev(hexsim::OnePlus12());
-        hllm::Transformer model(dev, weights, batch, /*max_context=*/steps + 8);
-        std::vector<float> logits(static_cast<size_t>(batch) * toy.vocab);
-        std::vector<int> tokens(static_cast<size_t>(batch));
-        for (int b = 0; b < batch; ++b) {
-          tokens[static_cast<size_t>(b)] = (7 * b + 1) % toy.vocab;
-        }
-        uint64_t checksum = 14695981039346656037ull;  // FNV-1a over the decoded stream
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int s = 0; s < steps; ++s) {
-          model.Step(tokens, logits);
-          for (int b = 0; b < batch; ++b) {
-            const int tok = hllm::ArgmaxToken(std::span<const float>(
-                logits.data() + static_cast<size_t>(b) * toy.vocab,
-                static_cast<size_t>(toy.vocab)));
-            tokens[static_cast<size_t>(b)] = tok;
-            checksum = (checksum ^ static_cast<uint64_t>(tok)) * 1099511628211ull;
+        uint64_t checksum = 0;
+        double wall_s = 0.0;
+        for (int pass = 0; pass < kRepeats; ++pass) {
+          const auto t0 = std::chrono::steady_clock::now();
+          const uint64_t pass_checksum = decode_pass(batch);
+          const double pass_s =
+              std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+          if (pass == 0 || pass_s < wall_s) {
+            wall_s = pass_s;
           }
+          if (pass > 0 && pass_checksum != checksum) {
+            std::fprintf(stderr, "functional decode is not deterministic at batch %d\n",
+                         batch);
+            std::exit(1);
+          }
+          checksum = pass_checksum;
         }
-        const double wall_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         const int64_t produced = static_cast<int64_t>(batch) * steps;
         char checksum_hex[20];
         std::snprintf(checksum_hex, sizeof(checksum_hex), "%016llx",
@@ -135,6 +159,7 @@ int main() {
         row.Set("batch", batch);
         row.Set("steps", steps);
         row.Set("threads", threads);
+        row.Set("repeats", kRepeats);
         row.Set("tokens", produced);
         row.Set("token_checksum", checksum_hex);
         row.Set("wall_seconds", wall_s);
@@ -157,7 +182,8 @@ int main() {
       std::printf("batch %-4d weight-cache host speedup: %.2fx\n", fbatches[i],
                   tps_cached[i] / tps_nocache[i]);
     }
-    rep.Note("functional rows time the HOST emulation wall clock (not simulated seconds); "
+    rep.Note("functional rows time the HOST emulation wall clock (not simulated seconds), "
+             "the fastest of `repeats` identical passes; "
              "token_checksum and tokens are bit-identical at any HEXLLM_NUM_THREADS and "
              "with the weight cache off (*_nocache rows), wall_seconds shrinks with lanes "
              "for batch >= 4. tools/compare_bench_perf.py --self asserts cached >= nocache "

@@ -6,10 +6,11 @@
 // semantics: subnormals, infinities, NaN, round-to-nearest-even.
 //
 // Both conversion directions are on the host-emulation hot path (every simulated FP16 op
-// converts through float), so they are inline: F32ToF16Bits is constexpr bit math, and
-// F16BitsToF32 reads a 64 Ki-entry table built at compile time from the same bit math — the
-// table is exhaustive over the 16-bit input space, so the lookup is bit-identical to
-// computing the conversion (fp16_test checks every entry).
+// converts through float), so they are inline: F32ToF16Bits is branch-light constexpr bit
+// math, and F16BitsToF32 reads a 64 Ki-entry table built at compile time from reference bit
+// math — the table is exhaustive over the 16-bit input space, so the lookup is bit-identical
+// to computing the conversion. fp16_test checks every table entry and cross-checks the
+// encoder against its case-by-case reference (fp16_detail).
 #ifndef SRC_BASE_FP16_H_
 #define SRC_BASE_FP16_H_
 
@@ -19,8 +20,11 @@
 
 namespace hexllm {
 
-// Converts an IEEE binary32 value to binary16 bits (round-to-nearest-even).
-constexpr uint16_t F32ToF16Bits(float f) {
+namespace fp16_detail {
+
+// The reference encoding: case-by-case bit math (used by fp16_test to cross-check the
+// branch-light F32ToF16Bits below).
+constexpr uint16_t F32ToF16BitsCompute(float f) {
   const uint32_t x = std::bit_cast<uint32_t>(f);
   const uint32_t sign = (x >> 16) & 0x8000u;
   const uint32_t abs = x & 0x7FFFFFFFu;
@@ -72,8 +76,6 @@ constexpr uint16_t F32ToF16Bits(float f) {
   return static_cast<uint16_t>(out);
 }
 
-namespace fp16_detail {
-
 // The reference expansion: pure bit math, used to build the lookup table (and by fp16_test
 // to cross-check every table entry).
 constexpr float F16BitsToF32Compute(uint16_t h) {
@@ -107,6 +109,30 @@ constexpr float F16BitsToF32Compute(uint16_t h) {
 }
 
 }  // namespace fp16_detail
+
+// Converts an IEEE binary32 value to binary16 bits (round-to-nearest-even), bit-identical to
+// fp16_detail::F32ToF16BitsCompute for every input. Both candidate encodings are computed
+// and one is selected, so the hot path has no data-dependent branches:
+//   * normal halves: rebias the exponent by (15 - 127) << 23 and round the 13 dropped bits
+//     by adding 0xFFF plus the kept lsb (ties go to even); a mantissa carry ripples into the
+//     exponent, which rounds [65520, 65536) up to infinity exactly like the reference;
+//   * subnormal halves and zero (|f| < 2^-14): adding 0.5f puts the float's ulp at 2^-24,
+//     the half subnormal ulp, so the FPU's own rounding produces the half mantissa in the
+//     low bits. This assumes the default FP environment: round-to-nearest-even with no
+//     FTZ/DAZ, so no -ffast-math. Under a directed rounding mode fp16_test's subnormal
+//     cases fail;
+//   * |f| >= 2^16 is infinity and NaN becomes the sign plus the canonical quiet NaN 0x7E00.
+constexpr uint16_t F32ToF16Bits(float f) {
+  const uint32_t x = std::bit_cast<uint32_t>(f);
+  const uint32_t sign = (x >> 16) & 0x8000u;
+  const uint32_t abs = x & 0x7FFFFFFFu;
+  const uint32_t normal = (abs + 0xC8000FFFu + ((abs >> 13) & 1u)) >> 13;
+  const uint32_t subnormal =
+      std::bit_cast<uint32_t>(std::bit_cast<float>(abs) + 0.5f) - 0x3F000000u;
+  const uint32_t special = abs > 0x7F800000u ? 0x7E00u : 0x7C00u;
+  const uint32_t finite = abs < 0x38800000u ? subnormal : normal;
+  return static_cast<uint16_t>(sign | (abs >= 0x47800000u ? special : finite));
+}
 
 // Exhaustive binary16 -> binary32 table (256 KiB, built at compile time in fp16.cc).
 extern const std::array<float, 65536> kF16ToF32Table;

@@ -54,8 +54,16 @@ class HmxEngine {
   // whatever the range: only accumulator rows [row_begin, row_end) are computed, the rest
   // are left untouched (callers that consume a subset of rows skip the others — pure
   // host-time saving, the computed rows are bit-identical).
+  // `b_decoded` (optional) is B already decoded to FP32, row-major k x cols: constant
+  // weight tiles are decoded once per model (hllm::QuantizedLinear's cache) instead of on
+  // every call. It must equal the decode of `b_tile` (checked in debug builds), so results
+  // are bit-identical either way; B must still reside in TCM.
   void TileMacc(const Tcm& tcm, const hexllm::F16* a_tile, const hexllm::F16* b_tile,
-                float* acc, int row_begin = 0, int row_end = kTileDim);
+                float* acc, int row_begin = 0, int row_end = kTileDim,
+                const float* b_decoded = nullptr);
+
+  // Decodes an HMX-layout FP16 tile to FP32, row-major (the `b_decoded` form of TileMacc).
+  static void DecodeTile(const hexllm::F16* tile, float* rowmajor);
 
   // Writes the FP32 accumulator to an HMX-layout FP16 output tile, applying the per-column
   // (output-channel) scale and bias the hardware supports. scale/bias may be null. Rows >=

@@ -23,7 +23,7 @@ int64_t GemmF16HmxTileOps(int m, int k, int n) {
 }
 
 double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16* c, int m,
-                  int k, int n, bool operands_in_tcm, int valid_m) {
+                  int k, int n, bool operands_in_tcm, int valid_m, const float* b_decoded) {
   HEXLLM_CHECK(m % 32 == 0 && k % 32 == 0 && n % 32 == 0);
   if (valid_m < 0) {
     valid_m = m;
@@ -97,8 +97,11 @@ double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16*
             }
             std::fill(acc, acc + HmxEngine::kTileElems, 0.0f);
             for (int ki = 0; ki < kt; ++ki) {
+              const int64_t tile = static_cast<int64_t>(ni) * kt + ki;
               hmx.TileMacc(tcm, a_strip + ki * HmxEngine::kTileElems,
-                           b_strip + ki * HmxEngine::kTileElems, acc);
+                           b_strip + ki * HmxEngine::kTileElems, acc, 0, strip_rows,
+                           b_decoded == nullptr ? nullptr
+                                                : b_decoded + tile * HmxEngine::kTileElems);
               ++tile_ops;
             }
             hmx.StoreAcc(acc, out_tile, nullptr, nullptr, strip_rows);

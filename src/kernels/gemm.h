@@ -21,10 +21,13 @@ namespace hkern {
 // it are never read and the matching C rows are left unspecified — the tile/packet charges
 // are those of the full padded shape either way, so a caller padding a partial batch up to
 // a tile gets bit-identical counters and valid-row results without touching the padding.
+// `b_decoded` (optional) is the same tile stream pre-decoded to FP32, each tile row-major
+// (HmxEngine::DecodeTile): B is still copied/DMA'd into TCM and charged exactly as without
+// it, but the tile MACs skip re-decoding constant weights (hllm::QuantizedLinear's cache).
 // Returns the simulated latency in seconds.
 double GemmF16Hmx(hexsim::NpuDevice& dev, const hexllm::F16* a, const hexllm::F16* b_tiles,
                   hexllm::F16* c, int m, int k, int n, bool operands_in_tcm,
-                  int valid_m = -1);
+                  int valid_m = -1, const float* b_decoded = nullptr);
 
 // C[M,N] = A[M,K] x B[K,N] (all FP16 row-major) on ONE HVX thread: per 64-wide output chunk,
 // a vsplat/load/multiply/accumulate inner loop over K. Returns the simulated latency.

@@ -7,6 +7,7 @@
 
 #include "src/base/check.h"
 #include "src/base/math_util.h"
+#include "src/hexsim/hmx.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/mixed_gemm.h"
 #include "src/quant/group_quant.h"
@@ -55,6 +56,14 @@ QuantizedLinear QuantizedLinear::Create(std::span<const float> w, int64_t k, int
   return q;
 }
 
+void QuantizedLinear::DequantCache::StoreStream(const F16* w, int64_t elems) {
+  stream.assign(w, w + elems);
+  decoded.resize(static_cast<size_t>(elems));
+  for (int64_t t = 0; t < elems; t += hexsim::HmxEngine::kTileElems) {
+    hexsim::HmxEngine::DecodeTile(w + t, decoded.data() + t);
+  }
+}
+
 int64_t QuantizedLinear::quantized_bytes() const {
   return static_cast<int64_t>(sb4_.size() * sizeof(hquant::SuperBlockQ4) +
                               b8_.size() * sizeof(hquant::BlockQ8_0));
@@ -86,7 +95,7 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
       if (cache_on) {
         std::lock_guard<std::mutex> lock(cache_->mu);
         if (!cache_->ready.load(std::memory_order_relaxed)) {
-          cache_->stream.assign(w_tcm, w_tcm + k_ * n_);
+          cache_->StoreStream(w_tcm, k_ * n_);
           cache_->packets = packets;
           // DequantCoalescedLut merges its shards before returning, so the parent-device
           // deltas capture the whole call at any lane count.
@@ -113,7 +122,7 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
       if (cache_on) {
         std::lock_guard<std::mutex> lock(cache_->mu);
         if (!cache_->ready.load(std::memory_order_relaxed)) {
-          cache_->stream.assign(w_tcm, w_tcm + n_elems);
+          cache_->StoreStream(w_tcm, n_elems);
           cache_->ready.store(true, std::memory_order_release);
         }
       }
@@ -121,10 +130,14 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
     dev.CommitHvxPackets(n_elems / 64 * 8, 1, "linear.dequant");
   }
 
+  // The FP32 shadow of the stream now in TCM, once some Forward has stored it.
+  const float* w_decoded = cache_on && cache_->ready.load(std::memory_order_acquire)
+                               ? cache_->decoded.data()
+                               : nullptr;
   if (m % 32 == 0) {
     // Already tile-aligned rows: no staging copies, the GEMM reads/writes in place.
     hkern::GemmF16Hmx(dev, x, w_tcm, y, m, static_cast<int>(k_), static_cast<int>(n_),
-                      /*operands_in_tcm=*/true);
+                      /*operands_in_tcm=*/true, m, w_decoded);
     return;
   }
 
@@ -138,7 +151,7 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
     F16* y_pad = ws->Alloc<F16>(static_cast<int64_t>(m_pad) * n_);
     std::memcpy(x_pad, x, static_cast<size_t>(m) * k_ * 2);
     hkern::GemmF16Hmx(dev, x_pad, w_tcm, y_pad, m_pad, static_cast<int>(k_),
-                      static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m);
+                      static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m, w_decoded);
     std::memcpy(y, y_pad, static_cast<size_t>(m) * n_ * 2);
     return;
   }
@@ -146,7 +159,7 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
   std::memcpy(x_pad.data(), x, static_cast<size_t>(m) * k_ * 2);
   std::vector<F16> y_pad(static_cast<size_t>(m_pad) * n_);
   hkern::GemmF16Hmx(dev, x_pad.data(), w_tcm, y_pad.data(), m_pad, static_cast<int>(k_),
-                    static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m);
+                    static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m, w_decoded);
   std::memcpy(y, y_pad.data(), static_cast<size_t>(m) * n_ * 2);
 }
 

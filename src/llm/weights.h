@@ -51,8 +51,9 @@ class QuantizedLinear {
   // dequantized F16 stream plus the dequant's simulated cost (HVX packets, vlut16 ops);
   // later calls memcpy the stream into TCM and REPLAY the charges — same
   // kernel.dequant_coalesced_lut.calls count, same packet totals, same "linear.dequant"
-  // ledger tag — without re-simulating the LUT kernel. Counters are bit-identical either
-  // way; only host time changes.
+  // ledger tag — without re-simulating the LUT kernel. The cache also keeps the stream
+  // decoded to FP32 per tile, which the HMX GEMM reads instead of re-decoding every weight
+  // tile on every tile op. Counters are bit-identical either way; only host time changes.
   void Forward(hexsim::NpuDevice& dev, const hexllm::F16* x, hexllm::F16* y, int m,
                DecodeWorkspace* ws = nullptr) const;
 
@@ -64,9 +65,13 @@ class QuantizedLinear {
   // Owned by shared_ptr so copies of a QuantizedLinear share one cache; all fields after
   // `ready` are written once under `mu` before ready is released.
   struct DequantCache {
+    // Stores `stream` and its FP32 decode (caller holds `mu`).
+    void StoreStream(const hexllm::F16* w, int64_t elems);
+
     std::mutex mu;
     std::atomic<bool> ready{false};
     std::vector<hexllm::F16> stream;  // [k * n] in HMX stream order
+    std::vector<float> decoded;       // [k * n]: stream's tiles, each row-major FP32
     int64_t packets = 0;
     int64_t vgather = 0;
     int64_t vscatter = 0;

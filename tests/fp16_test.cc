@@ -1,6 +1,8 @@
 #include "src/base/fp16.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -98,6 +100,66 @@ TEST(F16Test, EncodeMatchesNativeOnSweep) {
   }
 }
 #endif  // __x86_64__
+
+TEST(F16Test, FastEncodeMatchesReference) {
+  // The branch-light encoder against the case-by-case reference, bit for bit. Mismatches
+  // are counted (not asserted per value) so the sweeps stay fast; the first is reported.
+  int64_t checked = 0;
+  int64_t mismatches = 0;
+  uint32_t first_bad = 0;
+  const auto check = [&](uint32_t x) {
+    const float f = std::bit_cast<float>(x);
+    ++checked;
+    if (F32ToF16Bits(f) != fp16_detail::F32ToF16BitsCompute(f) && mismatches++ == 0) {
+      first_bad = x;
+    }
+  };
+  // A strided sweep of all 2^32 bit patterns; the odd stride reaches every value of the
+  // 13 bits a normal half drops.
+  for (uint64_t x = 0; x <= 0xFFFFFFFFull; x += 251) {
+    check(static_cast<uint32_t>(x));
+  }
+  // Every exponent and sign with the dropped bits exact, just below, at, just above and
+  // far above the rounding tie of a normal half, under even and odd kept mantissas
+  // (0x7FE000 rounding up carries into the next exponent).
+  for (uint32_t sign : {0u, 0x80000000u}) {
+    for (uint32_t e = 0; e < 256; ++e) {
+      for (uint32_t hi : {0x000000u, 0x002000u, 0x55A000u, 0x7FC000u, 0x7FE000u}) {
+        for (uint32_t lo : {0x0000u, 0x0FFFu, 0x1000u, 0x1001u, 0x1FFFu}) {
+          check(sign | (e << 23) | hi | lo);
+        }
+      }
+    }
+  }
+  // The range that encodes to a subnormal half or zero (|f| < 2^-14): the magic-add path,
+  // whose exactness depends on the FP environment rounding to nearest-even without
+  // flushing denormals. Dense where the result is a nonzero subnormal ([2^-25, 2^-14)),
+  // sparse below, where everything rounds to zero (binary32 denormals included).
+  for (uint32_t x = 0x33000000u; x < 0x38800000u; x += 7) {
+    check(x);
+    check(x | 0x80000000u);
+  }
+  for (uint32_t x = 0; x < 0x33000000u; x += 4099) {
+    check(x);
+    check(x | 0x80000000u);
+  }
+  // Around the half overflow threshold 65520 (ties to even = infinity) and up to 2^16,
+  // then infinities and every NaN mantissa class.
+  for (uint32_t x = 0x477FE000u; x <= 0x47800100u; ++x) {
+    check(x);
+    check(x | 0x80000000u);
+  }
+  for (uint32_t x = 0x7F800000u; x <= 0x7FFFFFFFu; x += 4093) {
+    check(x);
+    check(x | 0x80000000u);
+  }
+  for (uint32_t x : {0x7F800000u, 0x7F800001u, 0x7FC00000u, 0x7FFFFFFFu}) {
+    check(x);
+    check(x | 0x80000000u);
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch at bits 0x" << std::hex << first_bad
+                           << " of " << std::dec << checked << " checked";
+}
 
 TEST(F16Test, RoundToF16IsIdempotent) {
   for (int i = 0; i < 1000; ++i) {

@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -362,6 +364,90 @@ TEST(HmxTest, TileMaccMatchesReference) {
     }
   }
 }
+
+TEST(HmxTest, DecodedTileMaccMatchesTcmDecode) {
+  // A caller-provided FP32 decode of the weight tile (the dequant-once cache's shadow) must
+  // be invisible: bit-equal accumulators with and without it, over zero rows, subnormals
+  // and infinities, for every row range, with the rows outside the range left untouched.
+  hexllm::Rng rng(19);
+  NpuDevice dev(OnePlus12());
+  const auto special = [&](int i) {
+    switch (i % 13) {
+      case 0:
+        return F16::FromBits(static_cast<uint16_t>(1 + i % 0x3FF));  // subnormal
+      case 1:
+        return F16::FromBits(static_cast<uint16_t>(0x8000 | (1 + i % 0x3FF)));
+      case 2:
+        return i % 2 == 0 ? F16::Inf() : F16::NegInf();
+      case 3:
+        return F16::FromBits(0x8000);  // negative zero
+      default:
+        return F16(static_cast<float>(rng.NextGaussian() * 4.0));
+    }
+  };
+  std::vector<F16> a(1024);
+  std::vector<F16> b(1024);
+  for (int i = 0; i < 1024; ++i) {
+    a[static_cast<size_t>(i)] = special(i * 7);
+    b[static_cast<size_t>(i)] = special(i * 5 + 3);
+  }
+  for (const int zero_row : {0, 5, 6, 31}) {
+    std::fill(a.begin() + zero_row * 32, a.begin() + zero_row * 32 + 32, F16::Zero());
+  }
+  auto* at = reinterpret_cast<F16*>(dev.tcm().Alloc(2048));
+  auto* bt = reinterpret_cast<F16*>(dev.tcm().Alloc(2048));
+  HmxEngine::PackTile(a.data(), 32, at);
+  HmxEngine::PackTile(b.data(), 32, bt);
+  std::vector<float> b_decoded(1024);
+  HmxEngine::DecodeTile(bt, b_decoded.data());
+  for (int k = 0; k < 32; ++k) {
+    for (int c = 0; c < 32; ++c) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(b_decoded[static_cast<size_t>(k * 32 + c)]),
+                std::bit_cast<uint32_t>(b[static_cast<size_t>(k * 32 + c)].ToFloat()));
+    }
+  }
+  std::vector<float> init(1024);
+  for (auto& v : init) {
+    v = static_cast<float>(rng.NextGaussian());
+  }
+  const std::pair<int, int> ranges[] = {{0, 32}, {0, 1}, {0, 3}, {5, 7}, {17, 32}, {31, 32},
+                                        {9, 9}};
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<float> plain = init;
+    std::vector<float> shadowed = init;
+    const int64_t ops0 = dev.hmx().tile_ops();
+    for (int rep = 0; rep < 2; ++rep) {  // accumulate twice: acc carries across calls
+      dev.hmx().TileMacc(dev.tcm(), at, bt, plain.data(), lo, hi);
+      dev.hmx().TileMacc(dev.tcm(), at, bt, shadowed.data(), lo, hi, b_decoded.data());
+    }
+    EXPECT_EQ(dev.hmx().tile_ops() - ops0, 4);
+    EXPECT_EQ(std::memcmp(plain.data(), shadowed.data(), plain.size() * sizeof(float)), 0)
+        << "rows [" << lo << ", " << hi << ")";
+    for (int r = 0; r < 32; ++r) {
+      if (r < lo || r >= hi) {
+        EXPECT_EQ(std::memcmp(shadowed.data() + r * 32, init.data() + r * 32,
+                              32 * sizeof(float)),
+                  0)
+            << "row " << r << " outside [" << lo << ", " << hi << ")";
+      }
+    }
+  }
+}
+
+#ifndef NDEBUG
+TEST(HmxDeathTest, StaleDecodedTileIsCaughtInDebug) {
+  NpuDevice dev(OnePlus12());
+  std::vector<float> acc(1024);
+  auto* at = reinterpret_cast<F16*>(dev.tcm().Alloc(2048));
+  auto* bt = reinterpret_cast<F16*>(dev.tcm().Alloc(2048));
+  std::fill(at, at + 1024, F16(1.0f));
+  std::fill(bt, bt + 1024, F16(2.0f));
+  std::vector<float> stale(1024, 2.0f);
+  stale[77] = 3.0f;
+  EXPECT_DEATH(dev.hmx().TileMacc(dev.tcm(), at, bt, acc.data(), 0, 32, stale.data()),
+               "DecodeMatches");
+}
+#endif
 
 TEST(HmxDeathTest, OperandsMustBeInTcm) {
   NpuDevice dev(OnePlus12());

@@ -1085,45 +1085,69 @@ TEST_F(TransformerTest, HvxPacketsCountCommittedWork) {
 }
 
 TEST_F(TransformerTest, WeightCacheReplayParity) {
-  // Dequant-once cache replay must be invisible to the simulation: identical logits,
-  // decoded tokens, and charge profile whether every Forward re-simulates the dequant
-  // (cache off) or replays the memoized charges (cache on).
+  // Dequant-once cache replay and its FP32 tile shadow must be invisible to the simulation:
+  // identical logits, decoded tokens, and charge profile whether every Forward re-simulates
+  // the dequant (cache off), fills the cache (cold) or replays it (warm). The shapes cover
+  // a batch-1 decode (one live row per strip), a 33-row forward (a full strip plus a
+  // one-row strip) and a batch-3 decode (a partial strip), over Q4_0 and Q8_0 weights.
   struct WeightCacheGuard {
     bool prev = WeightCacheEnabled();
     ~WeightCacheGuard() { SetWeightCacheEnabled(prev); }
   } guard;
   hexec::ParallelismOverride serial(1);
   const int64_t vocab = config_.vocab;
-  const int steps = 5;
+  constexpr int kRuns = 3;  // cache off, cold, warm
+  constexpr int kPrefillRows = 33;
 
-  std::vector<std::vector<float>> logits_runs[2];
-  std::vector<int> token_runs[2];
-  hexsim::NpuDevice dev_off(hexsim::OnePlus12());
-  hexsim::NpuDevice dev_on(hexsim::OnePlus12());
-  for (int run = 0; run < 2; ++run) {
-    SetWeightCacheEnabled(run == 1);
-    hexsim::NpuDevice& dev = (run == 0) ? dev_off : dev_on;
-    Transformer tf(dev, weights_, 1, 16);
-    std::vector<float> logits(static_cast<size_t>(vocab));
+  std::vector<std::vector<float>> logits_runs[kRuns];
+  std::vector<int> token_runs[kRuns];
+  std::unique_ptr<hexsim::NpuDevice> devs[kRuns];
+  for (int run = 0; run < kRuns; ++run) {
+    SetWeightCacheEnabled(run > 0);
+    devs[run] = std::make_unique<hexsim::NpuDevice>(hexsim::OnePlus12());
+    Transformer tf(*devs[run], weights_, /*max_batch=*/3, /*max_context=*/64, 0,
+                   hquant::KvDtype::kF16, hquant::kGroupSize, /*max_step_rows=*/kPrefillRows);
+    const auto record = [&](std::span<const float> logits) {
+      logits_runs[run].emplace_back(logits.begin(), logits.end());
+      for (size_t r = 0; r * vocab < logits.size(); ++r) {
+        token_runs[run].push_back(ArgmaxToken(logits.subspan(r * vocab, vocab)));
+      }
+    };
+    std::vector<float> logits(static_cast<size_t>(kPrefillRows * vocab));
     int tok = 3;
-    for (int i = 0; i < steps; ++i) {
-      tf.Step({&tok, 1}, logits);
-      tok = ArgmaxToken(logits);
-      logits_runs[run].push_back(logits);
-      token_runs[run].push_back(tok);
+    for (int i = 0; i < 5; ++i) {
+      tf.Step({&tok, 1}, std::span<float>(logits.data(), vocab));
+      record(std::span<const float>(logits.data(), vocab));
+      tok = token_runs[run].back();
+    }
+    std::vector<int> prompt(kPrefillRows);
+    for (int i = 0; i < kPrefillRows; ++i) {
+      prompt[static_cast<size_t>(i)] = (i * 29 + 7) % static_cast<int>(vocab);
+    }
+    const std::vector<int> seqs{0, 1, 2};
+    tf.StepSpans(prompt, seqs, {{11, 11, 11}}, logits);
+    record(logits);
+    std::vector<int> tokens{5, 9, 14};
+    for (int i = 0; i < 4; ++i) {
+      tf.StepSeqs(tokens, seqs, std::span<float>(logits.data(), 3 * vocab));
+      record(std::span<const float>(logits.data(), 3 * vocab));
+      std::copy(token_runs[run].end() - 3, token_runs[run].end(), tokens.begin());
     }
   }
 
-  EXPECT_EQ(token_runs[0], token_runs[1]);
-  for (int i = 0; i < steps; ++i) {
-    EXPECT_EQ(std::memcmp(logits_runs[0][static_cast<size_t>(i)].data(),
-                          logits_runs[1][static_cast<size_t>(i)].data(),
-                          sizeof(float) * vocab),
-              0)
-        << "step " << i;
+  EXPECT_GT(devs[1]->ledger().Count("kernel.dequant_coalesced_lut.calls"), 0);
+  for (int run = 1; run < kRuns; ++run) {
+    EXPECT_EQ(token_runs[0], token_runs[run]) << "run " << run;
+    ASSERT_EQ(logits_runs[0].size(), logits_runs[run].size());
+    for (size_t i = 0; i < logits_runs[0].size(); ++i) {
+      ASSERT_EQ(logits_runs[0][i].size(), logits_runs[run][i].size());
+      EXPECT_EQ(std::memcmp(logits_runs[0][i].data(), logits_runs[run][i].data(),
+                            sizeof(float) * logits_runs[0][i].size()),
+                0)
+          << "run " << run << " call " << i;
+    }
+    ExpectSameCharges(*devs[0], *devs[run]);
   }
-  EXPECT_GT(dev_on.ledger().Count("kernel.dequant_coalesced_lut.calls"), 0);
-  ExpectSameCharges(dev_off, dev_on);
 }
 
 TEST_F(TransformerTest, SteadyStateDecodeDoesNotHeapAllocate) {
