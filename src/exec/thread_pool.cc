@@ -1,14 +1,20 @@
 #include "src/exec/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <string>
+#include <memory>
+#include <semaphore>
+#include <thread>
+#include <vector>
 
 #include "src/base/check.h"
 
 namespace hexec {
 namespace {
+
+using Body = std::function<void(int64_t, int64_t, int)>;
 
 // Per-thread parallelism state. `tls_in_region` marks that the current thread is executing
 // a ParallelFor body (nested loops collapse to serial); `tls_override` is the
@@ -30,103 +36,134 @@ int DefaultLanes() {
   return static_cast<int>(std::min(hw == 0 ? 1u : hw, 8u));
 }
 
-}  // namespace
-
-ThreadPool::ThreadPool(int workers) {
-  HEXLLM_CHECK(workers >= 0);
-  queues_.resize(static_cast<size_t>(workers));
-  threads_.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    threads_.emplace_back([this, w] { WorkerLoop(w); });
+// Runs slot `s` of the partition on this thread as a region body and returns its
+// exception, if any.
+std::exception_ptr RunSlot(const Body& body, int64_t n, int slots, int s) {
+  const bool prev = tls_in_region;
+  tls_in_region = true;
+  std::exception_ptr error;
+  try {
+    body(n * s / slots, n * (s + 1) / slots, s);
+  } catch (...) {
+    error = std::current_exception();
   }
+  tls_in_region = prev;
+  return error;
 }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& t : threads_) {
-    t.join();
-  }
-}
-
-void ThreadPool::Enqueue(std::function<void()> fn) {
-  if (threads_.empty()) {
-    // No workers: run inline. Submit()'s packaged_task still routes any exception into the
-    // future, so callers observe identical semantics.
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    fn();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queues_[next_queue_].push_back(std::move(fn));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-  }
-  cv_.notify_one();
-}
-
-bool ThreadPool::TryPop(int worker, std::function<void()>* out) {
-  // Caller holds mu_. Own queue first (front), then steal from the back of siblings.
-  auto& own = queues_[static_cast<size_t>(worker)];
-  if (!own.empty()) {
-    *out = std::move(own.front());
-    own.pop_front();
-    return true;
-  }
-  const size_t n = queues_.size();
-  for (size_t i = 1; i < n; ++i) {
-    auto& q = queues_[(static_cast<size_t>(worker) + i) % n];
-    if (!q.empty()) {
-      *out = std::move(q.back());
-      q.pop_back();
-      stolen_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+// Fork-join pool of `lanes - 1` workers. Worker w sleeps on its own semaphore and runs
+// slot w of the current region when woken; the caller runs slot 0 and waits for `pending_`
+// to reach zero. One region runs at a time: a thread that finds the lanes held runs its
+// region inline. Nothing is allocated per region.
+class LanePool {
+ public:
+  explicit LanePool(int lanes) : lanes_(lanes), slot_(new Slot[static_cast<size_t>(lanes)]) {
+    workers_.reserve(static_cast<size_t>(lanes - 1));
+    for (int w = 1; w < lanes; ++w) {
+      workers_.emplace_back([this, w] { Work(w); });
     }
   }
-  return false;
-}
 
-void ThreadPool::WorkerLoop(int worker) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || TryPop(worker, &task); });
-      if (!task) {
-        if (stop_) {
-          // Drain: on shutdown keep pulling until every queue is empty.
-          if (!TryPop(worker, &task)) {
-            return;
-          }
-        } else {
-          continue;
-        }
+  ~LanePool() {
+    stop_ = true;
+    for (int w = 1; w < lanes_; ++w) {
+      slot_[w].wake.release();
+    }
+    for (std::thread& t : workers_) {
+      t.join();
+    }
+  }
+
+  LanePool(const LanePool&) = delete;
+  LanePool& operator=(const LanePool&) = delete;
+
+  int lanes() const { return lanes_; }
+
+  void Run(int64_t n, int slots, const Body& body) {
+    const bool fork =
+        slots > 1 && slots <= lanes_ && !busy_.exchange(true, std::memory_order_acquire);
+    if (fork) {
+      body_ = &body;
+      n_ = n;
+      slots_ = slots;
+      pending_.store(slots - 1, std::memory_order_relaxed);
+      for (int s = 1; s < slots; ++s) {
+        slot_[s].wake.release();
       }
     }
-    const int act = active_.fetch_add(1, std::memory_order_relaxed) + 1;
-    int peak = peak_active_.load(std::memory_order_relaxed);
-    while (act > peak &&
-           !peak_active_.compare_exchange_weak(peak, act, std::memory_order_relaxed)) {
+    std::exception_ptr first;
+    for (int s = 0; s < (fork ? 1 : slots); ++s) {
+      std::exception_ptr error = RunSlot(body, n, slots, s);
+      if (error && !first) {
+        first = std::move(error);
+      }
     }
-    task();
-    active_.fetch_sub(1, std::memory_order_relaxed);
-    executed_.fetch_add(1, std::memory_order_relaxed);
+    if (fork) {
+      // Every slot finishes before the caller returns, even after a failure: bodies may
+      // reference the caller's stack.
+      while (const int p = pending_.load(std::memory_order_acquire)) {
+        pending_.wait(p, std::memory_order_acquire);
+      }
+      for (int s = 1; s < slots; ++s) {
+        if (slot_[s].error && !first) {
+          first = std::move(slot_[s].error);
+        }
+        slot_[s].error = nullptr;
+      }
+      busy_.store(false, std::memory_order_release);
+    }
+    if (first) {
+      std::rethrow_exception(first);
+    }
   }
-}
 
-ThreadPool& ThreadPool::Global() {
-  static ThreadPool* pool = new ThreadPool(DefaultLanes() - 1);
-  return *pool;
-}
+  // The process-wide pool, sized from HEXLLM_NUM_THREADS on first use (unset defaults to
+  // min(hardware_concurrency, 8) lanes).
+  static LanePool& Global() {
+    static LanePool pool(DefaultLanes());
+    return pool;
+  }
+
+ private:
+  // One per lane, on its own cache line so a worker's wake-up and error slot do not share
+  // a line with its neighbours'.
+  struct alignas(64) Slot {
+    std::binary_semaphore wake{0};
+    std::exception_ptr error;
+  };
+
+  void Work(int w) {
+    for (;;) {
+      slot_[w].wake.acquire();
+      if (stop_) {
+        return;
+      }
+      slot_[w].error = RunSlot(*body_, n_, slots_, w);
+      if (pending_.fetch_sub(1, std::memory_order_release) == 1) {
+        pending_.notify_one();
+      }
+    }
+  }
+
+  const int lanes_;
+  std::unique_ptr<Slot[]> slot_;
+  std::atomic<bool> busy_{false};  // a caller holds the lanes
+  std::atomic<int> pending_{0};    // worker slots of the current region still running
+  // The current region, published to workers by their semaphore release.
+  const Body* body_ = nullptr;
+  int64_t n_ = 0;
+  int slots_ = 0;
+  bool stop_ = false;  // set once, before the destructor's final wake-ups
+  std::vector<std::thread> workers_;
+};
+
+}  // namespace
 
 int MaxSlots() {
   if (tls_override > 0) {
     return tls_override;
   }
-  return ThreadPool::Global().workers() + 1;
+  return LanePool::Global().lanes();
 }
 
 int PlannedSlots(int64_t n) {
@@ -136,81 +173,13 @@ int PlannedSlots(int64_t n) {
   return static_cast<int>(std::min<int64_t>(MaxSlots(), n));
 }
 
-int ParallelFor(int64_t n, const std::function<void(int64_t, int64_t, int)>& body,
-                int max_slots) {
+int ParallelFor(int64_t n, const Body& body, int max_slots) {
   if (n <= 0) {
     return 0;
   }
   g_parallel_for_calls.fetch_add(1, std::memory_order_relaxed);
-  int slots = PlannedSlots(n);
-  slots = std::min(slots, std::max(1, max_slots));
-  if (slots == 1) {
-    const bool prev = tls_in_region;
-    tls_in_region = true;
-    try {
-      body(0, n, 0);
-    } catch (...) {
-      tls_in_region = prev;
-      throw;
-    }
-    tls_in_region = prev;
-    return 1;
-  }
-
-  auto range_begin = [n, slots](int s) { return n * s / slots; };
-
-  ThreadPool& pool = ThreadPool::Global();
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<size_t>(slots - 1));
-  const bool inline_extra_slots = pool.workers() == 0;
-  if (!inline_extra_slots) {
-    for (int s = 1; s < slots; ++s) {
-      futures.push_back(pool.Submit([&body, range_begin, s] {
-        const bool prev = tls_in_region;
-        tls_in_region = true;
-        try {
-          body(range_begin(s), range_begin(s + 1), s);
-        } catch (...) {
-          tls_in_region = prev;
-          throw;
-        }
-        tls_in_region = prev;
-      }));
-    }
-  }
-
-  // Slot 0 runs on the caller; with a 0-worker pool (override > 1 under
-  // HEXLLM_NUM_THREADS=1) every slot runs here sequentially in ascending order, preserving
-  // the exact slot decomposition with zero concurrency.
-  std::exception_ptr first_error;
-  const bool prev = tls_in_region;
-  tls_in_region = true;
-  const int caller_slots = inline_extra_slots ? slots : 1;
-  for (int s = 0; s < caller_slots; ++s) {
-    try {
-      body(range_begin(s), range_begin(s + 1), s);
-    } catch (...) {
-      if (!first_error) {
-        first_error = std::current_exception();
-      }
-    }
-  }
-  tls_in_region = prev;
-
-  // Wait for every slot (even after a failure — bodies may reference caller stack state),
-  // then rethrow the lowest-slot exception.
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) {
-        first_error = std::current_exception();
-      }
-    }
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
+  const int slots = std::min(PlannedSlots(n), std::max(1, max_slots));
+  LanePool::Global().Run(n, slots, body);
   return slots;
 }
 
@@ -222,11 +191,7 @@ ParallelismOverride::ParallelismOverride(int slots) : prev_(tls_override) {
 ParallelismOverride::~ParallelismOverride() { tls_override = prev_; }
 
 void ExportPoolMetrics(obs::Registry& registry) {
-  ThreadPool& pool = ThreadPool::Global();
-  registry.Set("exec.pool.workers", static_cast<double>(pool.workers()));
-  registry.Set("exec.pool.peak_active", static_cast<double>(pool.peak_active()));
-  registry.Count("exec.tasks.executed", pool.tasks_executed());
-  registry.Count("exec.tasks.stolen", pool.tasks_stolen());
+  registry.Set("exec.pool.workers", static_cast<double>(LanePool::Global().lanes() - 1));
   registry.Count("exec.parallel_for.calls",
                  g_parallel_for_calls.load(std::memory_order_relaxed));
 }

@@ -1,6 +1,6 @@
 /// \file
-/// The parallel execution layer: a fixed-size work-stealing thread pool plus the
-/// deterministic `ParallelFor` every hot path in the repo parallelizes through.
+/// The parallel execution layer: the deterministic `ParallelFor` every hot path in the
+/// repo parallelizes through, backed by a fixed fork-join lane pool.
 ///
 /// The paper's end-to-end wins come from keeping heterogeneous units busy at once (HMX
 /// decoding while the CPU runs lm_head, §6/§7.2.2). This module is the host-side substrate
@@ -11,12 +11,11 @@
 /// Determinism contract (docs/threading_model.md):
 ///   * `ParallelFor(n, body)` partitions [0, n) into `slots` CONTIGUOUS ranges with a
 ///     static rule (slot s gets [n*s/slots, n*(s+1)/slots)). The partition depends only on
-///     (n, slots), never on which worker runs a range or in what order.
+///     (n, slots), never on which thread runs a range or in what order.
 ///   * `body(begin, end, slot)` receives the slot index; callers key per-lane state
 ///     (NpuDevice shards, scratch buffers) on it. Slot 0 always runs on the calling
-///     thread, so a 1-slot run is exactly the legacy serial code path.
-///   * Work stealing moves whole slot-tasks between worker queues; a stolen task keeps its
-///     slot index, so results are bit-identical run to run regardless of scheduling.
+///     thread, so a 1-slot run is exactly the legacy serial code path. Pool worker w always
+///     runs slot w.
 ///   * A nested `ParallelFor` (called from inside a body) runs inline as a single slot —
 ///     parallelism never recursively multiplies.
 ///
@@ -26,82 +25,16 @@
 #ifndef SRC_EXEC_THREAD_POOL_H_
 #define SRC_EXEC_THREAD_POOL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "src/obs/metrics.h"
 
 namespace hexec {
 
-/// Fixed-size pool of worker threads with per-worker task queues and work stealing: an
-/// idle worker first drains its own queue front-to-back, then steals from the back of its
-/// siblings' queues. Tasks are type-erased thunks; `Submit` returns a `std::future` that
-/// carries the task's result or its exception.
-class ThreadPool {
- public:
-  /// Spawns `workers` threads (0 is valid: every task then runs inline on the submitting
-  /// thread, which keeps single-threaded builds free of any synchronization).
-  explicit ThreadPool(int workers);
-  /// Drains the queues and joins every worker. Queued tasks still run.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int workers() const { return static_cast<int>(threads_.size()); }
-
-  /// Schedules `fn` on the pool (round-robin across worker queues) and returns a future
-  /// for its result. With zero workers the task runs inline before Submit returns.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    Enqueue([task]() { (*task)(); });
-    return fut;
-  }
-
-  /// --- lifetime counters (relaxed atomics; exported as exec.* metrics) ---
-  int64_t tasks_executed() const { return executed_.load(std::memory_order_relaxed); }
-  /// Tasks a worker took from another worker's queue.
-  int64_t tasks_stolen() const { return stolen_.load(std::memory_order_relaxed); }
-  /// Peak number of workers simultaneously executing tasks (pool occupancy high-water).
-  int peak_active() const { return peak_active_.load(std::memory_order_relaxed); }
-
-  /// The process-wide pool, sized from HEXLLM_NUM_THREADS on first use (lanes - 1 workers;
-  /// unset defaults to min(hardware_concurrency, 8) lanes).
-  static ThreadPool& Global();
-
- private:
-  void Enqueue(std::function<void()> fn);
-  void WorkerLoop(int worker);
-  bool TryPop(int worker, std::function<void()>* out);
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  size_t next_queue_ = 0;                                // round-robin submission cursor
-  std::vector<std::deque<std::function<void()>>> queues_;  // one per worker
-  std::vector<std::thread> threads_;
-
-  std::atomic<int64_t> executed_{0};
-  std::atomic<int64_t> stolen_{0};
-  std::atomic<int> active_{0};
-  std::atomic<int> peak_active_{0};
-};
-
 /// Total parallel lanes the calling thread would use: the per-thread override if one is
-/// active, else global pool workers + 1 (the caller is always lane 0).
+/// active, else the global pool's lanes (its workers + the caller, which is always lane 0).
 int MaxSlots();
 
 /// Lanes a `ParallelFor(n, ...)` issued from this thread right now would actually use:
@@ -110,10 +43,13 @@ int MaxSlots();
 int PlannedSlots(int64_t n);
 
 /// Runs `body(begin, end, slot)` over a deterministic static partition of [0, n) (see the
-/// file comment for the contract). Slot 0 executes on the calling thread; slots >= 1 are
-/// pool tasks. Returns the number of slots used. If any body throws, the lowest-slot
-/// exception is rethrown on the caller after every slot finished. `max_slots` additionally
-/// caps the lane count (callers with a fixed amount of per-slot state pass its size).
+/// file comment for the contract). Slot 0 executes on the calling thread and pool worker s
+/// executes slot s. When the lanes are already held by another thread, or the slot count
+/// exceeds the pool's lanes, every slot runs inline on the caller in ascending slot order
+/// (same partition, no concurrency). Returns the number of slots used. If any body throws,
+/// the lowest-slot exception is rethrown on the caller after every slot finished.
+/// `max_slots` additionally caps the lane count (callers with a fixed amount of per-slot
+/// state pass its size). A region performs no heap allocation.
 int ParallelFor(int64_t n, const std::function<void(int64_t, int64_t, int)>& body,
                 int max_slots = 1 << 30);
 
@@ -130,10 +66,10 @@ int ParallelFor(int64_t n, F&& body, int max_slots = 1 << 30) {
 }
 
 /// RAII per-thread lane-count pin for tests: forces PlannedSlots/ParallelFor on this
-/// thread to use exactly `slots` lanes (1 = serial) regardless of the pool size. With a
-/// 0-worker pool, extra lanes run inline on the caller in ascending slot order, so the
-/// slot decomposition — and therefore every per-slot accounting total — is still
-/// exercised without any concurrency.
+/// thread to use exactly `slots` lanes (1 = serial) regardless of the pool size. Slots
+/// beyond the pool's lanes run inline on the caller in ascending slot order, so the slot
+/// decomposition — and therefore every per-slot accounting total — is still exercised
+/// without any concurrency.
 class ParallelismOverride {
  public:
   explicit ParallelismOverride(int slots);
@@ -145,10 +81,9 @@ class ParallelismOverride {
   int prev_;
 };
 
-/// Publishes the global pool's counters into `registry` (docs/metrics_schema.md):
-///   gauges   exec.pool.workers, exec.pool.peak_active
-///   counters exec.tasks.executed, exec.tasks.stolen, exec.parallel_for.calls
-/// The counters are process-lifetime monotonic, not per-run deltas.
+/// Publishes the global pool's size and region count into `registry`
+/// (docs/metrics_schema.md): gauge exec.pool.workers, counter exec.parallel_for.calls
+/// (process-lifetime monotonic, not a per-run delta).
 void ExportPoolMetrics(obs::Registry& registry);
 
 }  // namespace hexec

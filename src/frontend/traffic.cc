@@ -23,9 +23,7 @@ std::vector<Request> GenerateTraffic(const TrafficOptions& o) {
   HEXLLM_CHECK(o.arrivals >= 0);
   HEXLLM_CHECK(o.arrival_rate_hz > 0.0);
   HEXLLM_CHECK(o.session_turns >= 1);
-  // Stream splitting uses Rng::Fork's mixing constant without consuming a draw, so stream 0
-  // reproduces the pre-fleet generator bit for bit.
-  hexllm::Rng rng(o.stream == 0 ? o.seed : o.seed ^ (o.stream * 0xA24BAED4963EE407ull));
+  hexllm::Rng rng(o.seed);
   std::vector<Request> out;
   out.reserve(static_cast<size_t>(o.arrivals));
 
@@ -60,10 +58,10 @@ std::vector<Request> GenerateTraffic(const TrafficOptions& o) {
       prefix = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(o.prefix_count)));
     }
     const int turns = in_session ? o.session_turns : 1;
-    const int session = in_session ? o.session_base + session_id++ : -1;
+    const int session = in_session ? session_id++ : -1;
     for (int turn = 0; turn < turns; ++turn) {
       Request r;
-      r.id = o.id_base + id++;
+      r.id = id++;
       r.arrival_s = turn == 0 ? t : o.mean_think_s * rng.NextExponential();
       r.session = session;
       r.turn_index = turn;

@@ -73,16 +73,6 @@ struct TrafficOptions {
   int prefix_tokens = 0;
   double prefix_fraction = 0.5;
 
-  // --- stream splitting (fleet-scale generation) ---
-  // A non-zero stream id decorrelates this trace from every other stream of the same seed
-  // (hexllm::Rng::Fork semantics), and id_base / session_base offset the generated request
-  // and session ids, so N per-device generators can emit disjoint, independently-seeded
-  // slices of one fleet workload without sharing an RNG. Stream 0 with zero bases is
-  // byte-identical to the pre-fleet generator.
-  uint64_t stream = 0;
-  int id_base = 0;
-  int session_base = 0;
-
   // Sampling policy stamped on every request (greedy default); each request still gets its
   // own Rng seed from the trace seed.
   hllm::SamplerOptions sampler = hserve::GreedySampler();

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/base/check.h"
-#include "src/base/tensor.h"
 #include "src/hexsim/device_profile.h"
 #include "src/obs/metrics.h"
 

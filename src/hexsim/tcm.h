@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/base/check.h"
-#include "src/base/tensor.h"
+#include "src/base/aligned_buffer.h"
 
 namespace hexsim {
 

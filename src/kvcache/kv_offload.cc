@@ -7,7 +7,10 @@
 
 namespace hkv {
 
-int LruEvictionPolicy::PickVictim(const BlockPool& pool, std::span<const int> candidates) {
+namespace {
+
+// Index into `candidates` of the least-recently-touched block, or -1 when there is none.
+int PickLruVictim(const BlockPool& pool, std::span<const int> candidates) {
   int best = -1;
   int64_t best_touch = 0;
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -22,16 +25,12 @@ int LruEvictionPolicy::PickVictim(const BlockPool& pool, std::span<const int> ca
   return best;
 }
 
+}  // namespace
+
 KvOffloadEngine::KvOffloadEngine(BlockPool& pool, uint8_t* storage, int64_t block_bytes,
-                                 const KvOffloadOptions& opts,
-                                 std::unique_ptr<KvEvictionPolicy> policy)
-    : pool_(pool),
-      storage_(storage),
-      block_bytes_(block_bytes),
-      opts_(opts),
-      policy_(policy ? std::move(policy) : std::make_unique<LruEvictionPolicy>()),
-      flash_(opts.flash) {
-  HEXLLM_CHECK(block_bytes_ > 0 || storage_ == nullptr);
+                                 const KvOffloadOptions& opts)
+    : pool_(pool), storage_(storage), block_bytes_(block_bytes), opts_(opts), flash_(opts.flash) {
+  HEXLLM_CHECK(storage_ != nullptr && block_bytes_ > 0);
 }
 
 int64_t KvOffloadEngine::EnforceBudget() {
@@ -49,23 +48,16 @@ int64_t KvOffloadEngine::EnforceBudget() {
         candidates_scratch_.push_back(b);
       }
     }
-    const int pick = candidates_scratch_.empty()
-                         ? -1
-                         : policy_->PickVictim(pool_, candidates_scratch_);
+    const int pick = PickLruVictim(pool_, candidates_scratch_);
     if (pick < 0) {
       break;  // nothing evictable (everything shared/pinned) — stay over budget
     }
     const int victim = candidates_scratch_[static_cast<size_t>(pick)];
-    if (storage_ != nullptr) {
-      uint8_t* slab = storage_ + static_cast<int64_t>(victim) * block_bytes_;
-      auto& copy = flash_store_[victim];
-      copy.assign(slab, slab + block_bytes_);
-      // Destroy the DRAM copy so any read that skips the promotion fault fails loudly:
-      // 0xFF bytes are F16 NaNs in the F16 slab and NaN scales in the quantized slab.
-      std::memset(slab, 0xFF, static_cast<size_t>(block_bytes_));
-    } else {
-      flash_store_[victim];  // accounting-only: remember the block lives in flash
-    }
+    uint8_t* slab = storage_ + static_cast<int64_t>(victim) * block_bytes_;
+    flash_store_[victim].assign(slab, slab + block_bytes_);
+    // Destroy the DRAM copy so any read that skips the promotion fault fails loudly:
+    // 0xFF bytes are F16 NaNs in the F16 slab and NaN scales in the quantized slab.
+    std::memset(slab, 0xFF, static_cast<size_t>(block_bytes_));
     const double s = flash_.ChargeWrite(block_bytes_);
     stats_.flash_write_bytes += block_bytes_;
     stats_.flash_write_seconds += s;
@@ -119,10 +111,8 @@ double KvOffloadEngine::Promote(int block, bool demand) {
   }
   auto copy = flash_store_.find(block);
   HEXLLM_CHECK_MSG(copy != flash_store_.end(), "promoting a KV block with no flash copy");
-  if (storage_ != nullptr) {
-    std::memcpy(storage_ + static_cast<int64_t>(block) * block_bytes_, copy->second.data(),
-                static_cast<size_t>(block_bytes_));
-  }
+  std::memcpy(storage_ + static_cast<int64_t>(block) * block_bytes_, copy->second.data(),
+              static_cast<size_t>(block_bytes_));
   flash_store_.erase(copy);
   pool_.SetResident(block, true);
   ++stats_.promotions;

@@ -10,8 +10,8 @@
 /// through the async prefetch queue overlap with NPU compute the same way the batcher
 /// overlaps the CPU lm_head with the next NPU step.
 ///
-/// Eviction policy is pluggable (KvEvictionPolicy); the default LruEvictionPolicy picks the
-/// smallest per-block last-touch stamp. Blocks with refcount > 1 — CoW-shared forks, pinned
+/// Eviction is least-recently-touched first: the smallest per-block last-touch stamp, ties
+/// broken by the lowest block id. Blocks with refcount > 1 — CoW-shared forks, pinned
 /// prefix anchors, retained handles — are never candidates, and neither are blocks already
 /// demoted.
 ///
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -66,30 +65,12 @@ struct KvOffloadStats {
 // metric snapshots.
 void ExportKvOffloadStats(const KvOffloadStats& stats, obs::Registry& registry);
 
-// Pluggable victim selection. `candidates` holds live, resident, exclusively-owned block
-// ids (the engine pre-filters pinned/CoW-shared/demoted blocks). Returns an index into
-// `candidates`, or -1 to refuse eviction.
-class KvEvictionPolicy {
- public:
-  virtual ~KvEvictionPolicy() = default;
-  virtual int PickVictim(const BlockPool& pool, std::span<const int> candidates) = 0;
-};
-
-// Default policy: least-recently-touched first (per-block last-touch stamp, ties broken by
-// the lowest block id for determinism).
-class LruEvictionPolicy : public KvEvictionPolicy {
- public:
-  int PickVictim(const BlockPool& pool, std::span<const int> candidates) override;
-};
-
 class KvOffloadEngine {
  public:
   // `storage` is the owning cache's block slab (block b's payload lives at
-  // storage + b * block_bytes); nullptr runs the engine accounting-only (no payload moves,
-  // no poisoning) for storage-free accountants like the analytic serving backend.
+  // storage + b * block_bytes).
   KvOffloadEngine(BlockPool& pool, uint8_t* storage, int64_t block_bytes,
-                  const KvOffloadOptions& opts,
-                  std::unique_ptr<KvEvictionPolicy> policy = nullptr);
+                  const KvOffloadOptions& opts);
 
   bool enabled() const { return opts_.resident_block_budget > 0; }
   const KvOffloadOptions& options() const { return opts_; }
@@ -142,7 +123,6 @@ class KvOffloadEngine {
   uint8_t* storage_;
   int64_t block_bytes_;
   KvOffloadOptions opts_;
-  std::unique_ptr<KvEvictionPolicy> policy_;
   hexsim::FlashTier flash_;
   KvOffloadStats stats_;
 

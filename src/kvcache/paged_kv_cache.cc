@@ -172,12 +172,11 @@ int64_t PagedKvCache::TruncateSeq(int seq, int new_len) {
   return dropped;
 }
 
-void PagedKvCache::ConfigureOffload(const KvOffloadOptions& opts,
-                                    std::unique_ptr<KvEvictionPolicy> policy) {
+void PagedKvCache::ConfigureOffload(const KvOffloadOptions& opts) {
   HEXLLM_CHECK_MSG(mgr_.stats().physical_blocks == 0,
                    "ConfigureOffload requires an empty cache");
-  offload_ = std::make_unique<KvOffloadEngine>(mgr_.pool(), storage_.data(), block_bytes_,
-                                               opts, std::move(policy));
+  offload_ =
+      std::make_unique<KvOffloadEngine>(mgr_.pool(), storage_.data(), block_bytes_, opts);
 }
 
 double PagedKvCache::EnsureResidentTableBlocks(int seq, std::span<const int> table_indices) {

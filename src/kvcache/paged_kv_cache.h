@@ -166,8 +166,7 @@ class PagedKvCache {
   // rest demote to the flash tier and fault back in on access. Call before any sequence
   // holds blocks. A default-constructed (budget <= 0) options value detaches nothing but
   // leaves offload disabled.
-  void ConfigureOffload(const KvOffloadOptions& opts,
-                        std::unique_ptr<KvEvictionPolicy> policy = nullptr);
+  void ConfigureOffload(const KvOffloadOptions& opts);
   KvOffloadEngine* offload() { return offload_.get(); }
   const KvOffloadEngine* offload() const { return offload_.get(); }
   bool offload_enabled() const { return offload_ != nullptr && offload_->enabled(); }

@@ -164,8 +164,8 @@ StepCost Engine::NpuDecodeStep(int batch, int context) const {
 
   // Attention: batched query rows share the KV context (parallel test-time-scaling
   // workloads sample from a common prompt). One call per head per layer.
-  const auto attn = hkern::FlashAttentionCost(d, options_.softmax, batch, context,
-                                              m.head_dim);
+  const auto attn =
+      hkern::FlashAttentionCost(d, hkern::SoftmaxVariant::kLut, batch, context, m.head_dim);
   const double attn_hvx_busy = attn.HvxBusySeconds() * m.heads * m.layers;
   const double attn_hmx = (attn.hmx_qk_s + attn.hmx_pv_s) * m.heads * m.layers;
   // K/V tiles stream on-chip once per KV head; the GQA query-head group shares them.
@@ -324,7 +324,7 @@ StepCost Engine::Prefill(int prompt_len) const {
   for (int ch = 0; ch < chunks; ++ch) {
     const int q = std::min(kPrefillChunk, prompt_len - ch * kPrefillChunk);
     const int kv = ch * kPrefillChunk + q;
-    const auto a = hkern::FlashAttentionCost(d, options_.softmax, q, kv, m.head_dim);
+    const auto a = hkern::FlashAttentionCost(d, hkern::SoftmaxVariant::kLut, q, kv, m.head_dim);
     attn_hvx += a.HvxBusySeconds() * m.heads * m.layers;
     attn_hmx += (a.hmx_qk_s + a.hmx_pv_s) * m.heads * m.layers;
   }

@@ -21,7 +21,6 @@
 
 #include "src/hexsim/device_profile.h"
 #include "src/kernels/mixed_gemm.h"
-#include "src/kernels/softmax.h"
 #include "src/llm/model_config.h"
 #include "src/obs/metrics.h"
 
@@ -103,7 +102,6 @@ struct EngineOptions {
   int context_budget = 4096;
   int max_batch = 16;
   hkern::DequantKernel dequant = hkern::DequantKernel::kCoalescedLut;
-  hkern::SoftmaxVariant softmax = hkern::SoftmaxVariant::kLut;
   // §8(a) extension: run the linear layers as T-MAC-style LUT GEMV (no dequantization, no
   // HMX) instead of dequant+HMX. Fast at batch 1 (DMA-bound); loses to HMX at batch >= ~4.
   bool use_tmac_gemv = false;

@@ -1173,6 +1173,23 @@ TEST_F(TransformerTest, SteadyStateDecodeDoesNotHeapAllocate) {
   EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0);
 }
 
+TEST(ParallelForAllocTest, RegionsDoNotHeapAllocate) {
+  // Forking and joining a region allocates nothing, whether the slots fan out over pool
+  // workers or run inline because the pool has fewer lanes than the override asks for.
+  hexec::ParallelismOverride lanes(4);
+  std::atomic<int64_t> covered{0};
+  auto body = [&covered](int64_t begin, int64_t end, int) {
+    covered.fetch_add(end - begin, std::memory_order_relaxed);
+  };
+  hexec::ParallelFor(64, body);  // warm-up: starts the pool's workers
+  const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) {
+    hexec::ParallelFor(64, body);
+  }
+  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0);
+  EXPECT_EQ(covered.load(), 101 * 64);
+}
+
 TEST_F(TransformerTest, WorkspaceBytesGaugeExported) {
   // The serving backend publishes the step-arena high watermark as exec.workspace.bytes
   // (docs/metrics_schema.md).
