@@ -41,9 +41,9 @@ double DmaEngine::Transfer1D(void* dst, const void* src, int64_t bytes, DmaDirec
     std::memcpy(dst, src, static_cast<size_t>(bytes));
   }
   const double t = Cost1D(bytes, dir);
-  ledger_.AddSeconds(Engine::kDma, t, "dma");
+  ledger_.AddSeconds(Engine::kDma, t, Tag::kDma);
   ledger_.AddDmaBytes(bytes);
-  ledger_.AddCount("dma.descriptors");
+  ledger_.AddCount(Counter::kDmaDescriptors);
   return t;
 }
 
@@ -57,9 +57,9 @@ double DmaEngine::Transfer2D(void* dst, int64_t dst_stride, const void* src, int
     }
   }
   const double t = Cost2D(row_bytes, rows, dir);
-  ledger_.AddSeconds(Engine::kDma, t, "dma");
+  ledger_.AddSeconds(Engine::kDma, t, Tag::kDma);
   ledger_.AddDmaBytes(row_bytes * rows);
-  ledger_.AddCount("dma.descriptors");
+  ledger_.AddCount(Counter::kDmaDescriptors);
   return t;
 }
 

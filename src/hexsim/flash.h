@@ -6,10 +6,6 @@
 // descriptor machinery: KV offload moves whole blocks (hundreds of KB), so one op per block
 // is the right granularity.
 //
-// Writes additionally accumulate a monotonic wear counter (ops + bytes) that survives
-// ResetStats — flash endurance is the reason demotion policy matters on a phone, and the
-// bench reports it so a sweep can show write-amplification of an eviction policy.
-//
 // Purely an accountant: the engine never owns payload bytes (hkv::KvOffloadEngine does).
 #ifndef SRC_HEXSIM_FLASH_H_
 #define SRC_HEXSIM_FLASH_H_
@@ -34,9 +30,6 @@ struct FlashStats {
   int64_t write_bytes = 0;
   double read_seconds = 0.0;
   double write_seconds = 0.0;
-  // Endurance proxy: never reset (see FlashTier::ResetStats).
-  int64_t wear_write_ops = 0;
-  int64_t wear_write_bytes = 0;
 };
 
 class FlashTier {
@@ -65,23 +58,11 @@ class FlashTier {
     ++stats_.write_ops;
     stats_.write_bytes += bytes;
     stats_.write_seconds += s;
-    ++stats_.wear_write_ops;
-    stats_.wear_write_bytes += bytes;
     return s;
   }
 
   const FlashSpec& spec() const { return spec_; }
   const FlashStats& stats() const { return stats_; }
-
-  // Clears the per-run accounting but keeps the wear counters: endurance is a device
-  // lifetime property, not a run property.
-  void ResetStats() {
-    const int64_t wear_ops = stats_.wear_write_ops;
-    const int64_t wear_bytes = stats_.wear_write_bytes;
-    stats_ = FlashStats();
-    stats_.wear_write_ops = wear_ops;
-    stats_.wear_write_bytes = wear_bytes;
-  }
 
  private:
   FlashSpec spec_;

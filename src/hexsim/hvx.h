@@ -51,16 +51,6 @@ struct HvxVec {
     HEXLLM_DCHECK(i >= 0 && i < kHalfwords);
     std::memcpy(b.data() + i * 2, &v, 2);
   }
-  uint32_t GetU32(int i) const {
-    HEXLLM_DCHECK(i >= 0 && i < kWords);
-    uint32_t v;
-    std::memcpy(&v, b.data() + i * 4, 4);
-    return v;
-  }
-  void SetU32(int i, uint32_t v) {
-    HEXLLM_DCHECK(i >= 0 && i < kWords);
-    std::memcpy(b.data() + i * 4, &v, 4);
-  }
   float GetF32(int i) const {
     HEXLLM_DCHECK(i >= 0 && i < kWords);
     float v;

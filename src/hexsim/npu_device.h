@@ -47,20 +47,18 @@ class NpuDevice {
   HvxContext& hvx() { return hvx_; }
   const HvxContext& hvx() const { return hvx_; }
 
-  // Converts HVX packets executed by a kernel into wall/busy seconds, given how many HVX
-  // hardware threads the kernel spread its work across. Records busy time under `tag`,
-  // counts the packets as committed (HvxContext::packets) and returns the latency
-  // (busy / threads).
-  double CommitHvxPackets(int64_t packets, int threads, std::string_view tag) {
-    HEXLLM_CHECK(threads >= 1 && threads <= profile_.hvx_threads);
+  // Converts HVX packets executed by a kernel into busy seconds on one HVX thread. Records
+  // them under `tag`, counts the packets as committed (HvxContext::packets) and returns
+  // the busy seconds.
+  double CommitHvxPackets(int64_t packets, Tag tag) {
     const double busy = hvx_.PacketsToSeconds(packets);
     hvx_.NoteCommitted(packets);
     ledger_.AddSeconds(Engine::kHvx, busy, tag);
-    return busy / threads;
+    return busy;
   }
 
   // Records HMX tile-op time under `tag` and returns the latency.
-  double CommitHmxTileOps(int64_t tile_ops, std::string_view tag) {
+  double CommitHmxTileOps(int64_t tile_ops, Tag tag) {
     const double t = hmx_.TileOpsToSeconds(tile_ops);
     ledger_.AddSeconds(Engine::kHmx, t, tag);
     return t;
@@ -79,8 +77,6 @@ class NpuDevice {
     }
   }
 
-  int shard_count() const { return static_cast<int>(shards_.size()) + 1; }
-
   // The device a ParallelFor body running as `slot` should charge against. Slot 0 is the
   // parent device, preserving the exact serial code path for 1-lane runs.
   NpuDevice& ForSlot(int slot) {
@@ -90,9 +86,6 @@ class NpuDevice {
     HEXLLM_CHECK(slot >= 1 && slot <= static_cast<int>(shards_.size()));
     return *shards_[static_cast<size_t>(slot - 1)];
   }
-
-  // Shard accessor for lut/scratch setup on the owner thread (1-based, matching ForSlot).
-  NpuDevice& Shard(int i) { return ForSlot(i); }
 
   // Folds every shard's ledger and HVX/HMX instruction counters into the parent, in
   // ascending slot order, then zeroes the shard accounting (shard TCM contents — e.g.

@@ -54,7 +54,7 @@ void PackTilePadded(const F16* src, int64_t src_stride, int valid_rows, int vali
 // descriptor of KvRowBytes(dtype, head_dim, group)-byte rows (charge-only — null pointers
 // move no bytes but cost the same), then the row codec decodes each row's head slice. F16
 // decode is a memcpy; quantized rows also charge the dequant as HVX packets under
-// "attn.kv_dequant" following the DequantCoalescedLut shape (mixed_gemm.cc): INT4 costs 17
+// Tag::kAttnKvDequant following the DequantCoalescedLut shape (mixed_gemm.cc): INT4 costs 17
 // packets per 256 elements (nibble extract via vand/vshr + 2 level VLut16 + 2
 // scale-broadcast VLut16 + multiply/store) and bumps the vlut16 counter for its 4 lookups,
 // INT8 costs 3 packets per 64 elements (load + widen + scale-multiply, no table lookups).
@@ -77,7 +77,7 @@ void StageKvRows(hexsim::NpuDevice& dev, const PagedKvHeadView& kv,
   const bool int4 = row.dtype == hquant::KvDtype::kInt4;
   const int64_t packets = int4 ? (elems * 17 + 255) / 256 : (elems * 3 + 63) / 64;
   dev.hvx().ReplayOps(0, 0, int4 ? (elems * 4 + 255) / 256 : 0);
-  dev.CommitHvxPackets(packets, 1, "attn.kv_dequant");
+  dev.CommitHvxPackets(packets, hexsim::Tag::kAttnKvDequant);
 }
 
 // Drops a window that is disabled or covers every row's whole KV range: it would mask
@@ -147,13 +147,13 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
     HEXLLM_CHECK(row.pos >= 0 && row.pos < span_at[row.span].kv_len);
     max_pos = std::max(max_pos, row.pos);
   }
-  dev.ledger().AddCount("kernel.flash_attention.calls");
+  dev.ledger().AddCount(hexsim::Counter::kFlashAttentionCalls);
   if (layout.row.quantized()) {
-    dev.ledger().AddCount("kernel.attn_kv_dequant.calls");
+    dev.ledger().AddCount(hexsim::Counter::kAttnKvDequantCalls);
   }
   const AttnWindowSpec* win = NormalizeWindow(window, max_pos);
   if (win != nullptr) {
-    dev.ledger().AddCount("kernel.flash_attention.windowed_calls");
+    dev.ledger().AddCount(hexsim::Counter::kFlashAttentionWindowedCalls);
   }
   const int d_tiles = head_dim / HmxEngine::kTileDim;
   const int kv_chunks = static_cast<int>(hexllm::CeilDiv(max_kv, kAttnKvChunk));
@@ -456,13 +456,13 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
                          tile0[t + 1] - tile0[t], DmaDirection::kTcmToDdr);
   }
 
-  dev.CommitHvxPackets(softmax_packets, 1, "attn.softmax");
-  dev.CommitHvxPackets(rescale_packets, 1, "attn.rescale");
-  dev.CommitHvxPackets(pack_packets, 1, "attn.pack");
-  dev.CommitHvxPackets(mask_packets, 1, "attn.mask");
-  dev.CommitHvxPackets(norm_packets, 1, "attn.normalize");
-  dev.CommitHmxTileOps(qk_tile_ops, "attn.qk");
-  dev.CommitHmxTileOps(pv_tile_ops, "attn.pv");
+  dev.CommitHvxPackets(softmax_packets, hexsim::Tag::kAttnSoftmax);
+  dev.CommitHvxPackets(rescale_packets, hexsim::Tag::kAttnRescale);
+  dev.CommitHvxPackets(pack_packets, hexsim::Tag::kAttnPack);
+  dev.CommitHvxPackets(mask_packets, hexsim::Tag::kAttnMask);
+  dev.CommitHvxPackets(norm_packets, hexsim::Tag::kAttnNormalize);
+  dev.CommitHmxTileOps(qk_tile_ops, hexsim::Tag::kAttnQk);
+  dev.CommitHmxTileOps(pv_tile_ops, hexsim::Tag::kAttnPv);
 }
 
 void FlashAttentionPaged(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,

@@ -5,12 +5,12 @@
 //   * Query rows are stacked into 32-row tiles (the HMX tile height) — the query heads of a
 //     GQA group, and every span that shares a KV chunk, fill one tile. KV runs in chunks of
 //     128 (4 tiles); each chunk is staged once and run against every tile that reads it.
-//   * S = (Q * K^T) * scale runs on HMX with FP32 accumulation ("attn.qk").
+//   * S = (Q * K^T) * scale runs on HMX with FP32 accumulation (Tag::kAttnQk).
 //   * Online safe softmax runs on HVX: running row-max m, running row-sum l (FP32
-//     accumulation), P = exp(S - m) through one of the three exp variants ("attn.softmax").
-//   * O_new = diag(exp(m_prev - m_new)) * O + P * V: the P*V product on HMX ("attn.pv"),
-//     the rescale/accumulate sweep on HVX ("attn.rescale").
-//   * Tile packing into the Figure 4a layout is charged under "attn.pack"; DMA under "dma".
+//     accumulation), P = exp(S - m) through one of the three exp variants (Tag::kAttnSoftmax).
+//   * O_new = diag(exp(m_prev - m_new)) * O + P * V: the P*V product on HMX (Tag::kAttnPv),
+//     the rescale/accumulate sweep on HVX (Tag::kAttnRescale).
+//   * Tile packing into the Figure 4a layout is charged under Tag::kAttnPack; DMA under Tag::kDma.
 //
 // The tags drive the Figure 8 latency breakdown. All matrices are FP16 with FP32 accumulation
 // exactly where Algorithm 1 says (MatMul accumulators and the row-sum).
@@ -163,23 +163,23 @@ struct AttnKvSpan {
 // the view's row codec, so outputs match PagedKvCache::ReadKeyRow/ReadValueRow numerics
 // exactly, and DMA is charged KvRowBytes(dtype, head_dim, group) per row — head_dim * 2
 // for F16, the *quantized* bytes for INT8/INT4 (1.9-3.6x less KV traffic). Quantized rows
-// additionally pay the dequant as HVX work under "attn.kv_dequant" (the LUT-GEMM idiom:
+// additionally pay the dequant as HVX work under Tag::kAttnKvDequant (the LUT-GEMM idiom:
 // nibble extract + VLut16 level/scale lookups) and the call counts one
-// "kernel.attn_kv_dequant.calls"; F16 pays neither.
+// Counter::kAttnKvDequantCalls; F16 pays neither.
 //
 // Charges follow what runs: Q DMA, Q packing and O DMA once per tile; K/V staging once
 // per instance; HMX tile ops, S/P/PV packing and the PV accumulate sweep per (tile,
 // instance) step; softmax and the O rescale per live row and step, with vgather
 // contention on the step's live row count. The padded-KV mask and the causal and window
-// mask sweeps commit under "attn.mask" — a sweep only on steps where some live row's
+// mask sweeps commit under Tag::kAttnMask — a sweep only on steps where some live row's
 // position masks part of the chunk — and the final normalization's scalar reciprocal
-// under "attn.normalize".
+// under Tag::kAttnNormalize.
 //
 // `window`, when non-null and enabled, applies sliding-window + attention-sink masking on
 // top of the causal mask: chunks fully masked for a row are skipped for it (never staged
 // when no row attends them) and partially-masked chunks get -inf scores like the causal
 // mask. A window covering every row's whole range is normalized away (no
-// "kernel.flash_attention.windowed_calls"); it would mask nothing, so outputs and charges
+// Counter::kFlashAttentionWindowedCalls); it would mask nothing, so outputs and charges
 // are those of unwindowed attention either way.
 void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
                          std::span<const AttnKvSpan> spans, std::span<const AttnQueryRow> rows,

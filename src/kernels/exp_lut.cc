@@ -9,7 +9,7 @@ namespace hkern {
 using hexllm::F16;
 
 ExpLut::ExpLut(hexsim::NpuDevice& device) {
-  device.ledger().AddCount("kernel.exp_lut.builds");
+  device.ledger().AddCount(hexsim::Counter::kExpLutBuilds);
   uint8_t* mem = device.tcm().Alloc(kBytes, 128);
   table_ = reinterpret_cast<F16*>(mem);
   tcm_offset_ = device.tcm().OffsetOf(mem);

@@ -29,7 +29,7 @@ double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16*
     valid_m = m;
   }
   HEXLLM_CHECK(valid_m <= m);
-  dev.ledger().AddCount("kernel.gemm_hmx.calls");
+  dev.ledger().AddCount(hexsim::Counter::kGemmHmxCalls);
 
   const int mt = m / 32;
   const int kt = k / 32;
@@ -127,8 +127,8 @@ double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16*
     tile_ops += tiles_by_slot[static_cast<size_t>(s)];
   }
 
-  const double hmx_s = dev.CommitHmxTileOps(tile_ops, "gemm.hmx");
-  const double pack_s = dev.CommitHvxPackets(pack_packets, 1, "gemm.pack");
+  const double hmx_s = dev.CommitHmxTileOps(tile_ops, hexsim::Tag::kGemmHmx);
+  const double pack_s = dev.CommitHvxPackets(pack_packets, hexsim::Tag::kGemmPack);
   // DMA overlaps with compute in a double-buffered schedule; the serial latency is the max.
   return std::max(dma_s, hmx_s + pack_s);
 }
@@ -145,7 +145,7 @@ int64_t GemmF16HvxPackets(const hexsim::DeviceProfile& profile, int m, int k, in
 double GemmF16Hvx(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* c, int m, int k,
                   int n) {
   HEXLLM_CHECK(n % 64 == 0);
-  dev.ledger().AddCount("kernel.gemm_hvx.calls");
+  dev.ledger().AddCount(hexsim::Counter::kGemmHvxCalls);
   HvxContext& ctx = dev.hvx();
   const int64_t start = ctx.issued();
 
@@ -178,7 +178,7 @@ double GemmF16Hvx(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* c, in
 
   const int64_t used = ctx.issued() - start;
   HEXLLM_CHECK(used == GemmF16HvxPackets(dev.profile(), m, k, n));
-  return dev.CommitHvxPackets(used, 1, "gemm.hvx");
+  return dev.CommitHvxPackets(used, hexsim::Tag::kGemmHvx);
 }
 
 }  // namespace hkern

@@ -15,7 +15,7 @@ using hexsim::HvxVecPair;
 void RmsNormF16(hexsim::NpuDevice& dev, const F16* x, const F16* gamma, F16* y, int rows,
                 int width, float eps) {
   HEXLLM_CHECK(width % HvxVec::kHalfwords == 0);
-  dev.ledger().AddCount("kernel.rmsnorm.calls");
+  dev.ledger().AddCount(hexsim::Counter::kRmsNormCalls);
   HvxContext& ctx = dev.hvx();
   const int64_t start = ctx.issued();
   const int regs = width / HvxVec::kHalfwords;
@@ -47,13 +47,13 @@ void RmsNormF16(hexsim::NpuDevice& dev, const F16* x, const F16* gamma, F16* y, 
       ctx.Store(out + g * HvxVec::kHalfwords, v);
     }
   }
-  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.rmsnorm");
+  dev.CommitHvxPackets(ctx.issued() - start, hexsim::Tag::kMiscRmsNorm);
 }
 
 void RopeF16(hexsim::NpuDevice& dev, F16* x, int rows, int head_dim, int pos0,
              float theta_base) {
   HEXLLM_CHECK(head_dim % 2 == 0);
-  dev.ledger().AddCount("kernel.rope.calls");
+  dev.ledger().AddCount(hexsim::Counter::kRopeCalls);
   HvxContext& ctx = dev.hvx();
   const int64_t start = ctx.issued();
 
@@ -74,7 +74,7 @@ void RopeF16(hexsim::NpuDevice& dev, F16* x, int rows, int head_dim, int pos0,
       row[2 * i + 1] = F16(RoundToF16(a * s + b * c));
     }
   }
-  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.rope");
+  dev.CommitHvxPackets(ctx.issued() - start, hexsim::Tag::kMiscRope);
 }
 
 namespace {
@@ -84,7 +84,7 @@ template <typename FreqFn>
 void RopeHeadsImpl(hexsim::NpuDevice& dev, F16* x, int heads, int head_dim, int pos,
                    const FreqFn& freq) {
   HEXLLM_CHECK(head_dim % 2 == 0 && heads >= 1);
-  dev.ledger().AddCount("kernel.rope.calls", heads);
+  dev.ledger().AddCount(hexsim::Counter::kRopeCalls, heads);
   HvxContext& ctx = dev.hvx();
   const int64_t start = ctx.issued();
   ctx.Charge(static_cast<int64_t>(heads) *
@@ -102,7 +102,7 @@ void RopeHeadsImpl(hexsim::NpuDevice& dev, F16* x, int heads, int head_dim, int 
       row[2 * i + 1] = F16(RoundToF16(a * s + b * c));
     }
   }
-  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.rope");
+  dev.CommitHvxPackets(ctx.issued() - start, hexsim::Tag::kMiscRope);
 }
 
 }  // namespace
@@ -132,7 +132,7 @@ void RopeHeadsF16(hexsim::NpuDevice& dev, F16* x, int heads, int head_dim, int p
 
 void SiluMulF16(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* y, int64_t count) {
   HEXLLM_CHECK(count % HvxVec::kHalfwords == 0);
-  dev.ledger().AddCount("kernel.silu_mul.calls");
+  dev.ledger().AddCount(hexsim::Counter::kSiluMulCalls);
   HvxContext& ctx = dev.hvx();
   const int64_t start = ctx.issued();
   const int64_t regs = count / HvxVec::kHalfwords;
@@ -144,12 +144,12 @@ void SiluMulF16(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* y, int6
     const float silu = av / (1.0f + std::exp(-av));
     y[i] = F16(RoundToF16(RoundToF16(silu) * bv));
   }
-  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.silu");
+  dev.CommitHvxPackets(ctx.issued() - start, hexsim::Tag::kMiscSilu);
 }
 
 void AddF16(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* y, int64_t count) {
   HEXLLM_CHECK(count % HvxVec::kHalfwords == 0);
-  dev.ledger().AddCount("kernel.add.calls");
+  dev.ledger().AddCount(hexsim::Counter::kAddCalls);
   HvxContext& ctx = dev.hvx();
   const int64_t start = ctx.issued();
   for (int64_t off = 0; off < count; off += HvxVec::kHalfwords) {
@@ -159,7 +159,7 @@ void AddF16(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* y, int64_t 
     s = ctx.ConvertQf(s);
     ctx.Store(y + off, s);
   }
-  dev.CommitHvxPackets(ctx.issued() - start, 1, "misc.add");
+  dev.CommitHvxPackets(ctx.issued() - start, hexsim::Tag::kMiscAdd);
 }
 
 }  // namespace hkern

@@ -16,13 +16,13 @@
 namespace hkern {
 
 // y = x / rms(x) * gamma, row-wise over [rows, width] FP16 (width % 64 == 0). The mean of
-// squares is accumulated in FP32. Charged under "misc.rmsnorm".
+// squares is accumulated in FP32. Charged under Tag::kMiscRmsNorm.
 void RmsNormF16(hexsim::NpuDevice& dev, const hexllm::F16* x, const hexllm::F16* gamma,
                 hexllm::F16* y, int rows, int width, float eps);
 
 // Rotary position embedding applied in-place to [rows, head_dim] FP16 (one head),
 // interleaved-pair convention: (x[2i], x[2i+1]) rotated by theta_i = pos * base^(-2i/d).
-// Charged under "misc.rope".
+// Charged under Tag::kMiscRope.
 void RopeF16(hexsim::NpuDevice& dev, hexllm::F16* x, int rows, int head_dim, int pos0,
              float theta_base);
 
@@ -31,7 +31,7 @@ void RopeF16(hexsim::NpuDevice& dev, hexllm::F16* x, int rows, int head_dim, int
 // angles (which depend only on the within-head index) are computed once and applied to
 // every head. Bit-identical outputs and charging to the per-head loop: counts
 // kernel.rope.calls once per head, charges the same per-head packet total, commits one
-// combined "misc.rope" tag (docs/performance.md).
+// combined Tag::kMiscRope charge (docs/performance.md).
 void RopeHeadsF16(hexsim::NpuDevice& dev, hexllm::F16* x, int heads, int head_dim, int pos,
                   float theta_base);
 
@@ -46,11 +46,11 @@ void RopeHeadsF16(hexsim::NpuDevice& dev, hexllm::F16* x, int heads, int head_di
                   const double* inv_freq);
 
 // y = silu(a) * b, elementwise over `count` FP16 values (count % 64 == 0) — the SwiGLU
-// gating op. silu evaluated at FP32 internally. Charged under "misc.silu".
+// gating op. silu evaluated at FP32 internally. Charged under Tag::kMiscSilu.
 void SiluMulF16(hexsim::NpuDevice& dev, const hexllm::F16* a, const hexllm::F16* b,
                 hexllm::F16* y, int64_t count);
 
-// y = a + b elementwise (residual connection). Charged under "misc.add".
+// y = a + b elementwise (residual connection). Charged under Tag::kMiscAdd.
 void AddF16(hexsim::NpuDevice& dev, const hexllm::F16* a, const hexllm::F16* b,
             hexllm::F16* y, int64_t count);
 

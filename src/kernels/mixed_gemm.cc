@@ -61,7 +61,7 @@ double DequantPacketsPer64(const hexsim::DeviceProfile& profile, DequantKernel k
 int64_t DequantCoalescedLut(hexsim::NpuDevice& dev, std::span<const hquant::SuperBlockQ4> sbs,
                             F16* out_tcm, hquant::Int4Codebook codebook) {
   HEXLLM_CHECK(dev.tcm().Contains(out_tcm));
-  dev.ledger().AddCount("kernel.dequant_coalesced_lut.calls");
+  dev.ledger().AddCount(hexsim::Counter::kDequantCoalescedLutCalls);
   HvxContext& ctx = dev.hvx();
   const int64_t start = ctx.issued();
   const auto levels = hquant::CodebookLevelsF16(codebook);
@@ -152,7 +152,7 @@ int64_t DequantHmxLayout(hexsim::NpuDevice& dev, std::span<const hquant::BlockQ4
                          F16* out_tcm) {
   HEXLLM_CHECK(dev.tcm().Contains(out_tcm));
   HEXLLM_CHECK(blocks.size() % 2 == 0);
-  dev.ledger().AddCount("kernel.dequant_hmx_layout.calls");
+  dev.ledger().AddCount(hexsim::Counter::kDequantHmxLayoutCalls);
   HvxContext& ctx = dev.hvx();
   const int64_t start = ctx.issued();
   const int64_t per64 =
@@ -182,7 +182,7 @@ int64_t DequantBaselineScatter(hexsim::NpuDevice& dev,
   HEXLLM_CHECK(dev.tcm().Contains(out_tcm));
   HEXLLM_CHECK(static_cast<int64_t>(blocks.size()) * hquant::kGroupSize == k_dim * n_dim);
   HEXLLM_CHECK(k_dim % 64 == 0);
-  dev.ledger().AddCount("kernel.dequant_baseline_scatter.calls");
+  dev.ledger().AddCount(hexsim::Counter::kDequantBaselineScatterCalls);
   HvxContext& ctx = dev.hvx();
   hexsim::Tcm& tcm = dev.tcm();
   const int64_t start = ctx.issued();

@@ -181,7 +181,7 @@ HvxVec ExpNonPosF16(hexsim::NpuDevice& dev, SoftmaxVariant v, const ExpLut* lut,
 void SoftmaxRowsF16(hexsim::NpuDevice& dev, SoftmaxVariant v, const ExpLut* lut, F16* s,
                     int rows, int cols) {
   HEXLLM_CHECK(cols % HvxVec::kHalfwords == 0);
-  dev.ledger().AddCount("kernel.softmax_rows.calls");
+  dev.ledger().AddCount(hexsim::Counter::kSoftmaxRowsCalls);
   HvxContext& ctx = dev.hvx();
   const int regs = cols / HvxVec::kHalfwords;
   const int64_t start = ctx.issued();
@@ -228,7 +228,7 @@ void SoftmaxRowsF16(hexsim::NpuDevice& dev, SoftmaxVariant v, const ExpLut* lut,
   }
 
   const int64_t used = ctx.issued() - start;
-  dev.CommitHvxPackets(used, 1, "softmax");
+  dev.CommitHvxPackets(used, hexsim::Tag::kSoftmax);
 }
 
 int64_t SoftmaxPacketCost(const hexsim::DeviceProfile& profile, SoftmaxVariant v, int rows,

@@ -40,7 +40,7 @@ hexsim::HvxVec ExpNonPosF16(hexsim::NpuDevice& dev, SoftmaxVariant v, const ExpL
 
 // In-place row-wise safe softmax over an FP16 matrix s[rows x cols] resident in TCM.
 // cols must be a multiple of 64. Row sums are accumulated in FP32 (Algorithm 1). Packet
-// costs are charged to the device ledger under tag "softmax".
+// costs are charged to the device ledger under Tag::kSoftmax.
 void SoftmaxRowsF16(hexsim::NpuDevice& dev, SoftmaxVariant v, const ExpLut* lut,
                     hexllm::F16* s, int rows, int cols);
 

@@ -83,15 +83,15 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
   if (scheme_ == hquant::WeightScheme::kQ4_0) {
     if (cache_warm) {
       std::memcpy(w_tcm, cache_->stream.data(), static_cast<size_t>(k_ * n_) * 2);
-      dev.ledger().AddCount("kernel.dequant_coalesced_lut.calls");
+      dev.ledger().AddCount(hexsim::Counter::kDequantCoalescedLutCalls);
       dev.hvx().ReplayOps(cache_->vgather, cache_->vscatter, cache_->vlut16);
-      dev.CommitHvxPackets(cache_->packets, 1, "linear.dequant");
+      dev.CommitHvxPackets(cache_->packets, hexsim::Tag::kLinearDequant);
     } else {
       const int64_t vgather0 = dev.hvx().vgather_ops();
       const int64_t vscatter0 = dev.hvx().vscatter_ops();
       const int64_t vlut0 = dev.hvx().vlut16_ops();
       const int64_t packets = hkern::DequantCoalescedLut(dev, sb4_, w_tcm);
-      dev.CommitHvxPackets(packets, 1, "linear.dequant");
+      dev.CommitHvxPackets(packets, hexsim::Tag::kLinearDequant);
       if (cache_on) {
         std::lock_guard<std::mutex> lock(cache_->mu);
         if (!cache_->ready.load(std::memory_order_relaxed)) {
@@ -127,7 +127,7 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
         }
       }
     }
-    dev.CommitHvxPackets(n_elems / 64 * 8, 1, "linear.dequant");
+    dev.CommitHvxPackets(n_elems / 64 * 8, hexsim::Tag::kLinearDequant);
   }
 
   // The FP32 shadow of the stream now in TCM, once some Forward has stored it.

@@ -51,7 +51,7 @@ class QuantizedLinear {
   // Dequant-once cache: with WeightCacheEnabled(), the first Forward stores the
   // dequantized F16 stream plus the dequant's simulated cost (HVX packets, vlut16 ops);
   // later calls memcpy the stream into TCM and REPLAY the charges — same
-  // kernel.dequant_coalesced_lut.calls count, same packet totals, same "linear.dequant"
+  // kernel.dequant_coalesced_lut.calls count, same packet totals, same Tag::kLinearDequant
   // ledger tag — without re-simulating the LUT kernel. The cache also keeps the stream
   // decoded to FP32 per tile, which the HMX GEMM reads instead of re-decoding every weight
   // tile on every tile op. Counters are bit-identical either way; only host time changes.

@@ -1,7 +1,9 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -542,16 +544,35 @@ TEST(NpuSessionTest, MailboxDeliversRequests) {
 // --- ledger ---
 
 TEST(CycleLedgerTest, TagsAndMerge) {
+  using Tags = std::map<std::string, double, std::less<>>;
+  using Counts = std::map<std::string, int64_t, std::less<>>;
   CycleLedger a;
-  a.AddSeconds(Engine::kHvx, 1.0, "softmax");
-  a.AddSeconds(Engine::kHmx, 2.0, "gemm");
+  a.AddSeconds(Engine::kHvx, 1.0, Tag::kAttnSoftmax);
+  a.AddSeconds(Engine::kHmx, 2.0, Tag::kGemmHmx);
+  a.AddSeconds(Engine::kHvx, 0.0, Tag::kAttnMask);
+  a.AddCount(Counter::kGemmHmxCalls);
   CycleLedger b;
-  b.AddSeconds(Engine::kHvx, 0.5, "softmax");
+  b.AddSeconds(Engine::kHvx, 0.5, Tag::kAttnSoftmax);
+  b.AddSeconds(Engine::kDma, 0.25, Tag::kDma);
+  b.AddCount(Counter::kDmaDescriptors, 3);
   a.MergeFrom(b);
   EXPECT_DOUBLE_EQ(a.EngineSeconds(Engine::kHvx), 1.5);
-  EXPECT_DOUBLE_EQ(a.TagSeconds("softmax"), 1.5);
-  EXPECT_DOUBLE_EQ(a.TagSeconds("gemm"), 2.0);
+  EXPECT_DOUBLE_EQ(a.TagSeconds("attn.softmax"), 1.5);
+  EXPECT_DOUBLE_EQ(a.TagSeconds("gemm.hmx"), 2.0);
+  EXPECT_EQ(a.Count("dma.descriptors"), 3);
+  // Listed: every entry charged on either side of the merge, the zero-second charge
+  // included, in name order; a never-charged tag is not listed.
+  EXPECT_EQ(a.tags(),
+            (Tags{{"attn.mask", 0.0}, {"attn.softmax", 1.5}, {"dma", 0.25}, {"gemm.hmx", 2.0}}));
+  EXPECT_EQ(a.counts(), (Counts{{"dma.descriptors", 3}, {"kernel.gemm_hmx.calls", 1}}));
   EXPECT_DOUBLE_EQ(a.TagSeconds("absent"), 0.0);
+  EXPECT_EQ(a.Count("absent"), 0);
+
+  a.Clear();
+  EXPECT_TRUE(a.tags().empty());
+  EXPECT_TRUE(a.counts().empty());
+  EXPECT_DOUBLE_EQ(a.EngineSeconds(Engine::kHvx), 0.0);
+  EXPECT_DOUBLE_EQ(a.TagSeconds("attn.softmax"), 0.0);
 }
 
 }  // namespace

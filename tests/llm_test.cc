@@ -569,9 +569,11 @@ void ExpectSameCharges(const hexsim::NpuDevice& a, const hexsim::NpuDevice& b) {
                      b.ledger().EngineSeconds(static_cast<hexsim::Engine>(e)))
         << hexsim::EngineName(static_cast<hexsim::Engine>(e));
   }
-  ASSERT_EQ(a.ledger().tags().size(), b.ledger().tags().size());
-  auto ib = b.ledger().tags().begin();
-  for (const auto& [tag, seconds] : a.ledger().tags()) {
+  const auto a_tags = a.ledger().tags();
+  const auto b_tags = b.ledger().tags();
+  ASSERT_EQ(a_tags.size(), b_tags.size());
+  auto ib = b_tags.begin();
+  for (const auto& [tag, seconds] : a_tags) {
     EXPECT_EQ(tag, ib->first);
     EXPECT_DOUBLE_EQ(seconds, ib->second) << tag;
     ++ib;
@@ -1152,25 +1154,29 @@ TEST_F(TransformerTest, WeightCacheReplayParity) {
 
 TEST_F(TransformerTest, SteadyStateDecodeDoesNotHeapAllocate) {
   // The zero-alloc contract (docs/performance.md): after warmup (workspace sized, weight
-  // caches filled, ledger tags registered), a decode step performs no heap allocation at
-  // all — counted through the binary-wide operator new replacements above.
-  hexec::ParallelismOverride serial(1);
-  Transformer tf(dev_, weights_, /*max_batch=*/2, /*max_context=*/64);
-  std::vector<int> tokens{3, 5};
-  std::vector<float> logits(2 * static_cast<size_t>(config_.vocab));
-  for (int i = 0; i < 3; ++i) {
-    tf.Step(tokens, logits);
-  }
-  const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 5; ++i) {
-    tf.Step(tokens, logits);
-    for (int b = 0; b < 2; ++b) {
-      tokens[static_cast<size_t>(b)] = ArgmaxToken(std::span<const float>(
-          logits.data() + static_cast<int64_t>(b) * config_.vocab,
-          static_cast<size_t>(config_.vocab)));
+  // caches filled, shard devices created), a decode step performs no heap allocation at
+  // all — counted through the binary-wide operator new replacements above. Four lanes add
+  // a shard-ledger merge after every region, which must allocate nothing either.
+  for (const int lanes : {1, 4}) {
+    SCOPED_TRACE(lanes);
+    hexec::ParallelismOverride pin(lanes);
+    Transformer tf(dev_, weights_, /*max_batch=*/2, /*max_context=*/64);
+    std::vector<int> tokens{3, 5};
+    std::vector<float> logits(2 * static_cast<size_t>(config_.vocab));
+    for (int i = 0; i < 3; ++i) {
+      tf.Step(tokens, logits);
     }
+    const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < 5; ++i) {
+      tf.Step(tokens, logits);
+      for (int b = 0; b < 2; ++b) {
+        tokens[static_cast<size_t>(b)] = ArgmaxToken(std::span<const float>(
+            logits.data() + static_cast<int64_t>(b) * config_.vocab,
+            static_cast<size_t>(config_.vocab)));
+      }
+    }
+    EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0);
   }
-  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0);
 }
 
 TEST(ParallelForAllocTest, RegionsDoNotHeapAllocate) {
