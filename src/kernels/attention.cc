@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "src/base/check.h"
@@ -31,47 +32,130 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 constexpr int kTilePackPackets = 16;
 constexpr int kTileUnpackPackets = 4;  // streaming store of an already-shuffled accumulator
 
-// Packs src[r * src_stride + c] (with transpose option) into an HMX-layout tile, zero-padding
-// rows/cols beyond the valid range. Only the occupied region is visited (one memset covers
-// the padding), so a decode-shaped tile with a single live row costs ~32 stores, not 1024.
-void PackTilePadded(const F16* src, int64_t src_stride, int valid_rows, int valid_cols,
-                    bool transpose, F16* tile) {
-  const int tile_rows = transpose ? valid_cols : valid_rows;
-  const int tile_cols = transpose ? valid_rows : valid_cols;
-  if (tile_rows < HmxEngine::kTileDim || tile_cols < HmxEngine::kTileDim) {
-    std::memset(static_cast<void*>(tile), 0, HmxEngine::kTileBytes);  // F16 zero = zero bits
+// Packs `n` rows (row r at rows[r], d_tiles * 32 elements) into d_tiles HMX-layout
+// [row x column] tiles, tile dt holding columns [32 dt, 32 dt + 32), zero-padding rows past
+// n. Only the occupied rows are visited (one memset covers the padding), so a decode-shaped
+// tile with a single live row costs ~32 stores per tile, not 1024.
+void PackRowTiles(const F16* const* rows, int n, int d_tiles, F16* tiles) {
+  if (n < HmxEngine::kTileDim) {
+    std::memset(static_cast<void*>(tiles), 0,  // F16 zero = zero bits
+                static_cast<size_t>(d_tiles) * HmxEngine::kTileBytes);
   }
-  for (int r = 0; r < tile_rows; ++r) {
-    for (int c = 0; c < tile_cols; ++c) {
-      const int sr = transpose ? c : r;
-      const int sc = transpose ? r : c;
-      tile[HmxEngine::TileHalfwordOffset(r, c)] = src[sr * src_stride + sc];
+  for (int dt = 0; dt < d_tiles; ++dt) {
+    F16* tile = tiles + dt * HmxEngine::kTileElems;
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < HmxEngine::kTileDim; ++c) {
+        tile[HmxEngine::TileHalfwordOffset(r, c)] = rows[r][dt * HmxEngine::kTileDim + c];
+      }
     }
   }
 }
 
-// Stages KV positions [j0, j0 + n) of one head into the F16 TCM buffer `dst`: one DMA
-// descriptor of KvRowBytes(dtype, head_dim, group)-byte rows (charge-only — null pointers
-// move no bytes but cost the same), then the row codec decodes each row's head slice. F16
-// decode is a memcpy; quantized rows also charge the dequant as HVX packets under
-// Tag::kAttnKvDequant following the DequantCoalescedLut shape (mixed_gemm.cc): INT4 costs 17
-// packets per 256 elements (nibble extract via vand/vshr + 2 level VLut16 + 2
+// Packs `n` KV rows (row r's head slice at k_rows[r] / v_rows[r]) as one 32-row KV tile:
+// K transposed into d_tiles K^T tiles ([head_dim x kv], the weight layout), V into d_tiles
+// [kv x head_dim] tiles, zero-padding rows past n, in one pass over the rows.
+void PackKvTile(const F16* const* k_rows, const F16* const* v_rows, int n, int d_tiles,
+                F16* kt_tiles, F16* v_tiles) {
+  if (n < HmxEngine::kTileDim) {
+    std::memset(static_cast<void*>(kt_tiles), 0,
+                static_cast<size_t>(d_tiles) * HmxEngine::kTileBytes);
+    std::memset(static_cast<void*>(v_tiles), 0,
+                static_cast<size_t>(d_tiles) * HmxEngine::kTileBytes);
+  }
+  for (int dt = 0; dt < d_tiles; ++dt) {
+    F16* kt = kt_tiles + dt * HmxEngine::kTileElems;
+    F16* vt = v_tiles + dt * HmxEngine::kTileElems;
+    const int c0 = dt * HmxEngine::kTileDim;
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < HmxEngine::kTileDim; ++c) {
+        kt[HmxEngine::TileHalfwordOffset(c, r)] = k_rows[r][c0 + c];
+        vt[HmxEngine::TileHalfwordOffset(r, c)] = v_rows[r][c0 + c];
+      }
+    }
+  }
+}
+
+// Reserves a TCM array of n value-initialized T (kernel tables live in TCM: the decode hot
+// path must not heap-allocate, docs/performance.md).
+template <typename T>
+T* TcmArray(hexsim::Tcm& tcm, int64_t n) {
+  T* p = reinterpret_cast<T*>(tcm.Alloc(n * static_cast<int64_t>(sizeof(T))));
+  std::uninitialized_value_construct_n(p, n);
+  return p;
+}
+
+// One physical KV block a chunk reads: rows [r0, r1) of the block whose K / V rows start at
+// k / v in DDR (pointer identity is the sharing key), staged as whole rows into TCM at
+// k_tcm / v_tcm (row r0).
+struct StagedBlock {
+  const uint8_t* k = nullptr;
+  const uint8_t* v = nullptr;
+  int r0 = 0;
+  int r1 = 0;
+  const uint8_t* k_tcm = nullptr;
+  const uint8_t* v_tcm = nullptr;
+};
+
+// One KV head of a staged block as tile packing reads it: F16 rows `stride` elements apart
+// (the staged rows themselves for F16, decoded rows for INT8/INT4; null until first use).
+struct StagedHead {
+  const F16* k = nullptr;
+  const F16* v = nullptr;
+  int64_t stride = 0;
+};
+
+// HVX packets and HMX tile ops the rows of one KV head accumulate over a call, committed
+// per head in head order so a one-span call over several KV heads charges bit for bit what
+// per-head calls charge (TransformerTest.PagedAttentionMatchesGatherReference compares the
+// two; one sum over all heads moves the tag seconds by several ULP).
+struct HeadCharges {
+  int64_t softmax = 0;
+  int64_t rescale = 0;
+  int64_t pack = 0;
+  int64_t mask = 0;
+  int64_t norm = 0;
+  int64_t qk = 0;
+  int64_t pv = 0;
+  bool used = false;
+};
+
+// DMAs a staged block's rows into TCM as whole rows (every KV head) in 1D descriptors. When
+// V directly follows the block's K plane, one descriptor runs from K row r0 through V row
+// r1 - 1 unless moving the gap between them costs more than a second descriptor.
+void StageBlock(hexsim::NpuDevice& dev, int block_tokens, int64_t row_bytes, bool v_follows_k,
+                StagedBlock& b) {
+  hexsim::DmaEngine& dma = dev.dma();
+  const int64_t plane = static_cast<int64_t>(block_tokens) * row_bytes;
+  const int64_t bytes = (b.r1 - b.r0) * row_bytes;
+  const int64_t joint = plane + bytes;
+  const uint8_t* k = b.k + b.r0 * row_bytes;
+  HEXLLM_DCHECK(!v_follows_k || b.v == b.k + plane);
+  if (v_follows_k && dma.Cost1D(joint, DmaDirection::kDdrToTcm) <=
+                         2 * dma.Cost1D(bytes, DmaDirection::kDdrToTcm)) {
+    uint8_t* dst = dev.tcm().Alloc(joint);
+    dma.Transfer1D(dst, k, joint, DmaDirection::kDdrToTcm);
+    b.k_tcm = dst;
+    b.v_tcm = dst + plane;
+    return;
+  }
+  uint8_t* dst = dev.tcm().Alloc(2 * bytes);
+  dma.Transfer1D(dst, k, bytes, DmaDirection::kDdrToTcm);
+  dma.Transfer1D(dst + bytes, b.v + b.r0 * row_bytes, bytes, DmaDirection::kDdrToTcm);
+  b.k_tcm = dst;
+  b.v_tcm = dst + bytes;
+}
+
+// Decodes the KV-head slice [elem0, elem0 + head_dim) of `n` staged quantized rows (row r at
+// rows + r * row_bytes) into F16 `dst` ([n x head_dim]) and charges the dequant as HVX
+// packets under Tag::kAttnKvDequant following the DequantCoalescedLut shape (mixed_gemm.cc):
+// INT4 costs 17 packets per 256 elements (nibble extract via vand/vshr + 2 level VLut16 + 2
 // scale-broadcast VLut16 + multiply/store) and bumps the vlut16 counter for its 4 lookups,
 // INT8 costs 3 packets per 64 elements (load + widen + scale-multiply, no table lookups).
-void StageKvRows(hexsim::NpuDevice& dev, const PagedKvHeadView& kv,
-                 const uint8_t* const* blocks, F16* dst, int j0, int n, int head_dim) {
-  const hquant::KvRowCodec& row = kv.row;
-  const int64_t staged_row_bytes = hquant::KvRowBytes(row.dtype, head_dim, row.group);
-  dev.dma().Transfer2D(nullptr, staged_row_bytes, nullptr, staged_row_bytes, staged_row_bytes,
-                       n, DmaDirection::kDdrToTcm);
-  const int64_t row_bytes = row.row_bytes();
+void DequantHeadRows(hexsim::NpuDevice& dev, const hquant::KvRowCodec& row,
+                     const uint8_t* rows, int n, int64_t elem0, int head_dim, F16* dst) {
   for (int r = 0; r < n; ++r) {
-    const int j = j0 + r;
-    row.DecodeSlice(blocks[j / kv.block_tokens] + (j % kv.block_tokens) * row_bytes,
-                    kv.head_offset, head_dim, dst + static_cast<int64_t>(r) * head_dim);
-  }
-  if (!row.quantized()) {
-    return;
+    row.DecodeSlice(rows + r * row.row_bytes(), elem0, head_dim,
+                    dst + static_cast<int64_t>(r) * head_dim);
   }
   const int64_t elems = static_cast<int64_t>(n) * head_dim;
   const bool int4 = row.dtype == hquant::KvDtype::kInt4;
@@ -103,7 +187,7 @@ void PackTileRows(const F16* src, int64_t src_stride, uint32_t mask, int cols, F
 
 // True when spans a and b map the same physical blocks for every position of the chunk at
 // kv0 (the caller checks the chunk is whole in both).
-bool SameChunkBlocks(const PagedKvHeadView& a, const PagedKvHeadView& b, int kv0) {
+bool SameChunkBlocks(const PagedKvView& a, const PagedKvView& b, int kv0) {
   const int first = kv0 / a.block_tokens;
   const int last = (kv0 + kAttnKvChunk - 1) / a.block_tokens;
   for (int blk = first; blk <= last; ++blk) {
@@ -118,17 +202,17 @@ bool SameChunkBlocks(const PagedKvHeadView& a, const PagedKvHeadView& b, int kv0
 
 // Algorithm 1 over stacked rows. Per-row online-softmax state (running max, running sum,
 // O accumulator) lives in TCM for the whole call, so the chunk loop can run outside the
-// q-tile loop: each KV chunk instance is staged once, then every tile that reads it runs
-// QK^T, the masked softmax update and PV for its live rows.
+// q-tile loop: each chunk stages the physical blocks its instances read once, then every
+// tile that reads an instance runs QK^T, the masked softmax update and PV for its live rows.
 void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
                          std::span<const AttnKvSpan> spans, std::span<const AttnQueryRow> rows,
                          int head_dim, float scale, const AttnWindowSpec* window) {
   HEXLLM_CHECK(!spans.empty() && !rows.empty());
   HEXLLM_CHECK(head_dim % HmxEngine::kTileDim == 0);
-  const PagedKvHeadView& layout = spans[0].kv;
-  HEXLLM_CHECK(layout.block_tokens >= 1);
-  HEXLLM_CHECK(layout.row.SlicesAt(head_dim) &&
-               layout.head_offset + head_dim <= layout.row.elems);
+  const PagedKvView& layout = spans[0].kv;
+  const hquant::KvRowCodec& codec = layout.row;
+  const int bt = layout.block_tokens;
+  HEXLLM_CHECK(bt >= 1 && codec.SlicesAt(head_dim));
   const int n_spans = static_cast<int>(spans.size());
   const int n_rows = static_cast<int>(rows.size());
   const AttnKvSpan* span_at = spans.data();
@@ -136,19 +220,23 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
   int max_kv = 0;
   for (const AttnKvSpan& s : spans) {
     HEXLLM_CHECK(s.kv.k_blocks != nullptr && s.kv.v_blocks != nullptr && s.kv_len > 0);
-    HEXLLM_CHECK(s.kv.block_tokens == layout.block_tokens &&
-                 s.kv.row.dtype == layout.row.dtype && s.kv.row.elems == layout.row.elems &&
-                 s.kv.row.group == layout.row.group && s.kv.head_offset == layout.head_offset);
+    HEXLLM_CHECK(s.kv.block_tokens == bt && s.kv.row.dtype == codec.dtype &&
+                 s.kv.row.elems == codec.elems && s.kv.row.group == codec.group &&
+                 s.kv.v_follows_k == layout.v_follows_k);
     max_kv = std::max(max_kv, s.kv_len);
   }
   int max_pos = 0;
+  int heads = 0;
   for (const AttnQueryRow& row : rows) {
     HEXLLM_CHECK(row.span >= 0 && row.span < n_spans);
     HEXLLM_CHECK(row.pos >= 0 && row.pos < span_at[row.span].kv_len);
+    HEXLLM_CHECK(row.kv_head >= 0 &&
+                 static_cast<int64_t>(row.kv_head + 1) * head_dim <= codec.elems);
     max_pos = std::max(max_pos, row.pos);
+    heads = std::max(heads, row.kv_head + 1);
   }
   dev.ledger().AddCount(hexsim::Counter::kFlashAttentionCalls);
-  if (layout.row.quantized()) {
+  if (codec.quantized()) {
     dev.ledger().AddCount(hexsim::Counter::kAttnKvDequantCalls);
   }
   const AttnWindowSpec* win = NormalizeWindow(window, max_pos);
@@ -158,23 +246,29 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
   const int d_tiles = head_dim / HmxEngine::kTileDim;
   const int kv_chunks = static_cast<int>(hexllm::CeilDiv(max_kv, kAttnKvChunk));
   const int64_t row_bytes = static_cast<int64_t>(head_dim) * 2;
+  const int64_t kv_row_bytes = codec.row_bytes();
+  // Most blocks one chunk touches (a block straddling the chunk start adds one).
+  const int chunk_blocks = static_cast<int>(hexllm::CeilDiv(kAttnKvChunk, bt)) + 1;
+  constexpr int kChunkTiles = kAttnKvChunk / HmxEngine::kTileDim;
 
   HvxContext& ctx = dev.hvx();
   HmxEngine& hmx = dev.hmx();
   hexsim::Tcm& tcm = dev.tcm();
   hexsim::TcmFrame frame(tcm);
 
-  // Fixed q tiles: rows in order, a span's run of rows kept in one tile when it fits, runs
-  // longer than a tile split at tile boundaries. Tile t holds rows [tile0[t], tile0[t+1]).
-  int* tile0 = reinterpret_cast<int*>(tcm.Alloc(static_cast<int64_t>(n_rows + 1) * 4));
+  // Fixed q tiles: rows in order, each tile on one KV head, a (span, KV head) run of rows
+  // kept in one tile when it fits, runs longer than a tile split at tile boundaries. Tile t
+  // holds rows [tile0[t], tile0[t+1]).
+  int* tile0 = TcmArray<int>(tcm, n_rows + 1);
   int tiles = 0;
-  tile0[0] = 0;
   for (int i = 0, fill = 0; i < n_rows;) {
     int j = i + 1;
-    while (j < n_rows && row_at[j].span == row_at[i].span) {
+    while (j < n_rows && row_at[j].span == row_at[i].span &&
+           row_at[j].kv_head == row_at[i].kv_head) {
       ++j;
     }
-    if (fill > 0 && fill + (j - i) > kAttnQTile) {
+    if (fill > 0 &&
+        (fill + (j - i) > kAttnQTile || row_at[i].kv_head != row_at[i - 1].kv_head)) {
       tile0[++tiles] = i;
       fill = 0;
     }
@@ -187,51 +281,47 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
   }
   tile0[++tiles] = n_rows;
 
-  // TCM working set: per-row softmax state and O accumulators, packed Q tiles, and one
-  // chunk's K^T / V / P tiles plus staging.
+  // TCM working set: per-row softmax state and O accumulators, packed Q tiles, one
+  // instance's K^T / V tiles, the P tiles, the per-chunk staging tables and per-head charges.
   float* m_run = reinterpret_cast<float*>(tcm.Alloc(static_cast<int64_t>(n_rows) * 4));
   float* l_run = reinterpret_cast<float*>(tcm.Alloc(static_cast<int64_t>(n_rows) * 4));
   F16* o_acc = reinterpret_cast<F16*>(tcm.Alloc(static_cast<int64_t>(n_rows) * row_bytes));
-  int* inst = reinterpret_cast<int*>(tcm.Alloc(static_cast<int64_t>(n_spans) * 4));
+  int* inst = TcmArray<int>(tcm, n_spans);
+  bool* inst_live = TcmArray<bool>(tcm, n_spans);
+  int* inst_block = TcmArray<int>(tcm, static_cast<int64_t>(n_spans) * chunk_blocks);
+  StagedBlock* staged = TcmArray<StagedBlock>(tcm, static_cast<int64_t>(n_spans) * chunk_blocks);
+  StagedHead* staged_heads =
+      TcmArray<StagedHead>(tcm, static_cast<int64_t>(n_spans) * chunk_blocks * heads);
+  HeadCharges* charges = TcmArray<HeadCharges>(tcm, heads);
   F16* q_tiles_mem = reinterpret_cast<F16*>(
       tcm.Alloc(static_cast<int64_t>(tiles) * d_tiles * HmxEngine::kTileBytes));
   F16* kt_tiles_mem = reinterpret_cast<F16*>(
-      tcm.Alloc(static_cast<int64_t>(4) * d_tiles * HmxEngine::kTileBytes));
+      tcm.Alloc(static_cast<int64_t>(kChunkTiles) * d_tiles * HmxEngine::kTileBytes));
   F16* v_tiles_mem = reinterpret_cast<F16*>(
-      tcm.Alloc(static_cast<int64_t>(4) * d_tiles * HmxEngine::kTileBytes));
-  F16* p_tiles_mem = reinterpret_cast<F16*>(tcm.Alloc(4 * HmxEngine::kTileBytes));
+      tcm.Alloc(static_cast<int64_t>(kChunkTiles) * d_tiles * HmxEngine::kTileBytes));
+  F16* p_tiles_mem = reinterpret_cast<F16*>(tcm.Alloc(kChunkTiles * HmxEngine::kTileBytes));
   F16* s_rows = reinterpret_cast<F16*>(tcm.Alloc(kAttnQTile * kAttnKvChunk * 2));
-  F16* kv_stage = reinterpret_cast<F16*>(
-      tcm.Alloc(static_cast<int64_t>(kAttnKvChunk) * head_dim * 2));
   F16* pv_tile = reinterpret_cast<F16*>(tcm.Alloc(HmxEngine::kTileBytes));
 
   // Stack scratch: the decode hot path must not heap-allocate (docs/performance.md).
   float acc[HmxEngine::kTileElems];
   float col_scale[HmxEngine::kTileDim];
   std::fill(col_scale, col_scale + HmxEngine::kTileDim, scale);
-
-  int64_t softmax_packets = 0;
-  int64_t rescale_packets = 0;
-  int64_t pack_packets = 0;
-  int64_t mask_packets = 0;
-  int64_t norm_packets = 0;
-  int64_t qk_tile_ops = 0;
-  int64_t pv_tile_ops = 0;
+  const F16* k_rows[HmxEngine::kTileDim];  // row pointers of the tile being packed
+  const F16* v_rows[HmxEngine::kTileDim];
 
   // Load and pack each tile's Q rows: one DMA descriptor per tile.
   for (int t = 0; t < tiles; ++t) {
     const int tr = tile0[t + 1] - tile0[t];
+    HeadCharges& hc = charges[row_at[tile0[t]].kv_head];
+    hc.used = true;
     for (int r = 0; r < tr; ++r) {
-      std::memcpy(kv_stage + static_cast<int64_t>(r) * head_dim,
-                  row_at[tile0[t] + r].q, static_cast<size_t>(row_bytes));
+      k_rows[r] = row_at[tile0[t] + r].q;
     }
     dev.dma().Transfer2D(nullptr, row_bytes, nullptr, row_bytes, row_bytes, tr,
                          DmaDirection::kDdrToTcm);
-    for (int dt = 0; dt < d_tiles; ++dt) {
-      PackTilePadded(kv_stage + dt * HmxEngine::kTileDim, head_dim, tr, HmxEngine::kTileDim,
-                     /*transpose=*/false, q_tiles_mem + (t * d_tiles + dt) * HmxEngine::kTileElems);
-      pack_packets += kTilePackPackets;
-    }
+    PackRowTiles(k_rows, tr, d_tiles, q_tiles_mem + t * d_tiles * HmxEngine::kTileElems);
+    hc.pack += d_tiles * kTilePackPackets;
   }
   std::fill(m_run, m_run + n_rows, kNegInf);
   std::fill(l_run, l_run + n_rows, 0.0f);
@@ -239,10 +329,14 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
 
   for (int chunk = 0; chunk < kv_chunks; ++chunk) {
     const int kv0 = chunk * kAttnKvChunk;
+    const int block0 = kv0 / bt;
+    const auto chunk_len = [&](int s) { return std::min(kAttnKvChunk, span_at[s].kv_len - kv0); };
     // Chunk instances: a span reaching this chunk joins the first earlier span that maps
-    // the same physical blocks for the whole chunk, else leads its own instance.
+    // the same physical blocks for the whole chunk, else leads its own instance. An instance
+    // is live when some row reading it attends the chunk.
     for (int s = 0; s < n_spans; ++s) {
       inst[s] = -1;
+      inst_live[s] = false;
       const int kv_len = span_at[s].kv_len;
       if (kv_len <= kv0) {
         continue;
@@ -259,15 +353,95 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
         }
       }
     }
+    for (int i = 0; i < n_rows; ++i) {
+      const int lead = inst[row_at[i].span];
+      if (lead >= 0 && RowAttendsChunk(win, row_at[i].pos, kv0, chunk_len(lead))) {
+        inst_live[lead] = true;
+      }
+    }
 
+    // The distinct physical blocks live instances read, each with the rows its longest
+    // reader needs, staged once into a TCM chunk buffer released after the chunk.
+    hexsim::TcmFrame chunk_frame(tcm);
+    int n_staged = 0;
     for (int lead = 0; lead < n_spans; ++lead) {
-      if (inst[lead] != lead) {
+      if (inst[lead] != lead || !inst_live[lead]) {
         continue;
       }
-      const PagedKvHeadView& kv = span_at[lead].kv;
-      const int kvn = std::min(kAttnKvChunk, span_at[lead].kv_len - kv0);
+      const PagedKvView& kv = span_at[lead].kv;
+      const int kv_end = kv0 + chunk_len(lead);
+      for (int b = block0; b * bt < kv_end; ++b) {
+        const int r0 = std::max(kv0 - b * bt, 0);
+        const int r1 = std::min(kv_end - b * bt, bt);
+        int i = 0;
+        while (i < n_staged && (staged[i].k != kv.k_blocks[b] || staged[i].v != kv.v_blocks[b] ||
+                                staged[i].r0 != r0)) {
+          ++i;
+        }
+        if (i == n_staged) {
+          staged[n_staged++] = {kv.k_blocks[b], kv.v_blocks[b], r0, r1};
+        }
+        staged[i].r1 = std::max(staged[i].r1, r1);
+        inst_block[lead * chunk_blocks + b - block0] = i;
+      }
+    }
+    for (int i = 0; i < n_staged; ++i) {
+      StageBlock(dev, bt, kv_row_bytes, layout.v_follows_k, staged[i]);
+      std::fill(staged_heads + static_cast<int64_t>(i) * heads,
+                staged_heads + static_cast<int64_t>(i + 1) * heads, StagedHead{});
+    }
+    // A staged block's KV head as F16 rows: read in place for F16, decoded (and the dequant
+    // charged) once per (block, head) otherwise.
+    const auto staged_head = [&](int i, int kh) -> StagedHead& {
+      StagedHead& sh = staged_heads[static_cast<int64_t>(i) * heads + kh];
+      if (sh.k != nullptr) {
+        return sh;
+      }
+      const StagedBlock& sb = staged[i];
+      const int64_t elem0 = static_cast<int64_t>(kh) * head_dim;
+      if (!codec.quantized()) {
+        sh.k = reinterpret_cast<const F16*>(sb.k_tcm) + elem0;
+        sh.v = reinterpret_cast<const F16*>(sb.v_tcm) + elem0;
+        sh.stride = codec.elems;
+        return sh;
+      }
+      const int n = sb.r1 - sb.r0;
+      F16* rows_f16 = reinterpret_cast<F16*>(tcm.Alloc(2 * n * row_bytes));
+      DequantHeadRows(dev, codec, sb.k_tcm, n, elem0, head_dim, rows_f16);
+      DequantHeadRows(dev, codec, sb.v_tcm, n, elem0, head_dim,
+                      rows_f16 + static_cast<int64_t>(n) * head_dim);
+      sh.k = rows_f16;
+      sh.v = rows_f16 + static_cast<int64_t>(n) * head_dim;
+      sh.stride = head_dim;
+      return sh;
+    };
+
+    for (int lead = 0; lead < n_spans; ++lead) {
+      if (inst[lead] != lead || !inst_live[lead]) {
+        continue;
+      }
+      const int kvn = chunk_len(lead);
       const int kvt = static_cast<int>(hexllm::CeilDiv(kvn, HmxEngine::kTileDim));
-      bool staged = false;
+      // Packs this instance's K^T and V tiles for KV head kh from the staged rows. K/V
+      // arrive pre-packed (the runtime writes the KV cache in HMX layout when rows are
+      // appended), so this packing charges no shuffle packets.
+      const auto pack_instance = [&](int kh) {
+        for (int kt = 0; kt < kvt; ++kt) {
+          const int tile_rows = std::min(HmxEngine::kTileDim, kvn - kt * HmxEngine::kTileDim);
+          for (int r = 0; r < tile_rows; ++r) {
+            const int p = kv0 + kt * HmxEngine::kTileDim + r;
+            const int i = inst_block[lead * chunk_blocks + p / bt - block0];
+            const StagedHead& sh = staged_head(i, kh);
+            const int64_t at = (p % bt - staged[i].r0) * sh.stride;
+            k_rows[r] = sh.k + at;
+            v_rows[r] = sh.v + at;
+          }
+          PackKvTile(k_rows, v_rows, tile_rows, d_tiles,
+                     kt_tiles_mem + kt * d_tiles * HmxEngine::kTileElems,
+                     v_tiles_mem + kt * d_tiles * HmxEngine::kTileElems);
+        }
+      };
+      int packed_head = -1;
 
       for (int t = 0; t < tiles; ++t) {
         const int t0 = tile0[t];
@@ -292,38 +466,22 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
         }
         const int lo = std::countr_zero(live);
         const int hi = HmxEngine::kTileDim - std::countl_zero(live);
-
-        if (!staged) {
-          // Stage the instance once for every tile below: K rows packed as K^T tiles
-          // ([head_dim x kv], the weight layout), then V tiles ([kv x head_dim]). K arrives
-          // pre-packed (the runtime writes the KV cache in HMX layout when rows are
-          // appended), so packing charges no shuffle packets.
-          staged = true;
-          const auto stage = [&](const uint8_t* const* blocks, bool transpose, F16* tiles) {
-            StageKvRows(dev, kv, blocks, kv_stage, kv0, kvn, head_dim);
-            for (int kt = 0; kt < kvt; ++kt) {
-              const F16* src = kv_stage + kt * HmxEngine::kTileDim * head_dim;
-              const int tile_rows = std::min(HmxEngine::kTileDim, kvn - kt * HmxEngine::kTileDim);
-              for (int dt = 0; dt < d_tiles; ++dt) {
-                PackTilePadded(src + dt * HmxEngine::kTileDim, head_dim, tile_rows,
-                               HmxEngine::kTileDim, transpose,
-                               tiles + (kt * d_tiles + dt) * HmxEngine::kTileElems);
-              }
-            }
-          };
-          stage(kv.k_blocks, /*transpose=*/true, kt_tiles_mem);
-          stage(kv.v_blocks, /*transpose=*/false, v_tiles_mem);
+        const int kh = row_at[t0].kv_head;
+        HeadCharges& hc = charges[kh];
+        if (kh != packed_head) {
+          pack_instance(kh);
+          packed_head = kh;
         }
         const F16* q_tile = q_tiles_mem + t * d_tiles * HmxEngine::kTileElems;
 
         // S chunk = scale * (Q K^T): HMX with FP32 accumulation, written back as FP16 rows
         // (live rows only; the others are never read).
         for (int kt = 0; kt < kvt; ++kt) {
+          const F16* kt_tile = kt_tiles_mem + kt * d_tiles * HmxEngine::kTileElems;
           std::fill(acc, acc + HmxEngine::kTileElems, 0.0f);
           for (int dt = 0; dt < d_tiles; ++dt) {
             hmx.TileMacc(tcm, q_tile + dt * HmxEngine::kTileElems,
-                         kt_tiles_mem + (kt * d_tiles + dt) * HmxEngine::kTileElems, acc, lo, hi);
-            ++qk_tile_ops;
+                         kt_tile + dt * HmxEngine::kTileElems, acc, lo, hi);
           }
           hmx.StoreAcc(acc, pv_tile, col_scale, nullptr, hi);
           for (uint32_t m = live; m != 0; m &= m - 1) {
@@ -333,7 +491,6 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
                   pv_tile[HmxEngine::TileHalfwordOffset(r, c)];
             }
           }
-          pack_packets += kTileUnpackPackets;
         }
         // Masks: padded KV positions, then each row's causal frontier and window interior,
         // all as -inf scores (exp to 0). Applied as precomputed -inf mask registers.
@@ -356,13 +513,13 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
           }
         }
         if (kvn < kAttnKvChunk) {
-          mask_packets += 1;
+          hc.mask += 1;
         }
         if (causal_cut) {
-          mask_packets += n_live;  // one masked vmux sweep per row (2 regs, amortized)
+          hc.mask += n_live;  // one masked vmux sweep per row (2 regs, amortized)
         }
         if (window_cut) {
-          mask_packets += n_live;
+          hc.mask += n_live;
         }
 
         // Online softmax over the chunk (2 registers per row).
@@ -402,25 +559,22 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
               orow[c] = F16(RoundToF16(alpha * orow[c].ToFloat()));
             }
           }
-          rescale_packets += (head_dim / HvxVec::kHalfwords) * 3;  // load, mul, store per reg
         }
-        softmax_packets += ctx.issued() - sm_start;
+        hc.softmax += ctx.issued() - sm_start;
 
         // Pack P tiles from the post-softmax chunk.
         for (int kt = 0; kt < kvt; ++kt) {
           PackTileRows(s_rows + kt * HmxEngine::kTileDim, kAttnKvChunk, live,
                        std::min(HmxEngine::kTileDim, kvn - kt * HmxEngine::kTileDim),
                        p_tiles_mem + kt * HmxEngine::kTileElems);
-          pack_packets += kTilePackPackets;
         }
 
         // O += P V (HMX, FP32 accumulation), added into the FP16 O rows.
         for (int dt = 0; dt < d_tiles; ++dt) {
           std::fill(acc, acc + HmxEngine::kTileElems, 0.0f);
           for (int kt = 0; kt < kvt; ++kt) {
-            hmx.TileMacc(tcm, p_tiles_mem + kt * HmxEngine::kTileElems,
-                         v_tiles_mem + (kt * d_tiles + dt) * HmxEngine::kTileElems, acc, lo, hi);
-            ++pv_tile_ops;
+            const F16* v_tile = v_tiles_mem + (kt * d_tiles + dt) * HmxEngine::kTileElems;
+            hmx.TileMacc(tcm, p_tiles_mem + kt * HmxEngine::kTileElems, v_tile, acc, lo, hi);
           }
           hmx.StoreAcc(acc, pv_tile, nullptr, nullptr, hi);
           for (uint32_t m = live; m != 0; m &= m - 1) {
@@ -432,9 +586,16 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
                                        pv_tile[HmxEngine::TileHalfwordOffset(r, c)].ToFloat()));
             }
           }
-          pack_packets += kTileUnpackPackets;
-          rescale_packets += (HmxEngine::kTileDim * kAttnQTile / HvxVec::kHalfwords) * 2;
         }
+
+        // The step's other charges: QK^T and PV tile ops per (KV tile, head-dim tile), the S
+        // unpack and P pack per KV tile, the PV unpack and accumulate sweep per head-dim
+        // tile, and the O rescale (load, mul, store per register) per live row.
+        hc.qk += kvt * d_tiles;
+        hc.pv += kvt * d_tiles;
+        hc.pack += kvt * (kTileUnpackPackets + kTilePackPackets) + d_tiles * kTileUnpackPackets;
+        hc.rescale += n_live * (head_dim / HvxVec::kHalfwords) * 3 +
+                      d_tiles * (HmxEngine::kTileDim * kAttnQTile / HvxVec::kHalfwords) * 2;
       }
     }
   }
@@ -442,38 +603,46 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
   // Final normalization: O = diag(1/l) O, then one DMA descriptor per tile writes the rows
   // out.
   for (int t = 0; t < tiles; ++t) {
+    HeadCharges& hc = charges[row_at[tile0[t]].kv_head];
     for (int i = tile0[t]; i < tile0[t + 1]; ++i) {
-      norm_packets += 2;  // reciprocal on the scalar core
+      hc.norm += 2;  // reciprocal on the scalar core
       const float inv = (l_run[i] > 0.0f) ? 1.0f / l_run[i] : 0.0f;
       F16* orow = o_acc + static_cast<int64_t>(i) * head_dim;
       for (int c = 0; c < head_dim; ++c) {
         orow[c] = F16(RoundToF16(inv * orow[c].ToFloat()));
       }
-      rescale_packets += (head_dim / HvxVec::kHalfwords) * 3;
+      hc.rescale += (head_dim / HvxVec::kHalfwords) * 3;
       std::memcpy(row_at[i].o, orow, static_cast<size_t>(row_bytes));
     }
     dev.dma().Transfer2D(nullptr, row_bytes, nullptr, row_bytes, row_bytes,
                          tile0[t + 1] - tile0[t], DmaDirection::kTcmToDdr);
   }
 
-  dev.CommitHvxPackets(softmax_packets, hexsim::Tag::kAttnSoftmax);
-  dev.CommitHvxPackets(rescale_packets, hexsim::Tag::kAttnRescale);
-  dev.CommitHvxPackets(pack_packets, hexsim::Tag::kAttnPack);
-  dev.CommitHvxPackets(mask_packets, hexsim::Tag::kAttnMask);
-  dev.CommitHvxPackets(norm_packets, hexsim::Tag::kAttnNormalize);
-  dev.CommitHmxTileOps(qk_tile_ops, hexsim::Tag::kAttnQk);
-  dev.CommitHmxTileOps(pv_tile_ops, hexsim::Tag::kAttnPv);
+  for (int kh = 0; kh < heads; ++kh) {
+    const HeadCharges& hc = charges[kh];
+    if (!hc.used) {
+      continue;
+    }
+    dev.CommitHvxPackets(hc.softmax, hexsim::Tag::kAttnSoftmax);
+    dev.CommitHvxPackets(hc.rescale, hexsim::Tag::kAttnRescale);
+    dev.CommitHvxPackets(hc.pack, hexsim::Tag::kAttnPack);
+    dev.CommitHvxPackets(hc.mask, hexsim::Tag::kAttnMask);
+    dev.CommitHvxPackets(hc.norm, hexsim::Tag::kAttnNormalize);
+    dev.CommitHmxTileOps(hc.qk, hexsim::Tag::kAttnQk);
+    dev.CommitHmxTileOps(hc.pv, hexsim::Tag::kAttnPv);
+  }
 }
 
 void FlashAttentionPaged(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
-                         const F16* q, int64_t q_stride, const PagedKvHeadView& kv, F16* o,
-                         int64_t o_stride, int q_len, int kv_len, int head_dim, float scale,
-                         int q_pos_offset, const AttnWindowSpec* window) {
+                         const F16* q, int64_t q_stride, const PagedKvView& kv, int kv_head,
+                         F16* o, int64_t o_stride, int q_len, int kv_len, int head_dim,
+                         float scale, int q_pos_offset, const AttnWindowSpec* window) {
   HEXLLM_CHECK(q_len > 0);
   std::vector<AttnQueryRow> rows(static_cast<size_t>(q_len));
   for (int r = 0; r < q_len; ++r) {
     rows[static_cast<size_t>(r)] = {q + r * q_stride, o + r * o_stride,
-                                    q_pos_offset >= 0 ? q_pos_offset + r : kv_len - 1, 0};
+                                    q_pos_offset >= 0 ? q_pos_offset + r : kv_len - 1, 0,
+                                    kv_head};
   }
   const AttnKvSpan span{kv, kv_len};
   FlashAttentionBatch(dev, lut, exp_variant, std::span<const AttnKvSpan>(&span, 1), rows,
@@ -514,13 +683,13 @@ void FlashAttentionF16(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant
   // Contiguous K/V is a paged view with one block spanning the whole context.
   const uint8_t* k_block = reinterpret_cast<const uint8_t*>(k);
   const uint8_t* v_block = reinterpret_cast<const uint8_t*>(v);
-  PagedKvHeadView kv;
+  PagedKvView kv;
   kv.k_blocks = &k_block;
   kv.v_blocks = &v_block;
   kv.block_tokens = kv_len;
   kv.row = {hquant::KvDtype::kF16, head_dim};
-  FlashAttentionPaged(dev, lut, exp_variant, q, head_dim, kv, o, head_dim, q_len, kv_len,
-                      head_dim, scale, q_pos_offset);
+  FlashAttentionPaged(dev, lut, exp_variant, q, head_dim, kv, /*kv_head=*/0, o, head_dim, q_len,
+                      kv_len, head_dim, scale, q_pos_offset);
 }
 
 void AttentionF32Reference(const float* q, const float* k, const float* v, float* o, int q_len,

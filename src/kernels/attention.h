@@ -1,10 +1,11 @@
 // FP16 FlashAttention on the simulated Hexagon NPU (Algorithm 1) plus a conventional FP32
 // reference implementation.
 //
-// Structure of the NPU kernel (one KV head, any number of query rows):
+// Structure of the NPU kernel (every KV head, any number of query rows):
 //   * Query rows are stacked into 32-row tiles (the HMX tile height) — the query heads of a
 //     GQA group, and every span that shares a KV chunk, fill one tile. KV runs in chunks of
-//     128 (4 tiles); each chunk is staged once and run against every tile that reads it.
+//     128 (4 tiles); each physical KV block a chunk reads is staged once, for every KV head,
+//     and each chunk instance runs against every tile that reads it.
 //   * S = (Q * K^T) * scale runs on HMX with FP32 accumulation (Tag::kAttnQk).
 //   * Online safe softmax runs on HVX: running row-max m, running row-sum l (FP32
 //     accumulation), P = exp(S - m) through one of the three exp variants (Tag::kAttnSoftmax).
@@ -105,75 +106,92 @@ void AppendAttendedBlocks(const AttnWindowSpec* window, int first_pos, int last_
 // q_pos_offset + i and attends only KV positions up to it (masked scores become -inf and
 // exp to 0; chunks past a row's position are skipped for that row — the standard
 // causal-prefill saving). q_pos_offset < 0 puts every row at kv_len - 1, so each attends
-// the whole KV (pure cross-attention). A view over FlashAttentionBatch with one span.
+// the whole KV (pure cross-attention). A view over FlashAttentionBatch with one span whose
+// single block is the whole context (K and V are separate arrays, so each chunk stages them
+// with two descriptors).
 void FlashAttentionF16(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
                        const hexllm::F16* q, const hexllm::F16* k, const hexllm::F16* v,
                        hexllm::F16* o, int q_len, int kv_len, int head_dim, float scale,
                        int q_pos_offset = -1);
 
-// One attention head's view of a paged KV cache (hkv::PagedKvCache), consumed in place —
-// no per-step gather of K/V into contiguous scratch. k_blocks/v_blocks[i] point at the
-// position-0 K / V row bytes of table block i for the owning (layer, sequence); KV position
-// j's row starts at blocks[j / block_tokens] + (j % block_tokens) * row.row_bytes(), in the
-// cache's row format `row` (hquant::KvRowCodec: dtype, elements per row, group).
-// `head_offset` selects the head's first element inside the packed kv_dim row, so GQA query
-// heads sharing one KV head use the same view with the same offset — rows are never
-// duplicated. For quantized rows the head slice must be group-aligned.
-struct PagedKvHeadView {
+// A span's view of a paged KV cache (hkv::PagedKvCache), consumed in place — no per-step
+// gather of K/V into contiguous scratch. k_blocks/v_blocks[i] point at the position-0 K / V
+// row bytes of table block i for the owning (layer, sequence); KV position j's row starts at
+// blocks[j / block_tokens] + (j % block_tokens) * row.row_bytes(), in the cache's row format
+// `row` (hquant::KvRowCodec: dtype, elements per row, group). A row holds every KV head;
+// query rows name the head they read (AttnQueryRow::kv_head), so the query heads of a GQA
+// group and every KV head of a span read one view — rows are never duplicated. For quantized
+// rows head slices must be group-aligned.
+struct PagedKvView {
   const uint8_t* const* k_blocks = nullptr;
   const uint8_t* const* v_blocks = nullptr;
   int block_tokens = 0;
   hquant::KvRowCodec row;
-  int64_t head_offset = 0;  // elements from the row start to this head's columns
+  // True when every block's V rows directly follow its K rows, v_blocks[i] == k_blocks[i] +
+  // block_tokens * row.row_bytes() (PagedKvCache's layout), so staging may move a block's K
+  // and V rows in one descriptor. Stated by whoever builds the view, never inferred from
+  // the pointers: separate allocations may happen to be adjacent.
+  bool v_follows_k = false;
 };
 
 // One query row of a batched attention call: its query vector and output row (head_dim
 // F16 each, anywhere in memory), its absolute position `pos` — the row attends KV
-// positions [0, pos] and anchors its sink+window mask there — and the index of the span
-// whose KV it reads. The query heads of one GQA group at one token are rows with the same
-// pos and span.
+// positions [0, pos] and anchors its sink+window mask there — the index of the span whose
+// KV it reads, and the KV head it reads (elements [kv_head * head_dim, (kv_head + 1) *
+// head_dim) of each row). The query heads of one GQA group at one token are rows with the
+// same pos, span and kv_head.
 struct AttnQueryRow {
   const hexllm::F16* q = nullptr;
   hexllm::F16* o = nullptr;
   int pos = 0;
   int span = 0;
+  int kv_head = 0;
 };
 
-// One span's KV in a batched attention call: the KV head's view of the span's block table
-// and the number of positions it holds (0 <= pos < kv_len for each of its rows).
+// One span's KV in a batched attention call: the span's view of its block table and the
+// number of positions it holds (0 <= pos < kv_len for each of its rows).
 struct AttnKvSpan {
-  PagedKvHeadView kv;
+  PagedKvView kv;
   int kv_len = 0;
 };
 
-// FlashAttention (Algorithm 1) for any set of query rows over one KV head of a paged cache.
-// Every span must share the view layout (block size, row codec, head offset); rows of one
-// span should be consecutive.
+// FlashAttention (Algorithm 1) for any set of query rows over every KV head of a paged
+// cache. Every span must share the view layout (block size, row codec, v_follows_k); rows of
+// one (span, KV head) should be consecutive.
 //
-// Rows are stacked into fixed 32-row q tiles in order, a span's consecutive rows kept in
-// one tile when they fit. Per KV chunk of 128 positions (ascending), spans whose block
-// tables map the same physical blocks for a whole chunk read one instance of it; every
-// other chunk is an instance of its own span. Each instance is staged once and run against
-// every tile that has a row of a mapping span attending it (RowAttendsChunk). Inside a
-// tile only those rows update their online-softmax state, so each row sees exactly the
+// Rows are stacked into fixed 32-row q tiles in order, a tile holding rows of one KV head and
+// a (span, KV head) run of rows kept in one tile when it fits. Per KV chunk of 128 positions
+// (ascending), spans whose block tables map the same physical blocks for a whole chunk read
+// one instance of it; every other chunk is an instance of its own span. Each instance runs
+// against every tile that has a row of a mapping span attending it (RowAttendsChunk). Inside
+// a tile only those rows update their online-softmax state, so each row sees exactly the
 // chunks, order and FP32 accumulation it would see alone: outputs do not depend on which
-// rows share a tile.
+// rows share a tile or a call.
 //
-// Staging decodes the head slice of each KV row into the F16 TCM staging buffer through
-// the view's row codec, so outputs match PagedKvCache::ReadKeyRow/ReadValueRow numerics
-// exactly, and DMA is charged KvRowBytes(dtype, head_dim, group) per row — head_dim * 2
-// for F16, the *quantized* bytes for INT8/INT4 (1.9-3.6x less KV traffic). Quantized rows
-// additionally pay the dequant as HVX work under Tag::kAttnKvDequant (the LUT-GEMM idiom:
-// nibble extract + VLut16 level/scale lookups) and the call counts one
-// Counter::kAttnKvDequantCalls; F16 pays neither.
+// Staging is per physical block, not per instance: for each chunk the kernel collects the
+// distinct blocks (by K/V pointer identity) its attended instances read and DMAs each once,
+// with the rows its longest reader needs, into a TCM chunk buffer as whole rows — every KV
+// head in 1D descriptors at full row efficiency. When the view says V directly follows the
+// block's K plane (PagedKvView::v_follows_k) one descriptor runs from K row 0 through the
+// last staged V row, unless DmaEngine::Cost1D prices two descriptors below moving the gap;
+// otherwise K and V take one descriptor each. The joint descriptor of a partly filled block
+// also moves the unused tail of its K plane, so it can move more bytes than two would. DMA
+// bytes are the stored row bytes — the *quantized* bytes for INT8/INT4 (1.9-3.6x less KV
+// traffic per full block).
+// Quantized rows are decoded through the view's row codec once per (staged block, KV head),
+// charging the dequant as HVX work under Tag::kAttnKvDequant (the LUT-GEMM idiom: nibble
+// extract + VLut16 level/scale lookups), so outputs match PagedKvCache::ReadKeyRow/
+// ReadValueRow numerics exactly; each call counts one Counter::kAttnKvDequantCalls. F16 rows
+// are read in place and pay no dequant. Each instance packs its K^T and V tiles from the
+// staged rows.
 //
-// Charges follow what runs: Q DMA, Q packing and O DMA once per tile; K/V staging once
-// per instance; HMX tile ops, S/P/PV packing and the PV accumulate sweep per (tile,
-// instance) step; softmax and the O rescale per live row and step, with vgather
-// contention on the step's live row count. The padded-KV mask and the causal and window
-// mask sweeps commit under Tag::kAttnMask — a sweep only on steps where some live row's
-// position masks part of the chunk — and the final normalization's scalar reciprocal
-// under Tag::kAttnNormalize.
+// Charges follow what runs: Q DMA, Q packing and O DMA once per tile; block staging as
+// above; HMX tile ops, S/P/PV packing and the PV accumulate sweep per (tile, instance)
+// step; softmax and the O rescale per live row and step, with vgather contention on the
+// step's live row count. The padded-KV mask and the causal and window mask sweeps commit
+// under Tag::kAttnMask — a sweep only on steps where some live row's position masks part of
+// the chunk — and the final normalization's scalar reciprocal under Tag::kAttnNormalize.
+// HVX and HMX work is summed per KV head and committed per head, in head order.
 //
 // `window`, when non-null and enabled, applies sliding-window + attention-sink masking on
 // top of the causal mask: chunks fully masked for a row are skipped for it (never staged
@@ -185,14 +203,14 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
                          std::span<const AttnKvSpan> spans, std::span<const AttnQueryRow> rows,
                          int head_dim, float scale, const AttnWindowSpec* window = nullptr);
 
-// One head of one span over a paged KV view: FlashAttentionBatch with one span. q rows are
-// strided by `q_stride` elements (q row r = q + r * q_stride, first head_dim columns), o
-// rows by `o_stride`, and row r sits at position q_pos_offset + r (q_pos_offset < 0: every
-// row at kv_len - 1, the decode convention).
+// KV head `kv_head` of one span over a paged KV view: FlashAttentionBatch with one span. q
+// rows are strided by `q_stride` elements (q row r = q + r * q_stride, first head_dim
+// columns), o rows by `o_stride`, and row r sits at position q_pos_offset + r (q_pos_offset
+// < 0: every row at kv_len - 1, the decode convention).
 void FlashAttentionPaged(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
-                         const hexllm::F16* q, int64_t q_stride, const PagedKvHeadView& kv,
-                         hexllm::F16* o, int64_t o_stride, int q_len, int kv_len, int head_dim,
-                         float scale, int q_pos_offset = -1,
+                         const hexllm::F16* q, int64_t q_stride, const PagedKvView& kv,
+                         int kv_head, hexllm::F16* o, int64_t o_stride, int q_len, int kv_len,
+                         int head_dim, float scale, int q_pos_offset = -1,
                          const AttnWindowSpec* window = nullptr);
 
 // Conventional full-precision attention (the Table 5 baseline): FP32 throughout, full S

@@ -107,9 +107,11 @@ class PagedKvCache {
   // In-place paged attention support: fills per-block base pointers for `layer` of `seq`
   // covering the first `positions` positions. k_bases[i] / v_bases[i] point at the
   // position-0 K / V row bytes of table block i; position p's row starts at
-  // bases[p / block_tokens()] + (p % block_tokens()) * row_bytes(). Returns the number of
-  // entries written (ceil(positions / block_tokens())). Read-only — safe from parallel
-  // attention lanes once the step's appends are done (docs/threading_model.md).
+  // bases[p / block_tokens()] + (p % block_tokens()) * row_bytes(). A block's V rows
+  // directly follow its K rows: v_bases[i] == k_bases[i] + block_tokens() * row_bytes()
+  // (hkern::PagedKvView::v_follows_k). Returns the number of entries written
+  // (ceil(positions / block_tokens())). Read-only — safe from parallel attention lanes once
+  // the step's appends are done (docs/threading_model.md).
   int FillBlockPointers(int layer, int seq, int positions, const uint8_t** k_bases,
                         const uint8_t** v_bases) const;
 

@@ -105,33 +105,24 @@ void Transformer::EnsureLaneScratch(int slots) {
   while (static_cast<int>(lane_scratch_.size()) < slots) {
     LaneScratch& lane = lane_scratch_.emplace_back();
     lane.spans.resize(static_cast<size_t>(max_batch_));
-    lane.rows.resize(static_cast<size_t>(max_rows_) * (c.heads / c.kv_heads));
+    lane.rows.resize(static_cast<size_t>(max_rows_) * c.heads);
   }
 }
 
 void Transformer::BuildClusters(int spans) {
-  // Spans whose first whole KV chunk is the same physical blocks (siblings of one shared
-  // prompt, forks of one stem) form a cluster; later chunks are matched inside the kernel.
+  // Spans whose first KV block is the same physical block (siblings of one shared prompt,
+  // forks of one stem) form a cluster. All sharing is prefix sharing, so this is exactly the
+  // sharing partition; the kernel matches the blocks of later positions by pointer identity.
   // Block identity is layer-invariant, so one layer's pointers decide for every layer.
   const int cap = kv_.blocks_per_seq_capacity();
-  const int chunk_blocks =
-      static_cast<int>(hexllm::CeilDiv(hkern::kAttnKvChunk, kv_.block_tokens()));
-  const auto whole_chunk0 = [&](int s) {
-    return span_kv_len_[static_cast<size_t>(s)] >= hkern::kAttnKvChunk;
-  };
-  const auto same_chunk0 = [&](int a, int b) {
-    const auto first = [&](int s) { return span_k_ptrs_.begin() + static_cast<int64_t>(s) * cap; };
-    return std::equal(first(a), first(a) + chunk_blocks, first(b));
-  };
+  const auto block0 = [&](int s) { return span_k_ptrs_[static_cast<size_t>(s) * cap]; };
   span_lead_.resize(static_cast<size_t>(spans));
   for (int s = 0; s < spans; ++s) {
-    int& lead = span_lead_[static_cast<size_t>(s)];
-    lead = s;
-    for (int l = 0; l < s && lead == s && whole_chunk0(s); ++l) {
-      if (span_lead_[static_cast<size_t>(l)] == l && whole_chunk0(l) && same_chunk0(l, s)) {
-        lead = l;
-      }
+    int lead = 0;
+    while (block0(lead) != block0(s)) {
+      ++lead;
     }
+    span_lead_[static_cast<size_t>(s)] = lead;
   }
   cluster_spans_.clear();
   cluster0_.clear();
@@ -271,14 +262,14 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
       }
     }
 
-    // Batched attention: each (cluster, KV head) item stacks the GQA group's query heads of
-    // every row of every span in the cluster (span-major, then token, then head; row r of
-    // a span sits at position base + r) and runs them through one FlashAttentionBatch, so
-    // each KV chunk is staged once per KV head and shared chunks once per cluster. Lanes
-    // charge their slot's shard device (per-slot exp LUT included). The KV cache is
-    // read-only in this region (the appends above already ran) and items write disjoint
-    // attn_out columns, so results are bit-identical at any lane count; shard accounting
-    // merges back in slot order right after the loop (docs/threading_model.md).
+    // Batched attention: each sharing cluster is one item and one FlashAttentionBatch over
+    // every KV head. Its rows are KV-head-major, then span, token and the GQA group's query
+    // heads (row r of a span sits at position base + r), so each q tile holds one KV head,
+    // and the kernel stages each physical KV block once per chunk for every head and every
+    // span that maps it. Lanes charge their slot's shard device (per-slot exp LUT included).
+    // The KV cache is read-only in this region (the appends above already ran) and items
+    // write disjoint attn_out rows, so results are bit-identical at any lane count; shard
+    // accounting merges back in slot order right after the loop (docs/threading_model.md).
     for (int s = 0; s < spans; ++s) {
       kv_.FillBlockPointers(l, seq_ids[static_cast<size_t>(s)],
                             span_kv_len_[static_cast<size_t>(s)],
@@ -291,7 +282,7 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
       // one lane per query row: a decode span is a single token, too little attention work
       // to pay for a hand-off to another lane, so batch-1 decode stays on one lane.
       BuildClusters(spans);
-      items = (static_cast<int>(cluster0_.size()) - 1) * c.kv_heads;
+      items = static_cast<int>(cluster0_.size()) - 1;
       slots = hexec::PlannedSlots(std::min(items, rows));
       slot_luts = EnsureShardLuts(slots);
       EnsureLaneScratch(slots);
@@ -302,35 +293,37 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
           hexsim::NpuDevice& d = dev_.ForSlot(slot);
           const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
           LaneScratch& lane = lane_scratch_[static_cast<size_t>(slot)];
-          for (int64_t item = begin; item < end; ++item) {
-            const int cl = static_cast<int>(item / c.kv_heads);
-            const int kh = static_cast<int>(item % c.kv_heads);
-            int n_spans = 0;
-            int n_rows = 0;
-            for (int ci = cluster0_[static_cast<size_t>(cl)];
-                 ci < cluster0_[static_cast<size_t>(cl) + 1]; ++ci) {
+          for (int64_t cl = begin; cl < end; ++cl) {
+            const int ci0 = cluster0_[static_cast<size_t>(cl)];
+            const int ci1 = cluster0_[static_cast<size_t>(cl) + 1];
+            for (int ci = ci0; ci < ci1; ++ci) {
               const int s = cluster_spans_[static_cast<size_t>(ci)];
-              const int n = span_rows[static_cast<size_t>(s)];
-              const int kv_len = span_kv_len_[static_cast<size_t>(s)];
-              hkern::AttnKvSpan& ks = lane.spans[static_cast<size_t>(n_spans)];
+              hkern::AttnKvSpan& ks = lane.spans[static_cast<size_t>(ci - ci0)];
               ks.kv.k_blocks = span_k_ptrs_.data() + static_cast<int64_t>(s) * cap;
               ks.kv.v_blocks = span_v_ptrs_.data() + static_cast<int64_t>(s) * cap;
               ks.kv.block_tokens = kv_.block_tokens();
               ks.kv.row = kv_.row_codec();
-              ks.kv.head_offset = static_cast<int64_t>(kh) * dh;
-              ks.kv_len = kv_len;
-              for (int r = 0; r < n; ++r) {
-                const int64_t row = span_row0_[static_cast<size_t>(s)] + r;
-                for (int h = kh * group; h < (kh + 1) * group; ++h) {
-                  lane.rows[static_cast<size_t>(n_rows++)] = {
-                      q + row * q_dim + h * dh, attn_out + row * q_dim + h * dh,
-                      kv_len - n + r, n_spans};
+              ks.kv.v_follows_k = true;  // PagedKvCache's block layout (FillBlockPointers)
+              ks.kv_len = span_kv_len_[static_cast<size_t>(s)];
+            }
+            int n_rows = 0;
+            for (int kh = 0; kh < c.kv_heads; ++kh) {
+              for (int ci = ci0; ci < ci1; ++ci) {
+                const int s = cluster_spans_[static_cast<size_t>(ci)];
+                const int n = span_rows[static_cast<size_t>(s)];
+                const int kv_len = span_kv_len_[static_cast<size_t>(s)];
+                for (int r = 0; r < n; ++r) {
+                  const int64_t row = span_row0_[static_cast<size_t>(s)] + r;
+                  for (int h = kh * group; h < (kh + 1) * group; ++h) {
+                    lane.rows[static_cast<size_t>(n_rows++)] = {
+                        q + row * q_dim + h * dh, attn_out + row * q_dim + h * dh,
+                        kv_len - n + r, ci - ci0, kh};
+                  }
                 }
               }
-              ++n_spans;
             }
             hkern::FlashAttentionBatch(d, lut, exp_variant,
-                                       std::span(lane.spans.data(), static_cast<size_t>(n_spans)),
+                                       std::span(lane.spans.data(), static_cast<size_t>(ci1 - ci0)),
                                        std::span(lane.rows.data(), static_cast<size_t>(n_rows)),
                                        dh, scale, win());
           }

@@ -113,8 +113,9 @@ class Transformer {
  private:
   // The batched forward behind decode, verify and prefill. Span s consumes span_rows[s]
   // consecutive tokens (flattened span-major) at sequence seq_ids[s]'s current position;
-  // every span's rows share the norms and GEMMs, and attention fans out over (sharing
-  // cluster, KV head) work items. Empty logits means a prefill chunk: no final norm, no lm_head.
+  // every span's rows share the norms and GEMMs, and attention fans out over sharing
+  // clusters, one work item each. Empty logits means a prefill chunk: no final norm, no
+  // lm_head.
   struct RowPlan {
     std::span<const int> tokens;
     std::span<const int> seq_ids;
@@ -169,7 +170,7 @@ class Transformer {
   std::vector<int> span_kv_len_;         // per-span KV length attention reads (incl. new rows)
   hkern::AttnWindowSpec window_;         // disabled unless SetAttentionWindow installs one
   std::vector<int> attended_scratch_;    // table indices for FaultAttendedBlocks
-  // In-place paged attention (hkern::PagedKvHeadView): every span's block base pointers
+  // In-place paged attention (hkern::PagedKvView): every span's block base pointers
   // for the current layer, span s at s * blocks_per_seq_capacity(), resolved on the calling
   // thread and read by the lanes.
   std::vector<const uint8_t*> span_k_ptrs_, span_v_ptrs_;

@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -809,7 +811,7 @@ TEST(AttnWindowTest, AppendAttendedBlocksMatchesKernelChunkSkips) {
 // Builds a paged single-head F16 view over contiguous [kv_len, d] K/V buffers.
 void FillContiguousView(const std::vector<F16>& k, const std::vector<F16>& v, int d,
                         int block_tokens, int kv_len, std::vector<const uint8_t*>* kb,
-                        std::vector<const uint8_t*>* vb, PagedKvHeadView* view) {
+                        std::vector<const uint8_t*>* vb, PagedKvView* view) {
   const int blocks = (kv_len + block_tokens - 1) / block_tokens;
   kb->resize(static_cast<size_t>(blocks));
   vb->resize(static_cast<size_t>(blocks));
@@ -822,7 +824,6 @@ void FillContiguousView(const std::vector<F16>& k, const std::vector<F16>& v, in
   view->v_blocks = vb->data();
   view->block_tokens = block_tokens;
   view->row = {hquant::KvDtype::kF16, d};
-  view->head_offset = 0;
 }
 
 TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
@@ -841,7 +842,7 @@ TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
     v[i] = F16(static_cast<float>(rng.NextGaussian()));
   }
   std::vector<const uint8_t*> kb, vb;
-  PagedKvHeadView view;
+  PagedKvView view;
   FillContiguousView(k, v, d, bt, kv_len, &kb, &vb, &view);
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   // 1 sink + 8 window blocks cover the whole 3-block range: NormalizeWindow must drop the
@@ -856,7 +857,7 @@ TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, o_win.data(),
+    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, 0, o_win.data(),
                         d, 1, kv_len, d, scale, /*q_pos_offset=*/-1, &w);
     // The covered window was normalized away — the windowed-call counter must NOT fire.
     EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.windowed_calls"), 0);
@@ -865,7 +866,7 @@ TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view,
+    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, 0,
                         o_plain.data(), d, 1, kv_len, d, scale, -1, nullptr);
     plain_s = dev.ledger().TagSeconds("attn.softmax") + dev.ledger().TagSeconds("dma");
   }
@@ -899,13 +900,13 @@ TEST(AttnWindowTest, MaskedInteriorIsNeverReadAndMatchesVisibleReference) {
   w.block_tokens = bt;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   std::vector<const uint8_t*> kb, vb;
-  PagedKvHeadView view;
+  PagedKvView view;
   FillContiguousView(k, v, d, bt, kv_len, &kb, &vb, &view);
   std::vector<F16> o_a(q.size());
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, o_a.data(),
+    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, 0, o_a.data(),
                         d, 1, kv_len, d, scale, -1, &w);
     // A surviving (non-normalized) window marks the call in the ledger.
     EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.windowed_calls"), 1);
@@ -923,13 +924,13 @@ TEST(AttnWindowTest, MaskedInteriorIsNeverReadAndMatchesVisibleReference) {
     }
   }
   std::vector<const uint8_t*> kb2, vb2;
-  PagedKvHeadView view2;
+  PagedKvView view2;
   FillContiguousView(k2, v2, d, bt, kv_len, &kb2, &vb2, &view2);
   std::vector<F16> o_b(q.size());
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view2, o_b.data(),
+    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view2, 0, o_b.data(),
                         d, 1, kv_len, d, scale, -1, &w);
   }
   for (size_t i = 0; i < o_a.size(); ++i) {
@@ -959,8 +960,8 @@ TEST(AttnWindowTest, MaskedInteriorIsNeverReadAndMatchesVisibleReference) {
 // --- batched attention: shared-prefix, GQA-grouped stacking ---
 
 // Paged K/V for spans that map the same `shared_blocks` physical blocks (a shared prompt)
-// followed by private tail blocks, stored in `row` format with two heads per row; the
-// views select head 1.
+// followed by private tail blocks, stored in `row` format with two heads per row, K and V
+// blocks in separate allocations.
 struct SharedPrefixKv {
   std::vector<std::vector<uint8_t>> k_blocks, v_blocks;  // physical block bytes
   std::vector<std::vector<const uint8_t*>> k_tables, v_tables;  // per span
@@ -1000,7 +1001,6 @@ struct SharedPrefixKv {
       span.kv.v_blocks = v_tables[s].data();
       span.kv.block_tokens = block_tokens;
       span.kv.row = row;
-      span.kv.head_offset = head_dim;
       span.kv_len = kv_lens[s];
     }
   }
@@ -1009,9 +1009,9 @@ struct SharedPrefixKv {
 TEST(FlashAttentionBatchTest, RowsAreIndependentOfTheirTileMates) {
   // Rows of 1, 2, 8 and 16 spans over a two-chunk shared prefix with private tails (some a
   // whole private chunk long), two query heads per span and token (a GQA group), span 0 a
-  // four-token causal span: every row's output is bit-equal to that row run alone, for
-  // F16/INT8/INT4 KV, with and without a sink+window mask. Without a window the shared
-  // chunks are staged once per call.
+  // four-token causal span, every row on KV head 1: every row's output is bit-equal to that
+  // row run alone, for F16/INT8/INT4 KV, with and without a sink+window mask. Without a
+  // window every block is staged once per call as whole two-head rows.
   const int d = 64;
   const int bt = 32;
   const int shared_blocks = 8;  // two whole 128-position chunks
@@ -1037,7 +1037,8 @@ TEST(FlashAttentionBatchTest, RowsAreIndependentOfTheirTileMates) {
           const int tokens = s == 0 ? 4 : 1;
           for (int t = 0; t < tokens; ++t) {
             for (int g = 0; g < 2; ++g) {
-              rows.push_back({nullptr, nullptr, kv_lens[static_cast<size_t>(s)] - tokens + t, s});
+              rows.push_back(
+                  {nullptr, nullptr, kv_lens[static_cast<size_t>(s)] - tokens + t, s, 1});
             }
           }
         }
@@ -1056,15 +1057,14 @@ TEST(FlashAttentionBatchTest, RowsAreIndependentOfTheirTileMates) {
         FlashAttentionBatch(dev, lut, SoftmaxVariant::kLut, kv.spans, rows, d, scale, win);
         EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.calls"), 1);
         if (win == nullptr) {
-          // K and V stage the shared positions once plus each span's private positions;
-          // Q and O move every row once.
+          // K and V stage the shared positions once plus each span's private positions, as
+          // whole rows of both heads; Q and O move every row once.
           int64_t staged = shared_blocks * bt;
           for (const int kv_len : kv_lens) {
             staged += kv_len - shared_blocks * bt;
           }
           EXPECT_EQ(dev.ledger().dma_bytes() - dma0,
-                    2 * staged * hquant::KvRowBytes(dtype, d, row.group) +
-                        2 * static_cast<int64_t>(n_rows) * d * 2)
+                    2 * staged * row.row_bytes() + 2 * static_cast<int64_t>(n_rows) * d * 2)
               << "spans " << n_spans;
         }
         for (size_t i = 0; i < n_rows; ++i) {
@@ -1082,6 +1082,224 @@ TEST(FlashAttentionBatchTest, RowsAreIndependentOfTheirTileMates) {
         }
       }
     }
+  }
+}
+
+// Paged K/V in PagedKvCache's block layout: each physical block holds `block_tokens` K rows
+// followed by `block_tokens` V rows of `row` format, so v_block == k_block + block_tokens *
+// row_bytes. Span s maps the first prefix_blocks[s] blocks of its prompt group's shared
+// prefix (blocks of one group are the same physical blocks), then private blocks up to its
+// kv_len.
+struct PagedSlabKv {
+  std::vector<std::vector<uint8_t>> blocks;  // [K plane | V plane] per physical block
+  std::vector<std::vector<const uint8_t*>> k_tables, v_tables;  // per span
+  std::vector<AttnKvSpan> spans;
+
+  PagedSlabKv(const hquant::KvRowCodec& row, int block_tokens,
+              const std::vector<std::vector<int>>& group_kv_lens,
+              const std::vector<int>& group_prefix_blocks, Rng& rng) {
+    std::vector<F16> pool(1024);
+    for (auto& x : pool) {
+      x = F16(static_cast<float>(rng.NextGaussian()));
+    }
+    size_t next = 0;
+    const auto new_block = [&] {
+      std::vector<uint8_t>& b =
+          blocks.emplace_back(static_cast<size_t>(2 * block_tokens * row.row_bytes()));
+      std::vector<F16> src(static_cast<size_t>(row.elems));
+      for (int r = 0; r < 2 * block_tokens; ++r) {
+        for (auto& x : src) {
+          x = pool[next++ % pool.size()];
+        }
+        next += static_cast<size_t>(rng.NextU64() % 7);
+        row.Encode(src.data(), b.data() + r * row.row_bytes());
+      }
+      return b.data();
+    };
+    for (size_t g = 0; g < group_kv_lens.size(); ++g) {
+      std::vector<const uint8_t*> prefix;
+      for (int i = 0; i < group_prefix_blocks[g]; ++i) {
+        prefix.push_back(new_block());
+      }
+      for (const int kv_len : group_kv_lens[g]) {
+        std::vector<const uint8_t*> kt = prefix;
+        while (static_cast<int>(kt.size()) * block_tokens < kv_len) {
+          kt.push_back(new_block());
+        }
+        std::vector<const uint8_t*> vt;
+        for (const uint8_t* k : kt) {
+          vt.push_back(k + block_tokens * row.row_bytes());
+        }
+        k_tables.push_back(std::move(kt));
+        v_tables.push_back(std::move(vt));
+        AttnKvSpan& span = spans.emplace_back();
+        span.kv.block_tokens = block_tokens;
+        span.kv.row = row;
+        span.kv.v_follows_k = true;
+        span.kv_len = kv_len;
+      }
+    }
+    for (size_t s = 0; s < spans.size(); ++s) {
+      spans[s].kv.k_blocks = k_tables[s].data();
+      spans[s].kv.v_blocks = v_tables[s].data();
+    }
+  }
+};
+
+// Query rows for `spans`: KV-head-major, then span, then token (span 0 runs `first_tokens`
+// causal tokens, every other span one decode token), then the `group` query heads of the
+// KV head. q and o are filled in later.
+std::vector<AttnQueryRow> StackRows(const std::vector<AttnKvSpan>& spans, int kv_heads,
+                                    int group, int first_tokens) {
+  std::vector<AttnQueryRow> rows;
+  for (int kh = 0; kh < kv_heads; ++kh) {
+    for (size_t s = 0; s < spans.size(); ++s) {
+      const int tokens = s == 0 ? first_tokens : 1;
+      for (int t = 0; t < tokens; ++t) {
+        for (int g = 0; g < group; ++g) {
+          rows.push_back(
+              {nullptr, nullptr, spans[s].kv_len - tokens + t, static_cast<int>(s), kh});
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(FlashAttentionBatchTest, SharedBlocksStagedOnce) {
+  // Two prompt groups with private tails in one call over both KV heads: a 96-token prompt
+  // (three shared blocks inside a partly shared chunk) and a 160-token prompt (a whole
+  // shared chunk plus one shared block of the next), for F16/INT8/INT4 KV, with and without
+  // a sink+window mask. Every row is bit-equal to itself served alone, and the DMA is the
+  // unique-block rule: per chunk, each distinct physical block of the attended chunks once,
+  // with the rows its longest reader needs, as one descriptor from K row 0 through the
+  // last needed V row (or two when moving the gap costs more), plus one Q and one O
+  // descriptor per q tile.
+  const int d = 64;
+  const int bt = 32;
+  const int kv_heads = 2;
+  const int group = 2;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  AttnWindowSpec window;
+  window.sink_blocks = 1;
+  window.window_blocks = 2;
+  window.block_tokens = bt;
+  const std::vector<std::vector<int>> kv_lens{{97, 116, 141}, {161, 193, 230, 410}};
+  const std::vector<int> prefix_blocks{3, 5};
+  for (const auto dtype : {hquant::KvDtype::kF16, hquant::KvDtype::kInt8,
+                           hquant::KvDtype::kInt4}) {
+    const hquant::KvRowCodec row{dtype, kv_heads * d};
+    for (const bool windowed : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "dtype " << static_cast<int>(dtype) << " window "
+                                      << windowed);
+      const AttnWindowSpec* win = windowed ? &window : nullptr;
+      Rng rng(131);
+      const PagedSlabKv kv(row, bt, kv_lens, prefix_blocks, rng);
+      std::vector<AttnQueryRow> rows = StackRows(kv.spans, kv_heads, group, /*first_tokens=*/3);
+      const size_t n_rows = rows.size();
+      ASSERT_LE(n_rows / kv_heads, static_cast<size_t>(kAttnQTile));  // one q tile per head
+      std::vector<F16> q(n_rows * d), o_all(n_rows * d), o_alone(n_rows * d);
+      for (auto& x : q) {
+        x = F16(static_cast<float>(rng.NextGaussian()));
+      }
+      for (size_t i = 0; i < n_rows; ++i) {
+        rows[i].q = q.data() + i * d;
+        rows[i].o = o_all.data() + i * d;
+      }
+
+      // The rule: the attended blocks of every span (AppendAttendedBlocks is the kernel's
+      // chunk skip), each physical block once with its longest reader's rows.
+      std::vector<std::pair<const uint8_t*, int>> unique;  // (K base, rows needed)
+      size_t attended_total = 0;
+      for (size_t s = 0; s < kv.spans.size(); ++s) {
+        const int kv_len = kv.spans[s].kv_len;
+        const int tokens = s == 0 ? 3 : 1;
+        std::vector<int> attended;
+        AppendAttendedBlocks(win, kv_len - tokens, kv_len - 1, kv_len, bt, &attended);
+        attended_total += attended.size();
+        for (const int b : attended) {
+          const uint8_t* base = kv.k_tables[s][static_cast<size_t>(b)];
+          const int need = std::min(bt, kv_len - b * bt);
+          auto it = std::find_if(unique.begin(), unique.end(),
+                                 [&](const auto& e) { return e.first == base; });
+          if (it == unique.end()) {
+            unique.emplace_back(base, need);
+          } else {
+            it->second = std::max(it->second, need);
+          }
+        }
+      }
+      NpuDevice dev(OnePlus12());
+      ExpLut lut(dev);
+      int64_t bytes = 2 * static_cast<int64_t>(n_rows) * d * 2;  // Q in, O out
+      int64_t descriptors = 2 * kv_heads;                         // one q tile per KV head
+      for (const auto& [base, need] : unique) {
+        const int64_t joint = (bt + need) * row.row_bytes();
+        const int64_t each = need * row.row_bytes();
+        if (dev.dma().Cost1D(joint, hexsim::DmaDirection::kDdrToTcm) <=
+            2 * dev.dma().Cost1D(each, hexsim::DmaDirection::kDdrToTcm)) {
+          bytes += joint;
+          descriptors += 1;
+        } else {
+          bytes += 2 * each;
+          descriptors += 2;
+        }
+      }
+      // Sharing is real: fewer blocks than the spans' attended blocks summed.
+      EXPECT_LT(unique.size(), attended_total);
+
+      const int64_t dma0 = dev.ledger().dma_bytes();
+      const int64_t desc0 = dev.ledger().Count("dma.descriptors");
+      FlashAttentionBatch(dev, lut, SoftmaxVariant::kLut, kv.spans, rows, d, scale, win);
+      EXPECT_EQ(dev.ledger().dma_bytes() - dma0, bytes);
+      EXPECT_EQ(dev.ledger().Count("dma.descriptors") - desc0, descriptors);
+      EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.calls"), 1);
+      EXPECT_EQ(dev.ledger().Count("kernel.attn_kv_dequant.calls"), row.quantized() ? 1 : 0);
+
+      for (size_t i = 0; i < n_rows; ++i) {
+        AttnQueryRow alone = rows[i];
+        alone.o = o_alone.data() + i * d;
+        alone.span = 0;
+        const AttnKvSpan& span = kv.spans[static_cast<size_t>(rows[i].span)];
+        FlashAttentionBatch(dev, lut, SoftmaxVariant::kLut, std::span(&span, 1),
+                            std::span(&alone, 1), d, scale, win);
+      }
+      for (size_t e = 0; e < o_all.size(); ++e) {
+        ASSERT_EQ(o_all[e].bits(), o_alone[e].bits()) << "row " << e / d;
+      }
+    }
+  }
+}
+
+TEST(FlashAttentionBatchTest, PaperWidthStagingFitsTcm) {
+  // The Qwen2.5-1.5B KV shape: 2 KV heads x 128 and 12 query heads, 16 unshared spans of
+  // 1024 positions decoding in one call. Each chunk stages 64 distinct blocks of 512-byte
+  // rows; the call's TCM working set stays inside the 8 MiB TCM.
+  const int d = 128;
+  const int kv_heads = 2;
+  const int group = 6;
+  const int bt = 32;
+  const hquant::KvRowCodec row{hquant::KvDtype::kF16, kv_heads * d};
+  Rng rng(7);
+  const std::vector<std::vector<int>> kv_lens(16, std::vector<int>{1024});
+  const PagedSlabKv kv(row, bt, kv_lens, std::vector<int>(16, 0), rng);
+  std::vector<AttnQueryRow> rows = StackRows(kv.spans, kv_heads, group, /*first_tokens=*/1);
+  std::vector<F16> q(rows.size() * d), o(rows.size() * d);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    q[i * d + i % d] = F16(1.0f);
+    rows[i].q = q.data() + i * d;
+    rows[i].o = o.data() + i * d;
+  }
+  NpuDevice dev(OnePlus12());
+  ExpLut lut(dev);
+  FlashAttentionBatch(dev, lut, SoftmaxVariant::kLut, kv.spans, rows, d,
+                      1.0f / std::sqrt(static_cast<float>(d)));
+  EXPECT_LE(dev.tcm().high_watermark(), 8 * 1024 * 1024);
+  // Every block once, as one whole-row descriptor of its K plane and V rows.
+  EXPECT_EQ(dev.ledger().dma_bytes(), 16 * 32 * 2 * bt * row.row_bytes() +
+                                          2 * static_cast<int64_t>(rows.size()) * d * 2);
+  for (const F16& x : o) {
+    ASSERT_TRUE(std::isfinite(x.ToFloat()));
   }
 }
 

@@ -475,7 +475,7 @@ TEST(KvQuantTest, PagedQuantAttentionMatchesDequantizedF16Attention) {
       k->resize(8);
       v->resize(8);
       kv.FillBlockPointers(0, 0, kv_len, k->data(), v->data());
-      hkern::PagedKvHeadView out;
+      hkern::PagedKvView out;
       out.k_blocks = k->data();
       out.v_blocks = v->data();
       out.block_tokens = block_tokens;
@@ -483,8 +483,8 @@ TEST(KvQuantTest, PagedQuantAttentionMatchesDequantizedF16Attention) {
       return out;
     };
     std::vector<const uint8_t*> qk, qv, fk, fv;
-    const hkern::PagedKvHeadView qview = view(qkv, &qk, &qv);
-    const hkern::PagedKvHeadView fview = view(fkv, &fk, &fv);
+    const hkern::PagedKvView qview = view(qkv, &qk, &qv);
+    const hkern::PagedKvView fview = view(fkv, &fk, &fv);
 
     std::vector<F16> q(static_cast<size_t>(q_len) * head_dim);
     for (auto& x : q) {
@@ -495,15 +495,15 @@ TEST(KvQuantTest, PagedQuantAttentionMatchesDequantizedF16Attention) {
     hexsim::NpuDevice fdev(hexsim::OnePlus12());
     hkern::ExpLut flut(fdev);
     hkern::FlashAttentionPaged(fdev, flut, hkern::SoftmaxVariant::kLut, q.data(), head_dim,
-                               fview, of.data(), head_dim, q_len, kv_len, head_dim, scale,
-                               kv_len - q_len);
+                               fview, /*kv_head=*/0, of.data(), head_dim, q_len, kv_len,
+                               head_dim, scale, kv_len - q_len);
     EXPECT_EQ(fdev.ledger().Count("kernel.attn_kv_dequant.calls"), 0);
     EXPECT_EQ(fdev.ledger().tags().count("attn.kv_dequant"), 0u);
     hexsim::NpuDevice qdev(hexsim::OnePlus12());
     hkern::ExpLut qlut(qdev);
     hkern::FlashAttentionPaged(qdev, qlut, hkern::SoftmaxVariant::kLut, q.data(), head_dim,
-                               qview, oq.data(), head_dim, q_len, kv_len, head_dim, scale,
-                               /*q_pos_offset=*/kv_len - q_len);
+                               qview, /*kv_head=*/0, oq.data(), head_dim, q_len, kv_len,
+                               head_dim, scale, /*q_pos_offset=*/kv_len - q_len);
     for (size_t i = 0; i < oq.size(); ++i) {
       EXPECT_EQ(oq[i].bits(), of[i].bits()) << i;
     }

@@ -6,8 +6,10 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -553,21 +555,50 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
                        c.vocab);
 }
 
+// Attention DMA pinned to the staging rule: a scratch ledger the expected transfers were
+// replayed through, and the number of attention calls that issued them.
+struct AttnDmaPin {
+  hexsim::CycleLedger ledger;
+  int64_t calls = 0;
+};
+
 // Asserts the full simulated-activity profile of two devices is identical: every event
 // count, DDR byte, per-unit instruction counter, and (same charges in the same order, so
-// exactly equal) every busy-second total and tag.
-void ExpectSameCharges(const hexsim::NpuDevice& a, const hexsim::NpuDevice& b) {
-  EXPECT_EQ(a.ledger().counts(), b.ledger().counts());
-  EXPECT_EQ(a.ledger().dma_bytes(), b.ledger().dma_bytes());
+// exactly equal) every busy-second total and tag. With pins, each device's attention DMA
+// (DDR bytes, descriptors, DMA seconds and the dma tag) and attention call count instead
+// equal its own pin, and everything else still matches between the two.
+void ExpectSameCharges(const hexsim::NpuDevice& a, const hexsim::NpuDevice& b,
+                       const AttnDmaPin* a_pin = nullptr, const AttnDmaPin* b_pin = nullptr) {
+  auto a_counts = a.ledger().counts();
+  auto b_counts = b.ledger().counts();
+  if (a_pin != nullptr && b_pin != nullptr) {
+    for (const auto& [dev, pin, counts] : {std::tuple{&a, a_pin, &a_counts},
+                                           std::tuple{&b, b_pin, &b_counts}}) {
+      EXPECT_EQ(counts->at("dma.descriptors"), pin->ledger.Count("dma.descriptors"));
+      EXPECT_EQ(counts->at("kernel.flash_attention.calls"), pin->calls);
+      counts->erase("dma.descriptors");
+      counts->erase("kernel.flash_attention.calls");
+      EXPECT_EQ(dev->ledger().dma_bytes(), pin->ledger.dma_bytes());
+      EXPECT_DOUBLE_EQ(dev->ledger().EngineSeconds(hexsim::Engine::kDma),
+                       pin->ledger.EngineSeconds(hexsim::Engine::kDma));
+      EXPECT_DOUBLE_EQ(dev->ledger().TagSeconds("dma"), pin->ledger.TagSeconds("dma"));
+    }
+  } else {
+    EXPECT_EQ(a.ledger().dma_bytes(), b.ledger().dma_bytes());
+  }
+  EXPECT_EQ(a_counts, b_counts);
   EXPECT_EQ(a.hmx().tile_ops(), b.hmx().tile_ops());
   EXPECT_EQ(a.hvx().packets(), b.hvx().packets());
   EXPECT_EQ(a.hvx().vgather_ops(), b.hvx().vgather_ops());
   EXPECT_EQ(a.hvx().vscatter_ops(), b.hvx().vscatter_ops());
   EXPECT_EQ(a.hvx().vlut16_ops(), b.hvx().vlut16_ops());
   for (int e = 0; e < static_cast<int>(hexsim::Engine::kCount); ++e) {
-    EXPECT_DOUBLE_EQ(a.ledger().EngineSeconds(static_cast<hexsim::Engine>(e)),
-                     b.ledger().EngineSeconds(static_cast<hexsim::Engine>(e)))
-        << hexsim::EngineName(static_cast<hexsim::Engine>(e));
+    const auto engine = static_cast<hexsim::Engine>(e);
+    if (a_pin != nullptr && engine == hexsim::Engine::kDma) {
+      continue;
+    }
+    EXPECT_DOUBLE_EQ(a.ledger().EngineSeconds(engine), b.ledger().EngineSeconds(engine))
+        << hexsim::EngineName(engine);
   }
   const auto a_tags = a.ledger().tags();
   const auto b_tags = b.ledger().tags();
@@ -575,15 +606,64 @@ void ExpectSameCharges(const hexsim::NpuDevice& a, const hexsim::NpuDevice& b) {
   auto ib = b_tags.begin();
   for (const auto& [tag, seconds] : a_tags) {
     EXPECT_EQ(tag, ib->first);
-    EXPECT_DOUBLE_EQ(seconds, ib->second) << tag;
+    if (a_pin == nullptr || tag != "dma") {
+      EXPECT_DOUBLE_EQ(seconds, ib->second) << tag;
+    }
     ++ib;
+  }
+}
+
+// Replays one decode step's attention DMA under the staging rule into `pin`, in kernel
+// order, for sequences of `kv_lens` positions (under one 32-token block each, every
+// sequence its own sharing cluster). Paged: one call per (layer, sequence) moves Q in per KV
+// head, the block's K rows [0, 32) and V rows [0, kv_len) as one descriptor of whole rows,
+// then O out per KV head. Gather reference: one FlashAttentionF16 call per (layer, sequence,
+// KV head) moves Q, its separate K and V arrays with a descriptor each, then O.
+void ReplayDecodeAttentionDma(const ModelConfig& c, std::span<const int> kv_lens, bool paged,
+                              AttnDmaPin* pin) {
+  hexsim::DmaEngine dma(hexsim::OnePlus12(), pin->ledger);
+  const int group = c.heads / c.kv_heads;
+  const int64_t head_bytes = static_cast<int64_t>(c.head_dim) * 2;
+  const auto q_in = [&] {
+    dma.Transfer2D(nullptr, head_bytes, nullptr, head_bytes, head_bytes, group,
+                   hexsim::DmaDirection::kDdrToTcm);
+  };
+  const auto o_out = [&] {
+    dma.Transfer2D(nullptr, head_bytes, nullptr, head_bytes, head_bytes, group,
+                   hexsim::DmaDirection::kTcmToDdr);
+  };
+  for (int l = 0; l < c.layers; ++l) {
+    for (const int kv_len : kv_lens) {
+      if (paged) {
+        const int64_t row_bytes = c.kv_dim() * 2;
+        for (int kh = 0; kh < c.kv_heads; ++kh) {
+          q_in();
+        }
+        dma.Transfer1D(nullptr, nullptr, (hkv::kDefaultBlockTokens + kv_len) * row_bytes,
+                       hexsim::DmaDirection::kDdrToTcm);
+        for (int kh = 0; kh < c.kv_heads; ++kh) {
+          o_out();
+        }
+        ++pin->calls;
+        continue;
+      }
+      for (int kh = 0; kh < c.kv_heads; ++kh) {
+        q_in();
+        for (int plane = 0; plane < 2; ++plane) {
+          dma.Transfer1D(nullptr, nullptr, kv_len * head_bytes, hexsim::DmaDirection::kDdrToTcm);
+        }
+        o_out();
+        ++pin->calls;
+      }
+    }
   }
 }
 
 TEST_F(TransformerTest, PagedAttentionMatchesGatherReference) {
   // Multi-layer, GQA (4 heads over 2 KV heads), with a copy-on-write fork mid-decode: the
   // in-place paged attention path must reproduce the gather-style reference decode down to
-  // the last logit bit and the last simulated counter.
+  // the last logit bit and the last simulated counter, except that each side's attention
+  // DMA and call count follow the staging rule for its own KV layout.
   hexec::ParallelismOverride serial(1);
   const int64_t vocab = config_.vocab;
 
@@ -600,7 +680,11 @@ TEST_F(TransformerTest, PagedAttentionMatchesGatherReference) {
   std::vector<int> tokens{7};
   std::vector<int> seq_ids{0};
   std::vector<GatherSeq*> ref_seqs{&ref0};
+  AttnDmaPin paged_pin, ref_pin;
   for (int step = 0; step < 3; ++step) {
+    const int kv_len[] = {step + 1};
+    ReplayDecodeAttentionDma(config_, kv_len, /*paged=*/true, &paged_pin);
+    ReplayDecodeAttentionDma(config_, kv_len, /*paged=*/false, &ref_pin);
     tf.StepSeqs(tokens, seq_ids, std::span<float>(logits.data(), static_cast<size_t>(vocab)));
     GatherReferenceStep(dev_ref, ref_lut, weights_, tokens, ref_seqs,
                         std::span<float>(ref_logits.data(), static_cast<size_t>(vocab)));
@@ -623,6 +707,9 @@ TEST_F(TransformerTest, PagedAttentionMatchesGatherReference) {
   seq_ids = {0, 1};
   ref_seqs = {&ref0, &ref1};
   for (int step = 0; step < 4; ++step) {
+    const int kv_lens[] = {step + 4, step + 4};
+    ReplayDecodeAttentionDma(config_, kv_lens, /*paged=*/true, &paged_pin);
+    ReplayDecodeAttentionDma(config_, kv_lens, /*paged=*/false, &ref_pin);
     tf.StepSeqs(tokens, seq_ids, logits);
     GatherReferenceStep(dev_ref, ref_lut, weights_, tokens, ref_seqs, ref_logits);
     ASSERT_EQ(std::memcmp(logits.data(), ref_logits.data(), sizeof(float) * 2 * vocab), 0)
@@ -634,7 +721,7 @@ TEST_F(TransformerTest, PagedAttentionMatchesGatherReference) {
   }
   EXPECT_GE(tf.kv().stats().cow_splits, 1);
 
-  ExpectSameCharges(dev_, dev_ref);
+  ExpectSameCharges(dev_, dev_ref, &paged_pin, &ref_pin);
 }
 
 // Prints a device's whole simulated-activity profile: ledger event counts, DDR bytes,
@@ -671,41 +758,50 @@ std::string ChargeProfile(const hexsim::NpuDevice& dev) {
   return out;
 }
 
-// Recorded at one lane from the batched attention (one FlashAttentionBatch per KV head
-// and sharing cluster, the GQA group's query heads stacked in one q tile), with the
-// attention mask and normalization packets committed and `packets` counting committed
-// HVX packets. Against the per-(span, head) kernel before it, attention DMA fell from
-// 1112064 to 619520 bytes (F16), 650304 to 388640 (INT8) and 404032 to 265504 (INT4), and
-// HMX tile ops from 3584 to 3264 (attention's share 704 -> 384); verify argmaxes are
-// unchanged.
-constexpr const char* kForwardProfileF16 = R"(count dma.descriptors 344
+// Recorded at one lane from the batched attention: one FlashAttentionBatch per sharing
+// cluster (spans grouped by their first physical KV block) and layer over every KV head,
+// each physical block a chunk reads staged once as whole rows. Against one call per
+// (cluster, KV head) that staged each chunk instance per head in strided 2D descriptors:
+// - DMA: descriptors 344 -> 222 and the DMA engine 1.22e-4 -> 7.30e-5 s (F16); bytes rise
+//   619520 -> 651776 (F16), 388640 -> 405776 (INT8), 265504 -> 274576 (INT4), because a
+//   partly filled block's one descriptor also moves the unused tail of its K plane.
+// - Calls: flash_attention (and attn_kv_dequant) calls 80 -> 30.
+// - Dequant: INT4/INT8 rows decode once per (staged block, KV head), and the fork shares
+//   sequence 0's first block, so attn.kv_dequant and the INT4 vlut16 count fall.
+// - attn.pack: sequence 0 and its fork now form one cluster, so their decode and verify
+//   rows share q tiles: 20 fewer Q tiles, 320 fewer packets. Merged clusters also commit
+//   their HVX/HMX work in one sum per head, which moves the HMX engine and the qk, pv,
+//   rescale and normalize tags in the last bits (tile ops and packets of those are
+//   unchanged).
+// Verify argmaxes are unchanged.
+constexpr const char* kForwardProfileF16 = R"(count dma.descriptors 222
 count kernel.add.calls 40
 count kernel.dequant_coalesced_lut.calls 120
 count kernel.exp_lut.builds 1
-count kernel.flash_attention.calls 80
+count kernel.flash_attention.calls 30
 count kernel.gemm_hmx.calls 140
 count kernel.rmsnorm.calls 45
 count kernel.rope.calls 1488
 count kernel.silu_mul.calls 20
-dma_bytes 619520
+dma_bytes 651776
 tile_ops 3264
-packets 451658
+packets 451338
 vgather 1984
 vscatter 0
 vlut16 35840
-engine HVX 0x1.6c4e52f0f5ec7p-12
-engine HMX 0x1.2a04a4c058954p-16
-engine DMA 0x1.003b9a964f431p-13
+engine HVX 0x1.6c0c3f60b41d1p-12
+engine HMX 0x1.2a04a4c058945p-16
+engine DMA 0x1.3274598f98213p-14
 engine CPU 0x0p+0
 engine GPU 0x0p+0
 tag attn.mask 0x1.916a0c5c9f29fp-21
-tag attn.normalize 0x1.99ac7e64d938fp-20
-tag attn.pack 0x1.2536d0240d04cp-18
-tag attn.pv 0x1.187cd74b9eaa3p-20
-tag attn.qk 0x1.187cd74b9eaa3p-20
-tag attn.rescale 0x1.2ff39795254a6p-19
+tag attn.normalize 0x1.99ac7e64d937fp-20
+tag attn.pack 0x1.14b1ec1398e79p-18
+tag attn.pv 0x1.187cd74b9eaa1p-20
+tag attn.qk 0x1.187cd74b9eaa1p-20
+tag attn.rescale 0x1.2ff39795254a8p-19
 tag attn.softmax 0x1.e6131d30f23edp-14
-tag dma 0x1.003b9a964f431p-13
+tag dma 0x1.3274598f98213p-14
 tag gemm.hmx 0x1.06f509d6e4bf4p-16
 tag gemm.pack 0x0p+0
 tag linear.dequant 0x1.7aa61ba9258adp-13
@@ -715,36 +811,36 @@ tag misc.rope 0x1.cce20e3174617p-18
 tag misc.silu 0x1.4cdc26b1f07d9p-17
 verify_argmax 312 15 374 440 291 337 77 337 448
 )";
-constexpr const char* kForwardProfileInt4 = R"(count dma.descriptors 344
+constexpr const char* kForwardProfileInt4 = R"(count dma.descriptors 222
 count kernel.add.calls 40
-count kernel.attn_kv_dequant.calls 80
+count kernel.attn_kv_dequant.calls 30
 count kernel.dequant_coalesced_lut.calls 120
 count kernel.exp_lut.builds 1
-count kernel.flash_attention.calls 80
+count kernel.flash_attention.calls 30
 count kernel.gemm_hmx.calls 140
 count kernel.rmsnorm.calls 45
 count kernel.rope.calls 1488
 count kernel.silu_mul.calls 20
-dma_bytes 265504
+dma_bytes 274576
 tile_ops 3264
-packets 468082
+packets 465042
 vgather 1984
 vscatter 0
-vlut16 39720
-engine HVX 0x1.798db23cf4a3bp-12
-engine HMX 0x1.2a04a4c058954p-16
-engine DMA 0x1.b824e79484f68p-14
+vlut16 39080
+engine HVX 0x1.7719f86283674p-12
+engine HMX 0x1.2a04a4c058945p-16
+engine DMA 0x1.181617c93284fp-14
 engine CPU 0x0p+0
 engine GPU 0x0p+0
-tag attn.kv_dequant 0x1.a7ebe97fd6f6fp-17
+tag attn.kv_dequant 0x1.61b72039e97bp-17
 tag attn.mask 0x1.916a0c5c9f29fp-21
-tag attn.normalize 0x1.99ac7e64d938fp-20
-tag attn.pack 0x1.2536d0240d04cp-18
-tag attn.pv 0x1.187cd74b9eaa3p-20
-tag attn.qk 0x1.187cd74b9eaa3p-20
-tag attn.rescale 0x1.2ff39795254a6p-19
+tag attn.normalize 0x1.99ac7e64d937fp-20
+tag attn.pack 0x1.14b1ec1398e79p-18
+tag attn.pv 0x1.187cd74b9eaa1p-20
+tag attn.qk 0x1.187cd74b9eaa1p-20
+tag attn.rescale 0x1.2ff39795254a8p-19
 tag attn.softmax 0x1.e6131d30f23edp-14
-tag dma 0x1.b824e79484f68p-14
+tag dma 0x1.181617c93284fp-14
 tag gemm.hmx 0x1.06f509d6e4bf4p-16
 tag gemm.pack 0x0p+0
 tag linear.dequant 0x1.7aa61ba9258adp-13
@@ -755,36 +851,36 @@ tag misc.silu 0x1.4cdc26b1f07d9p-17
 verify_argmax 316 15 374 440 316 291 39 337 236
 )";
 
-constexpr const char* kForwardProfileInt8 = R"(count dma.descriptors 344
+constexpr const char* kForwardProfileInt8 = R"(count dma.descriptors 222
 count kernel.add.calls 40
-count kernel.attn_kv_dequant.calls 80
+count kernel.attn_kv_dequant.calls 30
 count kernel.dequant_coalesced_lut.calls 120
 count kernel.exp_lut.builds 1
-count kernel.flash_attention.calls 80
+count kernel.flash_attention.calls 30
 count kernel.gemm_hmx.calls 140
 count kernel.rmsnorm.calls 45
 count kernel.rope.calls 1488
 count kernel.silu_mul.calls 20
-dma_bytes 388640
+dma_bytes 405776
 tile_ops 3264
-packets 463234
+packets 460994
 vgather 1984
 vscatter 0
 vlut16 35840
-engine HVX 0x1.75a4a37375f4fp-12
-engine HMX 0x1.2a04a4c058954p-16
-engine DMA 0x1.d5f535bcf5bd2p-14
+engine HVX 0x1.73d61a81a9436p-12
+engine HMX 0x1.2a04a4c058945p-16
+engine DMA 0x1.2142022477414p-14
 engine CPU 0x0p+0
 engine GPU 0x0p+0
-tag attn.kv_dequant 0x1.2aca105001014p-17
+tag attn.kv_dequant 0x1.f276c83d49549p-18
 tag attn.mask 0x1.916a0c5c9f29fp-21
-tag attn.normalize 0x1.99ac7e64d938fp-20
-tag attn.pack 0x1.2536d0240d04cp-18
-tag attn.pv 0x1.187cd74b9eaa3p-20
-tag attn.qk 0x1.187cd74b9eaa3p-20
-tag attn.rescale 0x1.2ff39795254a6p-19
+tag attn.normalize 0x1.99ac7e64d937fp-20
+tag attn.pack 0x1.14b1ec1398e79p-18
+tag attn.pv 0x1.187cd74b9eaa1p-20
+tag attn.qk 0x1.187cd74b9eaa1p-20
+tag attn.rescale 0x1.2ff39795254a8p-19
 tag attn.softmax 0x1.e6131d30f23edp-14
-tag dma 0x1.d5f535bcf5bd2p-14
+tag dma 0x1.2142022477414p-14
 tag gemm.hmx 0x1.06f509d6e4bf4p-16
 tag gemm.pack 0x0p+0
 tag linear.dequant 0x1.7aa61ba9258adp-13
@@ -850,14 +946,122 @@ TEST_F(TransformerTest, ForwardChargeProfileIsPinned) {
   EXPECT_TRUE(int4 == kForwardProfileInt4) << "INT4 profile:\n" << int4;
 }
 
+TEST_F(TransformerTest, ShortSharedPromptStagesEachBlockOnce) {
+  // A Best-of-8 over a 32-token shared prompt: the siblings map one physical prompt block,
+  // so every decode step is one sharing cluster (one attention call per layer) that stages
+  // the prompt block once per layer plus each sibling's private tail block. Its DDR traffic
+  // is strictly below that of 8 independent requests with the same prompt, and every
+  // sibling's logits equal that sibling served alone.
+  hexec::ParallelismOverride serial(1);
+  constexpr int kN = 8;
+  constexpr int kSteps = 4;
+  const ModelConfig& c = config_;
+  const int64_t vocab = c.vocab;
+  const int bt = hkv::kDefaultBlockTokens;
+  std::vector<int> prompt(32);
+  for (int i = 0; i < 32; ++i) {
+    prompt[static_cast<size_t>(i)] = (i * 13 + 5) % static_cast<int>(vocab);
+  }
+  std::vector<int> first_tokens(kN);
+  for (int b = 0; b < kN; ++b) {
+    first_tokens[static_cast<size_t>(b)] = b * 41 + 3;
+  }
+  // Decodes kSteps steps of `seqs` from first_tokens, greedily; returns every step's
+  // logits. Measures the decode steps' DMA bytes, descriptors and attention calls.
+  struct Decoded {
+    std::vector<float> logits;
+    int64_t dma_bytes = 0;
+    int64_t descriptors = 0;
+    int64_t calls = 0;
+  };
+  const auto decode = [&](hexsim::NpuDevice& dev, Transformer& tf, std::span<const int> seqs,
+                          std::span<const int> first) {
+    Decoded out;
+    const size_t n = seqs.size();
+    std::vector<int> tokens(first.begin(), first.end());
+    std::vector<float> logits(n * static_cast<size_t>(vocab));
+    const int64_t dma0 = dev.ledger().dma_bytes();
+    const int64_t desc0 = dev.ledger().Count("dma.descriptors");
+    const int64_t calls0 = dev.ledger().Count("kernel.flash_attention.calls");
+    for (int step = 0; step < kSteps; ++step) {
+      tf.StepSeqs(tokens, seqs, logits);
+      out.logits.insert(out.logits.end(), logits.begin(), logits.end());
+      for (size_t b = 0; b < n; ++b) {
+        tokens[b] = ArgmaxToken(std::span<const float>(logits.data() + b * vocab,
+                                                       static_cast<size_t>(vocab)));
+      }
+    }
+    out.dma_bytes = dev.ledger().dma_bytes() - dma0;
+    out.descriptors = dev.ledger().Count("dma.descriptors") - desc0;
+    out.calls = dev.ledger().Count("kernel.flash_attention.calls") - calls0;
+    return out;
+  };
+  std::vector<int> seqs(kN);
+  std::iota(seqs.begin(), seqs.end(), 0);
+
+  hexsim::NpuDevice shared_dev(hexsim::OnePlus12());
+  Transformer shared(shared_dev, weights_, kN, /*max_context=*/64);
+  shared.Prefill(0, prompt);
+  const int64_t handle = shared.kv().Retain(0);
+  for (int b = 1; b < kN; ++b) {
+    shared.kv().ShareFromHandle(handle, b, shared.kv().handle_length(handle));
+  }
+  shared.kv().DropHandle(handle);
+  const Decoded grouped = decode(shared_dev, shared, seqs, first_tokens);
+
+  hexsim::NpuDevice solo_dev(hexsim::OnePlus12());
+  Transformer solo(solo_dev, weights_, kN, /*max_context=*/64);
+  for (int b = 0; b < kN; ++b) {
+    solo.Prefill(b, prompt);
+  }
+  const Decoded independent = decode(solo_dev, solo, seqs, first_tokens);
+
+  // One cluster: one call per layer and step, against one per request and layer.
+  EXPECT_EQ(grouped.calls, kSteps * c.layers);
+  EXPECT_EQ(independent.calls, kSteps * kN * c.layers);
+  // Per layer and step: the prompt block (32 K rows and 32 V rows) once, each sibling's
+  // tail block (32 K rows and the step's V rows) once, one descriptor each, and Q in / O out
+  // in one 16-row q tile per KV head.
+  const int64_t row_bytes = shared.kv().row_bytes();
+  const int64_t head_bytes = static_cast<int64_t>(c.head_dim) * 2;
+  int64_t bytes = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    bytes += c.layers * ((2 * bt * row_bytes) + kN * (bt + step + 1) * row_bytes +
+                         2 * kN * c.heads * head_bytes);
+  }
+  EXPECT_EQ(grouped.dma_bytes, bytes);
+  EXPECT_EQ(grouped.descriptors, kSteps * c.layers * (1 + kN + 2 * c.kv_heads));
+  EXPECT_LT(grouped.dma_bytes, independent.dma_bytes);
+
+  ASSERT_EQ(grouped.logits.size(), independent.logits.size());
+  EXPECT_EQ(std::memcmp(grouped.logits.data(), independent.logits.data(),
+                        grouped.logits.size() * sizeof(float)),
+            0);
+  for (int b = 0; b < kN; ++b) {
+    hexsim::NpuDevice dev(hexsim::OnePlus12());
+    Transformer alone(dev, weights_, 1, /*max_context=*/64);
+    alone.Prefill(0, prompt);
+    const int seq = 0;
+    const Decoded one = decode(dev, alone, std::span<const int>(&seq, 1),
+                               std::span<const int>(&first_tokens[static_cast<size_t>(b)], 1));
+    for (int step = 0; step < kSteps; ++step) {
+      EXPECT_EQ(std::memcmp(one.logits.data() + step * vocab,
+                            grouped.logits.data() + (step * kN + b) * vocab,
+                            static_cast<size_t>(vocab) * sizeof(float)),
+                0)
+          << "sibling " << b << " step " << step;
+    }
+  }
+}
+
 TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
   // Three forked sequences (a 200-token shared prompt, then private prefills of different
   // lengths) under a 1-sink + 2-block window. One transformer offloads every evictable
   // block outside the attended set after each call; its twin keeps every block resident.
   // End to end, decode, a prefill chunk and a multi-span verify give bit-equal logits. At
-  // the kernel, GQA-grouped FlashAttentionBatch over the offloaded cache matches per-head
-  // FlashAttentionPaged calls over the resident one bit for bit, and its staging DMA is
-  // exactly the AppendAttendedBlocks set, with chunks the spans share staged once.
+  // the kernel, one FlashAttentionBatch over every KV head of the offloaded cache matches
+  // per-head FlashAttentionPaged calls over the resident one bit for bit, and its staging DMA
+  // is exactly the AppendAttendedBlocks set, with blocks the spans share staged once.
   const ModelConfig& c = config_;
   const int64_t vocab = c.vocab;
   const int dh = c.head_dim;
@@ -948,10 +1152,10 @@ TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
       std::vector<std::vector<const uint8_t*>> kb(3, std::vector<const uint8_t*>(cap));
       std::vector<std::vector<const uint8_t*>> vb(kb);
       demote();
-      // Staged K/V rows the attended sets imply: one per position of each distinct chunk
-      // instance (a whole chunk on the same physical blocks is one instance for all spans).
-      std::vector<std::vector<const uint8_t*>> instances;
-      int64_t staged_rows = 0;
+      // Staged bytes the attended sets imply: each distinct physical block once, with the
+      // rows its longest reader needs, as whole rows (every KV head). V follows the block's K
+      // plane in the cache, so one descriptor moves K rows [0, bt) and the V rows it needs.
+      std::vector<std::pair<const uint8_t*, int>> blocks;  // (K base, rows)
       for (int s = 0; s < 3; ++s) {
         const int n = span_rows[static_cast<size_t>(s)];
         const int len = off.kv().length(s);
@@ -964,62 +1168,63 @@ TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
         off.kv().EnsureResidentTableBlocks(s, attended);
         off.kv().FillBlockPointers(l, s, len, kb[static_cast<size_t>(s)].data(),
                                    vb[static_cast<size_t>(s)].data());
-        int prev_chunk = -1;
         for (const int b : attended) {
-          const int chunk = b * bt / hkern::kAttnKvChunk;
-          if (chunk == prev_chunk) {
-            continue;
-          }
-          prev_chunk = chunk;
-          const int kv0 = chunk * hkern::kAttnKvChunk;
-          const int kvn = std::min(hkern::kAttnKvChunk, len - kv0);
-          if (kvn < hkern::kAttnKvChunk) {
-            staged_rows += kvn;  // a partial chunk is always the span's own instance
-            continue;
-          }
-          const std::vector<const uint8_t*> blocks(
-              kb[static_cast<size_t>(s)].begin() + kv0 / bt,
-              kb[static_cast<size_t>(s)].begin() + (kv0 + kvn) / bt);
-          if (std::find(instances.begin(), instances.end(), blocks) == instances.end()) {
-            instances.push_back(blocks);
-            staged_rows += kvn;
+          const uint8_t* base = kb[static_cast<size_t>(s)][static_cast<size_t>(b)];
+          ASSERT_EQ(vb[static_cast<size_t>(s)][static_cast<size_t>(b)],
+                    base + bt * off.kv().row_bytes());
+          const int need = std::min(bt, len - b * bt);
+          const auto it = std::find_if(blocks.begin(), blocks.end(),
+                                       [&](const auto& e) { return e.first == base; });
+          if (it == blocks.end()) {
+            blocks.emplace_back(base, need);
+          } else {
+            it->second = std::max(it->second, need);
           }
         }
       }
+      int64_t staged_bytes = 0;
+      for (const auto& [base, need] : blocks) {
+        staged_bytes += (bt + need) * off.kv().row_bytes();
+      }
+      // One call for every KV head: rows KV-head-major, then span, token and query head.
+      std::vector<hkern::AttnKvSpan> spans;
+      std::vector<hkern::AttnQueryRow> rows;
+      for (int s = 0; s < 3; ++s) {
+        if (span_rows[static_cast<size_t>(s)] == 0) {
+          continue;
+        }
+        hkern::AttnKvSpan& span = spans.emplace_back();
+        span.kv.k_blocks = kb[static_cast<size_t>(s)].data();
+        span.kv.v_blocks = vb[static_cast<size_t>(s)].data();
+        span.kv.block_tokens = bt;
+        span.kv.row = off.kv().row_codec();
+        span.kv.v_follows_k = true;
+        span.kv_len = off.kv().length(s);
+      }
       for (int kh = 0; kh < c.kv_heads; ++kh) {
-        std::vector<hkern::AttnKvSpan> spans;
-        std::vector<hkern::AttnQueryRow> rows;
+        int span_index = 0;
         for (int s = 0; s < 3; ++s) {
           const int n = span_rows[static_cast<size_t>(s)];
           const int len = off.kv().length(s);
           if (n == 0) {
             continue;
           }
-          hkern::AttnKvSpan& span = spans.emplace_back();
-          span.kv.k_blocks = kb[static_cast<size_t>(s)].data();
-          span.kv.v_blocks = vb[static_cast<size_t>(s)].data();
-          span.kv.block_tokens = bt;
-          span.kv.row = off.kv().row_codec();
-          span.kv.head_offset = static_cast<int64_t>(kh) * dh;
-          span.kv_len = len;
           for (int r = 0; r < n; ++r) {
             for (int h = kh * group; h < (kh + 1) * group; ++h) {
               const int64_t at =
                   (static_cast<int64_t>(row0[static_cast<size_t>(s)] + r) * c.heads + h) * dh;
-              rows.push_back({q.data() + at, o_grouped.data() + at, len - n + r,
-                              static_cast<int>(spans.size()) - 1});
+              rows.push_back({q.data() + at, o_grouped.data() + at, len - n + r, span_index, kh});
             }
           }
-        }
-        const int64_t dma0 = dev_off.ledger().dma_bytes();
-        hkern::FlashAttentionBatch(dev_off, lut_off, hkern::SoftmaxVariant::kLut, spans, rows,
-                                   dh, scale, &off.attention_window());
-        if (kh == 0) {
-          EXPECT_EQ(dev_off.ledger().dma_bytes() - dma0,
-                    2 * staged_rows * dh * 2 + 2 * static_cast<int64_t>(rows.size()) * dh * 2)
-              << "shape " << span_rows[0] << span_rows[1] << span_rows[2] << " layer " << l;
+          ++span_index;
         }
       }
+      const int64_t dma0 = dev_off.ledger().dma_bytes();
+      hkern::FlashAttentionBatch(dev_off, lut_off, hkern::SoftmaxVariant::kLut, spans, rows, dh,
+                                 scale, &off.attention_window());
+      EXPECT_EQ(dev_off.ledger().dma_bytes() - dma0,
+                staged_bytes + 2 * static_cast<int64_t>(rows.size()) * dh * 2)
+          << "shape " << span_rows[0] << span_rows[1] << span_rows[2] << " layer " << l;
       for (int s = 0; s < 3; ++s) {
         const int n = span_rows[static_cast<size_t>(s)];
         const int len = ref.kv().length(s);
@@ -1029,17 +1234,17 @@ TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
         std::vector<const uint8_t*> rk(static_cast<size_t>(cap)), rv(rk.size());
         ref.kv().FillBlockPointers(l, s, len, rk.data(), rv.data());
         for (int h = 0; h < c.heads; ++h) {
-          hkern::PagedKvHeadView view;
+          hkern::PagedKvView view;
           view.k_blocks = rk.data();
           view.v_blocks = rv.data();
           view.block_tokens = bt;
           view.row = ref.kv().row_codec();
-          view.head_offset = static_cast<int64_t>(h / group) * dh;
           const int64_t at =
               static_cast<int64_t>(row0[static_cast<size_t>(s)]) * c.heads * dh + h * dh;
           hkern::FlashAttentionPaged(dev_ref, lut_ref, hkern::SoftmaxVariant::kLut, q.data() + at,
-                                     c.heads * dh, view, o_heads.data() + at, c.heads * dh, n,
-                                     len, dh, scale, len - n, &ref.attention_window());
+                                     c.heads * dh, view, h / group, o_heads.data() + at,
+                                     c.heads * dh, n, len, dh, scale, len - n,
+                                     &ref.attention_window());
         }
       }
       for (size_t e = 0; e < q.size(); ++e) {

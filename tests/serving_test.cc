@@ -915,50 +915,50 @@ std::string ServeScriptProfile(ExecutionBackend& backend, int prompt, bool specu
 constexpr const char* kStepProfileF16 = R"(admit job 0 slot 0 ctx 8 -> 0x1.00cf8f5a64562p-14
 admit job 1 slot 1 ctx 8 -> 0x0p+0
 admit job 2 slot 2 ctx 5 -> 0x1.f7f7dca1919e9p-15
-step total 0x1.2c375f36aeb17p-14 linear 0x1.b0b7cbe7523c9p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d49cp-16 hmx 0x1.c7cadddae1d54p-20 dma 0x1.b0b7cbe7523c9p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 15360 watts 0x1.41a21e8e52c23p+1 tokens 149 149 59 counts
-step total 0x1.2c92ff762f80ap-14 linear 0x1.b394cde358b62p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d4bp-16 hmx 0x1.c7cadddae1d68p-20 dma 0x1.b394cde358b62p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 16896 watts 0x1.41a28ed4c061p+1 tokens 166 166 59 counts
-step total 0x1.2cee9fb5b04fep-14 linear 0x1.b671cfdf5f3p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d4bp-16 hmx 0x1.c7cadddae1d74p-20 dma 0x1.b671cfdf5f3p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 18432 watts 0x1.41a2fed6cf5cdp+1 tokens 166 166 59 counts
-step total 0x1.2d4a3ff5311eep-14 linear 0x1.b94ed1db65a8p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d478p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.b94ed1db65a8p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 19968 watts 0x1.41a36e94be15cp+1 tokens 166 166 59 counts
+step total 0x1.18a04822e068p-14 linear 0x1.13ff1348dff12p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d49cp-16 hmx 0x1.c7cadddae1d54p-20 dma 0x1.13ff1348dff12p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 33792 watts 0x1.45100c10eef28p+1 tokens 149 149 59 counts
+step total 0x1.18ae0692cd53cp-14 linear 0x1.146d06c8474eap-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d4bp-16 hmx 0x1.c7cadddae1d68p-20 dma 0x1.146d06c8474eap-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 34560 watts 0x1.4514b0239517p+1 tokens 166 166 59 counts
+step total 0x1.18bbc502ba3fap-14 linear 0x1.14dafa47aeaep-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d4bp-16 hmx 0x1.c7cadddae1d74p-20 dma 0x1.14dafa47aeaep-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 35328 watts 0x1.451953c1e6f5dp+1 tokens 166 166 59 counts
+step total 0x1.18c98372a72bbp-14 linear 0x1.1548edc7160e8p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d478p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.1548edc7160e8p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 36096 watts 0x1.451df6ebf5a39p+1 tokens 166 166 59 counts
 admit job 3 slot 0 ctx 12 -> 0x0p+0
-step total 0x1.2da5e034b1edap-14 linear 0x1.bc2bd3d76c1ep-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d47p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.bc2bd3d76c1ep-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 21504 watts 0x1.41a3de0ecaa0ap+1 tokens 166 166 59 counts
-step total 0x1.2e01807432bd2p-14 linear 0x1.bf08d5d3729ap-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d47p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.bf08d5d3729ap-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 23040 watts 0x1.41a44d4532c66p+1 tokens 166 166 59 counts
-step total 0x1.1b7facf5e3916p-14 linear 0x1.2afa39e0f93cp-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.5b28c8e9c8348p-16 hmx 0x1.bc1aff8d108fp-20 dma 0x1.2afa39e0f93cp-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 15872 watts 0x1.3b1a1a19ec02p+1 tokens 166 59 counts
+step total 0x1.18d741e294178p-14 linear 0x1.15b6e1467d6dp-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d47p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.15b6e1467d6dp-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 36864 watts 0x1.452299a1d2326p+1 tokens 166 166 59 counts
+step total 0x1.18e5005281035p-14 linear 0x1.1624d4c5e4cb8p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.714788b49d47p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.1624d4c5e4cb8p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 37632 watts 0x1.45273be38db08p+1 tokens 166 166 59 counts
+step total 0x1.0d52b6ef911eep-14 linear 0x1.7325135ccb4f8p-18 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.5b28c8e9c8348p-16 hmx 0x1.bc1aff8d108fp-20 dma 0x1.7325135ccb4f8p-18 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 25344 watts 0x1.3d3486b8715b9p+1 tokens 166 59 counts
 )";
 constexpr const char* kStepProfileInt4 = R"(admit job 0 slot 0 ctx 8 -> 0x1.00eba477b381fp-14
 admit job 1 slot 1 ctx 8 -> 0x0p+0
-admit job 2 slot 2 ctx 5 -> 0x1.f81c3430e9047p-15
-step total 0x1.2a697a049592cp-14 linear 0x1.a248a2568946cp-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.76c05aa6dd5a6p-16 hmx 0x1.c7cadddae1d54p-20 dma 0x1.a248a2568946cp-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 6528 watts 0x1.41c86fca1bc2bp+1 tokens 149 149 59 counts
-step total 0x1.2a8b5d9dd33ep-14 linear 0x1.a357bf2076a12p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.775ef00114e9p-16 hmx 0x1.c7cadddae1d68p-20 dma 0x1.a357bf2076a12p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 6960 watts 0x1.41cd1081936fbp+1 tokens 166 166 59 counts
-step total 0x1.2aad413710e92p-14 linear 0x1.a466dbea63fap-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.77fd855b4c77p-16 hmx 0x1.c7cadddae1d74p-20 dma 0x1.a466dbea63fap-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 7392 watts 0x1.41d1b02c32b42p+1 tokens 166 166 59 counts
-step total 0x1.2acf24d04e94ep-14 linear 0x1.a575f8b45158p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.78b688ef37eacp-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.a575f8b45158p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 7824 watts 0x1.41d73de9222f4p+1 tokens 166 166 59 counts
+admit job 2 slot 2 ctx 5 -> 0x1.f81c3430e9046p-15
+step total 0x1.1715251104eacp-14 linear 0x1.07a5faba0406ep-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.76c05aa6dd5a8p-16 hmx 0x1.c7cadddae1d54p-20 dma 0x1.07a5faba0406ep-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 11712 watts 0x1.44bedcaac972ep+1 tokens 149 149 59 counts
+step total 0x1.171902a07f8cfp-14 linear 0x1.07c4e735d9188p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.775ef00114e9p-16 hmx 0x1.c7cadddae1d68p-20 dma 0x1.07c4e735d9188p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 11928 watts 0x1.44c62de199e14p+1 tokens 166 166 59 counts
+step total 0x1.171ce02ffa2f5p-14 linear 0x1.07e3d3b1ae2b4p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.77fd855b4c77p-16 hmx 0x1.c7cadddae1d74p-20 dma 0x1.07e3d3b1ae2b4p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 12144 watts 0x1.44cd7ee487ce3p+1 tokens 166 166 59 counts
+step total 0x1.1720bdbf74d1dp-14 linear 0x1.0802c02d833f4p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.78b688ef37eacp-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.0802c02d833f4p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 12360 watts 0x1.44d5cfaea14bdp+1 tokens 166 166 59 counts
 admit job 3 slot 0 ctx 12 -> 0x0p+0
-step total 0x1.2af108698c402p-14 linear 0x1.a685157e3eb2p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.79551e496f7bp-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.a685157e3eb2p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 8256 watts 0x1.41dbdb60075d8p+1 tokens 166 166 59 counts
-step total 0x1.2b12ec02c9eb2p-14 linear 0x1.a79432482c0ap-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.79f3b3a3a707p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.a79432482c0ap-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 8688 watts 0x1.41e077cb2c35fp+1 tokens 166 166 59 counts
-step total 0x1.19780b1d874eep-14 linear 0x1.1abd2b1e1728p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.6125c1fc8be48p-16 hmx 0x1.bc1aff8d108fp-20 dma 0x1.1abd2b1e1728p-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 5936 watts 0x1.3b3a22791ca5ep+1 tokens 166 59 counts
+step total 0x1.17249b4eef741p-14 linear 0x1.0821aca958518p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.79551e496f7bp-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.0821aca958518p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 12576 watts 0x1.44dd2046453a2p+1 tokens 166 166 59 counts
+step total 0x1.172878de6a167p-14 linear 0x1.084099252d648p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.79f3b3a3a707p-16 hmx 0x1.c7cadddae1d7p-20 dma 0x1.084099252d648p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 12792 watts 0x1.44e470aa0d371p+1 tokens 166 166 59 counts
+step total 0x1.0c32c1d98d283p-14 linear 0x1.6125c1fc8be48p-18 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.6125c1fc8be48p-16 hmx 0x1.bc1aff8d108fp-20 dma 0x1.606abf2eca93p-18 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 8600 watts 0x1.3cfcaa1ad898bp+1 tokens 166 59 counts
 )";
-constexpr const char* kStepProfileSpec = R"(admit job 0 slot 0 ctx 8 -> 0x1.ecc3fae2d9c14p-14
+constexpr const char* kStepProfileSpec = R"(admit job 0 slot 0 ctx 8 -> 0x1.e98021b4e20a6p-14
 admit job 1 slot 1 ctx 8 -> 0x0p+0
-admit job 2 slot 2 ctx 5 -> 0x1.e7894591cd516p-14
-cycle total 0x1.0d30b5989bc0ep-12 linear 0x1.b9aa721ae6772p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.e2ffefaaaa4efp-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.4bac331a5b584p-15 hmx 0x1.4d143fa9cc6b5p-19 dma 0x1.b9aa721ae6772p-16 cpu 0x1.6d31e7299ffd4p-15 gpu 0x0p+0 ddr 39168 watts 0x1.3599ec868d34fp+1 tokens 149 149 59 counts 1 1 1
-cycle total 0x1.0a1c708fe1fep-12 linear 0x1.9624917c36288p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.c7830fd0d2914p-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.3cf77edf4f2d2p-15 hmx 0x1.4a284816581ap-19 dma 0x1.9624917c36288p-16 cpu 0x1.3e12b08f9bdcap-15 gpu 0x0p+0 ddr 37376 watts 0x1.330d94699f4cfp+1 tokens 166 166 59 counts 1 1 1
-cycle total 0x1.07045a2f2d881p-12 linear 0x1.72619b5ddaa8p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.ac062ff6fad38p-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.2ee15ffe7a908p-15 hmx 0x1.473c5082e3c8p-19 dma 0x1.72619b5ddaa8p-16 cpu 0x1.0ef379f597bbep-15 gpu 0x0p+0 ddr 35328 watts 0x1.3074e01922937p+1 tokens 166 166 59 counts 1 1 1
-cycle total 0x1.03e872767e5eap-12 linear 0x1.4e618fbfd3f08p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.9089501d2315cp-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.215c9f5b038bcp-15 hmx 0x1.445058ef6f76p-19 dma 0x1.4e618fbfd3f08p-16 cpu 0x1.bfa886b727367p-16 gpu 0x0p+0 ddr 33024 watts 0x1.2dcefc8eed9b5p+1 tokens 166 166 59 counts 1 1 1
-admit job 3 slot 0 ctx 12 -> 0x1.d8fbb7cf6d43ep-15
-cycle total 0x1.988912509ac48p-13 linear 0x1.77a17456912dp-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.5d7cd4f64947bp-17 comm 0x1.53bd1676640a6p-13 flash 0x0p+0 fbytes 0 hvx 0x1.1975083923facp-15 hmx 0x1.2a04a4c058958p-19 dma 0x1.77a17456912dp-16 cpu 0x1.0ef379f597bbep-15 gpu 0x0p+0 ddr 40960 watts 0x1.365b71e422f9ep+1 tokens 166 166 59 counts 1 1 1
-cycle total 0x1.16c8b8bd9392ap-13 linear 0x1.2c87459ed20cp-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.d73822042946cp-18 comm 0x1.c4fc1df3300dep-14 flash 0x0p+0 fbytes 0 hvx 0x1.d0f61018b768p-16 hmx 0x1.06f509d6e4c08p-19 dma 0x1.2c87459ed20cp-16 cpu 0x1.88aec70377bbp-16 gpu 0x0p+0 ddr 33024 watts 0x1.39b6cb0cfd099p+1 tokens 166 166 59 counts 1 1 1
-step total 0x1.1b7facf5e390ep-14 linear 0x1.2afa39e0f938p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.5b28c8e9c82fp-16 hmx 0x1.bc1aff8d108cp-20 dma 0x1.2afa39e0f938p-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 15872 watts 0x1.3b1a1a19ec01dp+1 tokens 166 59 counts
+admit job 2 slot 2 ctx 5 -> 0x1.e46c5d4b9f8c1p-14
+cycle total 0x1.03347cecf82e1p-12 linear 0x1.19e6e760ad4a6p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.e2ffefaaaa4efp-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.4bac331a5b584p-15 hmx 0x1.4d143fa9cc6b5p-19 dma 0x1.19e6e760ad4a6p-16 cpu 0x1.6d31e7299ffd4p-15 gpu 0x0p+0 ddr 74112 watts 0x1.370171af8721cp+1 tokens 149 149 59 counts 1 1 1
+cycle total 0x1.00ddb5bbd7602p-12 linear 0x1.0238e43b8c4a7p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.c7830fd0d2914p-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.3cf77edf4f2d2p-15 hmx 0x1.4a284816581ap-19 dma 0x1.0238e43b8c4a7p-16 cpu 0x1.3e12b08f9bdcap-15 gpu 0x0p+0 ddr 68480 watts 0x1.3442fdfb6ef38p+1 tokens 166 166 59 counts 1 1 1
+cycle total 0x1.fd0cb7e16ebb6p-13 linear 0x1.d5036eecf005p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.ac062ff6fad38p-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.2ee15ffe7a908p-15 hmx 0x1.473c5082e3c8p-19 dma 0x1.d5036eecf005p-17 cpu 0x1.0ef379f597bbep-15 gpu 0x0p+0 ddr 62720 watts 0x1.317aa98584f2ap+1 tokens 166 166 59 counts 1 1 1
+cycle total 0x1.f85cdf17304dcp-13 linear 0x1.a582c222e0e7cp-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.9089501d2315cp-17 comm 0x1.c4fc1df3300dep-13 flash 0x0p+0 fbytes 0 hvx 0x1.215c9f5b038bcp-15 hmx 0x1.445058ef6f76p-19 dma 0x1.a582c222e0e7cp-17 cpu 0x1.bfa886b727367p-16 gpu 0x0p+0 ddr 56832 watts 0x1.2ea7e2302245p+1 tokens 166 166 59 counts 1 1 1
+admit job 3 slot 0 ctx 12 -> 0x1.d30e1b9b008e6p-15
+cycle total 0x1.86fe4d2c74a4ep-13 linear 0x1.d696966ac06p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.5d7cd4f64947bp-17 comm 0x1.53bd1676640a6p-13 flash 0x0p+0 fbytes 0 hvx 0x1.1975083923facp-15 hmx 0x1.2a04a4c058958p-19 dma 0x1.d696966ac06p-17 cpu 0x1.0ef379f597bbep-15 gpu 0x0p+0 ddr 65536 watts 0x1.37f37c5f3aad2p+1 tokens 166 166 59 counts 1 1 1
+cycle total 0x1.08a24033381eap-13 linear 0x1.76a70297ecd78p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.d73822042946cp-18 comm 0x1.c4fc1df3300dep-14 flash 0x0p+0 fbytes 0 hvx 0x1.d0f61018b768p-16 hmx 0x1.06f509d6e4c08p-19 dma 0x1.76a70297ecd78p-17 cpu 0x1.88aec70377bbp-16 gpu 0x0p+0 ddr 52096 watts 0x1.3bc7894605f4bp+1 tokens 166 166 59 counts 1 1 1
+step total 0x1.0d52b6ef911ecp-14 linear 0x1.7325135ccb4ep-18 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.5b28c8e9c82fp-16 hmx 0x1.bc1aff8d108cp-20 dma 0x1.7325135ccb4ep-18 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 25344 watts 0x1.3d3486b8715b6p+1 tokens 166 59 counts
 )";
 constexpr const char* kStepProfileOffload = R"(admit job 0 slot 0 ctx 72 -> 0x1.a30ec8d97ec7bp-13
 admit job 1 slot 1 ctx 72 -> 0x0p+0
 admit job 2 slot 2 ctx 69 -> 0x1.a0a27dff48258p-13
-step total 0x1.b7d7ff50f0142p-13 linear 0x1.33fc257478428p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.97c1b40841cecp-11 fbytes 114688 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4bd8p-19 dma 0x1.33fc257478428p-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 113664 watts 0x1.28a0acd248795p+1 tokens 390 390 13 counts
-step total 0x1.480144f91b83ap-12 linear 0x1.356aa6727b7fp-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4bd8p-19 dma 0x1.356aa6727b7fp-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 115200 watts 0x1.23afe56669fffp+1 tokens 291 291 28 counts
-step total 0x1.480144f91b83ap-12 linear 0x1.36d927707eb9p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4cp-19 dma 0x1.36d927707eb9p-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 116736 watts 0x1.23b2cad5cad21p+1 tokens 390 390 10 counts
-step total 0x1.480144f91b83ep-12 linear 0x1.3847a86e81f6cp-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1bp-11 fbytes 98304 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4c2p-19 dma 0x1.3847a86e81f6cp-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 118272 watts 0x1.23b5b0452ba44p+1 tokens 291 291 10 counts
+step total 0x1.a4e2d3d3c1056p-13 linear 0x1.38a59315ff988p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.97c1b40841cecp-11 fbytes 114688 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bf8p-19 dma 0x1.38a59315ff988p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 99328 watts 0x1.29212be3bbfc8p+1 tokens 390 390 13 counts
+step total 0x1.47edcc85368aep-12 linear 0x1.3913869566f7p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bf8p-19 dma 0x1.3913869566f7p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 100096 watts 0x1.23924e7ab4c31p+1 tokens 291 291 28 counts
+step total 0x1.47edcc85368aep-12 linear 0x1.39817a14ce558p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bfp-19 dma 0x1.39817a14ce558p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 100864 watts 0x1.2393c1486800fp+1 tokens 390 390 10 counts
+step total 0x1.47edcc85368afp-12 linear 0x1.39ef6d9435b3p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1bp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bep-19 dma 0x1.39ef6d9435b3p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 101632 watts 0x1.239534161b3edp+1 tokens 291 291 10 counts
 admit job 3 slot 0 ctx 76 -> 0x0p+0
-step total 0x1.347cca7233648p-12 linear 0x1.39b6296c8538p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.97c1b40841cecp-11 fbytes 114688 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4c2p-19 dma 0x1.39b6296c8538p-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 119808 watts 0x1.245c831b2b774p+1 tokens 390 390 276 counts
-step total 0x1.480144f91b838p-12 linear 0x1.3b24aa6a887p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.77c8a8e7e497p-16 hmx 0x1.06f509d6e4c2p-19 dma 0x1.3b24aa6a887p-16 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 121344 watts 0x1.23bb7b23ed488p+1 tokens 337 337 144 counts
-step total 0x1.41613c0c4ddf4p-12 linear 0x1.a525393762c8p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.c42769f20e2dp-12 fbytes 65536 hvx 0x1.5f7ede614d0fp-16 hmx 0x1.eada78c455acp-20 dma 0x1.a525393762c8p-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 81408 watts 0x1.219c70c06869ap+1 tokens 390 10 counts
+step total 0x1.3e1e511894dd9p-12 linear 0x1.3a5d61139d13p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.97c1b40841cecp-11 fbytes 114688 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bep-19 dma 0x1.3a5d61139d13p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 102400 watts 0x1.23e5824f43cc2p+1 tokens 390 390 276 counts
+step total 0x1.47edcc85368b1p-12 linear 0x1.3acb54930473p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bep-19 dma 0x1.3acb54930473p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 103168 watts 0x1.239819b181ba9p+1 tokens 337 337 144 counts
+step total 0x1.471ea98496149p-12 linear 0x1.2154e7fe5d03p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.c42769f20e2dp-12 fbytes 65536 hvx 0x1.5f7ede614d0fp-16 hmx 0x1.eada78c455acp-20 dma 0x1.2154e7fe5d03p-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 90880 watts 0x1.218a5ce584059p+1 tokens 390 10 counts
 )";
 constexpr const char* kStepProfileAnalytic = R"(admit job 0 slot 0 ctx 8 -> 0x1.11663fe74821dp-12
 admit job 1 slot 1 ctx 8 -> 0x0p+0
