@@ -33,6 +33,13 @@ namespace hkern {
 
 inline constexpr int kAttnQTile = 32;    // HMX tile height
 inline constexpr int kAttnKvChunk = 128; // KV positions per online-softmax step (4 tiles)
+// Prompt rows per prefill forward, in both clocks: hrt::Engine::Prefill prices one weight
+// pass and one dispatch per chunk, hllm::Transformer::Prefill runs one forward per chunk, and
+// the functional backend charges one dispatch per chunk. A chunk is whole q tiles, so a
+// prompt's rows stack into the same q tiles however it is chunked, and whole KV chunks, so
+// each later chunk starts on a KV chunk boundary.
+inline constexpr int kPrefillChunk = 256;
+static_assert(kPrefillChunk % kAttnQTile == 0 && kPrefillChunk % kAttnKvChunk == 0);
 
 // Sliding-window attention with attention sinks (docs/long_context.md): a query at
 // absolute position qa attends the first `sink_blocks` blocks (the attention-sink prefix

@@ -18,12 +18,12 @@ using hexllm::F16;
 
 namespace {
 
-// Capacity of the per-step scratch arena: every step/prefill-chunk buffer (embedding rows,
-// normed rows, QKV, attention output, FFN intermediates, float hidden for the lm_head) plus
-// the worst-case padded-GEMM staging frame, with 64-byte alignment slack per allocation.
-// Sized once so steady-state decode never grows it (docs/performance.md).
-int64_t StepWorkspaceBytes(const ModelConfig& c, int max_batch) {
-  const int64_t rows = std::max<int64_t>(max_batch, hkern::kAttnQTile);
+// Capacity of the per-forward scratch arena for `rows` rows: every step/prefill-chunk buffer
+// (embedding rows, normed rows, QKV, attention output, FFN intermediates, float hidden for
+// the lm_head) plus the worst-case padded-GEMM staging frame, with 64-byte alignment slack
+// per allocation. Sized once, for the larger of a decode/verify step and one prefill chunk,
+// so steady-state decode never grows it (docs/performance.md).
+int64_t StepWorkspaceBytes(const ModelConfig& c, int64_t rows) {
   const int64_t f16_elems =
       rows * (3 * static_cast<int64_t>(c.hidden) + 2 * c.q_dim() + 2 * c.kv_dim() +
               3 * static_cast<int64_t>(c.ffn_hidden));
@@ -44,7 +44,7 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
       kv_(weights.config.layers, weights.config.kv_dim(), max_batch, max_context,
           hkv::kDefaultBlockTokens, kv_pool_blocks, kv_dtype, kv_quant_group),
       max_batch_(max_batch),
-      max_rows_(std::max({max_step_rows, max_batch, hkern::kAttnQTile})),
+      max_rows_(std::max({max_step_rows, max_batch, hkern::kPrefillChunk})),
       ws_(StepWorkspaceBytes(weights.config, max_rows_)) {
   // Per-kv-head attention views slice rows at head boundaries, so quant groups must not
   // straddle heads.
@@ -163,7 +163,7 @@ void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> se
 void Transformer::Prefill(int seq, std::span<const int> tokens) {
   for (size_t done = 0; done < tokens.size();) {
     const int rows =
-        static_cast<int>(std::min<size_t>(hkern::kAttnQTile, tokens.size() - done));
+        static_cast<int>(std::min<size_t>(hkern::kPrefillChunk, tokens.size() - done));
     Forward({tokens.subspan(done, static_cast<size_t>(rows)), std::span<const int>(&seq, 1),
              std::span<const int>(&rows, 1), {}},
             hkern::SoftmaxVariant::kLut);

@@ -49,9 +49,10 @@ class Transformer {
   // charge-identical to the pre-quant path; INT8/INT4 group-quantize K/V rows at append and
   // attention dequantizes them while staging; docs/kv_quantization.md). `kv_quant_group`
   // elements share one scale and must divide head_dim.
-  // `max_step_rows` (0 = max_batch) raises the per-forward row capacity above the sequence
-  // count — speculative verify steps push max_batch spans of gamma+1 rows each through one
-  // forward, so the serving backend sizes the scratch arena for max_batch * (gamma + 1).
+  // The per-forward row capacity is the largest of max_batch, `max_step_rows` and one
+  // prefill chunk (hkern::kPrefillChunk) — speculative verify steps push max_batch spans of
+  // gamma+1 rows each through one forward, so the serving backend passes
+  // max_batch * (gamma + 1).
   Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, int max_batch,
               int max_context, int64_t kv_pool_blocks = 0,
               hquant::KvDtype kv_dtype = hquant::KvDtype::kF16,
@@ -85,10 +86,11 @@ class Transformer {
                  std::span<const int> span_rows, std::span<float> logits,
                  hkern::SoftmaxVariant exp_variant = hkern::SoftmaxVariant::kLut);
 
-  // Prefills sequence `seq` with a prompt, processed in chunks of up to 32 tokens per
-  // forward pass (one span per chunk; causal FlashAttention handles intra-chunk masking) —
-  // the paper's chunked prefill pipeline, not token-by-token decoding. Logits are
-  // discarded.
+  // Prefills sequence `seq` with a prompt, processed in chunks of up to hkern::kPrefillChunk
+  // tokens per forward pass (one span per chunk; causal FlashAttention handles intra-chunk
+  // masking) — the paper's chunked prefill pipeline, not token-by-token decoding. Every KV
+  // row is bit-identical to a run of 32-token prefills: GEMM rows and attention rows do not
+  // depend on their tile mates. Logits are discarded.
   void Prefill(int seq, std::span<const int> tokens);
 
   // Installs sliding-window + attention-sink masking (docs/long_context.md) on every

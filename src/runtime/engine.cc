@@ -43,8 +43,6 @@ constexpr double kGpuGemvBandwidthEfficiency = 0.62;
 // Fraction of GPU FP16 ALU peak sustained during prefill GEMM.
 constexpr double kGpuPrefillComputeEfficiency = 0.5;
 
-constexpr int kPrefillChunk = 256;
-
 // Runtime bookkeeping resident on the CPU besides lm_head weights (code, graphs, host
 // copies of norms, tokenizer tables...).
 constexpr int64_t kCpuRuntimeOverheadBytes = 220ll << 20;
@@ -276,7 +274,7 @@ StepCost Engine::Prefill(int prompt_len) const {
   const ModelConfig& m = *options_.model;
   const DeviceProfile& d = *options_.device;
   StepCost cost;
-  const int chunks = static_cast<int>(hexllm::CeilDiv(prompt_len, kPrefillChunk));
+  const int chunks = static_cast<int>(hexllm::CeilDiv(prompt_len, hkern::kPrefillChunk));
 
   if (options_.backend == Backend::kGpuOpenCl) {
     const double flops = 2.0 * m.params_b * 1e9 * prompt_len;
@@ -322,8 +320,8 @@ StepCost Engine::Prefill(int prompt_len) const {
   double attn_hvx = 0.0;
   double attn_hmx = 0.0;
   for (int ch = 0; ch < chunks; ++ch) {
-    const int q = std::min(kPrefillChunk, prompt_len - ch * kPrefillChunk);
-    const int kv = ch * kPrefillChunk + q;
+    const int q = std::min(hkern::kPrefillChunk, prompt_len - ch * hkern::kPrefillChunk);
+    const int kv = ch * hkern::kPrefillChunk + q;
     const auto a = hkern::FlashAttentionCost(d, hkern::SoftmaxVariant::kLut, q, kv, m.head_dim);
     attn_hvx += a.HvxBusySeconds() * m.heads * m.layers;
     attn_hmx += (a.hmx_qk_s + a.hmx_pv_s) * m.heads * m.layers;

@@ -35,10 +35,10 @@ int SyntheticToken(int job_id, int pos, int vocab) {
 }
 
 // A functional chunked prefill's wall time: the NPU critical path, any flash stall, and one
-// mailbox round trip per 32-token chunk (mirrors Engine::Prefill's comm model). No
-// lm_head — prefill logits are discarded.
+// mailbox round trip per hkern::kPrefillChunk chunk, i.e. per Transformer::Prefill forward
+// (the same comm rule as Engine::Prefill). No lm_head — prefill logits are discarded.
 double PrefillSeconds(double npu_s, double stall_s, int tokens) {
-  const int chunks = static_cast<int>(hexllm::CeilDiv(tokens, hkern::kAttnQTile));
+  const int chunks = static_cast<int>(hexllm::CeilDiv(tokens, hkern::kPrefillChunk));
   return npu_s + stall_s + chunks * hexsim::NpuSession::kDispatchSeconds;
 }
 

@@ -1272,34 +1272,41 @@ TEST(FlashAttentionBatchTest, SharedBlocksStagedOnce) {
 }
 
 TEST(FlashAttentionBatchTest, PaperWidthStagingFitsTcm) {
-  // The Qwen2.5-1.5B KV shape: 2 KV heads x 128 and 12 query heads, 16 unshared spans of
-  // 1024 positions decoding in one call. Each chunk stages 64 distinct blocks of 512-byte
-  // rows; the call's TCM working set stays inside the 8 MiB TCM.
+  // The Qwen2.5-1.5B KV shape: 2 KV heads x 128 and 12 query heads. Two calls: 16 unshared
+  // spans of 1024 positions decoding, where each chunk stages 64 distinct blocks of
+  // 512-byte rows, and one causal kPrefillChunk-row prefill span ending at position 1023.
+  // Each call's TCM working set stays inside the 8 MiB TCM.
   const int d = 128;
   const int kv_heads = 2;
   const int group = 6;
   const int bt = 32;
   const hquant::KvRowCodec row{hquant::KvDtype::kF16, kv_heads * d};
   Rng rng(7);
-  const std::vector<std::vector<int>> kv_lens(16, std::vector<int>{1024});
-  const PagedSlabKv kv(row, bt, kv_lens, std::vector<int>(16, 0), rng);
-  std::vector<AttnQueryRow> rows = StackRows(kv.spans, kv_heads, group, /*first_tokens=*/1);
-  std::vector<F16> q(rows.size() * d), o(rows.size() * d);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    q[i * d + i % d] = F16(1.0f);
-    rows[i].q = q.data() + i * d;
-    rows[i].o = o.data() + i * d;
-  }
-  NpuDevice dev(OnePlus12());
-  ExpLut lut(dev);
-  FlashAttentionBatch(dev, lut, SoftmaxVariant::kLut, kv.spans, rows, d,
-                      1.0f / std::sqrt(static_cast<float>(d)));
-  EXPECT_LE(dev.tcm().high_watermark(), 8 * 1024 * 1024);
-  // Every block once, as one whole-row descriptor of its K plane and V rows.
-  EXPECT_EQ(dev.ledger().dma_bytes(), 16 * 32 * 2 * bt * row.row_bytes() +
-                                          2 * static_cast<int64_t>(rows.size()) * d * 2);
-  for (const F16& x : o) {
-    ASSERT_TRUE(std::isfinite(x.ToFloat()));
+  for (const int spans : {16, 1}) {
+    SCOPED_TRACE(spans);
+    const int first_tokens = spans == 1 ? kPrefillChunk : 1;
+    const std::vector<std::vector<int>> kv_lens(static_cast<size_t>(spans),
+                                                std::vector<int>{1024});
+    const PagedSlabKv kv(row, bt, kv_lens, std::vector<int>(static_cast<size_t>(spans), 0),
+                         rng);
+    std::vector<AttnQueryRow> rows = StackRows(kv.spans, kv_heads, group, first_tokens);
+    std::vector<F16> q(rows.size() * d), o(rows.size() * d);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      q[i * d + i % d] = F16(1.0f);
+      rows[i].q = q.data() + i * d;
+      rows[i].o = o.data() + i * d;
+    }
+    NpuDevice dev(OnePlus12());
+    ExpLut lut(dev);
+    FlashAttentionBatch(dev, lut, SoftmaxVariant::kLut, kv.spans, rows, d,
+                        1.0f / std::sqrt(static_cast<float>(d)));
+    EXPECT_LE(dev.tcm().high_watermark(), 8 * 1024 * 1024);
+    // Every block once, as one whole-row descriptor of its K plane and V rows.
+    EXPECT_EQ(dev.ledger().dma_bytes(), spans * 32 * 2 * bt * row.row_bytes() +
+                                            2 * static_cast<int64_t>(rows.size()) * d * 2);
+    for (const F16& x : o) {
+      ASSERT_TRUE(std::isfinite(x.ToFloat()));
+    }
   }
 }
 

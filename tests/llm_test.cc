@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/math_util.h"
 #include "src/base/rng.h"
 #include "src/exec/thread_pool.h"
 #include "src/hexsim/npu_device.h"
@@ -387,14 +388,15 @@ TEST_F(TransformerTest, ChunkedPrefillMatchesTokenByToken) {
 }
 
 TEST_F(TransformerTest, MultiChunkPrefillCrossesChunkBoundary) {
-  // Prompts longer than one 32-token chunk must still produce coherent state.
-  std::vector<int> prompt(40);
+  // Prompts longer than one prefill chunk must still produce coherent state.
+  const int len = hkern::kPrefillChunk + 8;
+  std::vector<int> prompt(static_cast<size_t>(len));
   for (size_t i = 0; i < prompt.size(); ++i) {
     prompt[i] = static_cast<int>((i * 13 + 7) % 512);
   }
-  Transformer tf(dev_, weights_, 1, 64);
+  Transformer tf(dev_, weights_, 1, len + 32);
   tf.Prefill(0, prompt);
-  EXPECT_EQ(tf.kv().length(0), 40);
+  EXPECT_EQ(tf.kv().length(0), len);
   std::vector<float> logits(static_cast<size_t>(config_.vocab));
   const int tok = 2;
   tf.Step({&tok, 1}, logits);
@@ -774,127 +776,127 @@ std::string ChargeProfile(const hexsim::NpuDevice& dev) {
 //   rescale and normalize tags in the last bits (tile ops and packets of those are
 //   unchanged).
 // Verify argmaxes are unchanged.
-constexpr const char* kForwardProfileF16 = R"(count dma.descriptors 222
-count kernel.add.calls 40
-count kernel.dequant_coalesced_lut.calls 120
+constexpr const char* kForwardProfileF16 = R"(count dma.descriptors 214
+count kernel.add.calls 28
+count kernel.dequant_coalesced_lut.calls 84
 count kernel.exp_lut.builds 1
-count kernel.flash_attention.calls 30
-count kernel.gemm_hmx.calls 140
-count kernel.rmsnorm.calls 45
+count kernel.flash_attention.calls 24
+count kernel.gemm_hmx.calls 98
+count kernel.rmsnorm.calls 33
 count kernel.rope.calls 1488
-count kernel.silu_mul.calls 20
-dma_bytes 651776
-tile_ops 3264
-packets 451338
+count kernel.silu_mul.calls 14
+dma_bytes 586240
+tile_ops 3328
+packets 381562
 vgather 1984
 vscatter 0
-vlut16 35840
-engine HVX 0x1.6c0c3f60b41d1p-12
-engine HMX 0x1.2a04a4c058945p-16
-engine DMA 0x1.3274598f98213p-14
+vlut16 25088
+engine HVX 0x1.33c448c1721cap-12
+engine HMX 0x1.2fdc93e741383p-16
+engine DMA 0x1.257c0dc599358p-14
 engine CPU 0x0p+0
 engine GPU 0x0p+0
-tag attn.mask 0x1.916a0c5c9f29fp-21
+tag attn.mask 0x1.916a0c5c9f2ap-21
 tag attn.normalize 0x1.99ac7e64d937fp-20
-tag attn.pack 0x1.14b1ec1398e79p-18
-tag attn.pv 0x1.187cd74b9eaa1p-20
-tag attn.qk 0x1.187cd74b9eaa1p-20
+tag attn.pack 0x1.35bbb4348121ap-18
+tag attn.pv 0x1.473c5082e3c6bp-20
+tag attn.qk 0x1.473c5082e3c6bp-20
 tag attn.rescale 0x1.2ff39795254a8p-19
-tag attn.softmax 0x1.e6131d30f23edp-14
-tag dma 0x1.3274598f98213p-14
-tag gemm.hmx 0x1.06f509d6e4bf4p-16
+tag attn.softmax 0x1.e6131d30f23ebp-14
+tag dma 0x1.257c0dc599358p-14
+tag gemm.hmx 0x1.06f509d6e4bf6p-16
 tag gemm.pack 0x0p+0
-tag linear.dequant 0x1.7aa61ba9258adp-13
+tag linear.dequant 0x1.090de0299a477p-13
 tag misc.add 0x1.000bceff07c2ep-18
 tag misc.rmsnorm 0x1.684c131877bf3p-16
 tag misc.rope 0x1.cce20e3174617p-18
-tag misc.silu 0x1.4cdc26b1f07d9p-17
+tag misc.silu 0x1.4cdc26b1f07dbp-17
 verify_argmax 312 15 374 440 291 337 77 337 448
 )";
-constexpr const char* kForwardProfileInt4 = R"(count dma.descriptors 222
-count kernel.add.calls 40
-count kernel.attn_kv_dequant.calls 30
-count kernel.dequant_coalesced_lut.calls 120
+constexpr const char* kForwardProfileInt4 = R"(count dma.descriptors 214
+count kernel.add.calls 28
+count kernel.attn_kv_dequant.calls 24
+count kernel.dequant_coalesced_lut.calls 84
 count kernel.exp_lut.builds 1
-count kernel.flash_attention.calls 30
-count kernel.gemm_hmx.calls 140
-count kernel.rmsnorm.calls 45
+count kernel.flash_attention.calls 24
+count kernel.gemm_hmx.calls 98
+count kernel.rmsnorm.calls 33
 count kernel.rope.calls 1488
-count kernel.silu_mul.calls 20
-dma_bytes 274576
-tile_ops 3264
-packets 465042
+count kernel.silu_mul.calls 14
+dma_bytes 256144
+tile_ops 3328
+packets 393090
 vgather 1984
 vscatter 0
-vlut16 39080
-engine HVX 0x1.7719f86283674p-12
-engine HMX 0x1.2a04a4c058945p-16
-engine DMA 0x1.181617c93284fp-14
+vlut16 27816
+engine HVX 0x1.3d10afee4eacp-12
+engine HMX 0x1.2fdc93e741383p-16
+engine DMA 0x1.0e68c17aa1714p-14
 engine CPU 0x0p+0
 engine GPU 0x0p+0
-tag attn.kv_dequant 0x1.61b72039e97bp-17
-tag attn.mask 0x1.916a0c5c9f29fp-21
+tag attn.kv_dequant 0x1.298ce59b91e56p-17
+tag attn.mask 0x1.916a0c5c9f2ap-21
 tag attn.normalize 0x1.99ac7e64d937fp-20
-tag attn.pack 0x1.14b1ec1398e79p-18
-tag attn.pv 0x1.187cd74b9eaa1p-20
-tag attn.qk 0x1.187cd74b9eaa1p-20
+tag attn.pack 0x1.35bbb4348121ap-18
+tag attn.pv 0x1.473c5082e3c6bp-20
+tag attn.qk 0x1.473c5082e3c6bp-20
 tag attn.rescale 0x1.2ff39795254a8p-19
-tag attn.softmax 0x1.e6131d30f23edp-14
-tag dma 0x1.181617c93284fp-14
-tag gemm.hmx 0x1.06f509d6e4bf4p-16
+tag attn.softmax 0x1.e6131d30f23ebp-14
+tag dma 0x1.0e68c17aa1714p-14
+tag gemm.hmx 0x1.06f509d6e4bf6p-16
 tag gemm.pack 0x0p+0
-tag linear.dequant 0x1.7aa61ba9258adp-13
+tag linear.dequant 0x1.090de0299a477p-13
 tag misc.add 0x1.000bceff07c2ep-18
 tag misc.rmsnorm 0x1.684c131877bf3p-16
 tag misc.rope 0x1.cce20e3174617p-18
-tag misc.silu 0x1.4cdc26b1f07d9p-17
+tag misc.silu 0x1.4cdc26b1f07dbp-17
 verify_argmax 316 15 374 440 316 291 39 337 236
 )";
 
-constexpr const char* kForwardProfileInt8 = R"(count dma.descriptors 222
-count kernel.add.calls 40
-count kernel.attn_kv_dequant.calls 30
-count kernel.dequant_coalesced_lut.calls 120
+constexpr const char* kForwardProfileInt8 = R"(count dma.descriptors 214
+count kernel.add.calls 28
+count kernel.attn_kv_dequant.calls 24
+count kernel.dequant_coalesced_lut.calls 84
 count kernel.exp_lut.builds 1
-count kernel.flash_attention.calls 30
-count kernel.gemm_hmx.calls 140
-count kernel.rmsnorm.calls 45
+count kernel.flash_attention.calls 24
+count kernel.gemm_hmx.calls 98
+count kernel.rmsnorm.calls 33
 count kernel.rope.calls 1488
-count kernel.silu_mul.calls 20
-dma_bytes 405776
-tile_ops 3264
-packets 460994
+count kernel.silu_mul.calls 14
+dma_bytes 370960
+tile_ops 3328
+packets 389682
 vgather 1984
 vscatter 0
-vlut16 35840
-engine HVX 0x1.73d61a81a9436p-12
-engine HMX 0x1.2a04a4c058945p-16
-engine DMA 0x1.2142022477414p-14
+vlut16 25088
+engine HVX 0x1.3a50f92df8265p-12
+engine HMX 0x1.2fdc93e741383p-16
+engine DMA 0x1.166f77d77d304p-14
 engine CPU 0x0p+0
 engine GPU 0x0p+0
-tag attn.kv_dequant 0x1.f276c83d49549p-18
-tag attn.mask 0x1.916a0c5c9f29fp-21
+tag attn.kv_dequant 0x1.a32c1b218262cp-18
+tag attn.mask 0x1.916a0c5c9f2ap-21
 tag attn.normalize 0x1.99ac7e64d937fp-20
-tag attn.pack 0x1.14b1ec1398e79p-18
-tag attn.pv 0x1.187cd74b9eaa1p-20
-tag attn.qk 0x1.187cd74b9eaa1p-20
+tag attn.pack 0x1.35bbb4348121ap-18
+tag attn.pv 0x1.473c5082e3c6bp-20
+tag attn.qk 0x1.473c5082e3c6bp-20
 tag attn.rescale 0x1.2ff39795254a8p-19
-tag attn.softmax 0x1.e6131d30f23edp-14
-tag dma 0x1.2142022477414p-14
-tag gemm.hmx 0x1.06f509d6e4bf4p-16
+tag attn.softmax 0x1.e6131d30f23ebp-14
+tag dma 0x1.166f77d77d304p-14
+tag gemm.hmx 0x1.06f509d6e4bf6p-16
 tag gemm.pack 0x0p+0
-tag linear.dequant 0x1.7aa61ba9258adp-13
+tag linear.dequant 0x1.090de0299a477p-13
 tag misc.add 0x1.000bceff07c2ep-18
 tag misc.rmsnorm 0x1.684c131877bf3p-16
 tag misc.rope 0x1.cce20e3174617p-18
-tag misc.silu 0x1.4cdc26b1f07d9p-17
+tag misc.silu 0x1.4cdc26b1f07dbp-17
 verify_argmax 312 15 374 440 291 337 77 337 448
 )";
 
 // The fixed forward script behind ForwardChargeProfileIsPinned: prefills of 33 and 70
-// tokens (one-token and six-token tail chunks), a copy-on-write fork of sequence 0, four
-// decode steps at batch 3, and one speculative verify with spans {3, 1, 5}. Returns the
-// charge profile followed by the argmax token of every verify row.
+// tokens (one forward each, ending in a part-filled q tile), a copy-on-write fork of
+// sequence 0, four decode steps at batch 3, and one speculative verify with spans
+// {3, 1, 5}. Returns the charge profile followed by the argmax token of every verify row.
 std::string ForwardScriptProfile(const ModelWeights& weights, hquant::KvDtype dtype) {
   hexsim::NpuDevice dev(hexsim::OnePlus12());
   const int64_t vocab = weights.config.vocab;
@@ -935,7 +937,7 @@ std::string ForwardScriptProfile(const ModelWeights& weights, hquant::KvDtype dt
 }
 
 TEST_F(TransformerTest, ForwardChargeProfileIsPinned) {
-  // Decode, chunked prefill (incl. one-row tail chunks) and the multi-span verify keep
+  // Decode, prefill (incl. part-filled tail q tiles) and the multi-span verify keep
   // exactly their recorded charges and verify tokens at one lane.
   hexec::ParallelismOverride serial(1);
   const std::string f16 = ForwardScriptProfile(weights_, hquant::KvDtype::kF16);
@@ -944,6 +946,88 @@ TEST_F(TransformerTest, ForwardChargeProfileIsPinned) {
   EXPECT_TRUE(int8 == kForwardProfileInt8) << "INT8 profile:\n" << int8;
   const std::string int4 = ForwardScriptProfile(weights_, hquant::KvDtype::kInt4);
   EXPECT_TRUE(int4 == kForwardProfileInt4) << "INT4 profile:\n" << int4;
+}
+
+TEST_F(TransformerTest, PrefillChunkingIsInvisibleToKv) {
+  // One Prefill call (forwards of kPrefillChunk rows) against the same prompt fed as
+  // 32-token Prefill slices: every stored K/V row is byte-equal and the next decode step's
+  // logits are bit-equal, for every KV dtype, with and without a sink + window. Rows stack
+  // into the same q tiles either way and every row keeps its KV chunk order, so only the
+  // number of forwards moves: each layer matrix dequantizes once per chunk.
+  const ModelConfig& c = config_;
+  const int64_t vocab = c.vocab;
+  const int bt = hkv::kDefaultBlockTokens;
+  int q4_matrices = 0;
+  for (const LayerWeights& lw : weights_.layers) {
+    for (const QuantizedLinear* m : {&lw.wq, &lw.wk, &lw.wv, &lw.wo, &lw.w_gate, &lw.w_up,
+                                     &lw.w_down}) {
+      q4_matrices += m->scheme() == hquant::WeightScheme::kQ4_0 ? 1 : 0;
+    }
+  }
+  ASSERT_GT(q4_matrices, 0);
+  const int matrices = 7 * c.layers;
+  constexpr int kMaxContext = 736;
+  for (const hquant::KvDtype dtype :
+       {hquant::KvDtype::kF16, hquant::KvDtype::kInt8, hquant::KvDtype::kInt4}) {
+    for (const bool windowed : {false, true}) {
+      for (const int n : {1, 31, 32, 33, 255, 256, 257, 700}) {
+        SCOPED_TRACE(testing::Message() << hquant::KvDtypeName(dtype) << " windowed "
+                                        << windowed << " n " << n);
+        std::vector<int> prompt(static_cast<size_t>(n));
+        for (int i = 0; i < n; ++i) {
+          prompt[static_cast<size_t>(i)] = (i * 29 + 11) % static_cast<int>(vocab);
+        }
+        hexsim::NpuDevice dev_one(hexsim::OnePlus12());
+        hexsim::NpuDevice dev_sliced(hexsim::OnePlus12());
+        Transformer one(dev_one, weights_, 1, kMaxContext, 0, dtype);
+        Transformer sliced(dev_sliced, weights_, 1, kMaxContext, 0, dtype);
+        if (windowed) {
+          hkern::AttnWindowSpec w;
+          w.sink_blocks = 1;
+          w.window_blocks = 2;
+          one.SetAttentionWindow(w);
+          sliced.SetAttentionWindow(w);
+        }
+        one.Prefill(0, prompt);
+        for (int done = 0; done < n; done += hkern::kAttnQTile) {
+          sliced.Prefill(0, std::span<const int>(prompt).subspan(
+                                static_cast<size_t>(done),
+                                static_cast<size_t>(std::min(hkern::kAttnQTile, n - done))));
+        }
+        const int64_t chunks = hexllm::CeilDiv(n, hkern::kPrefillChunk);
+        const hexsim::CycleLedger& led = dev_one.ledger();
+        EXPECT_EQ(led.Count("kernel.dequant_coalesced_lut.calls"), q4_matrices * chunks);
+        EXPECT_EQ(led.Count("kernel.gemm_hmx.calls"), matrices * chunks);
+        EXPECT_EQ(led.Count("kernel.flash_attention.calls"), c.layers * chunks);
+        EXPECT_EQ(dev_sliced.ledger().Count("kernel.dequant_coalesced_lut.calls"),
+                  q4_matrices * hexllm::CeilDiv(n, hkern::kAttnQTile));
+
+        ASSERT_EQ(one.kv().length(0), n);
+        ASSERT_EQ(sliced.kv().length(0), n);
+        const int64_t row_bytes = one.kv().row_bytes();
+        const int cap = one.kv().blocks_per_seq_capacity();
+        std::vector<const uint8_t*> k1(static_cast<size_t>(cap)), v1(k1.size());
+        std::vector<const uint8_t*> k2(k1.size()), v2(k1.size());
+        for (int l = 0; l < c.layers; ++l) {
+          one.kv().FillBlockPointers(l, 0, n, k1.data(), v1.data());
+          sliced.kv().FillBlockPointers(l, 0, n, k2.data(), v2.data());
+          for (int pos = 0; pos < n; ++pos) {
+            const size_t b = static_cast<size_t>(pos / bt);
+            const int64_t off = static_cast<int64_t>(pos % bt) * row_bytes;
+            ASSERT_EQ(std::memcmp(k1[b] + off, k2[b] + off, static_cast<size_t>(row_bytes)), 0)
+                << "K layer " << l << " pos " << pos;
+            ASSERT_EQ(std::memcmp(v1[b] + off, v2[b] + off, static_cast<size_t>(row_bytes)), 0)
+                << "V layer " << l << " pos " << pos;
+          }
+        }
+        std::vector<float> lo(static_cast<size_t>(vocab)), ls(lo.size());
+        const int tok = 5;
+        one.Step({&tok, 1}, lo);
+        sliced.Step({&tok, 1}, ls);
+        ASSERT_EQ(std::memcmp(lo.data(), ls.data(), lo.size() * sizeof(float)), 0);
+      }
+    }
+  }
 }
 
 TEST_F(TransformerTest, ShortSharedPromptStagesEachBlockOnce) {

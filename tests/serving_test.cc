@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -9,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/math_util.h"
 #include "src/base/rng.h"
 #include "src/exec/thread_pool.h"
 #include "src/hexsim/device_profile.h"
 #include "src/hexsim/npu_device.h"
+#include "src/hexsim/rpcmem.h"
+#include "src/kernels/attention.h"
 #include "src/llm/model_config.h"
 #include "src/llm/weights.h"
 #include "src/runtime/engine.h"
@@ -948,13 +952,13 @@ cycle total 0x1.86fe4d2c74a4ep-13 linear 0x1.d696966ac06p-17 attn 0x0p+0 misc 0x
 cycle total 0x1.08a24033381eap-13 linear 0x1.76a70297ecd78p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.d73822042946cp-18 comm 0x1.c4fc1df3300dep-14 flash 0x0p+0 fbytes 0 hvx 0x1.d0f61018b768p-16 hmx 0x1.06f509d6e4c08p-19 dma 0x1.76a70297ecd78p-17 cpu 0x1.88aec70377bbp-16 gpu 0x0p+0 ddr 52096 watts 0x1.3bc7894605f4bp+1 tokens 166 166 59 counts 1 1 1
 step total 0x1.0d52b6ef911ecp-14 linear 0x1.7325135ccb4ep-18 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.5b28c8e9c82fp-16 hmx 0x1.bc1aff8d108cp-20 dma 0x1.7325135ccb4ep-18 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 25344 watts 0x1.3d3486b8715b6p+1 tokens 166 59 counts
 )";
-constexpr const char* kStepProfileOffload = R"(admit job 0 slot 0 ctx 72 -> 0x1.a30ec8d97ec7bp-13
+constexpr const char* kStepProfileOffload = R"(admit job 0 slot 0 ctx 72 -> 0x1.5ba727edac78ep-14
 admit job 1 slot 1 ctx 72 -> 0x0p+0
-admit job 2 slot 2 ctx 69 -> 0x1.a0a27dff48258p-13
-step total 0x1.a4e2d3d3c1056p-13 linear 0x1.38a59315ff988p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.97c1b40841cecp-11 fbytes 114688 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bf8p-19 dma 0x1.38a59315ff988p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 99328 watts 0x1.29212be3bbfc8p+1 tokens 390 390 13 counts
-step total 0x1.47edcc85368aep-12 linear 0x1.3913869566f7p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bf8p-19 dma 0x1.3913869566f7p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 100096 watts 0x1.23924e7ab4c31p+1 tokens 291 291 28 counts
-step total 0x1.47edcc85368aep-12 linear 0x1.39817a14ce558p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bfp-19 dma 0x1.39817a14ce558p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 100864 watts 0x1.2393c1486800fp+1 tokens 390 390 10 counts
-step total 0x1.47edcc85368afp-12 linear 0x1.39ef6d9435b3p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1bp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bep-19 dma 0x1.39ef6d9435b3p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 101632 watts 0x1.239534161b3edp+1 tokens 291 291 10 counts
+admit job 2 slot 2 ctx 69 -> 0x1.56ce92393f35fp-14
+step total 0x1.b79ff9bcd188ep-13 linear 0x1.38a59315ff988p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.97c1b40841cecp-11 fbytes 114688 hvx 0x1.76f5371a45348p-16 hmx 0x1.06f509d6e4bf8p-19 dma 0x1.38a59315ff988p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 99328 watts 0x1.2877b6ce35052p+1 tokens 390 390 13 counts
+step total 0x1.47edcc85368afp-12 linear 0x1.3913869566f7p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bf8p-19 dma 0x1.3913869566f7p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 100096 watts 0x1.23924e7ab4c31p+1 tokens 291 291 28 counts
+step total 0x1.47edcc85368afp-12 linear 0x1.39817a14ce554p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bep-19 dma 0x1.39817a14ce554p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 100864 watts 0x1.2393c1486800fp+1 tokens 390 390 10 counts
+step total 0x1.47edcc85368adp-12 linear 0x1.39ef6d9435b3p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1bp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bep-19 dma 0x1.39ef6d9435b3p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 101632 watts 0x1.239534161b3edp+1 tokens 291 291 10 counts
 admit job 3 slot 0 ctx 76 -> 0x0p+0
 step total 0x1.3e1e511894dd9p-12 linear 0x1.3a5d61139d13p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.97c1b40841cecp-11 fbytes 114688 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bep-19 dma 0x1.3a5d61139d13p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 102400 watts 0x1.23e5824f43cc2p+1 tokens 390 390 276 counts
 step total 0x1.47edcc85368b1p-12 linear 0x1.3acb54930473p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x1.531d8f758aa1cp-11 fbytes 98304 hvx 0x1.76f5371a4533p-16 hmx 0x1.06f509d6e4bep-19 dma 0x1.3acb54930473p-17 cpu 0x1.d73822042946cp-17 gpu 0x0p+0 ddr 103168 watts 0x1.239819b181ba9p+1 tokens 337 337 144 counts
@@ -1037,6 +1041,71 @@ TEST_F(ServingStepTest, StepCostProfileIsPinned) {
   const std::string analytic_spec = ServeScriptProfile(speculative, /*prompt=*/8, true);
   EXPECT_TRUE(analytic_spec == kStepProfileAnalyticSpec)
       << "analytic speculative profile:\n" << analytic_spec;
+}
+
+TEST_F(ServingStepTest, PrefillDispatchesMatchAnalyticEngine) {
+  // A functional admission charges one mailbox round trip per prefill forward, for the
+  // target's prompt and the draft's alike, and Engine::Prefill charges one per
+  // kPrefillChunk chunk: the same count at every prompt length. The NPU part of each
+  // admission is rebuilt from the device ledger the way the backend composes it (the
+  // slowest of DMA, HMX and HVX over its threads); what is left is the dispatch charge.
+  hexec::ParallelismOverride serial(1);
+  constexpr int kMaxContext = 768;
+  const double dispatch_s = hexsim::NpuSession::kDispatchSeconds;
+  // DMA, HMX and HVX seconds charged since `before`.
+  using Busy = std::array<double, 3>;
+  const auto busy = [](const hexsim::CycleLedger& after, const hexsim::CycleLedger& before) {
+    const auto e = [&](hexsim::Engine x) {
+      return after.EngineSeconds(x) - before.EngineSeconds(x);
+    };
+    return Busy{e(hexsim::Engine::kDma), e(hexsim::Engine::kHmx), e(hexsim::Engine::kHvx)};
+  };
+  const int hvx_threads = hexsim::OnePlus12().hvx_threads;
+  const auto npu_s = [&](const Busy& b) { return std::max({b[0], b[1], b[2] / hvx_threads}); };
+  const auto dispatches = [&](double seconds) {
+    const double n = seconds / dispatch_s;
+    EXPECT_NEAR(n, std::round(n), 1e-6);
+    return static_cast<int64_t>(std::llround(n));
+  };
+  hrt::EngineOptions opt;
+  opt.model = &config_;
+  opt.device = &hexsim::OnePlus12();
+  const hrt::Engine engine(opt);
+  FunctionalBackend::SpecOptions draft;
+  draft.draft = &draft_weights_;
+  draft.gamma = 3;
+  for (const int n : {1, 31, 32, 33, 255, 256, 257, 700}) {
+    SCOPED_TRACE(n);
+    const int64_t analytic = dispatches(engine.Prefill(n).comm_s);
+    EXPECT_EQ(analytic, hexllm::CeilDiv(n, hkern::kPrefillChunk));
+    ServeJob job = Job(0, /*decode=*/1, /*group=*/-1, /*prompt=*/n);
+    job.speculative = true;
+
+    hexsim::NpuDevice dev(hexsim::OnePlus12());
+    FunctionalBackend plain(dev, weights_, /*max_batch=*/1, kMaxContext);
+    const hexsim::CycleLedger mark = dev.ledger();
+    const double target_s = plain.AdmitSlot(0, job, n, n);
+    const Busy target = busy(dev.ledger(), mark);
+    EXPECT_EQ(dispatches(target_s - npu_s(target)), analytic);
+    // One forward per dispatch: each forward runs one attention call per layer.
+    EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.calls") -
+                  mark.Count("kernel.flash_attention.calls"),
+              config_.layers * analytic);
+
+    // The same admission with a draft model: the target's prefill charges exactly as above,
+    // and the draft's prefill of the same prompt adds its own dispatches.
+    hexsim::NpuDevice spec_dev(hexsim::OnePlus12());
+    FunctionalBackend spec(spec_dev, weights_, /*max_batch=*/1, kMaxContext,
+                           /*kv_pool_blocks=*/0, hquant::KvDtype::kF16, hquant::kGroupSize,
+                           draft);
+    const hexsim::CycleLedger spec_mark = spec_dev.ledger();
+    const double both_s = spec.AdmitSlot(0, job, n, n);
+    Busy drafted = busy(spec_dev.ledger(), spec_mark);
+    for (size_t e = 0; e < drafted.size(); ++e) {
+      drafted[e] -= target[e];
+    }
+    EXPECT_EQ(dispatches(both_s - target_s - npu_s(drafted)), analytic);
+  }
 }
 
 }  // namespace
