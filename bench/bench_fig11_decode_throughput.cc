@@ -86,9 +86,6 @@ int main() {
   // Functional decode: real numerics through the emulated kernels, timed on the HOST
   // clock. The greedy-argmax token stream feeds back into the model, so the checksum
   // certifies bit-identical decoding at any HEXLLM_NUM_THREADS (docs/threading_model.md).
-  // Measured twice — dequant-once weight cache off, then on (the default) — so the report
-  // carries the cache's host-time win; tokens and checksums must agree between the passes
-  // (the cache replays its simulated charges, docs/performance.md).
   {
     const hllm::ModelConfig toy = hllm::ToyConfig();
     const hllm::ModelWeights weights = hllm::ModelWeights::Random(toy, 1234);
@@ -127,67 +124,46 @@ int main() {
       return checksum;
     };
 
-    auto run_functional = [&](const char* row_name) {
-      std::vector<double> tps;
-      std::printf("%-8s%12s%16s%20s   (threads=%d, min of %d passes)\n", "batch", "wall (ms)",
-                  "host tokens/s", "token checksum", threads, kRepeats);
-      for (const int batch : fbatches) {
-        uint64_t checksum = 0;
-        double wall_s = 0.0;
-        for (int pass = 0; pass < kRepeats; ++pass) {
-          const auto t0 = std::chrono::steady_clock::now();
-          const uint64_t pass_checksum = decode_pass(batch);
-          const double pass_s =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-          if (pass == 0 || pass_s < wall_s) {
-            wall_s = pass_s;
-          }
-          if (pass > 0 && pass_checksum != checksum) {
-            std::fprintf(stderr, "functional decode is not deterministic at batch %d\n",
-                         batch);
-            std::exit(1);
-          }
-          checksum = pass_checksum;
-        }
-        const int64_t produced = static_cast<int64_t>(batch) * steps;
-        char checksum_hex[20];
-        std::snprintf(checksum_hex, sizeof(checksum_hex), "%016llx",
-                      static_cast<unsigned long long>(checksum));
-        std::printf("%-8d%12.1f%16.1f%20s\n", batch, wall_s * 1e3,
-                    static_cast<double>(produced) / wall_s, checksum_hex);
-        obs::Json& row = rep.AddRow(row_name);
-        row.Set("batch", batch);
-        row.Set("steps", steps);
-        row.Set("threads", threads);
-        row.Set("repeats", kRepeats);
-        row.Set("tokens", produced);
-        row.Set("token_checksum", checksum_hex);
-        row.Set("wall_seconds", wall_s);
-        row.Set("host_tokens_per_second", static_cast<double>(produced) / wall_s);
-        tps.push_back(static_cast<double>(produced) / wall_s);
-      }
-      return tps;
-    };
-
-    const bool cache_default = hllm::WeightCacheEnabled();
-    rep.Section("functional decode, toy config, weight cache OFF (host wall-clock)");
-    hllm::SetWeightCacheEnabled(false);
-    const std::vector<double> tps_nocache = run_functional("functional_decode_nocache");
-
     rep.Section("functional decode, toy config (host wall-clock)");
-    hllm::SetWeightCacheEnabled(cache_default);
-    const std::vector<double> tps_cached = run_functional("functional_decode");
-
-    for (size_t i = 0; i < fbatches.size(); ++i) {
-      std::printf("batch %-4d weight-cache host speedup: %.2fx\n", fbatches[i],
-                  tps_cached[i] / tps_nocache[i]);
+    std::printf("%-8s%12s%16s%20s   (threads=%d, min of %d passes)\n", "batch", "wall (ms)",
+                "host tokens/s", "token checksum", threads, kRepeats);
+    for (const int batch : fbatches) {
+      uint64_t checksum = 0;
+      double wall_s = 0.0;
+      for (int pass = 0; pass < kRepeats; ++pass) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const uint64_t pass_checksum = decode_pass(batch);
+        const double pass_s =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+        if (pass == 0 || pass_s < wall_s) {
+          wall_s = pass_s;
+        }
+        if (pass > 0 && pass_checksum != checksum) {
+          std::fprintf(stderr, "functional decode is not deterministic at batch %d\n", batch);
+          std::exit(1);
+        }
+        checksum = pass_checksum;
+      }
+      const int64_t produced = static_cast<int64_t>(batch) * steps;
+      char checksum_hex[20];
+      std::snprintf(checksum_hex, sizeof(checksum_hex), "%016llx",
+                    static_cast<unsigned long long>(checksum));
+      std::printf("%-8d%12.1f%16.1f%20s\n", batch, wall_s * 1e3,
+                  static_cast<double>(produced) / wall_s, checksum_hex);
+      obs::Json& row = rep.AddRow("functional_decode");
+      row.Set("batch", batch);
+      row.Set("steps", steps);
+      row.Set("threads", threads);
+      row.Set("repeats", kRepeats);
+      row.Set("tokens", produced);
+      row.Set("token_checksum", checksum_hex);
+      row.Set("wall_seconds", wall_s);
+      row.Set("host_tokens_per_second", static_cast<double>(produced) / wall_s);
     }
     rep.Note("functional rows time the HOST emulation wall clock (not simulated seconds), "
              "the fastest of `repeats` identical passes; "
-             "token_checksum and tokens are bit-identical at any HEXLLM_NUM_THREADS and "
-             "with the weight cache off (*_nocache rows), wall_seconds shrinks with lanes "
-             "for batch >= 4. tools/compare_bench_perf.py --self asserts cached >= nocache "
-             "within tolerance.");
+             "token_checksum and tokens are bit-identical at any HEXLLM_NUM_THREADS, "
+             "wall_seconds shrinks with lanes for batch >= 4.");
   }
   rep.Note("throughput rises strongly with batch because the HMX tile rows were idle at "
            "batch 1; scaling is sub-linear because the CPU-resident lm_head grows with "

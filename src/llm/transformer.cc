@@ -241,9 +241,9 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
 
     // --- attention block: every span's rows share the batched norms and GEMMs ---
     hkern::RmsNormF16(dev_, x, lw.attn_norm.data(), xn, rows, hidden, c.rms_eps);
-    lw.wq.Forward(dev_, xn, q, rows, &ws_);
-    lw.wk.Forward(dev_, xn, k, rows, &ws_);
-    lw.wv.Forward(dev_, xn, v, rows, &ws_);
+    lw.wq.Forward(dev_, xn, q, rows, ws_);
+    lw.wk.Forward(dev_, xn, k, rows, ws_);
+    lw.wv.Forward(dev_, xn, v, rows, ws_);
 
     // Per-row RoPE at the row's absolute position, then append each span's K/V rows to
     // its sequence (the table length itself only advances after the layer loop).
@@ -331,15 +331,15 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
         slots);
     dev_.MergeShards();
 
-    lw.wo.Forward(dev_, attn_out, proj, rows, &ws_);
+    lw.wo.Forward(dev_, attn_out, proj, rows, ws_);
     hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(rows) * hidden);
 
     // --- FFN block ---
     hkern::RmsNormF16(dev_, x, lw.ffn_norm.data(), xn, rows, hidden, c.rms_eps);
-    lw.w_gate.Forward(dev_, xn, gate, rows, &ws_);
-    lw.w_up.Forward(dev_, xn, up, rows, &ws_);
+    lw.w_gate.Forward(dev_, xn, gate, rows, ws_);
+    lw.w_up.Forward(dev_, xn, up, rows, ws_);
     hkern::SiluMulF16(dev_, gate, up, act, static_cast<int64_t>(rows) * c.ffn_hidden);
-    lw.w_down.Forward(dev_, act, proj, rows, &ws_);
+    lw.w_down.Forward(dev_, act, proj, rows, ws_);
     hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(rows) * hidden);
   }
 

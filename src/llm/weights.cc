@@ -1,6 +1,5 @@
 #include "src/llm/weights.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -18,18 +17,6 @@ namespace hllm {
 
 using hexllm::F16;
 using hexllm::RoundToF16;
-
-namespace {
-
-std::atomic<bool> g_weight_cache_enabled{true};
-
-}  // namespace
-
-void SetWeightCacheEnabled(bool enabled) {
-  g_weight_cache_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool WeightCacheEnabled() { return g_weight_cache_enabled.load(std::memory_order_relaxed); }
 
 QuantizedLinear QuantizedLinear::Create(std::span<const float> w, int64_t k, int64_t n,
                                         hquant::WeightScheme scheme) {
@@ -70,7 +57,7 @@ int64_t QuantizedLinear::quantized_bytes() const {
 }
 
 void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int m,
-                              DecodeWorkspace* ws) const {
+                              DecodeWorkspace& ws) const {
   HEXLLM_CHECK(m >= 1);
   hexsim::TcmFrame frame(dev.tcm());
   // Dequantize the full weight stream into TCM (toy-model sizes fit; the production engine
@@ -78,8 +65,7 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
   // memcpy'd in and the dequant's simulated charges are replayed instead — bit-identical
   // counters, no per-element LUT simulation (docs/performance.md).
   auto* w_tcm = reinterpret_cast<F16*>(dev.tcm().Alloc(k_ * n_ * 2));
-  const bool cache_on = WeightCacheEnabled() && cache_ != nullptr;
-  const bool cache_warm = cache_on && cache_->ready.load(std::memory_order_acquire);
+  const bool cache_warm = cache_->ready.load(std::memory_order_acquire);
   if (scheme_ == hquant::WeightScheme::kQ4_0) {
     if (cache_warm) {
       std::memcpy(w_tcm, cache_->stream.data(), static_cast<size_t>(k_ * n_) * 2);
@@ -92,18 +78,16 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
       const int64_t vlut0 = dev.hvx().vlut16_ops();
       const int64_t packets = hkern::DequantCoalescedLut(dev, sb4_, w_tcm);
       dev.CommitHvxPackets(packets, hexsim::Tag::kLinearDequant);
-      if (cache_on) {
-        std::lock_guard<std::mutex> lock(cache_->mu);
-        if (!cache_->ready.load(std::memory_order_relaxed)) {
-          cache_->StoreStream(w_tcm, k_ * n_);
-          cache_->packets = packets;
-          // DequantCoalescedLut merges its shards before returning, so the parent-device
-          // deltas capture the whole call at any lane count.
-          cache_->vgather = dev.hvx().vgather_ops() - vgather0;
-          cache_->vscatter = dev.hvx().vscatter_ops() - vscatter0;
-          cache_->vlut16 = dev.hvx().vlut16_ops() - vlut0;
-          cache_->ready.store(true, std::memory_order_release);
-        }
+      std::lock_guard<std::mutex> lock(cache_->mu);
+      if (!cache_->ready.load(std::memory_order_relaxed)) {
+        cache_->StoreStream(w_tcm, k_ * n_);
+        cache_->packets = packets;
+        // DequantCoalescedLut merges its shards before returning, so the parent-device
+        // deltas capture the whole call at any lane count.
+        cache_->vgather = dev.hvx().vgather_ops() - vgather0;
+        cache_->vscatter = dev.hvx().vscatter_ops() - vscatter0;
+        cache_->vlut16 = dev.hvx().vlut16_ops() - vlut0;
+        cache_->ready.store(true, std::memory_order_release);
       }
     }
   } else {
@@ -119,21 +103,17 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
               F16(RoundToF16(static_cast<float>(b8_[bi].qs[i]) * d));
         }
       }
-      if (cache_on) {
-        std::lock_guard<std::mutex> lock(cache_->mu);
-        if (!cache_->ready.load(std::memory_order_relaxed)) {
-          cache_->StoreStream(w_tcm, n_elems);
-          cache_->ready.store(true, std::memory_order_release);
-        }
+      std::lock_guard<std::mutex> lock(cache_->mu);
+      if (!cache_->ready.load(std::memory_order_relaxed)) {
+        cache_->StoreStream(w_tcm, n_elems);
+        cache_->ready.store(true, std::memory_order_release);
       }
     }
     dev.CommitHvxPackets(n_elems / 64 * 8, hexsim::Tag::kLinearDequant);
   }
 
-  // The FP32 shadow of the stream now in TCM, once some Forward has stored it.
-  const float* w_decoded = cache_on && cache_->ready.load(std::memory_order_acquire)
-                               ? cache_->decoded.data()
-                               : nullptr;
+  // The FP32 shadow of the stream now in TCM (stored above at the latest).
+  const float* w_decoded = cache_->decoded.data();
   if (m % 32 == 0) {
     // Already tile-aligned rows: no staging copies, the GEMM reads/writes in place.
     hkern::GemmF16Hmx(dev, x, w_tcm, y, m, static_cast<int>(k_), static_cast<int>(n_),
@@ -145,22 +125,13 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
   // padding rows (and leaves the padded output rows unspecified), so the staging buffers
   // need no zero fill — only the live rows are copied in and out.
   const int m_pad = static_cast<int>(hexllm::RoundUp(m, 32));
-  if (ws != nullptr) {
-    DecodeWorkspace::Frame wframe(*ws);
-    F16* x_pad = ws->Alloc<F16>(static_cast<int64_t>(m_pad) * k_);
-    F16* y_pad = ws->Alloc<F16>(static_cast<int64_t>(m_pad) * n_);
-    std::memcpy(x_pad, x, static_cast<size_t>(m) * k_ * 2);
-    hkern::GemmF16Hmx(dev, x_pad, w_tcm, y_pad, m_pad, static_cast<int>(k_),
-                      static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m, w_decoded);
-    std::memcpy(y, y_pad, static_cast<size_t>(m) * n_ * 2);
-    return;
-  }
-  std::vector<F16> x_pad(static_cast<size_t>(m_pad) * k_, F16::Zero());
-  std::memcpy(x_pad.data(), x, static_cast<size_t>(m) * k_ * 2);
-  std::vector<F16> y_pad(static_cast<size_t>(m_pad) * n_);
-  hkern::GemmF16Hmx(dev, x_pad.data(), w_tcm, y_pad.data(), m_pad, static_cast<int>(k_),
+  DecodeWorkspace::Frame wframe(ws);
+  F16* x_pad = ws.Alloc<F16>(static_cast<int64_t>(m_pad) * k_);
+  F16* y_pad = ws.Alloc<F16>(static_cast<int64_t>(m_pad) * n_);
+  std::memcpy(x_pad, x, static_cast<size_t>(m) * k_ * 2);
+  hkern::GemmF16Hmx(dev, x_pad, w_tcm, y_pad, m_pad, static_cast<int>(k_),
                     static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m, w_decoded);
-  std::memcpy(y, y_pad.data(), static_cast<size_t>(m) * n_ * 2);
+  std::memcpy(y, y_pad, static_cast<size_t>(m) * n_ * 2);
 }
 
 std::vector<float> QuantizedLinear::Dequantize() const {

@@ -24,11 +24,6 @@
 
 namespace hllm {
 
-// Process-wide switch for the dequant-once weight cache (default on) — the escape hatch for
-// memory-constrained runs and for the replay-parity tests (docs/performance.md).
-void SetWeightCacheEnabled(bool enabled);
-bool WeightCacheEnabled();
-
 class QuantizedLinear {
  public:
   QuantizedLinear() = default;
@@ -44,19 +39,19 @@ class QuantizedLinear {
 
   // Functional forward on the simulator: y[M, N] = x[M, K] (both FP16 row-major host
   // buffers). Dequantizes into TCM, runs HMX GEMM. M is padded to a tile internally; when
-  // m is already a tile multiple the padding staging is skipped and x/y are used directly.
-  // `ws` (optional) provides heap-free staging scratch for the padded case
-  // (docs/performance.md).
+  // m is already a tile multiple the padding staging is skipped and x/y are used directly,
+  // otherwise `ws` provides the heap-free staging scratch (docs/performance.md).
   //
-  // Dequant-once cache: with WeightCacheEnabled(), the first Forward stores the
+  // Dequant-once cache: the first Forward of a matrix runs the LUT dequant and stores the
   // dequantized F16 stream plus the dequant's simulated cost (HVX packets, vlut16 ops);
   // later calls memcpy the stream into TCM and REPLAY the charges — same
   // kernel.dequant_coalesced_lut.calls count, same packet totals, same Tag::kLinearDequant
   // ledger tag — without re-simulating the LUT kernel. The cache also keeps the stream
   // decoded to FP32 per tile, which the HMX GEMM reads instead of re-decoding every weight
-  // tile on every tile op. Counters are bit-identical either way; only host time changes.
+  // tile on every tile op. Cold and warm calls charge bit-identical counters; only host
+  // time differs.
   void Forward(hexsim::NpuDevice& dev, const hexllm::F16* x, hexllm::F16* y, int m,
-               DecodeWorkspace* ws = nullptr) const;
+               DecodeWorkspace& ws) const;
 
   // Reference reconstruction of the [K, N] column-major matrix (FP32).
   std::vector<float> Dequantize() const;

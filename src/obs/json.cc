@@ -1,10 +1,8 @@
 #include "src/obs/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "src/base/check.h"
 
@@ -53,374 +51,29 @@ void AppendDouble(std::string* out, double v) {
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
   out->append(buf, res.ptr);
-  // Keep the number recognizably floating-point so parsers preserve the kInt/kDouble split.
+  // Keep the number recognizably floating-point so readers preserve the int/double split.
   if (out->find_first_of(".eE", out->size() - static_cast<size_t>(res.ptr - buf)) ==
       std::string::npos) {
     out->append(".0");
   }
 }
 
-struct Parser {
-  std::string_view text;
-  size_t pos = 0;
-  std::string error;
-
-  bool Fail(const std::string& what) {
-    error = what + " at byte " + std::to_string(pos);
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-                                 text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool Literal(std::string_view lit) {
-    if (text.substr(pos, lit.size()) != lit) {
-      return false;
-    }
-    pos += lit.size();
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (pos >= text.size() || text[pos] != '"') {
-      return Fail("expected string");
-    }
-    ++pos;
-    out->clear();
-    while (pos < text.size()) {
-      const char c = text[pos];
-      if (c == '"') {
-        ++pos;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos;
-        if (pos >= text.size()) {
-          return Fail("dangling escape");
-        }
-        const char e = text[pos++];
-        switch (e) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case '/':
-            out->push_back('/');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'b':
-            out->push_back('\b');
-            break;
-          case 'f':
-            out->push_back('\f');
-            break;
-          case 'u': {
-            if (pos + 4 > text.size()) {
-              return Fail("truncated \\u escape");
-            }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text[pos + static_cast<size_t>(i)];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Fail("bad \\u escape");
-              }
-            }
-            pos += 4;
-            // UTF-8 encode (no surrogate-pair support; the metrics layer emits ASCII).
-            if (code < 0x80) {
-              out->push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            return Fail("unknown escape");
-        }
-      } else {
-        out->push_back(c);
-        ++pos;
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseNumber(Json* out) {
-    const size_t start = pos;
-    if (pos < text.size() && text[pos] == '-') {
-      ++pos;
-    }
-    while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-    bool is_double = false;
-    if (pos < text.size() && text[pos] == '.') {
-      is_double = true;
-      ++pos;
-      while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
-        ++pos;
-      }
-    }
-    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-      is_double = true;
-      ++pos;
-      if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) {
-        ++pos;
-      }
-      while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
-        ++pos;
-      }
-    }
-    const std::string_view num = text.substr(start, pos - start);
-    if (num.empty() || num == "-") {
-      return Fail("bad number");
-    }
-    if (!is_double) {
-      int64_t v = 0;
-      const auto res = std::from_chars(num.data(), num.data() + num.size(), v);
-      if (res.ec == std::errc() && res.ptr == num.data() + num.size()) {
-        *out = Json(v);
-        return true;
-      }
-      // Fall through to double on overflow.
-    }
-    double d = 0.0;
-    const auto res = std::from_chars(num.data(), num.data() + num.size(), d);
-    if (res.ec != std::errc() || res.ptr != num.data() + num.size()) {
-      return Fail("bad number");
-    }
-    *out = Json(d);
-    return true;
-  }
-
-  bool ParseValue(Json* out, int depth) {
-    if (depth > 128) {
-      return Fail("nesting too deep");
-    }
-    SkipWs();
-    if (pos >= text.size()) {
-      return Fail("unexpected end of input");
-    }
-    const char c = text[pos];
-    if (c == 'n') {
-      if (!Literal("null")) {
-        return Fail("bad literal");
-      }
-      *out = Json();
-      return true;
-    }
-    if (c == 't') {
-      if (!Literal("true")) {
-        return Fail("bad literal");
-      }
-      *out = Json(true);
-      return true;
-    }
-    if (c == 'f') {
-      if (!Literal("false")) {
-        return Fail("bad literal");
-      }
-      *out = Json(false);
-      return true;
-    }
-    if (c == '"') {
-      std::string s;
-      if (!ParseString(&s)) {
-        return false;
-      }
-      *out = Json(std::move(s));
-      return true;
-    }
-    if (c == '[') {
-      ++pos;
-      *out = Json::Array();
-      SkipWs();
-      if (pos < text.size() && text[pos] == ']') {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        Json elem;
-        if (!ParseValue(&elem, depth + 1)) {
-          return false;
-        }
-        out->Append(std::move(elem));
-        SkipWs();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (pos < text.size() && text[pos] == ']') {
-          ++pos;
-          return true;
-        }
-        return Fail("expected ',' or ']'");
-      }
-    }
-    if (c == '{') {
-      ++pos;
-      *out = Json::Object();
-      SkipWs();
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        SkipWs();
-        std::string key;
-        if (!ParseString(&key)) {
-          return false;
-        }
-        SkipWs();
-        if (pos >= text.size() || text[pos] != ':') {
-          return Fail("expected ':'");
-        }
-        ++pos;
-        Json val;
-        if (!ParseValue(&val, depth + 1)) {
-          return false;
-        }
-        out->Set(key, std::move(val));
-        SkipWs();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (pos < text.size() && text[pos] == '}') {
-          ++pos;
-          return true;
-        }
-        return Fail("expected ',' or '}'");
-      }
-    }
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      return ParseNumber(out);
-    }
-    return Fail("unexpected character");
-  }
-};
-
 }  // namespace
 
-bool Json::AsBool() const {
-  HEXLLM_CHECK_MSG(type_ == Type::kBool, "Json::AsBool on non-bool");
-  return bool_;
-}
-
-int64_t Json::AsInt() const {
-  if (type_ == Type::kDouble) {
-    return static_cast<int64_t>(double_);
-  }
-  HEXLLM_CHECK_MSG(type_ == Type::kInt, "Json::AsInt on non-number");
-  return int_;
-}
-
-double Json::AsDouble() const {
-  if (type_ == Type::kInt) {
-    return static_cast<double>(int_);
-  }
-  HEXLLM_CHECK_MSG(type_ == Type::kDouble, "Json::AsDouble on non-number");
-  return double_;
-}
-
-const std::string& Json::AsString() const {
-  HEXLLM_CHECK_MSG(type_ == Type::kString, "Json::AsString on non-string");
-  return str_;
-}
-
-size_t Json::size() const {
-  if (type_ == Type::kArray) {
-    return arr_.size();
-  }
-  if (type_ == Type::kObject) {
-    return obj_.size();
-  }
-  return 0;
-}
-
-Json& Json::Append(Json v) {
+void Json::Append(Json v) {
   HEXLLM_CHECK_MSG(type_ == Type::kArray, "Json::Append on non-array");
   arr_.push_back(std::move(v));
-  return arr_.back();
 }
 
-const Json& Json::At(size_t i) const {
-  HEXLLM_CHECK_MSG(type_ == Type::kArray && i < arr_.size(), "Json::At index out of range");
-  return arr_[i];
-}
-
-Json& Json::Set(std::string_view key, Json v) {
+void Json::Set(std::string_view key, Json v) {
   HEXLLM_CHECK_MSG(type_ == Type::kObject, "Json::Set on non-object");
   for (auto& [k, val] : obj_) {
     if (k == key) {
       val = std::move(v);
-      return val;
+      return;
     }
   }
   obj_.emplace_back(std::string(key), std::move(v));
-  return obj_.back().second;
-}
-
-bool Json::Contains(std::string_view key) const { return Find(key) != nullptr; }
-
-const Json* Json::Find(std::string_view key) const {
-  if (type_ != Type::kObject) {
-    return nullptr;
-  }
-  for (const auto& [k, v] : obj_) {
-    if (k == key) {
-      return &v;
-    }
-  }
-  return nullptr;
-}
-
-Json& Json::At(std::string_view key) {
-  HEXLLM_CHECK_MSG(type_ == Type::kObject, "Json::At on non-object");
-  for (auto& [k, v] : obj_) {
-    if (k == key) {
-      return v;
-    }
-  }
-  HEXLLM_CHECK_MSG(false, "Json::At key not found");
-  __builtin_unreachable();
-}
-
-const Json& Json::At(std::string_view key) const {
-  const Json* v = Find(key);
-  HEXLLM_CHECK_MSG(v != nullptr, "Json::At key not found");
-  return *v;
-}
-
-const std::vector<std::pair<std::string, Json>>& Json::members() const {
-  HEXLLM_CHECK_MSG(type_ == Type::kObject, "Json::members on non-object");
-  return obj_;
 }
 
 void Json::DumpTo(std::string* out, int indent, int depth) const {
@@ -497,53 +150,6 @@ std::string Json::Dump(int indent) const {
   std::string out;
   DumpTo(&out, indent, 0);
   return out;
-}
-
-bool Json::Parse(std::string_view text, Json* out, std::string* error) {
-  Parser p{text, 0, {}};
-  Json v;
-  if (!p.ParseValue(&v, 0)) {
-    if (error != nullptr) {
-      *error = p.error;
-    }
-    return false;
-  }
-  p.SkipWs();
-  if (p.pos != text.size()) {
-    if (error != nullptr) {
-      *error = "trailing data at byte " + std::to_string(p.pos);
-    }
-    return false;
-  }
-  *out = std::move(v);
-  return true;
-}
-
-bool Json::operator==(const Json& o) const {
-  if (type_ != o.type_) {
-    // Numeric cross-type equality (1 == 1.0) keeps round-trip comparisons honest.
-    if (is_number() && o.is_number()) {
-      return AsDouble() == o.AsDouble();
-    }
-    return false;
-  }
-  switch (type_) {
-    case Type::kNull:
-      return true;
-    case Type::kBool:
-      return bool_ == o.bool_;
-    case Type::kInt:
-      return int_ == o.int_;
-    case Type::kDouble:
-      return double_ == o.double_;
-    case Type::kString:
-      return str_ == o.str_;
-    case Type::kArray:
-      return arr_ == o.arr_;
-    case Type::kObject:
-      return obj_ == o.obj_;
-  }
-  return false;
 }
 
 bool WriteFile(const std::string& path, const std::string& text) {

@@ -1,27 +1,24 @@
-// Minimal JSON value type with a writer and a strict parser — the serialization substrate
-// of the observability layer (docs/metrics_schema.md freezes the schemas built on top).
+// Minimal write-only JSON value type — the serialization substrate of the observability
+// layer (docs/metrics_schema.md freezes the schemas built on top). The reports it writes
+// are read by the Python tools (tools/check_bench_schema.py and friends), never by C++.
 //
 // Design constraints, in order:
 //   1. No third-party dependency (the repo builds from the system toolchain alone).
 //   2. Deterministic output: object keys keep insertion order, numbers print either as
 //      exact integers or with round-trip precision, so two runs of a bench diff cleanly.
-//   3. Small enough to audit: one value type, one Dump, one recursive-descent Parse.
+//   3. Small enough to audit: one value type, one Dump.
 //
 // Usage:
+//   obs::Json rows = obs::Json::Array();
+//   rows.Append(obs::Json(42.5));
 //   obs::Json j = obs::Json::Object();
 //   j.Set("schema_version", 1);
-//   j.Set("rows", obs::Json::Array());
-//   j.At("rows").Append(obs::Json(42.5));
+//   j.Set("rows", std::move(rows));
 //   std::string text = j.Dump(2);          // pretty, 2-space indent
-//   obs::Json back;
-//   std::string err;
-//   bool ok = obs::Json::Parse(text, &back, &err);
 #ifndef SRC_OBS_JSON_H_
 #define SRC_OBS_JSON_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,16 +28,6 @@ namespace obs {
 
 class Json {
  public:
-  enum class Type : uint8_t {
-    kNull,
-    kBool,
-    kInt,     // exact 64-bit integer (counters, block counts, schema version)
-    kDouble,  // everything measured (seconds, ratios, throughput)
-    kString,
-    kArray,
-    kObject,
-  };
-
   Json() : type_(Type::kNull) {}
   Json(bool v) : type_(Type::kBool), bool_(v) {}                        // NOLINT(runtime/explicit)
   Json(int v) : type_(Type::kInt), int_(v) {}                           // NOLINT(runtime/explicit)
@@ -61,44 +48,26 @@ class Json {
     return j;
   }
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_number() const { return type_ == Type::kInt || type_ == Type::kDouble; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
-
-  // Value accessors. Numeric accessors coerce between the two number types; everything else
-  // aborts on a type mismatch (schema bugs should be loud).
-  bool AsBool() const;
-  int64_t AsInt() const;
-  double AsDouble() const;
-  const std::string& AsString() const;
-
-  // --- array ---
-  size_t size() const;  // elements (array), members (object), 0 otherwise
-  Json& Append(Json v);                 // array only
-  const Json& At(size_t i) const;       // array index
-
-  // --- object (insertion-ordered) ---
-  Json& Set(std::string_view key, Json v);  // returns the stored value
-  bool Contains(std::string_view key) const;
-  const Json* Find(std::string_view key) const;  // nullptr when absent
-  Json& At(std::string_view key);                // aborts when absent
-  const Json& At(std::string_view key) const;
-  const std::vector<std::pair<std::string, Json>>& members() const;
+  void Append(Json v);                     // array only
+  void Set(std::string_view key, Json v);  // object only; replaces an existing key in place
 
   // Serializes. indent < 0: compact one-line form; indent >= 0: pretty-printed with that
-  // many spaces per level. Non-finite doubles serialize as null (JSON has no NaN/Inf).
+  // many spaces per level. Doubles always carry a '.', 'e' or 'E' (1.0 prints as 1.0) so
+  // readers keep the integer/float split; non-finite doubles serialize as null (JSON has
+  // no NaN/Inf).
   std::string Dump(int indent = -1) const;
 
-  // Strict parser (no comments, no trailing commas). On failure returns false and, when
-  // `error` is non-null, a message with the byte offset.
-  static bool Parse(std::string_view text, Json* out, std::string* error = nullptr);
-
-  bool operator==(const Json& o) const;
-
  private:
+  enum class Type : uint8_t {
+    kNull,
+    kBool,
+    kInt,     // exact 64-bit integer (counters, block counts, schema version)
+    kDouble,  // everything measured (seconds, ratios, throughput)
+    kString,
+    kArray,
+    kObject,
+  };
+
   void DumpTo(std::string* out, int indent, int depth) const;
 
   Type type_;

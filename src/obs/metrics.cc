@@ -219,78 +219,4 @@ Json MetricsSnapshot::ToJson() const {
   return root;
 }
 
-bool MetricsSnapshot::FromJson(const Json& j, MetricsSnapshot* out) {
-  if (!j.is_object() || !j.Contains("schema_version") ||
-      j.At("schema_version").AsInt() > kMetricsSchemaVersion) {
-    return false;
-  }
-  for (const char* key : {"counters", "gauges", "histograms"}) {
-    const Json* arr = j.Find(key);
-    if (arr == nullptr || !arr->is_array()) {
-      return false;
-    }
-  }
-  MetricsSnapshot s;
-  const auto name_label = [](const Json& e, std::string* name, std::string* label) {
-    if (!e.is_object() || !e.Contains("name")) {
-      return false;
-    }
-    *name = e.At("name").AsString();
-    const Json* l = e.Find("label");
-    *label = l != nullptr ? l->AsString() : std::string();
-    return true;
-  };
-  for (size_t i = 0; i < j.At("counters").size(); ++i) {
-    const Json& e = j.At("counters").At(i);
-    CounterSample c;
-    if (!name_label(e, &c.name, &c.label) || !e.Contains("value") ||
-        !e.At("value").is_number()) {
-      return false;
-    }
-    c.value = e.At("value").AsInt();
-    s.counters.push_back(std::move(c));
-  }
-  for (size_t i = 0; i < j.At("gauges").size(); ++i) {
-    const Json& e = j.At("gauges").At(i);
-    GaugeSample g;
-    if (!name_label(e, &g.name, &g.label) || !e.Contains("value") ||
-        !e.At("value").is_number()) {
-      return false;
-    }
-    g.value = e.At("value").AsDouble();
-    s.gauges.push_back(std::move(g));
-  }
-  for (size_t i = 0; i < j.At("histograms").size(); ++i) {
-    const Json& e = j.At("histograms").At(i);
-    HistogramSample h;
-    if (!name_label(e, &h.name, &h.label)) {
-      return false;
-    }
-    const Json* bounds = e.Find("bounds");
-    const Json* counts = e.Find("counts");
-    if (bounds == nullptr || counts == nullptr || !bounds->is_array() || !counts->is_array() ||
-        counts->size() != bounds->size() + 1) {
-      return false;
-    }
-    for (size_t b = 0; b < bounds->size(); ++b) {
-      h.bounds.push_back(bounds->At(b).AsDouble());
-    }
-    for (size_t c = 0; c < counts->size(); ++c) {
-      h.counts.push_back(counts->At(c).AsInt());
-    }
-    for (const char* key : {"count", "sum", "min", "max"}) {
-      if (!e.Contains(key) || !e.At(key).is_number()) {
-        return false;
-      }
-    }
-    h.count = e.At("count").AsInt();
-    h.sum = e.At("sum").AsDouble();
-    h.min = e.At("min").AsDouble();
-    h.max = e.At("max").AsDouble();
-    s.histograms.push_back(std::move(h));
-  }
-  *out = std::move(s);
-  return true;
-}
-
 }  // namespace obs

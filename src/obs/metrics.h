@@ -167,10 +167,8 @@ struct MetricsSnapshot {
   const HistogramSample* FindHistogram(std::string_view name,
                                        std::string_view label = {}) const;
 
-  // Schema v1 "metrics" object (docs/metrics_schema.md). ToJson/FromJson round-trip
-  // losslessly; FromJson returns false on any shape violation.
+  // Schema v1 "metrics" object (docs/metrics_schema.md).
   Json ToJson() const;
-  static bool FromJson(const Json& j, MetricsSnapshot* out);
 };
 
 // The registry: owns metrics, hands out stable references, snapshots on demand. A (name,

@@ -1,8 +1,9 @@
 // Tests for the observability layer (src/obs) and its integration points: registry
-// semantics, the JSON writer/parser, snapshot serialization under the frozen schema
+// semantics, the JSON writer's exact output, snapshot serialization under the frozen schema
 // (docs/metrics_schema.md), and the serving runtime's embedded metrics snapshot agreeing
 // with ScheduleResult's scalar fields.
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -131,14 +132,15 @@ TEST(RegistryDeathTest, KindCollisionAborts) {
   EXPECT_DEATH(reg.gauge("unit.events"), "different kind");
 }
 
-// --- JSON value type ---
+// --- JSON writer (the reports' only producer; Python tools are the readers) ---
 
-TEST(JsonTest, DumpParseRoundTrip) {
+TEST(JsonTest, DumpTextIsPinned) {
   Json j = Json::Object();
   j.Set("schema_version", 1);
-  j.Set("name", "bench \"quoted\" \\ with\nnewline");
+  j.Set("name", "bench");
   j.Set("ratio", 3.25);
   j.Set("flag", true);
+  j.Set("off", false);
   j.Set("nothing", Json());
   Json arr = Json::Array();
   arr.Append(1);
@@ -147,109 +149,137 @@ TEST(JsonTest, DumpParseRoundTrip) {
   j.Set("arr", std::move(arr));
   Json nested = Json::Object();
   nested.Set("k", int64_t{1} << 40);
+  nested.Set("empty_arr", Json::Array());
+  nested.Set("empty_obj", Json::Object());
   j.Set("nested", std::move(nested));
+  j.Set("ratio", 0.5);  // an existing key is replaced in place, keeping its position
 
-  for (const int indent : {-1, 0, 2}) {
-    Json back;
-    std::string err;
-    ASSERT_TRUE(Json::Parse(j.Dump(indent), &back, &err)) << err;
-    EXPECT_TRUE(back == j) << j.Dump(2) << "\nvs\n" << back.Dump(2);
-  }
+  EXPECT_EQ(j.Dump(),
+            "{\"schema_version\": 1, \"name\": \"bench\", \"ratio\": 0.5, \"flag\": true, "
+            "\"off\": false, \"nothing\": null, \"arr\": [1, -2.5, \"x\"], "
+            "\"nested\": {\"k\": 1099511627776, \"empty_arr\": [], \"empty_obj\": {}}}");
+  EXPECT_EQ(j.Dump(2),
+            "{\n"
+            "  \"schema_version\": 1,\n"
+            "  \"name\": \"bench\",\n"
+            "  \"ratio\": 0.5,\n"
+            "  \"flag\": true,\n"
+            "  \"off\": false,\n"
+            "  \"nothing\": null,\n"
+            "  \"arr\": [\n"
+            "    1,\n"
+            "    -2.5,\n"
+            "    \"x\"\n"
+            "  ],\n"
+            "  \"nested\": {\n"
+            "    \"k\": 1099511627776,\n"
+            "    \"empty_arr\": [],\n"
+            "    \"empty_obj\": {}\n"
+            "  }\n"
+            "}");
+  EXPECT_EQ(Json(7).Dump(2), "7");
+  EXPECT_EQ(Json::Array().Dump(2), "[]");
 }
 
 TEST(JsonTest, IntegersStayExact) {
   Json j = Json::Object();
   j.Set("big", int64_t{9007199254740993});  // not representable as a double
-  Json back;
-  ASSERT_TRUE(Json::Parse(j.Dump(), &back, nullptr));
-  EXPECT_EQ(back.At("big").type(), Json::Type::kInt);
-  EXPECT_EQ(back.At("big").AsInt(), 9007199254740993);
+  j.Set("neg", int64_t{-9007199254740993});
+  EXPECT_EQ(j.Dump(), "{\"big\": 9007199254740993, \"neg\": -9007199254740993}");
+}
+
+TEST(JsonTest, DoublesAlwaysReadAsFloatingPoint) {
+  // Shortest round-trip digits; an integral double keeps a ".0" suffix so a reader still
+  // sees a float (schema fields are typed: counters int, gauges double).
+  EXPECT_EQ(Json(1.0).Dump(), "1.0");
+  EXPECT_EQ(Json(-3.0).Dump(), "-3.0");
+  EXPECT_EQ(Json(0.0).Dump(), "0.0");
+  EXPECT_EQ(Json(0.1).Dump(), "0.1");
+  EXPECT_EQ(Json(3.25).Dump(), "3.25");
+  EXPECT_EQ(Json(3e-5).Dump(), "3e-05");
+  EXPECT_EQ(Json(1e300).Dump(), "1e+300");
+  EXPECT_EQ(Json(int64_t{1}).Dump(), "1");  // integers never get the suffix
 }
 
 TEST(JsonTest, NonFiniteDoublesSerializeAsNull) {
-  Json j = Json::Object();
-  j.Set("nan", std::nan(""));
-  Json back;
-  ASSERT_TRUE(Json::Parse(j.Dump(), &back, nullptr));
-  EXPECT_TRUE(back.At("nan").is_null());
+  Json arr = Json::Array();
+  arr.Append(std::nan(""));
+  arr.Append(std::numeric_limits<double>::infinity());
+  arr.Append(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(arr.Dump(), "[null, null, null]");
 }
 
-TEST(JsonTest, ParserRejectsMalformedInput) {
-  Json out;
-  EXPECT_FALSE(Json::Parse("{\"a\": 1,}", &out, nullptr));  // trailing comma
-  EXPECT_FALSE(Json::Parse("{\"a\" 1}", &out, nullptr));    // missing colon
-  EXPECT_FALSE(Json::Parse("[1, 2", &out, nullptr));        // unterminated
-  EXPECT_FALSE(Json::Parse("bogus", &out, nullptr));        // bare word
-  std::string err;
-  EXPECT_FALSE(Json::Parse("{\"a\": }", &out, &err));
-  EXPECT_FALSE(err.empty());
+TEST(JsonTest, StringsAreEscaped) {
+  Json j = Json::Object();
+  j.Set("say \"hi\"", std::string("back\\slash\nline\ttab\rret\x01" "ctl/ok"));
+  EXPECT_EQ(j.Dump(),
+            "{\"say \\\"hi\\\"\": \"back\\\\slash\\nline\\ttab\\rret\\u0001ctl/ok\"}");
 }
 
 // --- snapshot serialization under the frozen schema ---
 
-TEST(MetricsSnapshotTest, JsonRoundTripIsLossless) {
+TEST(MetricsSnapshotTest, ToJsonTextIsPinned) {
   Registry reg;
   reg.Count("hexsim.hvx.packets", 1234);
   reg.Count("hexsim.tag_seconds", 7, "attn.softmax");
   reg.Set("kv.sharing_ratio", 2.75);
+  reg.Set("serve.rows", 3.0);
   Histogram& h = reg.histogram("serve.step_seconds",
                                HistogramBuckets::Exponential(1e-5, 4.0, 4), "decode");
   h.Observe(3e-5);
   h.Observe(2.0);
 
   const MetricsSnapshot s = reg.Snapshot();
-  const Json j = s.ToJson();
-  EXPECT_EQ(j.At("schema_version").AsInt(), kMetricsSchemaVersion);
-
-  // Through text and back.
-  Json parsed;
-  std::string err;
-  ASSERT_TRUE(Json::Parse(j.Dump(2), &parsed, &err)) << err;
-  MetricsSnapshot back;
-  ASSERT_TRUE(MetricsSnapshot::FromJson(parsed, &back));
-
-  ASSERT_EQ(back.counters.size(), s.counters.size());
-  EXPECT_EQ(back.CounterValue("hexsim.hvx.packets"), 1234);
-  EXPECT_EQ(back.CounterValue("hexsim.tag_seconds", "attn.softmax"), 7);
-  EXPECT_EQ(back.GaugeValue("kv.sharing_ratio"), 2.75);
-  const HistogramSample* hs = back.FindHistogram("serve.step_seconds", "decode");
-  ASSERT_NE(hs, nullptr);
-  EXPECT_EQ(hs->bounds, s.histograms[0].bounds);
-  EXPECT_EQ(hs->counts, s.histograms[0].counts);
-  EXPECT_EQ(hs->count, 2);
-  EXPECT_DOUBLE_EQ(hs->sum, 2.0 + 3e-5);
-  EXPECT_DOUBLE_EQ(hs->min, 3e-5);
-  EXPECT_DOUBLE_EQ(hs->max, 2.0);
-}
-
-TEST(MetricsSnapshotTest, FromJsonRejectsBadShapes) {
-  MetricsSnapshot out;
-  Json j;
-  // Not an object.
-  EXPECT_FALSE(MetricsSnapshot::FromJson(Json(1), &out));
-  // Missing schema_version.
-  j = Json::Object();
-  j.Set("counters", Json::Array());
-  j.Set("gauges", Json::Array());
-  j.Set("histograms", Json::Array());
-  EXPECT_FALSE(MetricsSnapshot::FromJson(j, &out));
-  // A FUTURE schema version must be rejected (the reader only understands <= current).
-  j.Set("schema_version", kMetricsSchemaVersion + 1);
-  EXPECT_FALSE(MetricsSnapshot::FromJson(j, &out));
-  // Current version with the arrays present parses.
-  j.Set("schema_version", kMetricsSchemaVersion);
-  EXPECT_TRUE(MetricsSnapshot::FromJson(j, &out));
-  // Histogram counts must be bounds + 1.
-  Json h = Json::Object();
-  h.Set("name", "x");
-  Json bounds = Json::Array();
-  bounds.Append(1.0);
-  h.Set("bounds", std::move(bounds));
-  Json counts = Json::Array();
-  counts.Append(1);
-  h.Set("counts", std::move(counts));  // should be 2 entries
-  j.At("histograms").Append(std::move(h));
-  EXPECT_FALSE(MetricsSnapshot::FromJson(j, &out));
+  EXPECT_EQ(s.ToJson().Dump(2),
+            "{\n"
+            "  \"schema_version\": 1,\n"
+            "  \"counters\": [\n"
+            "    {\n"
+            "      \"name\": \"hexsim.hvx.packets\",\n"
+            "      \"value\": 1234\n"
+            "    },\n"
+            "    {\n"
+            "      \"name\": \"hexsim.tag_seconds\",\n"
+            "      \"label\": \"attn.softmax\",\n"
+            "      \"value\": 7\n"
+            "    }\n"
+            "  ],\n"
+            "  \"gauges\": [\n"
+            "    {\n"
+            "      \"name\": \"kv.sharing_ratio\",\n"
+            "      \"value\": 2.75\n"
+            "    },\n"
+            "    {\n"
+            "      \"name\": \"serve.rows\",\n"
+            "      \"value\": 3.0\n"
+            "    }\n"
+            "  ],\n"
+            "  \"histograms\": [\n"
+            "    {\n"
+            "      \"name\": \"serve.step_seconds\",\n"
+            "      \"label\": \"decode\",\n"
+            "      \"bounds\": [\n"
+            "        1e-05,\n"
+            "        4e-05,\n"
+            "        0.00016,\n"
+            "        0.00064\n"
+            "      ],\n"
+            "      \"counts\": [\n"
+            "        0,\n"
+            "        1,\n"
+            "        0,\n"
+            "        0,\n"
+            "        1\n"
+            "      ],\n"
+            "      \"count\": 2,\n"
+            "      \"sum\": 2.00003,\n"
+            "      \"min\": 3e-05,\n"
+            "      \"max\": 2.0\n"
+            "    }\n"
+            "  ]\n"
+            "}");
+  EXPECT_EQ(MetricsSnapshot{}.ToJson().Dump(),
+            "{\"schema_version\": 1, \"counters\": [], \"gauges\": [], \"histograms\": []}");
 }
 
 // --- serving integration: the embedded snapshot mirrors ScheduleResult ---

@@ -8,7 +8,10 @@ Stdlib-only so CI can run it on a bare runner:
 Exits non-zero and prints one line per violation if any file fails. The checks mirror
 docs/metrics_schema.md: required top-level fields, typed rows with a `series` tag,
 reference entries with measured + paper values, and — when a report embeds metrics
-snapshots — the metrics schema's own required shape.
+snapshots — the metrics schema's own required shape. Loading is strict JSON: the bare
+NaN / Infinity / -Infinity tokens Python's json module would otherwise accept are
+rejected, because the C++ writer (src/obs/json.h) serializes non-finite doubles as null
+and must never emit them.
 """
 
 import json
@@ -29,6 +32,11 @@ KV_QUANT_GAUGES = (
     "kv.quant.mean_abs_err",
     "kv.quant.rel_rms",
 )
+
+
+def reject_constant(token):
+    """json parse_constant hook: NaN / Infinity are not JSON."""
+    raise ValueError(f"non-finite number {token!r} is not valid JSON")
 
 
 def fail(path, msg, errors):
@@ -87,7 +95,7 @@ def check_metrics_snapshot(path, where, snap, errors):
 def check_report(path, errors):
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, parse_constant=reject_constant)
     except (OSError, ValueError) as e:
         return fail(path, f"unreadable or invalid JSON: {e}", errors)
 

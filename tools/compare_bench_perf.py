@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Guard the functional-decode HOST throughput in BENCH_fig11 reports.
 
-Two modes, both over the `host_tokens_per_second` field of functional rows (the host
+Two-file mode works over the `host_tokens_per_second` field of functional rows (the host
 wall-clock of the emulation — NOT simulated seconds; see docs/performance.md for the
 distinction):
 
@@ -10,13 +10,7 @@ distinction):
     below --threshold (default 0.80, i.e. a >20% host-throughput drop) of OLD for any
     matched row. Use it to gate a change against a baseline report.
 
-  * Self mode: compare_bench_perf.py --self REPORT.json
-    Compares the `functional_decode` (dequant-once weight cache ON) rows against the
-    `functional_decode_nocache` rows of ONE report and fails when the cached path is
-    not at least --min-ratio (default 1.2) times faster. This is the CI smoke guard
-    that the weight cache actually pays for itself.
-
-A third mode gates speculative decoding instead (over SIMULATED tokens_per_second of
+A second mode gates speculative decoding instead (over SIMULATED tokens_per_second of
 BENCH_speculative's `spec_sweep` rows, not host throughput):
 
   * Spec mode: compare_bench_perf.py --spec REPORT.json
@@ -25,7 +19,7 @@ BENCH_speculative's `spec_sweep` rows, not host throughput):
     plain-decode baseline row and fails when speculation is not at least --min-ratio
     times faster. CI runs this with --min-ratio 1.5 (docs/speculative_decoding.md).
 
---min-batch N restricts either mode to rows with batch >= N (small-batch host timings
+--min-batch N restricts two-file mode to rows with batch >= N (small-batch host timings
 are the noisiest). Exit 0 on pass, 1 on regression, 2 on usage error. Stdlib only.
 """
 
@@ -79,23 +73,23 @@ def check_spec(path, factor):
     return ok
 
 
-def check_pairs(base, new, factor, min_batch, base_desc, new_desc):
-    """Fails rows where new < base * factor. Returns True when everything passes."""
+def check_pairs(old, new, factor, min_batch):
+    """Fails rows where new < old * factor. Returns True when everything passes."""
     ok = True
     checked = 0
-    if base.keys() != new.keys():
-        print(f"row sets differ: {sorted(base.keys())} vs {sorted(new.keys())}")
+    if old.keys() != new.keys():
+        print(f"row sets differ: {sorted(old.keys())} vs {sorted(new.keys())}")
         ok = False
-    for key in sorted(base.keys() & new.keys()):
+    for key in sorted(old.keys() & new.keys()):
         batch, steps = key
         if batch < min_batch:
             continue
         checked += 1
-        ratio = new[key] / base[key] if base[key] > 0 else float("inf")
+        ratio = new[key] / old[key] if old[key] > 0 else float("inf")
         verdict = "ok" if ratio >= factor else "FAIL"
         print(
-            f"batch={batch} steps={steps}: {base_desc}={base[key]:.1f} tok/s  "
-            f"{new_desc}={new[key]:.1f} tok/s  ratio={ratio:.2f} (floor {factor:.2f}) "
+            f"batch={batch} steps={steps}: old={old[key]:.1f} tok/s  "
+            f"new={new[key]:.1f} tok/s  ratio={ratio:.2f} (floor {factor:.2f}) "
             f"{verdict}"
         )
         if ratio < factor:
@@ -112,12 +106,6 @@ def main(argv):
     )
     parser.add_argument("reports", nargs="+", metavar="REPORT.json")
     parser.add_argument(
-        "--self",
-        dest="self_mode",
-        action="store_true",
-        help="one report: cached functional_decode vs functional_decode_nocache",
-    )
-    parser.add_argument(
         "--threshold",
         type=float,
         default=0.80,
@@ -133,8 +121,7 @@ def main(argv):
         "--min-ratio",
         type=float,
         default=1.2,
-        help="self/spec mode: the faster path must be this many times the baseline "
-        "(default 1.2)",
+        help="spec mode: speculation must be this many times plain decode (default 1.2)",
     )
     parser.add_argument(
         "--min-batch", type=int, default=0, help="only compare rows with batch >= N"
@@ -142,8 +129,6 @@ def main(argv):
     args = parser.parse_args(argv[1:])
 
     if args.spec_mode:
-        if args.self_mode:
-            parser.error("--spec and --self are mutually exclusive")
         if len(args.reports) != 1:
             parser.error("--spec takes exactly one report")
         ok = check_spec(args.reports[0], args.min_ratio)
@@ -151,21 +136,11 @@ def main(argv):
               else "FAIL: speculative speedup below floor")
         return 0 if ok else 1
 
-    if args.self_mode:
-        if len(args.reports) != 1:
-            parser.error("--self takes exactly one report")
-        path = args.reports[0]
-        nocache = load_rows(path, "functional_decode_nocache")
-        cached = load_rows(path, "functional_decode")
-        ok = check_pairs(nocache, cached, args.min_ratio, args.min_batch, "nocache", "cached")
-        print("OK: weight cache pays for itself" if ok else "FAIL: weight-cache speedup below floor")
-        return 0 if ok else 1
-
     if len(args.reports) != 2:
         parser.error("two-file mode takes OLD.json NEW.json")
     old = load_rows(args.reports[0], "functional_decode")
     new = load_rows(args.reports[1], "functional_decode")
-    ok = check_pairs(old, new, args.threshold, args.min_batch, "old", "new")
+    ok = check_pairs(old, new, args.threshold, args.min_batch)
     print("OK: no host-throughput regression" if ok else "FAIL: host-throughput regression")
     return 0 if ok else 1
 
