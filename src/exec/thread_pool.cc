@@ -173,6 +173,12 @@ int PlannedSlots(int64_t n) {
   return static_cast<int>(std::min<int64_t>(MaxSlots(), n));
 }
 
+int SlotsForWork(int64_t n, int64_t work, int64_t min_work_per_lane) {
+  HEXLLM_CHECK(min_work_per_lane > 0);
+  return static_cast<int>(
+      std::clamp<int64_t>(work / min_work_per_lane, 1, PlannedSlots(n)));
+}
+
 int ParallelFor(int64_t n, const Body& body, int max_slots) {
   if (n <= 0) {
     return 0;

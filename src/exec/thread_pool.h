@@ -42,6 +42,13 @@ int MaxSlots();
 /// use this to size per-slot state (device shards, scratch buffers) before the loop.
 int PlannedSlots(int64_t n);
 
+/// Lanes a region of `n` items holding `work` units in total should use, so that no lane
+/// gets less than `min_work_per_lane`: clamp(work / min_work_per_lane, 1, PlannedSlots(n)).
+/// Pass it as ParallelFor's `max_slots`. Below that much work a fork-join round trip costs
+/// more than the lane saves. Only regions that charge no shard device may size themselves
+/// by work: a charging region's partition groups its ledger sums (docs/threading_model.md).
+int SlotsForWork(int64_t n, int64_t work, int64_t min_work_per_lane);
+
 /// Runs `body(begin, end, slot)` over a deterministic static partition of [0, n) (see the
 /// file comment for the contract). Slot 0 executes on the calling thread and pool worker s
 /// executes slot s. When the lanes are already held by another thread, or the slot count

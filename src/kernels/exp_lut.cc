@@ -1,5 +1,6 @@
 #include "src/kernels/exp_lut.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/base/check.h"
@@ -8,11 +9,19 @@ namespace hkern {
 
 using hexllm::F16;
 
+namespace {
+
+F16* AllocTable(hexsim::NpuDevice& device, int64_t* tcm_offset) {
+  uint8_t* mem = device.tcm().Alloc(ExpLut::kBytes, 128);
+  *tcm_offset = device.tcm().OffsetOf(mem);
+  return reinterpret_cast<F16*>(mem);
+}
+
+}  // namespace
+
 ExpLut::ExpLut(hexsim::NpuDevice& device) {
   device.ledger().AddCount(hexsim::Counter::kExpLutBuilds);
-  uint8_t* mem = device.tcm().Alloc(kBytes, 128);
-  table_ = reinterpret_cast<F16*>(mem);
-  tcm_offset_ = device.tcm().OffsetOf(mem);
+  table_ = AllocTable(device, &tcm_offset_);
   for (int i = 0; i < kEntries; ++i) {
     // Entry i corresponds to input bits (0x8000 | i), i.e. the value -|decode(i)|.
     // Entry 0 is x == -0 -> exp(0) = 1.
@@ -20,6 +29,11 @@ ExpLut::ExpLut(hexsim::NpuDevice& device) {
     const double e = std::exp(-x);  // computed at >= 32-bit precision (double) per §7.4
     table_[i] = F16(static_cast<float>(e));
   }
+}
+
+ExpLut::ExpLut(hexsim::NpuDevice& device, const ExpLut& model) {
+  table_ = AllocTable(device, &tcm_offset_);
+  std::copy(model.table_, model.table_ + kEntries, table_);
 }
 
 float ExpLut::Lookup(F16 x) const {

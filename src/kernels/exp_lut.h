@@ -27,6 +27,10 @@ class ExpLut {
   // Builds the table into a persistent TCM allocation of `device`.
   explicit ExpLut(hexsim::NpuDevice& device);
 
+  // Copies `model`'s table bytes into a persistent TCM allocation of `device` (a lane
+  // shard's own TCM). Recomputes nothing and counts no build: one model, one table.
+  ExpLut(hexsim::NpuDevice& device, const ExpLut& model);
+
   // TCM byte offset of entry 0 (vgather base address).
   int64_t tcm_offset() const { return tcm_offset_; }
 

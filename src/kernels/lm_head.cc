@@ -45,8 +45,13 @@ void LmHeadForward(const hexllm::F16* h, const hexllm::F16* w, float* logits, in
 void LmHeadForwardF32W(const float* h, const float* w, float* logits, int batch, int hidden,
                        int64_t vocab) {
   constexpr int64_t kVocabTile = 64;  // columns per register-blocked accumulator sweep
+  // A lane needs at least two toy-model rows (2 x 128 x 512 MACs) to beat its fork-join
+  // round trip, so batch-1 decode stays on the caller. lm_head charges no simulated cost,
+  // so the lane count moves no counter; each logit is one lane's plain chain either way.
+  constexpr int64_t kMinLaneMacs = int64_t{1} << 17;
+  const int64_t n = static_cast<int64_t>(batch) * vocab;
   hexec::ParallelFor(
-      static_cast<int64_t>(batch) * vocab, [&](int64_t begin, int64_t end, int /*slot*/) {
+      n, [&](int64_t begin, int64_t end, int /*slot*/) {
         int64_t idx = begin;
         while (idx < end) {
           const int64_t b = idx / vocab;
@@ -76,7 +81,8 @@ void LmHeadForwardF32W(const float* h, const float* w, float* logits, int batch,
           }
           idx = seg_end;
         }
-      });
+      },
+      hexec::SlotsForWork(n, n * hidden, kMinLaneMacs));
 }
 
 }  // namespace hkern

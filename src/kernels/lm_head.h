@@ -37,9 +37,9 @@ void LmHeadForward(const hexllm::F16* h, const hexllm::F16* w, float* logits, in
 // at load and TRANSPOSED to row-major (w[i*vocab+v]) so the inner sweep reads contiguous
 // vocab slices. Each logit is the identical ascending-hidden-index float accumulation as
 // LmHeadForward — F16::ToFloat is exact and per-column sums keep their chain order, so
-// pre-converting and re-blocking never changes a bit — and the ParallelFor partition over
-// the flattened [batch x vocab] index space is byte-for-byte the same contract
-// (docs/performance.md).
+// pre-converting and re-blocking never changes a bit. The flattened [batch x vocab] index
+// space fans out only as wide as its MACs pay for (hexec::SlotsForWork): batch-1 decode runs
+// on the caller (docs/threading_model.md).
 void LmHeadForwardF32W(const float* h, const float* w, float* logits, int batch, int hidden,
                        int64_t vocab);
 

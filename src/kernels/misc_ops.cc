@@ -1,5 +1,6 @@
 #include "src/kernels/misc_ops.h"
 
+#include <array>
 #include <cmath>
 
 #include "src/base/check.h"
@@ -11,6 +12,22 @@ using hexllm::RoundToF16;
 using hexsim::HvxContext;
 using hexsim::HvxVec;
 using hexsim::HvxVecPair;
+
+namespace {
+
+// RoundToF16(silu(a)) as F16 bits for every F16 input `a` (128 KiB), each entry computed
+// by the per-element FP32 expression it replaces, so a lookup returns the same bits.
+struct SiluF16Table {
+  SiluF16Table() {
+    for (uint32_t h = 0; h < bits.size(); ++h) {
+      const float av = hexllm::F16BitsToF32(static_cast<uint16_t>(h));
+      bits[h] = hexllm::F32ToF16Bits(av / (1.0f + std::exp(-av)));
+    }
+  }
+  std::array<uint16_t, 65536> bits;
+};
+
+}  // namespace
 
 void RmsNormF16(hexsim::NpuDevice& dev, const F16* x, const F16* gamma, F16* y, int rows,
                 int width, float eps) {
@@ -138,11 +155,10 @@ void SiluMulF16(hexsim::NpuDevice& dev, const F16* a, const F16* b, F16* y, int6
   const int64_t regs = count / HvxVec::kHalfwords;
   // Per register: 2 loads + sigmoid approximation (~8) + 2 multiplies + store.
   ctx.Charge(regs * 13);
+  static const SiluF16Table silu;  // built once per process
   for (int64_t i = 0; i < count; ++i) {
-    const float av = a[i].ToFloat();
-    const float bv = b[i].ToFloat();
-    const float silu = av / (1.0f + std::exp(-av));
-    y[i] = F16(RoundToF16(RoundToF16(silu) * bv));
+    const float silu_a = hexllm::F16BitsToF32(silu.bits[a[i].bits()]);
+    y[i] = F16(RoundToF16(silu_a * b[i].ToFloat()));
   }
   dev.CommitHvxPackets(ctx.issued() - start, hexsim::Tag::kMiscSilu);
 }

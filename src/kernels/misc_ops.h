@@ -46,7 +46,9 @@ void RopeHeadsF16(hexsim::NpuDevice& dev, hexllm::F16* x, int heads, int head_di
                   const double* inv_freq);
 
 // y = silu(a) * b, elementwise over `count` FP16 values (count % 64 == 0) — the SwiGLU
-// gating op. silu evaluated at FP32 internally. Charged under Tag::kMiscSilu.
+// gating op. silu evaluated at FP32 internally and rounded to FP16; the host reads it from
+// a per-process table indexed by a's 16 bits, which holds exactly those bits (the 65,536
+// inputs are tested exhaustively). Charged under Tag::kMiscSilu.
 void SiluMulF16(hexsim::NpuDevice& dev, const hexllm::F16* a, const hexllm::F16* b,
                 hexllm::F16* y, int64_t count);
 

@@ -14,31 +14,19 @@ int ArgmaxToken(std::span<const float> logits) {
   return static_cast<int>(std::max_element(logits.begin(), logits.end()) - logits.begin());
 }
 
-int SampleToken(std::span<const float> logits, const SamplerOptions& opts, hexllm::Rng& rng) {
-  HEXLLM_CHECK(!logits.empty());
-  if (opts.temperature <= 0.0f) {
-    return ArgmaxToken(logits);
-  }
+namespace {
 
-  // Candidate set, ordered by logit descending if any truncation is active.
-  std::vector<int> idx(logits.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  const bool truncate = (opts.top_k > 0 && opts.top_k < static_cast<int>(logits.size())) ||
-                        opts.top_p < 1.0f;
-  if (truncate) {
-    std::sort(idx.begin(), idx.end(),
-              [&](int a, int b) { return logits[static_cast<size_t>(a)] > logits[static_cast<size_t>(b)]; });
-    if (opts.top_k > 0 && opts.top_k < static_cast<int>(idx.size())) {
-      idx.resize(static_cast<size_t>(opts.top_k));
-    }
-  }
+// Largest top_k the selection path serves from stack arrays; larger k sorts.
+constexpr int kMaxSelect = 64;
 
-  // Softmax over candidates at the given temperature.
+// Softmax at `opts.temperature` over the candidates `idx` (in their given order), nucleus
+// truncation when `nucleus`, then one Rng draw. `p` is scratch with idx.size() entries.
+int Draw(std::span<const float> logits, std::span<const int> idx, std::span<double> p,
+         const SamplerOptions& opts, bool nucleus, hexllm::Rng& rng) {
   double max_logit = -1e30;
   for (int i : idx) {
     max_logit = std::max(max_logit, static_cast<double>(logits[static_cast<size_t>(i)]));
   }
-  std::vector<double> p(idx.size());
   double sum = 0.0;
   for (size_t j = 0; j < idx.size(); ++j) {
     p[j] = std::exp((logits[static_cast<size_t>(idx[j])] - max_logit) / opts.temperature);
@@ -50,7 +38,7 @@ int SampleToken(std::span<const float> logits, const SamplerOptions& opts, hexll
 
   // Nucleus truncation on the (sorted) candidates.
   size_t n = p.size();
-  if (truncate && opts.top_p < 1.0f) {
+  if (nucleus) {
     double cum = 0.0;
     for (size_t j = 0; j < p.size(); ++j) {
       cum += p[j];
@@ -73,6 +61,77 @@ int SampleToken(std::span<const float> logits, const SamplerOptions& opts, hexll
     }
   }
   return idx[n - 1];
+}
+
+// Scans `logits` once into the `k` largest, descending, in `top`. Returns false (and the
+// caller sorts instead) unless those k values are pairwise distinct, strictly above every
+// other logit, and no logit is NaN: only then is the result the unique first k of any
+// sort by logit descending, whatever the library's algorithm.
+bool SelectTopK(std::span<const float> logits, int k, int* top) {
+  float val[kMaxSelect] = {};
+  int filled = 0;
+  float rest_max = -INFINITY;  // largest logit outside the current top k
+  for (size_t i = 0; i < logits.size(); ++i) {
+    const float v = logits[i];
+    if (std::isnan(v)) {
+      return false;
+    }
+    if (filled == k) {
+      if (!(v > val[k - 1])) {
+        rest_max = std::max(rest_max, v);
+        continue;
+      }
+      rest_max = std::max(rest_max, val[k - 1]);
+      --filled;
+    }
+    int j = filled++;
+    for (; j > 0 && val[j - 1] < v; --j) {
+      val[j] = val[j - 1];
+      top[j] = top[j - 1];
+    }
+    val[j] = v;
+    top[j] = static_cast<int>(i);
+  }
+  for (int j = 1; j < k; ++j) {
+    if (!(val[j - 1] > val[j])) {
+      return false;
+    }
+  }
+  return val[k - 1] > rest_max;
+}
+
+}  // namespace
+
+int SampleToken(std::span<const float> logits, const SamplerOptions& opts, hexllm::Rng& rng) {
+  HEXLLM_CHECK(!logits.empty());
+  if (opts.temperature <= 0.0f) {
+    return ArgmaxToken(logits);
+  }
+
+  const int vocab = static_cast<int>(logits.size());
+  const bool top_k = opts.top_k > 0 && opts.top_k < vocab;
+  const bool nucleus = opts.top_p < 1.0f;
+  if (top_k && opts.top_k <= kMaxSelect) {
+    int idx[kMaxSelect] = {};
+    if (SelectTopK(logits, opts.top_k, idx)) {
+      double p[kMaxSelect] = {};
+      const size_t k = static_cast<size_t>(opts.top_k);
+      return Draw(logits, {idx, k}, {p, k}, opts, nucleus, rng);
+    }
+  }
+
+  // Candidate set, ordered by logit descending if any truncation is active.
+  std::vector<int> idx(logits.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  if (top_k || nucleus) {
+    std::sort(idx.begin(), idx.end(),
+              [&](int a, int b) { return logits[static_cast<size_t>(a)] > logits[static_cast<size_t>(b)]; });
+    if (top_k) {
+      idx.resize(static_cast<size_t>(opts.top_k));
+    }
+  }
+  std::vector<double> p(idx.size());
+  return Draw(logits, idx, p, opts, nucleus, rng);
 }
 
 double TokenLogProb(std::span<const float> logits, int token, float temperature) {

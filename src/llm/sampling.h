@@ -16,6 +16,12 @@ struct SamplerOptions {
 };
 
 // Samples one token id from `logits` under `opts`. Deterministic given the Rng state.
+// Candidates are the logits sorted descending (the first top_k of them when top_k is set).
+// A small top_k (<= 64) is selected in one scan, without a heap allocation, whenever the
+// k largest logits are distinct, strictly above every other logit and no logit is NaN:
+// then every sort puts exactly those indices first, in that order, so the tokens match a
+// full sort. Tied or NaN logits fall back to std::sort, and only those tokens still depend
+// on the standard library's sort order.
 int SampleToken(std::span<const float> logits, const SamplerOptions& opts, hexllm::Rng& rng);
 
 // Greedy argmax.

@@ -93,7 +93,7 @@ std::span<const hkern::ExpLut* const> Transformer::EnsureShardLuts(int slots) {
   }
   while (static_cast<int>(slot_lut_ptrs_.size()) < slots) {
     const int slot = static_cast<int>(slot_lut_ptrs_.size());
-    shard_luts_.push_back(std::make_unique<hkern::ExpLut>(dev_.ForSlot(slot)));
+    shard_luts_.push_back(std::make_unique<hkern::ExpLut>(dev_.ForSlot(slot), lut_));
     slot_lut_ptrs_.push_back(shard_luts_.back().get());
   }
   return std::span<const hkern::ExpLut* const>(slot_lut_ptrs_.data(),

@@ -128,9 +128,9 @@ class Transformer {
 
   // Parallel attention needs one exp LUT per execution slot, resident in that slot's shard
   // TCM (the softmax vgathers the table from the device it runs on). Lazily builds shard
-  // devices + LUTs up to `slots` on the calling thread and returns the per-slot pointers
-  // (slot 0 is the parent device's lut_). LUT builds are charged on the shard ledgers and
-  // folded into the parent at the next merge.
+  // devices up to `slots` on the calling thread, copies lut_ into each shard's TCM, and
+  // returns the per-slot pointers (slot 0 is lut_ itself). The copies count no build, so
+  // kernel.exp_lut.builds reads 1 at any lane count.
   std::span<const hkern::ExpLut* const> EnsureShardLuts(int slots);
 
   // Grows the per-lane attention item scratch (each lane lists its item's spans and query

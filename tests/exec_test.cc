@@ -62,6 +62,18 @@ TEST(ParallelForTest, SmallRangesCollapseToFewerSlots) {
   EXPECT_EQ(ParallelFor(0, [](int64_t, int64_t, int) {}), 0);
 }
 
+TEST(ParallelForTest, SlotsForWorkGivesEachLaneItsMinimum) {
+  ParallelismOverride lanes(4);
+  EXPECT_EQ(SlotsForWork(512, 512 * 128, 1 << 17), 1);       // one lm_head row: stay inline
+  EXPECT_EQ(SlotsForWork(1024, 1024 * 128, 1 << 17), 1);     // two rows: one lane's minimum
+  EXPECT_EQ(SlotsForWork(2048, 2048 * 128, 1 << 17), 2);
+  EXPECT_EQ(SlotsForWork(8192, 8192 * 128, 1 << 17), 4);     // capped by the lanes
+  EXPECT_EQ(SlotsForWork(3, int64_t{1} << 40, 1 << 17), 3);  // and by the items
+  ParallelFor(4, [](int64_t, int64_t, int) {
+    EXPECT_EQ(SlotsForWork(8192, 8192 * 128, 1 << 17), 1);   // nested: serial
+  });
+}
+
 TEST(ParallelForTest, NestedRegionsRunSerial) {
   ParallelismOverride lanes(4);
   std::array<int, 4> inner_slots{};

@@ -699,6 +699,31 @@ TEST(MiscOpsTest, SiluMulMatchesReference) {
   }
 }
 
+TEST(MiscOpsTest, SiluMulTableMatchesPerElementExpressionForEveryInput) {
+  // SiluMulF16 looks silu(a) up by a's 16 bits. For every one of the 65,536 inputs and
+  // multipliers of each kind (one, a negative fraction, both zeros, the smallest subnormal,
+  // the largest finite), the output bits must equal the per-element FP32 expression the
+  // table replaced.
+  NpuDevice dev(OnePlus12());
+  const int64_t n = 65536;
+  std::vector<F16> a(n), b(n), y(n);
+  for (int64_t i = 0; i < n; ++i) {
+    a[static_cast<size_t>(i)] = F16::FromBits(static_cast<uint16_t>(i));
+  }
+  for (const F16 bv : {F16(1.0f), F16(-0.5f), F16::FromBits(0x0000), F16::FromBits(0x8000),
+                       F16::FromBits(0x0001), F16::Max()}) {
+    SCOPED_TRACE(bv.bits());
+    std::fill(b.begin(), b.end(), bv);
+    SiluMulF16(dev, a.data(), b.data(), y.data(), n);
+    for (int64_t i = 0; i < n; ++i) {
+      const float av = a[static_cast<size_t>(i)].ToFloat();
+      const float silu = av / (1.0f + std::exp(-av));
+      const F16 expected(RoundToF16(RoundToF16(silu) * bv.ToFloat()));
+      ASSERT_EQ(y[static_cast<size_t>(i)].bits(), expected.bits()) << "a bits " << i;
+    }
+  }
+}
+
 TEST(MiscOpsTest, AddF16) {
   NpuDevice dev(OnePlus12());
   std::vector<F16> a(64, F16(1.25f)), b(64, F16(2.5f)), y(64);

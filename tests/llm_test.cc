@@ -1446,11 +1446,17 @@ TEST_F(TransformerTest, SteadyStateDecodeDoesNotHeapAllocate) {
   // The zero-alloc contract (docs/performance.md): after warmup (workspace sized, weight
   // caches filled, shard devices created), a decode step performs no heap allocation at
   // all — counted through the binary-wide operator new replacements above. Four lanes add
-  // a shard-ledger merge after every region, which must allocate nothing either.
+  // a shard-ledger merge after every region, which must allocate nothing either. Tokens are
+  // sampled as perfbench samples them (temperature 0.8, top-k 8), so the sampler's
+  // selection path is inside the contract too.
+  SamplerOptions opts;
+  opts.temperature = 0.8f;
+  opts.top_k = 8;
   for (const int lanes : {1, 4}) {
     SCOPED_TRACE(lanes);
     hexec::ParallelismOverride pin(lanes);
     Transformer tf(dev_, weights_, /*max_batch=*/2, /*max_context=*/64);
+    Rng rng(7);
     std::vector<int> tokens{3, 5};
     std::vector<float> logits(2 * static_cast<size_t>(config_.vocab));
     for (int i = 0; i < 3; ++i) {
@@ -1460,13 +1466,27 @@ TEST_F(TransformerTest, SteadyStateDecodeDoesNotHeapAllocate) {
     for (int i = 0; i < 5; ++i) {
       tf.Step(tokens, logits);
       for (int b = 0; b < 2; ++b) {
-        tokens[static_cast<size_t>(b)] = ArgmaxToken(std::span<const float>(
-            logits.data() + static_cast<int64_t>(b) * config_.vocab,
-            static_cast<size_t>(config_.vocab)));
+        tokens[static_cast<size_t>(b)] = SampleToken(
+            std::span<const float>(logits.data() + static_cast<int64_t>(b) * config_.vocab,
+                                   static_cast<size_t>(config_.vocab)),
+            opts, rng);
       }
     }
     EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before, 0);
   }
+}
+
+TEST_F(TransformerTest, ExpLutBuildsOncePerModelAtFourLanes) {
+  // Each lane shard holds its own copy of the exp table in its own TCM, but the copies are
+  // not builds: kernel.exp_lut.builds counts the model's one table at any lane count.
+  hexec::ParallelismOverride pin(4);
+  Transformer tf(dev_, weights_, /*max_batch=*/4, /*max_context=*/32);
+  std::vector<int> tokens{3, 5, 7, 9};
+  std::vector<float> logits(4 * static_cast<size_t>(config_.vocab));
+  for (int i = 0; i < 3; ++i) {
+    tf.Step(tokens, logits);
+  }
+  EXPECT_EQ(dev_.ledger().Count("kernel.exp_lut.builds"), 1);
 }
 
 TEST(ParallelForAllocTest, RegionsDoNotHeapAllocate) {
@@ -1554,6 +1574,155 @@ TEST(SamplingTest, TopPRestrictsTail) {
     const int t = SampleToken(logits, opts, rng);
     EXPECT_TRUE(t == 0 || t == 1) << t;
   }
+}
+
+// The sampler as it was before the top-k selection path, verbatim: every candidate sorted
+// by logit, then the first k kept.
+int ReferenceSampleToken(std::span<const float> logits, const SamplerOptions& opts, hexllm::Rng& rng) {
+  HEXLLM_CHECK(!logits.empty());
+  if (opts.temperature <= 0.0f) {
+    return ArgmaxToken(logits);
+  }
+
+  // Candidate set, ordered by logit descending if any truncation is active.
+  std::vector<int> idx(logits.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  const bool truncate = (opts.top_k > 0 && opts.top_k < static_cast<int>(logits.size())) ||
+                        opts.top_p < 1.0f;
+  if (truncate) {
+    std::sort(idx.begin(), idx.end(),
+              [&](int a, int b) { return logits[static_cast<size_t>(a)] > logits[static_cast<size_t>(b)]; });
+    if (opts.top_k > 0 && opts.top_k < static_cast<int>(idx.size())) {
+      idx.resize(static_cast<size_t>(opts.top_k));
+    }
+  }
+
+  // Softmax over candidates at the given temperature.
+  double max_logit = -1e30;
+  for (int i : idx) {
+    max_logit = std::max(max_logit, static_cast<double>(logits[static_cast<size_t>(i)]));
+  }
+  std::vector<double> p(idx.size());
+  double sum = 0.0;
+  for (size_t j = 0; j < idx.size(); ++j) {
+    p[j] = std::exp((logits[static_cast<size_t>(idx[j])] - max_logit) / opts.temperature);
+    sum += p[j];
+  }
+  for (auto& v : p) {
+    v /= sum;
+  }
+
+  // Nucleus truncation on the (sorted) candidates.
+  size_t n = p.size();
+  if (truncate && opts.top_p < 1.0f) {
+    double cum = 0.0;
+    for (size_t j = 0; j < p.size(); ++j) {
+      cum += p[j];
+      if (cum >= opts.top_p) {
+        n = j + 1;
+        break;
+      }
+    }
+    const double renorm = std::accumulate(p.begin(), p.begin() + static_cast<long>(n), 0.0);
+    for (size_t j = 0; j < n; ++j) {
+      p[j] /= renorm;
+    }
+  }
+
+  double r = rng.NextDouble();
+  for (size_t j = 0; j < n; ++j) {
+    r -= p[j];
+    if (r <= 0.0) {
+      return idx[j];
+    }
+  }
+  return idx[n - 1];
+}
+
+
+// Draws one logit row with distinct values, then injects the tie `mode` names relative to
+// the k-th largest: 0 none, 1 the top two (inside the top k for k >= 2), 2 at the k
+// boundary, 3 below it, 4 a +0/-0 pair at the boundary, 5 a +0/-0 pair at the top, 6 an
+// exact zero k-th with no injected tie. NaN is left out: the reference's comparator is no
+// strict weak order over it.
+std::vector<float> TiedLogits(Rng& rng, int vocab, int k, int mode) {
+  std::vector<float> logits(static_cast<size_t>(vocab));
+  for (auto& v : logits) {
+    v = static_cast<float>(3.0 * rng.NextGaussian());
+  }
+  std::vector<int> order(static_cast<size_t>(vocab));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return logits[static_cast<size_t>(a)] > logits[static_cast<size_t>(b)];
+  });
+  const auto at = [&](int rank) -> float& {
+    return logits[static_cast<size_t>(order[static_cast<size_t>(std::min(rank, vocab - 1))])];
+  };
+  const auto shift_to_zero = [&](int rank) {
+    const float base = at(rank);
+    for (auto& v : logits) {
+      v -= base;
+    }
+  };
+  switch (mode) {
+    case 1:
+      at(1) = at(0);
+      break;
+    case 2:
+      at(k) = at(k - 1);
+      break;
+    case 3:
+      at(k + 1) = at(k + 2);
+      break;
+    case 4:
+      shift_to_zero(k - 1);
+      at(k) = -0.0f;
+      break;
+    case 5:
+      shift_to_zero(0);
+      at(1) = -0.0f;
+      break;
+    case 6:
+      shift_to_zero(k - 1);
+      break;
+    default:
+      break;
+  }
+  return logits;
+}
+
+TEST(SamplingTest, TopKSelectionMatchesFullSort) {
+  // The selection path must give the token a full sort gives, and consume the Rng alike, for
+  // any k and nucleus, whether the logits are distinct (selection) or tied (sort fallback).
+  Rng gen(11);
+  int cases = 0;
+  for (const int vocab : {512, 64}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      for (int mode = 0; mode <= 6; ++mode) {
+        for (const int k : {1, 2, 8, 63, vocab - 1, vocab}) {
+          const std::vector<float> logits = TiedLogits(gen, vocab, k, mode);
+          for (const float top_p : {1.0f, 0.9f}) {
+            SCOPED_TRACE(::testing::Message() << "vocab " << vocab << " trial " << trial
+                                              << " mode " << mode << " k " << k
+                                              << " top_p " << top_p);
+            SamplerOptions opts;
+            opts.temperature = 0.8f;
+            opts.top_k = k;
+            opts.top_p = top_p;
+            const uint64_t seed = gen.NextU64();
+            Rng ref_rng(seed);
+            Rng rng(seed);
+            for (int draw = 0; draw < 4; ++draw) {
+              ASSERT_EQ(SampleToken(logits, opts, rng), ReferenceSampleToken(logits, opts, ref_rng));
+            }
+            ASSERT_EQ(std::memcmp(&rng, &ref_rng, sizeof(Rng)), 0);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * 12 * 7 * 6 * 2);
 }
 
 TEST(SamplingTest, TokenLogProbIsConsistent) {
