@@ -5,15 +5,13 @@
 //            256 weights (§5.1, §5.2.2);
 //   stop 2 — the 64 KiB exp LUT: build it in TCM, drive it with vgather, and compare its
 //            accuracy against the FP16 polynomial (§5.2.1);
-//   stop 3 — FP16 FlashAttention (Algorithm 1) with the component-level cycle breakdown;
-//   stop 4 — the rpcmem coherence discipline: what happens when you forget the cache flush.
+//   stop 3 — FP16 FlashAttention (Algorithm 1) with the component-level cycle breakdown.
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/hexsim/npu_device.h"
-#include "src/hexsim/rpcmem.h"
 #include "src/kernels/attention.h"
 #include "src/kernels/exp_lut.h"
 #include "src/kernels/mixed_gemm.h"
@@ -89,15 +87,5 @@ int main() {
     std::printf("  %-14s %8.1f us\n", tag, ledger.TagSeconds(tag) * 1e6);
   }
 
-  // ---- stop 4: one-way coherence ----
-  std::printf("\n== stop 4: rpcmem one-way coherence ==\n");
-  hexsim::RpcmemPool pool;
-  auto buf = pool.Alloc(4096, "activations");
-  buf->CpuView()[0] = 42;  // CPU writes...
-  std::printf("CPU wrote a shared buffer; cpu_dirty=%d. Reading it from the NPU now would "
-              "abort the simulator (stale-cache bug on real hardware).\n", buf->cpu_dirty());
-  buf->FlushForNpu();  // ...the mandatory maintenance pair...
-  std::printf("after FlushForNpu: NPU sees %d. NPU->CPU needs no maintenance (the coherent "
-              "direction).\n", buf->NpuView()[0]);
   return 0;
 }

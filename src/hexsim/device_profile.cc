@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/check.h"
+#include "src/base/math_util.h"
 
 namespace hexsim {
 
@@ -117,6 +118,12 @@ const DeviceProfile& DeviceByArch(NpuArch arch) {
   }
   HEXLLM_CHECK_MSG(false, "unknown NpuArch");
 }
+
+int SessionsForMappedBytes(const DeviceProfile& d, int64_t mapped_bytes) {
+  return static_cast<int>(hexllm::CeilDiv(mapped_bytes, d.npu_vaddr_limit_bytes));
+}
+
+int MaxSessions(const DeviceProfile& d) { return d.arch == NpuArch::kV73 ? 1 : 2; }
 
 DeviceProfile LittleVariant(const DeviceProfile& base) {
   DeviceProfile p = base;

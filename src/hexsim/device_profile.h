@@ -88,6 +88,23 @@ std::vector<const DeviceProfile*> AllDevices();
 // Looks a device up by NPU arch.
 const DeviceProfile& DeviceByArch(NpuArch arch);
 
+// --- §6 system layer ---
+// rpcmem shared buffers, one-way cache coherence and the polling shared-memory mailbox reach
+// simulated time only through these two rules: the cost of one dispatch and the number of
+// sessions a model's mapped bytes need.
+
+// Simulated host-side cost of one NPU dispatch: the mailbox round trip (12 us submit + 12 us
+// completion) plus cache maintenance of the shared activation buffers.
+inline constexpr double kDispatchSeconds = 2 * 12e-6 + 30e-6;
+
+// NPU sessions needed to map `mapped_bytes` into `d`'s 32-bit session windows (§7.2.1).
+int SessionsForMappedBytes(const DeviceProfile& d, int64_t mapped_bytes);
+
+// Sessions one model may span on `d`: V73-era parts support a single NPU session; newer parts
+// can split a model across two to escape the 32-bit window (the §8 "multiple NPU sessions"
+// mitigation).
+int MaxSessions(const DeviceProfile& d);
+
 // A derated "little" sibling of `base` for big/little fleet mixes (src/fleet): the same
 // microarchitecture running on an efficiency-binned part — vector/matrix clocks and CPU
 // throughput scaled down with a proportionally lower power envelope. Returned by value;

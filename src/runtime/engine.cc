@@ -7,7 +7,6 @@
 #include "src/base/math_util.h"
 #include "src/hexsim/hmx.h"
 #include "src/hexsim/hvx.h"
-#include "src/hexsim/rpcmem.h"
 #include "src/kernels/attention.h"
 #include "src/kernels/lm_head.h"
 #include "src/kernels/tmac_gemv.h"
@@ -84,19 +83,13 @@ int64_t MappedBytes(const EngineOptions& options) {
              : m.DmabufBytes(options.context_budget, options.max_batch);
 }
 
-// V73-era parts support a single NPU session; newer parts can split a model across two
-// sessions to escape the 32-bit window (the §8 "multiple NPU sessions" mitigation).
-int MaxSessions(const DeviceProfile& d) { return d.arch == hexsim::NpuArch::kV73 ? 1 : 2; }
-
 }  // namespace
 
 int Engine::SessionsNeeded() const {
   if (options_.backend == Backend::kGpuOpenCl) {
     return 0;
   }
-  const int64_t mapped = MappedBytes(options_);
-  return static_cast<int>(
-      hexllm::CeilDiv(mapped, options_.device->npu_vaddr_limit_bytes));
+  return hexsim::SessionsForMappedBytes(*options_.device, MappedBytes(options_));
 }
 
 bool Engine::CanRun(std::string* reason) const {
@@ -105,7 +98,7 @@ bool Engine::CanRun(std::string* reason) const {
   }
   const ModelConfig& m = *options_.model;
   const int sessions = SessionsNeeded();
-  if (sessions > MaxSessions(*options_.device)) {
+  if (sessions > hexsim::MaxSessions(*options_.device)) {
     if (reason != nullptr) {
       *reason = m.name + " needs " + std::to_string(MappedBytes(options_) >> 20) +
                 " MiB of NPU-mapped memory (" + std::to_string(sessions) + " sessions), " +
@@ -246,7 +239,7 @@ StepCost Engine::AddLmHeadAndComm(StepCost cost, int batch) const {
   // Mailbox round trip (submit + completion) and cache maintenance for the shared
   // activation buffers (§6); models split across two sessions pay an extra hop per step.
   const int sessions = std::max(1, SessionsNeeded());
-  cost.comm_s = sessions * hexsim::NpuSession::kDispatchSeconds;
+  cost.comm_s = sessions * hexsim::kDispatchSeconds;
 
   cost.total_s =
       cost.linear_s + cost.attention_s + cost.misc_s + cost.lm_head_s + cost.comm_s;
@@ -334,7 +327,7 @@ StepCost Engine::Prefill(int prompt_len) const {
   cost.misc_s = misc_packets / (d.hvx_freq_ghz * 1e9) / kAttentionThreads;
   cost.hvx_busy_s += misc_packets / (d.hvx_freq_ghz * 1e9);
 
-  cost.comm_s = chunks * hexsim::NpuSession::kDispatchSeconds;
+  cost.comm_s = chunks * hexsim::kDispatchSeconds;
   cost.total_s = cost.linear_s + cost.attention_s + cost.misc_s + cost.comm_s;
   return cost;
 }

@@ -5,7 +5,6 @@
 
 #include "src/base/check.h"
 #include "src/base/math_util.h"
-#include "src/hexsim/rpcmem.h"
 #include "src/kernels/attention.h"
 #include "src/kernels/lm_head.h"
 #include "src/llm/sampling.h"
@@ -39,7 +38,7 @@ int SyntheticToken(int job_id, int pos, int vocab) {
 // (the same comm rule as Engine::Prefill). No lm_head — prefill logits are discarded.
 double PrefillSeconds(double npu_s, double stall_s, int tokens) {
   const int chunks = static_cast<int>(hexllm::CeilDiv(tokens, hkern::kPrefillChunk));
-  return npu_s + stall_s + chunks * hexsim::NpuSession::kDispatchSeconds;
+  return npu_s + stall_s + chunks * hexsim::kDispatchSeconds;
 }
 
 }  // namespace
@@ -672,7 +671,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
       hkern::LmHeadCostModel(d, total_rows, tf_.config().hidden, vocab);
   out.cost.lm_head_s = lm_head_s + verify_lm.seconds;
   out.cost.cpu_busy_s = lm_cpu_busy_s + verify_lm.cpu_busy_s;
-  out.cost.comm_s = (n_catchup + max_gamma + 1) * hexsim::NpuSession::kDispatchSeconds;
+  out.cost.comm_s = (n_catchup + max_gamma + 1) * hexsim::kDispatchSeconds;
   out.cost.total_s = npu_s + out.cost.lm_head_s + out.cost.comm_s;
   FoldOffload(omark, slots, contexts, npu_s, &out.cost);
   out.watts = hrt::StepPower(d, out.cost, static_cast<int>(batch)).watts;

@@ -14,7 +14,6 @@
 #include "src/hexsim/hmx.h"
 #include "src/hexsim/hvx.h"
 #include "src/hexsim/npu_device.h"
-#include "src/hexsim/rpcmem.h"
 #include "src/hexsim/tcm.h"
 
 namespace hexsim {
@@ -476,69 +475,32 @@ TEST(HmxTest, StoreAccAppliesColumnScaleAndBias) {
                   (3 + 5) * 2.0f + 1.0f);
 }
 
-// --- rpcmem / session ---
+// --- session budget (§7.2.1) ---
 
-TEST(RpcmemTest, PoolTracksDmabufBytes) {
-  RpcmemPool pool;
-  auto a = pool.Alloc(1 << 20, "weights");
-  auto b = pool.Alloc(1 << 10, "activations");
-  EXPECT_EQ(pool.total_bytes(), (1 << 20) + (1 << 10));
-  pool.Free(a);
-  EXPECT_EQ(pool.total_bytes(), 1 << 10);
-}
-
-TEST(RpcmemDeathTest, NpuReadOfDirtyBufferAborts) {
-  RpcmemPool pool;
-  auto buf = pool.Alloc(64, "msg");
-  buf->CpuView()[0] = 42;  // CPU write, no flush
-  EXPECT_DEATH(buf->NpuView(), "cache maintenance");
-}
-
-TEST(RpcmemTest, FlushMakesBufferNpuVisible) {
-  RpcmemPool pool;
-  auto buf = pool.Alloc(64, "msg");
-  buf->CpuView()[0] = 42;
-  buf->FlushForNpu();
-  EXPECT_EQ(buf->NpuView()[0], 42);
-  // NPU writes are coherent toward the CPU without maintenance.
-  buf->NpuWriteView()[1] = 7;
-  EXPECT_EQ(buf->CpuReadView()[1], 7);
-}
-
-TEST(NpuSessionTest, V73RejectsLargeModels) {
-  RpcmemPool pool;
-  NpuSession session(OnePlusAce3());
-  auto w1 = pool.Alloc(1536ll << 20, "3B weights part 1");
-  auto w2 = pool.Alloc(900ll << 20, "3B weights part 2");
-  EXPECT_TRUE(session.MapBuffer(w1));
-  EXPECT_FALSE(session.MapBuffer(w2));  // would exceed the ~2 GiB window
-  // The same model maps fine on the 8 Gen 3.
-  NpuSession v75(OnePlus12());
-  EXPECT_TRUE(v75.MapBuffer(w1));
-  EXPECT_TRUE(v75.MapBuffer(w2));
-}
-
-TEST(NpuSessionTest, UnmapFreesAddressSpace) {
-  RpcmemPool pool;
-  NpuSession session(OnePlusAce3());
-  auto w = pool.Alloc(1800ll << 20, "weights");
-  EXPECT_TRUE(session.MapBuffer(w));
-  auto w2 = pool.Alloc(1800ll << 20, "other");
-  EXPECT_FALSE(session.MapBuffer(w2));
-  session.UnmapBuffer(w);
-  EXPECT_TRUE(session.MapBuffer(w2));
-}
-
-TEST(NpuSessionTest, MailboxDeliversRequests) {
-  NpuSession session(OnePlus12());
-  std::vector<std::string> received;
-  session.SetHandler([&](const OpRequest& req) { received.push_back(req.op_name); });
-  const double latency = session.Submit({"matmul", {1, 2}, {64, 64}});
-  session.Submit({"softmax", {3}, {}});
-  EXPECT_EQ(received, (std::vector<std::string>{"matmul", "softmax"}));
-  EXPECT_EQ(session.submitted_ops(), 2);
-  EXPECT_GT(latency, 0.0);
-  EXPECT_LT(latency, 100e-6);  // shared-memory polling beats default FastRPC latency
+TEST(SessionBudgetTest, WindowBoundaryAndSessionCap) {
+  struct Case {
+    const DeviceProfile* device;
+    int64_t mapped_bytes;
+    int sessions;
+  };
+  const DeviceProfile& v73 = OnePlusAce3();
+  const DeviceProfile& v75 = OnePlus12();
+  const Case cases[] = {
+      {&v73, 1, 1},
+      {&v73, v73.npu_vaddr_limit_bytes, 1},
+      {&v73, v73.npu_vaddr_limit_bytes + 1, 2},
+      {&v75, v75.npu_vaddr_limit_bytes, 1},
+      {&v75, v75.npu_vaddr_limit_bytes + 1, 2},
+      {&v75, 2 * v75.npu_vaddr_limit_bytes, 2},
+      {&v75, 2 * v75.npu_vaddr_limit_bytes + 1, 3},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(SessionsForMappedBytes(*c.device, c.mapped_bytes), c.sessions)
+        << c.device->device_name << " mapping " << c.mapped_bytes << " bytes";
+  }
+  EXPECT_EQ(MaxSessions(OnePlusAce3()), 1);
+  EXPECT_EQ(MaxSessions(OnePlus12()), 2);
+  EXPECT_EQ(MaxSessions(OnePlusAce5Pro()), 2);
 }
 
 // --- ledger ---

@@ -1,6 +1,5 @@
 // Cross-module integration tests: the full system wired together on the toy model —
-// functional analogues of the paper's end-to-end accuracy experiments, and the
-// shared-memory session driving real op execution.
+// functional analogues of the paper's end-to-end accuracy experiments.
 #include <cmath>
 #include <vector>
 
@@ -8,7 +7,6 @@
 
 #include "src/base/rng.h"
 #include "src/hexsim/npu_device.h"
-#include "src/hexsim/rpcmem.h"
 #include "src/kernels/softmax.h"
 #include "src/llm/model_config.h"
 #include "src/llm/sampling.h"
@@ -18,7 +16,6 @@
 
 namespace {
 
-using hexllm::F16;
 using hexllm::Rng;
 
 // --- Table 5, functionally: LUT-softmax FP16 attention vs F32-poly attention end-to-end ---
@@ -92,49 +89,6 @@ TEST(IntegrationTest, TemperatureSamplingDiversifiesParallelPaths) {
     }
   }
   EXPECT_GE(distinct_pairs, 4);  // most pairs diverge
-}
-
-// --- session-driven op dispatch (the §6 runtime structure) ---
-
-TEST(IntegrationTest, SessionDispatchesOpsToNpuHandler) {
-  // Model the CPU-side backend submitting a layer's ops through the shared-memory mailbox;
-  // the NPU-side handler executes them against the simulator.
-  hexsim::RpcmemPool pool;
-  hexsim::NpuSession session(hexsim::OnePlus12());
-  hexsim::NpuDevice dev(hexsim::OnePlus12());
-
-  auto activations = pool.Alloc(64 * 2, "activations");
-  ASSERT_TRUE(session.MapBuffer(activations));
-
-  // NPU-side handler: executes softmax requests on buffers it looks up by id.
-  hkern::ExpLut lut(dev);
-  session.SetHandler([&](const hexsim::OpRequest& req) {
-    ASSERT_EQ(req.op_name, "softmax_rows_f16");
-    auto* data = reinterpret_cast<F16*>(activations->NpuView());
-    auto* tcm = reinterpret_cast<F16*>(dev.tcm().Alloc(64 * 2));
-    std::copy(data, data + 64, tcm);
-    hkern::SoftmaxRowsF16(dev, hkern::SoftmaxVariant::kLut, &lut, tcm,
-                          static_cast<int>(req.params[0]), static_cast<int>(req.params[1]));
-    std::copy(tcm, tcm + 64, reinterpret_cast<F16*>(activations->NpuWriteView()));
-  });
-
-  // CPU side: write inputs, flush, submit.
-  auto* cpu = reinterpret_cast<F16*>(activations->CpuView());
-  for (int i = 0; i < 64; ++i) {
-    cpu[i] = F16(static_cast<float>(i % 7));
-  }
-  activations->FlushForNpu();
-  const double latency = session.Submit({"softmax_rows_f16", {activations->id()}, {1, 64}});
-  EXPECT_GT(latency, 0.0);
-
-  // CPU reads NPU results without maintenance (coherent direction): a valid distribution.
-  const auto* out = reinterpret_cast<const F16*>(activations->CpuReadView());
-  float sum = 0.0f;
-  for (int i = 0; i < 64; ++i) {
-    sum += out[i].ToFloat();
-  }
-  EXPECT_NEAR(sum, 1.0f, 0.02f);
-  EXPECT_EQ(session.submitted_ops(), 1);
 }
 
 // --- engine consistency against the functional path ---

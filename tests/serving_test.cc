@@ -15,7 +15,6 @@
 #include "src/exec/thread_pool.h"
 #include "src/hexsim/device_profile.h"
 #include "src/hexsim/npu_device.h"
-#include "src/hexsim/rpcmem.h"
 #include "src/kernels/attention.h"
 #include "src/llm/model_config.h"
 #include "src/llm/weights.h"
@@ -1051,7 +1050,7 @@ TEST_F(ServingStepTest, PrefillDispatchesMatchAnalyticEngine) {
   // slowest of DMA, HMX and HVX over its threads); what is left is the dispatch charge.
   hexec::ParallelismOverride serial(1);
   constexpr int kMaxContext = 768;
-  const double dispatch_s = hexsim::NpuSession::kDispatchSeconds;
+  const double dispatch_s = hexsim::kDispatchSeconds;
   // DMA, HMX and HVX seconds charged since `before`.
   using Busy = std::array<double, 3>;
   const auto busy = [](const hexsim::CycleLedger& after, const hexsim::CycleLedger& before) {
