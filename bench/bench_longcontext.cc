@@ -69,7 +69,7 @@ int main() {
   const hexsim::DeviceProfile& device = hexsim::OnePlus12();
   const hllm::ModelConfig& model = hllm::Qwen25_7B();
   const int bt = hkv::kDefaultBlockTokens;
-  const int64_t block_bytes = model.KvCacheBytes(bt, hquant::KvDtype::kF16, hquant::kGroupSize);
+  const int64_t block_bytes = model.KvCacheBytes(bt);
   const int decode = smoke ? 32 : 64;
   const int resident_tokens = 16384;  // the DRAM budget: 16k tokens of resident KV
   const int64_t resident_blocks = resident_tokens / bt;

@@ -305,8 +305,7 @@ int main() {
     spec.draft = &draft_weights;
     spec.gamma = gamma;
     hserve::FunctionalBackend backend(dev, weights, fso.max_batch, /*max_context=*/160,
-                                      /*kv_pool_blocks=*/0, hquant::KvDtype::kF16,
-                                      hquant::kGroupSize, spec);
+                                      /*kv_pool_blocks=*/0, hquant::KvDtype::kF16, spec);
     return hserve::ContinuousBatcher(backend, fso).Run(js);
   };
   const hserve::ScheduleResult fn_plain = run_functional(/*gamma=*/0);
@@ -370,8 +369,7 @@ int main() {
       spec.draft = &weights;  // draft == target: every greedy proposal is accepted
       spec.gamma = 4;
       hserve::FunctionalBackend backend(dev, weights, fso.max_batch, /*max_context=*/160,
-                                        /*kv_pool_blocks=*/0, hquant::KvDtype::kF16,
-                                        hquant::kGroupSize, spec);
+                                        /*kv_pool_blocks=*/0, hquant::KvDtype::kF16, spec);
       return hserve::ContinuousBatcher(backend, fso).Run(js);
     };
     const hserve::ScheduleResult greedy_plain = run_greedy(false);

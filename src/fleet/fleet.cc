@@ -191,12 +191,17 @@ void FleetSimulator::BuildDevices() {
     dev->spec = spec;
     dev->profile = spec.little ? hexsim::LittleVariant(hexsim::DeviceByArch(spec.arch))
                                : hexsim::DeviceByArch(spec.arch);
-    dev->name = "d" + std::to_string(d) + ":" + hexsim::NpuArchName(spec.arch) +
-                (spec.little ? "-little" : "") + (spec.thermal ? "-throttled" : "");
+    std::string name("d");
+    name += std::to_string(d);
+    name += ":";
+    name += hexsim::NpuArchName(spec.arch);
+    name += spec.little ? "-little" : "";
+    name += spec.thermal ? "-throttled" : "";
+    dev->name = std::move(name);
     dev->npu = std::make_unique<hexsim::NpuDevice>(dev->profile);
+    // Each device sizes its KV pool from max_batch and stores F16 KV.
     dev->functional = std::make_unique<hserve::FunctionalBackend>(
-        *dev->npu, weights_, options_.serve.max_batch, options_.max_context,
-        options_.kv_pool_blocks, options_.kv_dtype, options_.kv_quant_group);
+        *dev->npu, weights_, options_.serve.max_batch, options_.max_context);
     dev->backend = std::make_unique<ThrottledBackend>(*dev->functional, spec.thermal_params,
                                                       spec.thermal);
     dev->batcher =

@@ -154,13 +154,6 @@ struct FleetOptions {
   RouterPolicy policy = RouterPolicy::kSessionAffine;
   hserve::ServeOptions serve;            // per-device batcher options
   int max_context = 768;                 // per-device functional backend context cap
-  int64_t kv_pool_blocks = 0;            // per-device KV pool (0 = sized from max_batch)
-  // Per-device KV storage dtype (docs/kv_quantization.md). Quantized modes shrink every
-  // device's resident-KV bytes by the same ratio as a single device, so the fleet's
-  // kv_peak_physical_bytes headline scales down while routing/token streams are governed by
-  // the same block arithmetic. F16 default is bit-identical to the pre-quant fleet.
-  hquant::KvDtype kv_dtype = hquant::KvDtype::kF16;
-  int kv_quant_group = hquant::kGroupSize;
   int prefix_capacity_per_device = 0;    // PrefixRegistry LRU capacity (<= 0: unbounded)
   // Session KV retention is derived from `policy`, not a knob: only the session-affine
   // router guarantees every turn lands on the retaining device, so only it forks follow-up

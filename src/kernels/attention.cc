@@ -221,8 +221,7 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
   for (const AttnKvSpan& s : spans) {
     HEXLLM_CHECK(s.kv.k_blocks != nullptr && s.kv.v_blocks != nullptr && s.kv_len > 0);
     HEXLLM_CHECK(s.kv.block_tokens == bt && s.kv.row.dtype == codec.dtype &&
-                 s.kv.row.elems == codec.elems && s.kv.row.group == codec.group &&
-                 s.kv.v_follows_k == layout.v_follows_k);
+                 s.kv.row.elems == codec.elems && s.kv.v_follows_k == layout.v_follows_k);
     max_kv = std::max(max_kv, s.kv_len);
   }
   int max_pos = 0;

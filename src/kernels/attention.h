@@ -125,7 +125,7 @@ void FlashAttentionF16(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant
 // gather of K/V into contiguous scratch. k_blocks/v_blocks[i] point at the position-0 K / V
 // row bytes of table block i for the owning (layer, sequence); KV position j's row starts at
 // blocks[j / block_tokens] + (j % block_tokens) * row.row_bytes(), in the cache's row format
-// `row` (hquant::KvRowCodec: dtype, elements per row, group). A row holds every KV head;
+// `row` (hquant::KvRowCodec: dtype and elements per row). A row holds every KV head;
 // query rows name the head they read (AttnQueryRow::kv_head), so the query heads of a GQA
 // group and every KV head of a span read one view — rows are never duplicated. For quantized
 // rows head slices must be group-aligned.

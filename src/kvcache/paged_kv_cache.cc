@@ -25,18 +25,17 @@ int64_t DefaultPoolBlocks(int num_seqs, int max_context, int block_tokens) {
 }  // namespace
 
 PagedKvCache::PagedKvCache(int layers, int kv_dim, int num_seqs, int max_context,
-                           int block_tokens, int64_t num_blocks, hquant::KvDtype dtype,
-                           int quant_group)
+                           int block_tokens, int64_t num_blocks, hquant::KvDtype dtype)
     : layers_(layers),
       max_context_(max_context),
-      codec_{dtype, kv_dim, quant_group},
+      codec_{dtype, kv_dim},
       num_blocks_(num_blocks > 0 ? num_blocks
                                  : DefaultPoolBlocks(num_seqs, max_context, block_tokens)),
       block_bytes_(static_cast<int64_t>(layers) * 2 * block_tokens * codec_.row_bytes()),
       mgr_(block_tokens, num_blocks_, /*bytes_per_block=*/block_bytes_) {
   HEXLLM_CHECK(layers_ >= 1 && kv_dim >= 1 && max_context_ >= 1);
   if (codec_.quantized()) {
-    HEXLLM_CHECK(quant_group >= 2 && quant_group % 2 == 0 && codec_.SlicesAt(kv_dim));
+    HEXLLM_CHECK(codec_.SlicesAt(kv_dim));
     quant_rt_scratch_.resize(static_cast<size_t>(kv_dim));
   }
   storage_.resize(static_cast<size_t>(num_blocks_ * block_bytes_));

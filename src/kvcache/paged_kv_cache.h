@@ -81,12 +81,11 @@ class PagedKvCache {
   // and one V row of width `kv_dim` for each of `layers` layers. num_blocks <= 0 sizes the
   // pool for `num_seqs` dense sequences of `max_context` plus per-sequence slack for
   // copy-on-write splits and retained prefixes. `dtype` selects F16 (default, bit-identical
-  // legacy layout) or group-quantized INT8/INT4 rows with `quant_group` elements per scale
-  // (quant_group must be even and divide kv_dim).
+  // legacy layout) or group-quantized INT8/INT4 rows with hquant::kGroupSize elements per
+  // scale (kGroupSize must divide kv_dim).
   PagedKvCache(int layers, int kv_dim, int num_seqs, int max_context,
                int block_tokens = kDefaultBlockTokens, int64_t num_blocks = 0,
-               hquant::KvDtype dtype = hquant::KvDtype::kF16,
-               int quant_group = hquant::kGroupSize);
+               hquant::KvDtype dtype = hquant::KvDtype::kF16);
 
   int max_context() const { return max_context_; }
   int block_tokens() const { return mgr_.block_tokens(); }

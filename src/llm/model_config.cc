@@ -40,14 +40,9 @@ int64_t ModelConfig::CpuWeightBytes() const {
   return static_cast<int64_t>(bytes);
 }
 
-int64_t ModelConfig::KvCacheBytes(int64_t context_tokens) const {
-  return static_cast<int64_t>(layers) * 2 * kv_dim() * context_tokens * 2;  // FP16
-}
-
-int64_t ModelConfig::KvCacheBytes(int64_t context_tokens, hquant::KvDtype kv_dtype,
-                                  int quant_group) const {
+int64_t ModelConfig::KvCacheBytes(int64_t context_tokens, hquant::KvDtype kv_dtype) const {
   return static_cast<int64_t>(layers) * 2 * context_tokens *
-         hquant::KvRowBytes(kv_dtype, kv_dim(), quant_group);
+         hquant::KvRowBytes(kv_dtype, kv_dim());
 }
 
 int64_t ModelConfig::ActivationBytes(int max_batch) const {

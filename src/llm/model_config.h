@@ -52,14 +52,12 @@ struct ModelConfig {
   int64_t NpuWeightBytes() const;
   // CPU-resident bytes: lm_head (+ untied embedding if applicable).
   int64_t CpuWeightBytes() const;
-  // KV cache bytes for a context budget (FP16 K and V in every layer).
-  int64_t KvCacheBytes(int64_t context_tokens) const;
-  // KV cache bytes for a context budget under a KV storage dtype. Matches
-  // hkv::PagedKvCache's per-block byte accounting exactly (layers x K+V x tokens x
-  // hquant::KvRowBytes), so analytic block budgets agree with functional storage. The
-  // single-argument overload above is the F16 special case.
-  int64_t KvCacheBytes(int64_t context_tokens, hquant::KvDtype kv_dtype,
-                       int quant_group = hquant::kGroupSize) const;
+  // KV cache bytes for a context budget: K and V in every layer, FP16 unless `kv_dtype`
+  // says otherwise. Matches hkv::PagedKvCache's per-block byte accounting exactly (layers
+  // x K+V x tokens x hquant::KvRowBytes), so analytic block budgets agree with functional
+  // storage.
+  int64_t KvCacheBytes(int64_t context_tokens,
+                       hquant::KvDtype kv_dtype = hquant::KvDtype::kF16) const;
   // Activation/scratch buffers shared CPU<->NPU for a given max batch.
   int64_t ActivationBytes(int max_batch) const;
   // Total dmabuf (NPU-mapped shared memory): weights + KV + activations (Figure 16's pmap

@@ -19,48 +19,31 @@ namespace {
 // Largest top_k the selection path serves from stack arrays; larger k sorts.
 constexpr int kMaxSelect = 64;
 
-// Softmax at `opts.temperature` over the candidates `idx` (in their given order), nucleus
-// truncation when `nucleus`, then one Rng draw. `p` is scratch with idx.size() entries.
+// Softmax at `temperature` over the candidates `idx` (in their given order), then one Rng
+// draw. `p` is scratch with idx.size() entries.
 int Draw(std::span<const float> logits, std::span<const int> idx, std::span<double> p,
-         const SamplerOptions& opts, bool nucleus, hexllm::Rng& rng) {
+         float temperature, hexllm::Rng& rng) {
   double max_logit = -1e30;
   for (int i : idx) {
     max_logit = std::max(max_logit, static_cast<double>(logits[static_cast<size_t>(i)]));
   }
   double sum = 0.0;
   for (size_t j = 0; j < idx.size(); ++j) {
-    p[j] = std::exp((logits[static_cast<size_t>(idx[j])] - max_logit) / opts.temperature);
+    p[j] = std::exp((logits[static_cast<size_t>(idx[j])] - max_logit) / temperature);
     sum += p[j];
   }
   for (auto& v : p) {
     v /= sum;
   }
 
-  // Nucleus truncation on the (sorted) candidates.
-  size_t n = p.size();
-  if (nucleus) {
-    double cum = 0.0;
-    for (size_t j = 0; j < p.size(); ++j) {
-      cum += p[j];
-      if (cum >= opts.top_p) {
-        n = j + 1;
-        break;
-      }
-    }
-    const double renorm = std::accumulate(p.begin(), p.begin() + static_cast<long>(n), 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      p[j] /= renorm;
-    }
-  }
-
   double r = rng.NextDouble();
-  for (size_t j = 0; j < n; ++j) {
+  for (size_t j = 0; j < p.size(); ++j) {
     r -= p[j];
     if (r <= 0.0) {
       return idx[j];
     }
   }
-  return idx[n - 1];
+  return idx.back();
 }
 
 // Scans `logits` once into the `k` largest, descending, in `top`. Returns false (and the
@@ -110,42 +93,25 @@ int SampleToken(std::span<const float> logits, const SamplerOptions& opts, hexll
 
   const int vocab = static_cast<int>(logits.size());
   const bool top_k = opts.top_k > 0 && opts.top_k < vocab;
-  const bool nucleus = opts.top_p < 1.0f;
   if (top_k && opts.top_k <= kMaxSelect) {
     int idx[kMaxSelect] = {};
     if (SelectTopK(logits, opts.top_k, idx)) {
       double p[kMaxSelect] = {};
       const size_t k = static_cast<size_t>(opts.top_k);
-      return Draw(logits, {idx, k}, {p, k}, opts, nucleus, rng);
+      return Draw(logits, {idx, k}, {p, k}, opts.temperature, rng);
     }
   }
 
-  // Candidate set, ordered by logit descending if any truncation is active.
+  // Candidate set: the top_k logits, descending, or the whole vocabulary in index order.
   std::vector<int> idx(logits.size());
   std::iota(idx.begin(), idx.end(), 0);
-  if (top_k || nucleus) {
+  if (top_k) {
     std::sort(idx.begin(), idx.end(),
               [&](int a, int b) { return logits[static_cast<size_t>(a)] > logits[static_cast<size_t>(b)]; });
-    if (top_k) {
-      idx.resize(static_cast<size_t>(opts.top_k));
-    }
+    idx.resize(static_cast<size_t>(opts.top_k));
   }
   std::vector<double> p(idx.size());
-  return Draw(logits, idx, p, opts, nucleus, rng);
-}
-
-double TokenLogProb(std::span<const float> logits, int token, float temperature) {
-  HEXLLM_CHECK(token >= 0 && token < static_cast<int>(logits.size()));
-  const double t = (temperature > 0.0f) ? temperature : 1.0f;
-  double max_logit = -1e30;
-  for (const float v : logits) {
-    max_logit = std::max(max_logit, static_cast<double>(v));
-  }
-  double sum = 0.0;
-  for (const float v : logits) {
-    sum += std::exp((v - max_logit) / t);
-  }
-  return (logits[static_cast<size_t>(token)] - max_logit) / t - std::log(sum);
+  return Draw(logits, idx, p, opts.temperature, rng);
 }
 
 }  // namespace hllm

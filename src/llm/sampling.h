@@ -1,4 +1,4 @@
-// Token sampling from logits: greedy, temperature, top-k, nucleus (top-p).
+// Token sampling from logits: greedy, temperature, top-k.
 #ifndef SRC_LLM_SAMPLING_H_
 #define SRC_LLM_SAMPLING_H_
 
@@ -12,11 +12,11 @@ namespace hllm {
 struct SamplerOptions {
   float temperature = 1.0f;  // <= 0 means greedy
   int top_k = 0;             // 0 disables
-  float top_p = 1.0f;        // 1 disables
 };
 
 // Samples one token id from `logits` under `opts`. Deterministic given the Rng state.
-// Candidates are the logits sorted descending (the first top_k of them when top_k is set).
+// Candidates are the top_k logits sorted descending when top_k is set, else every logit in
+// index order.
 // A small top_k (<= 64) is selected in one scan, without a heap allocation, whenever the
 // k largest logits are distinct, strictly above every other logit and no logit is NaN:
 // then every sort puts exactly those indices first, in that order, so the tokens match a
@@ -26,10 +26,6 @@ int SampleToken(std::span<const float> logits, const SamplerOptions& opts, hexll
 
 // Greedy argmax.
 int ArgmaxToken(std::span<const float> logits);
-
-// Log-probability of `token` under softmax(logits / temperature) — used for
-// sequence-likelihood accounting in the test-time scaling library.
-double TokenLogProb(std::span<const float> logits, int token, float temperature);
 
 }  // namespace hllm
 

@@ -39,10 +39,10 @@ int64_t StepWorkspaceBytes(const ModelConfig& c, int64_t rows) {
 
 Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, int max_batch,
                          int max_context, int64_t kv_pool_blocks, hquant::KvDtype kv_dtype,
-                         int kv_quant_group, int max_step_rows)
+                         int max_step_rows)
     : dev_(dev), weights_(weights), lut_(dev),
       kv_(weights.config.layers, weights.config.kv_dim(), max_batch, max_context,
-          hkv::kDefaultBlockTokens, kv_pool_blocks, kv_dtype, kv_quant_group),
+          hkv::kDefaultBlockTokens, kv_pool_blocks, kv_dtype),
       max_batch_(max_batch),
       max_rows_(std::max({max_step_rows, max_batch, hkern::kPrefillChunk})),
       ws_(StepWorkspaceBytes(weights.config, max_rows_)) {

@@ -47,16 +47,15 @@ class Transformer {
   // `max_context` (plus CoW/retention slack); serving backends pass an explicit pool size
   // to model a DRAM budget. `kv_dtype` selects the KV storage mode (F16 default — bit- and
   // charge-identical to the pre-quant path; INT8/INT4 group-quantize K/V rows at append and
-  // attention dequantizes them while staging; docs/kv_quantization.md). `kv_quant_group`
-  // elements share one scale and must divide head_dim.
+  // attention dequantizes them while staging; docs/kv_quantization.md). Each
+  // hquant::kGroupSize elements share one scale, so kGroupSize must divide head_dim.
   // The per-forward row capacity is the largest of max_batch, `max_step_rows` and one
   // prefill chunk (hkern::kPrefillChunk) — speculative verify steps push max_batch spans of
   // gamma+1 rows each through one forward, so the serving backend passes
   // max_batch * (gamma + 1).
   Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, int max_batch,
               int max_context, int64_t kv_pool_blocks = 0,
-              hquant::KvDtype kv_dtype = hquant::KvDtype::kF16,
-              int kv_quant_group = hquant::kGroupSize, int max_step_rows = 0);
+              hquant::KvDtype kv_dtype = hquant::KvDtype::kF16, int max_step_rows = 0);
 
   // Decodes one step for `tokens.size()` parallel sequences (sequence i consumes tokens[i]
   // at its current position). Writes FP32 logits [batch, vocab]. The softmax exp variant is

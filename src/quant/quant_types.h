@@ -66,10 +66,11 @@ static_assert(sizeof(SuperBlockQ4) == 144, "super-block is 144 bytes");
 //
 // The KV cache reuses the weight-side group-quantization rules (Q4_0 / Q8_0 scale
 // derivation above) but with a row-oriented layout: one K or V row of `kv_dim` elements is
-// stored as a contiguous payload followed by one F16 scale per `group` consecutive
-// elements. INT4 payloads pack pairwise — byte j holds element 2j in the low nibble and
-// element 2j+1 in the high nibble — unlike BlockQ4_0's j/j+16 split, so a row slices
-// cleanly at any group boundary (per-kv-head attention views need group-aligned slices).
+// stored as a contiguous payload followed by one F16 scale per kGroupSize consecutive
+// elements, the weight side's group. INT4 payloads pack pairwise — byte j holds element 2j
+// in the low nibble and element 2j+1 in the high nibble — unlike BlockQ4_0's j/j+16 split,
+// so a row slices cleanly at any group boundary (per-kv-head attention views need
+// group-aligned slices).
 // F16 rows are the same format with a 2-byte payload element and no scales.
 //
 // KvRowCodec is header-only on purpose: src/kvcache links neither hexllm_quant nor
@@ -121,12 +122,13 @@ inline int64_t KvPayloadBytes(KvDtype d, int64_t elems) {
 }
 
 // Bytes of one K (or V) row of `row_elems` elements: payload, then one F16 scale per
-// quantization group. F16 rows carry no scales and keep the legacy 2-bytes/element layout.
-inline int64_t KvRowBytes(KvDtype d, int64_t row_elems, int group) {
+// kGroupSize-element quantization group. F16 rows carry no scales and keep the legacy
+// 2-bytes/element layout.
+inline int64_t KvRowBytes(KvDtype d, int64_t row_elems) {
   if (d == KvDtype::kF16) {
     return row_elems * 2;
   }
-  return KvPayloadBytes(d, row_elems) + (row_elems / group) * 2;
+  return KvPayloadBytes(d, row_elems) + (row_elems / kGroupSize) * 2;
 }
 
 // The one KV row codec: encodes a row of `elems` F16 values into KvRowBytes bytes and
@@ -137,20 +139,19 @@ inline int64_t KvRowBytes(KvDtype d, int64_t row_elems, int group) {
 // the HVX vlut16 scale-multiply produces.
 struct KvRowCodec {
   KvDtype dtype = KvDtype::kF16;
-  int64_t elems = 0;       // elements per row (the cache's kv_dim)
-  int group = kGroupSize;  // elements per F16 scale (quantized dtypes)
+  int64_t elems = 0;  // elements per row (the cache's kv_dim)
 
   bool quantized() const { return dtype != KvDtype::kF16; }
-  int64_t row_bytes() const { return KvRowBytes(dtype, elems, group); }
+  int64_t row_bytes() const { return KvRowBytes(dtype, elems); }
   // Bytes from a row's start to the payload of element `elem0` (group-aligned).
   int64_t PayloadOffset(int64_t elem0) const { return KvPayloadBytes(dtype, elem0); }
   // Bytes from a row's start to the F16 scale of the group starting at element `elem0`.
   int64_t ScaleOffset(int64_t elem0) const {
-    return KvPayloadBytes(dtype, elems) + (elem0 / group) * 2;
+    return KvPayloadBytes(dtype, elems) + (elem0 / kGroupSize) * 2;
   }
   // True when `n`-element slices at multiples of n stay group-aligned, as per-head views
   // require. Always true for kF16.
-  bool SlicesAt(int64_t n) const { return !quantized() || n % group == 0; }
+  bool SlicesAt(int64_t n) const { return !quantized() || n % kGroupSize == 0; }
 
   // Encodes one row of `elems` F16 values into `row` (row_bytes() bytes).
   void Encode(const hexllm::F16* src, uint8_t* row) const {
@@ -158,11 +159,11 @@ struct KvRowCodec {
       std::memcpy(row, src, static_cast<size_t>(elems) * 2);
       return;
     }
-    for (int64_t e0 = 0; e0 < elems; e0 += group) {
+    for (int64_t e0 = 0; e0 < elems; e0 += kGroupSize) {
       const hexllm::F16* x = src + e0;
       float amax = 0.0f;
       float vmax = 0.0f;  // signed value of the max-magnitude element
-      for (int i = 0; i < group; ++i) {
+      for (int i = 0; i < kGroupSize; ++i) {
         const float a = std::fabs(x[i].ToFloat());
         if (a > amax) {
           amax = a;
@@ -174,12 +175,12 @@ struct KvRowCodec {
       const float id = (d != 0.0f) ? 1.0f / d : 0.0f;
       const auto q = [&](int i) { return static_cast<int>(std::lrintf(x[i].ToFloat() * id)); };
       if (dtype == KvDtype::kInt4) {
-        for (int j = 0; j < group / 2; ++j) {
+        for (int j = 0; j < kGroupSize / 2; ++j) {
           payload[j] = static_cast<uint8_t>(hexllm::Clamp(q(2 * j) + 8, 0, 15) |
                                             (hexllm::Clamp(q(2 * j + 1) + 8, 0, 15) << 4));
         }
       } else {
-        for (int i = 0; i < group; ++i) {
+        for (int i = 0; i < kGroupSize; ++i) {
           payload[i] = static_cast<uint8_t>(hexllm::Clamp(q(i), -127, 127));
         }
       }
@@ -195,19 +196,19 @@ struct KvRowCodec {
       std::memcpy(dst, row + elem0 * 2, static_cast<size_t>(n) * 2);
       return;
     }
-    for (int64_t g0 = 0; g0 < n; g0 += group) {
+    for (int64_t g0 = 0; g0 < n; g0 += kGroupSize) {
       uint16_t d_bits;
       std::memcpy(&d_bits, row + ScaleOffset(elem0 + g0), 2);
       const float d = hexllm::F16BitsToF32(d_bits);
       const uint8_t* payload = row + PayloadOffset(elem0 + g0);
       hexllm::F16* out = dst + g0;
       if (dtype == KvDtype::kInt4) {
-        for (int j = 0; j < group / 2; ++j) {
+        for (int j = 0; j < kGroupSize / 2; ++j) {
           out[2 * j] = hexllm::F16(static_cast<float>((payload[j] & 0x0F) - 8) * d);
           out[2 * j + 1] = hexllm::F16(static_cast<float>((payload[j] >> 4) - 8) * d);
         }
       } else {
-        for (int i = 0; i < group; ++i) {
+        for (int i = 0; i < kGroupSize; ++i) {
           out[i] = hexllm::F16(static_cast<float>(static_cast<int8_t>(payload[i])) * d);
         }
       }

@@ -5,10 +5,10 @@
 
 #include "src/base/check.h"
 #include "src/base/math_util.h"
-#include "src/hexsim/hmx.h"
 #include "src/hexsim/hvx.h"
 #include "src/kernels/attention.h"
 #include "src/kernels/lm_head.h"
+#include "src/kernels/mixed_gemm.h"
 #include "src/kernels/tmac_gemv.h"
 
 namespace hrt {
@@ -134,9 +134,9 @@ StepCost Engine::NpuDecodeStep(int batch, int context) const {
                                              hquant::WeightSchemeBpw(mat.scheme) / 8.0);
       continue;
     }
-    const auto g = hkern::MixedGemmCostModel(d, options_.dequant, mat.scheme, batch,
-                                             static_cast<int>(mat.k), static_cast<int>(mat.n),
-                                             /*threads=*/4);
+    const auto g = hkern::MixedGemmCostModel(d, hkern::DequantKernel::kCoalescedLut,
+                                             mat.scheme, batch, static_cast<int>(mat.k),
+                                             static_cast<int>(mat.n), /*threads=*/4);
     // Re-derive latency with the end-to-end effective thread count.
     const double hvx_latency = g.hvx_busy_s / kDecodeDequantThreads;
     cost.linear_s +=
@@ -285,7 +285,6 @@ StepCost Engine::Prefill(int prompt_len) const {
   // Linear layers: HMX compute at pipeline efficiency; weights re-fetched (and for ours,
   // re-dequantized) once per chunk.
   const double flops = 2.0 * m.params_b * 1e9 * prompt_len;
-  hexsim::HmxEngine hmx(d);
   const double hmx_peak = d.HmxPeakGflops() * 1e9;
   const double hmx_s = flops / (hmx_peak * hmx_eff);
   double weight_bytes_per_pass = 0.0;
@@ -300,8 +299,9 @@ StepCost Engine::Prefill(int prompt_len) const {
   double dequant_s = 0.0;
   if (options_.backend == Backend::kNpuOurs) {
     const double elems = m.params_b * 1e9;
-    const double packets =
-        elems / 64.0 * hkern::DequantPacketsPer64(d, options_.dequant) * chunks;
+    const double packets = elems / 64.0 *
+                           hkern::DequantPacketsPer64(d, hkern::DequantKernel::kCoalescedLut) *
+                           chunks;
     dequant_s = packets / (d.hvx_freq_ghz * 1e9) / kAttentionThreads;
   }
   cost.linear_s = std::max({hmx_s, dma_s, dequant_s});

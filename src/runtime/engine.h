@@ -20,7 +20,6 @@
 #include <string>
 
 #include "src/hexsim/device_profile.h"
-#include "src/kernels/mixed_gemm.h"
 #include "src/llm/model_config.h"
 #include "src/obs/metrics.h"
 
@@ -101,7 +100,6 @@ struct EngineOptions {
   Backend backend = Backend::kNpuOurs;
   int context_budget = 4096;
   int max_batch = 16;
-  hkern::DequantKernel dequant = hkern::DequantKernel::kCoalescedLut;
   // §8(a) extension: run the linear layers as T-MAC-style LUT GEMV (no dequantization, no
   // HMX) instead of dequant+HMX. Fast at batch 1 (DMA-bound); loses to HMX at batch >= ~4.
   bool use_tmac_gemv = false;

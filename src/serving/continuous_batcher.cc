@@ -11,6 +11,9 @@ namespace hserve {
 
 namespace {
 
+// Cap on traced steps and on traced admissions per run (traces grow fast).
+constexpr int kMaxTraceSteps = 256;
+
 // Lays one priced decode step onto the trace lanes: the engine busy overlays share the
 // NPU-side span; the CPU lm_head either serializes after it (charged_s == c.total_s) or —
 // when the step was charged with the NPU/CPU overlap rule — runs concurrently, right-aligned
@@ -84,7 +87,6 @@ void ContinuousBatcher::Reset() {
   pending_children_.clear();
   occupied_ = 0;
   completed_ = 0;
-  paused_unqueued_ = 0;
   step_idx_ = 0;
   useful_rows_ = 0;
   occupied_rows_ = 0;
@@ -207,7 +209,7 @@ void ContinuousBatcher::Poison(const std::string& error) {
   r_.kv = backend_.kv_stats();
 }
 
-bool ContinuousBatcher::PauseJob(int job_id, bool requeue) {
+bool ContinuousBatcher::PauseJob(int job_id) {
   HEXLLM_CHECK_MSG(ids_unique_, "job-id APIs need unique job ids");
   const auto it = id_index_.find(job_id);
   if (it == id_index_.end()) {
@@ -217,29 +219,7 @@ bool ContinuousBatcher::PauseJob(int job_id, bool requeue) {
   if (rec.state != JobState::kDecoding) {
     return false;
   }
-  PauseSlotInternal(rec.slot, requeue, nullptr);
-  return true;
-}
-
-bool ContinuousBatcher::ResumeJob(int job_id) {
-  HEXLLM_CHECK_MSG(ids_unique_, "job-id APIs need unique job ids");
-  const auto it = id_index_.find(job_id);
-  if (it == id_index_.end()) {
-    return false;
-  }
-  const int index = it->second;
-  if (jobs_[static_cast<size_t>(index)].state != JobState::kPaused) {
-    return false;
-  }
-  // Only manually-parked jobs (PauseJob(requeue=false)) need this; auto-requeued ones are
-  // already in the admission queue.
-  for (const ReadyEntry& e : ready_) {
-    if (e.job == index) {
-      return false;
-    }
-  }
-  --paused_unqueued_;
-  Enqueue(index, /*resume=*/true);
+  PauseSlotInternal(rec.slot, nullptr);
   return true;
 }
 
@@ -286,7 +266,7 @@ JobState ContinuousBatcher::job_state(int job_id) const {
   return jobs_[static_cast<size_t>(it->second)].state;
 }
 
-void ContinuousBatcher::PauseSlotInternal(int slot, bool requeue, StepEvents* ev) {
+void ContinuousBatcher::PauseSlotInternal(int slot, StepEvents* ev) {
   Slot& sl = slots_[static_cast<size_t>(slot)];
   HEXLLM_CHECK(sl.job >= 0);
   JobRec& rec = jobs_[static_cast<size_t>(sl.job)];
@@ -302,11 +282,7 @@ void ContinuousBatcher::PauseSlotInternal(int slot, bool requeue, StepEvents* ev
   free_slots_.push_back(slot);
   --occupied_;
   ++r_.preemptions;
-  if (requeue) {
-    Enqueue(static_cast<int>(&rec - jobs_.data()), /*resume=*/true);
-  } else {
-    ++paused_unqueued_;
-  }
+  Enqueue(static_cast<int>(&rec - jobs_.data()), /*resume=*/true);
   if (ev != nullptr) {
     ev->paused.push_back(rec.job.id);
   }
@@ -378,8 +354,7 @@ void ContinuousBatcher::Admit(const ReadyEntry& entry, StepEvents& ev) {
     }
   }
   r_.admissions.push_back(Admission{job.id, slot, step_idx_, r_.makespan_s});
-  if (options_.record_trace && prefill_s > 0.0 &&
-      traced_admissions_ < options_.max_trace_steps) {
+  if (options_.record_trace && prefill_s > 0.0 && traced_admissions_ < kMaxTraceSteps) {
     r_.trace.Add("ADMIT", "prefill job " + std::to_string(job.id), t0, prefill_s);
     ++traced_admissions_;
   }
@@ -436,7 +411,7 @@ void ContinuousBatcher::AdmitReady(StepEvents& ev) {
       if (victim < 0) {
         break;  // nothing outranked: the candidate waits for a natural completion
       }
-      PauseSlotInternal(victim, /*requeue=*/true, &ev);
+      PauseSlotInternal(victim, &ev);
     } else if (!fits()) {
       ++r_.admission_deferrals;
       break;  // KV pool/budget full: wait for running jobs to complete and free blocks
@@ -567,7 +542,7 @@ StepEvents ContinuousBatcher::Step() {
     r_.step_active.push_back(useful);
     r_.step_occupied.push_back(static_cast<int>(row_slots_.size()));
   }
-  if (options_.record_trace && traced_steps_ < options_.max_trace_steps) {
+  if (options_.record_trace && traced_steps_ < kMaxTraceSteps) {
     int64_t ctx_sum = 0;
     for (const int c : row_contexts_) {
       ctx_sum += c;

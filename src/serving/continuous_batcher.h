@@ -74,7 +74,6 @@ struct ServeOptions {
   int max_batch = 16;
   SchedulePolicy policy = SchedulePolicy::kContinuous;
   bool record_trace = false;  // export per-step lanes into ScheduleResult::trace
-  int max_trace_steps = 256;  // cap on traced steps/admissions (traces grow fast)
   bool record_steps = false;  // per-step occupancy log (step_active / step_occupied)
   // Allow admission to pause a running strictly-lower-priority decode when the slot pool is
   // full (continuous policy only). The victim is the decoding job with the lowest priority
@@ -194,13 +193,9 @@ class ContinuousBatcher {
   StepEvents Step();
 
   // Preempts a decoding job: its KV stays resident behind a retained handle, its slot
-  // frees this instant, and (requeue = true) it re-enters the admission queue at its own
-  // priority. With requeue = false the job stays kPaused until ResumeJob. Returns false if
-  // the job is not currently decoding.
-  bool PauseJob(int job_id, bool requeue = true);
-
-  // Re-enqueues a job paused with requeue = false. Returns false unless kPaused.
-  bool ResumeJob(int job_id);
+  // frees this instant, and it re-enters the admission queue at its own priority. Returns
+  // false if the job is not currently decoding.
+  bool PauseJob(int job_id);
 
   // Advances the clock with no work performed (live mode: the gap to the next arrival).
   void AdvanceTime(double seconds);
@@ -228,7 +223,7 @@ class ContinuousBatcher {
   ScheduleResult Finish();
 
   // --- introspection ----------------------------------------------------------------
-  bool HasWork() const { return !ready_.empty() || occupied_ > 0 || paused_unqueued_ > 0; }
+  bool HasWork() const { return !ready_.empty() || occupied_ > 0; }
   double now_s() const { return r_.makespan_s; }
   int free_slots() const { return static_cast<int>(free_slots_.size()); }
   JobState job_state(int job_id) const;
@@ -291,8 +286,8 @@ class ContinuousBatcher {
   void AdmitReady(StepEvents& ev);
   // Binds the ready entry to a free slot (fresh, fork, or resume admission).
   void Admit(const ReadyEntry& entry, StepEvents& ev);
-  // Shared pause path; `requeue` re-enqueues for automatic resume.
-  void PauseSlotInternal(int slot, bool requeue, StepEvents* ev);
+  // Shared pause path: frees the slot and re-enqueues the job for automatic resume.
+  void PauseSlotInternal(int slot, StepEvents* ev);
   // Completion bookkeeping for the job in `slot` (retention, group barriers, reclamation).
   void Complete(int slot, StepEvents& ev);
   // Marks the run failed (live mode surfaces the error on Finish).
@@ -318,7 +313,6 @@ class ContinuousBatcher {
   std::vector<int> pending_children_;         // batch mode: children awaiting each job's KV
   int occupied_ = 0;
   int completed_ = 0;
-  int paused_unqueued_ = 0;  // kPaused jobs awaiting an explicit ResumeJob
   int64_t step_idx_ = 0;
   int64_t useful_rows_ = 0;
   int64_t occupied_rows_ = 0;

@@ -58,12 +58,11 @@ AnalyticBackend::AnalyticBackend(const hrt::Engine& engine, const Options& optio
       // the configured KV dtype, so a budget admits proportionally more sequences when KV
       // is quantized — the same arithmetic the functional cache applies to its storage.
       kv_(hkv::kDefaultBlockTokens, /*max_blocks=*/0,
-          engine.options().model->KvCacheBytes(hkv::kDefaultBlockTokens, options.kv_dtype,
-                                               options.kv_quant_group)),
+          engine.options().model->KvCacheBytes(hkv::kDefaultBlockTokens, options.kv_dtype)),
       kv_dtype_(options.kv_dtype),
       offload_blocks_(std::max<int64_t>(0, options.kv_offload_resident_blocks)),
-      bytes_per_block_(engine.options().model->KvCacheBytes(
-          hkv::kDefaultBlockTokens, options.kv_dtype, options.kv_quant_group)),
+      bytes_per_block_(
+          engine.options().model->KvCacheBytes(hkv::kDefaultBlockTokens, options.kv_dtype)),
       flash_(options.flash),
       window_(options.attn_window) {
   window_.block_tokens = hkv::kDefaultBlockTokens;
@@ -286,18 +285,17 @@ StepOutcome AnalyticBackend::SpeculativeStep(std::span<const int> slots,
 
 FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWeights& weights,
                                      int max_batch, int max_context, int64_t kv_pool_blocks,
-                                     hquant::KvDtype kv_dtype, int kv_quant_group)
+                                     hquant::KvDtype kv_dtype)
     : FunctionalBackend(dev, weights, max_batch, max_context, kv_pool_blocks, kv_dtype,
-                        kv_quant_group, SpecOptions{}) {}
+                        SpecOptions{}) {}
 
 FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWeights& weights,
                                      int max_batch, int max_context, int64_t kv_pool_blocks,
-                                     hquant::KvDtype kv_dtype, int kv_quant_group,
-                                     const SpecOptions& spec)
+                                     hquant::KvDtype kv_dtype, const SpecOptions& spec)
     : dev_(dev),
       // A speculative verify pushes max_batch spans of gamma+1 rows through one forward, so
       // the transformer's scratch arena is sized for that row count up front.
-      tf_(dev, weights, max_batch, max_context, kv_pool_blocks, kv_dtype, kv_quant_group,
+      tf_(dev, weights, max_batch, max_context, kv_pool_blocks, kv_dtype,
           spec.draft != nullptr ? max_batch * (std::max(0, spec.gamma) + 1) : 0),
       max_context_(max_context),
       last_token_(static_cast<size_t>(max_batch), 1),
@@ -313,8 +311,7 @@ FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWe
     HEXLLM_CHECK_MSG(spec.draft->config.vocab == weights.config.vocab,
                      "draft and target must share a vocabulary (acceptance compares ids)");
     draft_ = std::make_unique<hllm::Transformer>(dev, *spec.draft, max_batch, max_context,
-                                                 /*kv_pool_blocks=*/0, kv_dtype,
-                                                 kv_quant_group);
+                                                 /*kv_pool_blocks=*/0, kv_dtype);
     spec_slot_.assign(static_cast<size_t>(max_batch), false);
     draft_carry_.assign(static_cast<size_t>(max_batch), -1);
     draft_prev_.assign(static_cast<size_t>(max_batch), 0);

@@ -172,7 +172,6 @@ class AnalyticBackend : public ExecutionBackend {
     // bytes_per_block 1.9-3.6x, so the same kv_budget_bytes admits proportionally more
     // blocks (more Best-of-N lanes / longer contexts — the KV-quantization payoff).
     hquant::KvDtype kv_dtype = hquant::KvDtype::kF16;
-    int kv_quant_group = hquant::kGroupSize;  // elements per scale group
     // Speculative decoding (docs/speculative_decoding.md): a draft engine prices the gamma
     // autoregressive draft steps of each cycle and the target engine prices the batched
     // verify; per-row accepted-prefix lengths are drawn from the classic geometric
@@ -303,13 +302,12 @@ class FunctionalBackend : public ExecutionBackend {
   // bit-identical to the legacy path.
   FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWeights& weights, int max_batch,
                     int max_context, int64_t kv_pool_blocks,
-                    hquant::KvDtype kv_dtype, int kv_quant_group, const SpecOptions& spec);
+                    hquant::KvDtype kv_dtype, const SpecOptions& spec);
   // Convenience overload without a draft model (SpecOptions can't be a default argument:
   // its member initializers are incomplete inside the enclosing class).
   FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWeights& weights, int max_batch,
                     int max_context, int64_t kv_pool_blocks = 0,
-                    hquant::KvDtype kv_dtype = hquant::KvDtype::kF16,
-                    int kv_quant_group = hquant::kGroupSize);
+                    hquant::KvDtype kv_dtype = hquant::KvDtype::kF16);
 
   // Wires tiered KV offload and/or sliding-window attention into the transformer
   // (docs/long_context.md). Must be called before the first admission: the offload engine

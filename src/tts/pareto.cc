@@ -20,8 +20,6 @@ const char* TtsMethodName(TtsMethod m) {
       return "Best-of-N";
     case TtsMethod::kBeamSearch:
       return "Beam Search";
-    case TtsMethod::kMajorityVote:
-      return "Majority Vote";
     case TtsMethod::kSpeculative:
       return "Speculative";
   }
@@ -40,7 +38,7 @@ std::vector<ParetoPoint> SweepPareto(const CapabilityModel& cap,
   for (const auto* model : options.models) {
     const double theta = cap.EffectiveTheta(*model, options.dataset,
                                             cap.DeployedWeightErr(*model),
-                                            cap.AttentionErr(options.kv_dtype));
+                                            cap.lut_f16_attention_err());
     hrt::EngineOptions eo;
     eo.model = model;
     eo.device = options.device;
@@ -59,7 +57,6 @@ std::vector<ParetoPoint> SweepPareto(const CapabilityModel& cap,
       p.model = model->name;
       p.method = method;
       p.budget = budget;
-      p.kv_dtype = options.kv_dtype;
       p.accuracy = r.accuracy;
       p.runnable = runnable;
       if (draft_engine != nullptr) {
@@ -67,10 +64,8 @@ std::vector<ParetoPoint> SweepPareto(const CapabilityModel& cap,
         p.spec_acceptance = spec_acceptance;
       }
       if (runnable) {
+        // F16 KV, tracked without a DRAM budget gate.
         hserve::AnalyticBackend::Options bo;
-        bo.kv_budget_bytes = options.kv_budget_bytes;
-        bo.kv_dtype = options.kv_dtype;
-        bo.kv_quant_group = options.kv_quant_group;
         if (draft_engine != nullptr) {
           bo.draft_engine = draft_engine;
           bo.spec_gamma = options.spec_gamma;
@@ -82,7 +77,7 @@ std::vector<ParetoPoint> SweepPareto(const CapabilityModel& cap,
         hserve::ContinuousBatcher batcher(backend, so);
         const hserve::ScheduleResult s = batcher.Run(jobs);
         if (!s.error.empty()) {
-          p.runnable = false;  // stream rejected (KV budget / context limit)
+          p.runnable = false;  // stream rejected (context limit)
         }
         p.makespan_s = s.makespan_s;
         p.kv_physical_peak_bytes = s.kv.peak_physical_bytes();

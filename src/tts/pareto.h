@@ -18,7 +18,6 @@ enum class TtsMethod : uint8_t {
   kBase,          // conventional single-sample decoding
   kBestOfN,
   kBeamSearch,
-  kMajorityVote,
   kSpeculative,   // draft-assisted decoding: base accuracy at a lower cost per token
 };
 
@@ -33,7 +32,6 @@ struct ParetoPoint {
   std::string spec_draft;
   double spec_acceptance = 0.0;
   int budget = 1;                 // generation budget (max decode batch)
-  hquant::KvDtype kv_dtype = hquant::KvDtype::kF16;  // KV storage mode this point ran under
   double accuracy = 0.0;          // task accuracy (fraction)
   double latency_per_token_s = 0.0;  // average decode latency per step (cost axis, Fig 10)
   double energy_per_token_j = 0.0;   // energy cost alternative (§7.2.3)
@@ -45,7 +43,7 @@ struct ParetoPoint {
   int64_t kv_logical_peak_bytes = 0;
   double kv_sharing_ratio = 1.0;
   bool runnable = true;           // false if the model does not fit the device NPU, or the
-                                  // job stream exceeded the KV budget / context limit
+                                  // job stream exceeded the context limit
 };
 
 struct ParetoSweepOptions {
@@ -56,16 +54,6 @@ struct ParetoSweepOptions {
   int tasks = 500;
   int trials = 8;
   uint64_t seed = 7;
-  // DRAM budget for KV blocks during serving; admissions defer once worst-case block demand
-  // exceeds it (a point whose stream cannot fit at all is marked not runnable). <= 0 tracks
-  // KV bytes without gating.
-  int64_t kv_budget_bytes = 0;
-  // KV storage dtype for the serving cost model AND the accuracy model: quantized KV
-  // shrinks block bytes (more parallel samples fit a DRAM budget) while the attention
-  // error fed to EffectiveTheta switches to the measured round-trip figure
-  // (CapabilityModel::AttentionErr; docs/kv_quantization.md).
-  hquant::KvDtype kv_dtype = hquant::KvDtype::kF16;
-  int kv_quant_group = hquant::kGroupSize;
   // Optional speculative-decoding axis: when set (and distinct from the swept model), each
   // model additionally gets a kSpeculative point — the base single-sample job stream decoded
   // with this draft at `spec_gamma` proposals per cycle, acceptance derived from the

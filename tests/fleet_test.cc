@@ -93,8 +93,7 @@ class FleetFixture : public ::testing::Test {
     spec.gamma = 3;
     return std::make_unique<hserve::FunctionalBackend>(*devs_.back(), weights_, max_batch,
                                                        max_context, /*kv_pool_blocks=*/0,
-                                                       hquant::KvDtype::kF16,
-                                                       hquant::kGroupSize, spec);
+                                                       hquant::KvDtype::kF16, spec);
   }
 
   // Four jobs of 8 prompt and `decode` tokens, drafting when `speculative`.

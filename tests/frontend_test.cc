@@ -93,8 +93,8 @@ TEST_F(FrontendTest, PauseResumeIsBitIdenticalToUnpreemptedRun) {
   const auto base_r = a.Finish();
   ASSERT_TRUE(base_r.error.empty()) << base_r.error;
 
-  // Preempted mid-stream: 4 tokens, pause (slot freed, KV resident), idle step while
-  // paused, resume, finish.
+  // Preempted mid-stream: 4 tokens, pause (slot freed, KV resident, job requeued), resume
+  // on the next step, finish.
   auto be_b = MakeBackend(so.max_batch);
   ContinuousBatcher b(*be_b, so);
   ASSERT_TRUE(b.Submit(job));
@@ -106,11 +106,9 @@ TEST_F(FrontendTest, PauseResumeIsBitIdenticalToUnpreemptedRun) {
       got.push_back(t.token);
     }
   }
-  ASSERT_TRUE(b.PauseJob(job.id, /*requeue=*/false));
+  ASSERT_TRUE(b.PauseJob(job.id));
   EXPECT_EQ(b.job_state(job.id), hserve::JobState::kPaused);
   EXPECT_EQ(b.free_slots(), so.max_batch);
-  EXPECT_FALSE(b.Step().stepped);  // paused with no queue: the batcher idles
-  ASSERT_TRUE(b.ResumeJob(job.id));
   while (b.HasWork()) {
     const StepEvents ev = b.Step();
     ASSERT_TRUE(ev.stepped);

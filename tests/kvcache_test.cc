@@ -276,57 +276,78 @@ TEST(PagedKvCacheTest, ForkReadsSharedRowsAndCowPreservesParent) {
 
 // --- quantized KV storage (docs/kv_quantization.md) ---
 
-TEST(KvQuantTest, RoundTripErrorRespectsScaleBoundPerGroupSize) {
+TEST(KvQuantTest, RowBytesArePinnedPerDtype) {
+  // The KV row format is fixed: payload, then one F16 scale per hquant::kGroupSize (32)
+  // elements. Pinned at the toy kv_dim (64, the sizes docs/kv_quantization.md quotes) and
+  // at Qwen2.5-1.5B's (256), through the codec, the cache and the analytic byte model.
+  struct Case {
+    hquant::KvDtype dtype;
+    int64_t row64;
+    int64_t row256;
+    int64_t qwen_32_tokens;
+  };
+  for (const Case& c : {Case{hquant::KvDtype::kF16, 128, 512, 917'504},
+                        Case{hquant::KvDtype::kInt8, 68, 272, 487'424},
+                        Case{hquant::KvDtype::kInt4, 36, 144, 258'048}}) {
+    SCOPED_TRACE(hquant::KvDtypeName(c.dtype));
+    EXPECT_EQ(hquant::KvRowBytes(c.dtype, 64), c.row64);
+    EXPECT_EQ(hquant::KvRowBytes(c.dtype, 256), c.row256);
+    EXPECT_EQ((hquant::KvRowCodec{c.dtype, 64}.row_bytes()), c.row64);
+    const PagedKvCache kv(/*layers=*/1, /*kv_dim=*/64, /*num_seqs=*/1, /*max_context=*/64,
+                          /*block_tokens=*/4, /*num_blocks=*/0, c.dtype);
+    EXPECT_EQ(kv.row_bytes(), c.row64);
+    EXPECT_EQ(hllm::Qwen25_1_5B().KvCacheBytes(32, c.dtype), c.qwen_32_tokens);
+  }
+}
+
+TEST(KvQuantTest, RoundTripErrorRespectsScaleBound) {
   // Q4_0/Q8_0 group quantization bounds the per-element error by half the group scale
-  // (plus F16 rounding of the scale and the product). Checked per group size on the real
-  // write/read path, and against the cache's own accumulated error proxy.
+  // (plus F16 rounding of the scale and the product). Checked on the real write/read path,
+  // and against the cache's own accumulated error proxy.
+  constexpr int kGroup = hquant::kGroupSize;
   hexllm::Rng rng(0xBEEF);
   const int kv_dim = 64;
   const int positions = 8;
   double rel_rms_int4 = 0.0;
   double rel_rms_int8 = 0.0;
-  for (const int group : {16, 32, 64}) {
-    for (const hquant::KvDtype dtype : {hquant::KvDtype::kInt8, hquant::KvDtype::kInt4}) {
-      PagedKvCache kv(/*layers=*/1, kv_dim, /*num_seqs=*/1, /*max_context=*/64,
-                      /*block_tokens=*/4, /*num_blocks=*/0, dtype, group);
-      std::vector<F16> src(static_cast<size_t>(kv_dim));
-      std::vector<F16> back(static_cast<size_t>(kv_dim));
-      for (int pos = 0; pos < positions; ++pos) {
-        for (auto& x : src) {
-          x = F16(static_cast<float>(rng.NextGaussian()));
-        }
-        kv.WriteKeyRow(0, 0, pos, src.data());
-        kv.WriteValueRow(0, 0, pos, src.data());
-        kv.Advance(0);
-        kv.ReadKeyRow(0, 0, pos, back.data());
-        for (int g = 0; g < kv_dim; g += group) {
-          float amax = 0.0f;
-          for (int j = 0; j < group; ++j) {
-            amax = std::max(amax, std::abs(src[static_cast<size_t>(g + j)].ToFloat()));
-          }
-          // Q8_0's symmetric grid bounds the error at half a step; Q4_0's asymmetric grid
-          // (levels -8d..+7d) clamps opposite-sign extremes up to a FULL step. Plus F16
-          // rounding slop for the scale and the product.
-          const float bound = (dtype == hquant::KvDtype::kInt4 ? amax / 8.0f
-                                                               : 0.5f * amax / 127.0f) +
-                              amax / 512.0f;
-          for (int j = 0; j < group; ++j) {
-            const float err = std::abs(back[static_cast<size_t>(g + j)].ToFloat() -
-                                       src[static_cast<size_t>(g + j)].ToFloat());
-            EXPECT_LE(err, bound) << "group=" << group << " dtype=" << static_cast<int>(dtype);
-          }
-        }
+  for (const hquant::KvDtype dtype : {hquant::KvDtype::kInt8, hquant::KvDtype::kInt4}) {
+    PagedKvCache kv(/*layers=*/1, kv_dim, /*num_seqs=*/1, /*max_context=*/64,
+                    /*block_tokens=*/4, /*num_blocks=*/0, dtype);
+    std::vector<F16> src(static_cast<size_t>(kv_dim));
+    std::vector<F16> back(static_cast<size_t>(kv_dim));
+    for (int pos = 0; pos < positions; ++pos) {
+      for (auto& x : src) {
+        x = F16(static_cast<float>(rng.NextGaussian()));
       }
-      // The write-time proxy saw every row and agrees with the bound scale-wise.
-      const KvQuantStats& st = kv.quant_stats();
-      EXPECT_EQ(st.rows, int64_t{2} * positions);
-      EXPECT_EQ(st.elems, int64_t{2} * positions * kv_dim);
-      EXPECT_GT(st.max_abs_err, 0.0);
-      EXPECT_GT(st.bytes_saved(), 0);
-      if (group == 32) {
-        (dtype == hquant::KvDtype::kInt4 ? rel_rms_int4 : rel_rms_int8) = st.rel_rms();
+      kv.WriteKeyRow(0, 0, pos, src.data());
+      kv.WriteValueRow(0, 0, pos, src.data());
+      kv.Advance(0);
+      kv.ReadKeyRow(0, 0, pos, back.data());
+      for (int g = 0; g < kv_dim; g += kGroup) {
+        float amax = 0.0f;
+        for (int j = 0; j < kGroup; ++j) {
+          amax = std::max(amax, std::abs(src[static_cast<size_t>(g + j)].ToFloat()));
+        }
+        // Q8_0's symmetric grid bounds the error at half a step; Q4_0's asymmetric grid
+        // (levels -8d..+7d) clamps opposite-sign extremes up to a FULL step. Plus F16
+        // rounding slop for the scale and the product.
+        const float bound = (dtype == hquant::KvDtype::kInt4 ? amax / 8.0f
+                                                             : 0.5f * amax / 127.0f) +
+                            amax / 512.0f;
+        for (int j = 0; j < kGroup; ++j) {
+          const float err = std::abs(back[static_cast<size_t>(g + j)].ToFloat() -
+                                     src[static_cast<size_t>(g + j)].ToFloat());
+          EXPECT_LE(err, bound) << "dtype=" << static_cast<int>(dtype);
+        }
       }
     }
+    // The write-time proxy saw every row and agrees with the bound scale-wise.
+    const KvQuantStats& st = kv.quant_stats();
+    EXPECT_EQ(st.rows, int64_t{2} * positions);
+    EXPECT_EQ(st.elems, int64_t{2} * positions * kv_dim);
+    EXPECT_GT(st.max_abs_err, 0.0);
+    EXPECT_GT(st.bytes_saved(), 0);
+    (dtype == hquant::KvDtype::kInt4 ? rel_rms_int4 : rel_rms_int8) = st.rel_rms();
   }
   // 4-bit storage is strictly lossier than 8-bit, and both stay inside the documented
   // bounds (docs/kv_quantization.md).
@@ -340,8 +361,7 @@ TEST(KvQuantTest, QuantizedCowForkAndPauseResumeKeepRowsIntact) {
   // CoW copy moves the *quantized* block bytes. Distinguishable rows catch any mixing of
   // payload and scale bytes across the split.
   PagedKvCache kv(/*layers=*/1, /*kv_dim=*/64, /*num_seqs=*/2, /*max_context=*/64,
-                  /*block_tokens=*/4, /*num_blocks=*/0, hquant::KvDtype::kInt4,
-                  /*quant_group=*/32);
+                  /*block_tokens=*/4, /*num_blocks=*/0, hquant::KvDtype::kInt4);
   std::vector<F16> row(64);
   std::vector<std::vector<F16>> truth;  // post-quantization ground truth per position
   for (int pos = 0; pos < 6; ++pos) {
@@ -449,7 +469,7 @@ TEST(KvQuantTest, PagedQuantAttentionMatchesDequantizedF16Attention) {
   const int block_tokens = 8;
   for (const hquant::KvDtype dtype : {hquant::KvDtype::kInt8, hquant::KvDtype::kInt4}) {
     SCOPED_TRACE(hquant::KvDtypeName(dtype));
-    PagedKvCache qkv(1, head_dim, 1, 64, block_tokens, 0, dtype, 32);
+    PagedKvCache qkv(1, head_dim, 1, 64, block_tokens, 0, dtype);
     PagedKvCache fkv(1, head_dim, 1, 64, block_tokens);
     hexllm::Rng rng(0xA17E);
     std::vector<F16> row(head_dim);

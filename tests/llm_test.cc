@@ -906,7 +906,7 @@ std::string ForwardScriptProfile(const ModelWeights& weights, hquant::KvDtype dt
   hexsim::NpuDevice dev(hexsim::OnePlus12());
   const int64_t vocab = weights.config.vocab;
   Transformer tf(dev, weights, /*max_batch=*/3, /*max_context=*/128, /*kv_pool_blocks=*/0,
-                 dtype, hquant::kGroupSize, /*max_step_rows=*/9);
+                 dtype, /*max_step_rows=*/9);
   for (const auto& [seq, len] : {std::pair{0, 33}, std::pair{1, 70}}) {
     std::vector<int> prompt(static_cast<size_t>(len));
     for (int i = 0; i < len; ++i) {
@@ -1161,8 +1161,8 @@ TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
   hexsim::NpuDevice dev_off(hexsim::OnePlus12());
   hexsim::NpuDevice dev_ref(hexsim::OnePlus12());
   Transformer off(dev_off, weights_, /*max_batch=*/3, /*max_context=*/512, 0,
-                  hquant::KvDtype::kF16, hquant::kGroupSize, /*max_step_rows=*/8);
-  Transformer ref(dev_ref, weights_, 3, 512, 0, hquant::KvDtype::kF16, hquant::kGroupSize, 8);
+                  hquant::KvDtype::kF16, /*max_step_rows=*/8);
+  Transformer ref(dev_ref, weights_, 3, 512, 0, hquant::KvDtype::kF16, 8);
   hkv::KvOffloadOptions opts;
   opts.resident_block_budget = 4;
   off.kv().ConfigureOffload(opts);
@@ -1354,7 +1354,7 @@ TEST_F(TransformerTest, HvxPacketsCountCommittedWork) {
     hexec::ParallelismOverride pin(lanes);
     auto dev = std::make_unique<hexsim::NpuDevice>(hexsim::OnePlus12());
     Transformer tf(*dev, weights_, /*max_batch=*/3, /*max_context=*/64, 0,
-                   hquant::KvDtype::kInt4, hquant::kGroupSize, /*max_step_rows=*/6);
+                   hquant::KvDtype::kInt4, /*max_step_rows=*/6);
     std::vector<int> prompt(40);
     for (int i = 0; i < 40; ++i) {
       prompt[static_cast<size_t>(i)] = (i * 13 + 1) % static_cast<int>(vocab);
@@ -1399,7 +1399,7 @@ TEST_F(TransformerTest, WeightCacheReplayParity) {
   for (int run = 0; run < kRuns; ++run) {
     devs[run] = std::make_unique<hexsim::NpuDevice>(hexsim::OnePlus12());
     Transformer tf(*devs[run], weights, /*max_batch=*/3, /*max_context=*/64, 0,
-                   hquant::KvDtype::kF16, hquant::kGroupSize, /*max_step_rows=*/kPrefillRows);
+                   hquant::KvDtype::kF16, /*max_step_rows=*/kPrefillRows);
     const auto record = [&](std::span<const float> logits) {
       logits_runs[run].emplace_back(logits.begin(), logits.end());
       for (size_t r = 0; r * vocab < logits.size(); ++r) {
@@ -1563,38 +1563,21 @@ TEST(SamplingTest, TopKRestrictsSupport) {
   }
 }
 
-TEST(SamplingTest, TopPRestrictsTail) {
-  std::vector<float> logits{std::log(0.6f), std::log(0.3f), std::log(0.05f),
-                            std::log(0.05f)};
-  Rng rng(4);
-  SamplerOptions opts;
-  opts.temperature = 1.0f;
-  opts.top_p = 0.85f;
-  for (int i = 0; i < 500; ++i) {
-    const int t = SampleToken(logits, opts, rng);
-    EXPECT_TRUE(t == 0 || t == 1) << t;
-  }
-}
-
-// The sampler as it was before the top-k selection path, verbatim: every candidate sorted
-// by logit, then the first k kept.
+// The sampler without the top-k selection path: every candidate sorted by logit, then the
+// first k kept.
 int ReferenceSampleToken(std::span<const float> logits, const SamplerOptions& opts, hexllm::Rng& rng) {
   HEXLLM_CHECK(!logits.empty());
   if (opts.temperature <= 0.0f) {
     return ArgmaxToken(logits);
   }
 
-  // Candidate set, ordered by logit descending if any truncation is active.
+  // Candidate set, ordered by logit descending if top-k truncation is active.
   std::vector<int> idx(logits.size());
   std::iota(idx.begin(), idx.end(), 0);
-  const bool truncate = (opts.top_k > 0 && opts.top_k < static_cast<int>(logits.size())) ||
-                        opts.top_p < 1.0f;
-  if (truncate) {
+  if (opts.top_k > 0 && opts.top_k < static_cast<int>(logits.size())) {
     std::sort(idx.begin(), idx.end(),
               [&](int a, int b) { return logits[static_cast<size_t>(a)] > logits[static_cast<size_t>(b)]; });
-    if (opts.top_k > 0 && opts.top_k < static_cast<int>(idx.size())) {
-      idx.resize(static_cast<size_t>(opts.top_k));
-    }
+    idx.resize(static_cast<size_t>(opts.top_k));
   }
 
   // Softmax over candidates at the given temperature.
@@ -1612,31 +1595,14 @@ int ReferenceSampleToken(std::span<const float> logits, const SamplerOptions& op
     v /= sum;
   }
 
-  // Nucleus truncation on the (sorted) candidates.
-  size_t n = p.size();
-  if (truncate && opts.top_p < 1.0f) {
-    double cum = 0.0;
-    for (size_t j = 0; j < p.size(); ++j) {
-      cum += p[j];
-      if (cum >= opts.top_p) {
-        n = j + 1;
-        break;
-      }
-    }
-    const double renorm = std::accumulate(p.begin(), p.begin() + static_cast<long>(n), 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      p[j] /= renorm;
-    }
-  }
-
   double r = rng.NextDouble();
-  for (size_t j = 0; j < n; ++j) {
+  for (size_t j = 0; j < p.size(); ++j) {
     r -= p[j];
     if (r <= 0.0) {
       return idx[j];
     }
   }
-  return idx[n - 1];
+  return idx.back();
 }
 
 
@@ -1693,7 +1659,7 @@ std::vector<float> TiedLogits(Rng& rng, int vocab, int k, int mode) {
 
 TEST(SamplingTest, TopKSelectionMatchesFullSort) {
   // The selection path must give the token a full sort gives, and consume the Rng alike, for
-  // any k and nucleus, whether the logits are distinct (selection) or tied (sort fallback).
+  // any k, whether the logits are distinct (selection) or tied (sort fallback).
   Rng gen(11);
   int cases = 0;
   for (const int vocab : {512, 64}) {
@@ -1701,38 +1667,24 @@ TEST(SamplingTest, TopKSelectionMatchesFullSort) {
       for (int mode = 0; mode <= 6; ++mode) {
         for (const int k : {1, 2, 8, 63, vocab - 1, vocab}) {
           const std::vector<float> logits = TiedLogits(gen, vocab, k, mode);
-          for (const float top_p : {1.0f, 0.9f}) {
-            SCOPED_TRACE(::testing::Message() << "vocab " << vocab << " trial " << trial
-                                              << " mode " << mode << " k " << k
-                                              << " top_p " << top_p);
-            SamplerOptions opts;
-            opts.temperature = 0.8f;
-            opts.top_k = k;
-            opts.top_p = top_p;
-            const uint64_t seed = gen.NextU64();
-            Rng ref_rng(seed);
-            Rng rng(seed);
-            for (int draw = 0; draw < 4; ++draw) {
-              ASSERT_EQ(SampleToken(logits, opts, rng), ReferenceSampleToken(logits, opts, ref_rng));
-            }
-            ASSERT_EQ(std::memcmp(&rng, &ref_rng, sizeof(Rng)), 0);
-            ++cases;
+          SCOPED_TRACE(::testing::Message() << "vocab " << vocab << " trial " << trial
+                                            << " mode " << mode << " k " << k);
+          SamplerOptions opts;
+          opts.temperature = 0.8f;
+          opts.top_k = k;
+          const uint64_t seed = gen.NextU64();
+          Rng ref_rng(seed);
+          Rng rng(seed);
+          for (int draw = 0; draw < 4; ++draw) {
+            ASSERT_EQ(SampleToken(logits, opts, rng), ReferenceSampleToken(logits, opts, ref_rng));
           }
+          ASSERT_EQ(std::memcmp(&rng, &ref_rng, sizeof(Rng)), 0);
+          ++cases;
         }
       }
     }
   }
-  EXPECT_EQ(cases, 2 * 12 * 7 * 6 * 2);
-}
-
-TEST(SamplingTest, TokenLogProbIsConsistent) {
-  std::vector<float> logits{1.0f, 2.0f, 3.0f};
-  double total = 0.0;
-  for (int t = 0; t < 3; ++t) {
-    total += std::exp(TokenLogProb(logits, t, 1.0f));
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-  EXPECT_GT(TokenLogProb(logits, 2, 1.0f), TokenLogProb(logits, 0, 1.0f));
+  EXPECT_EQ(cases, 2 * 12 * 7 * 6);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // tests.
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -309,9 +310,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, AttentionSweepTest,
                                            std::make_tuple(33, 257, 64),
                                            std::make_tuple(3, 640, 128)),
                          [](const auto& info) {
-                           return "q" + std::to_string(std::get<0>(info.param)) + "_kv" +
-                                  std::to_string(std::get<1>(info.param)) + "_d" +
-                                  std::to_string(std::get<2>(info.param));
+                           std::string name("q");
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_kv";
+                           name += std::to_string(std::get<1>(info.param));
+                           name += "_d";
+                           name += std::to_string(std::get<2>(info.param));
+                           return name;
                          });
 
 // --- engine monotonicity across the full model x device grid ---

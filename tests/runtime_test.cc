@@ -196,17 +196,5 @@ TEST(EngineTest, StepCostComponentsSumToTotal) {
   EXPECT_GT(c.hmx_busy_s, 0.0);
 }
 
-TEST(EngineTest, DequantVariantMattersEndToEnd) {
-  // Running the engine with the baseline scatter kernel must be far slower — the system
-  // motivation in one assertion.
-  EngineOptions base;
-  base.model = &Qwen25_1_5B();
-  base.device = &OnePlus12();
-  base.dequant = hkern::DequantKernel::kBaselineScatter;
-  const Engine slow(base);
-  const Engine fast = MakeEngine(Qwen25_1_5B(), OnePlus12());
-  EXPECT_GT(slow.DecodeStep(1, 1024).linear_s, 5.0 * fast.DecodeStep(1, 1024).linear_s);
-}
-
 }  // namespace
 }  // namespace hrt

@@ -275,14 +275,13 @@ TEST_F(AnalyticServingTest, TraceRecordsStepsAndAdmissions) {
   ServeOptions so;
   so.max_batch = 4;
   so.record_trace = true;
-  so.max_trace_steps = 8;
   AnalyticBackend backend(*engine_);
   const ScheduleResult r = ContinuousBatcher(backend, so).Run(jobs);
   EXPECT_FALSE(r.trace.events().empty());
   const std::string json = r.trace.ToChromeJson();
   EXPECT_NE(json.find("traceEvents"), std::string::npos);
   EXPECT_NE(json.find("lm_head"), std::string::npos);
-  // The cap limits traced steps; the run itself is unaffected.
+  // Tracing leaves the run itself unaffected.
   EXPECT_EQ(r.steps, 20);
   std::set<std::string> lanes;
   for (const auto& e : r.trace.events()) {
@@ -579,7 +578,7 @@ class SpeculativeServingTest : public ::testing::Test {
     spec.draft = &draft_weights_;
     spec.gamma = gamma;
     FunctionalBackend backend(dev, weights_, max_batch, max_context, /*kv_pool_blocks=*/0,
-                              hquant::KvDtype::kF16, hquant::kGroupSize, spec);
+                              hquant::KvDtype::kF16, spec);
     return ContinuousBatcher(backend, so).Run(jobs);
   }
 
@@ -657,8 +656,7 @@ TEST_F(SpeculativeServingTest, RunGammaCapAndDisableControlTheCycle) {
     FunctionalBackend::SpecOptions spec;
     spec.draft = &draft_weights_;
     spec.gamma = gamma;
-    FunctionalBackend backend(dev, weights_, 1, 96, 0, hquant::KvDtype::kF16,
-                              hquant::kGroupSize, spec);
+    FunctionalBackend backend(dev, weights_, 1, 96, 0, hquant::KvDtype::kF16, spec);
     ServeOptions so;
     so.max_batch = 1;
     return ContinuousBatcher(backend, so).Run(SpecJobs(1, 12, /*prompt=*/8, speculative));
@@ -715,8 +713,7 @@ TEST_F(SpeculativeServingTest, PauseResumeOfSpeculativeJobIsBitIdentical) {
     FunctionalBackend::SpecOptions spec;
     spec.draft = &draft_weights_;
     spec.gamma = 2;
-    FunctionalBackend backend(dev, weights_, 1, 96, 0, hquant::KvDtype::kF16,
-                              hquant::kGroupSize, spec);
+    FunctionalBackend backend(dev, weights_, 1, 96, 0, hquant::KvDtype::kF16, spec);
     ServeOptions so;
     so.max_batch = 1;
     ContinuousBatcher batcher(backend, so);
@@ -735,7 +732,7 @@ TEST_F(SpeculativeServingTest, PauseResumeOfSpeculativeJobIsBitIdentical) {
     };
     drain(3);
     if (pause) {
-      EXPECT_TRUE(batcher.PauseJob(0, /*requeue=*/true));
+      EXPECT_TRUE(batcher.PauseJob(0));
       EXPECT_EQ(batcher.job_state(0), JobState::kPaused);
     }
     while (batcher.HasWork()) {
@@ -901,7 +898,7 @@ std::string ServeScriptProfile(ExecutionBackend& backend, int prompt, bool specu
   for (int step = 0; batcher.HasWork(); ++step) {
     const StepEvents ev = batcher.Step();
     if (step == 1) {
-      EXPECT_TRUE(batcher.PauseJob(2, /*requeue=*/true));
+      EXPECT_TRUE(batcher.PauseJob(2));
     }
     if (std::find(ev.completed.begin(), ev.completed.end(), 0) != ev.completed.end()) {
       EXPECT_TRUE(batcher.Submit(jobs[3]));
@@ -999,7 +996,7 @@ TEST_F(ServingStepTest, StepCostProfileIsPinned) {
                               bool long_context) {
     hexsim::NpuDevice dev(hexsim::OnePlus12());
     FunctionalBackend backend(dev, weights_, /*max_batch=*/3, /*max_context=*/128,
-                              /*kv_pool_blocks=*/0, dtype, hquant::kGroupSize, spec);
+                              /*kv_pool_blocks=*/0, dtype, spec);
     if (long_context) {
       hkv::KvOffloadOptions offload;
       offload.resident_block_budget = 4;
@@ -1095,8 +1092,7 @@ TEST_F(ServingStepTest, PrefillDispatchesMatchAnalyticEngine) {
     // and the draft's prefill of the same prompt adds its own dispatches.
     hexsim::NpuDevice spec_dev(hexsim::OnePlus12());
     FunctionalBackend spec(spec_dev, weights_, /*max_batch=*/1, kMaxContext,
-                           /*kv_pool_blocks=*/0, hquant::KvDtype::kF16, hquant::kGroupSize,
-                           draft);
+                           /*kv_pool_blocks=*/0, hquant::KvDtype::kF16, draft);
     const hexsim::CycleLedger spec_mark = spec_dev.ledger();
     const double both_s = spec.AdmitSlot(0, job, n, n);
     Busy drafted = busy(spec_dev.ledger(), spec_mark);
