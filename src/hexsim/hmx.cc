@@ -51,7 +51,7 @@ void HmxEngine::DecodeTile(const F16* tile, float* rowmajor) {
   }
 }
 
-void HmxEngine::TileMacc(const Tcm& tcm, const F16* a_tile, const F16* b_tile, float* acc,
+void HmxEngine::TileMacc(const hexllm::Arena& tcm, const F16* a_tile, const F16* b_tile, float* acc,
                          int row_begin, int row_end, const float* b_decoded) {
   HEXLLM_CHECK_MSG(tcm.Contains(a_tile), "HMX activation tile must reside in TCM");
   HEXLLM_CHECK_MSG(tcm.Contains(b_tile), "HMX weight tile must reside in TCM");

@@ -18,10 +18,10 @@
 
 #include <cstdint>
 
+#include "src/base/arena.h"
 #include "src/base/fp16.h"
 #include "src/hexsim/cycle_ledger.h"
 #include "src/hexsim/device_profile.h"
-#include "src/hexsim/tcm.h"
 
 namespace hexsim {
 
@@ -58,7 +58,7 @@ class HmxEngine {
   // weight tiles are decoded once per model (hllm::QuantizedLinear's cache) instead of on
   // every call. It must equal the decode of `b_tile` (checked in debug builds), so results
   // are bit-identical either way; B must still reside in TCM.
-  void TileMacc(const Tcm& tcm, const hexllm::F16* a_tile, const hexllm::F16* b_tile,
+  void TileMacc(const hexllm::Arena& tcm, const hexllm::F16* a_tile, const hexllm::F16* b_tile,
                 float* acc, int row_begin = 0, int row_end = kTileDim,
                 const float* b_decoded = nullptr);
 

@@ -128,22 +128,6 @@ HvxVec HvxContext::VAnd(const HvxVec& a, const HvxVec& b) {
   }
   return out;
 }
-HvxVec HvxContext::VOr(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kBytes; ++i) {
-    out.b[i] = a.b[i] | b.b[i];
-  }
-  return out;
-}
-HvxVec HvxContext::VXor(const HvxVec& a, const HvxVec& b) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kBytes; ++i) {
-    out.b[i] = a.b[i] ^ b.b[i];
-  }
-  return out;
-}
 
 HvxVec HvxContext::VShlH(const HvxVec& a, int sh) {
   Charge(1);
@@ -158,14 +142,6 @@ HvxVec HvxContext::VShrH(const HvxVec& a, int sh) {
   HvxVec out;
   for (int i = 0; i < HvxVec::kHalfwords; ++i) {
     out.SetU16(i, static_cast<uint16_t>(a.GetU16(i) >> sh));
-  }
-  return out;
-}
-HvxVec HvxContext::VPermuteBytes(const HvxVec& a, const std::array<uint8_t, 128>& idx) {
-  Charge(1);
-  HvxVec out;
-  for (int i = 0; i < HvxVec::kBytes; ++i) {
-    out.b[i] = a.b[idx[static_cast<size_t>(i)]];
   }
   return out;
 }
@@ -197,7 +173,7 @@ HvxVecPair HvxContext::VLut16(const HvxVec& idx, const HvxVec& table) {
   return p;
 }
 
-HvxVec HvxContext::VGather(Tcm& tcm, int64_t base_offset, const HvxVec& offsets) {
+HvxVec HvxContext::VGather(hexllm::Arena& tcm, int64_t base_offset, const HvxVec& offsets) {
   Charge(profile_.vgather_packets);
   ++vgather_ops_;
   HEXLLM_CHECK(base_offset >= 0 && base_offset < tcm.capacity());
@@ -213,7 +189,7 @@ HvxVec HvxContext::VGather(Tcm& tcm, int64_t base_offset, const HvxVec& offsets)
   return out;
 }
 
-void HvxContext::VScatterH(Tcm& tcm, int64_t base_offset, const HvxVec& offsets,
+void HvxContext::VScatterH(hexllm::Arena& tcm, int64_t base_offset, const HvxVec& offsets,
                            const HvxVec& values) {
   Charge(profile_.vgather_packets + 8);
   ++vscatter_ops_;

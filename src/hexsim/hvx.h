@@ -25,11 +25,11 @@
 #include <cstdint>
 #include <cstring>
 
+#include "src/base/arena.h"
 #include "src/base/check.h"
 #include "src/base/fp16.h"
 #include "src/hexsim/cycle_ledger.h"
 #include "src/hexsim/device_profile.h"
-#include "src/hexsim/tcm.h"
 
 namespace hexsim {
 
@@ -142,16 +142,6 @@ class HvxContext {
     std::memcpy(v.b.data(), src, HvxVec::kBytes);
     return v;
   }
-  // Vector load streaming from DDR through the core data path: bandwidth-limited to
-  // hvx_core_read_gbps (Table 2: ~26 GB/s), i.e. several cycles per 128 B.
-  HvxVec LoadFromDdr(const void* src) {
-    const double ns = HvxVec::kBytes / profile_.hvx_core_read_gbps;  // bytes / (GB/s) = ns
-    const double cycles = ns * profile_.hvx_freq_ghz;
-    Charge(static_cast<int64_t>(cycles + 0.5));
-    HvxVec v;
-    std::memcpy(v.b.data(), src, HvxVec::kBytes);
-    return v;
-  }
   void Store(void* dst, const HvxVec& v) {
     Charge(1);
     std::memcpy(dst, v.b.data(), HvxVec::kBytes);
@@ -191,15 +181,10 @@ class HvxContext {
 
   // --- integer lanewise ---
   HvxVec VAnd(const HvxVec& a, const HvxVec& b);
-  HvxVec VOr(const HvxVec& a, const HvxVec& b);
-  HvxVec VXor(const HvxVec& a, const HvxVec& b);
   HvxVec VShlH(const HvxVec& a, int sh);   // logical shift left, u16 lanes
   HvxVec VShrH(const HvxVec& a, int sh);   // logical shift right, u16 lanes
 
   // --- permutation ---
-  // Generic in-register byte permutation (models vdelta/vrdelta with a precomputed control).
-  // out.b[i] = a.b[idx[i]]. 1 packet.
-  HvxVec VPermuteBytes(const HvxVec& a, const std::array<uint8_t, 128>& idx);
   // Halfword interleave of two registers (models vshuff on a register pair). 2 packets.
   //   lo: a0 b0 a1 b1 ... a31 b31 ; hi: a32 b32 ... a63 b63
   HvxVecPair VShuffH(const HvxVec& a, const HvxVec& b);
@@ -213,9 +198,10 @@ class HvxContext {
   // Gathers 64 halfwords: result[i] = tcm[base_offset + offsets.u16[i]]. Offsets are byte
   // offsets and must stay within a 64 KiB window (the vgather addressing limit that forces
   // the 32768-entry exp LUT, §5.2.1). Charges profile.vgather_packets.
-  HvxVec VGather(Tcm& tcm, int64_t base_offset, const HvxVec& offsets);
+  HvxVec VGather(hexllm::Arena& tcm, int64_t base_offset, const HvxVec& offsets);
   // Scatters 64 halfwords into TCM. Charges vgather_packets + 8.
-  void VScatterH(Tcm& tcm, int64_t base_offset, const HvxVec& offsets, const HvxVec& values);
+  void VScatterH(hexllm::Arena& tcm, int64_t base_offset, const HvxVec& offsets,
+                 const HvxVec& values);
 
   // --- composite helpers (charge their constituent instructions) ---
   // Horizontal max of the FP16 lanes: log2(64) shuffle/max steps + extract.

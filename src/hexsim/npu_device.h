@@ -17,12 +17,12 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/arena.h"
 #include "src/hexsim/cycle_ledger.h"
 #include "src/hexsim/device_profile.h"
 #include "src/hexsim/dma.h"
 #include "src/hexsim/hmx.h"
 #include "src/hexsim/hvx.h"
-#include "src/hexsim/tcm.h"
 #include "src/obs/metrics.h"
 
 namespace hexsim {
@@ -31,7 +31,7 @@ class NpuDevice {
  public:
   explicit NpuDevice(const DeviceProfile& profile)
       : profile_(profile),
-        tcm_(profile.tcm_bytes),
+        tcm_(profile.tcm_bytes, /*alignment=*/128, "TCM"),  // HVX vector-width banks
         dma_(profile, ledger_),
         hmx_(profile),
         hvx_(profile) {}
@@ -39,8 +39,8 @@ class NpuDevice {
   const DeviceProfile& profile() const { return profile_; }
   CycleLedger& ledger() { return ledger_; }
   const CycleLedger& ledger() const { return ledger_; }
-  Tcm& tcm() { return tcm_; }
-  const Tcm& tcm() const { return tcm_; }
+  hexllm::Arena& tcm() { return tcm_; }
+  const hexllm::Arena& tcm() const { return tcm_; }
   DmaEngine& dma() { return dma_; }
   HmxEngine& hmx() { return hmx_; }
   const HmxEngine& hmx() const { return hmx_; }
@@ -102,7 +102,7 @@ class NpuDevice {
  private:
   const DeviceProfile& profile_;
   CycleLedger ledger_;
-  Tcm tcm_;
+  hexllm::Arena tcm_;
   DmaEngine dma_;
   HmxEngine hmx_;
   HvxContext hvx_;

@@ -78,8 +78,8 @@ void PackKvTile(const F16* const* k_rows, const F16* const* v_rows, int n, int d
 // Reserves a TCM array of n value-initialized T (kernel tables live in TCM: the decode hot
 // path must not heap-allocate, docs/performance.md).
 template <typename T>
-T* TcmArray(hexsim::Tcm& tcm, int64_t n) {
-  T* p = reinterpret_cast<T*>(tcm.Alloc(n * static_cast<int64_t>(sizeof(T))));
+T* TcmArray(hexllm::Arena& tcm, int64_t n) {
+  T* p = tcm.Alloc<T>(n);
   std::uninitialized_value_construct_n(p, n);
   return p;
 }
@@ -252,8 +252,8 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
 
   HvxContext& ctx = dev.hvx();
   HmxEngine& hmx = dev.hmx();
-  hexsim::Tcm& tcm = dev.tcm();
-  hexsim::TcmFrame frame(tcm);
+  hexllm::Arena& tcm = dev.tcm();
+  hexllm::Arena::Frame frame(tcm);
 
   // Fixed q tiles: rows in order, each tile on one KV head, a (span, KV head) run of rows
   // kept in one tile when it fits, runs longer than a tile split at tile boundaries. Tile t
@@ -282,8 +282,8 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
 
   // TCM working set: per-row softmax state and O accumulators, packed Q tiles, one
   // instance's K^T / V tiles, the P tiles, the per-chunk staging tables and per-head charges.
-  float* m_run = reinterpret_cast<float*>(tcm.Alloc(static_cast<int64_t>(n_rows) * 4));
-  float* l_run = reinterpret_cast<float*>(tcm.Alloc(static_cast<int64_t>(n_rows) * 4));
+  float* m_run = tcm.Alloc<float>(n_rows);
+  float* l_run = tcm.Alloc<float>(n_rows);
   F16* o_acc = reinterpret_cast<F16*>(tcm.Alloc(static_cast<int64_t>(n_rows) * row_bytes));
   int* inst = TcmArray<int>(tcm, n_spans);
   bool* inst_live = TcmArray<bool>(tcm, n_spans);
@@ -292,15 +292,12 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
   StagedHead* staged_heads =
       TcmArray<StagedHead>(tcm, static_cast<int64_t>(n_spans) * chunk_blocks * heads);
   HeadCharges* charges = TcmArray<HeadCharges>(tcm, heads);
-  F16* q_tiles_mem = reinterpret_cast<F16*>(
-      tcm.Alloc(static_cast<int64_t>(tiles) * d_tiles * HmxEngine::kTileBytes));
-  F16* kt_tiles_mem = reinterpret_cast<F16*>(
-      tcm.Alloc(static_cast<int64_t>(kChunkTiles) * d_tiles * HmxEngine::kTileBytes));
-  F16* v_tiles_mem = reinterpret_cast<F16*>(
-      tcm.Alloc(static_cast<int64_t>(kChunkTiles) * d_tiles * HmxEngine::kTileBytes));
-  F16* p_tiles_mem = reinterpret_cast<F16*>(tcm.Alloc(kChunkTiles * HmxEngine::kTileBytes));
-  F16* s_rows = reinterpret_cast<F16*>(tcm.Alloc(kAttnQTile * kAttnKvChunk * 2));
-  F16* pv_tile = reinterpret_cast<F16*>(tcm.Alloc(HmxEngine::kTileBytes));
+  F16* q_tiles_mem = tcm.Alloc<F16>(static_cast<int64_t>(tiles) * d_tiles * HmxEngine::kTileElems);
+  F16* kt_tiles_mem = tcm.Alloc<F16>(int64_t{kChunkTiles} * d_tiles * HmxEngine::kTileElems);
+  F16* v_tiles_mem = tcm.Alloc<F16>(int64_t{kChunkTiles} * d_tiles * HmxEngine::kTileElems);
+  F16* p_tiles_mem = tcm.Alloc<F16>(kChunkTiles * HmxEngine::kTileElems);
+  F16* s_rows = tcm.Alloc<F16>(kAttnQTile * kAttnKvChunk);
+  F16* pv_tile = tcm.Alloc<F16>(HmxEngine::kTileElems);
 
   // Stack scratch: the decode hot path must not heap-allocate (docs/performance.md).
   float acc[HmxEngine::kTileElems];
@@ -361,7 +358,7 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
 
     // The distinct physical blocks live instances read, each with the rows its longest
     // reader needs, staged once into a TCM chunk buffer released after the chunk.
-    hexsim::TcmFrame chunk_frame(tcm);
+    hexllm::Arena::Frame chunk_frame(tcm);
     int n_staged = 0;
     for (int lead = 0; lead < n_spans; ++lead) {
       if (inst[lead] != lead || !inst_live[lead]) {

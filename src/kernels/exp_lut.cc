@@ -12,9 +12,9 @@ using hexllm::F16;
 namespace {
 
 F16* AllocTable(hexsim::NpuDevice& device, int64_t* tcm_offset) {
-  uint8_t* mem = device.tcm().Alloc(ExpLut::kBytes, 128);
-  *tcm_offset = device.tcm().OffsetOf(mem);
-  return reinterpret_cast<F16*>(mem);
+  F16* table = device.tcm().Alloc<F16>(ExpLut::kEntries);
+  *tcm_offset = device.tcm().OffsetOf(table);
+  return table;
 }
 
 }  // namespace

@@ -54,15 +54,13 @@ double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16*
       [&](int64_t mi_begin, int64_t mi_end, int slot) {
         hexsim::NpuDevice& d = dev.ForSlot(slot);
         HmxEngine& hmx = d.hmx();
-        hexsim::Tcm& tcm = d.tcm();
-        hexsim::TcmFrame frame(tcm);
+        hexllm::Arena& tcm = d.tcm();
+        hexllm::Arena::Frame frame(tcm);
 
         // Working tiles in TCM: one A strip (kt tiles), one B strip, one output tile.
-        F16* a_strip =
-            reinterpret_cast<F16*>(tcm.Alloc(static_cast<int64_t>(kt) * HmxEngine::kTileBytes));
-        F16* b_strip =
-            reinterpret_cast<F16*>(tcm.Alloc(static_cast<int64_t>(kt) * HmxEngine::kTileBytes));
-        F16* out_tile = reinterpret_cast<F16*>(tcm.Alloc(HmxEngine::kTileBytes));
+        F16* a_strip = tcm.Alloc<F16>(static_cast<int64_t>(kt) * HmxEngine::kTileElems);
+        F16* b_strip = tcm.Alloc<F16>(static_cast<int64_t>(kt) * HmxEngine::kTileElems);
+        F16* out_tile = tcm.Alloc<F16>(HmxEngine::kTileElems);
 
         double dma_s = 0.0;
         int64_t pack_packets = 0;

@@ -7,10 +7,11 @@
 namespace hkern {
 
 LmHeadCost LmHeadCostModel(const hexsim::DeviceProfile& profile, int batch, int hidden,
-                           int64_t vocab) {
+                           int64_t vocab, hquant::WeightScheme scheme) {
   LmHeadCost cost;
   cost.cores_used = std::min(profile.cpu_big_cores, std::max(1, batch));
-  const double weight_bytes = static_cast<double>(hidden) * vocab * 2.0;  // FP16
+  const double weight_bytes =
+      static_cast<double>(hidden) * vocab * hquant::WeightSchemeBpw(scheme) / 8.0;
   const double flops = 2.0 * batch * hidden * static_cast<double>(vocab);
   // One streaming pass over the weights (shared across the batch) plus per-core compute.
   const double mem_s = weight_bytes / (profile.cpu_mem_gbps * 1e9);

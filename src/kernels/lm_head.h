@@ -4,8 +4,8 @@
 // Hexagon NPU's 32-bit session address space cannot also hold the large vocabulary
 // projection. At batch 16 this CPU stage approaches or exceeds 50% of per-token time, which
 // caps the throughput scaling in Figure 11. The cost model captures a GEMV/GEMM on the big
-// cores: bandwidth-bound at small batch (the FP16 weight matrix streams once), compute-bound
-// as batch grows, parallelized over up to 4 big cores (Figure 16 observes exactly 4).
+// cores: bandwidth-bound at small batch (the weight matrix streams once), compute-bound as
+// batch grows, parallelized over up to 4 big cores (Figure 16 observes exactly 4).
 #ifndef SRC_KERNELS_LM_HEAD_H_
 #define SRC_KERNELS_LM_HEAD_H_
 
@@ -13,6 +13,7 @@
 
 #include "src/base/fp16.h"
 #include "src/hexsim/device_profile.h"
+#include "src/quant/quant_types.h"
 
 namespace hkern {
 
@@ -22,10 +23,11 @@ struct LmHeadCost {
   double cpu_busy_s = 0.0;  // sum over cores
 };
 
-// Cost of projecting `batch` hidden states of width `hidden` onto `vocab` logits with FP16
-// weights on the CPU.
+// Cost of projecting `batch` hidden states of width `hidden` onto `vocab` logits on the CPU,
+// with the weights stored under `scheme` (the functional toy model keeps them FP16; the
+// analytic engine prices each model's lm_head_scheme).
 LmHeadCost LmHeadCostModel(const hexsim::DeviceProfile& profile, int batch, int hidden,
-                           int64_t vocab);
+                           int64_t vocab, hquant::WeightScheme scheme);
 
 // Functional reference (FP32 accumulate over FP16 weights) for the toy end-to-end tests.
 // logits[batch, vocab] = h[batch, hidden] x w[hidden, vocab] (w column-major: w[v*hidden+i]).

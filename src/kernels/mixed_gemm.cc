@@ -19,20 +19,6 @@ using hexsim::HvxContext;
 using hexsim::HvxVec;
 using hexsim::HvxVecPair;
 
-const char* DequantKernelName(DequantKernel k) {
-  switch (k) {
-    case DequantKernel::kBaselineScatter:
-      return "baseline (scatter)";
-    case DequantKernel::kHmxLayout:
-      return "HMX layout";
-    case DequantKernel::kCoalescedLut:
-      return "ours (coalesced + LUT)";
-    case DequantKernel::kNoDequant:
-      return "no dequantization";
-  }
-  return "?";
-}
-
 double DequantPacketsPer64(const hexsim::DeviceProfile& profile, DequantKernel k,
                            hquant::WeightScheme scheme) {
   const bool q8 = scheme == hquant::WeightScheme::kQ8_0;
@@ -184,7 +170,7 @@ int64_t DequantBaselineScatter(hexsim::NpuDevice& dev,
   HEXLLM_CHECK(k_dim % 64 == 0);
   dev.ledger().AddCount(hexsim::Counter::kDequantBaselineScatterCalls);
   HvxContext& ctx = dev.hvx();
-  hexsim::Tcm& tcm = dev.tcm();
+  hexllm::Arena& tcm = dev.tcm();
   const int64_t start = ctx.issued();
   const int64_t out_base = tcm.OffsetOf(out_tcm);
   const int64_t conv =

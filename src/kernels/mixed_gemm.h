@@ -38,8 +38,6 @@ enum class DequantKernel : uint8_t {
   kNoDequant,
 };
 
-const char* DequantKernelName(DequantKernel k);
-
 // Packet cost per 64 dequantized elements for the given weight scheme. Q8_0 skips the
 // nibble unpacking (cheaper per element) but moves ~1.9x the bytes.
 double DequantPacketsPer64(const hexsim::DeviceProfile& profile, DequantKernel k,
@@ -73,7 +71,7 @@ struct MixedGemmCost {
   double hvx_latency_s = 0.0; // dequant latency across the threads used
   double hmx_s = 0.0;        // matrix compute
   double overhead_s = 0.0;   // activation pack / output unpack
-  double total_s = 0.0;      // max(dma, dequant latency) + hmx + overhead
+  double total_s = 0.0;      // max(dma, dequant latency, hmx) + overhead
 };
 
 // Cost of Y[M,N] = X[M,K] x W[K,N] with W quantized under `scheme` and dequantized by

@@ -91,18 +91,6 @@ float ExpPolyF32Lane(float x) {
 
 }  // namespace
 
-const char* SoftmaxVariantName(SoftmaxVariant v) {
-  switch (v) {
-    case SoftmaxVariant::kF32Poly:
-      return "F32 poly exp";
-    case SoftmaxVariant::kF16Poly:
-      return "F16 poly exp";
-    case SoftmaxVariant::kLut:
-      return "LUT exp (vgather)";
-  }
-  return "?";
-}
-
 int64_t ExpRegPacketCost(const hexsim::DeviceProfile& profile, SoftmaxVariant v,
                          int parallel_rows) {
   switch (v) {

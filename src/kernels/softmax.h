@@ -30,8 +30,6 @@ enum class SoftmaxVariant : uint8_t {
   kLut,
 };
 
-const char* SoftmaxVariantName(SoftmaxVariant v);
-
 // exp(x) for a register of non-positive FP16 lanes. `parallel_rows` is the number of rows
 // being processed concurrently (gather contention; ignored by the polynomial variants).
 // `lut` may be null for the polynomial variants.

@@ -45,7 +45,7 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
           hkv::kDefaultBlockTokens, kv_pool_blocks, kv_dtype),
       max_batch_(max_batch),
       max_rows_(std::max({max_step_rows, max_batch, hkern::kPrefillChunk})),
-      ws_(StepWorkspaceBytes(weights.config, max_rows_)) {
+      ws_(StepWorkspaceBytes(weights.config, max_rows_), /*alignment=*/64, "Step workspace") {
   // Per-kv-head attention views slice rows at head boundaries, so quant groups must not
   // straddle heads.
   HEXLLM_CHECK(kv_.row_codec().SlicesAt(weights.config.head_dim));

@@ -12,8 +12,8 @@
 //
 // Host-performance contract (docs/performance.md): steady-state decode is zero-copy and
 // zero-alloc. Attention consumes K/V in place through the paged cache's block tables
-// (hkern::FlashAttentionBatch — no per-step gather), all step scratch lives in a
-// persistent DecodeWorkspace arena, weights dequantize once and replay their charges, and
+// (hkern::FlashAttentionBatch — no per-step gather), all step scratch lives in one
+// persistent hexllm::Arena, weights dequantize once and replay their charges, and
 // the lm_head runs blocked over a float-converted weight matrix. All of it is charge- and
 // bit-identical to the straightforward path it replaced.
 #ifndef SRC_LLM_TRANSFORMER_H_
@@ -24,13 +24,13 @@
 #include <span>
 #include <vector>
 
+#include "src/base/arena.h"
 #include "src/base/fp16.h"
 #include "src/hexsim/npu_device.h"
 #include "src/kernels/attention.h"
 #include "src/kernels/exp_lut.h"
 #include "src/kernels/softmax.h"
 #include "src/kvcache/paged_kv_cache.h"
-#include "src/llm/decode_workspace.h"
 #include "src/llm/weights.h"
 
 namespace hllm {
@@ -109,7 +109,7 @@ class Transformer {
   hexsim::NpuDevice& device() { return dev_; }
   // Step-scratch arena; its high-water mark is exported as the `exec.workspace.bytes`
   // gauge (docs/metrics_schema.md).
-  const DecodeWorkspace& workspace() const { return ws_; }
+  const hexllm::Arena& workspace() const { return ws_; }
 
  private:
   // The batched forward behind decode, verify and prefill. Span s consumes span_rows[s]
@@ -162,7 +162,7 @@ class Transformer {
   std::vector<const hkern::ExpLut*> slot_lut_ptrs_;
 
   // Persistent decode state (sized once in the constructor; see docs/performance.md).
-  DecodeWorkspace ws_;
+  hexllm::Arena ws_;  // 64-byte aligned spans (HVX vector alignment)
   std::vector<float> lm_head_f32_;       // [hidden x vocab] row-major, converted once
   std::vector<double> rope_inv_freq_;    // base^(-2i/d) per pair, pow() hoisted once
   std::vector<int> identity_seq_ids_;    // 0..max_batch-1, for Step()

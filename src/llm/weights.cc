@@ -57,14 +57,14 @@ int64_t QuantizedLinear::quantized_bytes() const {
 }
 
 void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int m,
-                              DecodeWorkspace& ws) const {
+                              hexllm::Arena& ws) const {
   HEXLLM_CHECK(m >= 1);
-  hexsim::TcmFrame frame(dev.tcm());
+  hexllm::Arena::Frame frame(dev.tcm());
   // Dequantize the full weight stream into TCM (toy-model sizes fit; the production engine
   // processes strips — see runtime/engine.cc's cost model). With a warm cache the stream is
   // memcpy'd in and the dequant's simulated charges are replayed instead — bit-identical
   // counters, no per-element LUT simulation (docs/performance.md).
-  auto* w_tcm = reinterpret_cast<F16*>(dev.tcm().Alloc(k_ * n_ * 2));
+  F16* w_tcm = dev.tcm().Alloc<F16>(k_ * n_);
   const bool cache_warm = cache_->ready.load(std::memory_order_acquire);
   if (scheme_ == hquant::WeightScheme::kQ4_0) {
     if (cache_warm) {
@@ -125,7 +125,7 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
   // padding rows (and leaves the padded output rows unspecified), so the staging buffers
   // need no zero fill — only the live rows are copied in and out.
   const int m_pad = static_cast<int>(hexllm::RoundUp(m, 32));
-  DecodeWorkspace::Frame wframe(ws);
+  hexllm::Arena::Frame wframe(ws);
   F16* x_pad = ws.Alloc<F16>(static_cast<int64_t>(m_pad) * k_);
   F16* y_pad = ws.Alloc<F16>(static_cast<int64_t>(m_pad) * n_);
   std::memcpy(x_pad, x, static_cast<size_t>(m) * k_ * 2);

@@ -15,10 +15,10 @@
 #include <span>
 #include <vector>
 
+#include "src/base/arena.h"
 #include "src/base/fp16.h"
 #include "src/base/rng.h"
 #include "src/hexsim/npu_device.h"
-#include "src/llm/decode_workspace.h"
 #include "src/llm/model_config.h"
 #include "src/quant/quant_types.h"
 
@@ -51,7 +51,7 @@ class QuantizedLinear {
   // tile on every tile op. Cold and warm calls charge bit-identical counters; only host
   // time differs.
   void Forward(hexsim::NpuDevice& dev, const hexllm::F16* x, hexllm::F16* y, int m,
-               DecodeWorkspace& ws) const;
+               hexllm::Arena& ws) const;
 
   // Reference reconstruction of the [K, N] column-major matrix (FP32).
   std::vector<float> Dequantize() const;

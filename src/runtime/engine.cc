@@ -25,7 +25,7 @@ namespace {
 // ops, and pays strip-scheduling overhead, so the linear layers see fewer than the raw
 // hardware threads. This constant makes decode dequant-bound, matching §8(a) ("decoding
 // speed is relatively constrained, primarily due to the overhead of dequantization").
-constexpr double kDecodeDequantThreads = 2.0;
+constexpr int kDecodeDequantThreads = 2;
 
 // Threads available to attention / misc sweeps (heads parallelize cleanly).
 constexpr double kAttentionThreads = 4.0;
@@ -136,11 +136,8 @@ StepCost Engine::NpuDecodeStep(int batch, int context) const {
     }
     const auto g = hkern::MixedGemmCostModel(d, hkern::DequantKernel::kCoalescedLut,
                                              mat.scheme, batch, static_cast<int>(mat.k),
-                                             static_cast<int>(mat.n), /*threads=*/4);
-    // Re-derive latency with the end-to-end effective thread count.
-    const double hvx_latency = g.hvx_busy_s / kDecodeDequantThreads;
-    cost.linear_s +=
-        std::max({g.dma_s, hvx_latency, g.hmx_s}) + g.overhead_s;
+                                             static_cast<int>(mat.n), kDecodeDequantThreads);
+    cost.linear_s += g.total_s;
     cost.hvx_busy_s += g.hvx_busy_s;
     cost.hmx_busy_s += g.hmx_s;
     cost.dma_busy_s += g.dma_s;
@@ -227,14 +224,10 @@ StepCost Engine::AddLmHeadAndComm(StepCost cost, int batch) const {
   const ModelConfig& m = *options_.model;
   const DeviceProfile& d = *options_.device;
   // CPU vocabulary projection (quantized lm_head streams once, shared across the batch).
-  const double lm_weight_bytes = static_cast<double>(m.hidden) * m.vocab *
-                                 hquant::WeightSchemeBpw(m.lm_head_scheme) / 8.0;
-  const double lm_flops = 2.0 * batch * m.hidden * static_cast<double>(m.vocab);
-  const int cores = std::min(d.cpu_big_cores, std::max(1, batch));
-  const double mem_s = lm_weight_bytes / (d.cpu_mem_gbps * 1e9);
-  const double compute_s = lm_flops / (d.cpu_gflops_per_core * 1e9 * cores);
-  cost.lm_head_s = std::max(mem_s, compute_s);
-  cost.cpu_busy_s += cost.lm_head_s * cores;
+  const hkern::LmHeadCost lm =
+      hkern::LmHeadCostModel(d, batch, m.hidden, m.vocab, m.lm_head_scheme);
+  cost.lm_head_s = lm.seconds;
+  cost.cpu_busy_s += lm.cpu_busy_s;
 
   // Mailbox round trip (submit + completion) and cache maintenance for the shared
   // activation buffers (§6); models split across two sessions pay an extra hop per step.

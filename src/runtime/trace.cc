@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/base/check.h"
+#include "src/obs/json.h"
 
 namespace hrt {
 
@@ -17,30 +18,37 @@ void TraceBuilder::Add(std::string lane, std::string name, double start_s, doubl
 
 std::string TraceBuilder::ToChromeJson() const {
   // Chrome trace-event format: "X" (complete) events with microsecond timestamps; one tid
-  // per lane.
+  // per lane, named by a "thread_name" metadata event.
   std::map<std::string, int> lane_tid;
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  obs::Json events = obs::Json::Array();
   for (const auto& e : events_) {
     if (lane_tid.find(e.lane) == lane_tid.end()) {
       const int tid = static_cast<int>(lane_tid.size()) + 1;
       lane_tid[e.lane] = tid;
-      if (!first) {
-        os << ",";
-      }
-      first = false;
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-         << ",\"args\":{\"name\":\"" << e.lane << "\"}}";
+      obs::Json args = obs::Json::Object();
+      args.Set("name", e.lane);
+      obs::Json meta = obs::Json::Object();
+      meta.Set("name", "thread_name");
+      meta.Set("ph", "M");
+      meta.Set("pid", 1);
+      meta.Set("tid", tid);
+      meta.Set("args", std::move(args));
+      events.Append(std::move(meta));
     }
   }
   for (const auto& e : events_) {
-    os << ",{\"name\":\"" << e.name << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-       << lane_tid.at(e.lane) << ",\"ts\":" << e.start_s * 1e6
-       << ",\"dur\":" << e.dur_s * 1e6 << "}";
+    obs::Json x = obs::Json::Object();
+    x.Set("name", e.name);
+    x.Set("ph", "X");
+    x.Set("pid", 1);
+    x.Set("tid", lane_tid.at(e.lane));
+    x.Set("ts", e.start_s * 1e6);
+    x.Set("dur", e.dur_s * 1e6);
+    events.Append(std::move(x));
   }
-  os << "]}";
-  return os.str();
+  obs::Json doc = obs::Json::Object();
+  doc.Set("traceEvents", std::move(events));
+  return doc.Dump();
 }
 
 std::string TraceBuilder::ToAsciiGantt(int width) const {

@@ -517,10 +517,10 @@ StepEvents ContinuousBatcher::Step() {
     ++r_.spec_cycles;
   }
   // NPU/CPU overlap (docs/threading_model.md): with >= 2 rows in flight, the CPU lm_head
-  // of this step hides under the next step's NPU time (double-buffered logits keep its
-  // inputs alive), so the step charges max(npu, lm_head) + comm instead of their sum. The
-  // charged value is used uniformly — makespan, decode time, energy and the step-latency
-  // histogram all see the same number, keeping makespan == prefill + decode + idle exact.
+  // of this step is priced as hiding under the next step's NPU time, so the step charges
+  // max(npu, lm_head) + comm instead of their sum. The charged value is used uniformly —
+  // makespan, decode time, energy and the step-latency histogram all see the same number,
+  // keeping makespan == prefill + decode + idle exact.
   const double serial_s = out.cost.total_s;
   const double npu_s = serial_s - out.cost.lm_head_s - out.cost.comm_s;
   double charged_s = serial_s;

@@ -304,9 +304,7 @@ FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWe
       spec_gamma_(spec.draft != nullptr ? std::max(0, spec.gamma) : 0) {
   const size_t verify_rows =
       static_cast<size_t>(max_batch) * (spec_gamma_ > 0 ? spec_gamma_ + 1 : 1);
-  const size_t logits_elems = verify_rows * weights.config.vocab;
-  logits_buf_[0].resize(logits_elems);
-  logits_buf_[1].resize(logits_elems);
+  logits_.resize(verify_rows * weights.config.vocab);
   if (spec.draft != nullptr && spec_gamma_ > 0) {
     HEXLLM_CHECK_MSG(spec.draft->config.vocab == weights.config.vocab,
                      "draft and target must share a vocabulary (acceptance compares ids)");
@@ -570,7 +568,8 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
     std::span<float> dlogits(draft_logits_.data(), static_cast<size_t>(draft_batch) * vocab);
     draft_->StepSeqs(step_tokens_, draft_seqs_, dlogits);
     const hkern::LmHeadCost lm =
-        hkern::LmHeadCostModel(d, draft_batch, draft_->config().hidden, vocab);
+        hkern::LmHeadCostModel(d, draft_batch, draft_->config().hidden, vocab,
+                               hquant::WeightScheme::kF16);
     lm_head_s += lm.seconds;
     lm_cpu_busy_s += lm.cpu_busy_s;
     for (int r = 0; r < draft_batch; ++r) {
@@ -599,12 +598,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
     span_rows_.push_back(g + 1);
     total_rows += g + 1;
   }
-  // Flip to the buffer the PREVIOUS step did not write: its logits stay intact while the
-  // NPU fills this one, which is what lets the batcher overlap the previous step's CPU
-  // lm_head with this step's NPU time (the batcher's overlap rule).
-  logits_cur_ ^= 1;
-  std::vector<float>& logits_vec = logits_buf_[static_cast<size_t>(logits_cur_)];
-  std::span<float> logits(logits_vec.data(), static_cast<size_t>(total_rows) * vocab);
+  std::span<float> logits(logits_.data(), static_cast<size_t>(total_rows) * vocab);
   tf_.StepSpans(step_tokens_, slots, span_rows_, logits);
 
   // Acceptance walk. Every committed token is sampled from the TARGET's logits at exact
@@ -623,8 +617,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
     int committed = 0;
     for (int j = 0; j <= g; ++j) {
       const int tok = hllm::SampleToken(
-          std::span<const float>(logits_vec.data() + static_cast<size_t>(row0 + j) * vocab,
-                                 static_cast<size_t>(vocab)),
+          logits.subspan(static_cast<size_t>(row0 + j) * vocab, static_cast<size_t>(vocab)),
           sampler_opts_[slot], sampler_rng_[slot]);
       out.tokens.push_back(tok);
       last_token_[slot] = tok;
@@ -665,7 +658,8 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
   // over the final cost.
   const double npu_s = ComposeStep(mark, &out.cost);
   const hkern::LmHeadCost verify_lm =
-      hkern::LmHeadCostModel(d, total_rows, tf_.config().hidden, vocab);
+      hkern::LmHeadCostModel(d, total_rows, tf_.config().hidden, vocab,
+                             hquant::WeightScheme::kF16);
   out.cost.lm_head_s = lm_head_s + verify_lm.seconds;
   out.cost.cpu_busy_s = lm_cpu_busy_s + verify_lm.cpu_busy_s;
   out.cost.comm_s = (n_catchup + max_gamma + 1) * hexsim::kDispatchSeconds;

@@ -22,15 +22,14 @@
 ///   * FunctionalBackend — wraps hllm::Transformer on the hexsim NPU simulator. Actually
 ///     decodes tokens (toy configs) through a real hkv::PagedKvCache and meters time from
 ///     the simulator's cycle ledger, so the same batcher code path is exercised with real
-///     numerics in tests. Decode rows fan out across hexec lanes inside the forward and the
-///     step's logits are double-buffered for the lm_head overlap; decoded tokens are
-///     bit-identical at any lane count (docs/threading_model.md). Driving both backends
+///     numerics in tests. Decode rows fan out across hexec lanes inside the forward, and
+///     every row is sampled before the step returns; decoded tokens are bit-identical at
+///     any lane count (docs/threading_model.md). Driving both backends
 ///     with one job stream must produce bit-identical block statistics — the serving tests
 ///     assert exactly that.
 #ifndef SRC_SERVING_EXECUTION_BACKEND_H_
 #define SRC_SERVING_EXECUTION_BACKEND_H_
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -409,13 +408,10 @@ class FunctionalBackend : public ExecutionBackend {
   // policies, not just greedy.
   std::vector<hllm::SamplerOptions> sampler_opts_;
   std::vector<hexllm::Rng> sampler_rng_;
-  // Double-buffered logits, [max_batch * vocab] each: step N writes buffer N % 2 and the
-  // previous step's buffer stays intact until step N+1 flips again. This is the mechanism
-  // behind the batcher's NPU/CPU overlap rule — the CPU lm_head (argmax consumer) of step
-  // N can run while the NPU fills the other buffer for step N+1, so the batcher charges
-  // max(npu, lm_head) instead of their sum (docs/threading_model.md).
-  std::array<std::vector<float>, 2> logits_buf_;
-  int logits_cur_ = 0;             // buffer index the LAST step wrote
+  // Step logits, [verify rows x vocab]. Every row is sampled before the step returns, so
+  // one buffer serves every step; the batcher's NPU/CPU overlap is a pricing rule
+  // (docs/threading_model.md), not a second buffer.
+  std::vector<float> logits_;
 
   // Speculative decoding (docs/speculative_decoding.md). The draft transformer shares the
   // simulated device, so its charges land in the same cycle ledger the cycle cost is

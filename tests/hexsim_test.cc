@@ -8,17 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/arena.h"
 #include "src/base/rng.h"
 #include "src/hexsim/device_profile.h"
 #include "src/hexsim/dma.h"
 #include "src/hexsim/hmx.h"
 #include "src/hexsim/hvx.h"
 #include "src/hexsim/npu_device.h"
-#include "src/hexsim/tcm.h"
 
 namespace hexsim {
 namespace {
 
+using hexllm::Arena;
 using hexllm::F16;
 
 // --- device profiles ---
@@ -53,7 +54,7 @@ TEST(DeviceProfileTest, V73AddressSpaceBelow2GiB) {
 // --- TCM ---
 
 TEST(TcmTest, AllocAlignAndWatermark) {
-  Tcm tcm(1 << 20);
+  Arena tcm(1 << 20, 128, "TCM");
   uint8_t* a = tcm.Alloc(100, 128);
   uint8_t* b = tcm.Alloc(100, 128);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 128, 0u);
@@ -67,13 +68,13 @@ TEST(TcmTest, AllocAlignAndWatermark) {
 }
 
 TEST(TcmTest, FramesNestAndRelease) {
-  Tcm tcm(1 << 20);
+  Arena tcm(1 << 20, 128, "TCM");
   tcm.Alloc(256);
   {
-    TcmFrame f1(tcm);
+    Arena::Frame f1(tcm);
     tcm.Alloc(1024);
     {
-      TcmFrame f2(tcm);
+      Arena::Frame f2(tcm);
       tcm.Alloc(2048);
       EXPECT_GE(tcm.used(), 256 + 1024 + 2048);
     }
@@ -83,18 +84,43 @@ TEST(TcmTest, FramesNestAndRelease) {
 }
 
 TEST(TcmDeathTest, ExhaustionAborts) {
-  Tcm tcm(4096);
+  Arena tcm(4096, 128, "TCM");
   EXPECT_DEATH(tcm.Alloc(8192), "TCM exhausted");
 }
 
 TEST(TcmTest, ContainsAndOffset) {
-  Tcm tcm(4096);
+  Arena tcm(4096, 128, "TCM");
   uint8_t* p = tcm.Alloc(64);
   EXPECT_TRUE(tcm.Contains(p));
   EXPECT_TRUE(tcm.Contains(p + 63));
   int unrelated = 0;
   EXPECT_FALSE(tcm.Contains(&unrelated));
   EXPECT_EQ(tcm.OffsetOf(p), 0);
+}
+
+TEST(ArenaTest, StepScratchSpansAre64ByteAlignedAndFramesReleaseToTheirMark) {
+  // The transformer's step arena: every typed span is 64-byte aligned in absolute address,
+  // not only as an offset from the slab (a std::vector slab this size sat at 16 mod 64).
+  Arena ws(int64_t{1} << 20, 64, "Step workspace");
+  const auto aligned = [](const void* p) { return reinterpret_cast<uintptr_t>(p) % 64 == 0; };
+  for (int64_t n = 1; n <= 40; ++n) {
+    EXPECT_TRUE(aligned(ws.Alloc<F16>(n))) << n;
+    EXPECT_TRUE(aligned(ws.Alloc<float>(n))) << n;
+    EXPECT_TRUE(aligned(ws.Alloc<int8_t>(n))) << n;
+  }
+  const int64_t outer_mark = ws.used();
+  {
+    Arena::Frame outer(ws);
+    EXPECT_TRUE(aligned(ws.Alloc<F16>(1000)));
+    const int64_t inner_mark = ws.used();
+    {
+      Arena::Frame inner(ws);
+      EXPECT_TRUE(aligned(ws.Alloc<float>(3)));
+      EXPECT_GT(ws.used(), inner_mark);
+    }
+    EXPECT_EQ(ws.used(), inner_mark);
+  }
+  EXPECT_EQ(ws.used(), outer_mark);
 }
 
 // --- DMA ---
@@ -214,7 +240,7 @@ TEST_F(HvxTest, VLut16UsesOnlyLowNibbleOfIndex) {
 }
 
 TEST_F(HvxTest, GatherReadsTcmAndChargesLatency) {
-  Tcm tcm(1 << 16);
+  Arena tcm(1 << 16, 128, "TCM");
   auto* data = reinterpret_cast<uint16_t*>(tcm.Alloc(4096));
   for (int i = 0; i < 2048; ++i) {
     data[i] = static_cast<uint16_t>(i * 3);
@@ -232,7 +258,7 @@ TEST_F(HvxTest, GatherReadsTcmAndChargesLatency) {
 }
 
 TEST_F(HvxTest, ScatterWritesTcmAndCostsMoreThanGather) {
-  Tcm tcm(1 << 16);
+  Arena tcm(1 << 16, 128, "TCM");
   auto* data = reinterpret_cast<uint16_t*>(tcm.Alloc(4096));
   HvxVec offsets{};
   HvxVec values{};
@@ -285,15 +311,6 @@ TEST_F(HvxTest, Reductions) {
     s.SetF32(i, 1.5f);
   }
   EXPECT_FLOAT_EQ(ctx_.ReduceSumSf(s), 48.0f);
-}
-
-TEST_F(HvxTest, DdrLoadSlowerThanTcmLoad) {
-  std::vector<uint8_t> buf(128, 1);
-  const int64_t start = ctx_.issued();
-  (void)ctx_.LoadAligned(buf.data());
-  const int64_t tcm_cost = ctx_.issued() - start;
-  (void)ctx_.LoadFromDdr(buf.data());
-  EXPECT_GT(ctx_.issued() - start - tcm_cost, 3 * tcm_cost);
 }
 
 // --- HMX ---

@@ -737,9 +737,9 @@ TEST(MiscOpsTest, AddF16) {
 
 TEST(LmHeadTest, CostScalesSubLinearlyAtSmallBatchThenLinearly) {
   const auto& p = OnePlus12();
-  const auto c1 = LmHeadCostModel(p, 1, 1536, 151936);
-  const auto c4 = LmHeadCostModel(p, 4, 1536, 151936);
-  const auto c16 = LmHeadCostModel(p, 16, 1536, 151936);
+  const auto c1 = LmHeadCostModel(p, 1, 1536, 151936, hquant::WeightScheme::kF16);
+  const auto c4 = LmHeadCostModel(p, 4, 1536, 151936, hquant::WeightScheme::kF16);
+  const auto c16 = LmHeadCostModel(p, 16, 1536, 151936, hquant::WeightScheme::kF16);
   // Batch 1 is bandwidth-bound: batch 4 reuses the streamed weights.
   EXPECT_LT(c4.seconds, c1.seconds * 2.5);
   // By batch 16 it is compute-bound and roughly linear in batch.

@@ -168,7 +168,8 @@ TEST(QuantizedLinearTest, ForwardMatchesDequantizedMatmul) {
       v = F16(static_cast<float>(rng.NextGaussian() * 0.3));
     }
     std::vector<F16> y(static_cast<size_t>(m) * n);
-    DecodeWorkspace ws(32 * (k + n) * static_cast<int64_t>(sizeof(F16)) + 128);  // staging
+    hexllm::Arena ws(32 * (k + n) * static_cast<int64_t>(sizeof(F16)) + 128, 64,
+                     "Step workspace");  // staging
     lin.Forward(dev, x.data(), y.data(), m, ws);
     for (int mi = 0; mi < m; ++mi) {
       for (int64_t ni = 0; ni < n; ++ni) {
@@ -487,9 +488,9 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
   std::vector<F16> kbuf;
   std::vector<F16> vbuf;
   // Padded-GEMM staging for the widest projection: x and y rows of an FFN matrix.
-  DecodeWorkspace ws(hexllm::RoundUp(batch, 32) * (hidden + c.ffn_hidden) *
-                         static_cast<int64_t>(sizeof(F16)) +
-                     128);
+  const int64_t staging_bytes =
+      hexllm::RoundUp(batch, 32) * (hidden + c.ffn_hidden) * static_cast<int64_t>(sizeof(F16));
+  hexllm::Arena ws(staging_bytes + 128, 64, "Step workspace");
 
   for (int b = 0; b < batch; ++b) {
     std::memcpy(x.data() + static_cast<int64_t>(b) * hidden,

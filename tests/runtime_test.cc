@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/hexsim/device_profile.h"
+#include "src/kernels/lm_head.h"
+#include "src/kernels/mixed_gemm.h"
 #include "src/llm/model_config.h"
 #include "src/runtime/engine.h"
 
@@ -185,6 +187,34 @@ TEST(EngineTest, PromptLengthMildlyReducesThroughput) {
 }
 
 // --- internal consistency ---
+
+TEST(EngineTest, DecodeStepPricesWithTheKernelCostModels) {
+  // The engine calls the kernels' own cost functions rather than re-deriving them: linear
+  // layers are MixedGemmCostModel at the decode pipeline's two dequant threads, summed per
+  // layer and scaled by depth; the lm_head is LmHeadCostModel over the model's scheme.
+  for (const hllm::ModelConfig* m : hllm::EvaluationModels()) {
+    for (const hexsim::DeviceProfile* d : hexsim::AllDevices()) {
+      const Engine e = MakeEngine(*m, *d);
+      for (const int batch : {1, 4, 16}) {
+        double linear = 0.0;
+        for (const auto& mat : m->LayerMatrices()) {
+          linear += hkern::MixedGemmCostModel(*d, hkern::DequantKernel::kCoalescedLut,
+                                              mat.scheme, batch, static_cast<int>(mat.k),
+                                              static_cast<int>(mat.n), /*threads=*/2)
+                        .total_s;
+        }
+        linear *= m->layers;
+        const double lm_head =
+            hkern::LmHeadCostModel(*d, batch, m->hidden, m->vocab, m->lm_head_scheme).seconds;
+        for (const int context : {256, 4096}) {
+          const StepCost c = e.DecodeStep(batch, context);
+          EXPECT_EQ(c.linear_s, linear) << m->name << " " << d->soc_name << " b" << batch;
+          EXPECT_EQ(c.lm_head_s, lm_head) << m->name << " " << d->soc_name << " b" << batch;
+        }
+      }
+    }
+  }
+}
 
 TEST(EngineTest, StepCostComponentsSumToTotal) {
   const Engine e = MakeEngine(Qwen25_1_5B(), OnePlus12());

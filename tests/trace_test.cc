@@ -1,4 +1,6 @@
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,7 +27,7 @@ TEST(TraceBuilderTest, ChromeJsonIsWellFormed) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"dequant\""), std::string::npos);
   EXPECT_NE(json.find("\"matmul\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   // One thread-name metadata record per lane.
   size_t meta = 0;
   for (size_t pos = 0; (pos = json.find("thread_name", pos)) != std::string::npos; ++pos) {
@@ -44,6 +46,24 @@ TEST(TraceBuilderTest, ChromeJsonIsWellFormed) {
     EXPECT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+TEST(TraceBuilderTest, ChromeJsonKeepsExactMicrosecondsAndEscapesNames) {
+  // Past 10 s of simulated time, 6 significant digits would merge events one mailbox hop
+  // (54 us) apart; every timestamp must print its exact microsecond value.
+  TraceBuilder tb;
+  tb.Add("NPU \"0\"", "step \"7\"", 12345.678901, 54e-6);
+  tb.Add("NPU \"0\"", "next", 12345.678955, 1e-6);
+  const std::string json = tb.ToChromeJson();
+  std::vector<double> ts;
+  for (size_t pos = 0; (pos = json.find("\"ts\":", pos)) != std::string::npos; ++pos) {
+    ts.push_back(std::strtod(json.c_str() + pos + 5, nullptr));
+  }
+  ASSERT_EQ(ts.size(), 2u);
+  EXPECT_EQ(ts[0], 12345.678901 * 1e6);
+  EXPECT_EQ(ts[1], 12345.678955 * 1e6);
+  EXPECT_NE(json.find(R"("NPU \"0\"")"), std::string::npos);
+  EXPECT_NE(json.find(R"("step \"7\"")"), std::string::npos);
 }
 
 TEST(TraceBuilderTest, AsciiGanttHasOneRowPerLane) {
