@@ -110,16 +110,14 @@ class HvxContext {
   int64_t vgather_ops() const { return vgather_ops_; }
   int64_t vscatter_ops() const { return vscatter_ops_; }
   int64_t vlut16_ops() const { return vlut16_ops_; }
-  // Re-applies the per-instruction-class counters of a previously simulated kernel without
-  // re-executing its element math. The dequant-once weight cache replays a memoized
-  // DequantCoalescedLut this way so every persistent counter stays bit-identical to the
-  // re-simulated run (docs/performance.md); packet time is charged separately through
+  // Counts `n` vlut16 ops without executing their lookups. The dequant-once weight cache
+  // replays a memoized DequantCoalescedLut's count this way, so the counter stays
+  // bit-identical to a re-simulated run (docs/performance.md), and the attention KV dequant
+  // counts its INT4 lookups; packet time is charged separately through
   // NpuDevice::CommitHvxPackets.
-  void ReplayOps(int64_t vgather, int64_t vscatter, int64_t vlut16) {
-    HEXLLM_DCHECK(vgather >= 0 && vscatter >= 0 && vlut16 >= 0);
-    vgather_ops_ += vgather;
-    vscatter_ops_ += vscatter;
-    vlut16_ops_ += vlut16;
+  void CountVlut16(int64_t n) {
+    HEXLLM_DCHECK(n >= 0);
+    vlut16_ops_ += n;
   }
   void Charge(int64_t n) {
     HEXLLM_DCHECK(n >= 0);

@@ -160,7 +160,7 @@ void DequantHeadRows(hexsim::NpuDevice& dev, const hquant::KvRowCodec& row,
   const int64_t elems = static_cast<int64_t>(n) * head_dim;
   const bool int4 = row.dtype == hquant::KvDtype::kInt4;
   const int64_t packets = int4 ? (elems * 17 + 255) / 256 : (elems * 3 + 63) / 64;
-  dev.hvx().ReplayOps(0, 0, int4 ? (elems * 4 + 255) / 256 : 0);
+  dev.hvx().CountVlut16(int4 ? (elems * 4 + 255) / 256 : 0);
   dev.CommitHvxPackets(packets, hexsim::Tag::kAttnKvDequant);
 }
 

@@ -23,15 +23,11 @@ int64_t GemmF16HmxTileOps(int m, int k, int n) {
 }
 
 double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16* c, int m,
-                  int k, int n, bool operands_in_tcm, int valid_m, const float* b_decoded) {
-  HEXLLM_CHECK(m % 32 == 0 && k % 32 == 0 && n % 32 == 0);
-  if (valid_m < 0) {
-    valid_m = m;
-  }
-  HEXLLM_CHECK(valid_m <= m);
+                  int k, int n, bool operands_in_tcm, const float* b_decoded) {
+  HEXLLM_CHECK(m >= 1 && k % 32 == 0 && n % 32 == 0);
   dev.ledger().AddCount(hexsim::Counter::kGemmHmxCalls);
 
-  const int mt = m / 32;
+  const int mt = static_cast<int>(hexllm::CeilDiv(m, 32));
   const int kt = k / 32;
   const int nt = n / 32;
 
@@ -68,10 +64,10 @@ double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16*
         float acc[HmxEngine::kTileElems];
 
         for (int64_t mi = mi_begin; mi < mi_end; ++mi) {
-          // Rows of this strip that carry data; the rest is tile padding (zero-packed, never
-          // read back).
-          const int strip_rows = static_cast<int>(
-              std::clamp<int64_t>(valid_m - mi * 32, 0, HmxEngine::kTileDim));
+          // Rows of this strip that carry data; the last strip's remainder is tile padding
+          // (zero-packed, never read back).
+          const int strip_rows =
+              static_cast<int>(std::min<int64_t>(HmxEngine::kTileDim, m - mi * 32));
           // Pack the A row-strip into tiles (charged; skipped cost-wise if operands
           // pre-packed in TCM — Table 2's peak setup keeps activations resident and
           // pre-packed).

@@ -15,19 +15,19 @@
 namespace hkern {
 
 // C[M,N] (FP16, row-major) = A[M,K] (FP16, row-major) x B (FP16, HMX tile stream order:
-// column-major 32x32 tiles, Figure 4b). M, K, N must be multiples of 32. When
-// `operands_in_tcm` is true no DMA is charged (the Table 2 peak-measurement configuration).
-// `valid_m` (default m) marks how many leading rows of A actually carry data: rows beyond
-// it are never read and the matching C rows are left unspecified — the tile/packet charges
-// are those of the full padded shape either way, so a caller padding a partial batch up to
-// a tile gets bit-identical counters and valid-row results without touching the padding.
+// column-major 32x32 tiles, Figure 4b). K and N must be multiples of 32; M is any row count
+// >= 1, and `a`/`c` hold exactly M rows. A last partial row-strip is zero-packed into its
+// TCM tiles and only its live rows are written back, while the tile/packet charges are
+// those of whole 32-row tiles, so a partial batch costs what the hardware would charge for
+// the padded tile. When `operands_in_tcm` is true no DMA is charged (the Table 2
+// peak-measurement configuration).
 // `b_decoded` (optional) is the same tile stream pre-decoded to FP32, each tile row-major
 // (HmxEngine::DecodeTile): B is still copied/DMA'd into TCM and charged exactly as without
 // it, but the tile MACs skip re-decoding constant weights (hllm::QuantizedLinear's cache).
 // Returns the simulated latency in seconds.
 double GemmF16Hmx(hexsim::NpuDevice& dev, const hexllm::F16* a, const hexllm::F16* b_tiles,
                   hexllm::F16* c, int m, int k, int n, bool operands_in_tcm,
-                  int valid_m = -1, const float* b_decoded = nullptr);
+                  const float* b_decoded = nullptr);
 
 // C[M,N] = A[M,K] x B[K,N] (all FP16 row-major) on ONE HVX thread: per 64-wide output chunk,
 // a vsplat/load/multiply/accumulate inner loop over K. Returns the simulated latency.

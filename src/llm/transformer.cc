@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "src/base/check.h"
-#include "src/base/math_util.h"
 #include "src/exec/thread_pool.h"
 #include "src/kernels/attention.h"
 #include "src/kernels/lm_head.h"
@@ -20,19 +19,15 @@ namespace {
 
 // Capacity of the per-forward scratch arena for `rows` rows: every step/prefill-chunk buffer
 // (embedding rows, normed rows, QKV, attention output, FFN intermediates, float hidden for
-// the lm_head) plus the worst-case padded-GEMM staging frame, with 64-byte alignment slack
-// per allocation. Sized once, for the larger of a decode/verify step and one prefill chunk,
-// so steady-state decode never grows it (docs/performance.md).
+// the lm_head), with 64-byte alignment slack per allocation. Sized once, for the larger of a
+// decode/verify step and one prefill chunk, so steady-state decode never grows it
+// (docs/performance.md).
 int64_t StepWorkspaceBytes(const ModelConfig& c, int64_t rows) {
   const int64_t f16_elems =
       rows * (3 * static_cast<int64_t>(c.hidden) + 2 * c.q_dim() + 2 * c.kv_dim() +
               3 * static_cast<int64_t>(c.ffn_hidden));
   const int64_t float_elems = rows * static_cast<int64_t>(c.hidden);
-  const int64_t dim_max =
-      std::max<int64_t>({static_cast<int64_t>(c.hidden), c.q_dim(), c.kv_dim(),
-                         static_cast<int64_t>(c.ffn_hidden)});
-  const int64_t staging_elems = 2 * hexllm::RoundUp(rows, 32) * dim_max;
-  return (f16_elems + staging_elems) * 2 + float_elems * 4 + 64 * 32;
+  return f16_elems * 2 + float_elems * 4 + 64 * 32;
 }
 
 }  // namespace
@@ -241,9 +236,9 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
 
     // --- attention block: every span's rows share the batched norms and GEMMs ---
     hkern::RmsNormF16(dev_, x, lw.attn_norm.data(), xn, rows, hidden, c.rms_eps);
-    lw.wq.Forward(dev_, xn, q, rows, ws_);
-    lw.wk.Forward(dev_, xn, k, rows, ws_);
-    lw.wv.Forward(dev_, xn, v, rows, ws_);
+    lw.wq.Forward(dev_, xn, q, rows);
+    lw.wk.Forward(dev_, xn, k, rows);
+    lw.wv.Forward(dev_, xn, v, rows);
 
     // Per-row RoPE at the row's absolute position, then append each span's K/V rows to
     // its sequence (the table length itself only advances after the layer loop).
@@ -331,15 +326,15 @@ void Transformer::Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant
         slots);
     dev_.MergeShards();
 
-    lw.wo.Forward(dev_, attn_out, proj, rows, ws_);
+    lw.wo.Forward(dev_, attn_out, proj, rows);
     hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(rows) * hidden);
 
     // --- FFN block ---
     hkern::RmsNormF16(dev_, x, lw.ffn_norm.data(), xn, rows, hidden, c.rms_eps);
-    lw.w_gate.Forward(dev_, xn, gate, rows, ws_);
-    lw.w_up.Forward(dev_, xn, up, rows, ws_);
+    lw.w_gate.Forward(dev_, xn, gate, rows);
+    lw.w_up.Forward(dev_, xn, up, rows);
     hkern::SiluMulF16(dev_, gate, up, act, static_cast<int64_t>(rows) * c.ffn_hidden);
-    lw.w_down.Forward(dev_, act, proj, rows, ws_);
+    lw.w_down.Forward(dev_, act, proj, rows);
     hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(rows) * hidden);
   }
 

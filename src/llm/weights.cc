@@ -4,8 +4,8 @@
 #include <cstring>
 #include <mutex>
 
+#include "src/base/arena.h"
 #include "src/base/check.h"
-#include "src/base/math_util.h"
 #include "src/hexsim/hmx.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/mixed_gemm.h"
@@ -56,46 +56,30 @@ int64_t QuantizedLinear::quantized_bytes() const {
                               b8_.size() * sizeof(hquant::BlockQ8_0));
 }
 
-void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int m,
-                              hexllm::Arena& ws) const {
+void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int m) const {
   HEXLLM_CHECK(m >= 1);
   hexllm::Arena::Frame frame(dev.tcm());
   // Dequantize the full weight stream into TCM (toy-model sizes fit; the production engine
   // processes strips — see runtime/engine.cc's cost model). With a warm cache the stream is
   // memcpy'd in and the dequant's simulated charges are replayed instead — bit-identical
-  // counters, no per-element LUT simulation (docs/performance.md).
-  F16* w_tcm = dev.tcm().Alloc<F16>(k_ * n_);
-  const bool cache_warm = cache_->ready.load(std::memory_order_acquire);
-  if (scheme_ == hquant::WeightScheme::kQ4_0) {
-    if (cache_warm) {
-      std::memcpy(w_tcm, cache_->stream.data(), static_cast<size_t>(k_ * n_) * 2);
+  // counters, no per-element dequant simulation (docs/performance.md).
+  const int64_t elems = k_ * n_;
+  F16* w_tcm = dev.tcm().Alloc<F16>(elems);
+  DequantCache& cache = *cache_;
+  const bool q4 = scheme_ == hquant::WeightScheme::kQ4_0;
+  if (cache.ready.load(std::memory_order_acquire)) {
+    std::memcpy(w_tcm, cache.stream.data(), static_cast<size_t>(elems) * 2);
+    if (q4) {
       dev.ledger().AddCount(hexsim::Counter::kDequantCoalescedLutCalls);
-      dev.hvx().ReplayOps(cache_->vgather, cache_->vscatter, cache_->vlut16);
-      dev.CommitHvxPackets(cache_->packets, hexsim::Tag::kLinearDequant);
-    } else {
-      const int64_t vgather0 = dev.hvx().vgather_ops();
-      const int64_t vscatter0 = dev.hvx().vscatter_ops();
-      const int64_t vlut0 = dev.hvx().vlut16_ops();
-      const int64_t packets = hkern::DequantCoalescedLut(dev, sb4_, w_tcm);
-      dev.CommitHvxPackets(packets, hexsim::Tag::kLinearDequant);
-      std::lock_guard<std::mutex> lock(cache_->mu);
-      if (!cache_->ready.load(std::memory_order_relaxed)) {
-        cache_->StoreStream(w_tcm, k_ * n_);
-        cache_->packets = packets;
-        // DequantCoalescedLut merges its shards before returning, so the parent-device
-        // deltas capture the whole call at any lane count.
-        cache_->vgather = dev.hvx().vgather_ops() - vgather0;
-        cache_->vscatter = dev.hvx().vscatter_ops() - vscatter0;
-        cache_->vlut16 = dev.hvx().vlut16_ops() - vlut0;
-        cache_->ready.store(true, std::memory_order_release);
-      }
     }
+    dev.hvx().CountVlut16(cache.vlut16);
   } else {
-    // Q8: conventional unpack (widen + scale), contiguous stores; ~8 packets per 64.
-    const int64_t n_elems = k_ * n_;
-    if (cache_warm) {
-      std::memcpy(w_tcm, cache_->stream.data(), static_cast<size_t>(n_elems) * 2);
+    const int64_t vlut0 = dev.hvx().vlut16_ops();
+    int64_t packets = 0;
+    if (q4) {
+      packets = hkern::DequantCoalescedLut(dev, sb4_, w_tcm);
     } else {
+      // Q8: conventional unpack (widen + scale), contiguous stores; ~8 packets per 64.
       for (size_t bi = 0; bi < b8_.size(); ++bi) {
         const float d = b8_[bi].d.ToFloat();
         for (int i = 0; i < hquant::kGroupSize; ++i) {
@@ -103,35 +87,23 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
               F16(RoundToF16(static_cast<float>(b8_[bi].qs[i]) * d));
         }
       }
-      std::lock_guard<std::mutex> lock(cache_->mu);
-      if (!cache_->ready.load(std::memory_order_relaxed)) {
-        cache_->StoreStream(w_tcm, n_elems);
-        cache_->ready.store(true, std::memory_order_release);
-      }
+      packets = elems / 64 * 8;
     }
-    dev.CommitHvxPackets(n_elems / 64 * 8, hexsim::Tag::kLinearDequant);
+    std::lock_guard<std::mutex> lock(cache.mu);
+    if (!cache.ready.load(std::memory_order_relaxed)) {
+      cache.StoreStream(w_tcm, elems);
+      cache.packets = packets;
+      // DequantCoalescedLut merges its shards before returning, so the parent-device delta
+      // captures the whole call at any lane count.
+      cache.vlut16 = dev.hvx().vlut16_ops() - vlut0;
+      cache.ready.store(true, std::memory_order_release);
+    }
   }
+  dev.CommitHvxPackets(cache.packets, hexsim::Tag::kLinearDequant);
 
-  // The FP32 shadow of the stream now in TCM (stored above at the latest).
-  const float* w_decoded = cache_->decoded.data();
-  if (m % 32 == 0) {
-    // Already tile-aligned rows: no staging copies, the GEMM reads/writes in place.
-    hkern::GemmF16Hmx(dev, x, w_tcm, y, m, static_cast<int>(k_), static_cast<int>(n_),
-                      /*operands_in_tcm=*/true, m, w_decoded);
-    return;
-  }
-
-  // Pad the activation rows up to a full tile. valid_m = m means the GEMM never reads the
-  // padding rows (and leaves the padded output rows unspecified), so the staging buffers
-  // need no zero fill — only the live rows are copied in and out.
-  const int m_pad = static_cast<int>(hexllm::RoundUp(m, 32));
-  hexllm::Arena::Frame wframe(ws);
-  F16* x_pad = ws.Alloc<F16>(static_cast<int64_t>(m_pad) * k_);
-  F16* y_pad = ws.Alloc<F16>(static_cast<int64_t>(m_pad) * n_);
-  std::memcpy(x_pad, x, static_cast<size_t>(m) * k_ * 2);
-  hkern::GemmF16Hmx(dev, x_pad, w_tcm, y_pad, m_pad, static_cast<int>(k_),
-                    static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m, w_decoded);
-  std::memcpy(y, y_pad, static_cast<size_t>(m) * n_ * 2);
+  // Any row count: the GEMM zero-packs the last partial strip itself.
+  hkern::GemmF16Hmx(dev, x, w_tcm, y, m, static_cast<int>(k_), static_cast<int>(n_),
+                    /*operands_in_tcm=*/true, cache.decoded.data());
 }
 
 std::vector<float> QuantizedLinear::Dequantize() const {

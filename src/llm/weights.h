@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "src/base/arena.h"
 #include "src/base/fp16.h"
 #include "src/base/rng.h"
 #include "src/hexsim/npu_device.h"
@@ -38,20 +37,18 @@ class QuantizedLinear {
   int64_t quantized_bytes() const;
 
   // Functional forward on the simulator: y[M, N] = x[M, K] (both FP16 row-major host
-  // buffers). Dequantizes into TCM, runs HMX GEMM. M is padded to a tile internally; when
-  // m is already a tile multiple the padding staging is skipped and x/y are used directly,
-  // otherwise `ws` provides the heap-free staging scratch (docs/performance.md).
+  // buffers of exactly M rows). Dequantizes into TCM and runs one HMX GEMM on x and y; the
+  // GEMM zero-packs a partial last row-strip itself, so any M >= 1 takes the same path.
   //
-  // Dequant-once cache: the first Forward of a matrix runs the LUT dequant and stores the
-  // dequantized F16 stream plus the dequant's simulated cost (HVX packets, vlut16 ops);
-  // later calls memcpy the stream into TCM and REPLAY the charges — same
-  // kernel.dequant_coalesced_lut.calls count, same packet totals, same Tag::kLinearDequant
-  // ledger tag — without re-simulating the LUT kernel. The cache also keeps the stream
-  // decoded to FP32 per tile, which the HMX GEMM reads instead of re-decoding every weight
-  // tile on every tile op. Cold and warm calls charge bit-identical counters; only host
-  // time differs.
-  void Forward(hexsim::NpuDevice& dev, const hexllm::F16* x, hexllm::F16* y, int m,
-               hexllm::Arena& ws) const;
+  // Dequant-once cache: the first Forward of a matrix runs the scheme's dequant (Q4_0: the
+  // LUT kernel; Q8_0: widen + scale) and stores the dequantized F16 stream plus the
+  // dequant's simulated cost (HVX packets, vlut16 ops); later calls memcpy the stream into
+  // TCM and REPLAY the charges — same kernel.dequant_coalesced_lut.calls count (Q4_0), same
+  // packet totals, same Tag::kLinearDequant ledger tag — without re-simulating the kernel.
+  // The cache also keeps the stream decoded to FP32 per tile, which the HMX GEMM reads
+  // instead of re-decoding every weight tile on every tile op. Cold and warm calls charge
+  // bit-identical counters; only host time differs.
+  void Forward(hexsim::NpuDevice& dev, const hexllm::F16* x, hexllm::F16* y, int m) const;
 
   // Reference reconstruction of the [K, N] column-major matrix (FP32).
   std::vector<float> Dequantize() const;
@@ -69,8 +66,6 @@ class QuantizedLinear {
     std::vector<hexllm::F16> stream;  // [k * n] in HMX stream order
     std::vector<float> decoded;       // [k * n]: stream's tiles, each row-major FP32
     int64_t packets = 0;
-    int64_t vgather = 0;
-    int64_t vscatter = 0;
     int64_t vlut16 = 0;
   };
 

@@ -52,6 +52,25 @@ int JobEndLength(const ServeJob& j) {
   return j.prompt_tokens + j.context_tokens + j.decode_tokens;
 }
 
+// The field checks Run and Submit share: a positive decode, non-negative lengths, and a
+// final KV length within the backend's context limit. Returns the reason a job is malformed,
+// or an empty string.
+std::string JobFieldError(const ServeJob& job, int64_t max_context) {
+  if (job.decode_tokens < 1) {
+    return "decode_tokens must be >= 1";
+  }
+  if (job.prompt_tokens < 0 || job.context_tokens < 0) {
+    return "prompt_tokens and context_tokens must be non-negative";
+  }
+  const int64_t total =
+      static_cast<int64_t>(job.prompt_tokens) + job.context_tokens + job.decode_tokens;
+  if (total > max_context) {
+    return "prompt + context + decode (" + std::to_string(total) +
+           ") exceeds the backend context limit (" + std::to_string(max_context) + ")";
+  }
+  return {};
+}
+
 }  // namespace
 
 ContinuousBatcher::ContinuousBatcher(ExecutionBackend& backend, const ServeOptions& options)
@@ -73,7 +92,6 @@ void ContinuousBatcher::Reset() {
   groups_.clear();
   group_index_.clear();
   id_index_.clear();
-  ids_unique_ = true;
   ready_.clear();
   ready_seq_ = 0;
   slots_.assign(static_cast<size_t>(options_.max_batch), Slot{});
@@ -108,10 +126,8 @@ int ContinuousBatcher::Register(const ServeJob& job) {
   const int index = static_cast<int>(jobs_.size());
   JobRec rec;
   rec.job = job;
-  const auto [it, inserted] = id_index_.try_emplace(job.id, index);
-  if (!inserted) {
-    ids_unique_ = false;  // tolerated in fork-free batch streams (legacy producers)
-  }
+  const bool inserted = id_index_.try_emplace(job.id, index).second;
+  HEXLLM_CHECK_MSG(inserted, "duplicate job id");  // Run and Submit reject duplicates
   if (job.parent_job >= 0) {
     const auto pit = id_index_.find(job.parent_job);
     HEXLLM_CHECK(pit != id_index_.end());
@@ -162,17 +178,11 @@ bool ContinuousBatcher::Submit(const ServeJob& job, std::string* error) {
   if (poisoned_) {
     return fail("run already failed: " + r_.error);
   }
-  if (job.decode_tokens < 1) {
-    return fail("decode_tokens must be >= 1");
-  }
-  if (job.prompt_tokens < 0 || job.context_tokens < 0) {
-    return fail("prompt_tokens and context_tokens must be non-negative");
+  if (const std::string why = JobFieldError(job, backend_.max_context()); !why.empty()) {
+    return fail(why);
   }
   if (job.barrier != 0) {
     return fail("live submissions must use barrier 0 (waves exist only in Run streams)");
-  }
-  if (static_cast<int64_t>(JobEndLength(job)) > backend_.max_context()) {
-    return fail("prompt + context + decode exceeds the backend context limit");
   }
   if (id_index_.count(job.id) != 0) {
     return fail("duplicate job id in live submission");
@@ -210,7 +220,6 @@ void ContinuousBatcher::Poison(const std::string& error) {
 }
 
 bool ContinuousBatcher::PauseJob(int job_id) {
-  HEXLLM_CHECK_MSG(ids_unique_, "job-id APIs need unique job ids");
   const auto it = id_index_.find(job_id);
   if (it == id_index_.end()) {
     return false;
@@ -246,7 +255,6 @@ void ContinuousBatcher::AdvanceTime(double seconds) {
 }
 
 void ContinuousBatcher::ReleaseRetained(int job_id) {
-  HEXLLM_CHECK_MSG(ids_unique_, "job-id APIs need unique job ids");
   const auto it = id_index_.find(job_id);
   if (it == id_index_.end()) {
     return;
@@ -260,7 +268,6 @@ void ContinuousBatcher::ReleaseRetained(int job_id) {
 }
 
 JobState ContinuousBatcher::job_state(int job_id) const {
-  HEXLLM_CHECK_MSG(ids_unique_, "job-id APIs need unique job ids");
   const auto it = id_index_.find(job_id);
   HEXLLM_CHECK_MSG(it != id_index_.end(), "unknown job id");
   return jobs_[static_cast<size_t>(it->second)].state;
@@ -700,41 +707,27 @@ ScheduleResult ContinuousBatcher::Run(const std::vector<ServeJob>& jobs) {
 
   // Validate the stream up front and report malformed jobs as an error result instead of
   // CHECK-aborting: job streams come from workload producers (benches, sweeps, user input),
-  // not trusted internals. Fork edges get the full treatment — a bad parent reference would
+  // not trusted internals. Job ids must be unique (retention, pause/resume and fork edges
+  // are keyed on them), and fork edges get the full treatment — a bad parent reference would
   // otherwise surface as silent KV corruption deep in a backend.
   const auto reject = [&](const ServeJob& j, const std::string& why) {
     poisoned_ = true;
     r_.error = "job " + std::to_string(j.id) + ": " + why;
     return Finish();
   };
-  bool any_fork = false;
-  for (const ServeJob& j : jobs) {
-    any_fork = any_fork || j.parent_job >= 0;
-  }
-  std::map<int, int> id_index;  // job id -> input index, only needed for fork edges
-  if (any_fork) {
-    for (int j = 0; j < n; ++j) {
-      const auto [it, inserted] = id_index.try_emplace(jobs[static_cast<size_t>(j)].id, j);
-      if (!inserted) {
-        return reject(jobs[static_cast<size_t>(j)],
-                      "duplicate job id in a stream with fork edges");
-      }
+  std::map<int, int> id_index;  // job id -> input index
+  for (int j = 0; j < n; ++j) {
+    if (!id_index.try_emplace(jobs[static_cast<size_t>(j)].id, j).second) {
+      return reject(jobs[static_cast<size_t>(j)], "duplicate job id in the stream");
     }
   }
   for (int j = 0; j < n; ++j) {
     const ServeJob& job = jobs[static_cast<size_t>(j)];
-    if (job.decode_tokens < 1) {
-      return reject(job, "decode_tokens must be >= 1");
+    if (const std::string why = JobFieldError(job, backend_.max_context()); !why.empty()) {
+      return reject(job, why);
     }
-    if (job.prompt_tokens < 0 || job.context_tokens < 0 || job.barrier < 0) {
-      return reject(job, "prompt_tokens, context_tokens and barrier must be non-negative");
-    }
-    const int64_t total = static_cast<int64_t>(job.prompt_tokens) + job.context_tokens +
-                          job.decode_tokens;
-    if (total > backend_.max_context()) {
-      return reject(job, "prompt + context + decode (" + std::to_string(total) +
-                             ") exceeds the backend context limit (" +
-                             std::to_string(backend_.max_context()) + ")");
+    if (job.barrier < 0) {
+      return reject(job, "barrier must be non-negative");
     }
     if (job.parent_job < 0) {
       continue;
@@ -768,12 +761,10 @@ ScheduleResult ContinuousBatcher::Run(const std::vector<ServeJob>& jobs) {
   for (const ServeJob& job : jobs) {
     Register(job);
   }
-  if (any_fork) {
-    for (int j = 0; j < n; ++j) {
-      const int p = jobs_[static_cast<size_t>(j)].parent_index;
-      if (p >= 0) {
-        ++pending_children_[static_cast<size_t>(p)];
-      }
+  for (int j = 0; j < n; ++j) {
+    const int p = jobs_[static_cast<size_t>(j)].parent_index;
+    if (p >= 0) {
+      ++pending_children_[static_cast<size_t>(p)];
     }
   }
   {

@@ -173,7 +173,8 @@ class ContinuousBatcher {
 
   // --- batch mode -------------------------------------------------------------------
   // Runs every job to completion and returns the aggregate schedule. An empty job list
-  // yields a zeroed result (no NaNs). Jobs must each decode at least one token. Resets any
+  // yields a zeroed result (no NaNs). Jobs must each decode at least one token and carry
+  // distinct ids; a malformed stream returns ScheduleResult::error. Resets any
   // in-progress live state; equivalent to Reset + Submit each + Step until drained +
   // Finish, plus whole-stream validation (fork graph, barrier waves).
   ScheduleResult Run(const std::vector<ServeJob>& jobs);
@@ -303,7 +304,6 @@ class ContinuousBatcher {
   std::vector<Group> groups_;
   std::map<int, int> group_index_;  // prompt_group id -> groups_ index
   std::map<int, int> id_index_;     // job id -> jobs_ index
-  bool ids_unique_ = true;          // duplicate ids allowed in fork-free batch streams
   std::set<ReadyEntry> ready_;
   int64_t ready_seq_ = 0;
   std::vector<Slot> slots_;

@@ -52,9 +52,9 @@ struct ServeJob {
   // parent's length is fresh tokens prefilled (and charged) at admission — this is how a
   // dialog session's follow-up turn re-prefills only the new turn (src/frontend). Negative
   // means no fork (fresh admission). In a batched stream (ContinuousBatcher::Run) the
-  // parent must share a non-negative prompt_group at a strictly smaller barrier, and job
-  // ids must be unique; in live submission (Submit/Step) the parent must already have
-  // completed with retained KV.
+  // parent must share a non-negative prompt_group at a strictly smaller barrier; in live
+  // submission (Submit/Step) the parent must already have completed with retained KV. Job
+  // ids are unique in either mode.
   int parent_job = -1;
   // Admission priority: higher admits first, and (with ServeOptions::enable_preemption) a
   // higher-priority arrival may pause a running lower-priority decode to take its slot.

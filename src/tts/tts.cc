@@ -68,113 +68,96 @@ SamplePath SamplePolicyPath(const ReasoningTask& task, double theta, hexllm::Rng
   return path;
 }
 
-MethodResult RunSingleSample(const TaskSet& tasks, double theta, int trials,
-                             hexllm::Rng& rng, std::vector<hserve::ServeJob>* jobs) {
+namespace {
+
+// The trial x task loop of the parallel-sampling methods. Per (trial, task) attempt it emits
+// the n sample jobs, draws the attempt's skill, then draws n policy paths, handing each to
+// `observe` in draw order (Best-of-N draws its ORM score from `rng` there). After the last
+// path `select(task)` reports whether the selected answer is correct and resets its state.
+template <typename Observe, typename Select>
+MethodResult RunParallelSampling(const TaskSet& tasks, double theta, int n, int trials,
+                                 hexllm::Rng& rng, std::vector<hserve::ServeJob>* jobs,
+                                 Observe observe, Select select) {
+  HEXLLM_CHECK(n >= 1);
   MethodResult r;
-  r.batch = 1;
+  r.batch = n;
   int64_t correct = 0;
+  int64_t oracle = 0;
   int64_t total = 0;
-  double tokens = 0.0;
+  double seq_tokens = 0.0;
   const int num_tasks = static_cast<int>(tasks.tasks.size());
   for (int trial = 0; trial < trials; ++trial) {
     for (int ti = 0; ti < num_tasks; ++ti) {
       const auto& t = tasks.tasks[static_cast<size_t>(ti)];
-      EmitSampleJobs(jobs, t, trial * num_tasks + ti, trial, 1);
-      const SamplePath p = SamplePolicyPath(t, TrialTheta(theta, rng), rng);
-      correct += p.correct ? 1 : 0;
-      tokens += p.gen_tokens;
+      EmitSampleJobs(jobs, t, trial * num_tasks + ti, trial, n);
+      bool any_correct = false;
+      const double trial_theta = TrialTheta(theta, rng);
+      for (int i = 0; i < n; ++i) {
+        const SamplePath p = SamplePolicyPath(t, trial_theta, rng);
+        any_correct = any_correct || p.correct;
+        observe(p);
+      }
+      correct += select(t) ? 1 : 0;
+      oracle += any_correct ? 1 : 0;
+      seq_tokens += t.gen_tokens;
       ++total;
     }
   }
   r.accuracy = static_cast<double>(correct) / total;
-  r.oracle_accuracy = r.accuracy;
-  r.avg_seq_tokens = tokens / total;
-  r.avg_total_tokens = r.avg_seq_tokens;
+  r.oracle_accuracy = static_cast<double>(oracle) / total;
+  r.avg_seq_tokens = seq_tokens / total;
+  r.avg_total_tokens = r.avg_seq_tokens * n;
   return r;
+}
+
+}  // namespace
+
+// One sample's vote is its own answer, which equals the task's exactly when the path is
+// correct (true answers are below 1000, wrong ones at least 100000).
+MethodResult RunSingleSample(const TaskSet& tasks, double theta, int trials,
+                             hexllm::Rng& rng, std::vector<hserve::ServeJob>* jobs) {
+  return RunMajorityVote(tasks, theta, 1, trials, rng, jobs);
 }
 
 MethodResult RunBestOfN(const TaskSet& tasks, double theta, const OutcomeRewardModel& orm,
                         int n, int trials, hexllm::Rng& rng,
                         std::vector<hserve::ServeJob>* jobs) {
-  HEXLLM_CHECK(n >= 1);
-  MethodResult r;
-  r.batch = n;
-  int64_t correct = 0;
-  int64_t oracle = 0;
-  int64_t total = 0;
-  double seq_tokens = 0.0;
-  const int num_tasks = static_cast<int>(tasks.tasks.size());
-  for (int trial = 0; trial < trials; ++trial) {
-    for (int ti = 0; ti < num_tasks; ++ti) {
-      const auto& t = tasks.tasks[static_cast<size_t>(ti)];
-      EmitSampleJobs(jobs, t, trial * num_tasks + ti, trial, n);
-      double best_score = -1e30;
-      bool best_correct = false;
-      bool any_correct = false;
-      const double trial_theta = TrialTheta(theta, rng);
-      for (int i = 0; i < n; ++i) {
-        const SamplePath p = SamplePolicyPath(t, trial_theta, rng);
-        any_correct = any_correct || p.correct;
+  double best_score = -1e30;
+  bool best_correct = false;
+  return RunParallelSampling(
+      tasks, theta, n, trials, rng, jobs,
+      [&](const SamplePath& p) {
         const double s = orm.Score(p, rng);
         if (s > best_score) {
           best_score = s;
           best_correct = p.correct;
         }
-      }
-      correct += best_correct ? 1 : 0;
-      oracle += any_correct ? 1 : 0;
-      seq_tokens += t.gen_tokens;
-      ++total;
-    }
-  }
-  r.accuracy = static_cast<double>(correct) / total;
-  r.oracle_accuracy = static_cast<double>(oracle) / total;
-  r.avg_seq_tokens = seq_tokens / total;
-  r.avg_total_tokens = r.avg_seq_tokens * n;
-  return r;
+      },
+      [&](const ReasoningTask&) {
+        const bool picked = best_correct;
+        best_score = -1e30;
+        best_correct = false;
+        return picked;
+      });
 }
 
 MethodResult RunMajorityVote(const TaskSet& tasks, double theta, int n, int trials,
                              hexllm::Rng& rng, std::vector<hserve::ServeJob>* jobs) {
-  HEXLLM_CHECK(n >= 1);
-  MethodResult r;
-  r.batch = n;
-  int64_t correct = 0;
-  int64_t oracle = 0;
-  int64_t total = 0;
-  double seq_tokens = 0.0;
-  const int num_tasks = static_cast<int>(tasks.tasks.size());
-  for (int trial = 0; trial < trials; ++trial) {
-    for (int ti = 0; ti < num_tasks; ++ti) {
-      const auto& t = tasks.tasks[static_cast<size_t>(ti)];
-      EmitSampleJobs(jobs, t, trial * num_tasks + ti, trial, n);
-      std::map<int, int> votes;
-      bool any_correct = false;
-      const double trial_theta = TrialTheta(theta, rng);
-      for (int i = 0; i < n; ++i) {
-        const SamplePath p = SamplePolicyPath(t, trial_theta, rng);
-        any_correct = any_correct || p.correct;
-        ++votes[p.answer];
-      }
-      int best_answer = -1;
-      int best_count = 0;
-      for (const auto& [ans, count] : votes) {
-        if (count > best_count) {
-          best_count = count;
-          best_answer = ans;
+  std::map<int, int> votes;
+  return RunParallelSampling(
+      tasks, theta, n, trials, rng, jobs, [&](const SamplePath& p) { ++votes[p.answer]; },
+      [&](const ReasoningTask& t) {
+        int best_answer = -1;
+        int best_count = 0;
+        for (const auto& [ans, count] : votes) {
+          if (count > best_count) {
+            best_count = count;
+            best_answer = ans;
+          }
         }
-      }
-      correct += (best_answer == t.answer) ? 1 : 0;
-      oracle += any_correct ? 1 : 0;
-      seq_tokens += t.gen_tokens;
-      ++total;
-    }
-  }
-  r.accuracy = static_cast<double>(correct) / total;
-  r.oracle_accuracy = static_cast<double>(oracle) / total;
-  r.avg_seq_tokens = seq_tokens / total;
-  r.avg_total_tokens = r.avg_seq_tokens * n;
-  return r;
+        votes.clear();
+        return best_answer == t.answer;
+      });
 }
 
 MethodResult RunBeamSearch(const TaskSet& tasks, double theta, const ProcessRewardModel& prm,

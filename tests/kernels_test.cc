@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -450,6 +451,56 @@ TEST(GemmTest, HmxMatchesReference) {
       EXPECT_NEAR(c[static_cast<size_t>(mi) * n + ni].ToFloat(), expected,
                   std::fabs(expected) * 2e-3 + 2e-2)
           << mi << "," << ni;
+    }
+  }
+}
+
+// Any row count runs on buffers of exactly m rows: the GEMM zero-packs the last partial
+// strip in TCM and writes back only the live rows. Outputs and every counter equal a run on
+// a zero-padded m_pad-row copy, whose charges are those of whole 32-row tiles.
+TEST(GemmTest, HmxTakesAnyRowCountOnExactBuffers) {
+  Rng rng(43);
+  const int k = 64;
+  const int n = 96;
+  std::vector<float> w(static_cast<size_t>(k) * n);
+  for (auto& x : w) {
+    x = static_cast<float>(rng.NextGaussian() * 0.5);
+  }
+  const auto stream = hquant::PermuteToHmxOrder(w, k, n);
+  std::vector<F16> b_tiles(stream.size());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    b_tiles[i] = F16(stream[i]);
+  }
+  for (const bool in_tcm : {false, true}) {
+    for (const int m : {1, 17, 32, 33, 63}) {
+      const int m_pad = (m + 31) / 32 * 32;
+      std::vector<F16> a(static_cast<size_t>(m) * k);
+      for (auto& x : a) {
+        x = F16(static_cast<float>(rng.NextGaussian() * 0.5));
+      }
+      std::vector<F16> a_pad(static_cast<size_t>(m_pad) * k);  // zero rows beyond m
+      std::copy(a.begin(), a.end(), a_pad.begin());
+      std::vector<F16> c(static_cast<size_t>(m) * n);
+      std::vector<F16> c_pad(static_cast<size_t>(m_pad) * n);
+      NpuDevice dev(OnePlus12());
+      NpuDevice dev_pad(OnePlus12());
+      const double s = GemmF16Hmx(dev, a.data(), b_tiles.data(), c.data(), m, k, n, in_tcm);
+      const double s_pad = GemmF16Hmx(dev_pad, a_pad.data(), b_tiles.data(), c_pad.data(),
+                                      m_pad, k, n, in_tcm);
+      SCOPED_TRACE(testing::Message() << "m=" << m << " in_tcm=" << in_tcm);
+      EXPECT_EQ(std::memcmp(c.data(), c_pad.data(), c.size() * sizeof(F16)), 0);
+      EXPECT_EQ(s, s_pad);
+      EXPECT_EQ(dev.hmx().tile_ops(), GemmF16HmxTileOps(m_pad, k, n));
+      EXPECT_EQ(dev.hmx().tile_ops(), dev_pad.hmx().tile_ops());
+      EXPECT_EQ(dev.hvx().packets(), dev_pad.hvx().packets());
+      EXPECT_EQ(dev.ledger().counts(), dev_pad.ledger().counts());
+      EXPECT_EQ(dev.ledger().dma_bytes(), dev_pad.ledger().dma_bytes());
+      EXPECT_EQ(dev.ledger().tags(), dev_pad.ledger().tags());
+      for (int e = 0; e < static_cast<int>(hexsim::Engine::kCount); ++e) {
+        const auto engine = static_cast<hexsim::Engine>(e);
+        EXPECT_EQ(dev.ledger().EngineSeconds(engine), dev_pad.ledger().EngineSeconds(engine))
+            << hexsim::EngineName(engine);
+      }
     }
   }
 }

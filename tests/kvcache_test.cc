@@ -1206,6 +1206,32 @@ TEST_F(ServingKvTest, MalformedJobsReportErrorsInsteadOfAborting) {
   EXPECT_EQ(ok.completions.size(), 2u);
 }
 
+TEST_F(ServingKvTest, DuplicateJobIdsAreAnErrorWithoutForkEdges) {
+  // Retention, pause/resume and fork edges are all keyed on the job id, so a fork-free
+  // stream that reuses one is rejected up front, naming the id, on both backends.
+  ServeOptions so;
+  so.max_batch = 2;
+  ServeJob a = Job(7, 4, -1, 8);
+  ServeJob b = Job(7, 3, -1, 8);
+  a.retain_kv = true;
+  b.retain_kv = true;
+  AnalyticBackend analytic(*toy_engine_);
+  FunctionalBackend functional(dev_, weights_, so.max_batch, /*max_context=*/64);
+  for (ExecutionBackend* backend : {static_cast<ExecutionBackend*>(&analytic),
+                                    static_cast<ExecutionBackend*>(&functional)}) {
+    ContinuousBatcher batcher(*backend, so);
+    const ScheduleResult r = batcher.Run({a, b});
+    EXPECT_NE(r.error.find("job 7: duplicate job id"), std::string::npos) << r.error;
+    EXPECT_TRUE(r.completions.empty());
+    // The batcher is not poisoned for the next stream.
+    b.id = 8;
+    const ScheduleResult ok = batcher.Run({a, b});
+    EXPECT_TRUE(ok.error.empty()) << ok.error;
+    EXPECT_EQ(ok.completions.size(), 2u);
+    b.id = 7;
+  }
+}
+
 // --- quantized KV through the serving stack (docs/kv_quantization.md) ---
 
 TEST_F(ServingKvTest, QuantizedKvKeepsBackendBlockParityAndShrinksBytes) {

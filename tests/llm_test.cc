@@ -168,9 +168,7 @@ TEST(QuantizedLinearTest, ForwardMatchesDequantizedMatmul) {
       v = F16(static_cast<float>(rng.NextGaussian() * 0.3));
     }
     std::vector<F16> y(static_cast<size_t>(m) * n);
-    hexllm::Arena ws(32 * (k + n) * static_cast<int64_t>(sizeof(F16)) + 128, 64,
-                     "Step workspace");  // staging
-    lin.Forward(dev, x.data(), y.data(), m, ws);
+    lin.Forward(dev, x.data(), y.data(), m);
     for (int mi = 0; mi < m; ++mi) {
       for (int64_t ni = 0; ni < n; ++ni) {
         float expected = 0.0f;
@@ -487,10 +485,6 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
   std::vector<F16> act(static_cast<size_t>(batch) * c.ffn_hidden);
   std::vector<F16> kbuf;
   std::vector<F16> vbuf;
-  // Padded-GEMM staging for the widest projection: x and y rows of an FFN matrix.
-  const int64_t staging_bytes =
-      hexllm::RoundUp(batch, 32) * (hidden + c.ffn_hidden) * static_cast<int64_t>(sizeof(F16));
-  hexllm::Arena ws(staging_bytes + 128, 64, "Step workspace");
 
   for (int b = 0; b < batch; ++b) {
     std::memcpy(x.data() + static_cast<int64_t>(b) * hidden,
@@ -503,9 +497,9 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
     const LayerWeights& lw = weights.layers[static_cast<size_t>(l)];
     hkern::RmsNormF16(dev, x.data(), lw.attn_norm.data(), xn.data(), batch, hidden,
                       c.rms_eps);
-    lw.wq.Forward(dev, xn.data(), q.data(), batch, ws);
-    lw.wk.Forward(dev, xn.data(), k.data(), batch, ws);
-    lw.wv.Forward(dev, xn.data(), v.data(), batch, ws);
+    lw.wq.Forward(dev, xn.data(), q.data(), batch);
+    lw.wk.Forward(dev, xn.data(), k.data(), batch);
+    lw.wv.Forward(dev, xn.data(), v.data(), batch);
 
     for (int b = 0; b < batch; ++b) {
       GatherSeq& s = *seqs[static_cast<size_t>(b)];
@@ -546,14 +540,14 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
       }
     }
 
-    lw.wo.Forward(dev, attn.data(), proj.data(), batch, ws);
+    lw.wo.Forward(dev, attn.data(), proj.data(), batch);
     hkern::AddF16(dev, x.data(), proj.data(), x.data(), static_cast<int64_t>(batch) * hidden);
     hkern::RmsNormF16(dev, x.data(), lw.ffn_norm.data(), xn.data(), batch, hidden, c.rms_eps);
-    lw.w_gate.Forward(dev, xn.data(), gate.data(), batch, ws);
-    lw.w_up.Forward(dev, xn.data(), up.data(), batch, ws);
+    lw.w_gate.Forward(dev, xn.data(), gate.data(), batch);
+    lw.w_up.Forward(dev, xn.data(), up.data(), batch);
     hkern::SiluMulF16(dev, gate.data(), up.data(), act.data(),
                       static_cast<int64_t>(batch) * c.ffn_hidden);
-    lw.w_down.Forward(dev, act.data(), proj.data(), batch, ws);
+    lw.w_down.Forward(dev, act.data(), proj.data(), batch);
     hkern::AddF16(dev, x.data(), proj.data(), x.data(), static_cast<int64_t>(batch) * hidden);
   }
 
@@ -764,6 +758,57 @@ std::string ChargeProfile(const hexsim::NpuDevice& dev) {
     out += line;
   }
   return out;
+}
+
+// Any batch takes Forward's one path: x and y hold exactly m rows and one GEMM pads its own
+// last strip. Cold and warm calls match a Forward over a zero-padded m_pad-row copy output
+// for output and charge for charge; that padded run is what the staged path (live rows
+// copied into an m_pad-row buffer, one whole-tile GEMM, live rows copied back) computed and
+// charged. The digest over every output and charge profile was recorded from the staged
+// path.
+TEST(QuantizedLinearTest, AnyRowCountMatchesPaddedForwardColdAndWarm) {
+  Rng rng(6);
+  const int64_t k = 64, n = 96;
+  std::vector<float> w(static_cast<size_t>(k * n));
+  for (auto& v : w) {
+    v = static_cast<float>(rng.NextGaussian() * 0.05);
+  }
+  uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a
+  const auto mix = [&](const void* data, size_t bytes) {
+    for (size_t i = 0; i < bytes; ++i) {
+      digest = (digest ^ static_cast<const uint8_t*>(data)[i]) * 0x100000001b3ull;
+    }
+  };
+  for (const auto scheme : {hquant::WeightScheme::kQ4_0, hquant::WeightScheme::kQ8_0}) {
+    for (const int m : {1, 17, 32, 33, 63}) {
+      const int m_pad = static_cast<int>(hexllm::RoundUp(m, 32));
+      // Separate instances: each owns its dequant cache, so both devices go cold then warm.
+      const auto lin = QuantizedLinear::Create(w, k, n, scheme);
+      const auto ref = QuantizedLinear::Create(w, k, n, scheme);
+      hexsim::NpuDevice dev(hexsim::OnePlus12());
+      hexsim::NpuDevice dev_ref(hexsim::OnePlus12());
+      std::vector<F16> x(static_cast<size_t>(m) * k);
+      for (auto& v : x) {
+        v = F16(static_cast<float>(rng.NextGaussian() * 0.3));
+      }
+      std::vector<F16> x_pad(static_cast<size_t>(m_pad) * k);  // zero rows beyond m
+      std::copy(x.begin(), x.end(), x_pad.begin());
+      for (const char* pass : {"cold", "warm"}) {
+        SCOPED_TRACE(testing::Message() << "scheme " << static_cast<int>(scheme) << " m " << m
+                                        << " " << pass);
+        std::vector<F16> y(static_cast<size_t>(m) * n);
+        std::vector<F16> y_pad(static_cast<size_t>(m_pad) * n);
+        lin.Forward(dev, x.data(), y.data(), m);
+        ref.Forward(dev_ref, x_pad.data(), y_pad.data(), m_pad);
+        EXPECT_EQ(std::memcmp(y.data(), y_pad.data(), y.size() * sizeof(F16)), 0);
+        const std::string profile = ChargeProfile(dev);
+        EXPECT_EQ(profile, ChargeProfile(dev_ref));
+        mix(y.data(), y.size() * sizeof(F16));
+        mix(profile.data(), profile.size());
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0xde278bb6d7257a46ull);
 }
 
 // Recorded at one lane from the batched attention: one FlashAttentionBatch per sharing

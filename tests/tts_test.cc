@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -205,6 +207,38 @@ TEST_F(TtsAlgoTest, SampledBaseAccuracyMatchesMarginalizedModel) {
   const auto single = RunSingleSample(tasks_, theta_, 20, rng_);
   const double predicted = CapabilityModel::MeanAccuracy(tasks_, theta_);
   EXPECT_NEAR(single.accuracy, predicted, 0.03);
+}
+
+TEST(TtsSamplingTest, SingleSampleIsMajorityVoteOfOne) {
+  // Same draws in the same order, the same jobs, and every field equal: one sample's vote
+  // is its own answer, correct exactly when the path is.
+  const TaskSet tasks = GenerateTaskSet(Dataset::kMath500, 120, 5);
+  for (const uint64_t seed : {11ull, 29ull}) {
+    Rng rng_single(seed);
+    Rng rng_vote(seed);
+    std::vector<hserve::ServeJob> jobs_single;
+    std::vector<hserve::ServeJob> jobs_vote;
+    const MethodResult single = RunSingleSample(tasks, 0.4, 3, rng_single, &jobs_single);
+    const MethodResult vote = RunMajorityVote(tasks, 0.4, 1, 3, rng_vote, &jobs_vote);
+    EXPECT_EQ(single.accuracy, vote.accuracy) << seed;
+    EXPECT_EQ(single.oracle_accuracy, vote.oracle_accuracy) << seed;
+    EXPECT_EQ(single.avg_seq_tokens, vote.avg_seq_tokens) << seed;
+    EXPECT_EQ(single.avg_total_tokens, vote.avg_total_tokens) << seed;
+    EXPECT_EQ(single.batch, vote.batch) << seed;
+    EXPECT_EQ(single.accuracy, single.oracle_accuracy) << seed;
+    EXPECT_EQ(rng_single.NextU64(), rng_vote.NextU64()) << seed;  // same number of draws
+    ASSERT_EQ(jobs_single.size(), 3u * tasks.tasks.size());
+    ASSERT_EQ(jobs_single.size(), jobs_vote.size());
+    for (size_t i = 0; i < jobs_single.size(); ++i) {
+      const hserve::ServeJob& a = jobs_single[i];
+      const hserve::ServeJob& b = jobs_vote[i];
+      EXPECT_EQ(std::tie(a.id, a.prompt_group, a.prompt_tokens, a.context_tokens,
+                         a.decode_tokens, a.barrier, a.parent_job),
+                std::tie(b.id, b.prompt_group, b.prompt_tokens, b.context_tokens,
+                         b.decode_tokens, b.barrier, b.parent_job))
+          << seed << " job " << i;
+    }
+  }
 }
 
 // --- Pareto sweep (Figure 10) ---
