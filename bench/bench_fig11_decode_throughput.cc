@@ -107,12 +107,16 @@ int main() {
       hllm::Transformer model(dev, weights, batch, /*max_context=*/steps + 8);
       std::vector<float> logits(static_cast<size_t>(batch) * toy.vocab);
       std::vector<int> tokens(static_cast<size_t>(batch));
+      std::vector<int> seqs(static_cast<size_t>(batch));
       for (int b = 0; b < batch; ++b) {
         tokens[static_cast<size_t>(b)] = (7 * b + 1) % toy.vocab;
+        seqs[static_cast<size_t>(b)] = b;
       }
+      // Plain decode's row plan: one one-row span per sequence.
+      const std::vector<int> one_row_each(static_cast<size_t>(batch), 1);
       uint64_t checksum = 14695981039346656037ull;  // FNV-1a over the decoded stream
       for (int s = 0; s < steps; ++s) {
-        model.Step(tokens, logits);
+        model.Forward({tokens, seqs, one_row_each, logits});
         for (int b = 0; b < batch; ++b) {
           const int tok = hllm::ArgmaxToken(std::span<const float>(
               logits.data() + static_cast<size_t>(b) * toy.vocab,

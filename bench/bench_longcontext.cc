@@ -242,13 +242,12 @@ int main() {
                                   int64_t offload_budget, int sink_blocks,
                                   int window_blocks) {
     hexsim::NpuDevice dev(device);
-    hserve::FunctionalBackend backend(dev, weights, fso.max_batch, /*max_context=*/160);
-    hkv::KvOffloadOptions opts;
-    opts.resident_block_budget = offload_budget;
-    hkern::AttnWindowSpec win;
-    win.sink_blocks = sink_blocks;
-    win.window_blocks = window_blocks;
-    backend.ConfigureLongContext(opts, win);
+    hserve::FunctionalBackend::Options options;
+    options.offload.resident_block_budget = offload_budget;
+    options.window.sink_blocks = sink_blocks;
+    options.window.window_blocks = window_blocks;
+    hserve::FunctionalBackend backend(dev, weights, fso.max_batch, /*max_context=*/160,
+                                      options);
     return hserve::ContinuousBatcher(backend, fso).Run(js);
   };
 

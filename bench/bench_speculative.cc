@@ -301,11 +301,11 @@ int main() {
       hserve::FunctionalBackend backend(dev, weights, fso.max_batch, /*max_context=*/160);
       return hserve::ContinuousBatcher(backend, fso).Run(js);
     }
-    hserve::FunctionalBackend::SpecOptions spec;
-    spec.draft = &draft_weights;
-    spec.gamma = gamma;
+    hserve::FunctionalBackend::Options options;
+    options.draft = &draft_weights;
+    options.gamma = gamma;
     hserve::FunctionalBackend backend(dev, weights, fso.max_batch, /*max_context=*/160,
-                                      /*kv_pool_blocks=*/0, hquant::KvDtype::kF16, spec);
+                                      options);
     return hserve::ContinuousBatcher(backend, fso).Run(js);
   };
   const hserve::ScheduleResult fn_plain = run_functional(/*gamma=*/0);
@@ -365,11 +365,11 @@ int main() {
         hserve::FunctionalBackend backend(dev, weights, fso.max_batch, /*max_context=*/160);
         return hserve::ContinuousBatcher(backend, fso).Run(js);
       }
-      hserve::FunctionalBackend::SpecOptions spec;
-      spec.draft = &weights;  // draft == target: every greedy proposal is accepted
-      spec.gamma = 4;
+      hserve::FunctionalBackend::Options options;
+      options.draft = &weights;  // draft == target: every greedy proposal is accepted
+      options.gamma = 4;
       hserve::FunctionalBackend backend(dev, weights, fso.max_batch, /*max_context=*/160,
-                                        /*kv_pool_blocks=*/0, hquant::KvDtype::kF16, spec);
+                                        options);
       return hserve::ContinuousBatcher(backend, fso).Run(js);
     };
     const hserve::ScheduleResult greedy_plain = run_greedy(false);

@@ -37,9 +37,13 @@ int main() {
 
   std::vector<float> logits(static_cast<size_t>(config.vocab));
   int token = prompt.back();
+  // Each step is one forward over a row plan: here one span of one row, sequence 0. Best-of-N
+  // lanes, speculative verify spans and prefill chunks are other plans of the same forward.
+  const int seq = 0;
+  const int rows = 1;
   std::printf("generated:");
   for (int i = 0; i < 12; ++i) {
-    model.Step({&token, 1}, logits);
+    model.Forward({{&token, 1}, {&seq, 1}, {&rows, 1}, logits});
     token = hllm::ArgmaxToken(logits);
     std::printf(" %d", token);
   }

@@ -629,22 +629,6 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
   }
 }
 
-void FlashAttentionPaged(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
-                         const F16* q, int64_t q_stride, const PagedKvView& kv, int kv_head,
-                         F16* o, int64_t o_stride, int q_len, int kv_len, int head_dim,
-                         float scale, int q_pos_offset, const AttnWindowSpec* window) {
-  HEXLLM_CHECK(q_len > 0);
-  std::vector<AttnQueryRow> rows(static_cast<size_t>(q_len));
-  for (int r = 0; r < q_len; ++r) {
-    rows[static_cast<size_t>(r)] = {q + r * q_stride, o + r * o_stride,
-                                    q_pos_offset >= 0 ? q_pos_offset + r : kv_len - 1, 0,
-                                    kv_head};
-  }
-  const AttnKvSpan span{kv, kv_len};
-  FlashAttentionBatch(dev, lut, exp_variant, std::span<const AttnKvSpan>(&span, 1), rows,
-                      head_dim, scale, window);
-}
-
 void AppendAttendedBlocks(const AttnWindowSpec* window, int first_pos, int last_pos,
                           int kv_len, int block_tokens, std::vector<int>* out) {
   HEXLLM_CHECK(block_tokens >= 1);
@@ -684,8 +668,16 @@ void FlashAttentionF16(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant
   kv.v_blocks = &v_block;
   kv.block_tokens = kv_len;
   kv.row = {hquant::KvDtype::kF16, head_dim};
-  FlashAttentionPaged(dev, lut, exp_variant, q, head_dim, kv, /*kv_head=*/0, o, head_dim, q_len,
-                      kv_len, head_dim, scale, q_pos_offset);
+  HEXLLM_CHECK(q_len > 0);
+  std::vector<AttnQueryRow> rows(static_cast<size_t>(q_len));
+  for (int r = 0; r < q_len; ++r) {
+    rows[static_cast<size_t>(r)] = {q + static_cast<int64_t>(r) * head_dim,
+                                    o + static_cast<int64_t>(r) * head_dim,
+                                    q_pos_offset >= 0 ? q_pos_offset + r : kv_len - 1};
+  }
+  const AttnKvSpan span{kv, kv_len};
+  FlashAttentionBatch(dev, lut, exp_variant, std::span<const AttnKvSpan>(&span, 1), rows,
+                      head_dim, scale);
 }
 
 void AttentionF32Reference(const float* q, const float* k, const float* v, float* o, int q_len,

@@ -210,16 +210,6 @@ void FlashAttentionBatch(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVaria
                          std::span<const AttnKvSpan> spans, std::span<const AttnQueryRow> rows,
                          int head_dim, float scale, const AttnWindowSpec* window = nullptr);
 
-// KV head `kv_head` of one span over a paged KV view: FlashAttentionBatch with one span. q
-// rows are strided by `q_stride` elements (q row r = q + r * q_stride, first head_dim
-// columns), o rows by `o_stride`, and row r sits at position q_pos_offset + r (q_pos_offset
-// < 0: every row at kv_len - 1, the decode convention).
-void FlashAttentionPaged(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVariant exp_variant,
-                         const hexllm::F16* q, int64_t q_stride, const PagedKvView& kv,
-                         int kv_head, hexllm::F16* o, int64_t o_stride, int q_len, int kv_len,
-                         int head_dim, float scale, int q_pos_offset = -1,
-                         const AttnWindowSpec* window = nullptr);
-
 // Conventional full-precision attention (the Table 5 baseline): FP32 throughout, full S
 // matrix materialized. Pure host math — used as the numeric reference.
 void AttentionF32Reference(const float* q, const float* k, const float* v, float* o,

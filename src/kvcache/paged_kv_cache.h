@@ -16,9 +16,10 @@
 /// scale per group (Q8_0/Q4_0 scale rules). Every dtype shares one byte slab, one row
 /// offset and one write/read path: rows are encoded by WriteKeyRow/WriteValueRow (quantized
 /// writes also accumulate a round-trip error proxy in KvQuantStats) and decoded by
-/// ReadKeyRow/ReadValueRow or, in place, by hkern::FlashAttentionPaged. Every byte figure
-/// reported by KvStats shrinks with the dtype, so pool sizing, DRAM budgets, and admission
-/// all see the reduced footprint.
+/// ReadKeyRow/ReadValueRow or, in place, by hkern::FlashAttentionBatch through the block
+/// pointers FillBlockPointers resolves (Transformer::Forward builds one hkern::AttnKvSpan
+/// per span of its row plan). Every byte figure reported by KvStats shrinks with the
+/// dtype, so pool sizing, DRAM budgets, and admission all see the reduced footprint.
 ///
 /// In debug builds, a block whose last reference drops is poisoned with 0xFF bytes — NaN
 /// both as F16 data and as an F16 scale — so a stale block-table entry (use-after-free of

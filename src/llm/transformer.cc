@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "src/base/check.h"
 #include "src/exec/thread_pool.h"
@@ -52,9 +51,6 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
   span_lead_.reserve(static_cast<size_t>(max_batch));
   cluster_spans_.reserve(static_cast<size_t>(max_batch));
   cluster0_.reserve(static_cast<size_t>(max_batch) + 1);
-  identity_seq_ids_.resize(static_cast<size_t>(max_batch));
-  std::iota(identity_seq_ids_.begin(), identity_seq_ids_.end(), 0);
-  one_row_spans_.assign(static_cast<size_t>(max_batch), 1);
   span_row0_.reserve(static_cast<size_t>(max_batch));
   // lm_head converted to float once and transposed to row-major [hidden x vocab]: the
   // blocked CPU lm_head then converts each hidden row once per step and streams contiguous
@@ -135,33 +131,12 @@ void Transformer::BuildClusters(int spans) {
   cluster0_.push_back(static_cast<int>(cluster_spans_.size()));
 }
 
-void Transformer::Step(std::span<const int> tokens, std::span<float> logits,
-                       hkern::SoftmaxVariant exp_variant) {
-  HEXLLM_CHECK(static_cast<int>(tokens.size()) <= max_batch_);
-  StepSeqs(tokens, std::span<const int>(identity_seq_ids_.data(), tokens.size()), logits,
-           exp_variant);
-}
-
-void Transformer::StepSeqs(std::span<const int> tokens, std::span<const int> seq_ids,
-                           std::span<float> logits, hkern::SoftmaxVariant exp_variant) {
-  HEXLLM_CHECK(tokens.size() == seq_ids.size() && tokens.size() <= one_row_spans_.size());
-  const std::span<const int> one_row_each(one_row_spans_.data(), tokens.size());
-  Forward({tokens, seq_ids, one_row_each, logits}, exp_variant);
-}
-
-void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> seq_ids,
-                            std::span<const int> span_rows, std::span<float> logits,
-                            hkern::SoftmaxVariant exp_variant) {
-  Forward({tokens, seq_ids, span_rows, logits}, exp_variant);
-}
-
 void Transformer::Prefill(int seq, std::span<const int> tokens) {
   for (size_t done = 0; done < tokens.size();) {
     const int rows =
         static_cast<int>(std::min<size_t>(hkern::kPrefillChunk, tokens.size() - done));
     Forward({tokens.subspan(done, static_cast<size_t>(rows)), std::span<const int>(&seq, 1),
-             std::span<const int>(&rows, 1), {}},
-            hkern::SoftmaxVariant::kLut);
+             std::span<const int>(&rows, 1), {}});
     done += static_cast<size_t>(rows);
   }
 }

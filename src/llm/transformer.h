@@ -57,39 +57,36 @@ class Transformer {
               int max_context, int64_t kv_pool_blocks = 0,
               hquant::KvDtype kv_dtype = hquant::KvDtype::kF16, int max_step_rows = 0);
 
-  // Decodes one step for `tokens.size()` parallel sequences (sequence i consumes tokens[i]
-  // at its current position). Writes FP32 logits [batch, vocab]. The softmax exp variant is
-  // configurable for the Table 5 experiments.
-  void Step(std::span<const int> tokens, std::span<float> logits,
-            hkern::SoftmaxVariant exp_variant = hkern::SoftmaxVariant::kLut);
+  // One forward's row plan: span s consumes span_rows[s] >= 1 consecutive tokens, starting
+  // at sequence seq_ids[s]'s current position (tokens are flattened span-major, so
+  // tokens.size() == sum(span_rows)). Plain decode is one one-row span per sequence; a
+  // speculative verify gives a sequence gamma+1 rows; a prefill chunk is one span with
+  // empty logits (no final norm, no lm_head). Otherwise logits holds FP32 logits for EVERY
+  // row, [tokens.size(), vocab].
+  struct RowPlan {
+    std::span<const int> tokens;
+    std::span<const int> seq_ids;
+    std::span<const int> span_rows;
+    std::span<float> logits;
+  };
 
-  // Decodes one step for an arbitrary subset of sequences: row i consumes tokens[i] at
-  // sequence seq_ids[i]'s current position. The serving layer uses this to step only the
-  // occupied KV slots of a continuous batch. Writes FP32 logits [tokens.size(), vocab].
-  void StepSeqs(std::span<const int> tokens, std::span<const int> seq_ids,
-                std::span<float> logits,
-                hkern::SoftmaxVariant exp_variant = hkern::SoftmaxVariant::kLut);
-
-  // Generalized multi-span step — the speculative-decode verify forward. Span s consumes
-  // span_rows[s] consecutive tokens starting at sequence seq_ids[s]'s current position
-  // (tokens are flattened span-major; tokens.size() == sum(span_rows)). All spans' rows
-  // share every GEMM/RMSNorm as one big batch (this is how a verify fills HMX tile rows
-  // like Best-of-N lanes), while attention is causal per row, row r of a span sitting at
-  // the span's base position + r. Writes FP32 logits for EVERY row,
-  // [tokens.size(), vocab]. With all-ones span_rows this IS StepSeqs (same plan, same
-  // charges). A one-row span inside a mixed verify matches plain decode bit for bit:
-  // every per-row computation (norms, GEMM rows, RoPE, attention, the blocked lm_head) is
+  // Runs one batched forward over `plan` (at most max_batch spans). Every span's rows share
+  // every GEMM/RMSNorm as one big batch (this is how a verify fills HMX tile rows like
+  // Best-of-N lanes), while attention is causal per row, row r of a span sitting at the
+  // span's base position + r, and fans out over sharing clusters, one work item each. A
+  // one-row span inside a mixed plan matches plain decode bit for bit: every per-row
+  // computation (norms, GEMM rows, RoPE, attention, the blocked lm_head) is
   // row-independent, whatever rows share its attention tile — the lossless-under-greedy
-  // invariant the speculative serving path is built on (docs/speculative_decoding.md).
-  void StepSpans(std::span<const int> tokens, std::span<const int> seq_ids,
-                 std::span<const int> span_rows, std::span<float> logits,
-                 hkern::SoftmaxVariant exp_variant = hkern::SoftmaxVariant::kLut);
+  // invariant the speculative serving path is built on (docs/speculative_decoding.md). The
+  // softmax exp variant is configurable for the Table 5 experiments.
+  void Forward(const RowPlan& plan,
+               hkern::SoftmaxVariant exp_variant = hkern::SoftmaxVariant::kLut);
 
-  // Prefills sequence `seq` with a prompt, processed in chunks of up to hkern::kPrefillChunk
-  // tokens per forward pass (one span per chunk; causal FlashAttention handles intra-chunk
-  // masking) — the paper's chunked prefill pipeline, not token-by-token decoding. Every KV
-  // row is bit-identical to a run of 32-token prefills: GEMM rows and attention rows do not
-  // depend on their tile mates. Logits are discarded.
+  // Prefills sequence `seq` with a prompt, one Forward per chunk of up to
+  // hkern::kPrefillChunk tokens (one span, empty logits; causal FlashAttention handles
+  // intra-chunk masking) — the paper's chunked prefill pipeline, not token-by-token
+  // decoding. Every KV row is bit-identical to a run of 32-token prefills: GEMM rows and
+  // attention rows do not depend on their tile mates.
   void Prefill(int seq, std::span<const int> tokens);
 
   // Installs sliding-window + attention-sink masking (docs/long_context.md) on every
@@ -112,19 +109,6 @@ class Transformer {
   const hexllm::Arena& workspace() const { return ws_; }
 
  private:
-  // The batched forward behind decode, verify and prefill. Span s consumes span_rows[s]
-  // consecutive tokens (flattened span-major) at sequence seq_ids[s]'s current position;
-  // every span's rows share the norms and GEMMs, and attention fans out over sharing
-  // clusters, one work item each. Empty logits means a prefill chunk: no final norm, no
-  // lm_head.
-  struct RowPlan {
-    std::span<const int> tokens;
-    std::span<const int> seq_ids;
-    std::span<const int> span_rows;
-    std::span<float> logits;
-  };
-  void Forward(const RowPlan& plan, hkern::SoftmaxVariant exp_variant);
-
   // Parallel attention needs one exp LUT per execution slot, resident in that slot's shard
   // TCM (the softmax vgathers the table from the device it runs on). Lazily builds shard
   // devices up to `slots` on the calling thread, copies lut_ into each shard's TCM, and
@@ -165,8 +149,6 @@ class Transformer {
   hexllm::Arena ws_;  // 64-byte aligned spans (HVX vector alignment)
   std::vector<float> lm_head_f32_;       // [hidden x vocab] row-major, converted once
   std::vector<double> rope_inv_freq_;    // base^(-2i/d) per pair, pow() hoisted once
-  std::vector<int> identity_seq_ids_;    // 0..max_batch-1, for Step()
-  std::vector<int> one_row_spans_;       // max_batch ones: decode's span_rows
   std::vector<int> span_row0_;           // per-span first-row offsets within a forward
   std::vector<int> span_kv_len_;         // per-span KV length attention reads (incl. new rows)
   hkern::AttnWindowSpec window_;         // disabled unless SetAttentionWindow installs one

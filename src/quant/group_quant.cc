@@ -9,20 +9,6 @@ namespace hquant {
 
 using hexllm::F16;
 
-const char* WeightSchemeName(WeightScheme s) {
-  switch (s) {
-    case WeightScheme::kF16:
-      return "F16";
-    case WeightScheme::kQ4_0:
-      return "Q4_0";
-    case WeightScheme::kQ8_0:
-      return "Q8_0";
-    case WeightScheme::kPerChannelInt4:
-      return "per-channel INT4";
-  }
-  return "?";
-}
-
 double WeightSchemeBpw(WeightScheme s) {
   switch (s) {
     case WeightScheme::kF16:

@@ -25,8 +25,6 @@ enum class WeightScheme : uint8_t {
   kPerChannelInt4,  // QNN-style: one scale per output channel (coarse-grained)
 };
 
-const char* WeightSchemeName(WeightScheme s);
-
 // Bits per weight including scale overhead.
 double WeightSchemeBpw(WeightScheme s);
 
@@ -74,7 +72,7 @@ static_assert(sizeof(SuperBlockQ4) == 144, "super-block is 144 bytes");
 // F16 rows are the same format with a 2-byte payload element and no scales.
 //
 // KvRowCodec is header-only on purpose: src/kvcache links neither hexllm_quant nor
-// hexllm_kernels, and the writer (PagedKvCache) and reader (FlashAttentionPaged) must
+// hexllm_kernels, and the writer (PagedKvCache) and reader (FlashAttentionBatch) must
 // share bit-exact numerics.
 // ---------------------------------------------------------------------------------------
 

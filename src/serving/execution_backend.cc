@@ -284,45 +284,38 @@ StepOutcome AnalyticBackend::SpeculativeStep(std::span<const int> slots,
 // ---------------------------------------------------------------------------
 
 FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWeights& weights,
-                                     int max_batch, int max_context, int64_t kv_pool_blocks,
-                                     hquant::KvDtype kv_dtype)
-    : FunctionalBackend(dev, weights, max_batch, max_context, kv_pool_blocks, kv_dtype,
-                        SpecOptions{}) {}
+                                     int max_batch, int max_context)
+    : FunctionalBackend(dev, weights, max_batch, max_context, Options{}) {}
 
 FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWeights& weights,
-                                     int max_batch, int max_context, int64_t kv_pool_blocks,
-                                     hquant::KvDtype kv_dtype, const SpecOptions& spec)
+                                     int max_batch, int max_context, const Options& options)
     : dev_(dev),
       // A speculative verify pushes max_batch spans of gamma+1 rows through one forward, so
       // the transformer's scratch arena is sized for that row count up front.
-      tf_(dev, weights, max_batch, max_context, kv_pool_blocks, kv_dtype,
-          spec.draft != nullptr ? max_batch * (std::max(0, spec.gamma) + 1) : 0),
+      tf_(dev, weights, max_batch, max_context, options.kv_pool_blocks, options.kv_dtype,
+          options.draft != nullptr ? max_batch * (std::max(0, options.gamma) + 1) : 0),
       max_context_(max_context),
       last_token_(static_cast<size_t>(max_batch), 1),
       sampler_opts_(static_cast<size_t>(max_batch)),
       sampler_rng_(static_cast<size_t>(max_batch), hexllm::Rng(0)),
-      spec_gamma_(spec.draft != nullptr ? std::max(0, spec.gamma) : 0) {
+      spec_gamma_(options.draft != nullptr ? std::max(0, options.gamma) : 0) {
   const size_t verify_rows =
       static_cast<size_t>(max_batch) * (spec_gamma_ > 0 ? spec_gamma_ + 1 : 1);
   logits_.resize(verify_rows * weights.config.vocab);
-  if (spec.draft != nullptr && spec_gamma_ > 0) {
-    HEXLLM_CHECK_MSG(spec.draft->config.vocab == weights.config.vocab,
+  if (options.draft != nullptr && spec_gamma_ > 0) {
+    HEXLLM_CHECK_MSG(options.draft->config.vocab == weights.config.vocab,
                      "draft and target must share a vocabulary (acceptance compares ids)");
-    draft_ = std::make_unique<hllm::Transformer>(dev, *spec.draft, max_batch, max_context,
-                                                 /*kv_pool_blocks=*/0, kv_dtype);
+    draft_ = std::make_unique<hllm::Transformer>(dev, *options.draft, max_batch, max_context,
+                                                 /*kv_pool_blocks=*/0, options.kv_dtype);
     spec_slot_.assign(static_cast<size_t>(max_batch), false);
     draft_carry_.assign(static_cast<size_t>(max_batch), -1);
     draft_prev_.assign(static_cast<size_t>(max_batch), 0);
     draft_logits_.resize(static_cast<size_t>(max_batch) * weights.config.vocab);
     spec_proposals_.resize(static_cast<size_t>(max_batch));
   }
-}
-
-void FunctionalBackend::ConfigureLongContext(const hkv::KvOffloadOptions& offload,
-                                             const hkern::AttnWindowSpec& window) {
-  tf_.SetAttentionWindow(window);
-  if (offload.resident_block_budget > 0) {
-    tf_.kv().ConfigureOffload(offload);
+  tf_.SetAttentionWindow(options.window);
+  if (options.offload.resident_block_budget > 0) {
+    tf_.kv().ConfigureOffload(options.offload);  // needs the still-empty paged cache
   }
 }
 
@@ -556,6 +549,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
   for (int j = 1; j <= max_gamma; ++j) {
     step_tokens_.clear();
     draft_seqs_.clear();
+    span_rows_.clear();
     for (size_t i = 0; i < batch; ++i) {
       if (gamma(i) < j) {
         continue;
@@ -563,10 +557,11 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
       const size_t slot = static_cast<size_t>(slots[i]);
       step_tokens_.push_back(draft_prev_[slot]);
       draft_seqs_.push_back(static_cast<int>(slot));
+      span_rows_.push_back(1);
     }
     const int draft_batch = static_cast<int>(step_tokens_.size());
     std::span<float> dlogits(draft_logits_.data(), static_cast<size_t>(draft_batch) * vocab);
-    draft_->StepSeqs(step_tokens_, draft_seqs_, dlogits);
+    draft_->Forward({step_tokens_, draft_seqs_, span_rows_, dlogits});
     const hkern::LmHeadCost lm =
         hkern::LmHeadCostModel(d, draft_batch, draft_->config().hidden, vocab,
                                hquant::WeightScheme::kF16);
@@ -582,7 +577,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
   }
 
   // One batched multi-row verify: row span [last committed token, proposals...] per
-  // sequence, all spans' rows filling HMX tile rows of one forward (Transformer::StepSpans).
+  // sequence, all spans' rows filling HMX tile rows of one forward (one Transformer::Forward).
   // With no drafting row every span is one row: the plain decode step's forward plan.
   step_tokens_.clear();
   span_rows_.clear();
@@ -599,7 +594,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
     total_rows += g + 1;
   }
   std::span<float> logits(logits_.data(), static_cast<size_t>(total_rows) * vocab);
-  tf_.StepSpans(step_tokens_, slots, span_rows_, logits);
+  tf_.Forward({step_tokens_, slots, span_rows_, logits});
 
   // Acceptance walk. Every committed token is sampled from the TARGET's logits at exact
   // plain-decode conditioning (row j of a span saw positions < ctx+j only), consuming the

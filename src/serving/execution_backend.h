@@ -196,8 +196,9 @@ class AnalyticBackend : public ExecutionBackend {
   };
 
   AnalyticBackend(const hrt::Engine& engine, const Options& options);
-  explicit AnalyticBackend(const hrt::Engine& engine, int context_bucket_tokens = 64)
-      : AnalyticBackend(engine, MakeOptions(context_bucket_tokens)) {}
+  // Default options (Options can't be a default argument: its member initializers are
+  // incomplete inside the enclosing class).
+  explicit AnalyticBackend(const hrt::Engine& engine) : AnalyticBackend(engine, Options{}) {}
 
   const char* name() const override { return "analytic"; }
   double AdmitSlot(int slot, const ServeJob& job, int context_tokens,
@@ -231,11 +232,6 @@ class AnalyticBackend : public ExecutionBackend {
   const hrt::StepCost& BucketedCost(int batch, int context, bool draft = false);
 
  private:
-  static Options MakeOptions(int context_bucket_tokens) {
-    Options o;
-    o.context_bucket_tokens = context_bucket_tokens;
-    return o;
-  }
   // The book's reservation inputs: DRAM-budget headroom, and the blocks a sliding window
   // keeps resident per row (INT64_MAX without a window).
   int64_t FreeBudgetBlocks() const { return budget_blocks_ - kv_.stats().physical_blocks; }
@@ -285,36 +281,34 @@ class AnalyticBackend : public ExecutionBackend {
 // mailbox), so a serving run both computes real logits and advances a realistic clock.
 class FunctionalBackend : public ExecutionBackend {
  public:
-  // Draft-model configuration for speculative decoding (ServeJob::speculative,
-  // docs/speculative_decoding.md). The draft weights must share the target's vocabulary
-  // (exact-match acceptance compares token ids) and must outlive the backend; running the
-  // draft on the SAME simulated device folds its charges into the same cycle ledger the
-  // cycle cost is composed from.
-  struct SpecOptions {
-    const hllm::ModelWeights* draft = nullptr;  // nullptr leaves speculation off
-    int gamma = 4;                              // draft tokens per cycle
+  struct Options {
+    // KV block pool size; <= 0 sizes it for `max_batch` dense sequences (plus CoW and
+    // retention slack). Tests pass a small pool to exercise admission gating.
+    int64_t kv_pool_blocks = 0;
+    // The transformer's KV storage mode (docs/kv_quantization.md); F16 is bit-identical to
+    // the legacy path.
+    hquant::KvDtype kv_dtype = hquant::KvDtype::kF16;
+    // Speculative decoding (ServeJob::speculative, docs/speculative_decoding.md): the draft
+    // weights (nullptr leaves speculation off) and gamma, the draft tokens per cycle. The
+    // draft must share the target's vocabulary (exact-match acceptance compares token ids)
+    // and must outlive the backend; running the draft on the SAME simulated device folds
+    // its charges into the same cycle ledger the cycle cost is composed from.
+    const hllm::ModelWeights* draft = nullptr;
+    int gamma = 4;
+    // Tiered KV offload and sliding-window attention (docs/long_context.md). A <= 0
+    // resident budget and a disabled window (the defaults) keep the legacy path
+    // bit-identical. The window applies to the target model only — windowing the draft
+    // would merely shift acceptance, never committed tokens.
+    hkv::KvOffloadOptions offload;
+    hkern::AttnWindowSpec window;
   };
 
-  // kv_pool_blocks <= 0 sizes the KV block pool for `max_batch` dense sequences (plus CoW
-  // and retention slack); tests pass a small pool to exercise admission gating. `kv_dtype`
-  // selects the transformer's KV storage mode (docs/kv_quantization.md); F16 is
-  // bit-identical to the legacy path.
   FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWeights& weights, int max_batch,
-                    int max_context, int64_t kv_pool_blocks,
-                    hquant::KvDtype kv_dtype, const SpecOptions& spec);
-  // Convenience overload without a draft model (SpecOptions can't be a default argument:
-  // its member initializers are incomplete inside the enclosing class).
+                    int max_context, const Options& options);
+  // Default options (Options can't be a default argument: its member initializers are
+  // incomplete inside the enclosing class).
   FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWeights& weights, int max_batch,
-                    int max_context, int64_t kv_pool_blocks = 0,
-                    hquant::KvDtype kv_dtype = hquant::KvDtype::kF16);
-
-  // Wires tiered KV offload and/or sliding-window attention into the transformer
-  // (docs/long_context.md). Must be called before the first admission: the offload engine
-  // requires an empty paged cache. A disabled window plus a <= 0 resident budget is a
-  // no-op, keeping the legacy path bit-identical. The window applies to the target model
-  // only — windowing the draft would merely shift acceptance, never committed tokens.
-  void ConfigureLongContext(const hkv::KvOffloadOptions& offload,
-                            const hkern::AttnWindowSpec& window);
+                    int max_context);
 
   const char* name() const override { return "functional"; }
   double AdmitSlot(int slot, const ServeJob& job, int context_tokens,
@@ -426,8 +420,9 @@ class FunctionalBackend : public ExecutionBackend {
                                      // one-token catch-up prefill at the next cycle
   std::vector<int> draft_prev_;      // per slot: input of the next draft step (intra-cycle)
   std::vector<float> draft_logits_;  // [max_batch x vocab] draft-step scratch
-  // Step scratch (reused across steps; see docs/performance.md): the forward's input tokens,
-  // a draft step's sequence ids, and the verify's rows per span.
+  // Step scratch (reused across steps; see docs/performance.md): the row plan of each
+  // forward — its input tokens, a draft step's sequence ids, and the rows per span (one
+  // each in a draft step, gamma+1 per drafting row in the verify).
   std::vector<int> step_tokens_, draft_seqs_, span_rows_;
   std::vector<std::vector<int>> spec_proposals_;  // per slot: this cycle's draft tokens
   int64_t spec_rollback_blocks_ = 0;

@@ -107,7 +107,13 @@ double CapabilityModel::MeanAccuracy(const TaskSet& tasks, double theta) {
   return sum / static_cast<double>(tasks.tasks.size());
 }
 
-CapabilityModel::CapabilityModel() {
+CapabilityModel::CapabilityModel()
+    : CapabilityModel([]() -> const CapabilityModel& {
+        static const CapabilityModel measured{MeasureTag{}};
+        return measured;
+      }()) {}
+
+CapabilityModel::CapabilityModel(MeasureTag) {
   // --- 1. Measure quantization errors with the repo's real quantizers. ---
   hexllm::Rng rng(0x5EED5);
   const int64_t k = 2048;

@@ -38,7 +38,8 @@ inline constexpr double kTrialSkillSd = 1.8;
 class CapabilityModel {
  public:
   // Measures quantization/attention errors with the real kernels and calibrates the skill
-  // mapping. Deterministic (fixed seeds); construct once and share.
+  // mapping. Deterministic (fixed seeds), so the work runs once per process: the first
+  // construction measures, every construction copies that result.
   CapabilityModel();
 
   // --- measured error statistics (relative RMS) ---
@@ -86,6 +87,10 @@ class CapabilityModel {
   double SkillPenalty(Dataset d, double weight_err, double attn_err) const;
 
  private:
+  // The measuring and calibrating constructor behind the process-wide instance.
+  struct MeasureTag {};
+  explicit CapabilityModel(MeasureTag);
+
   double common_group_q4_err_ = 0.0;
   double tile_group_q4_err_ = 0.0;
   double per_channel_q4_err_ = 0.0;

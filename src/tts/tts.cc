@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <vector>
 
 #include "src/base/check.h"
@@ -143,19 +142,22 @@ MethodResult RunBestOfN(const TaskSet& tasks, double theta, const OutcomeRewardM
 
 MethodResult RunMajorityVote(const TaskSet& tasks, double theta, int n, int trials,
                              hexllm::Rng& rng, std::vector<hserve::ServeJob>* jobs) {
-  std::map<int, int> votes;
+  std::vector<int> answers;  // in draw order
   return RunParallelSampling(
-      tasks, theta, n, trials, rng, jobs, [&](const SamplePath& p) { ++votes[p.answer]; },
+      tasks, theta, n, trials, rng, jobs,
+      [&](const SamplePath& p) { answers.push_back(p.answer); },
       [&](const ReasoningTask& t) {
+        // Scanning in draw order with a strict > gives a tie to the first-drawn answer.
         int best_answer = -1;
-        int best_count = 0;
-        for (const auto& [ans, count] : votes) {
+        int64_t best_count = 0;
+        for (const int ans : answers) {
+          const int64_t count = std::count(answers.begin(), answers.end(), ans);
           if (count > best_count) {
             best_count = count;
             best_answer = ans;
           }
         }
-        votes.clear();
+        answers.clear();
         return best_answer == t.answer;
       });
 }

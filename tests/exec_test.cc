@@ -242,17 +242,19 @@ TEST(LaneDeterminismTest, DecodeStepBitIdenticalAcrossLanes) {
   std::vector<float> logits1(static_cast<size_t>(batch) * config.vocab);
   std::vector<float> logits4(logits1.size());
   std::vector<int> tokens(static_cast<size_t>(batch));
+  const std::vector<int> seqs{0, 1, 2};
+  const std::vector<int> one_row_each(static_cast<size_t>(batch), 1);
   for (int step = 0; step < 5; ++step) {
     for (int b = 0; b < batch; ++b) {
       tokens[static_cast<size_t>(b)] = (7 * step + 3 * b + 1) % config.vocab;
     }
     {
       ParallelismOverride lanes(1);
-      tf1.Step(tokens, logits1);
+      tf1.Forward({tokens, seqs, one_row_each, logits1});
     }
     {
       ParallelismOverride lanes(4);
-      tf4.Step(tokens, logits4);
+      tf4.Forward({tokens, seqs, one_row_each, logits4});
     }
     EXPECT_EQ(std::memcmp(logits1.data(), logits4.data(),
                           logits1.size() * sizeof(float)),

@@ -88,12 +88,11 @@ class FleetFixture : public ::testing::Test {
                                                          int max_context = 256,
                                                          bool speculative = false) {
     devs_.push_back(std::make_unique<hexsim::NpuDevice>(hexsim::OnePlus12()));
-    hserve::FunctionalBackend::SpecOptions spec;
-    spec.draft = speculative ? &draft_weights_ : nullptr;
-    spec.gamma = 3;
+    hserve::FunctionalBackend::Options options;
+    options.draft = speculative ? &draft_weights_ : nullptr;
+    options.gamma = 3;
     return std::make_unique<hserve::FunctionalBackend>(*devs_.back(), weights_, max_batch,
-                                                       max_context, /*kv_pool_blocks=*/0,
-                                                       hquant::KvDtype::kF16, spec);
+                                                       max_context, options);
   }
 
   // Four jobs of 8 prompt and `decode` tokens, drafting when `speculative`.

@@ -39,8 +39,10 @@ TEST(IntegrationTest, AttentionVariantBarelyChangesToyModelLogits) {
     auto& logits = (variant == hkern::SoftmaxVariant::kLut) ? logits_lut : logits_f32;
     auto& greedy = (variant == hkern::SoftmaxVariant::kLut) ? greedy_lut : greedy_f32;
     int tok = prompt.back();
+    const int seq = 0;
+    const int one_row = 1;
     for (int i = 0; i < 5; ++i) {
-      tf.Step({&tok, 1}, logits, variant);
+      tf.Forward({{&tok, 1}, {&seq, 1}, {&one_row, 1}, logits}, variant);
       tok = hllm::ArgmaxToken(logits);
       greedy.push_back(tok);
     }
@@ -68,13 +70,15 @@ TEST(IntegrationTest, TemperatureSamplingDiversifiesParallelPaths) {
     // Prefill per sequence: same tokens.
   }
   std::vector<int> tokens(batch, 200);
+  const std::vector<int> seqs{0, 1, 2, 3};
+  const std::vector<int> one_row_each(batch, 1);
   std::vector<float> logits(static_cast<size_t>(batch) * config.vocab);
   hllm::SamplerOptions sampler;
   sampler.temperature = 1.2f;
   Rng rng(5);
   std::vector<std::vector<int>> paths(batch);
   for (int step = 0; step < 6; ++step) {
-    tf.Step(tokens, logits);
+    tf.Forward({tokens, seqs, one_row_each, logits});
     for (int b = 0; b < batch; ++b) {
       const std::span<const float> row{logits.data() + static_cast<size_t>(b) * config.vocab,
                                        static_cast<size_t>(config.vocab)};
@@ -118,7 +122,9 @@ TEST(IntegrationTest, FunctionalLedgerAgreesWithEngineOrderOfMagnitude) {
   hllm::Transformer tf(dev, weights, 1, 16);
   std::vector<float> logits(static_cast<size_t>(config.vocab));
   const int tok = 1;
-  tf.Step({&tok, 1}, logits);
+  const int seq = 0;
+  const int one_row = 1;
+  tf.Forward({{&tok, 1}, {&seq, 1}, {&one_row, 1}, logits});
   const double functional_busy = dev.ledger().EngineSeconds(hexsim::Engine::kHvx) +
                                  dev.ledger().EngineSeconds(hexsim::Engine::kHmx);
 

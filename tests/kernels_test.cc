@@ -902,6 +902,14 @@ void FillContiguousView(const std::vector<F16>& k, const std::vector<F16>& v, in
   view->row = {hquant::KvDtype::kF16, d};
 }
 
+// One decode row (position kv_len - 1, KV head 0) over `view` as a one-span batch.
+void AttendDecodeRow(NpuDevice& dev, const ExpLut& lut, const F16* q, const PagedKvView& view,
+                     F16* o, int kv_len, int d, float scale, const AttnWindowSpec* window) {
+  const AttnKvSpan span{view, kv_len};
+  const AttnQueryRow row{q, o, kv_len - 1};
+  FlashAttentionBatch(dev, lut, SoftmaxVariant::kLut, {&span, 1}, {&row, 1}, d, scale, window);
+}
+
 TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
   Rng rng(81);
   const int d = 32;
@@ -933,8 +941,7 @@ TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, 0, o_win.data(),
-                        d, 1, kv_len, d, scale, /*q_pos_offset=*/-1, &w);
+    AttendDecodeRow(dev, lut, q.data(), view, o_win.data(), kv_len, d, scale, &w);
     // The covered window was normalized away — the windowed-call counter must NOT fire.
     EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.windowed_calls"), 0);
     win_s = dev.ledger().TagSeconds("attn.softmax") + dev.ledger().TagSeconds("dma");
@@ -942,8 +949,7 @@ TEST(AttnWindowTest, FullCoverageWindowIsBitIdenticalToUnwindowed) {
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, 0,
-                        o_plain.data(), d, 1, kv_len, d, scale, -1, nullptr);
+    AttendDecodeRow(dev, lut, q.data(), view, o_plain.data(), kv_len, d, scale, nullptr);
     plain_s = dev.ledger().TagSeconds("attn.softmax") + dev.ledger().TagSeconds("dma");
   }
   for (size_t i = 0; i < o_win.size(); ++i) {
@@ -982,8 +988,7 @@ TEST(AttnWindowTest, MaskedInteriorIsNeverReadAndMatchesVisibleReference) {
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view, 0, o_a.data(),
-                        d, 1, kv_len, d, scale, -1, &w);
+    AttendDecodeRow(dev, lut, q.data(), view, o_a.data(), kv_len, d, scale, &w);
     // A surviving (non-normalized) window marks the call in the ledger.
     EXPECT_EQ(dev.ledger().Count("kernel.flash_attention.windowed_calls"), 1);
   }
@@ -1006,8 +1011,7 @@ TEST(AttnWindowTest, MaskedInteriorIsNeverReadAndMatchesVisibleReference) {
   {
     NpuDevice dev(OnePlus12());
     ExpLut lut(dev);
-    FlashAttentionPaged(dev, lut, SoftmaxVariant::kLut, q.data(), d, view2, 0, o_b.data(),
-                        d, 1, kv_len, d, scale, -1, &w);
+    AttendDecodeRow(dev, lut, q.data(), view2, o_b.data(), kv_len, d, scale, &w);
   }
   for (size_t i = 0; i < o_a.size(); ++i) {
     EXPECT_EQ(o_a[i].bits(), o_b[i].bits()) << i;

@@ -459,7 +459,7 @@ TEST(KvQuantTest, F16ModeIsBitExactAndMatchesLegacyLayout) {
 }
 
 TEST(KvQuantTest, PagedQuantAttentionMatchesDequantizedF16Attention) {
-  // FlashAttentionPaged's in-kernel dequant promises ReadKeyRow/ReadValueRow numerics:
+  // FlashAttentionBatch's in-kernel dequant promises ReadKeyRow/ReadValueRow numerics:
   // attention over a quantized cache must be BIT-identical to attention over an F16 cache
   // holding the round-tripped rows. Also checks that only the quantized call charges the
   // dequant (its own kernel counter plus HVX work under "attn.kv_dequant").
@@ -512,18 +512,24 @@ TEST(KvQuantTest, PagedQuantAttentionMatchesDequantizedF16Attention) {
     }
     std::vector<F16> oq(q.size()), of(q.size());
     const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    // The q_len rows at positions kv_len - q_len.. attend one span: the cache's view.
+    const auto attend = [&](hexsim::NpuDevice& dev, const hkern::PagedKvView& kv,
+                            std::vector<F16>* o) {
+      hkern::ExpLut lut(dev);
+      std::vector<hkern::AttnQueryRow> rows;
+      for (int r = 0; r < q_len; ++r) {
+        rows.push_back({q.data() + r * head_dim, o->data() + r * head_dim, kv_len - q_len + r});
+      }
+      const hkern::AttnKvSpan span{kv, kv_len};
+      hkern::FlashAttentionBatch(dev, lut, hkern::SoftmaxVariant::kLut, {&span, 1}, rows,
+                                 head_dim, scale);
+    };
     hexsim::NpuDevice fdev(hexsim::OnePlus12());
-    hkern::ExpLut flut(fdev);
-    hkern::FlashAttentionPaged(fdev, flut, hkern::SoftmaxVariant::kLut, q.data(), head_dim,
-                               fview, /*kv_head=*/0, of.data(), head_dim, q_len, kv_len,
-                               head_dim, scale, kv_len - q_len);
+    attend(fdev, fview, &of);
     EXPECT_EQ(fdev.ledger().Count("kernel.attn_kv_dequant.calls"), 0);
     EXPECT_EQ(fdev.ledger().tags().count("attn.kv_dequant"), 0u);
     hexsim::NpuDevice qdev(hexsim::OnePlus12());
-    hkern::ExpLut qlut(qdev);
-    hkern::FlashAttentionPaged(qdev, qlut, hkern::SoftmaxVariant::kLut, q.data(), head_dim,
-                               qview, /*kv_head=*/0, oq.data(), head_dim, q_len, kv_len,
-                               head_dim, scale, /*q_pos_offset=*/kv_len - q_len);
+    attend(qdev, qview, &oq);
     for (size_t i = 0; i < oq.size(); ++i) {
       EXPECT_EQ(oq[i].bits(), of[i].bits()) << i;
     }
@@ -996,8 +1002,9 @@ TEST_F(ServingKvTest, LiveSessionStreamHasBackendBlockParityAfterEveryStep) {
   AnalyticBackend::Options bo;
   bo.kv_budget_bytes = kPoolBlocks * config_.KvCacheBytes(hkv::kDefaultBlockTokens);
   AnalyticBackend analytic(*toy_engine_, bo);
-  FunctionalBackend functional(dev_, weights_, /*max_batch=*/3, /*max_context=*/128,
-                               kPoolBlocks);
+  FunctionalBackend::Options fo;
+  fo.kv_pool_blocks = kPoolBlocks;
+  FunctionalBackend functional(dev_, weights_, /*max_batch=*/3, /*max_context=*/128, fo);
   const LiveSessionTrace a = DriveLiveSessions(analytic);
   const LiveSessionTrace f = DriveLiveSessions(functional);
   ASSERT_TRUE(a.result.error.empty()) << a.result.error;
@@ -1070,8 +1077,9 @@ TEST_F(ServingKvTest, PoisonedRunLeavesBothBackendsReusable) {
   AnalyticBackend::Options bo;
   bo.kv_budget_bytes = kBudgetBlocks * config_.KvCacheBytes(hkv::kDefaultBlockTokens);
   AnalyticBackend analytic(*toy_engine_, bo);
-  FunctionalBackend functional(dev_, weights_, so.max_batch, /*max_context=*/128,
-                               kBudgetBlocks);
+  FunctionalBackend::Options fo;
+  fo.kv_pool_blocks = kBudgetBlocks;
+  FunctionalBackend functional(dev_, weights_, so.max_batch, /*max_context=*/128, fo);
   for (ExecutionBackend* backend : std::vector<ExecutionBackend*>{&analytic, &functional}) {
     SCOPED_TRACE(backend->name());
     ContinuousBatcher batcher(*backend, so);
@@ -1098,8 +1106,9 @@ TEST_F(ServingKvTest, SmallKvPoolDefersAdmissionInsteadOfDeadlocking) {
     jobs.push_back(Job(i, 33));
   }
   hexsim::NpuDevice dev(hexsim::OnePlus12());
-  FunctionalBackend backend(dev, weights_, so.max_batch, /*max_context=*/64,
-                            /*kv_pool_blocks=*/4);
+  FunctionalBackend::Options fo;
+  fo.kv_pool_blocks = 4;
+  FunctionalBackend backend(dev, weights_, so.max_batch, /*max_context=*/64, fo);
   const ScheduleResult r = ContinuousBatcher(backend, so).Run(jobs);
   ASSERT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(static_cast<int>(r.completions.size()), 4);
@@ -1250,8 +1259,9 @@ TEST_F(ServingKvTest, QuantizedKvKeepsBackendBlockParityAndShrinksBytes) {
   const ScheduleResult ra = ContinuousBatcher(analytic, so).Run(jobs);
   ASSERT_TRUE(ra.error.empty()) << ra.error;
 
-  FunctionalBackend functional(dev_, weights_, so.max_batch, /*max_context=*/64,
-                               /*kv_pool_blocks=*/0, hquant::KvDtype::kInt4);
+  FunctionalBackend::Options int4;
+  int4.kv_dtype = hquant::KvDtype::kInt4;
+  FunctionalBackend functional(dev_, weights_, so.max_batch, /*max_context=*/64, int4);
   const ScheduleResult rf = ContinuousBatcher(functional, so).Run(jobs);
   ASSERT_TRUE(rf.error.empty()) << rf.error;
 
@@ -1297,14 +1307,14 @@ TEST_F(ServingKvTest, QuantizedForkContinuationMatchesUnforkedDecodeTokenForToke
   };
 
   hexsim::NpuDevice dev1(hexsim::OnePlus12());
-  FunctionalBackend b1(dev1, weights_, so.max_batch, /*max_context=*/64,
-                       /*kv_pool_blocks=*/0, hquant::KvDtype::kInt4);
+  FunctionalBackend::Options int4;
+  int4.kv_dtype = hquant::KvDtype::kInt4;
+  FunctionalBackend b1(dev1, weights_, so.max_batch, /*max_context=*/64, int4);
   const ScheduleResult rw = ContinuousBatcher(b1, so).Run(whole);
   ASSERT_TRUE(rw.error.empty()) << rw.error;
 
   hexsim::NpuDevice dev2(hexsim::OnePlus12());
-  FunctionalBackend b2(dev2, weights_, so.max_batch, /*max_context=*/64,
-                       /*kv_pool_blocks=*/0, hquant::KvDtype::kInt4);
+  FunctionalBackend b2(dev2, weights_, so.max_batch, /*max_context=*/64, int4);
   const ScheduleResult rf = ContinuousBatcher(b2, so).Run(forked);
   ASSERT_TRUE(rf.error.empty()) << rf.error;
 
@@ -1328,8 +1338,9 @@ TEST_F(ServingKvTest, ExplicitF16BackendMatchesDefaultTokenForToken) {
   const ScheduleResult rd = ContinuousBatcher(def, so).Run(jobs);
   ASSERT_TRUE(rd.error.empty()) << rd.error;
   hexsim::NpuDevice dev2(hexsim::OnePlus12());
-  FunctionalBackend exp(dev2, weights_, so.max_batch, /*max_context=*/64,
-                        /*kv_pool_blocks=*/0, hquant::KvDtype::kF16);
+  FunctionalBackend::Options f16;
+  f16.kv_dtype = hquant::KvDtype::kF16;
+  FunctionalBackend exp(dev2, weights_, so.max_batch, /*max_context=*/64, f16);
   const ScheduleResult re = ContinuousBatcher(exp, so).Run(jobs);
   ASSERT_TRUE(re.error.empty()) << re.error;
   EXPECT_EQ(def.kv_dtype(), hquant::KvDtype::kF16);

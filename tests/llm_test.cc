@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -246,6 +247,29 @@ TEST(KvCacheTest, PoolSizeCoversDenseWorstCase) {
 
 // --- functional transformer on the simulator ---
 
+// Plain decode's row plan: token i is a one-row span of sequence seq_ids[i], or of
+// sequence i when seq_ids is empty. The default ids and the row counts come from fixed
+// tables, so building the plan allocates nothing (the zero-alloc decode test drives this).
+constexpr size_t kMaxDecodeRows = 16;
+constexpr std::array<int, kMaxDecodeRows> kSeqIds = [] {
+  std::array<int, kMaxDecodeRows> ids{};
+  std::iota(ids.begin(), ids.end(), 0);
+  return ids;
+}();
+constexpr std::array<int, kMaxDecodeRows> kOneRowEach = [] {
+  std::array<int, kMaxDecodeRows> rows{};
+  rows.fill(1);
+  return rows;
+}();
+
+void DecodeStep(Transformer& tf, std::span<const int> tokens, std::span<float> logits,
+                std::span<const int> seq_ids = {}) {
+  const size_t n = tokens.size();
+  ASSERT_LE(n, kMaxDecodeRows);
+  tf.Forward({tokens, seq_ids.empty() ? std::span<const int>(kSeqIds).first(n) : seq_ids,
+              std::span<const int>(kOneRowEach).first(n), logits});
+}
+
 class TransformerTest : public ::testing::Test {
  protected:
   TransformerTest()
@@ -262,7 +286,7 @@ TEST_F(TransformerTest, StepProducesFiniteLogits) {
   Transformer tf(dev_, weights_, /*max_batch=*/2, /*max_context=*/16);
   std::vector<int> tokens{1, 2};
   std::vector<float> logits(2 * static_cast<size_t>(config_.vocab));
-  tf.Step(tokens, logits);
+  DecodeStep(tf, tokens, logits);
   for (const float v : logits) {
     EXPECT_TRUE(std::isfinite(v));
   }
@@ -286,7 +310,7 @@ TEST_F(TransformerTest, DecodeIsDeterministic) {
     std::vector<float> logits(static_cast<size_t>(config_.vocab));
     int tok = 7;
     for (int i = 0; i < 6; ++i) {
-      tf.Step({&tok, 1}, logits);
+      DecodeStep(tf, {&tok, 1}, logits);
       tok = ArgmaxToken(logits);
       out->push_back(tok);
     }
@@ -314,7 +338,7 @@ TEST_F(TransformerTest, FullCoverageWindowDecodesBitIdenticalTokens) {
     std::vector<int> out;
     int tok = 7;
     for (int i = 0; i < 6; ++i) {
-      tf.Step({&tok, 1}, logits);
+      DecodeStep(tf, {&tok, 1}, logits);
       tok = ArgmaxToken(logits);
       out.push_back(tok);
     }
@@ -334,14 +358,14 @@ TEST_F(TransformerTest, BatchedStepMatchesSingleSequence) {
   {
     Transformer tf(dev_, weights_, 2, 16);
     std::vector<int> tokens{5, 9};
-    tf.Step(tokens, logits_batch);
+    DecodeStep(tf, tokens, logits_batch);
   }
   for (int seq = 0; seq < 2; ++seq) {
     hexsim::NpuDevice dev(hexsim::OnePlus12());
     Transformer tf(dev, weights_, 1, 16);
     std::vector<float> logits(static_cast<size_t>(config_.vocab));
     const int tok = (seq == 0) ? 5 : 9;
-    tf.Step({&tok, 1}, logits);
+    DecodeStep(tf, {&tok, 1}, logits);
     for (int64_t v = 0; v < config_.vocab; ++v) {
       EXPECT_NEAR(logits[static_cast<size_t>(v)],
                   logits_batch[static_cast<size_t>(seq * config_.vocab + v)], 1e-3)
@@ -368,17 +392,17 @@ TEST_F(TransformerTest, ChunkedPrefillMatchesTokenByToken) {
     Transformer tf(dev, weights_, 1, 64);
     tf.Prefill(0, prompt);
     const int tok = 5;
-    tf.Step({&tok, 1}, logits_chunked);
+    DecodeStep(tf, {&tok, 1}, logits_chunked);
   }
   {
     hexsim::NpuDevice dev(hexsim::OnePlus12());
     Transformer tf(dev, weights_, 1, 64);
     std::vector<float> scratch(static_cast<size_t>(config_.vocab));
     for (const int t : prompt) {
-      tf.Step({&t, 1}, scratch);
+      DecodeStep(tf, {&t, 1}, scratch);
     }
     const int tok = 5;
-    tf.Step({&tok, 1}, logits_stepwise);
+    DecodeStep(tf, {&tok, 1}, logits_stepwise);
   }
   for (int64_t v = 0; v < config_.vocab; ++v) {
     EXPECT_NEAR(logits_chunked[static_cast<size_t>(v)],
@@ -399,7 +423,7 @@ TEST_F(TransformerTest, MultiChunkPrefillCrossesChunkBoundary) {
   EXPECT_EQ(tf.kv().length(0), len);
   std::vector<float> logits(static_cast<size_t>(config_.vocab));
   const int tok = 2;
-  tf.Step({&tok, 1}, logits);
+  DecodeStep(tf, {&tok, 1}, logits);
   for (const float v : logits) {
     EXPECT_TRUE(std::isfinite(v));
   }
@@ -416,7 +440,7 @@ TEST_F(TransformerTest, ContextChangesPrediction) {
     std::vector<int> prompt{1, 2, 3};
     tf.Prefill(0, prompt);
     const int tok = 8;
-    tf.Step({&tok, 1}, a);
+    DecodeStep(tf, {&tok, 1}, a);
   }
   {
     hexsim::NpuDevice dev(hexsim::OnePlus12());
@@ -424,7 +448,7 @@ TEST_F(TransformerTest, ContextChangesPrediction) {
     std::vector<int> prompt{400, 301, 77};
     tf.Prefill(0, prompt);
     const int tok = 8;
-    tf.Step({&tok, 1}, b);
+    DecodeStep(tf, {&tok, 1}, b);
   }
   double diff = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -437,7 +461,7 @@ TEST_F(TransformerTest, ChargesAllEngineCategories) {
   Transformer tf(dev_, weights_, 1, 16);
   std::vector<float> logits(static_cast<size_t>(config_.vocab));
   const int tok = 3;
-  tf.Step({&tok, 1}, logits);
+  DecodeStep(tf, {&tok, 1}, logits);
   const auto& ledger = dev_.ledger();
   EXPECT_GT(ledger.TagSeconds("linear.dequant"), 0.0);
   EXPECT_GT(ledger.TagSeconds("gemm.hmx"), 0.0);
@@ -687,7 +711,7 @@ TEST_F(TransformerTest, PagedAttentionMatchesGatherReference) {
     const int kv_len[] = {step + 1};
     ReplayDecodeAttentionDma(config_, kv_len, /*paged=*/true, &paged_pin);
     ReplayDecodeAttentionDma(config_, kv_len, /*paged=*/false, &ref_pin);
-    tf.StepSeqs(tokens, seq_ids, std::span<float>(logits.data(), static_cast<size_t>(vocab)));
+    DecodeStep(tf, tokens, std::span<float>(logits.data(), static_cast<size_t>(vocab)), seq_ids);
     GatherReferenceStep(dev_ref, ref_lut, weights_, tokens, ref_seqs,
                         std::span<float>(ref_logits.data(), static_cast<size_t>(vocab)));
     ASSERT_EQ(std::memcmp(logits.data(), ref_logits.data(), sizeof(float) * vocab), 0)
@@ -712,7 +736,7 @@ TEST_F(TransformerTest, PagedAttentionMatchesGatherReference) {
     const int kv_lens[] = {step + 4, step + 4};
     ReplayDecodeAttentionDma(config_, kv_lens, /*paged=*/true, &paged_pin);
     ReplayDecodeAttentionDma(config_, kv_lens, /*paged=*/false, &ref_pin);
-    tf.StepSeqs(tokens, seq_ids, logits);
+    DecodeStep(tf, tokens, logits, seq_ids);
     GatherReferenceStep(dev_ref, ref_lut, weights_, tokens, ref_seqs, ref_logits);
     ASSERT_EQ(std::memcmp(logits.data(), ref_logits.data(), sizeof(float) * 2 * vocab), 0)
         << "phase-2 step " << step;
@@ -966,9 +990,11 @@ std::string ForwardScriptProfile(const ModelWeights& weights, hquant::KvDtype dt
 
   std::vector<int> tokens{3, 9, 27};
   const std::vector<int> seqs{0, 1, 2};
+  const std::vector<int> one_row_each{1, 1, 1};
   std::vector<float> logits(9 * static_cast<size_t>(vocab));
   for (int step = 0; step < 4; ++step) {
-    tf.StepSeqs(tokens, seqs, std::span<float>(logits.data(), 3 * static_cast<size_t>(vocab)));
+    tf.Forward({tokens, seqs, one_row_each,
+                std::span<float>(logits.data(), 3 * static_cast<size_t>(vocab))});
     for (int b = 0; b < 3; ++b) {
       tokens[static_cast<size_t>(b)] = ArgmaxToken(std::span<const float>(
           logits.data() + b * vocab, static_cast<size_t>(vocab)));
@@ -976,7 +1002,7 @@ std::string ForwardScriptProfile(const ModelWeights& weights, hquant::KvDtype dt
   }
   const std::vector<int> verify_tokens{tokens[0], 11, 12, tokens[1], tokens[2], 21, 22, 23, 24};
   const std::vector<int> span_rows{3, 1, 5};
-  tf.StepSpans(verify_tokens, seqs, span_rows, logits);
+  tf.Forward({verify_tokens, seqs, span_rows, logits});
 
   std::string out = ChargeProfile(dev) + "verify_argmax";
   for (int r = 0; r < 9; ++r) {
@@ -1073,8 +1099,8 @@ TEST_F(TransformerTest, PrefillChunkingIsInvisibleToKv) {
         }
         std::vector<float> lo(static_cast<size_t>(vocab)), ls(lo.size());
         const int tok = 5;
-        one.Step({&tok, 1}, lo);
-        sliced.Step({&tok, 1}, ls);
+        DecodeStep(one, {&tok, 1}, lo);
+        DecodeStep(sliced, {&tok, 1}, ls);
         ASSERT_EQ(std::memcmp(lo.data(), ls.data(), lo.size() * sizeof(float)), 0);
       }
     }
@@ -1119,7 +1145,7 @@ TEST_F(TransformerTest, ShortSharedPromptStagesEachBlockOnce) {
     const int64_t desc0 = dev.ledger().Count("dma.descriptors");
     const int64_t calls0 = dev.ledger().Count("kernel.flash_attention.calls");
     for (int step = 0; step < kSteps; ++step) {
-      tf.StepSeqs(tokens, seqs, logits);
+      DecodeStep(tf, tokens, logits, seqs);
       out.logits.insert(out.logits.end(), logits.begin(), logits.end());
       for (size_t b = 0; b < n; ++b) {
         tokens[b] = ArgmaxToken(std::span<const float>(logits.data() + b * vocab,
@@ -1195,8 +1221,9 @@ TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
   // block outside the attended set after each call; its twin keeps every block resident.
   // End to end, decode, a prefill chunk and a multi-span verify give bit-equal logits. At
   // the kernel, one FlashAttentionBatch over every KV head of the offloaded cache matches
-  // per-head FlashAttentionPaged calls over the resident one bit for bit, and its staging DMA
-  // is exactly the AppendAttendedBlocks set, with blocks the spans share staged once.
+  // per-head one-span FlashAttentionBatch calls over the resident one bit for bit, and its
+  // staging DMA is exactly the AppendAttendedBlocks set, with blocks the spans share staged
+  // once.
   const ModelConfig& c = config_;
   const int64_t vocab = c.vocab;
   const int dh = c.head_dim;
@@ -1239,11 +1266,14 @@ TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
   ASSERT_GT(off.kv().offload()->stats().demotions, 0);
 
   const std::vector<int> seqs{0, 1, 2};
+  const std::vector<int> one_row_each{1, 1, 1};
   std::vector<float> lo(8 * static_cast<size_t>(vocab)), lr(lo.size());
   std::vector<int> tokens{5, 6, 7};
   for (int step = 0; step < 2; ++step) {  // GQA-grouped decode at batch 3
-    off.StepSeqs(tokens, seqs, std::span<float>(lo.data(), 3 * static_cast<size_t>(vocab)));
-    ref.StepSeqs(tokens, seqs, std::span<float>(lr.data(), 3 * static_cast<size_t>(vocab)));
+    off.Forward({tokens, seqs, one_row_each,
+                 std::span<float>(lo.data(), 3 * static_cast<size_t>(vocab))});
+    ref.Forward({tokens, seqs, one_row_each,
+                 std::span<float>(lr.data(), 3 * static_cast<size_t>(vocab))});
     demote();
     ASSERT_EQ(std::memcmp(lo.data(), lr.data(), 3 * vocab * sizeof(float)), 0) << step;
     for (int b = 0; b < 3; ++b) {
@@ -1256,8 +1286,8 @@ TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
   demote();
   const std::vector<int> verify_tokens{tokens[0], 11, 12, tokens[1], tokens[2], 21};
   const std::vector<int> verify_rows{3, 1, 2};
-  off.StepSpans(verify_tokens, seqs, verify_rows, std::span<float>(lo.data(), 6 * vocab));
-  ref.StepSpans(verify_tokens, seqs, verify_rows, std::span<float>(lr.data(), 6 * vocab));
+  off.Forward({verify_tokens, seqs, verify_rows, std::span<float>(lo.data(), 6 * vocab)});
+  ref.Forward({verify_tokens, seqs, verify_rows, std::span<float>(lr.data(), 6 * vocab)});
   demote();
   ASSERT_EQ(std::memcmp(lo.data(), lr.data(), 6 * vocab * sizeof(float)), 0);
 
@@ -1368,18 +1398,21 @@ TEST_F(TransformerTest, GroupedWindowedAttentionMatchesPerHeadCalls) {
         }
         std::vector<const uint8_t*> rk(static_cast<size_t>(cap)), rv(rk.size());
         ref.kv().FillBlockPointers(l, s, len, rk.data(), rv.data());
+        hkern::AttnKvSpan span;
+        span.kv.k_blocks = rk.data();
+        span.kv.v_blocks = rv.data();
+        span.kv.block_tokens = bt;
+        span.kv.row = ref.kv().row_codec();
+        span.kv_len = len;
         for (int h = 0; h < c.heads; ++h) {
-          hkern::PagedKvView view;
-          view.k_blocks = rk.data();
-          view.v_blocks = rv.data();
-          view.block_tokens = bt;
-          view.row = ref.kv().row_codec();
-          const int64_t at =
-              static_cast<int64_t>(row0[static_cast<size_t>(s)]) * c.heads * dh + h * dh;
-          hkern::FlashAttentionPaged(dev_ref, lut_ref, hkern::SoftmaxVariant::kLut, q.data() + at,
-                                     c.heads * dh, view, h / group, o_heads.data() + at,
-                                     c.heads * dh, n, len, dh, scale, len - n,
-                                     &ref.attention_window());
+          std::vector<hkern::AttnQueryRow> head_rows;
+          for (int r = 0; r < n; ++r) {
+            const int64_t at =
+                (static_cast<int64_t>(row0[static_cast<size_t>(s)] + r) * c.heads + h) * dh;
+            head_rows.push_back({q.data() + at, o_heads.data() + at, len - n + r, 0, h / group});
+          }
+          hkern::FlashAttentionBatch(dev_ref, lut_ref, hkern::SoftmaxVariant::kLut, {&span, 1},
+                                     head_rows, dh, scale, &ref.attention_window());
         }
       }
       for (size_t e = 0; e < q.size(); ++e) {
@@ -1410,8 +1443,10 @@ TEST_F(TransformerTest, HvxPacketsCountCommittedWork) {
     }
     std::vector<float> logits(6 * static_cast<size_t>(vocab));
     const std::vector<int> seqs{0, 1, 2};
-    tf.StepSeqs({{3, 4, 5}}, seqs, std::span<float>(logits.data(), 3 * vocab));
-    tf.StepSpans({{6, 7, 8, 9, 10, 11}}, seqs, {{2, 1, 3}}, logits);
+    const std::vector<int> decode_tokens{3, 4, 5}, one_row_each{1, 1, 1};
+    const std::vector<int> verify_tokens{6, 7, 8, 9, 10, 11}, verify_rows{2, 1, 3};
+    tf.Forward({decode_tokens, seqs, one_row_each, std::span<float>(logits.data(), 3 * vocab)});
+    tf.Forward({verify_tokens, seqs, verify_rows, logits});
     return dev;
   };
   const auto cold = run(1);
@@ -1455,7 +1490,7 @@ TEST_F(TransformerTest, WeightCacheReplayParity) {
     std::vector<float> logits(static_cast<size_t>(kPrefillRows * vocab));
     int tok = 3;
     for (int i = 0; i < 5; ++i) {
-      tf.Step({&tok, 1}, std::span<float>(logits.data(), vocab));
+      DecodeStep(tf, {&tok, 1}, std::span<float>(logits.data(), vocab));
       record(std::span<const float>(logits.data(), vocab));
       tok = token_runs[run].back();
     }
@@ -1464,11 +1499,12 @@ TEST_F(TransformerTest, WeightCacheReplayParity) {
       prompt[static_cast<size_t>(i)] = (i * 29 + 7) % static_cast<int>(vocab);
     }
     const std::vector<int> seqs{0, 1, 2};
-    tf.StepSpans(prompt, seqs, {{11, 11, 11}}, logits);
+    const std::vector<int> eleven_rows_each{11, 11, 11};
+    tf.Forward({prompt, seqs, eleven_rows_each, logits});
     record(logits);
     std::vector<int> tokens{5, 9, 14};
     for (int i = 0; i < 4; ++i) {
-      tf.StepSeqs(tokens, seqs, std::span<float>(logits.data(), 3 * vocab));
+      DecodeStep(tf, tokens, std::span<float>(logits.data(), 3 * vocab), seqs);
       record(std::span<const float>(logits.data(), 3 * vocab));
       std::copy(token_runs[run].end() - 3, token_runs[run].end(), tokens.begin());
     }
@@ -1506,11 +1542,11 @@ TEST_F(TransformerTest, SteadyStateDecodeDoesNotHeapAllocate) {
     std::vector<int> tokens{3, 5};
     std::vector<float> logits(2 * static_cast<size_t>(config_.vocab));
     for (int i = 0; i < 3; ++i) {
-      tf.Step(tokens, logits);
+      DecodeStep(tf, tokens, logits);
     }
     const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
     for (int i = 0; i < 5; ++i) {
-      tf.Step(tokens, logits);
+      DecodeStep(tf, tokens, logits);
       for (int b = 0; b < 2; ++b) {
         tokens[static_cast<size_t>(b)] = SampleToken(
             std::span<const float>(logits.data() + static_cast<int64_t>(b) * config_.vocab,
@@ -1530,7 +1566,7 @@ TEST_F(TransformerTest, ExpLutBuildsOncePerModelAtFourLanes) {
   std::vector<int> tokens{3, 5, 7, 9};
   std::vector<float> logits(4 * static_cast<size_t>(config_.vocab));
   for (int i = 0; i < 3; ++i) {
-    tf.Step(tokens, logits);
+    DecodeStep(tf, tokens, logits);
   }
   EXPECT_EQ(dev_.ledger().Count("kernel.exp_lut.builds"), 1);
 }
@@ -1558,7 +1594,7 @@ TEST_F(TransformerTest, WorkspaceBytesGaugeExported) {
   hserve::FunctionalBackend backend(dev_, weights_, /*max_batch=*/2, /*max_context=*/16);
   std::vector<float> logits(static_cast<size_t>(config_.vocab));
   const int tok = 3;
-  backend.transformer().Step({&tok, 1}, logits);
+  DecodeStep(backend.transformer(), {&tok, 1}, logits);
 
   obs::Registry registry;
   backend.ExportMetrics(registry);

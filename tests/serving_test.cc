@@ -574,11 +574,10 @@ class SpeculativeServingTest : public ::testing::Test {
       FunctionalBackend backend(dev, weights_, max_batch, max_context);
       return ContinuousBatcher(backend, so).Run(jobs);
     }
-    FunctionalBackend::SpecOptions spec;
-    spec.draft = &draft_weights_;
-    spec.gamma = gamma;
-    FunctionalBackend backend(dev, weights_, max_batch, max_context, /*kv_pool_blocks=*/0,
-                              hquant::KvDtype::kF16, spec);
+    FunctionalBackend::Options options;
+    options.draft = &draft_weights_;
+    options.gamma = gamma;
+    FunctionalBackend backend(dev, weights_, max_batch, max_context, options);
     return ContinuousBatcher(backend, so).Run(jobs);
   }
 
@@ -653,10 +652,10 @@ TEST_F(SpeculativeServingTest, AnySamplerSpeculativeMatchesPlainDecodeTokenForTo
 TEST_F(SpeculativeServingTest, RunGammaCapAndDisableControlTheCycle) {
   const auto run = [&](int gamma, bool speculative) {
     hexsim::NpuDevice dev(hexsim::OnePlus12());
-    FunctionalBackend::SpecOptions spec;
-    spec.draft = &draft_weights_;
-    spec.gamma = gamma;
-    FunctionalBackend backend(dev, weights_, 1, 96, 0, hquant::KvDtype::kF16, spec);
+    FunctionalBackend::Options options;
+    options.draft = &draft_weights_;
+    options.gamma = gamma;
+    FunctionalBackend backend(dev, weights_, 1, 96, options);
     ServeOptions so;
     so.max_batch = 1;
     return ContinuousBatcher(backend, so).Run(SpecJobs(1, 12, /*prompt=*/8, speculative));
@@ -710,10 +709,10 @@ TEST_F(SpeculativeServingTest, PauseResumeOfSpeculativeJobIsBitIdentical) {
   // state; draft conditioning only moves acceptance).
   const auto run = [&](bool pause) {
     hexsim::NpuDevice dev(hexsim::OnePlus12());
-    FunctionalBackend::SpecOptions spec;
-    spec.draft = &draft_weights_;
-    spec.gamma = 2;
-    FunctionalBackend backend(dev, weights_, 1, 96, 0, hquant::KvDtype::kF16, spec);
+    FunctionalBackend::Options options;
+    options.draft = &draft_weights_;
+    options.gamma = 2;
+    FunctionalBackend backend(dev, weights_, 1, 96, options);
     ServeOptions so;
     so.max_batch = 1;
     ContinuousBatcher batcher(backend, so);
@@ -984,6 +983,19 @@ step total 0x1.2cbf4a0c5b1cap-14 linear 0x1.0d1ba0b9d2563p-17 attn 0x1.a9286b6ea
 step total 0x1.2cbf4a0c5b1cap-14 linear 0x1.0d1ba0b9d2563p-17 attn 0x1.a9286b6ea0358p-18 misc 0x1.33415ecba2eap-24 lm 0x1.b7cdfd9d7bdbbp-19 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.05fb90f4f17d8p-16 hmx 0x1.d37abc28b31bap-20 dma 0x1.a8cb0b7a52748p-17 cpu 0x1.b7cdfd9d7bdbbp-19 gpu 0x0p+0 ddr 231424 watts 0x1.338a7fb2028f1p+1 tokens counts
 )";
 
+constexpr const char* kStepProfileAllOptions = R"(admit job 0 slot 0 ctx 72 -> 0x1.2e9f814aac27ap-13
+admit job 1 slot 1 ctx 72 -> 0x0p+0
+admit job 2 slot 2 ctx 69 -> 0x1.2ba4f11ddb028p-13
+cycle total 0x1.8c963e59b0e3dp-13 linear 0x1.180ad49f42278p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.5d7cd4f64947bp-17 comm 0x1.53bd1676640a6p-13 flash 0x1.5e523082d7f6dp-12 fbytes 26112 hvx 0x1.358389f9e2ce8p-15 hmx 0x1.6473fc456ef68p-19 dma 0x1.180ad49f42278p-16 cpu 0x1.0ef379f597bbep-15 gpu 0x0p+0 ddr 105568 watts 0x1.392414868455fp+1 tokens 374 374 28 counts 1 1 1
+cycle total 0x1.0b4be25e139f4p-12 linear 0x1.183b81c0fe962p-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.5d7cd4f64947bp-17 comm 0x1.53bd1676640a6p-13 flash 0x1.b4d0962beb7fap-13 fbytes 17408 hvx 0x1.35e00bc3d8888p-15 hmx 0x1.6473fc456ef84p-19 dma 0x1.183b81c0fe962p-16 cpu 0x1.0ef379f597bbep-15 gpu 0x0p+0 ddr 106248 watts 0x1.31030aa2f7018p+1 tokens 332 332 71 counts 1 1 1
+cycle total 0x1.084d6c68bb962p-12 linear 0x1.ec867ef44ca4p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.41fff51c718ap-17 comm 0x1.53bd1676640a6p-13 flash 0x1.b4d0962beb7fdp-13 fbytes 17408 hvx 0x1.24a3cb03143p-15 hmx 0x1.5bb0158b1205p-19 dma 0x1.ec867ef44ca4p-17 cpu 0x1.bfa886b727367p-16 gpu 0x0p+0 ddr 93816 watts 0x1.2e356bfe3324bp+1 tokens 289 289 12 counts 1 1 1
+cycle total 0x1.080e4a3e1ea78p-12 linear 0x1.a88c3e2ca9a28p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-17 comm 0x1.53bd1676640a6p-13 flash 0x1.b4d0962beb7fcp-13 fbytes 17408 hvx 0x1.13ebb162d376p-15 hmx 0x1.52ec2ed0b50fp-19 dma 0x1.a88c3e2ca9a28p-17 cpu 0x1.88aec70377bbp-16 gpu 0x0p+0 ddr 81316 watts 0x1.2c3cb12b72408p+1 tokens 332 332 505 counts 1 1 1
+admit job 3 slot 0 ctx 76 -> 0x1.02963f930f9a8p-14
+cycle total 0x1.024cec3b907c1p-12 linear 0x1.18cd892633decp-16 attn 0x0p+0 misc 0x0p+0 lm 0x1.5d7cd4f64947bp-17 comm 0x1.53bd1676640a6p-13 flash 0x1.b4d0962beb7fdp-12 fbytes 34816 hvx 0x1.370fff5b6dbbp-15 hmx 0x1.6473fc456efbp-19 dma 0x1.18cd892633decp-16 cpu 0x1.0ef379f597bbep-15 gpu 0x0p+0 ddr 108288 watts 0x1.31dee02069bb2p+1 tokens 289 289 429 counts 1 1 1
+cycle total 0x1.2155b6969e2f7p-12 linear 0x1.a93b7a3fb66p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.d73822042946cp-18 comm 0x1.c4fc1df3300dep-14 flash 0x1.5e523082d7f6cp-12 fbytes 26112 hvx 0x1.fe7df17faaccp-16 hmx 0x1.35b4830e29dc8p-19 dma 0x1.a93b7a3fb66p-17 cpu 0x1.88aec70377bbp-16 gpu 0x0p+0 ddr 82540 watts 0x1.2a1c44dd578c3p+1 tokens 332 332 278 counts 1 1 1
+step total 0x1.1e19fe68b8e71p-13 linear 0x1.0a0b7ddab066p-17 attn 0x0p+0 misc 0x0p+0 lm 0x1.3a256c02c62f3p-18 comm 0x1.c4fc1df3300dep-15 flash 0x0p+0 fbytes 0 hvx 0x1.77585472a804p-16 hmx 0x1.eada78c455a6p-20 dma 0x1.0a0b7ddab066p-17 cpu 0x1.3a256c02c62f3p-17 gpu 0x0p+0 ddr 49240 watts 0x1.2b7ea52c10952p+1 tokens 289 62 counts
+)";
+
 class ServingStepTest : public SpeculativeServingTest {};
 
 TEST_F(ServingStepTest, StepCostProfileIsPinned) {
@@ -992,32 +1004,27 @@ TEST_F(ServingStepTest, StepCostProfileIsPinned) {
   // INT4 functional runs, a functional draft-model run, a functional sink + window run over
   // a small resident budget, and plain and speculative analytic runs.
   hexec::ParallelismOverride serial(1);
-  const auto functional = [&](hquant::KvDtype dtype, const FunctionalBackend::SpecOptions& spec,
-                              bool long_context) {
+  const auto functional = [&](const FunctionalBackend::Options& options, int prompt) {
     hexsim::NpuDevice dev(hexsim::OnePlus12());
-    FunctionalBackend backend(dev, weights_, /*max_batch=*/3, /*max_context=*/128,
-                              /*kv_pool_blocks=*/0, dtype, spec);
-    if (long_context) {
-      hkv::KvOffloadOptions offload;
-      offload.resident_block_budget = 4;
-      hkern::AttnWindowSpec window;
-      window.sink_blocks = 1;
-      window.window_blocks = 1;
-      backend.ConfigureLongContext(offload, window);
-      return ServeScriptProfile(backend, /*prompt=*/72, spec.draft != nullptr);
-    }
-    return ServeScriptProfile(backend, /*prompt=*/8, spec.draft != nullptr);
+    FunctionalBackend backend(dev, weights_, /*max_batch=*/3, /*max_context=*/128, options);
+    return ServeScriptProfile(backend, prompt, options.draft != nullptr);
   };
-  FunctionalBackend::SpecOptions draft;
+  const std::string f16 = functional({}, /*prompt=*/8);
+  EXPECT_TRUE(f16 == kStepProfileF16) << "F16 profile:\n" << f16;
+  FunctionalBackend::Options int4_options;
+  int4_options.kv_dtype = hquant::KvDtype::kInt4;
+  const std::string int4 = functional(int4_options, /*prompt=*/8);
+  EXPECT_TRUE(int4 == kStepProfileInt4) << "INT4 profile:\n" << int4;
+  FunctionalBackend::Options draft;
   draft.draft = &draft_weights_;
   draft.gamma = 3;
-  const std::string f16 = functional(hquant::KvDtype::kF16, {}, false);
-  EXPECT_TRUE(f16 == kStepProfileF16) << "F16 profile:\n" << f16;
-  const std::string int4 = functional(hquant::KvDtype::kInt4, {}, false);
-  EXPECT_TRUE(int4 == kStepProfileInt4) << "INT4 profile:\n" << int4;
-  const std::string spec = functional(hquant::KvDtype::kF16, draft, false);
+  const std::string spec = functional(draft, /*prompt=*/8);
   EXPECT_TRUE(spec == kStepProfileSpec) << "speculative profile:\n" << spec;
-  const std::string offload = functional(hquant::KvDtype::kF16, {}, true);
+  FunctionalBackend::Options long_context;
+  long_context.offload.resident_block_budget = 4;
+  long_context.window.sink_blocks = 1;
+  long_context.window.window_blocks = 1;
+  const std::string offload = functional(long_context, /*prompt=*/72);
   EXPECT_TRUE(offload == kStepProfileOffload) << "offload profile:\n" << offload;
 
   hrt::EngineOptions topt;
@@ -1037,6 +1044,30 @@ TEST_F(ServingStepTest, StepCostProfileIsPinned) {
   const std::string analytic_spec = ServeScriptProfile(speculative, /*prompt=*/8, true);
   EXPECT_TRUE(analytic_spec == kStepProfileAnalyticSpec)
       << "analytic speculative profile:\n" << analytic_spec;
+}
+
+TEST_F(ServingStepTest, AllOptionsProfileIsPinned) {
+  // Every FunctionalBackend::Options field set at once, applied at construction: an
+  // explicit pool, INT8 KV, a gamma-2 draft, a 6-block resident budget and a 1-sink +
+  // 2-block window, with drafting and plain rows mixed in the cycles. Every admission and
+  // cycle keeps the values recorded when offload and window were wired in after
+  // construction.
+  hexec::ParallelismOverride serial(1);
+  hexsim::NpuDevice dev(hexsim::OnePlus12());
+  FunctionalBackend::Options options;
+  options.kv_pool_blocks = 48;
+  options.kv_dtype = hquant::KvDtype::kInt8;
+  options.draft = &draft_weights_;
+  options.gamma = 2;
+  options.offload.resident_block_budget = 6;
+  options.window.sink_blocks = 1;
+  options.window.window_blocks = 2;
+  FunctionalBackend backend(dev, weights_, /*max_batch=*/3, /*max_context=*/128, options);
+  const std::string profile = ServeScriptProfile(backend, /*prompt=*/72, /*speculative=*/true);
+  EXPECT_TRUE(profile == kStepProfileAllOptions) << "all-options profile:\n" << profile;
+  EXPECT_TRUE(backend.transformer().kv().offload_enabled());
+  EXPECT_TRUE(backend.transformer().attention_window().enabled());
+  EXPECT_FALSE(backend.draft_transformer()->attention_window().enabled());
 }
 
 TEST_F(ServingStepTest, PrefillDispatchesMatchAnalyticEngine) {
@@ -1067,7 +1098,7 @@ TEST_F(ServingStepTest, PrefillDispatchesMatchAnalyticEngine) {
   opt.model = &config_;
   opt.device = &hexsim::OnePlus12();
   const hrt::Engine engine(opt);
-  FunctionalBackend::SpecOptions draft;
+  FunctionalBackend::Options draft;
   draft.draft = &draft_weights_;
   draft.gamma = 3;
   for (const int n : {1, 31, 32, 33, 255, 256, 257, 700}) {
@@ -1091,8 +1122,7 @@ TEST_F(ServingStepTest, PrefillDispatchesMatchAnalyticEngine) {
     // The same admission with a draft model: the target's prefill charges exactly as above,
     // and the draft's prefill of the same prompt adds its own dispatches.
     hexsim::NpuDevice spec_dev(hexsim::OnePlus12());
-    FunctionalBackend spec(spec_dev, weights_, /*max_batch=*/1, kMaxContext,
-                           /*kv_pool_blocks=*/0, hquant::KvDtype::kF16, draft);
+    FunctionalBackend spec(spec_dev, weights_, /*max_batch=*/1, kMaxContext, draft);
     const hexsim::CycleLedger spec_mark = spec_dev.ledger();
     const double both_s = spec.AdmitSlot(0, job, n, n);
     Busy drafted = busy(spec_dev.ledger(), spec_mark);

@@ -59,6 +59,44 @@ TEST(CapabilityModelTest, MeasuredErrorOrdering) {
   EXPECT_LT(c.lut_f16_attention_err(), 0.01);
 }
 
+TEST(CapabilityModelTest, MeasuresOncePerProcess) {
+  // Every instance copies one measurement: two constructions agree on every accessor, and
+  // the measured errors keep their values from when each construction measured afresh.
+  const CapabilityModel a;
+  const CapabilityModel b;
+  const auto& m = hllm::Qwen25_1_5B();
+  EXPECT_EQ(a.common_group_q4_err(), 0x1.e2e8db60f0712p-4);
+  EXPECT_EQ(a.tile_group_q4_err(), 0x1.8c34d18dc804p-4);
+  EXPECT_EQ(a.per_channel_q4_err(), 0x1.283ed8fabafe2p-1);
+  EXPECT_EQ(a.q8_err(), 0x1.06c5308f7455p-7);
+  EXPECT_EQ(a.lut_f16_attention_err(), 0x1.4ee8dd67dbf65p-11);
+  EXPECT_EQ(a.AttentionErr(hquant::KvDtype::kInt8), 0x1.083394d6f80bbp-7);
+  EXPECT_EQ(a.AttentionErr(hquant::KvDtype::kInt4), 0x1.c830103bc149cp-4);
+  EXPECT_EQ(a.common_group_q4_err(), b.common_group_q4_err());
+  EXPECT_EQ(a.tile_group_q4_err(), b.tile_group_q4_err());
+  EXPECT_EQ(a.per_channel_q4_err(), b.per_channel_q4_err());
+  EXPECT_EQ(a.q8_err(), b.q8_err());
+  EXPECT_EQ(a.lut_f16_attention_err(), b.lut_f16_attention_err());
+  for (const hquant::KvDtype dtype :
+       {hquant::KvDtype::kF16, hquant::KvDtype::kInt8, hquant::KvDtype::kInt4}) {
+    EXPECT_EQ(a.AttentionErr(dtype), b.AttentionErr(dtype));
+  }
+  EXPECT_EQ(a.DeployedWeightErr(m), b.DeployedWeightErr(m));
+  const double werr = a.DeployedWeightErr(m);
+  const double aerr = a.lut_f16_attention_err();
+  for (const Dataset d : {Dataset::kMath500, Dataset::kGsm8k}) {
+    EXPECT_EQ(a.ThetaF16(m, d), b.ThetaF16(m, d));
+    EXPECT_EQ(a.EffectiveTheta(m, d, werr, aerr), b.EffectiveTheta(m, d, werr, aerr));
+    EXPECT_EQ(a.SkillPenalty(d, werr, aerr), b.SkillPenalty(d, werr, aerr));
+  }
+  for (const Dataset d : {Dataset::kWinoGrande, Dataset::kMmlu}) {
+    EXPECT_EQ(a.ChoiceAccuracy(d, m, werr, aerr), b.ChoiceAccuracy(d, m, werr, aerr));
+  }
+  for (const auto* model : {&m, &hllm::Llama32_1B()}) {
+    EXPECT_EQ(a.WikiPerplexity(*model, werr, aerr), b.WikiPerplexity(*model, werr, aerr));
+  }
+}
+
 TEST(CapabilityModelTest, Table1Reproduction) {
   // AWQ-like per-group vs QNN-like per-channel W4 on Llama3.2-1B. The AWQ cells are
   // calibration anchors (must match tightly); the QNN accuracy cells are anchored too,
@@ -183,6 +221,37 @@ TEST_F(TtsAlgoTest, MajorityVoteHelpsButTrailsOrm) {
   const auto bon = RunBestOfN(tasks_, theta_, orm, 16, 6, rng_);
   EXPECT_GT(mv.accuracy, single.accuracy);
   EXPECT_GT(bon.accuracy, mv.accuracy - 0.03);
+}
+
+TEST(MajorityVoteTest, TieGoesToTheFirstDrawnAnswer) {
+  // Two samples of one task: find seeds whose first draw is wrong and whose second is
+  // right (a 1-1 tie), and the reverse, by replaying the method's draws — the attempt's
+  // skill, then each sample's path. The first-drawn answer must win either way, so the
+  // wrong-first tie is unsolved although the correct answer sorts first.
+  TaskSet tasks{Dataset::kGsm8k, {}};
+  ReasoningTask task;
+  task.difficulty = 0.0;
+  task.num_steps = 4;
+  task.answer = 7;
+  tasks.tasks.push_back(task);
+  const double theta = 0.0;
+  std::vector<bool> found(2, false);
+  for (uint64_t seed = 1; seed < 1000 && !(found[0] && found[1]); ++seed) {
+    Rng replay(seed);
+    const double trial_theta = theta + kTrialSkillSd * replay.NextGaussian();
+    const SamplePath first = SamplePolicyPath(task, trial_theta, replay);
+    const SamplePath second = SamplePolicyPath(task, trial_theta, replay);
+    if (first.correct == second.correct) {
+      continue;
+    }
+    SCOPED_TRACE(seed);
+    found[first.correct ? 1 : 0] = true;
+    Rng rng(seed);
+    const MethodResult r = RunMajorityVote(tasks, theta, /*n=*/2, /*trials=*/1, rng);
+    EXPECT_EQ(r.oracle_accuracy, 1.0);
+    EXPECT_EQ(r.accuracy, first.correct ? 1.0 : 0.0);
+  }
+  EXPECT_TRUE(found[0] && found[1]);
 }
 
 TEST_F(TtsAlgoTest, BeamSearchBeatsBestOfNPerBudget) {
